@@ -1,9 +1,10 @@
 """Command-line front end: compile, verify, faults, sweep, cost.
 
-Exit codes: 0 success, 1 usage or I/O error, 2 compile (partition) failure,
-3 verification mismatch. Every artifact embeds the run configuration and
-tool version; outputs are byte-identical for identical configuration and
-seed (output paths are not part of the configuration).
+Exit codes: 0 success, 1 usage, input or I/O error (one line on stderr),
+2 compile (partition) failure, 3 verification mismatch. Every artifact
+embeds the run configuration and tool version; outputs are byte-identical
+for identical configuration and seed (output paths are not part of the
+configuration).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from . import __version__
 from .compiler import PartitionError, compile_program, expand_reference
 from .faults import (
+    FaultAnalysisError,
     NoiseModel,
     enumerate_pair_faults,
     enumerate_single_faults,
@@ -28,6 +30,7 @@ from .faults import (
 )
 from .ir import (
     Circuit,
+    CircuitError,
     Gate,
     ParseError,
     parse_circuit,
@@ -36,6 +39,7 @@ from .ir import (
 )
 from .semantics import (
     NotDiagonalizableError,
+    SimulationError,
     equal_up_to_global_phase,
     phase_polynomial_of,
     poly_equal,
@@ -77,10 +81,17 @@ def _load_circuit_or_program(path: str):
     return "program", parse_rotation_program(text)
 
 
-def _qubit_list(text: str | None) -> list[int]:
+class UsageError(ValueError):
+    """Malformed command-line value."""
+
+
+def _number_list(text: str | None, kind, flag: str) -> list:
     if not text:
         return []
-    return [int(x) for x in text.split(",") if x != ""]
+    try:
+        return [kind(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise UsageError(f"{flag}: expected a comma list of numbers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +117,7 @@ def cmd_compile(args) -> int:
         return 2
     circuit = report.circuit
     if args.measure_x:
-        circuit = with_x_detection(circuit, _qubit_list(args.measure_x))
+        circuit = with_x_detection(circuit, _number_list(args.measure_x, int, "--measure-x"))
     config = _config_dict(args, ["infile", "objective", "budget", "seed", "measure_x"])
     _write(args.out, circuit.to_json() + "\n")
     if args.diagram:
@@ -185,7 +196,7 @@ def cmd_faults(args) -> int:
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    outputs = _qubit_list(args.outputs)
+    outputs = _number_list(args.outputs, int, "--outputs")
     if args.gadgetize:
         circuit = gadgetize(circuit)
     payload: dict = {
@@ -221,12 +232,15 @@ def cmd_sweep(args) -> int:
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    outputs = _qubit_list(args.outputs)
+    outputs = _number_list(args.outputs, int, "--outputs")
     if args.gadgetize:
         circuit = gadgetize(circuit)
-    pls = [float(x) for x in args.pl.split(",")]
-    rs_ = [float(x) for x in args.r.split(",")]
-    shots = int(float(args.shots))
+    pls = _number_list(args.pl, float, "--pl")
+    rs_ = _number_list(args.r, float, "--r")
+    try:
+        shots = int(float(args.shots))
+    except (ValueError, OverflowError):
+        raise UsageError(f"--shots: expected a number, got {args.shots!r}") from None
     rows = []
     for p_l in pls:
         for r in rs_:
@@ -246,7 +260,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    distances = [int(x) for x in args.distance.split(",")]
+    distances = _number_list(args.distance, int, "--distance")
     print("d  qubit-cycles  surgery-baseline  ratio")
     for d in distances:
         ours = spacetime_cost(
@@ -331,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, UsageError, CircuitError, FaultAnalysisError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

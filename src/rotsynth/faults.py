@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ir import Circuit, Gate, MEAS_KINDS, PREP_KINDS, T_LIKE_KINDS
+from .ir import Circuit, DIAG1_EXPONENT, Gate, MEAS_KINDS, PREP_KINDS, T_LIKE_KINDS
 from .semantics import (
     SimulationError,
     _apply_unitary_gate,
     _measurement_probability,
     _PREP_AMPLITUDES,
     _axis_slice,
+    simulate,
 )
 
 HARMFUL_INFIDELITY = 1e-9
@@ -274,6 +275,15 @@ class _Harness:
     def __init__(self, c: Circuit, outputs: list[int], t_decode: int = 0):
         if c.n > 12:
             raise SimulationError("dense fault analysis capped at 12 qubits")
+        if (
+            not outputs
+            or len(set(outputs)) != len(outputs)
+            or any(not 0 <= q < c.n for q in outputs)
+        ):
+            raise FaultAnalysisError(
+                f"output qubits {list(outputs)} must be one or more distinct qubits "
+                f"of 0..{c.n - 1}"
+            )
         self.circuit = c
         self.n = c.n
         self.outputs = list(outputs)
@@ -300,6 +310,34 @@ class _Harness:
         for prob, state, _ in branches:
             if 1.0 - self._output_fidelity(state) > 1e-10:
                 raise FaultAnalysisError("noiseless branches disagree on the output state")
+        self._init_kernel()
+
+    def _init_kernel(self):
+        """Tables of the batched trajectory kernel (`run_sampled`)."""
+        c, n = self.circuit, self.n
+        # round 0 is the leading run of preparations and frame gates; every
+        # trajectory starts from its noiseless output
+        self._prefix_len = len(self.rounds[0].gate_indices)
+        prefix = c.gates[: self._prefix_len]
+        self._prefix_state = simulate(Circuit(n, prefix)).state
+        self._last_prep = np.full(n, -1)
+        for pos, g in enumerate(prefix):
+            if g.kind in PREP_KINDS:
+                self._last_prep[g.qubits[0]] = pos
+        # last gate of the unitary run starting at each position
+        self._run_end = [0] * len(c.gates)
+        end = len(c.gates) - 1
+        for pos in range(len(c.gates) - 1, -1, -1):
+            if c.gates[pos].kind in MEAS_KINDS or c.gates[pos].kind == "CondS":
+                end = pos - 1
+            self._run_end[pos] = end
+        meas_positions = [i for i, g in enumerate(c.gates) if g.kind in MEAS_KINDS]
+        self._meas_col = {pos: col for col, pos in enumerate(meas_positions)}
+        rest = [q for q in range(n) if q not in self.outputs]
+        self._out_perm = np.arange(1 << n).reshape((2,) * n).transpose(
+            self.outputs + rest
+        ).reshape(-1)
+        self._runs: dict[tuple[int, int], tuple] = {}  # see _fused
 
     # -- state helpers ---------------------------------------------------
 
@@ -389,47 +427,131 @@ class _Harness:
         return acc, bad / acc
 
     def run_sampled(
-        self, fault_map: dict[int, list[tuple[str, int]]], uniforms: np.ndarray
-    ) -> tuple[bool, float]:
-        """Single trajectory with sampled measurements; returns (accepted,
-        infidelity). Consumes one uniform per measurement, in circuit order."""
-        n = self.n
-        state = np.zeros((2,) * n, dtype=np.complex128)
-        state.flat[0] = 1.0
-        outcomes: dict[str, int] = {}
-        meas_i = 0
-        for pos in range(-1, len(self.circuit.gates)):
-            if pos >= 0:
-                g = self.circuit.gates[pos]
-                if g.kind in PREP_KINDS:
-                    a0, a1 = _PREP_AMPLITUDES[g.kind]
-                    q = g.qubits[0]
-                    sub = state[_axis_slice(n, q, 0)].copy()
-                    state[_axis_slice(n, q, 0)] = a0 * sub
-                    state[_axis_slice(n, q, 1)] = a1 * sub
-                elif g.kind in MEAS_KINDS:
-                    p1, proj1 = _measurement_probability(state, g, n, 1)
-                    outcome = int(uniforms[meas_i] < p1)
-                    meas_i += 1
-                    if outcome:
-                        state = proj1 / math.sqrt(p1)
-                    else:
-                        p0, proj0 = _measurement_probability(state, g, n, 0)
-                        state = proj0 / math.sqrt(p0)
-                    outcomes[g.record] = outcome
-                    if (
-                        g.record in self.reference
-                        and outcome != self.reference[g.record]
-                    ):
-                        return False, 0.0
-                elif g.kind == "CondS":
-                    if outcomes[g.record] == 1:
-                        state = _apply_unitary_gate(state, Gate("S", g.qubits), n)
-                else:
-                    state = _apply_unitary_gate(state, g, n)
-            for pauli, qubit in fault_map.get(pos, ()):
-                state = _apply_gates(state, _pauli_ops(pauli, qubit), n)
-        return True, 1.0 - self._output_fidelity(state)
+        self, faults: tuple[np.ndarray, ...], uniforms: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sampled trajectories, one per row of `uniforms`.
+
+        `faults` holds four equal-length integer arrays (row, gate position,
+        Pauli index into "XYZ", qubit); each entry inserts that Pauli after
+        that gate in that row's trajectory. Row i consumes uniforms[i], one
+        value per measurement in circuit order. Returns (accepted,
+        infidelity) per row; rejected rows read infidelity 0.
+
+        Rows run in chunks of `_CHUNK_AMPLITUDES >> n` as one (rows x 2^n)
+        array. Each run of unitaries between break points (measurements,
+        CondS, positions where a row of the chunk gets a fault) is one cached
+        gather and multiply; rejected rows are dropped at their detection
+        measurement.
+        """
+        n_rows = len(uniforms)
+        accepted = np.zeros(n_rows, dtype=bool)
+        infidelity = np.zeros(n_rows)
+        row, pos, pauli, qubit = (np.asarray(a, dtype=np.int64) for a in faults)
+        order = np.argsort(row, kind="stable")
+        row, pos, pauli, qubit = row[order], pos[order], pauli[order], qubit[order]
+        chunk = max(1, _CHUNK_AMPLITUDES >> self.n)
+        for lo in range(0, n_rows, chunk):
+            hi = min(lo + chunk, n_rows)
+            a, b = np.searchsorted(row, (lo, hi))
+            alive, loss = self._run_chunk(
+                row[a:b] - lo, pos[a:b], pauli[a:b], qubit[a:b], uniforms[lo:hi]
+            )
+            accepted[lo + alive] = True
+            infidelity[lo + alive] = loss
+        return accepted, infidelity
+
+    def _run_chunk(self, row, pos, pauli, qubit, uniforms):
+        """One chunk of `run_sampled`: (surviving row indices, infidelities)."""
+        gates = self.circuit.gates
+        prefix_end = self._prefix_len - 1
+        # Only preparations, X and diagonal gates make up the preparation
+        # round, so a Z fault inside it commutes to the round's end up to a
+        # global sign, and vanishes under a later preparation of its qubit.
+        early = pos < prefix_end
+        if (pauli[early] != 2).any():
+            raise FaultAnalysisError("only Z faults may precede the end of round 0")
+        kept = ~early | (self._last_prep[qubit] <= pos)
+        row, pauli, qubit = row[kept], pauli[kept], qubit[kept]
+        pos = np.maximum(pos[kept], prefix_end)
+        order = np.argsort(pos, kind="stable")
+        row, pos, pauli, qubit = row[order], pos[order], pauli[order], qubit[order]
+        stops, firsts = np.unique(pos, return_index=True)
+        bounds = np.append(firsts, len(pos))
+
+        states = np.repeat(self._prefix_state[None, :], len(uniforms), axis=0)
+        alive = np.arange(len(uniforms))     # chunk row of each state row
+        slot = np.arange(len(uniforms))      # state row of each chunk row, -1 once dropped
+        outcomes: dict[str, np.ndarray] = {}
+
+        def apply_faults(states, k):
+            group = slice(bounds[k], bounds[k + 1])
+            cur = slot[row[group]]
+            live = cur >= 0
+            _apply_paulis(states, cur[live], pauli[group][live], qubit[group][live])
+
+        k = 0
+        if len(stops) and stops[0] == prefix_end:
+            apply_faults(states, 0)
+            k = 1
+        p = self._prefix_len
+        while p < len(gates) and len(alive):
+            g = gates[p]
+            last = p
+            if g.kind in MEAS_KINDS:
+                col = self._meas_col[p]
+                outcome = _measure_rows(states, g, uniforms[alive, col])
+                outcomes[g.record] = outcome
+                expected = self.reference.get(g.record)
+                if expected is not None and (outcome != expected).any():
+                    keep = outcome == expected
+                    states = states[keep]
+                    alive = alive[keep]
+                    outcomes = {r: o[keep] for r, o in outcomes.items()}
+                    slot[:] = -1
+                    slot[alive] = np.arange(len(alive))
+            elif g.kind == "CondS":
+                flip = outcomes[g.record]
+                q = g.qubits[0]
+                states.reshape(len(alive), 1 << q, 2, -1)[flip, :, 1] *= _S_PHASE
+            else:
+                last = self._run_end[p]
+                if k < len(stops):
+                    last = min(last, stops[k])
+                src, phase = self._fused(p, last)
+                if src is not None:
+                    states = np.take(states, src, axis=1)
+                if phase is not None:
+                    states *= phase
+            if k < len(stops) and stops[k] == last:
+                apply_faults(states, k)
+                k += 1
+            p = last + 1
+
+        if not len(alive):
+            return alive, np.zeros(0)
+        mat = states[:, self._out_perm].reshape(len(alive), 1 << len(self.outputs), -1)
+        vec = np.matmul(self.ideal_out.conj(), mat)
+        fid = np.sum(vec.real**2 + vec.imag**2, axis=1)
+        return alive, 1.0 - fid
+
+    def _fused(self, start: int, end: int):
+        """Gates start..end (all unitary) as one monomial (src, phase):
+        new = old[src] * phase, None standing for identity parts."""
+        run = self._runs.get((start, end))
+        if run is None:
+            src = phase = None
+            for g in self.circuit.gates[start:end + 1]:
+                g_src, g_phase = _monomial(g, self.n)
+                if g_src is not None:
+                    src = g_src if src is None else src[g_src]
+                    if phase is not None:
+                        phase = phase[g_src]
+                if g_phase is not None:
+                    phase = g_phase if phase is None else phase * g_phase
+            if src is not None and np.array_equal(src, np.arange(1 << self.n)):
+                src = None
+            run = self._runs[(start, end)] = (src, phase)
+        return run
 
     # -- fault sites -------------------------------------------------------
 
@@ -457,6 +579,84 @@ def _apply_gates(state: np.ndarray, gates: tuple[Gate, ...], n: int) -> np.ndarr
     for g in gates:
         state = _apply_unitary_gate(state, g, n)
     return state
+
+
+# amplitudes held by one chunk of batched trajectories (1 MiB of complex128)
+_CHUNK_AMPLITUDES = 1 << 16
+_S_PHASE = np.exp(1j * math.pi * DIAG1_EXPONENT["S"] / 4)
+_MULTI_DIAG_PHASE = {"CZ": -1.0, "CS": 1j, "CCZ": -1.0}
+
+
+def _monomial(g: Gate, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """A unitary gate on flat amplitudes as new = old[src] * phase; None
+    stands for the identity permutation or unit phases. Qubit q is bit
+    n-1-q of the flat index."""
+    idx = np.arange(1 << n)
+    bits = [1 << (n - 1 - q) for q in g.qubits]
+    on = [(idx & b) != 0 for b in bits]
+    if g.kind == "X":
+        return idx ^ bits[0], None
+    if g.kind == "CNOT":
+        return idx ^ (on[0] * bits[1]), None
+    if g.kind == "SWAP":
+        return idx ^ ((on[0] != on[1]) * (bits[0] | bits[1])), None
+    if g.kind in DIAG1_EXPONENT:
+        phase = np.exp(1j * math.pi * DIAG1_EXPONENT[g.kind] / 4)
+        return None, np.where(on[0], phase, 1.0 + 0j)
+    if g.kind in _MULTI_DIAG_PHASE:
+        phase = _MULTI_DIAG_PHASE[g.kind]
+        return None, np.where(np.logical_and.reduce(on), phase, 1.0 + 0j)
+    raise SimulationError(f"gate {g.kind} is not unitary")
+
+
+def _apply_paulis(states, rows, pauli, qubit):
+    """Pauli faults on rows of a (rows x 2^n) state array, in place; Y acts
+    as XZ, and a row hit twice on one qubit gets the product."""
+
+    def odd(hit_rows):  # rows hit an odd number of times
+        return np.nonzero(np.bincount(hit_rows, minlength=len(states)) & 1)[0]
+
+    for q in np.unique(qubit):
+        on_q = qubit == q
+        view = states.reshape(len(states), 1 << q, 2, -1)
+        z = odd(rows[on_q & (pauli != 0)])  # Y or Z
+        view[z, :, 1] *= -1.0
+        x = odd(rows[on_q & (pauli != 2)])  # X or Y
+        view[x] = view[x, :, ::-1]
+
+
+def _sum_sq(a: np.ndarray) -> np.ndarray:
+    """Per-row squared norm of a C-contiguous (rows x ...) complex array."""
+    f = a.view(np.float64).reshape(len(a), -1)
+    return np.einsum("ij,ij->i", f, f)
+
+
+def _measure_rows(states, g: Gate, uniforms: np.ndarray) -> np.ndarray:
+    """Measure g's qubit on every row of a (rows x 2^n) state array in
+    place, outcome 1 where the row's uniform is below its probability;
+    returns the outcomes."""
+    rows = len(states)
+    view = states.reshape(rows, 1 << g.qubits[0], 2, -1)
+    if g.kind == "MeasZ":
+        fv = states.view(np.float64).reshape(rows, 1 << g.qubits[0], 2, -1)
+        p0 = np.einsum("ijk,ijk->i", fv[:, :, 0], fv[:, :, 0])
+        p1 = np.einsum("ijk,ijk->i", fv[:, :, 1], fv[:, :, 1])
+        outcome = uniforms < p1
+        scale = np.zeros((rows, 2))
+        scale[~outcome, 0] = 1.0 / np.sqrt(p0[~outcome])
+        scale[outcome, 1] = 1.0 / np.sqrt(p1[outcome])
+        view *= scale[:, None, :, None]
+    else:  # MeasX, outcome 0 = |+>; p = |a0 +- a1|^2 / 2
+        plus = view[:, :, 0] + view[:, :, 1]
+        minus = view[:, :, 0] - view[:, :, 1]
+        p0 = _sum_sq(plus) / 2.0
+        p1 = _sum_sq(minus) / 2.0
+        outcome = uniforms < p1
+        scale = 0.5 / np.sqrt(np.where(outcome, p1, p0))
+        comp = np.where(outcome[:, None, None], minus, plus) * scale[:, None, None]
+        view[:, :, 0] = comp
+        view[:, :, 1] = np.where(outcome[:, None, None], -comp, comp)
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +847,7 @@ def first_order_oracle(c: Circuit, outputs: list[int], nm: NoiseModel) -> FirstO
 class AnalysisReport:
     shots: int
     accepted: int
+    faulty: int  # shots that drew at least one fault: the trajectories simulated
     acceptance: float
     infidelity: float | None
     stderr: float | None
@@ -661,6 +862,7 @@ class AnalysisReport:
         return {
             "shots": self.shots,
             "accepted": self.accepted,
+            "faulty": self.faulty,
             "acceptance": self.acceptance,
             "infidelity": self.infidelity,
             "stderr": self.stderr,
@@ -690,18 +892,20 @@ def monte_carlo_infidelity(
     """
     if shots < 1:
         raise FaultAnalysisError("needs at least one shot")
+    if batch < 1:
+        raise FaultAnalysisError("batch must be at least one shot")
     harness = _Harness(c, outputs, nm.t_decode)
-    prep_sites = [
-        (pos, q)
-        for pos, q in harness.tprep_sites()
-        if c.gates[pos].kind in ("PrepT", "PrepTdag")
-    ]
-    depol_sites = harness.depolarizing_sites()
+    prep_sites = np.array(
+        [(pos, q) for pos, q in harness.tprep_sites()
+         if c.gates[pos].kind in ("PrepT", "PrepTdag")],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    depol_sites = np.array(harness.depolarizing_sites(), dtype=np.int64).reshape(-1, 3)
     n_meas = len(harness.meas_order)
     rng = np.random.default_rng(seed)
-    paulis = ("X", "Y", "Z")
 
     accepted = 0
+    n_faulty = 0
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -712,25 +916,30 @@ def monte_carlo_infidelity(
         pauli_pick = rng.integers(0, 3, size=(b, len(depol_sites)))
         uniforms = rng.random((b, n_meas))
         faulty = np.nonzero(prep_mask.any(axis=1) | depol_mask.any(axis=1))[0]
+        n_faulty += len(faulty)
         accepted += b - len(faulty)  # clean shots pass with zero infidelity
-        for row in faulty:
-            fault_map: dict[int, list[tuple[str, int]]] = {}
-            for col in np.nonzero(prep_mask[row])[0]:
-                pos, q = prep_sites[col]
-                fault_map.setdefault(pos, []).append(("Z", q))
-            for col in np.nonzero(depol_mask[row])[0]:
-                _, pos, q = depol_sites[col]
-                fault_map.setdefault(pos, []).append((paulis[pauli_pick[row, col]], q))
-            ok, infid = harness.run_sampled(fault_map, uniforms[row])
-            if ok:
-                accepted += 1
-                total += infid
-                total_sq += infid * infid
+        prep_row, prep_col = np.nonzero(prep_mask[faulty])
+        depol_row, depol_col = np.nonzero(depol_mask[faulty])
+        ok, infid = harness.run_sampled(
+            (
+                np.concatenate([prep_row, depol_row]),
+                np.concatenate([prep_sites[prep_col, 0], depol_sites[depol_col, 1]]),
+                np.concatenate([
+                    np.full(len(prep_row), 2),  # Z
+                    pauli_pick[faulty[depol_row], depol_col],
+                ]),
+                np.concatenate([prep_sites[prep_col, 1], depol_sites[depol_col, 2]]),
+            ),
+            uniforms[faulty],
+        )
+        accepted += int(ok.sum())
+        total += float(infid.sum())
+        total_sq += float(np.dot(infid, infid))
         done += b
 
     if accepted == 0:
         return AnalysisReport(
-            shots, 0, 0.0, None, None, nm.p_l, nm.p_t, nm.t_decode, seed,
+            shots, 0, n_faulty, 0.0, None, None, nm.p_l, nm.p_t, nm.t_decode, seed,
             undefined=True, rounds=tuple(r.label for r in harness.rounds),
         )
     mean = total / accepted
@@ -739,6 +948,7 @@ def monte_carlo_infidelity(
     return AnalysisReport(
         shots,
         accepted,
+        n_faulty,
         accepted / shots,
         mean,
         stderr,

@@ -176,21 +176,6 @@ class GF2Matrix:
     def to_lists(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.n_cols)] for r in self.rows]
 
-    def sum_entries(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
-
-    def row_sums(self) -> list[int]:
-        return [r.bit_count() for r in self.rows]
-
-    def col_sums(self) -> list[int]:
-        sums = [0] * self.n_cols
-        for r in self.rows:
-            while r:
-                low = r & -r
-                sums[low.bit_length() - 1] += 1
-                r ^= low
-        return sums
-
     def __repr__(self) -> str:
         body = ";".join("".join(str((r >> j) & 1) for j in range(self.n_cols)) for r in self.rows)
         return f"GF2Matrix[{body}]"
@@ -225,14 +210,6 @@ class GF2Matrix:
         for i, r in enumerate(self.rows):
             bits |= ((r & v.bits).bit_count() & 1) << i
         return BitVec(self.n_rows, bits)
-
-    def row_add(self, src: int, dst: int) -> "GF2Matrix":
-        """Return a copy with row dst replaced by row src XOR row dst."""
-        if src == dst:
-            raise IndexError("row_add requires distinct rows")
-        rows = list(self.rows)
-        rows[dst] ^= rows[src]
-        return GF2Matrix(self.n_rows, self.n_cols, tuple(rows))
 
 
 def rank(m: GF2Matrix) -> int:

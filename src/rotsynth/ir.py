@@ -35,7 +35,6 @@ T_LIKE_KINDS = frozenset({"T", "Tdag", "PrepT", "PrepTdag"})
 CNOT_LIKE_KINDS = frozenset({"CNOT", "SWAP"})
 # single-qubit diagonal phase gates and their exponents
 DIAG1_EXPONENT = {"Z": 4, "S": 2, "Sdag": 6, "T": 1, "Tdag": 7}
-DIAGONAL_KINDS = frozenset(DIAG1_EXPONENT) | {"CZ", "CS", "CCZ"}
 
 
 class CircuitError(ValueError):

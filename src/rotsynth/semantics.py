@@ -69,10 +69,6 @@ class PhasePolynomial:
     global_phase: int = 0  # mod 16, units of pi/8
 
 
-def identity_polynomial(n: int) -> PhasePolynomial:
-    return PhasePolynomial(n, GF2Matrix.identity(n), BitVec.zeros(n), {}, 0)
-
-
 class _PolyBuilder:
     def __init__(self, n: int):
         self.n = n

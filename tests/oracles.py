@@ -7,12 +7,20 @@ by applying the matrix to basis indices.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 
+from rotsynth.faults import AnalysisReport, NoiseModel, _Harness
 from rotsynth.gf2 import BitVec, GF2Matrix
-from rotsynth.ir import Circuit, Gate, PhaseRotation, RotationProgram
+from rotsynth.ir import MEAS_KINDS, PREP_KINDS, Circuit, Gate, PhaseRotation, RotationProgram
+from rotsynth.semantics import (
+    _PREP_AMPLITUDES,
+    _apply_unitary_gate,
+    _axis_slice,
+    _measurement_probability,
+)
 
 
 def basis_bits(index: int, n: int) -> BitVec:
@@ -91,3 +99,114 @@ def cs_state() -> np.ndarray:
 
 def t_state() -> np.ndarray:
     return np.array([1, np.exp(1j * np.pi / 4)], dtype=complex) / np.sqrt(2)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo reference: one trajectory at a time, one gate call per gate
+# ---------------------------------------------------------------------------
+
+_PAULI_GATES = {"X": ("X",), "Y": ("Z", "X"), "Z": ("Z",)}  # Y as XZ
+
+
+def reference_trajectory(
+    harness: _Harness, fault_map: dict[int, list[tuple[str, int]]], uniforms: np.ndarray
+) -> tuple[bool, float]:
+    """Single trajectory with sampled measurements; returns (accepted,
+    infidelity). Consumes one uniform per measurement, in circuit order."""
+    n = harness.n
+    state = np.zeros((2,) * n, dtype=np.complex128)
+    state.flat[0] = 1.0
+    outcomes: dict[str, int] = {}
+    meas_i = 0
+    for pos in range(-1, len(harness.circuit.gates)):
+        if pos >= 0:
+            g = harness.circuit.gates[pos]
+            if g.kind in PREP_KINDS:
+                a0, a1 = _PREP_AMPLITUDES[g.kind]
+                q = g.qubits[0]
+                sub = state[_axis_slice(n, q, 0)].copy()
+                state[_axis_slice(n, q, 0)] = a0 * sub
+                state[_axis_slice(n, q, 1)] = a1 * sub
+            elif g.kind in MEAS_KINDS:
+                p1, proj1 = _measurement_probability(state, g, n, 1)
+                outcome = int(uniforms[meas_i] < p1)
+                meas_i += 1
+                if outcome:
+                    state = proj1 / math.sqrt(p1)
+                else:
+                    p0, proj0 = _measurement_probability(state, g, n, 0)
+                    state = proj0 / math.sqrt(p0)
+                outcomes[g.record] = outcome
+                if g.record in harness.reference and outcome != harness.reference[g.record]:
+                    return False, 0.0
+            elif g.kind == "CondS":
+                if outcomes[g.record] == 1:
+                    state = _apply_unitary_gate(state, Gate("S", g.qubits), n)
+            else:
+                state = _apply_unitary_gate(state, g, n)
+        for pauli, qubit in fault_map.get(pos, ()):
+            for kind in _PAULI_GATES[pauli]:
+                state = _apply_unitary_gate(state, Gate(kind, (qubit,)), n)
+    return True, 1.0 - harness._output_fidelity(state)
+
+
+def reference_monte_carlo(
+    c: Circuit,
+    outputs: list[int],
+    nm: NoiseModel,
+    shots: int,
+    seed: int = 0,
+    batch: int = 1 << 16,
+) -> AnalysisReport:
+    """`monte_carlo_infidelity` with every faulty shot run alone through
+    `reference_trajectory`; same random draws in the same order."""
+    harness = _Harness(c, outputs, nm.t_decode)
+    prep_sites = [
+        (pos, q)
+        for pos, q in harness.tprep_sites()
+        if c.gates[pos].kind in ("PrepT", "PrepTdag")
+    ]
+    depol_sites = harness.depolarizing_sites()
+    n_meas = len(harness.meas_order)
+    rng = np.random.default_rng(seed)
+    paulis = ("X", "Y", "Z")
+
+    accepted = faulty_total = 0
+    total = total_sq = 0.0
+    done = 0
+    while done < shots:
+        b = min(batch, shots - done)
+        prep_mask = rng.random((b, len(prep_sites))) < nm.p_t
+        depol_mask = rng.random((b, len(depol_sites))) < nm.p_l
+        pauli_pick = rng.integers(0, 3, size=(b, len(depol_sites)))
+        uniforms = rng.random((b, n_meas))
+        faulty = np.nonzero(prep_mask.any(axis=1) | depol_mask.any(axis=1))[0]
+        faulty_total += len(faulty)
+        accepted += b - len(faulty)
+        for row in faulty:
+            fault_map: dict[int, list[tuple[str, int]]] = {}
+            for col in np.nonzero(prep_mask[row])[0]:
+                pos, q = prep_sites[col]
+                fault_map.setdefault(pos, []).append(("Z", q))
+            for col in np.nonzero(depol_mask[row])[0]:
+                _, pos, q = depol_sites[col]
+                fault_map.setdefault(pos, []).append((paulis[pauli_pick[row, col]], q))
+            ok, infid = reference_trajectory(harness, fault_map, uniforms[row])
+            if ok:
+                accepted += 1
+                total += infid
+                total_sq += infid * infid
+        done += b
+
+    rounds = tuple(r.label for r in harness.rounds)
+    if accepted == 0:
+        return AnalysisReport(
+            shots, 0, faulty_total, 0.0, None, None, nm.p_l, nm.p_t, nm.t_decode, seed,
+            undefined=True, rounds=rounds,
+        )
+    mean = total / accepted
+    stderr = math.sqrt(max(total_sq / accepted - mean * mean, 0.0) / accepted)
+    return AnalysisReport(
+        shots, accepted, faulty_total, accepted / shots, mean, stderr,
+        nm.p_l, nm.p_t, nm.t_decode, seed, rounds=rounds,
+    )

@@ -48,6 +48,15 @@ class TestCompileCommand:
         code = run(["compile", "--in", prog, "--out", tmp_path / "o.json", "--budget", 20])
         assert code == 2
 
+    def test_measure_x_out_of_range_exit_1(self, tmp_path, ccz_program, capsys):
+        out = tmp_path / "circuit.json"
+        code = run([
+            "compile", "--in", ccz_program, "--out", out, "--budget", 1, "--measure-x", "7",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_objective_flag_preserves_t_count(self, tmp_path, ccz_program):
         outs = []
         for objective in ("cnot-depth", "cnot-count"):
@@ -121,6 +130,37 @@ class TestSweepCommand:
         assert code == 0
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 4  # header + 3 rows
+
+
+class TestErrorExits:
+    """Bad values end in exit 1 with one line on stderr, not a traceback."""
+
+    @pytest.fixture
+    def ccz_circuit(self, tmp_path, ccz_program):
+        out = tmp_path / "circuit.json"
+        assert run([
+            "compile", "--in", ccz_program, "--out", out, "--budget", 1, "--measure-x", "3",
+        ]) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--outputs", "0,1,2", "--pl", "1e-3", "--r", "1", "--shots", "0"],
+            ["sweep", "--outputs", "0,1,2", "--pl", "abc", "--r", "1", "--shots", "10"],
+            ["faults", "--outputs", "0,9", "--singles"],
+            ["faults", "--outputs", "0", "--singles"],
+        ],
+        ids=["sweep-shots-0", "sweep-pl-abc", "faults-outputs-out-of-range",
+             "faults-outputs-not-pure"],
+    )
+    def test_exit_1(self, tmp_path, ccz_circuit, capsys, argv):
+        capsys.readouterr()
+        extra = ["--out", tmp_path / "out.csv"] if argv[0] == "sweep" else []
+        assert run(argv[:1] + ["--circuit", ccz_circuit] + argv[1:] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
 
 class TestCostCommand:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import reference_monte_carlo, reference_trajectory
+
 from rotsynth.ir import Circuit, Gate
 from rotsynth.compiler import compile_program
 from rotsynth import programs
@@ -8,6 +10,8 @@ from rotsynth.ir import with_x_detection
 from rotsynth.faults import (
     FaultAnalysisError,
     NoiseModel,
+    _CHUNK_AMPLITUDES,
+    _Harness,
     TGadgetChannel,
     build_schedule,
     channel_superoperator,
@@ -31,6 +35,12 @@ def compiled_ccz():
 def compiled_t15():
     rep = compile_program(programs.load("t15"), budget=1)
     outputs, detectors = programs.DESIGNATIONS["t15"]
+    return with_x_detection(rep.circuit, detectors), list(outputs)
+
+
+def compiled_cs():
+    rep = compile_program(programs.load("cs"), budget=1)
+    outputs, detectors = programs.DESIGNATIONS["cs"]
     return with_x_detection(rep.circuit, detectors), list(outputs)
 
 
@@ -206,6 +216,21 @@ class TestMonteCarlo:
         rep = monte_carlo_infidelity(circ, outputs, NoiseModel(0.0, 0.0), 500, seed=0)
         assert rep.acceptance == 1.0
         assert rep.infidelity == 0.0
+        assert rep.faulty == 0
+
+    def test_faulty_counter(self):
+        circ, outputs = compiled_ccz()
+        impl = gadgetize(circ)
+        shots = 5000
+        rep = monte_carlo_infidelity(impl, outputs, NoiseModel(1e-2, 1e-2, 1), shots, seed=4)
+        assert 0 < rep.faulty < shots
+        assert rep.accepted >= shots - rep.faulty
+        assert rep.to_dict()["faulty"] == rep.faulty
+
+    def test_batch_must_be_positive(self):
+        circ, outputs = compiled_ccz()
+        with pytest.raises(FaultAnalysisError):
+            monte_carlo_infidelity(circ, outputs, NoiseModel(1e-3, 0.0), 10, batch=0)
 
     def test_determinism(self):
         circ, outputs = compiled_ccz()
@@ -248,6 +273,136 @@ class TestMonteCarlo:
                 break
         else:
             pytest.fail("no rejecting seed found")
+
+
+class TestBatchedKernel:
+    """The batched trajectory kernel against the one-trajectory reference in
+    tests/oracles.py: same draws, so equal accepted counts, and estimates
+    equal up to floating-point summation order."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.accepted == want.accepted
+        assert got.faulty == want.faulty
+        assert got.infidelity == pytest.approx(want.infidelity, rel=1e-12, abs=1e-15)
+        assert got.stderr == pytest.approx(want.stderr, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "name, nm, shots",
+        [
+            ("ccz-g", NoiseModel.from_ratio(1e-3, 1, 1), 20000),
+            ("ccz-g", NoiseModel.from_ratio(1e-3, 10, 1), 10000),
+            ("cs-g", NoiseModel.from_ratio(1e-3, 1, 1), 2000),
+            ("t15", NoiseModel.from_ratio(1e-3, 1, 1), 20000),
+            ("ccz-g", NoiseModel(0.0, 0.5, 1), 1000),    # heavy rejection
+            ("ccz-g", NoiseModel(0.05, 0.0, 0), 600),    # many X, Y, Z faults
+        ],
+    )
+    def test_matches_reference(self, name, nm, shots):
+        circ, outputs = {"ccz-g": compiled_ccz, "cs-g": compiled_cs, "t15": compiled_t15}[
+            name
+        ]()
+        if name.endswith("-g"):
+            circ = gadgetize(circ)
+        got = monte_carlo_infidelity(circ, outputs, nm, shots, seed=17)
+        want = reference_monte_carlo(circ, outputs, nm, shots, seed=17)
+        assert want.accepted < shots and want.faulty > 0
+        self.assert_same(got, want)
+
+    def test_more_faulty_rows_than_one_chunk(self):
+        circ, outputs = compiled_ccz()
+        impl = gadgetize(circ)
+        nm = NoiseModel(0.0, 0.5, 1)
+        got = monte_carlo_infidelity(impl, outputs, nm, 1000, seed=3, batch=700)
+        want = reference_monte_carlo(impl, outputs, nm, 1000, seed=3, batch=700)
+        assert want.faulty > 2 * (_CHUNK_AMPLITUDES >> impl.n)
+        self.assert_same(got, want)
+
+    def test_fully_rejected_chunks(self):
+        circ, outputs = compiled_ccz()
+        impl = gadgetize(circ)
+        nm = NoiseModel(0.0, 0.5, 1)
+        rejected = 0
+        for seed in range(20):
+            got = monte_carlo_infidelity(impl, outputs, nm, 1, seed=seed)
+            want = reference_monte_carlo(impl, outputs, nm, 1, seed=seed)
+            assert (got.accepted, got.faulty, got.undefined) == (
+                want.accepted, want.faulty, want.undefined
+            )
+            if want.undefined:
+                rejected += 1
+            else:
+                self.assert_same(got, want)
+        assert rejected > 0
+
+    def test_every_single_fault_per_trajectory(self):
+        # one row per (depolarizing site, Pauli): Y faults everywhere, and
+        # more rows than one 12-qubit chunk holds
+        circ, outputs = compiled_cs()
+        impl = gadgetize(circ)
+        harness = _Harness(impl, outputs, t_decode=1)
+        sites = [
+            (pos, pauli, q)
+            for _, pos, q in harness.depolarizing_sites()
+            for pauli in range(3)
+        ]
+        assert len(sites) > 2 * (_CHUNK_AMPLITUDES >> impl.n)
+        rng = np.random.default_rng(5)
+        uniforms = rng.random((len(sites), len(harness.meas_order)))
+        rows = np.arange(len(sites))
+        pos, pauli, qubit = (np.array(col) for col in zip(*sites))
+        accepted, infidelity = harness.run_sampled((rows, pos, pauli, qubit), uniforms)
+        for row, (p, pa, q) in enumerate(sites):
+            ok, infid = reference_trajectory(harness, {p: [("XYZ"[pa], q)]}, uniforms[row])
+            assert accepted[row] == ok
+            assert infidelity[row] == pytest.approx(infid, rel=1e-12, abs=1e-13)
+        assert 0 < accepted.sum() < len(sites)
+
+
+class TestPreparationRoundFaults:
+    """The kernel starts every row from the noiseless output of round 0:
+    a Z fault inside that round commutes to its end up to a sign, and one
+    placed before its qubit's preparation has no effect."""
+
+    gates = (
+        Gate("PrepT", (0,)),
+        Gate("X", (0,)),
+        Gate("PrepT", (1,)),
+        Gate("S", (1,)),
+        Gate("PrepPlus", (2,)),   # erases the earlier faults on qubit 2
+        Gate("CZ", (0, 1)),
+        Gate("CNOT", (0, 2)),
+        Gate("CNOT", (1, 2)),
+        Gate("MeasX", (2,), "d0"),
+    )
+
+    def test_matches_reference(self):
+        harness = _Harness(Circuit(3, self.gates), [0, 1])
+        faults = [(pos, q) for pos in range(-1, len(self.gates)) for q in range(3)]
+        uniforms = np.full((len(faults), 1), 0.5)
+        rows = np.arange(len(faults))
+        pos, qubit = (np.array(col) for col in zip(*faults))
+        accepted, infidelity = harness.run_sampled(
+            (rows, pos, np.full(len(faults), 2), qubit), uniforms
+        )
+        for row, (p, q) in enumerate(faults):
+            ok, infid = reference_trajectory(harness, {p: [("Z", q)]}, uniforms[row])
+            assert accepted[row] == ok
+            assert infidelity[row] == pytest.approx(infid, rel=1e-12, abs=1e-13)
+        assert 0 < accepted.sum() < len(faults)
+
+    def test_only_z_faults_inside_round_0(self):
+        harness = _Harness(Circuit(3, self.gates), [0, 1])
+        with pytest.raises(FaultAnalysisError):
+            harness.run_sampled(([0], [0], [0], [1]), np.full((1, 1), 0.5))
+
+
+class TestHarnessOutputs:
+    @pytest.mark.parametrize("outputs", [[0, 9], [0, 0, 1], [-1, 1, 2], []])
+    def test_outputs_checked(self, outputs):
+        circ, _ = compiled_ccz()
+        with pytest.raises(FaultAnalysisError):
+            enumerate_single_faults(circ, outputs)
 
 
 class TestSpacetimeCost:
