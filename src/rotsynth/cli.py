@@ -76,7 +76,7 @@ def _load_circuit_or_program(path: str):
     """Returns ('circuit', Circuit) or ('program', RotationProgram)."""
     text = _read(path)
     payload = json.loads(text)
-    if "gates" in payload:
+    if isinstance(payload, dict) and "gates" in payload:
         return "circuit", parse_circuit(text)
     return "program", parse_rotation_program(text)
 
@@ -100,6 +100,8 @@ def _number_list(text: str | None, kind, flag: str) -> list:
 
 
 def cmd_compile(args) -> int:
+    if args.budget < 1:
+        raise UsageError(f"--budget must be at least 1, got {args.budget}")
     try:
         program = parse_rotation_program(_read(args.infile))
     except (OSError, ParseError) as exc:

@@ -4,8 +4,10 @@ The analyzer works on circuits whose measurement records split into two
 groups: records consumed by classically controlled corrections (injection
 measurements) and unconsumed records (detection measurements, postselected
 on their noiseless outcomes). Faults are Paulis inserted at circuit
-positions; the exact enumerators average over correction branches, the
-Monte Carlo engine samples them.
+positions, anywhere including the preparation round. One batched trajectory
+kernel (`_Harness.run_sampled`) runs them: the Monte Carlo engine samples
+the measurement outcomes, and the exact enumerators force one row per
+branch of the injection outcomes and weight it by its probability.
 
 Noise placement follows a round schedule derived from the circuit: round 0
 prepares magic states (Z errors at rate p_T on each |T> preparation), and
@@ -21,15 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ir import Circuit, DIAG1_EXPONENT, Gate, MEAS_KINDS, PREP_KINDS, T_LIKE_KINDS
-from .semantics import (
-    SimulationError,
-    _apply_unitary_gate,
-    _measurement_probability,
-    _PREP_AMPLITUDES,
-    _axis_slice,
-    simulate,
+from .ir import (
+    Circuit,
+    DIAG1_EXPONENT,
+    Gate,
+    MEAS_KINDS,
+    PREP_AMPLITUDES,
+    PREP_KINDS,
+    T_LIKE_KINDS,
 )
+from .semantics import SimulationError, simulate
 
 HARMFUL_INFIDELITY = 1e-9
 DETECTED_ACCEPTANCE = 1e-12
@@ -253,23 +256,14 @@ def build_schedule(c: Circuit, t_decode: int = 0) -> tuple[Round, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _pauli_ops(pauli: str, qubit: int) -> tuple[Gate, ...]:
-    if pauli == "X":
-        return (Gate("X", (qubit,)),)
-    if pauli == "Z":
-        return (Gate("Z", (qubit,)),)
-    if pauli == "Y":  # XZ, equal to Y up to a global phase
-        return (Gate("Z", (qubit,)), Gate("X", (qubit,)))
-    raise FaultAnalysisError(f"unknown Pauli {pauli!r}")
-
-
 class _Harness:
     """Executable form of a circuit with designated outputs.
 
     Splits measurement records into injection records (consumed by CondS)
     and detection records (postselected on their noiseless outcomes), and
     freezes the noiseless reference: detection outcomes and the pure state
-    on the output qubits.
+    on the output qubits. `run_sampled` is the one trajectory kernel;
+    `run_exact` and the noiseless check run it with forced outcomes.
     """
 
     def __init__(self, c: Circuit, outputs: list[int], t_decode: int = 0):
@@ -295,33 +289,35 @@ class _Harness:
         self.meas_order = [g.record for g in c.gates if g.kind in MEAS_KINDS]
         if not self.detection:
             raise FaultAnalysisError("circuit has no detection measurements")
-
-        branches = self._branches({})
-        ref = {r: branches[0][2][r] for r in self.detection}
-        total = 0.0
-        for prob, state, outcomes in branches:
-            if any(outcomes[r] != ref[r] for r in self.detection):
-                raise FaultAnalysisError("noiseless detection outcomes not deterministic")
-            total += prob
-        if abs(total - 1.0) > 1e-9:
-            raise FaultAnalysisError("noiseless branches do not sum to unit probability")
-        self.reference = ref
-        self.ideal_out = self._reduced_pure(branches[0][1])
-        for prob, state, _ in branches:
-            if 1.0 - self._output_fidelity(state) > 1e-10:
-                raise FaultAnalysisError("noiseless branches disagree on the output state")
         self._init_kernel()
 
+        noiseless = simulate(c)
+        self.reference = {r: noiseless.outcomes[r] for r in self.detection}
+        self.ideal_out = self._reduced_pure(noiseless.state)
+        # one row per assignment of injection outcomes, detection outcomes
+        # forced to the reference; a uniform of -1 forces outcome 1, 2 forces 0
+        injection = [r for r in self.meas_order if r in consumed]
+        rows = np.arange(1 << len(injection))
+        forced = np.array(
+            [
+                rows >> injection.index(r) & 1 if r in consumed
+                else np.full(len(rows), self.reference[r])
+                for r in self.meas_order
+            ]
+        ).T
+        self._exact_uniforms = np.where(forced == 1, -1.0, 2.0)
+        weight, infidelity = self.run_sampled(_NO_FAULTS, self._exact_uniforms)
+        if abs(weight.sum() - 1.0) > 1e-9:
+            raise FaultAnalysisError("noiseless detection outcomes not deterministic")
+        if (infidelity > 1e-10).any():
+            raise FaultAnalysisError("noiseless branches disagree on the output state")
+
     def _init_kernel(self):
-        """Tables of the batched trajectory kernel (`run_sampled`)."""
+        """Tables of the trajectory kernel (`run_sampled`)."""
         c, n = self.circuit, self.n
-        # round 0 is the leading run of preparations and frame gates; every
-        # trajectory starts from its noiseless output
-        self._prefix_len = len(self.rounds[0].gate_indices)
-        prefix = c.gates[: self._prefix_len]
-        self._prefix_state = simulate(Circuit(n, prefix)).state
+        self._round0_end = len(self.rounds[0].gate_indices) - 1
         self._last_prep = np.full(n, -1)
-        for pos, g in enumerate(prefix):
+        for pos, g in enumerate(c.gates):
             if g.kind in PREP_KINDS:
                 self._last_prep[g.qubits[0]] = pos
         # last gate of the unitary run starting at each position
@@ -337,9 +333,7 @@ class _Harness:
         self._out_perm = np.arange(1 << n).reshape((2,) * n).transpose(
             self.outputs + rest
         ).reshape(-1)
-        self._runs: dict[tuple[int, int], tuple] = {}  # see _fused
-
-    # -- state helpers ---------------------------------------------------
+        self._runs: dict[tuple[int, int], tuple] = {}  # see _apply_run
 
     def _reduced_pure(self, state: np.ndarray) -> np.ndarray:
         k = len(self.outputs)
@@ -352,99 +346,57 @@ class _Harness:
             raise FaultAnalysisError("output qubits are not in a pure state")
         return vecs[:, -1]
 
-    def _output_fidelity(self, state: np.ndarray) -> float:
-        k = len(self.outputs)
-        psi = state.reshape((2,) * self.n)
-        rest = [q for q in range(self.n) if q not in self.outputs]
-        mat = np.transpose(psi, axes=self.outputs + rest).reshape(1 << k, -1)
-        vec = self.ideal_out.conj() @ mat
-        return float(np.vdot(vec, vec).real)
-
     # -- execution ---------------------------------------------------------
-
-    def _branches(self, fault_map: dict[int, list[tuple[str, int]]]):
-        """Exact branch enumeration: [(prob, state, outcomes)]."""
-        n = self.n
-        state0 = np.zeros((2,) * n, dtype=np.complex128)
-        state0.flat[0] = 1.0
-        branches = [(1.0, state0, {})]
-        for pos in range(-1, len(self.circuit.gates)):
-            if pos >= 0:
-                g = self.circuit.gates[pos]
-                new = []
-                for prob, state, outcomes in branches:
-                    if g.kind in PREP_KINDS:
-                        a0, a1 = _PREP_AMPLITUDES[g.kind]
-                        q = g.qubits[0]
-                        sub = state[_axis_slice(n, q, 0)].copy()
-                        state = state.copy()
-                        state[_axis_slice(n, q, 0)] = a0 * sub
-                        state[_axis_slice(n, q, 1)] = a1 * sub
-                        new.append((prob, state, outcomes))
-                    elif g.kind in MEAS_KINDS:
-                        for outcome in (0, 1):
-                            p, proj = _measurement_probability(state, g, n, outcome)
-                            if p < 1e-14:
-                                continue
-                            new.append(
-                                (prob * p, proj / math.sqrt(p), {**outcomes, g.record: outcome})
-                            )
-                    elif g.kind == "CondS":
-                        if outcomes[g.record] == 1:
-                            state = _apply_unitary_gate(state.copy(), Gate("S", g.qubits), n)
-                        new.append((prob, state, outcomes))
-                    else:
-                        new.append(
-                            (prob, _apply_unitary_gate(state.copy(), g, n), outcomes)
-                        )
-                branches = new
-            for pauli, qubit in fault_map.get(pos, ()):
-                branches = [
-                    (
-                        prob,
-                        _apply_gates(state.copy(), _pauli_ops(pauli, qubit), n),
-                        outcomes,
-                    )
-                    for prob, state, outcomes in branches
-                ]
-        return branches
 
     def run_exact(self, faults: list[tuple[int, str, int]]) -> tuple[float, float]:
         """(acceptance probability, mean infidelity over accepted branches)
-        for Paulis inserted after given gate positions: (pos, pauli, qubit)."""
-        fault_map: dict[int, list[tuple[str, int]]] = {}
-        for pos, pauli, qubit in faults:
-            fault_map.setdefault(pos, []).append((pauli, qubit))
-        acc = 0.0
-        bad = 0.0
-        for prob, state, outcomes in self._branches(fault_map):
-            if any(outcomes[r] != self.reference[r] for r in self.detection):
-                continue
-            acc += prob
-            bad += prob * (1.0 - self._output_fidelity(state))
+        for Paulis inserted after given gate positions: (pos, pauli, qubit).
+
+        Runs every branch of the injection outcomes as one forced row of
+        `run_sampled`; acceptance is the sum of the row weights.
+        """
+        try:
+            paulis = [_PAULI_INDEX[pauli] for _, pauli, _ in faults]
+        except KeyError as exc:
+            raise FaultAnalysisError(f"unknown Pauli {exc.args[0]!r}") from None
+        rows = len(self._exact_uniforms)
+        weight, infidelity = self.run_sampled(
+            (
+                np.repeat(np.arange(rows), len(faults)),
+                np.tile([pos for pos, _, _ in faults], rows),
+                np.tile(paulis, rows),
+                np.tile([qubit for _, _, qubit in faults], rows),
+            ),
+            self._exact_uniforms,
+        )
+        acc = float(weight.sum())
         if acc <= 0.0:
             return 0.0, 0.0
-        return acc, bad / acc
+        return acc, float(weight @ infidelity) / acc
 
     def run_sampled(
         self, faults: tuple[np.ndarray, ...], uniforms: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Sampled trajectories, one per row of `uniforms`.
+        """Trajectories, one per row of `uniforms`.
 
         `faults` holds four equal-length integer arrays (row, gate position,
         Pauli index into "XYZ", qubit); each entry inserts that Pauli after
-        that gate in that row's trajectory. Row i consumes uniforms[i], one
-        value per measurement in circuit order. Returns (accepted,
-        infidelity) per row; rejected rows read infidelity 0.
+        that gate (position -1: before the first) in that row's trajectory.
+        Row i consumes uniforms[i], one value per measurement in circuit
+        order: outcome 1 where the uniform is below its probability, so a
+        uniform below 0 forces outcome 1 and one of 1 or more forces 0.
+        Returns (weight, infidelity) per row: the weight is the product of
+        the probabilities of the outcomes the row took, and 0 when a
+        detection outcome differs from the reference or an outcome had
+        probability below 1e-14; such rows read infidelity 0.
 
         Rows run in chunks of `_CHUNK_AMPLITUDES >> n` as one (rows x 2^n)
-        array. Each run of unitaries between break points (measurements,
-        CondS, positions where a row of the chunk gets a fault) is one cached
-        gather and multiply; rejected rows are dropped at their detection
-        measurement.
+        array. Each run of gates between break points (measurements, CondS,
+        positions where a row of the chunk gets a fault) is one cached
+        gather and multiply; dropped rows leave the array at once.
         """
         n_rows = len(uniforms)
-        accepted = np.zeros(n_rows, dtype=bool)
+        weight = np.zeros(n_rows)
         infidelity = np.zeros(n_rows)
         row, pos, pauli, qubit = (np.asarray(a, dtype=np.int64) for a in faults)
         order = np.argsort(row, kind="stable")
@@ -453,59 +405,63 @@ class _Harness:
         for lo in range(0, n_rows, chunk):
             hi = min(lo + chunk, n_rows)
             a, b = np.searchsorted(row, (lo, hi))
-            alive, loss = self._run_chunk(
+            alive, w, loss = self._run_chunk(
                 row[a:b] - lo, pos[a:b], pauli[a:b], qubit[a:b], uniforms[lo:hi]
             )
-            accepted[lo + alive] = True
+            weight[lo + alive] = w
             infidelity[lo + alive] = loss
-        return accepted, infidelity
+        return weight, infidelity
 
     def _run_chunk(self, row, pos, pauli, qubit, uniforms):
-        """One chunk of `run_sampled`: (surviving row indices, infidelities)."""
+        """One chunk of `run_sampled`: (surviving row indices, weights,
+        infidelities)."""
         gates = self.circuit.gates
-        prefix_end = self._prefix_len - 1
-        # Only preparations, X and diagonal gates make up the preparation
-        # round, so a Z fault inside it commutes to the round's end up to a
-        # global sign, and vanishes under a later preparation of its qubit.
-        early = pos < prefix_end
-        if (pauli[early] != 2).any():
-            raise FaultAnalysisError("only Z faults may precede the end of round 0")
-        kept = ~early | (self._last_prep[qubit] <= pos)
-        row, pauli, qubit = row[kept], pauli[kept], qubit[kept]
-        pos = np.maximum(pos[kept], prefix_end)
+        # A preparation resets its qubit, so a fault placed before it has no
+        # effect. Only preparations, X and diagonal gates make up round 0, so
+        # a Z fault inside it commutes to the round's end up to a global sign.
+        kept = self._last_prep[qubit] <= pos
+        row, pos, pauli, qubit = row[kept], pos[kept], pauli[kept], qubit[kept]
+        pos = np.where((pauli == 2) & (pos < self._round0_end), self._round0_end, pos)
         order = np.argsort(pos, kind="stable")
         row, pos, pauli, qubit = row[order], pos[order], pauli[order], qubit[order]
         stops, firsts = np.unique(pos, return_index=True)
         bounds = np.append(firsts, len(pos))
 
-        states = np.repeat(self._prefix_state[None, :], len(uniforms), axis=0)
         alive = np.arange(len(uniforms))     # chunk row of each state row
         slot = np.arange(len(uniforms))      # state row of each chunk row, -1 once dropped
+        weight = np.ones(len(uniforms))
         outcomes: dict[str, np.ndarray] = {}
-
-        def apply_faults(states, k):
-            group = slice(bounds[k], bounds[k + 1])
-            cur = slot[row[group]]
-            live = cur >= 0
-            _apply_paulis(states, cur[live], pauli[group][live], qubit[group][live])
-
+        # every row starts from |0...0>, so the run up to the first break
+        # point is applied once and broadcast
+        last = self._run_end[0]
+        if len(stops):
+            last = min(last, stops[0])
+        states = np.zeros((1, 1 << self.n), dtype=np.complex128)
+        states[0, 0] = 1.0
+        states = np.repeat(self._apply_run(states, 0, last), len(uniforms), axis=0)
         k = 0
-        if len(stops) and stops[0] == prefix_end:
-            apply_faults(states, 0)
-            k = 1
-        p = self._prefix_len
-        while p < len(gates) and len(alive):
+        while True:
+            if k < len(stops) and stops[k] == last:
+                group = slice(bounds[k], bounds[k + 1])
+                cur = slot[row[group]]
+                live = cur >= 0
+                _apply_paulis(states, cur[live], pauli[group][live], qubit[group][live])
+                k += 1
+            p = last + 1
+            if p == len(gates) or not len(alive):
+                break
             g = gates[p]
             last = p
             if g.kind in MEAS_KINDS:
-                col = self._meas_col[p]
-                outcome = _measure_rows(states, g, uniforms[alive, col])
+                outcome, prob = _measure_rows(states, g, uniforms[alive, self._meas_col[p]])
                 outcomes[g.record] = outcome
+                weight *= prob
+                keep = prob >= 1e-14
                 expected = self.reference.get(g.record)
-                if expected is not None and (outcome != expected).any():
-                    keep = outcome == expected
-                    states = states[keep]
-                    alive = alive[keep]
+                if expected is not None:
+                    keep &= outcome == expected
+                if not keep.all():
+                    states, alive, weight = states[keep], alive[keep], weight[keep]
                     outcomes = {r: o[keep] for r, o in outcomes.items()}
                     slot[:] = -1
                     slot[alive] = np.arange(len(alive))
@@ -517,26 +473,17 @@ class _Harness:
                 last = self._run_end[p]
                 if k < len(stops):
                     last = min(last, stops[k])
-                src, phase = self._fused(p, last)
-                if src is not None:
-                    states = np.take(states, src, axis=1)
-                if phase is not None:
-                    states *= phase
-            if k < len(stops) and stops[k] == last:
-                apply_faults(states, k)
-                k += 1
-            p = last + 1
+                states = self._apply_run(states, p, last)
 
         if not len(alive):
-            return alive, np.zeros(0)
+            return alive, weight, np.zeros(0)
         mat = states[:, self._out_perm].reshape(len(alive), 1 << len(self.outputs), -1)
         vec = np.matmul(self.ideal_out.conj(), mat)
         fid = np.sum(vec.real**2 + vec.imag**2, axis=1)
-        return alive, 1.0 - fid
+        return alive, weight, 1.0 - fid
 
-    def _fused(self, start: int, end: int):
-        """Gates start..end (all unitary) as one monomial (src, phase):
-        new = old[src] * phase, None standing for identity parts."""
+    def _apply_run(self, states: np.ndarray, start: int, end: int) -> np.ndarray:
+        """Gates start..end (all unitary or preparations) on every row."""
         run = self._runs.get((start, end))
         if run is None:
             src = phase = None
@@ -551,7 +498,12 @@ class _Harness:
             if src is not None and np.array_equal(src, np.arange(1 << self.n)):
                 src = None
             run = self._runs[(start, end)] = (src, phase)
-        return run
+        src, phase = run
+        if src is not None:
+            states = np.take(states, src, axis=1)
+        if phase is not None:
+            states *= phase
+        return states
 
     # -- fault sites -------------------------------------------------------
 
@@ -575,25 +527,24 @@ class _Harness:
         return sites
 
 
-def _apply_gates(state: np.ndarray, gates: tuple[Gate, ...], n: int) -> np.ndarray:
-    for g in gates:
-        state = _apply_unitary_gate(state, g, n)
-    return state
-
-
 # amplitudes held by one chunk of batched trajectories (1 MiB of complex128)
 _CHUNK_AMPLITUDES = 1 << 16
 _S_PHASE = np.exp(1j * math.pi * DIAG1_EXPONENT["S"] / 4)
 _MULTI_DIAG_PHASE = {"CZ": -1.0, "CS": 1j, "CCZ": -1.0}
+_PAULI_INDEX = {"X": 0, "Y": 1, "Z": 2}
+_NO_FAULTS = (np.zeros(0, dtype=np.int64),) * 4
 
 
 def _monomial(g: Gate, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """A unitary gate on flat amplitudes as new = old[src] * phase; None
-    stands for the identity permutation or unit phases. Qubit q is bit
-    n-1-q of the flat index."""
+    """A gate on flat amplitudes as new = old[src] * phase; None stands for
+    the identity permutation or unit phases. A preparation reads its qubit
+    as |0>. Qubit q is bit n-1-q of the flat index."""
     idx = np.arange(1 << n)
     bits = [1 << (n - 1 - q) for q in g.qubits]
     on = [(idx & b) != 0 for b in bits]
+    if g.kind in PREP_AMPLITUDES:
+        a0, a1 = PREP_AMPLITUDES[g.kind]
+        return idx & ~bits[0], np.where(on[0], a1, a0 + 0j)
     if g.kind == "X":
         return idx ^ bits[0], None
     if g.kind == "CNOT":
@@ -631,10 +582,10 @@ def _sum_sq(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", f, f)
 
 
-def _measure_rows(states, g: Gate, uniforms: np.ndarray) -> np.ndarray:
+def _measure_rows(states, g: Gate, uniforms: np.ndarray):
     """Measure g's qubit on every row of a (rows x 2^n) state array in
     place, outcome 1 where the row's uniform is below its probability;
-    returns the outcomes."""
+    returns (outcomes, probability of each row's outcome)."""
     rows = len(states)
     view = states.reshape(rows, 1 << g.qubits[0], 2, -1)
     if g.kind == "MeasZ":
@@ -642,9 +593,9 @@ def _measure_rows(states, g: Gate, uniforms: np.ndarray) -> np.ndarray:
         p0 = np.einsum("ijk,ijk->i", fv[:, :, 0], fv[:, :, 0])
         p1 = np.einsum("ijk,ijk->i", fv[:, :, 1], fv[:, :, 1])
         outcome = uniforms < p1
+        prob = np.where(outcome, p1, p0)
         scale = np.zeros((rows, 2))
-        scale[~outcome, 0] = 1.0 / np.sqrt(p0[~outcome])
-        scale[outcome, 1] = 1.0 / np.sqrt(p1[outcome])
+        scale[np.arange(rows), outcome.astype(np.intp)] = 1.0 / np.sqrt(np.maximum(prob, 1e-300))
         view *= scale[:, None, :, None]
     else:  # MeasX, outcome 0 = |+>; p = |a0 +- a1|^2 / 2
         plus = view[:, :, 0] + view[:, :, 1]
@@ -652,11 +603,12 @@ def _measure_rows(states, g: Gate, uniforms: np.ndarray) -> np.ndarray:
         p0 = _sum_sq(plus) / 2.0
         p1 = _sum_sq(minus) / 2.0
         outcome = uniforms < p1
-        scale = 0.5 / np.sqrt(np.where(outcome, p1, p0))
+        prob = np.where(outcome, p1, p0)
+        scale = 0.5 / np.sqrt(np.maximum(prob, 1e-300))
         comp = np.where(outcome[:, None, None], minus, plus) * scale[:, None, None]
         view[:, :, 0] = comp
         view[:, :, 1] = np.where(outcome[:, None, None], -comp, comp)
-    return outcome
+    return outcome, prob
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +872,7 @@ def monte_carlo_infidelity(
         accepted += b - len(faulty)  # clean shots pass with zero infidelity
         prep_row, prep_col = np.nonzero(prep_mask[faulty])
         depol_row, depol_col = np.nonzero(depol_mask[faulty])
-        ok, infid = harness.run_sampled(
+        weight, infid = harness.run_sampled(
             (
                 np.concatenate([prep_row, depol_row]),
                 np.concatenate([prep_sites[prep_col, 0], depol_sites[depol_col, 1]]),
@@ -932,7 +884,7 @@ def monte_carlo_infidelity(
             ),
             uniforms[faulty],
         )
-        accepted += int(ok.sum())
+        accepted += int(np.count_nonzero(weight))
         total += float(infid.sum())
         total_sq += float(np.dot(infid, infid))
         done += b
@@ -970,8 +922,12 @@ def spacetime_cost(
 ) -> int:
     """Qubit-cycles for the transversal-CNOT implementation: rounds x patches
     x (factor d^2) physical qubits per logical patch."""
-    if d < 1:
-        raise FaultAnalysisError("distance must be >= 1")
+    for name, value in (
+        ("distance", d), ("rounds", rounds), ("patches", patches),
+        ("qubits_per_patch_factor", qubits_per_patch_factor),
+    ):
+        if value < 1:
+            raise FaultAnalysisError(f"{name} must be >= 1, got {value}")
     return rounds * patches * qubits_per_patch_factor * d * d
 
 

@@ -12,7 +12,9 @@ Conventions:
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -35,6 +37,14 @@ T_LIKE_KINDS = frozenset({"T", "Tdag", "PrepT", "PrepTdag"})
 CNOT_LIKE_KINDS = frozenset({"CNOT", "SWAP"})
 # single-qubit diagonal phase gates and their exponents
 DIAG1_EXPONENT = {"Z": 4, "S": 2, "Sdag": 6, "T": 1, "Tdag": 7}
+# (amplitude of |0>, amplitude of |1>) of each prepared state
+_SQ2 = 1.0 / math.sqrt(2.0)
+PREP_AMPLITUDES = {
+    "PrepZero": (1.0, 0.0),
+    "PrepPlus": (_SQ2, _SQ2),
+    "PrepT": (_SQ2, _SQ2 * cmath.exp(1j * math.pi / 4)),
+    "PrepTdag": (_SQ2, _SQ2 * cmath.exp(-1j * math.pi / 4)),
+}
 
 
 class CircuitError(ValueError):
@@ -112,6 +122,11 @@ class RotationProgram:
         return json.dumps(payload, indent=2)
 
 
+def _is_index(x) -> bool:
+    """A JSON non-negative integer (booleans excluded)."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def parse_rotation_program(text: str) -> RotationProgram:
     """Parse the JSON rotation-program format, with field-level diagnostics."""
     try:
@@ -121,8 +136,10 @@ def parse_rotation_program(text: str) -> RotationProgram:
     if not isinstance(payload, dict) or "n" not in payload or "rotations" not in payload:
         raise ParseError("expected object with fields 'n' and 'rotations'")
     n = payload["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_index(n):
         raise ParseError(f"'n' must be a non-negative integer, got {n!r}")
+    if not isinstance(payload["rotations"], list):
+        raise ParseError("'rotations' must be a list")
     rotations = []
     for idx, entry in enumerate(payload["rotations"]):
         if not isinstance(entry, dict) or "support" not in entry or "k" not in entry:
@@ -270,16 +287,22 @@ def parse_circuit(text: str) -> Circuit:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "n" not in payload or "gates" not in payload:
         raise ParseError("expected object with fields 'n' and 'gates'")
+    n = payload["n"]
+    if not _is_index(n):
+        raise ParseError(f"'n' must be a non-negative integer, got {n!r}")
+    if not isinstance(payload["gates"], list):
+        raise ParseError("'gates' must be a list")
     gates = []
     for idx, entry in enumerate(payload["gates"]):
         try:
-            gates.append(
-                Gate(entry["kind"], tuple(entry["qubits"]), entry.get("record"))
-            )
-        except (KeyError, TypeError, CircuitError) as exc:
+            qubits = tuple(entry["qubits"])
+            if not all(_is_index(q) for q in qubits):
+                raise ParseError(f"gate {idx}: qubits must be non-negative integers")
+            gates.append(Gate(entry["kind"], qubits, entry.get("record")))
+        except (KeyError, TypeError, AttributeError, CircuitError) as exc:
             raise ParseError(f"gate {idx}: {exc}") from exc
     try:
-        return Circuit(payload["n"], tuple(gates))
+        return Circuit(n, tuple(gates))
     except CircuitError as exc:
         raise ParseError(str(exc)) from exc
 

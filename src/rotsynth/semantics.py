@@ -19,17 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gf2 import BitVec, GF2Matrix
-from .ir import Circuit, DIAG1_EXPONENT, Gate, MEAS_KINDS, PREP_KINDS
+from .ir import Circuit, DIAG1_EXPONENT, Gate, MEAS_KINDS, PREP_AMPLITUDES, PREP_KINDS
 
 MAX_DENSE_QUBITS = 12
-
-_SQ2 = 1.0 / math.sqrt(2.0)
-_PREP_AMPLITUDES = {
-    "PrepZero": (1.0, 0.0),
-    "PrepPlus": (_SQ2, _SQ2),
-    "PrepT": (_SQ2, _SQ2 * np.exp(1j * math.pi / 4)),
-    "PrepTdag": (_SQ2, _SQ2 * np.exp(-1j * math.pi / 4)),
-}
 
 # parity-phase expansions of the multi-qubit diagonal gates, as
 # (exponent, operand subset) terms; subsets index into gate.qubits
@@ -274,6 +266,71 @@ def _measurement_probability(state: np.ndarray, g: Gate, n: int, outcome: int):
     return prob, proj
 
 
+def _execute(c: Circuit, postselect: dict[str, int] | None, rng) -> list[tuple]:
+    """Run c over a list of branches (state, weight, outcomes).
+
+    A measurement keeps the postselected outcome if its record is named in
+    `postselect`, else one outcome drawn from `rng`, else (rng None) both;
+    a kept outcome of probability below 1e-14 ends its branch. Postselected
+    and branched outcomes multiply the weight by their probability. Every
+    branch owns its state, so gates act in place.
+    """
+    if c.n > MAX_DENSE_QUBITS:
+        raise SimulationError(f"dense simulation capped at {MAX_DENSE_QUBITS} qubits")
+    postselect = postselect or {}
+    missing = set(postselect) - set(c.records())
+    if missing:
+        raise SimulationError(f"postselected records not in circuit: {sorted(missing)}")
+
+    state0 = np.zeros((2,) * c.n if c.n else (1,), dtype=np.complex128)
+    state0.flat[0] = 1.0
+    branches = [(state0, 1.0, {})]
+    touched = [False] * c.n
+
+    for g in c.gates:
+        new_branches = []
+        for state, weight, outcomes in branches:
+            if g.kind in PREP_KINDS:
+                q = g.qubits[0]
+                if touched[q]:
+                    raise SimulationError(f"{g.kind} on qubit {q} after other gates")
+                a0, a1 = PREP_AMPLITUDES[g.kind]
+                sub = state[_axis_slice(c.n, q, 0)].copy()
+                state[_axis_slice(c.n, q, 0)] = a0 * sub
+                state[_axis_slice(c.n, q, 1)] = a1 * sub
+                new_branches.append((state, weight, outcomes))
+            elif g.kind in MEAS_KINDS:
+                drawn = g.record not in postselect and rng is not None
+                if drawn:
+                    prob1 = _measurement_probability(state, g, c.n, 1)[0]
+                    wanted = (int(rng.random() < prob1),)
+                elif g.record in postselect:
+                    wanted = (postselect[g.record],)
+                else:
+                    wanted = (0, 1)
+                for outcome in wanted:
+                    prob, proj = _measurement_probability(state, g, c.n, outcome)
+                    if prob < 1e-14:
+                        continue
+                    new_branches.append(
+                        (
+                            proj / math.sqrt(prob),
+                            weight if drawn else weight * prob,
+                            {**outcomes, g.record: outcome},
+                        )
+                    )
+            elif g.kind == "CondS":
+                if outcomes[g.record] == 1:
+                    state = _apply_unitary_gate(state, Gate("S", g.qubits), c.n)
+                new_branches.append((state, weight, outcomes))
+            else:
+                new_branches.append((_apply_unitary_gate(state, g, c.n), weight, outcomes))
+        branches = new_branches
+        for q in g.qubits:
+            touched[q] = True
+    return branches
+
+
 def simulate(
     c: Circuit,
     postselect: dict[str, int] | None = None,
@@ -284,57 +341,15 @@ def simulate(
 
     Records named in `postselect` are projected onto the requested outcome
     (acceptance accumulates their probabilities); other measurements are
-    sampled with the seeded generator.
+    sampled with the seeded generator. The result is invalid when a kept
+    outcome has probability below 1e-14.
     """
-    if c.n > MAX_DENSE_QUBITS:
-        raise SimulationError(f"dense simulation capped at {MAX_DENSE_QUBITS} qubits")
-    postselect = postselect or {}
-    missing = set(postselect) - set(c.records())
-    if missing:
-        raise SimulationError(f"postselected records not in circuit: {sorted(missing)}")
     if rng is None:
         rng = np.random.default_rng(seed)
-
-    state = np.zeros((2,) * c.n if c.n else (1,), dtype=np.complex128)
-    state.flat[0] = 1.0
-    touched = [False] * c.n
-    outcomes: dict[str, int] = {}
-    acceptance = 1.0
-
-    for g in c.gates:
-        if g.kind in PREP_KINDS:
-            q = g.qubits[0]
-            if touched[q]:
-                raise SimulationError(f"{g.kind} on qubit {q} after other gates")
-            a0, a1 = _PREP_AMPLITUDES[g.kind]
-            sub = state[_axis_slice(c.n, q, 0)].copy()
-            state[_axis_slice(c.n, q, 0)] = a0 * sub
-            state[_axis_slice(c.n, q, 1)] = a1 * sub
-        elif g.kind in MEAS_KINDS:
-            if g.record in postselect:
-                outcome = postselect[g.record]
-                prob, proj = _measurement_probability(state, g, c.n, outcome)
-                acceptance *= prob
-                if prob < 1e-300:
-                    return SimResult(state.reshape(-1), 0.0, outcomes, False)
-                state = proj / math.sqrt(prob)
-            else:
-                prob1, proj1 = _measurement_probability(state, g, c.n, 1)
-                outcome = int(rng.random() < prob1)
-                if outcome == 1:
-                    state = proj1 / math.sqrt(prob1)
-                else:
-                    prob0, proj0 = _measurement_probability(state, g, c.n, 0)
-                    state = proj0 / math.sqrt(prob0)
-            outcomes[g.record] = outcome
-        elif g.kind == "CondS":
-            if outcomes[g.record] == 1:
-                state = _apply_unitary_gate(state, Gate("S", g.qubits), c.n)
-        else:
-            state = _apply_unitary_gate(state, g, c.n)
-        for q in g.qubits:
-            touched[q] = True
-
+    branches = _execute(c, postselect, rng)
+    if not branches:
+        return SimResult(np.zeros(1 << c.n, dtype=np.complex128), 0.0, {}, False)
+    state, acceptance, outcomes = branches[0]
     return SimResult(state.reshape(-1), acceptance, outcomes, True)
 
 
@@ -346,53 +361,9 @@ def enumerate_branches(
     Returns one SimResult per surviving branch; acceptances sum to the total
     probability mass consistent with the postselection.
     """
-    if c.n > MAX_DENSE_QUBITS:
-        raise SimulationError(f"dense simulation capped at {MAX_DENSE_QUBITS} qubits")
-    postselect = postselect or {}
-
-    state0 = np.zeros((2,) * c.n if c.n else (1,), dtype=np.complex128)
-    state0.flat[0] = 1.0
-    branches = [(state0, 1.0, {})]
-
-    for g in c.gates:
-        new_branches = []
-        for state, weight, outcomes in branches:
-            if g.kind in PREP_KINDS:
-                q = g.qubits[0]
-                a0, a1 = _PREP_AMPLITUDES[g.kind]
-                sub = state[_axis_slice(c.n, q, 0)].copy()
-                state = state.copy()
-                state[_axis_slice(c.n, q, 0)] = a0 * sub
-                state[_axis_slice(c.n, q, 1)] = a1 * sub
-                new_branches.append((state, weight, outcomes))
-            elif g.kind in MEAS_KINDS:
-                wanted = (
-                    (postselect[g.record],) if g.record in postselect else (0, 1)
-                )
-                for outcome in wanted:
-                    prob, proj = _measurement_probability(state, g, c.n, outcome)
-                    if prob < 1e-14:
-                        continue
-                    new_branches.append(
-                        (
-                            proj / math.sqrt(prob),
-                            weight * prob,
-                            {**outcomes, g.record: outcome},
-                        )
-                    )
-            elif g.kind == "CondS":
-                if outcomes[g.record] == 1:
-                    state = _apply_unitary_gate(state.copy(), Gate("S", g.qubits), c.n)
-                new_branches.append((state, weight, outcomes))
-            else:
-                new_branches.append(
-                    (_apply_unitary_gate(state.copy(), g, c.n), weight, outcomes)
-                )
-        branches = new_branches
-
     return [
         SimResult(state.reshape(-1), weight, outcomes, True)
-        for state, weight, outcomes in branches
+        for state, weight, outcomes in _execute(c, postselect, None)
     ]
 
 

@@ -14,12 +14,21 @@ import numpy as np
 
 from rotsynth.faults import AnalysisReport, NoiseModel, _Harness
 from rotsynth.gf2 import BitVec, GF2Matrix
-from rotsynth.ir import MEAS_KINDS, PREP_KINDS, Circuit, Gate, PhaseRotation, RotationProgram
+from rotsynth.ir import (
+    MEAS_KINDS,
+    PREP_AMPLITUDES,
+    PREP_KINDS,
+    Circuit,
+    Gate,
+    PhaseRotation,
+    RotationProgram,
+)
 from rotsynth.semantics import (
-    _PREP_AMPLITUDES,
     _apply_unitary_gate,
     _axis_slice,
     _measurement_probability,
+    enumerate_branches,
+    state_fidelity,
 )
 
 
@@ -122,7 +131,7 @@ def reference_trajectory(
         if pos >= 0:
             g = harness.circuit.gates[pos]
             if g.kind in PREP_KINDS:
-                a0, a1 = _PREP_AMPLITUDES[g.kind]
+                a0, a1 = PREP_AMPLITUDES[g.kind]
                 q = g.qubits[0]
                 sub = state[_axis_slice(n, q, 0)].copy()
                 state[_axis_slice(n, q, 0)] = a0 * sub
@@ -147,7 +156,32 @@ def reference_trajectory(
         for pauli, qubit in fault_map.get(pos, ()):
             for kind in _PAULI_GATES[pauli]:
                 state = _apply_unitary_gate(state, Gate(kind, (qubit,)), n)
-    return True, 1.0 - harness._output_fidelity(state)
+    return True, 1.0 - state_fidelity(state, harness.ideal_out, harness.outputs, n)
+
+
+def reference_exact(
+    harness: _Harness, faults: list[tuple[int, str, int]]
+) -> tuple[float, float]:
+    """`_Harness.run_exact` by `semantics.enumerate_branches`: the Paulis go
+    into the circuit as gates, and the detection records are postselected on
+    the noiseless reference."""
+    c = harness.circuit
+    after: dict[int, list[Gate]] = {}
+    for pos, pauli, qubit in faults:
+        after.setdefault(pos, []).extend(Gate(k, (qubit,)) for k in _PAULI_GATES[pauli])
+    gates = list(after.get(-1, ()))
+    for pos, g in enumerate(c.gates):
+        gates.append(g)
+        gates.extend(after.get(pos, ()))
+    acc = bad = 0.0
+    for branch in enumerate_branches(Circuit(c.n, tuple(gates)), harness.reference):
+        acc += branch.acceptance
+        bad += branch.acceptance * (
+            1.0 - state_fidelity(branch.state, harness.ideal_out, harness.outputs, c.n)
+        )
+    if acc <= 0.0:
+        return 0.0, 0.0
+    return acc, bad / acc
 
 
 def reference_monte_carlo(

@@ -163,7 +163,70 @@ class TestErrorExits:
         assert err.count("\n") == 1
 
 
+class TestMalformedInput:
+    """Malformed JSON payloads raise ParseError and exit 1 with one line."""
+
+    @staticmethod
+    def assert_exit_1(argv, capsys):
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            5,
+            [1, 2],
+            {"n": 2.5, "gates": []},
+            {"n": 2, "gates": [{"kind": "X", "qubits": [0.5]}]},
+            {"n": 2, "gates": [{"kind": "CNOT", "qubits": [0, True]}]},
+            {"n": 2, "gates": 5},
+            {"n": 2, "rotations": 5},
+        ],
+        ids=["number", "list", "n-float", "qubit-float", "qubit-bool", "gates-number",
+             "rotations-number"],
+    )
+    def test_verify(self, tmp_path, ccz_program, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        self.assert_exit_1(["verify", "--a", bad, "--b", ccz_program], capsys)
+
+    @pytest.mark.parametrize("command", ["faults", "sweep"])
+    @pytest.mark.parametrize(
+        "payload",
+        [{"n": 2.5, "gates": []}, {"n": 2, "gates": [{"kind": "X", "qubits": [0.5]}]}],
+        ids=["n-float", "qubit-float"],
+    )
+    def test_circuit_commands(self, tmp_path, capsys, command, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        extra = (
+            ["--singles"] if command == "faults"
+            else ["--pl", "1e-3", "--r", "1", "--shots", "10", "--out", tmp_path / "o.csv"]
+        )
+        self.assert_exit_1([command, "--circuit", bad, "--outputs", "0"] + extra, capsys)
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_compile_budget_below_1(self, tmp_path, ccz_program, capsys, budget):
+        out = tmp_path / "circuit.json"
+        self.assert_exit_1(
+            ["compile", "--in", ccz_program, "--out", out, "--budget", budget], capsys
+        )
+        assert not out.exists()
+
+
 class TestCostCommand:
     def test_values(self, capsys):
         assert run(["cost", "--distance", "11"]) == 0
         assert "20328" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags", [["--rounds", "0"], ["--patches", "-1"], ["--factor", "0"], ["--distance", "0"]]
+    )
+    def test_out_of_range_exit_1(self, capsys, flags):
+        argv = ["cost", "--distance", "3"] + flags
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import reference_monte_carlo, reference_trajectory
+from hypothesis import given, settings, strategies as st
+from oracles import reference_exact, reference_monte_carlo, reference_trajectory
 
-from rotsynth.ir import Circuit, Gate
+from rotsynth.ir import PREP_KINDS, Circuit, Gate
 from rotsynth.compiler import compile_program
 from rotsynth import programs
 from rotsynth.ir import with_x_detection
@@ -351,7 +352,8 @@ class TestBatchedKernel:
         uniforms = rng.random((len(sites), len(harness.meas_order)))
         rows = np.arange(len(sites))
         pos, pauli, qubit = (np.array(col) for col in zip(*sites))
-        accepted, infidelity = harness.run_sampled((rows, pos, pauli, qubit), uniforms)
+        weight, infidelity = harness.run_sampled((rows, pos, pauli, qubit), uniforms)
+        accepted = weight > 0
         for row, (p, pa, q) in enumerate(sites):
             ok, infid = reference_trajectory(harness, {p: [("XYZ"[pa], q)]}, uniforms[row])
             assert accepted[row] == ok
@@ -360,9 +362,10 @@ class TestBatchedKernel:
 
 
 class TestPreparationRoundFaults:
-    """The kernel starts every row from the noiseless output of round 0:
-    a Z fault inside that round commutes to its end up to a sign, and one
-    placed before its qubit's preparation has no effect."""
+    """Every row starts from |0...0>, with preparations as gathers. A Z
+    fault inside round 0 commutes to the round's end up to a sign, X and Y
+    faults there are break points of their own, and a fault placed before
+    its qubit's preparation has no effect."""
 
     gates = (
         Gate("PrepT", (0,)),
@@ -376,25 +379,120 @@ class TestPreparationRoundFaults:
         Gate("MeasX", (2,), "d0"),
     )
 
+    def run_rows(self, harness, faults):
+        """One row per (pos, pauli, qubit) fault, each checked against the
+        one-trajectory reference."""
+        uniforms = np.full((len(faults), 1), 0.5)
+        pos, pauli, qubit = (np.array(col) for col in zip(*faults))
+        weight, infidelity = harness.run_sampled(
+            (np.arange(len(faults)), pos, pauli, qubit), uniforms
+        )
+        prepared = {g.qubits[0]: i for i, g in enumerate(self.gates) if g.kind in PREP_KINDS}
+        for row, (p, pa, q) in enumerate(faults):
+            fault_map = {p: [("XYZ"[pa], q)]} if p >= prepared[q] else {}
+            ok, infid = reference_trajectory(harness, fault_map, uniforms[row])
+            assert (weight[row] > 0) == ok
+            assert infidelity[row] == pytest.approx(infid, rel=1e-12, abs=1e-13)
+        return weight
+
     def test_matches_reference(self):
         harness = _Harness(Circuit(3, self.gates), [0, 1])
-        faults = [(pos, q) for pos in range(-1, len(self.gates)) for q in range(3)]
-        uniforms = np.full((len(faults), 1), 0.5)
-        rows = np.arange(len(faults))
-        pos, qubit = (np.array(col) for col in zip(*faults))
-        accepted, infidelity = harness.run_sampled(
-            (rows, pos, np.full(len(faults), 2), qubit), uniforms
-        )
-        for row, (p, q) in enumerate(faults):
-            ok, infid = reference_trajectory(harness, {p: [("Z", q)]}, uniforms[row])
-            assert accepted[row] == ok
-            assert infidelity[row] == pytest.approx(infid, rel=1e-12, abs=1e-13)
-        assert 0 < accepted.sum() < len(faults)
+        faults = [(pos, 2, q) for pos in range(-1, len(self.gates)) for q in range(3)]
+        weight = self.run_rows(harness, faults)
+        assert 0 < np.count_nonzero(weight) < len(faults)
 
-    def test_only_z_faults_inside_round_0(self):
+    def test_every_pauli_inside_round_0(self):
         harness = _Harness(Circuit(3, self.gates), [0, 1])
+        round0 = harness.rounds[0].gate_indices
+        assert len(round0) == 6
+        faults = [
+            (pos, pauli, q) for pos in range(-1, len(round0)) for pauli in range(3)
+            for q in range(3)
+        ]
+        weight = self.run_rows(harness, faults)
+        assert 0 < np.count_nonzero(weight) < len(faults)
+
+
+class TestExactKernel:
+    """`run_exact` (forced rows of the trajectory kernel) against
+    `semantics.enumerate_branches` with the faults inserted as gates."""
+
+    @staticmethod
+    def assert_same(harness, faults, got):
+        want = reference_exact(harness, faults)
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["ccz-g", "t15"])
+    def test_all_singles(self, name):
+        circ, outputs = compiled_t15() if name == "t15" else compiled_ccz()
+        if name == "ccz-g":
+            circ = gadgetize(circ)
+        harness = _Harness(circ, outputs)
+        table = enumerate_single_faults(circ, outputs, sites="all")
+        assert len(table.entries) > 100
+        for e in table.entries:
+            loc = e.location
+            self.assert_same(
+                harness, [(loc.gate_index, loc.pauli, loc.qubit)], (e.acceptance, e.infidelity)
+            )
+
+    def test_ccz_pairs(self):
+        circ, outputs = compiled_ccz()
+        impl = gadgetize(circ)
+        harness = _Harness(impl, outputs)
+        sites = harness.tprep_sites()
+        for a in range(len(sites)):
+            for b in range(a + 1, len(sites)):
+                faults = [(sites[a][0], "Z", sites[a][1]), (sites[b][0], "Z", sites[b][1])]
+                self.assert_same(harness, faults, harness.run_exact(faults))
+
+    def test_cs_tprep_singles(self):
+        circ, outputs = compiled_cs()
+        impl = gadgetize(circ)
+        harness = _Harness(impl, outputs)
+        assert len(harness._exact_uniforms) == 256
+        for pos, q in harness.tprep_sites():
+            self.assert_same(harness, [(pos, "Z", q)], harness.run_exact([(pos, "Z", q)]))
+
+    def test_unknown_pauli(self):
+        circ, outputs = compiled_ccz()
         with pytest.raises(FaultAnalysisError):
-            harness.run_sampled(([0], [0], [0], [1]), np.full((1, 1), 0.5))
+            enumerate_single_faults(circ, outputs, paulis=("W",))
+
+
+def _fault_sites(c: Circuit) -> list[tuple[int, int]]:
+    """(position, qubit) pairs where a fault does not precede the qubit's
+    preparation; position -1 is before the first gate."""
+    prepared = {g.qubits[0]: i for i, g in enumerate(c.gates) if g.kind in PREP_KINDS}
+    return [
+        (pos, q) for pos in range(-1, len(c.gates)) for q in range(c.n)
+        if prepared.get(q, -1) <= pos
+    ]
+
+
+@pytest.fixture(scope="module")
+def exact_harnesses():
+    ccz, ccz_out = compiled_ccz()
+    t15, t15_out = compiled_t15()
+    return {"ccz-g": _Harness(gadgetize(ccz), ccz_out), "t15": _Harness(t15, t15_out)}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["ccz-g", "t15"]), data=st.data())
+def test_random_faults_match_reference(exact_harnesses, name, data):
+    harness = exact_harnesses[name]
+    sites = _fault_sites(harness.circuit)
+    faults = [
+        (pos, pauli, q)
+        for (pos, q), pauli in data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(sites), st.sampled_from("XYZ")),
+                min_size=1, max_size=3,
+            )
+        )
+    ]
+    got = harness.run_exact(faults)
+    assert got == pytest.approx(reference_exact(harness, faults), rel=0, abs=1e-12)
 
 
 class TestHarnessOutputs:
@@ -424,3 +522,10 @@ class TestSpacetimeCost:
     def test_invalid_distance(self):
         with pytest.raises(FaultAnalysisError):
             spacetime_cost(0)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"rounds": 0}, {"patches": -1}, {"qubits_per_patch_factor": 0}]
+    )
+    def test_invalid_ranges(self, kwargs):
+        with pytest.raises(FaultAnalysisError):
+            spacetime_cost(3, **kwargs)
