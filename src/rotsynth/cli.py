@@ -85,6 +85,11 @@ class UsageError(ValueError):
     """Malformed command-line value."""
 
 
+def _at_least(value: int, low: int, flag: str):
+    if value < low:
+        raise UsageError(f"{flag} must be at least {low}, got {value}")
+
+
 def _number_list(text: str | None, kind, flag: str) -> list:
     if not text:
         return []
@@ -100,13 +105,9 @@ def _number_list(text: str | None, kind, flag: str) -> list:
 
 
 def cmd_compile(args) -> int:
-    if args.budget < 1:
-        raise UsageError(f"--budget must be at least 1, got {args.budget}")
-    try:
-        program = parse_rotation_program(_read(args.infile))
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _at_least(args.budget, 1, "--budget")
+    _at_least(args.seed, 0, "--seed")
+    program = parse_rotation_program(_read(args.infile))
     try:
         report = compile_program(
             program,
@@ -132,6 +133,7 @@ def cmd_compile(args) -> int:
             "cnot_count": report.cnot_count,
             "t_count": report.t_count,
             "orderings_tried": report.orderings_tried,
+            "orderings_valid": report.orderings_valid,
             "blocks": [b.to_lists() for b in report.partition.blocks]
             if report.partition
             else [],
@@ -150,12 +152,8 @@ def _as_body(kind: str, obj) -> Circuit:
 
 
 def cmd_verify(args) -> int:
-    try:
-        kind_a, a = _load_circuit_or_program(args.a)
-        kind_b, b = _load_circuit_or_program(args.b)
-    except (OSError, ParseError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    kind_a, a = _load_circuit_or_program(args.a)
+    kind_b, b = _load_circuit_or_program(args.b)
     if args.oracle == "poly":
         try:
             pa = phase_polynomial_of(_as_body(kind_a, a))
@@ -193,11 +191,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_faults(args) -> int:
-    try:
-        circuit = parse_circuit(_read(args.circuit))
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _at_least(args.tdecode, 0, "--tdecode")
+    circuit = parse_circuit(_read(args.circuit))
     outputs = _number_list(args.outputs, int, "--outputs")
     if args.gadgetize:
         circuit = gadgetize(circuit)
@@ -229,11 +224,9 @@ def cmd_faults(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        circuit = parse_circuit(_read(args.circuit))
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _at_least(args.tdecode, 0, "--tdecode")
+    _at_least(args.seed, 0, "--seed")
+    circuit = parse_circuit(_read(args.circuit))
     outputs = _number_list(args.outputs, int, "--outputs")
     if args.gadgetize:
         circuit = gadgetize(circuit)
@@ -347,7 +340,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, UsageError, CircuitError, FaultAnalysisError, SimulationError) as exc:
+    except (
+        OSError,
+        json.JSONDecodeError,
+        ParseError,
+        UsageError,
+        CircuitError,
+        FaultAnalysisError,
+        SimulationError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

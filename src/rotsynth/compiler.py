@@ -76,50 +76,12 @@ def cnot_synthesize(u: GF2Matrix) -> SynthesisResult:
     if not is_invertible(u):
         raise ValueError("CNOT synthesis needs an invertible matrix")
     n = u.n_rows
-    rows = list(u.transpose().rows)
-    ops: list[tuple[int, int]] = []
-    cap = 4 * n * n
-
-    while sum(r.bit_count() for r in rows) != n:
-        if len(ops) >= cap:
-            raise SynthesisStallError(
-                f"no permutation reached within {cap} row operations"
-            )
-        row_sums = [r.bit_count() for r in rows]
-        col_sums = [0] * n
-        for r in rows:
-            rr = r
-            while rr:
-                low = rr & -rr
-                col_sums[low.bit_length() - 1] += 1
-                rr ^= low
-        best = None
-        for i in range(n):
-            ri = rows[i]
-            for j in range(n):
-                if i == j:
-                    continue
-                new_j = ri ^ rows[j]
-                rs = list(row_sums)
-                rs[j] = new_j.bit_count()
-                cs = list(col_sums)
-                gained = ri & ~rows[j]
-                lost = ri & rows[j]
-                while gained:
-                    low = gained & -gained
-                    cs[low.bit_length() - 1] += 1
-                    gained ^= low
-                while lost:
-                    low = lost & -lost
-                    cs[low.bit_length() - 1] -= 1
-                    lost ^= low
-                cand = (tuple(sorted(cs + rs)), i, j)
-                if best is None or cand < best:
-                    best = cand
-        _, i, j = best
-        rows[j] ^= rows[i]
-        ops.append((i, j))
-
+    reduced = _greedy_rows(u, _score_concat)
+    if reduced is None:
+        raise SynthesisStallError(
+            f"greedy row reduction cycles before a permutation (cap {4 * n * n} steps)"
+        )
+    rows, ops = reduced
     return SynthesisResult(GF2Matrix(n, n, tuple(rows)), tuple(reversed(ops)))
 
 
@@ -159,53 +121,154 @@ def _transpositions(images: list[int]) -> list[tuple[int, int]]:
     return swaps
 
 
+def _bit_sum(bits: int, by_bit: dict[int, int]) -> int:
+    """Sum of by_bit[1 << b] over the set bits b."""
+    total = 0
+    while bits:
+        low = bits & -bits
+        total += by_bit[low]
+        bits ^= low
+    return total
+
+
+def _col_sums(rows: list[int], n: int) -> list[int]:
+    cs = [0] * n
+    for r in rows:
+        while r:
+            low = r & -r
+            cs[low.bit_length() - 1] += 1
+            r ^= low
+    return cs
+
+
+# The greedy scores below rank every candidate row operation "row j ^= row i"
+# without building its column and row sums. A score that compares sorted
+# tuples of sums is a comparison of the value histograms of those sums;
+# weighting each value by a power of a base larger than any count turns the
+# histogram into an integer with the same order, so a candidate's score is
+# the change of that integer, summed over the few sums the operation moves.
+# Row i's bits change the column sums: +1 where row j lacks the bit, -1
+# where it has it; row j's sum becomes popcount(row i ^ row j).
+
+
+@lru_cache(maxsize=None)
+def _powers(base: int, count: int) -> tuple[int, ...]:
+    """(base^0, ..., base^(count - 1))."""
+    return tuple(base**e for e in range(count))
+
+
+def _score_concat(rows: list[int], n: int) -> tuple[int, int]:
+    """(i, j) minimizing (tuple(sorted(cs + rs)), i, j) after row j ^= row i.
+
+    Ascending sorted tuples of equal length order like their histograms read
+    from the smallest value, more copies first: with base = 2n + 1, the sum
+    of w[v] = base^(n+1-v) over all 2n sums is larger exactly when the tuple
+    is smaller.
+    """
+    # w[n + 1] and w[-1] enter only terms that cancel or are never read
+    w = _powers(2 * n + 1, n + 2)[::-1]
+    rs = [r.bit_count() for r in rows]
+    cs = _col_sums(rows, n)
+    up = [w[c + 1] - w[c] for c in cs]
+    upl = {1 << b: x for b, x in enumerate(up)}
+    # a bit of row i that row j shares lowers its column sum instead
+    dd = {1 << b: w[c - 1] - w[c] - up[b] for b, c in enumerate(cs)}
+    best = None
+    for i in range(n):
+        ri = rows[i]
+        gain_i = _bit_sum(ri, upl)
+        for j in range(n):
+            if i == j:
+                continue
+            rj = rows[j]
+            key = w[rs[j]] - w[(ri ^ rj).bit_count()] - gain_i
+            both = ri & rj
+            while both:
+                low = both & -both
+                key -= dd[low]
+                both ^= low
+            if best is None or key < best:
+                best, bi, bj = key, i, j
+    return bi, bj
+
+
+def _score_maxsum(rows: list[int], n: int) -> tuple[int, int]:
+    """(i, j) minimizing (tuple(sorted(cs[k] + rs[k], reverse=True)), i, j).
+
+    Descending sorted tuples order like their histograms read from the
+    largest value, fewer copies first: with base = n + 1, the sum of
+    w[v] = base^v over the n sums s[k] = cs[k] + rs[k] orders them the same
+    way.
+    """
+    # w[2n + 1] and w[-1] enter only terms that cancel or are never read
+    w = _powers(n + 1, 2 * n + 2)
+    rs = [r.bit_count() for r in rows]
+    s = [c + r for c, r in zip(_col_sums(rows, n), rs)]
+    up = [w[v + 1] - w[v] for v in s]
+    upl = {1 << b: x for b, x in enumerate(up)}
+    dd = {1 << b: w[v - 1] - w[v] - up[b] for b, v in enumerate(s)}
+    best = None
+    for i in range(n):
+        ri = rows[i]
+        gain_i = _bit_sum(ri, upl)
+        for j in range(n):
+            if i == j:
+                continue
+            rj = rows[j]
+            key = gain_i
+            both = ri & rj
+            while both:
+                low = both & -both
+                key += dd[low]
+                both ^= low
+            # s[j] moves by its column change (counted above) and its row change
+            sj = s[j] + (((ri >> j) & 1) and (1 - 2 * ((rj >> j) & 1)))
+            key += w[sj + (ri ^ rj).bit_count() - rs[j]] - w[sj]
+            if best is None or key < best:
+                best, bi, bj = key, i, j
+    return bi, bj
+
+
+def _score_total(rows: list[int], n: int) -> tuple[int, int]:
+    """(i, j) minimizing (sum(cs) + sum(rs), i, j): both sums move by
+    popcount(row i ^ row j) - rs[j]."""
+    rs = [r.bit_count() for r in rows]
+    best = None
+    for i in range(n):
+        ri = rows[i]
+        for j in range(n):
+            if i == j:
+                continue
+            key = (ri ^ rows[j]).bit_count() - rs[j]
+            if best is None or key < best:
+                best, bi, bj = key, i, j
+    return bi, bj
+
+
+_EMISSION_SCORES = (_score_concat, _score_maxsum, _score_total)
+
+
 def _greedy_rows(u: GF2Matrix, score) -> tuple[list[int], list[tuple[int, int]]] | None:
-    """Greedy row reduction of transpose(u) under a pluggable score function."""
+    """Greedy row reduction of transpose(u) to a permutation matrix.
+
+    `score` picks the row operation (i, j), row j ^= row i, of each step.
+    The greedy is a function of the rows alone, so a repeated row state
+    means it cycles: None, as when it hits the cap of 4 n^2 steps.
+    """
     n = u.n_rows
     rows = list(u.transpose().rows)
     ops: list[tuple[int, int]] = []
     cap = 4 * n * n
-    while sum(r.bit_count() for r in rows) != n:
-        if len(ops) >= cap:
+    seen: set[tuple[int, ...]] = set()
+    while sum(map(int.bit_count, rows)) != n:
+        state = tuple(rows)
+        if len(ops) >= cap or state in seen:
             return None
-        row_sums = [r.bit_count() for r in rows]
-        col_sums = [0] * n
-        for r in rows:
-            rr = r
-            while rr:
-                low = rr & -rr
-                col_sums[low.bit_length() - 1] += 1
-                rr ^= low
-        best = None
-        for i in range(n):
-            ri = rows[i]
-            for j in range(n):
-                if i == j:
-                    continue
-                rs = list(row_sums)
-                rs[j] = (ri ^ rows[j]).bit_count()
-                cs = list(col_sums)
-                delta = ri
-                while delta:
-                    low = delta & -delta
-                    b = low.bit_length() - 1
-                    cs[b] += -1 if (rows[j] >> b) & 1 else 1
-                    delta ^= low
-                cand = (score(cs, rs), i, j)
-                if best is None or cand < best:
-                    best = cand
-        _, i, j = best
+        seen.add(state)
+        i, j = score(rows, n)
         rows[j] ^= rows[i]
         ops.append((i, j))
     return rows, ops
-
-
-_SCORE_CONCAT = lambda cs, rs: tuple(sorted(cs + rs))  # noqa: E731
-_SCORE_MAXSUM = lambda cs, rs: tuple(  # noqa: E731
-    sorted((c + r for c, r in zip(cs, rs)), reverse=True)
-)
-_SCORE_TOTAL = lambda cs, rs: (sum(cs) + sum(rs),)  # noqa: E731
-_EMISSION_SCORES = (_SCORE_CONCAT, _SCORE_MAXSUM, _SCORE_TOTAL)
 
 
 @lru_cache(maxsize=65536)
@@ -633,6 +696,7 @@ class Partition:
     residual: tuple[PhaseRotation, ...]
     ordering: tuple[int, ...]
     orderings_tried: int
+    orderings_valid: int  # candidates whose blocks were all invertible
 
 
 @dataclass(frozen=True)
@@ -643,6 +707,7 @@ class CompileReport:
     cnot_count: int
     t_count: int
     orderings_tried: int
+    orderings_valid: int
     seed: int
     budget: int
     objective: str
@@ -670,25 +735,65 @@ def _pad_residual(residual: list[PhaseRotation], n: int) -> tuple[GF2Matrix, tup
     return GF2Matrix.from_cols(cols), tuple(ks)
 
 
-def _split_ordering(
-    p: RotationProgram, order: tuple[int, ...]
-) -> tuple[list[GF2Matrix], list[tuple[int, ...]], list[PhaseRotation]] | None:
-    """Cut an ordering into invertible n-blocks; None if any block is singular."""
-    n, m = p.n, len(p.rotations)
-    rots = [p.rotations[i] for i in order]
-    blocks: list[GF2Matrix] = []
-    exps: list[tuple[int, ...]] = []
-    for start in range(0, m - m % n, n):
-        group = rots[start : start + n]
-        mat = GF2Matrix.from_cols([r.support for r in group])
+class _Block:
+    """One block of a candidate ordering: its matrix (the padded basis for the
+    residual) and exponents."""
+
+    __slots__ = ("matrix", "exponents", "live", "_pair")
+
+    def __init__(self, matrix: GF2Matrix, exponents: tuple[int, ...]):
+        self.matrix = matrix
+        self.exponents = exponents
+        # an empty phase layer contributes CX(M)^-1 CX(M) = identity
+        self.live = any(k % 8 for k in exponents)
+        self._pair = None
+
+    def pair(self) -> tuple[GF2Matrix, GF2Matrix]:
+        """(u^T, (u^T)^-1), the circuit-level matrix (see parallelize_block)
+        and its inverse; computed when a valid ordering first needs them."""
+        if self._pair is None:
+            fwd = self.matrix.transpose()
+            self._pair = (fwd, invert(fwd))
+        return self._pair
+
+
+class _BlockAlgebra:
+    """Blocks of one program, memoized by their tuple of rotation indices.
+
+    The orderings of a search share most of their blocks (ccz has 40320
+    orderings but 1680 ordered 4-blocks), so each block's matrix,
+    invertibility and inverse are computed once per search.
+    """
+
+    def __init__(self, p: RotationProgram):
+        self.p = p
+        self._blocks: dict[tuple[int, ...], _Block | None] = {}
+
+    def _block(self, idx: tuple[int, ...]) -> _Block | None:
+        rots = [self.p.rotations[i] for i in idx]
+        if len(idx) < self.p.n:
+            pad = _pad_residual(rots, self.p.n)
+            return None if pad is None else _Block(*pad)
+        mat = GF2Matrix.from_cols([r.support for r in rots])
         if not is_invertible(mat):
             return None
-        blocks.append(mat)
-        exps.append(tuple(r.k for r in group))
-    residual = rots[m - m % n :]
-    if residual and _pad_residual(residual, n) is None:
-        return None
-    return blocks, exps, residual
+        return _Block(mat, tuple(r.k for r in rots))
+
+    def split(self, order: tuple[int, ...]) -> list[_Block] | None:
+        """Cut an ordering into n-blocks and the padded residual; None if
+        any block is singular or the residual supports are dependent."""
+        n = self.p.n
+        blocks = []
+        for start in range(0, len(order), n):
+            idx = order[start : start + n]
+            try:
+                block = self._blocks[idx]
+            except KeyError:
+                block = self._blocks[idx] = self._block(idx)
+            if block is None:
+                return None
+            blocks.append(block)
+        return blocks
 
 
 def _all_block_matrices(
@@ -707,47 +812,39 @@ def _all_block_matrices(
 
 
 def _fast_cnot_metrics(
-    us: list[GF2Matrix],
-    kmaps: list[tuple[int, ...]],
+    live: list[tuple[GF2Matrix, GF2Matrix]],
     all_plus: bool,
     depth_opt: bool,
 ) -> tuple[int, int]:
     """(cnot_depth, cnot_count) of the merged, hoisted, absorbed pipeline.
 
-    Mirrors the circuit passes on plain tuples; valid when the preparation is
-    all |+> so the leading CNOT operator is absorbed entirely.
+    `live` holds (u^T, (u^T)^-1) for each block whose phase layer is
+    non-empty, in circuit order. Mirrors the circuit passes on plain tuples;
+    valid when the preparation is all |+> so the leading CNOT operator is
+    absorbed entirely.
     """
-    n = us[0].n_rows
-    # a block whose phase layer is empty contributes CX(M)^-1 CX(M) = identity
-    live = [u for u, ks in zip(us, kmaps) if any(k % 8 for k in ks)]
     if not live:
         return 0, 0
-    ms = [u.transpose() for u in live]  # circuit-level matrices (see parallelize_block)
-    merged = [ms[0]]
-    for b in range(1, len(ms)):
-        merged.append(ms[b] @ invert(ms[b - 1]))
-    merged.append(invert(ms[-1]))
+    n = live[0][0].n_rows
+    merged = [live[0][0]]
+    for b in range(1, len(live)):
+        merged.append(live[b][0] @ live[b - 1][1])
+    merged.append(live[-1][1])
 
-    groups: list[tuple[tuple[int, int], ...]] = []
-    for w in merged:
-        images, cnots = _realize_cx(w, depth_opt)
-        # hoisting this block's permutation relabels every earlier gate;
-        # its own CNOTs are already conjugated through it
-        groups = [
-            tuple((images[c], images[t]) for c, t in grp) for grp in groups
-        ]
-        groups.append(cnots)
-    start = 1 if all_plus else 0
+    realized = [_realize_cx(w, depth_opt) for w in merged]
+    # hoisting a block's permutation to time zero relabels every earlier
+    # gate (its own CNOTs are already conjugated through it): walk back from
+    # the last block, composing the wire maps passed so far
+    gates: list[tuple[int, int]] = []
+    tail = list(range(n))
+    for images, cnots in reversed(realized[1 if all_plus else 0 :]):
+        gates.extend((tail[c], tail[t]) for c, t in reversed(cnots))
+        tail = [tail[q] for q in images]
     free = [0] * n
-    depth = 0
-    count = 0
-    for grp in groups[start:]:
-        for ctrl, tgt in grp:
-            layer = max(free[ctrl], free[tgt])
-            free[ctrl] = free[tgt] = layer + 1
-            depth = max(depth, layer + 1)
-            count += 1
-    return depth, count
+    for c, t in reversed(gates):
+        a, b = free[c], free[t]
+        free[c] = free[t] = (a if a > b else b) + 1
+    return max(free), len(gates)
 
 
 def _emit_pipeline(
@@ -805,36 +902,46 @@ def partition_rotations(
         raise ValueError(f"unknown objective {objective!r}")
     m = len(p.rotations)
     if m == 0:
-        return Partition((), (), (), (), 0)
+        return Partition((), (), (), (), 0, 0)
 
     all_plus = prep is None or all(s == PLUS for s in prep)
     depth_opt = objective == "cnot-depth"
+    algebra = _BlockAlgebra(p)
     best = None
     best_key = None
-    tried = 0
+    tried = valid = 0
     for order in _candidate_orderings(m, budget, seed):
         tried += 1
-        split = _split_ordering(p, order)
+        split = algebra.split(order)
         if split is None:
             continue
-        blocks, exps, residual = split
-        us, kmaps = _all_block_matrices(blocks, exps, residual, p.n)
+        valid += 1
         if all_plus:
-            depth, count = _fast_cnot_metrics(us, kmaps, all_plus=True, depth_opt=depth_opt)
+            live = [b.pair() for b in split if b.live]
+            depth, count = _fast_cnot_metrics(live, all_plus=True, depth_opt=depth_opt)
         else:
-            circ = _emit_pipeline(us, kmaps, p.n, prep, absorb=True, depth_opt=depth_opt)
+            circ = _emit_pipeline([b.matrix for b in split], [b.exponents for b in split],
+                                  p.n, prep, absorb=True, depth_opt=depth_opt)
             depth, count = circ.cnot_depth(), circ.cnot_count()
         key = depth if objective == "cnot-depth" else count
         if best_key is None or key < best_key:
             best_key = key
-            best = (blocks, exps, residual, order)
+            best = (split, order)
     if best is None:
         raise PartitionError(
             f"no valid block partition among {tried} sampled ordering(s) "
             f"(m={m}, n={p.n})"
         )
-    blocks, exps, residual, order = best
-    return Partition(tuple(blocks), tuple(exps), tuple(residual), order, tried)
+    split, order = best
+    full = split[: m // p.n]
+    return Partition(
+        tuple(b.matrix for b in full),
+        tuple(b.exponents for b in full),
+        tuple(p.rotations[i] for i in order[m - m % p.n :]),
+        order,
+        tried,
+        valid,
+    )
 
 
 def compile_program(
@@ -847,7 +954,7 @@ def compile_program(
     """Full pipeline: partition, parallelize, synthesize, merge, hoist, absorb."""
     if not p.rotations:
         circuit = Circuit(p.n)
-        return CompileReport(circuit, 0, 0, 0, 0, 0, seed, budget, objective, None)
+        return CompileReport(circuit, 0, 0, 0, 0, 0, 0, seed, budget, objective, None)
     part = partition_rotations(p, budget=budget, seed=seed, objective=objective, prep=prep)
     us, kmaps = _all_block_matrices(
         list(part.blocks), list(part.exponent_maps), list(part.residual), p.n
@@ -861,6 +968,7 @@ def compile_program(
         cnot_count=circuit.cnot_count(),
         t_count=circuit.t_count(),
         orderings_tried=part.orderings_tried,
+        orderings_valid=part.orderings_valid,
         seed=seed,
         budget=budget,
         objective=objective,

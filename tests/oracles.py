@@ -12,8 +12,20 @@ import random
 
 import numpy as np
 
+from rotsynth.compiler import (
+    Partition,
+    PartitionError,
+    _all_block_matrices,
+    _candidate_orderings,
+    _emit_pipeline,
+    _pad_residual,
+    _realize_cx,
+    _score_concat,
+    _score_maxsum,
+    _score_total,
+)
 from rotsynth.faults import AnalysisReport, NoiseModel, _Harness
-from rotsynth.gf2 import BitVec, GF2Matrix
+from rotsynth.gf2 import BitVec, GF2Matrix, invert, is_invertible
 from rotsynth.ir import (
     MEAS_KINDS,
     PREP_AMPLITUDES,
@@ -244,3 +256,136 @@ def reference_monte_carlo(
         shots, accepted, faulty_total, accepted / shots, mean, stderr,
         nm.p_l, nm.p_t, nm.t_decode, seed, rounds=rounds,
     )
+
+
+# ---------------------------------------------------------------------------
+# Compile-search reference: the greedy that rescores every candidate from
+# full sorted tuples, and the ordering loop that rebuilds every block
+# ---------------------------------------------------------------------------
+
+_REFERENCE_SCORES = {
+    _score_concat: lambda cs, rs: tuple(sorted(cs + rs)),
+    _score_maxsum: lambda cs, rs: tuple(sorted((c + r for c, r in zip(cs, rs)), reverse=True)),
+    _score_total: lambda cs, rs: (sum(cs) + sum(rs),),
+}
+
+
+def reference_greedy_rows(
+    u: GF2Matrix, score
+) -> tuple[list[int], list[tuple[int, int]]] | None:
+    """`compiler._greedy_rows`: every step scores each candidate (i, j) by a
+    tuple built from its column and row sums after row j ^= row i, and runs
+    to the 4 n^2 cap when the greedy cycles. `score` is one of the
+    compiler's `_score_*` functions."""
+    tuple_score = _REFERENCE_SCORES[score]
+    n = u.n_rows
+    rows = list(u.transpose().rows)
+    ops: list[tuple[int, int]] = []
+    cap = 4 * n * n
+    while sum(r.bit_count() for r in rows) != n:
+        if len(ops) >= cap:
+            return None
+        row_sums = [r.bit_count() for r in rows]
+        col_sums = [0] * n
+        for r in rows:
+            for b in range(n):
+                col_sums[b] += (r >> b) & 1
+        best = None
+        for i in range(n):
+            ri = rows[i]
+            for j in range(n):
+                if i == j:
+                    continue
+                rs = list(row_sums)
+                rs[j] = (ri ^ rows[j]).bit_count()
+                cs = list(col_sums)
+                for b in range(n):
+                    if (ri >> b) & 1:
+                        cs[b] += -1 if (rows[j] >> b) & 1 else 1
+                cand = (tuple_score(cs, rs), i, j)
+                if best is None or cand < best:
+                    best = cand
+        _, i, j = best
+        rows[j] ^= rows[i]
+        ops.append((i, j))
+    return rows, ops
+
+
+def _reference_split(p: RotationProgram, order: tuple[int, ...]):
+    n, m = p.n, len(p.rotations)
+    rots = [p.rotations[i] for i in order]
+    blocks, exps = [], []
+    for start in range(0, m - m % n, n):
+        group = rots[start : start + n]
+        mat = GF2Matrix.from_cols([r.support for r in group])
+        if not is_invertible(mat):
+            return None
+        blocks.append(mat)
+        exps.append(tuple(r.k for r in group))
+    residual = rots[m - m % n :]
+    if residual and _pad_residual(residual, n) is None:
+        return None
+    return blocks, exps, residual
+
+
+def _reference_metrics(us, kmaps, depth_opt: bool) -> tuple[int, int]:
+    """(cnot_depth, cnot_count) of the all-|+> pipeline, inverting every
+    block matrix afresh."""
+    n = us[0].n_rows
+    live = [u for u, ks in zip(us, kmaps) if any(k % 8 for k in ks)]
+    if not live:
+        return 0, 0
+    ms = [u.transpose() for u in live]
+    merged = [ms[0]] + [ms[b] @ invert(ms[b - 1]) for b in range(1, len(ms))]
+    merged.append(invert(ms[-1]))
+    groups = []
+    for w in merged:
+        images, cnots = _realize_cx(w, depth_opt)
+        groups = [tuple((images[c], images[t]) for c, t in grp) for grp in groups]
+        groups.append(cnots)
+    free = [0] * n
+    depth = count = 0
+    for grp in groups[1:]:
+        for ctrl, tgt in grp:
+            layer = max(free[ctrl], free[tgt])
+            free[ctrl] = free[tgt] = layer + 1
+            depth = max(depth, layer + 1)
+            count += 1
+    return depth, count
+
+
+def reference_partition_rotations(
+    p: RotationProgram,
+    budget: int = 200,
+    seed: int = 0,
+    objective: str = "cnot-depth",
+    prep: list[str] | None = None,
+) -> Partition:
+    """`compiler.partition_rotations` with every candidate cut, rank-checked,
+    padded and inverted on its own."""
+    m = len(p.rotations)
+    all_plus = prep is None or all(s == "plus" for s in prep)
+    depth_opt = objective == "cnot-depth"
+    best = best_key = None
+    tried = valid = 0
+    for order in _candidate_orderings(m, budget, seed):
+        tried += 1
+        split = _reference_split(p, order)
+        if split is None:
+            continue
+        valid += 1
+        blocks, exps, residual = split
+        us, kmaps = _all_block_matrices(blocks, exps, residual, p.n)
+        if all_plus:
+            depth, count = _reference_metrics(us, kmaps, depth_opt)
+        else:
+            circ = _emit_pipeline(us, kmaps, p.n, prep, absorb=True, depth_opt=depth_opt)
+            depth, count = circ.cnot_depth(), circ.cnot_count()
+        key = depth if depth_opt else count
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (blocks, exps, residual, order)
+    if best is None:
+        raise PartitionError(f"no valid block partition among {tried} ordering(s)")
+    blocks, exps, residual, order = best
+    return Partition(tuple(blocks), tuple(exps), tuple(residual), order, tried, valid)

@@ -29,6 +29,7 @@ class TestCompileCommand:
         assert code == 0
         payload = json.loads(report.read_text())
         assert payload["t_depth"] == 2
+        assert payload["orderings_tried"] == payload["orderings_valid"] == 1
         assert payload["config"]["version"]
         circ = json.loads(out.read_text())
         assert circ["n"] == 4
@@ -68,6 +69,17 @@ class TestCompileCommand:
             payload = json.loads(out.read_text())
             outs.append(sum(1 for g in payload["gates"] if g["kind"] in ("T", "PrepT")))
         assert outs[0] == outs[1] == 8
+
+
+    def test_report_counts_valid_orderings(self, tmp_path, ccz_program):
+        # ccz: 32256 of the 40320 orderings cut into two invertible blocks
+        report = tmp_path / "report.json"
+        assert run([
+            "compile", "--in", ccz_program, "--out", tmp_path / "c.json",
+            "--report", report, "--budget", 200,
+        ]) == 0
+        payload = json.loads(report.read_text())
+        assert (payload["orderings_valid"], payload["orderings_tried"]) == (32256, 40320)
 
 
 class TestVerifyCommand:
@@ -150,9 +162,15 @@ class TestErrorExits:
             ["sweep", "--outputs", "0,1,2", "--pl", "abc", "--r", "1", "--shots", "10"],
             ["faults", "--outputs", "0,9", "--singles"],
             ["faults", "--outputs", "0", "--singles"],
+            ["sweep", "--outputs", "0,1,2", "--pl", "1e-3", "--r", "1", "--shots", "10",
+             "--seed", "-1"],
+            ["sweep", "--outputs", "0,1,2", "--pl", "1e-3", "--r", "1", "--shots", "10",
+             "--tdecode", "-1"],
+            ["faults", "--outputs", "0,1,2", "--singles", "--tdecode", "-1"],
         ],
         ids=["sweep-shots-0", "sweep-pl-abc", "faults-outputs-out-of-range",
-             "faults-outputs-not-pure"],
+             "faults-outputs-not-pure", "sweep-seed-negative", "sweep-tdecode-negative",
+             "faults-tdecode-negative"],
     )
     def test_exit_1(self, tmp_path, ccz_circuit, capsys, argv):
         capsys.readouterr()
@@ -215,6 +233,26 @@ class TestMalformedInput:
             ["compile", "--in", ccz_program, "--out", out, "--budget", budget], capsys
         )
         assert not out.exists()
+
+    def test_compile_seed_negative(self, tmp_path, ccz_program, capsys):
+        out = tmp_path / "circuit.json"
+        self.assert_exit_1(
+            ["compile", "--in", ccz_program, "--out", out, "--budget", 40, "--seed", -5], capsys
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compile", "faults", "sweep"])
+    def test_parse_error_from_main(self, tmp_path, capsys, command):
+        # one handler in cli.main turns every ParseError into exit 1
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        argv = {
+            "compile": ["compile", "--in", bad, "--out", tmp_path / "o.json"],
+            "faults": ["faults", "--circuit", bad, "--outputs", "0", "--singles"],
+            "sweep": ["sweep", "--circuit", bad, "--outputs", "0", "--pl", "1e-3", "--r", "1",
+                      "--shots", "10", "--out", tmp_path / "o.csv"],
+        }[command]
+        self.assert_exit_1(argv, capsys)
 
 
 class TestCostCommand:

@@ -410,12 +410,7 @@ class TestCompile:
     def test_search_scorer_matches_emitted_circuit(self):
         # the ordering search scores candidates on plain tuples; the score
         # must equal the metrics of the honestly emitted circuit
-        from rotsynth.compiler import (
-            _all_block_matrices,
-            _emit_pipeline,
-            _fast_cnot_metrics,
-            _split_ordering,
-        )
+        from rotsynth.compiler import _BlockAlgebra, _emit_pipeline, _fast_cnot_metrics
 
         rng = random.Random(31)
         checked = 0
@@ -423,13 +418,14 @@ class TestCompile:
             n = rng.randrange(2, 6)
             m = rng.randrange(1, 3 * n + 1)
             prog = random_program(rng, n, m)
-            split = _split_ordering(prog, tuple(range(m)))
+            split = _BlockAlgebra(prog).split(tuple(range(m)))
             if split is None:
                 continue
             checked += 1
-            blocks, exps, residual = split
-            us, kmaps = _all_block_matrices(blocks, exps, residual, n)
+            us = [b.matrix for b in split]
+            kmaps = [b.exponents for b in split]
+            live = [b.pair() for b in split if b.live]
             for depth_opt in (True, False):
-                fast = _fast_cnot_metrics(us, kmaps, all_plus=True, depth_opt=depth_opt)
+                fast = _fast_cnot_metrics(live, all_plus=True, depth_opt=depth_opt)
                 circ = _emit_pipeline(us, kmaps, n, None, absorb=True, depth_opt=depth_opt)
                 assert fast == (circ.cnot_depth(), circ.cnot_count())

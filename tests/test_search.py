@@ -1,0 +1,161 @@
+"""The compile search against its references in tests/oracles.py.
+
+The greedy synthesizer scores candidates incrementally and stops when it
+cycles; the ordering loop memoizes block algebra. Both must return exactly
+what the plain loops return: same operations, same partition, same circuit.
+"""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from rotsynth import programs
+from rotsynth.compiler import (
+    _EMISSION_SCORES,
+    PartitionError,
+    _all_block_matrices,
+    _emit_pipeline,
+    _greedy_rows,
+    _score_concat,
+    cnot_synthesize,
+    compile_program,
+    compile_to_unitary,
+    expand_reference,
+    partition_rotations,
+)
+from rotsynth.gf2 import random_invertible
+from rotsynth.ir import PhaseRotation, RotationProgram
+from rotsynth.semantics import phase_polynomial_of, poly_equal
+
+from oracles import random_program, reference_greedy_rows, reference_partition_rotations
+
+MIXED_PREP = ("plus", "zero", "plus", "zero", "plus")
+
+
+class TestGreedyKernel:
+    def test_matches_reference(self):
+        rng = random.Random(2024)
+        stalls = {score: 0 for score in _EMISSION_SCORES}
+        for trial in range(150):
+            n = rng.randrange(1, 11)
+            u = random_invertible(n, rng.randrange(10**6))
+            for score in _EMISSION_SCORES:
+                got = _greedy_rows(u, score)
+                assert got == reference_greedy_rows(u, score), (trial, n, score.__name__)
+                stalls[score] += got is None
+        # the cycle exit must be exercised, not only the converging path
+        assert sum(stalls.values()) >= 10, stalls
+
+    def test_cnot_synthesize_wraps_concat_greedy(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            n = rng.randrange(1, 9)
+            u = random_invertible(n, rng.randrange(10**6))
+            rows, ops = reference_greedy_rows(u, _score_concat)
+            res = cnot_synthesize(u)
+            assert res.perm.rows == tuple(rows)
+            assert res.ops == tuple(reversed(ops))
+
+
+def _assert_same_search(prog, budget, objective, prep=None, seed=0, reference=None):
+    """compile_program's partition and circuit equal the reference loop's."""
+    want = reference or reference_partition_rotations(
+        prog, budget=budget, seed=seed, objective=objective, prep=prep
+    )
+    got = compile_program(prog, prep=prep, budget=budget, seed=seed, objective=objective)
+    assert got.partition == want
+    us, kmaps = _all_block_matrices(
+        list(want.blocks), list(want.exponent_maps), list(want.residual), prog.n
+    )
+    depth_opt = objective == "cnot-depth"
+    assert got.circuit == _emit_pipeline(us, kmaps, prog.n, prep, True, depth_opt)
+    return got.partition
+
+
+@pytest.fixture(scope="module")
+def ccz_reference():
+    # m = 8: every budget above 1 enumerates all 8! orderings, so one
+    # reference run per objective stands for budgets 40, 200 and 800
+    prog = programs.load("ccz")
+    return {
+        objective: reference_partition_rotations(prog, budget=40, objective=objective)
+        for objective in ("cnot-depth", "cnot-count")
+    }
+
+
+class TestPartitionExactness:
+    @pytest.mark.parametrize("objective", ["cnot-depth", "cnot-count"])
+    @pytest.mark.parametrize("budget", [1, 40, 200, 800])
+    def test_ccz_all_plus(self, ccz_reference, budget, objective):
+        prog = programs.load("ccz")
+        reference = ccz_reference[objective] if budget > 1 else None
+        part = _assert_same_search(prog, budget, objective, reference=reference)
+        if budget > 1:
+            assert (part.orderings_valid, part.orderings_tried) == (32256, 40320)
+
+    @pytest.mark.parametrize("objective", ["cnot-depth", "cnot-count"])
+    @pytest.mark.parametrize("budget", [1, 40, 200, 800])
+    @pytest.mark.parametrize("name", ["cs", "t15"])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["all-plus", "mixed-prep"])
+    def test_bundled(self, name, budget, objective, mixed):
+        prog = programs.load(name)
+        prep = list(MIXED_PREP[: prog.n]) if mixed else None
+        _assert_same_search(prog, budget, objective, prep=prep)
+
+    @pytest.mark.parametrize("objective", ["cnot-depth", "cnot-count"])
+    def test_ccz_mixed_prep_program_order(self, objective):
+        # the exhaustive mixed-prep search emits 32256 circuits per side (~20 s)
+        _assert_same_search(programs.load("ccz"), 1, objective, prep=list(MIXED_PREP[:4]))
+
+    @pytest.mark.parametrize("objective", ["cnot-depth", "cnot-count"])
+    def test_random_programs(self, objective):
+        rng = random.Random(55)
+        exhaustive = sampled = 0
+        while exhaustive < 6 or sampled < 6:
+            n = rng.randrange(1, 6)
+            small = exhaustive < 6
+            m = rng.randrange(1, 7) if small else rng.randrange(9, 4 * n + 10)
+            prog = random_program(rng, n, m)
+            prep = [rng.choice(("plus", "zero")) for _ in range(n)] if rng.random() < 0.5 else None
+            try:
+                reference = reference_partition_rotations(
+                    prog, budget=30, seed=m, objective=objective, prep=prep
+                )
+            except PartitionError:  # no valid ordering: both sides must fail
+                with pytest.raises(PartitionError):
+                    partition_rotations(prog, budget=30, seed=m, objective=objective, prep=prep)
+                continue
+            _assert_same_search(prog, 30, objective, prep=prep, seed=m, reference=reference)
+            if small:
+                exhaustive += 1
+            else:
+                sampled += 1
+
+
+def _blocks_program(n: int, seeds: list[int], residual_seed: int, residual: int, ks: list[int]):
+    """Invertible blocks in program order, then `residual` independent columns."""
+    supports = [random_invertible(n, s).col(j) for s in seeds for j in range(n)]
+    supports += [random_invertible(n, residual_seed).col(j) for j in range(residual)]
+    rotations = tuple(PhaseRotation(v, ks[i % len(ks)]) for i, v in enumerate(supports))
+    return RotationProgram(n, rotations)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(5, 8),
+    seeds=st.lists(st.integers(0, 10**6), min_size=1, max_size=2),
+    residual_seed=st.integers(0, 10**6),
+    residual=st.integers(0, 4),
+    ks=st.lists(st.integers(0, 7), min_size=1, max_size=6),
+)
+def test_compiled_unitary_equals_reference(n, seeds, residual_seed, residual, ks):
+    # n = 5-8 puts every CNOT operator through the greedy synthesizer: the
+    # emission variants under cnot-depth, cnot_synthesize under cnot-count
+    prog = _blocks_program(n, seeds, residual_seed, residual, ks)
+    want = phase_polynomial_of(expand_reference(prog))
+    for objective in ("cnot-depth", "cnot-count"):
+        circuit = compile_to_unitary(prog, budget=1, objective=objective)
+        assert poly_equal(phase_polynomial_of(circuit), want), objective
