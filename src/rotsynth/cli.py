@@ -20,11 +20,12 @@ from .compiler import PartitionError, compile_program, expand_reference
 from .faults import (
     FaultAnalysisError,
     NoiseModel,
+    _Harness,
+    _monte_carlo,
     enumerate_pair_faults,
     enumerate_single_faults,
     first_order_oracle,
     gadgetize,
-    monte_carlo_infidelity,
     spacetime_cost,
     surgery_baseline_cost,
 )
@@ -90,13 +91,14 @@ def _at_least(value: int, low: int, flag: str):
         raise UsageError(f"{flag} must be at least {low}, got {value}")
 
 
-def _number_list(text: str | None, kind, flag: str) -> list:
-    if not text:
-        return []
+def _number_list(text: str, kind, flag: str) -> list:
     try:
-        return [kind(x) for x in text.split(",") if x != ""]
+        values = [kind(x) for x in text.split(",") if x != ""]
     except ValueError:
-        raise UsageError(f"{flag}: expected a comma list of numbers, got {text!r}") from None
+        values = []
+    if not values:
+        raise UsageError(f"{flag}: expected a comma list of numbers, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +238,12 @@ def cmd_sweep(args) -> int:
         shots = int(float(args.shots))
     except (ValueError, OverflowError):
         raise UsageError(f"--shots: expected a number, got {args.shots!r}") from None
+    harness = _Harness(circuit, outputs, args.tdecode)
     rows = []
     for p_l in pls:
         for r in rs_:
             nm = NoiseModel.from_ratio(p_l, r, args.tdecode)
-            rep = monte_carlo_infidelity(circuit, outputs, nm, shots, seed=args.seed)
+            rep = _monte_carlo(harness, nm, shots, args.seed)
             rows.append(
                 (p_l, r, shots, rep.accepted, rep.infidelity, rep.stderr)
             )

@@ -7,7 +7,12 @@ on their noiseless outcomes). Faults are Paulis inserted at circuit
 positions, anywhere including the preparation round. One batched trajectory
 kernel (`_Harness.run_sampled`) runs them: the Monte Carlo engine samples
 the measurement outcomes, and the exact enumerators force one row per
-branch of the injection outcomes and weight it by its probability.
+branch of the injection outcomes and weight it by its probability. The
+kernel's rows hold only the live qubits (from a qubit's first gate other
+than a preparation to the measurement that ends it), and the dense cap of
+`semantics.MAX_DENSE_QUBITS` applies to that live width: a gadgetized
+circuit may have many more qubits, since each |T> resource is live only
+from its injection CNOT to its measurement.
 
 Noise placement follows a round schedule derived from the circuit: round 0
 prepares magic states (Z errors at rate p_T on each |T> preparation), and
@@ -32,7 +37,7 @@ from .ir import (
     PREP_KINDS,
     T_LIKE_KINDS,
 )
-from .semantics import SimulationError, simulate
+from .semantics import MAX_DENSE_QUBITS, SimulationError
 
 HARMFUL_INFIDELITY = 1e-9
 DETECTED_ACCEPTANCE = 1e-12
@@ -263,12 +268,17 @@ class _Harness:
     and detection records (postselected on their noiseless outcomes), and
     freezes the noiseless reference: detection outcomes and the pure state
     on the output qubits. `run_sampled` is the one trajectory kernel;
-    `run_exact` and the noiseless check run it with forced outcomes.
+    `run_exact`, the noiseless reference and its check run it with forced
+    outcomes.
+
+    A row's state holds only the live qubits: a qubit gets its axis at its
+    first gate other than a preparation, and loses it at a measurement that
+    is its last gate unless it is an output. The dense cap
+    (`semantics.MAX_DENSE_QUBITS`) applies to the peak live width, not to
+    the circuit's qubit count.
     """
 
     def __init__(self, c: Circuit, outputs: list[int], t_decode: int = 0):
-        if c.n > 12:
-            raise SimulationError("dense fault analysis capped at 12 qubits")
         if (
             not outputs
             or len(set(outputs)) != len(outputs)
@@ -291,9 +301,15 @@ class _Harness:
             raise FaultAnalysisError("circuit has no detection measurements")
         self._init_kernel()
 
-        noiseless = simulate(c)
-        self.reference = {r: noiseless.outcomes[r] for r in self.detection}
-        self.ideal_out = self._reduced_pure(noiseless.state)
+        # The noiseless reference comes from one row that takes the likelier
+        # outcome of every measurement (uniform 0.5); the detection outcomes
+        # of a valid circuit are certain, so they do not depend on the row.
+        self.reference = {}
+        _, _, states, outcomes = self._run_chunk(
+            *_NO_FAULTS, np.full((1, len(self.meas_order)), 0.5)
+        )
+        self.reference = {r: int(outcomes[r][0]) for r in self.detection}
+        self.ideal_out = self._reduced_pure(states[0])
         # one row per assignment of injection outcomes, detection outcomes
         # forced to the reference; a uniform of -1 forces outcome 1, 2 forces 0
         injection = [r for r in self.meas_order if r in consumed]
@@ -313,33 +329,78 @@ class _Harness:
             raise FaultAnalysisError("noiseless branches disagree on the output state")
 
     def _init_kernel(self):
-        """Tables of the trajectory kernel (`run_sampled`)."""
+        """Tables of the trajectory kernel (`run_sampled`).
+
+        The kernel walks half-steps. Half-step 2p creates the axes of the
+        qubits whose first gate other than a preparation is gate p, from
+        their preparation amplitudes; p = len(gates) creates the outputs no
+        gate touches. Half-step 2p + 1 applies gate p, and drops the axis of
+        a measured qubit that no later gate touches and that is not an
+        output. New axes go last (least significant); dropped ones leave the
+        others in order.
+        """
         c, n = self.circuit, self.n
+        gates = c.gates
+        never = len(gates) + 1
         self._round0_end = len(self.rounds[0].gate_indices) - 1
         self._last_prep = np.full(n, -1)
-        for pos, g in enumerate(c.gates):
-            if g.kind in PREP_KINDS:
-                self._last_prep[g.qubits[0]] = pos
-        # last gate of the unitary run starting at each position
-        self._run_end = [0] * len(c.gates)
-        end = len(c.gates) - 1
-        for pos in range(len(c.gates) - 1, -1, -1):
-            if c.gates[pos].kind in MEAS_KINDS or c.gates[pos].kind == "CondS":
-                end = pos - 1
-            self._run_end[pos] = end
-        meas_positions = [i for i, g in enumerate(c.gates) if g.kind in MEAS_KINDS]
+        # position of the first gate other than a preparation (len(gates) for
+        # an untouched output, `never` for a qubit that gets no axis) and of
+        # the measurement that drops the axis
+        self._born = np.full(n, never)
+        self._dies = np.full(n, never)
+        self._prep_amps = [(1.0, 0.0)] * n
+        for pos, g in enumerate(gates):
+            for q in g.qubits:
+                if g.kind in PREP_KINDS:
+                    self._last_prep[q] = pos
+                    self._prep_amps[q] = PREP_AMPLITUDES[g.kind]
+                else:
+                    self._born[q] = min(self._born[q], pos)
+                    last_measured = g.kind in MEAS_KINDS and q not in self.outputs
+                    self._dies[q] = pos if last_measured else never
+        for q in self.outputs:
+            self._born[q] = min(self._born[q], len(gates))
+
+        self._layouts: list[tuple[int, ...]] = []   # live qubits after each half-step
+        layout: tuple[int, ...] = ()
+        for h in range(2 * len(gates) + 1):
+            p = h // 2
+            if h % 2 == 0:
+                layout += tuple(q for q in range(n) if self._born[q] == p)
+            elif self._dies[gates[p].qubits[0]] == p:
+                layout = tuple(q for q in layout if q != gates[p].qubits[0])
+            self._layouts.append(layout)
+        self._peak = max(map(len, self._layouts))
+        if self._peak > MAX_DENSE_QUBITS:
+            raise SimulationError(
+                f"dense fault analysis capped at {MAX_DENSE_QUBITS} live qubits, "
+                f"the circuit holds {self._peak} at once"
+            )
+        self._axis = np.full((len(self._layouts), n), -1)
+        for h, layout in enumerate(self._layouts):
+            self._axis[h, list(layout)] = np.arange(len(layout))
+
+        # last half-step of the unitary run starting at each half-step
+        self._run_end = [0] * len(self._layouts)
+        end = len(self._layouts) - 1
+        for h in range(len(self._layouts) - 1, -1, -1):
+            if h % 2 and (gates[h // 2].kind in MEAS_KINDS or gates[h // 2].kind == "CondS"):
+                end = h - 1
+            self._run_end[h] = end
+        meas_positions = [i for i, g in enumerate(gates) if g.kind in MEAS_KINDS]
         self._meas_col = {pos: col for col, pos in enumerate(meas_positions)}
-        rest = [q for q in range(n) if q not in self.outputs]
-        self._out_perm = np.arange(1 << n).reshape((2,) * n).transpose(
-            self.outputs + rest
+        final = self._layouts[-1]
+        out_axes = [final.index(q) for q in self.outputs]
+        rest = [a for a in range(len(final)) if a not in out_axes]
+        self._out_perm = np.arange(1 << len(final)).reshape((2,) * len(final)).transpose(
+            out_axes + rest
         ).reshape(-1)
         self._runs: dict[tuple[int, int], tuple] = {}  # see _apply_run
 
     def _reduced_pure(self, state: np.ndarray) -> np.ndarray:
-        k = len(self.outputs)
-        psi = state.reshape((2,) * self.n)
-        rest = [q for q in range(self.n) if q not in self.outputs]
-        mat = np.transpose(psi, axes=self.outputs + rest).reshape(1 << k, -1)
+        """Pure state of the outputs, from a final-layout state."""
+        mat = state[self._out_perm].reshape(1 << len(self.outputs), -1)
         rho = mat @ mat.conj().T
         vals, vecs = np.linalg.eigh(rho)
         if vals[-1] < 1.0 - 1e-9:
@@ -390,10 +451,11 @@ class _Harness:
         detection outcome differs from the reference or an outcome had
         probability below 1e-14; such rows read infidelity 0.
 
-        Rows run in chunks of `_CHUNK_AMPLITUDES >> n` as one (rows x 2^n)
-        array. Each run of gates between break points (measurements, CondS,
-        positions where a row of the chunk gets a fault) is one cached
-        gather and multiply; dropped rows leave the array at once.
+        Rows run in chunks of `_CHUNK_AMPLITUDES >> peak live width` as one
+        (rows x 2^live) array. Each run of half-steps between break points
+        (measurements, CondS, half-steps where a row of the chunk gets a
+        fault) is one cached gather and multiply; dropped rows leave the
+        array at once.
         """
         n_rows = len(uniforms)
         weight = np.zeros(n_rows)
@@ -401,59 +463,78 @@ class _Harness:
         row, pos, pauli, qubit = (np.asarray(a, dtype=np.int64) for a in faults)
         order = np.argsort(row, kind="stable")
         row, pos, pauli, qubit = row[order], pos[order], pauli[order], qubit[order]
-        chunk = max(1, _CHUNK_AMPLITUDES >> self.n)
+        chunk = max(1, _CHUNK_AMPLITUDES >> self._peak)
         for lo in range(0, n_rows, chunk):
             hi = min(lo + chunk, n_rows)
             a, b = np.searchsorted(row, (lo, hi))
-            alive, w, loss = self._run_chunk(
+            alive, w, states, _ = self._run_chunk(
                 row[a:b] - lo, pos[a:b], pauli[a:b], qubit[a:b], uniforms[lo:hi]
             )
+            if not len(alive):
+                continue
+            mat = states[:, self._out_perm].reshape(len(alive), 1 << len(self.outputs), -1)
+            vec = np.matmul(self.ideal_out.conj(), mat)
             weight[lo + alive] = w
-            infidelity[lo + alive] = loss
+            infidelity[lo + alive] = 1.0 - np.sum(vec.real**2 + vec.imag**2, axis=1)
         return weight, infidelity
 
     def _run_chunk(self, row, pos, pauli, qubit, uniforms):
-        """One chunk of `run_sampled`: (surviving row indices, weights,
-        infidelities)."""
+        """One chunk of `run_sampled`: (surviving row indices, weights, final
+        states, outcomes of the surviving rows by record)."""
         gates = self.circuit.gates
         # A preparation resets its qubit, so a fault placed before it has no
-        # effect. Only preparations, X and diagonal gates make up round 0, so
-        # a Z fault inside it commutes to the round's end up to a global sign.
-        kept = self._last_prep[qubit] <= pos
+        # effect; nor has one on a qubit whose axis is gone or never made (it
+        # is measured or unused, and no later gate or output reads it).
+        kept = (
+            (self._last_prep[qubit] <= pos)
+            & (pos < self._dies[qubit])
+            & (self._born[qubit] <= len(gates))
+        )
         row, pos, pauli, qubit = row[kept], pos[kept], pauli[kept], qubit[kept]
+        # Only preparations, X and diagonal gates make up round 0, so a Z
+        # fault inside it commutes to the round's end up to a global sign. A
+        # fault on a qubit that no gate has touched yet commutes to just
+        # after its axis is made.
         pos = np.where((pauli == 2) & (pos < self._round0_end), self._round0_end, pos)
-        order = np.argsort(pos, kind="stable")
-        row, pos, pauli, qubit = row[order], pos[order], pauli[order], qubit[order]
-        stops, firsts = np.unique(pos, return_index=True)
-        bounds = np.append(firsts, len(pos))
+        born = self._born[qubit]
+        stop = np.where(pos < born, 2 * born, 2 * pos + 1)
+        order = np.argsort(stop, kind="stable")
+        row, stop, pauli, qubit = row[order], stop[order], pauli[order], qubit[order]
+        stops, firsts = np.unique(stop, return_index=True)
+        bounds = np.append(firsts, len(stop))
 
         alive = np.arange(len(uniforms))     # chunk row of each state row
         slot = np.arange(len(uniforms))      # state row of each chunk row, -1 once dropped
         weight = np.ones(len(uniforms))
         outcomes: dict[str, np.ndarray] = {}
-        # every row starts from |0...0>, so the run up to the first break
-        # point is applied once and broadcast
+        # every row starts from the empty state, so the run up to the first
+        # break point is applied once and broadcast
         last = self._run_end[0]
         if len(stops):
             last = min(last, stops[0])
-        states = np.zeros((1, 1 << self.n), dtype=np.complex128)
-        states[0, 0] = 1.0
-        states = np.repeat(self._apply_run(states, 0, last), len(uniforms), axis=0)
+        states = self._apply_run(np.ones((1, 1), dtype=np.complex128), 0, last)
+        states = np.repeat(states, len(uniforms), axis=0)
         k = 0
         while True:
             if k < len(stops) and stops[k] == last:
                 group = slice(bounds[k], bounds[k + 1])
                 cur = slot[row[group]]
                 live = cur >= 0
-                _apply_paulis(states, cur[live], pauli[group][live], qubit[group][live])
+                axes = self._axis[last, qubit[group][live]]
+                _apply_paulis(states, cur[live], pauli[group][live], axes)
                 k += 1
-            p = last + 1
-            if p == len(gates) or not len(alive):
+            h = last + 1
+            if h == len(self._layouts) or not len(alive):
                 break
-            g = gates[p]
-            last = p
-            if g.kind in MEAS_KINDS:
-                outcome, prob = _measure_rows(states, g, uniforms[alive, self._meas_col[p]])
+            last = h
+            g = gates[h // 2] if h % 2 else None   # even half-steps make axes
+            kind = g.kind if g else None
+            if kind in MEAS_KINDS:
+                axis = self._axis[h - 1, g.qubits[0]]
+                drop = self._dies[g.qubits[0]] == h // 2
+                states, outcome, prob = _measure_rows(
+                    states, g.kind, axis, drop, uniforms[alive, self._meas_col[h // 2]]
+                )
                 outcomes[g.record] = outcome
                 weight *= prob
                 keep = prob >= 1e-14
@@ -465,37 +546,52 @@ class _Harness:
                     outcomes = {r: o[keep] for r, o in outcomes.items()}
                     slot[:] = -1
                     slot[alive] = np.arange(len(alive))
-            elif g.kind == "CondS":
+            elif kind == "CondS":
                 flip = outcomes[g.record]
-                q = g.qubits[0]
-                states.reshape(len(alive), 1 << q, 2, -1)[flip, :, 1] *= _S_PHASE
+                axis = self._axis[h, g.qubits[0]]
+                states.reshape(len(alive), 1 << axis, 2, -1)[flip, :, 1] *= _S_PHASE
             else:
-                last = self._run_end[p]
+                last = self._run_end[h]
                 if k < len(stops):
                     last = min(last, stops[k])
-                states = self._apply_run(states, p, last)
+                states = self._apply_run(states, h, last)
+        return alive, weight, states, outcomes
 
-        if not len(alive):
-            return alive, weight, np.zeros(0)
-        mat = states[:, self._out_perm].reshape(len(alive), 1 << len(self.outputs), -1)
-        vec = np.matmul(self.ideal_out.conj(), mat)
-        fid = np.sum(vec.real**2 + vec.imag**2, axis=1)
-        return alive, weight, 1.0 - fid
+    def _half_step(self, h: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Half-step h (an axis creation or a unitary gate) as a monomial
+        from the layout before it to the layout after it."""
+        before = self._layouts[h - 1] if h else ()
+        if h % 2:
+            g = self.circuit.gates[h // 2]
+            if g.kind in PREP_KINDS:  # its amplitudes enter when the axis is made
+                return None, None
+            return _monomial(g, [before.index(q) for q in g.qubits], len(before))
+        new = self._layouts[h][len(before):]
+        if not new:
+            return None, None
+        idx = np.arange(1 << (len(before) + len(new)))
+        phase = np.ones(len(idx), dtype=np.complex128)
+        for j, q in enumerate(new):
+            a0, a1 = self._prep_amps[q]
+            phase *= np.where(idx >> (len(new) - 1 - j) & 1, a1, a0)
+        return idx >> len(new), phase
 
     def _apply_run(self, states: np.ndarray, start: int, end: int) -> np.ndarray:
-        """Gates start..end (all unitary or preparations) on every row."""
+        """Half-steps start..end (axis creations and unitary gates) on every
+        row; the result has the width of the layout after `end`."""
         run = self._runs.get((start, end))
         if run is None:
             src = phase = None
-            for g in self.circuit.gates[start:end + 1]:
-                g_src, g_phase = _monomial(g, self.n)
-                if g_src is not None:
-                    src = g_src if src is None else src[g_src]
+            for h in range(start, end + 1):
+                h_src, h_phase = self._half_step(h)
+                if h_src is not None:
+                    src = h_src if src is None else src[h_src]
                     if phase is not None:
-                        phase = phase[g_src]
-                if g_phase is not None:
-                    phase = g_phase if phase is None else phase * g_phase
-            if src is not None and np.array_equal(src, np.arange(1 << self.n)):
+                        phase = phase[h_src]
+                if h_phase is not None:
+                    phase = h_phase if phase is None else phase * h_phase
+            # a run never narrows the state, so an identity gather keeps its width
+            if src is not None and np.array_equal(src, np.arange(len(src))):
                 src = None
             run = self._runs[(start, end)] = (src, phase)
         src, phase = run
@@ -535,16 +631,13 @@ _PAULI_INDEX = {"X": 0, "Y": 1, "Z": 2}
 _NO_FAULTS = (np.zeros(0, dtype=np.int64),) * 4
 
 
-def _monomial(g: Gate, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """A gate on flat amplitudes as new = old[src] * phase; None stands for
-    the identity permutation or unit phases. A preparation reads its qubit
-    as |0>. Qubit q is bit n-1-q of the flat index."""
-    idx = np.arange(1 << n)
-    bits = [1 << (n - 1 - q) for q in g.qubits]
+def _monomial(g: Gate, axes: list[int], k: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """A unitary gate on flat amplitudes of width k as new = old[src] *
+    phase; None stands for the identity permutation or unit phases. Axis a
+    (the gate's qubits sit on `axes`) is bit k-1-a of the flat index."""
+    idx = np.arange(1 << k)
+    bits = [1 << (k - 1 - a) for a in axes]
     on = [(idx & b) != 0 for b in bits]
-    if g.kind in PREP_AMPLITUDES:
-        a0, a1 = PREP_AMPLITUDES[g.kind]
-        return idx & ~bits[0], np.where(on[0], a1, a0 + 0j)
     if g.kind == "X":
         return idx ^ bits[0], None
     if g.kind == "CNOT":
@@ -560,19 +653,20 @@ def _monomial(g: Gate, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
     raise SimulationError(f"gate {g.kind} is not unitary")
 
 
-def _apply_paulis(states, rows, pauli, qubit):
-    """Pauli faults on rows of a (rows x 2^n) state array, in place; Y acts
-    as XZ, and a row hit twice on one qubit gets the product."""
+def _apply_paulis(states, rows, pauli, axes):
+    """Pauli faults on rows of a (rows x 2^k) state array, in place, each on
+    the qubit at its axis; Y acts as XZ, and a row hit twice on one qubit
+    gets the product."""
 
     def odd(hit_rows):  # rows hit an odd number of times
         return np.nonzero(np.bincount(hit_rows, minlength=len(states)) & 1)[0]
 
-    for q in np.unique(qubit):
-        on_q = qubit == q
-        view = states.reshape(len(states), 1 << q, 2, -1)
-        z = odd(rows[on_q & (pauli != 0)])  # Y or Z
+    for a in np.unique(axes):
+        on_a = axes == a
+        view = states.reshape(len(states), 1 << a, 2, -1)
+        z = odd(rows[on_a & (pauli != 0)])  # Y or Z
         view[z, :, 1] *= -1.0
-        x = odd(rows[on_q & (pauli != 2)])  # X or Y
+        x = odd(rows[on_a & (pauli != 2)])  # X or Y
         view[x] = view[x, :, ::-1]
 
 
@@ -582,33 +676,43 @@ def _sum_sq(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", f, f)
 
 
-def _measure_rows(states, g: Gate, uniforms: np.ndarray):
-    """Measure g's qubit on every row of a (rows x 2^n) state array in
-    place, outcome 1 where the row's uniform is below its probability;
-    returns (outcomes, probability of each row's outcome)."""
+def _measure_rows(states, kind: str, axis: int, drop: bool, uniforms: np.ndarray):
+    """Measure the qubit at `axis` on every row of a (rows x 2^k) state
+    array, outcome 1 where the row's uniform is below its probability.
+    With `drop` the result keeps only the measured slice (width k-1), else
+    the array is projected in place. Returns (states, outcomes, probability
+    of each row's outcome)."""
     rows = len(states)
-    view = states.reshape(rows, 1 << g.qubits[0], 2, -1)
-    if g.kind == "MeasZ":
-        fv = states.view(np.float64).reshape(rows, 1 << g.qubits[0], 2, -1)
+    view = states.reshape(rows, 1 << axis, 2, -1)
+    if kind == "MeasZ":
+        fv = states.view(np.float64).reshape(rows, 1 << axis, 2, -1)
         p0 = np.einsum("ijk,ijk->i", fv[:, :, 0], fv[:, :, 0])
         p1 = np.einsum("ijk,ijk->i", fv[:, :, 1], fv[:, :, 1])
         outcome = uniforms < p1
         prob = np.where(outcome, p1, p0)
+        inv = 1.0 / np.sqrt(np.maximum(prob, 1e-300))
+        if drop:
+            kept = view[np.arange(rows), :, outcome.astype(np.intp)]
+            return (kept * inv[:, None, None]).reshape(rows, -1), outcome, prob
         scale = np.zeros((rows, 2))
-        scale[np.arange(rows), outcome.astype(np.intp)] = 1.0 / np.sqrt(np.maximum(prob, 1e-300))
+        scale[np.arange(rows), outcome.astype(np.intp)] = inv
         view *= scale[:, None, :, None]
-    else:  # MeasX, outcome 0 = |+>; p = |a0 +- a1|^2 / 2
-        plus = view[:, :, 0] + view[:, :, 1]
-        minus = view[:, :, 0] - view[:, :, 1]
-        p0 = _sum_sq(plus) / 2.0
-        p1 = _sum_sq(minus) / 2.0
-        outcome = uniforms < p1
-        prob = np.where(outcome, p1, p0)
-        scale = 0.5 / np.sqrt(np.maximum(prob, 1e-300))
-        comp = np.where(outcome[:, None, None], minus, plus) * scale[:, None, None]
-        view[:, :, 0] = comp
-        view[:, :, 1] = np.where(outcome[:, None, None], -comp, comp)
-    return outcome, prob
+        return states, outcome, prob
+    # MeasX, outcome 0 = |+>; p = |a0 +- a1|^2 / 2
+    plus = view[:, :, 0] + view[:, :, 1]
+    minus = view[:, :, 0] - view[:, :, 1]
+    p0 = _sum_sq(plus) / 2.0
+    p1 = _sum_sq(minus) / 2.0
+    outcome = uniforms < p1
+    prob = np.where(outcome, p1, p0)
+    comp = np.where(outcome[:, None, None], minus, plus)
+    if drop:  # the rest of the state, (a0 +- a1) / sqrt(2 prob)
+        inv = 1.0 / np.sqrt(np.maximum(2.0 * prob, 1e-300))
+        return (comp * inv[:, None, None]).reshape(rows, -1), outcome, prob
+    comp *= (0.5 / np.sqrt(np.maximum(prob, 1e-300)))[:, None, None]
+    view[:, :, 0] = comp
+    view[:, :, 1] = np.where(outcome[:, None, None], -comp, comp)
+    return states, outcome, prob
 
 
 # ---------------------------------------------------------------------------
@@ -842,11 +946,19 @@ def monte_carlo_infidelity(
     (decode idles included); trajectories whose detection outcomes differ
     from the noiseless reference are discarded.
     """
+    return _monte_carlo(_Harness(c, outputs, nm.t_decode), nm, shots, seed, batch)
+
+
+def _monte_carlo(
+    harness: _Harness, nm: NoiseModel, shots: int, seed: int, batch: int = 1 << 16
+) -> AnalysisReport:
+    """`monte_carlo_infidelity` on a harness built with nm.t_decode; a sweep
+    over p_L and p_T builds its harness once."""
     if shots < 1:
         raise FaultAnalysisError("needs at least one shot")
     if batch < 1:
         raise FaultAnalysisError("batch must be at least one shot")
-    harness = _Harness(c, outputs, nm.t_decode)
+    c = harness.circuit
     prep_sites = np.array(
         [(pos, q) for pos, q in harness.tprep_sites()
          if c.gates[pos].kind in ("PrepT", "PrepTdag")],

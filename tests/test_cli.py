@@ -1,9 +1,11 @@
+import csv
 import json
 
 import pytest
 
-from rotsynth import programs
+from rotsynth import faults, programs
 from rotsynth.cli import main
+from rotsynth.ir import Circuit, Gate, parse_circuit
 
 
 @pytest.fixture
@@ -143,6 +145,87 @@ class TestSweepCommand:
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 4  # header + 3 rows
 
+    def test_harness_built_once(self, tmp_path, ccz_program, monkeypatch):
+        out = tmp_path / "circuit.json"
+        run(["compile", "--in", ccz_program, "--out", out, "--budget", 1, "--measure-x", "3"])
+        built = []
+        init = faults._Harness.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(faults._Harness, "__init__", counting_init)
+        csv_path = tmp_path / "sweep.csv"
+        assert run([
+            "sweep", "--circuit", out, "--outputs", "0,1,2", "--pl", "1e-3,2e-3",
+            "--r", "1,3", "--shots", "500", "--seed", 4, "--gadgetize", "--tdecode", 2,
+            "--out", csv_path,
+        ]) == 0
+        assert len(built) == 1
+        rows = list(csv.reader(csv_path.read_text().splitlines()))[1:]
+        monkeypatch.undo()
+        circuit = faults.gadgetize(parse_circuit(out.read_text()))
+        want = []
+        for p_l in (1e-3, 2e-3):
+            for r in (1.0, 3.0):
+                rep = faults.monte_carlo_infidelity(
+                    circuit, [0, 1, 2], faults.NoiseModel.from_ratio(p_l, r, 2), 500, seed=4
+                )
+                want.append([str(x) for x in (p_l, r, 500, rep.accepted, rep.infidelity,
+                                              rep.stderr)])
+        assert rows == want
+
+
+class TestGadgetizedT15:
+    """15 qubits, at most 10 live at once: under the dense cap."""
+
+    @pytest.fixture
+    def t15_circuit(self, tmp_path):
+        program = tmp_path / "t15.json"
+        program.write_text(programs.program_text("t15"))
+        out = tmp_path / "circuit.json"
+        assert run([
+            "compile", "--in", program, "--out", out, "--budget", 1, "--measure-x", "0,1,2,3",
+        ]) == 0
+        return out
+
+    def test_singles(self, tmp_path, t15_circuit, capsys):
+        report = tmp_path / "faults.json"
+        assert run([
+            "faults", "--circuit", t15_circuit, "--outputs", "4", "--gadgetize",
+            "--singles", "--out", report,
+        ]) == 0
+        singles = json.loads(report.read_text())["singles"]
+        assert singles["total"] == 15
+        assert {e["pauli"] for e in singles["entries"]} == {"Z"}
+        assert singles["harmful"] == 0
+        assert "0 harmful" in capsys.readouterr().out
+
+    def test_sweep(self, tmp_path, t15_circuit):
+        csv_path = tmp_path / "sweep.csv"
+        assert run([
+            "sweep", "--circuit", t15_circuit, "--outputs", "4", "--pl", "1e-3", "--r", "1",
+            "--shots", "300", "--gadgetize", "--out", csv_path,
+        ]) == 0
+        rows = list(csv.reader(csv_path.read_text().splitlines()))
+        assert len(rows) == 2 and int(rows[1][3]) > 0
+
+
+class TestLiveWidthCap:
+    def test_thirteen_live_qubits_exit_1(self, tmp_path, capsys):
+        # a CNOT chain keeps all 13 qubits live until the final measurement
+        gates = [Gate("PrepPlus", (q,)) for q in range(13)]
+        gates += [Gate("CNOT", (q, q + 1)) for q in range(12)]
+        gates.append(Gate("MeasX", (12,), "d0"))
+        path = tmp_path / "wide.json"
+        path.write_text(Circuit(13, tuple(gates)).to_json())
+        capsys.readouterr()
+        assert run(["faults", "--circuit", path, "--outputs", "0", "--singles"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "13" in err
+        assert err.count("\n") == 1
+
 
 class TestErrorExits:
     """Bad values end in exit 1 with one line on stderr, not a traceback."""
@@ -167,10 +250,12 @@ class TestErrorExits:
             ["sweep", "--outputs", "0,1,2", "--pl", "1e-3", "--r", "1", "--shots", "10",
              "--tdecode", "-1"],
             ["faults", "--outputs", "0,1,2", "--singles", "--tdecode", "-1"],
+            ["sweep", "--outputs", "0,1,2", "--pl", ",", "--r", "1", "--shots", "10"],
+            ["sweep", "--outputs", "0,1,2", "--pl", "1e-3", "--r", ",", "--shots", "10"],
         ],
         ids=["sweep-shots-0", "sweep-pl-abc", "faults-outputs-out-of-range",
              "faults-outputs-not-pure", "sweep-seed-negative", "sweep-tdecode-negative",
-             "faults-tdecode-negative"],
+             "faults-tdecode-negative", "sweep-pl-empty", "sweep-r-empty"],
     )
     def test_exit_1(self, tmp_path, ccz_circuit, capsys, argv):
         capsys.readouterr()
@@ -261,7 +346,9 @@ class TestCostCommand:
         assert "20328" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "flags", [["--rounds", "0"], ["--patches", "-1"], ["--factor", "0"], ["--distance", "0"]]
+        "flags",
+        [["--rounds", "0"], ["--patches", "-1"], ["--factor", "0"], ["--distance", "0"],
+         ["--distance", ","]],
     )
     def test_out_of_range_exit_1(self, capsys, flags):
         argv = ["cost", "--distance", "3"] + flags

@@ -8,6 +8,7 @@ from rotsynth.ir import PREP_KINDS, Circuit, Gate
 from rotsynth.compiler import compile_program
 from rotsynth import programs
 from rotsynth.ir import with_x_detection
+from rotsynth.semantics import SimulationError
 from rotsynth.faults import (
     FaultAnalysisError,
     NoiseModel,
@@ -493,6 +494,132 @@ def test_random_faults_match_reference(exact_harnesses, name, data):
     ]
     got = harness.run_exact(faults)
     assert got == pytest.approx(reference_exact(harness, faults), rel=0, abs=1e-12)
+
+
+class TestLiveWidth:
+    """A row holds an axis only for a qubit between its first gate other
+    than a preparation and the measurement after which nothing reads it.
+    Every single fault, and every pair on the late qubit, against the
+    full-width references."""
+
+    gates = (
+        Gate("PrepPlus", (0,)),
+        Gate("PrepPlus", (1,)),
+        Gate("PrepZero", (2,)),
+        Gate("PrepT", (3,)),      # an output that no gate touches
+        Gate("PrepT", (4,)),      # idle through rounds 0 and 1
+        Gate("T", (0,)),
+        Gate("CNOT", (0, 1)),
+        Gate("MeasZ", (2,), "d0"),   # qubit 2 is used again below
+        Gate("CNOT", (1, 4)),
+        Gate("MeasZ", (4,), "m0"),   # last gate on qubit 4: its axis goes
+        Gate("CondS", (1,), "m0"),
+        Gate("CNOT", (0, 2)),
+        Gate("CS", (0, 1)),
+        Gate("CNOT", (0, 2)),
+        Gate("MeasZ", (2,), "d1"),
+    )
+    outputs = [0, 1, 3]
+
+    @pytest.fixture(scope="class")
+    def harness(self):
+        return _Harness(Circuit(5, self.gates), self.outputs)
+
+    def test_layouts(self, harness):
+        # live after each gate: qubit 2 survives d0, qubit 4 leaves at m0,
+        # qubit 3 appears only at the end
+        live = [sorted(harness._layouts[2 * p + 1]) for p in range(len(self.gates))]
+        assert live[7] == [0, 1, 2]
+        assert live[9] == [0, 1, 2]
+        assert 3 not in live[-1] and 3 in harness._layouts[-1]
+        assert harness._peak == 4
+
+    def test_singles_exact(self, harness):
+        sites = _fault_sites(harness.circuit)
+        pending = [(pos, q) for pos, q in sites if q == 4 and pos < 8]
+        assert len(pending) == 4   # after its preparation, rounds 0 and 1
+        for pos, q in sites:
+            for pauli in "XYZ":
+                faults = [(pos, pauli, q)]
+                assert harness.run_exact(faults) == pytest.approx(
+                    reference_exact(harness, faults), rel=0, abs=1e-12
+                )
+
+    def test_pairs_on_late_and_measured_qubits(self, harness):
+        # two Paulis on the idle resource, and faults after its measurement
+        positions = range(4, len(self.gates))
+        for a in positions:
+            for b in positions:
+                for pa, pb in (("X", "Z"), ("Y", "Y"), ("Z", "X")):
+                    faults = [(a, pa, 4), (b, pb, 4), (b, "X", 3)]
+                    assert harness.run_exact(faults) == pytest.approx(
+                        reference_exact(harness, faults), rel=0, abs=1e-12
+                    )
+
+    def test_sampled_rows(self, harness):
+        sites = [(pos, pauli, q) for pos, q in _fault_sites(harness.circuit) for pauli in range(3)]
+        uniforms = np.random.default_rng(8).random((len(sites), len(harness.meas_order)))
+        pos, pauli, qubit = (np.array(col) for col in zip(*sites))
+        weight, infidelity = harness.run_sampled(
+            (np.arange(len(sites)), pos, pauli, qubit), uniforms
+        )
+        for row, (p, pa, q) in enumerate(sites):
+            ok, infid = reference_trajectory(harness, {p: [("XYZ"[pa], q)]}, uniforms[row])
+            assert (weight[row] > 0) == ok
+            assert infidelity[row] == pytest.approx(infid, rel=1e-12, abs=1e-13)
+
+    def test_fourteen_qubits_two_live(self):
+        # twelve teleported T gates through resources used one at a time
+        n = 14
+        gates = [Gate("PrepPlus", (0,)), Gate("PrepZero", (13,))]
+        gates += [Gate("PrepT", (q,)) for q in range(1, 13)]
+        for q in range(1, 13):
+            gates += [
+                Gate("CNOT", (0, q)), Gate("MeasZ", (q,), f"m{q}"), Gate("CondS", (0,), f"m{q}"),
+            ]
+        gates.append(Gate("MeasZ", (13,), "d0"))
+        harness = _Harness(Circuit(n, tuple(gates)), [0])
+        assert harness._peak == 2
+        # pending Z on the data qubit and Y on a resource, faults after
+        # measurements, and X on the idle detection qubit
+        sites = [(5, 2, 0), (7, 1, 5), (15, 0, 0), (20, 0, 1), (30, 2, 0), (40, 1, 0),
+                 (45, 0, 13)]
+        uniforms = np.random.default_rng(3).random((len(sites), len(harness.meas_order)))
+        pos, pauli, qubit = (np.array(col) for col in zip(*sites))
+        weight, infidelity = harness.run_sampled(
+            (np.arange(len(sites)), pos, pauli, qubit), uniforms
+        )
+        for row, (p, pa, q) in enumerate(sites):
+            ok, infid = reference_trajectory(harness, {p: [("XYZ"[pa], q)]}, uniforms[row])
+            assert (weight[row] > 0) == ok
+            assert infidelity[row] == pytest.approx(infid, rel=1e-12, abs=1e-13)
+        assert harness.run_exact([]) == pytest.approx((1.0, 0.0), abs=1e-12)
+
+    def test_thirteen_live_qubits_rejected(self):
+        gates = [Gate("PrepPlus", (q,)) for q in range(13)]
+        gates += [Gate("CNOT", (q, q + 1)) for q in range(12)]
+        gates.append(Gate("MeasX", (12,), "d0"))
+        with pytest.raises(SimulationError, match="13"):
+            _Harness(Circuit(13, tuple(gates)), [0])
+
+    def test_gadgetized_t15_singles(self):
+        # 15 qubits, 10 live: T-site Z faults against full-width trajectories
+        circ, outputs = compiled_t15()
+        impl = gadgetize(circ)
+        harness = _Harness(impl, outputs)
+        assert (impl.n, harness._peak) == (15, 10)
+        sites = harness.tprep_sites()
+        uniforms = np.random.default_rng(6).random((len(sites), len(harness.meas_order)))
+        pos, qubit = (np.array(col) for col in zip(*sites))
+        weight, infidelity = harness.run_sampled(
+            (np.arange(len(sites)), pos, np.full(len(sites), 2), qubit), uniforms
+        )
+        for row, (p, q) in enumerate(sites):
+            ok, infid = reference_trajectory(harness, {p: [("Z", q)]}, uniforms[row])
+            assert (weight[row] > 0) == ok
+            assert infidelity[row] == pytest.approx(infid, rel=1e-12, abs=1e-13)
+        table = enumerate_single_faults(impl, outputs)
+        assert (len(table.entries), table.count("harmful")) == (15, 0)
 
 
 class TestHarnessOutputs:
