@@ -259,14 +259,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_cost(args) -> int:
     distances = _number_list(args.distance, int, "--distance")
-    print("d  qubit-cycles  surgery-baseline  ratio")
+    # every row is computed before the first print, so a bad distance
+    # leaves stdout empty
+    rows = []
     for d in distances:
         ours = spacetime_cost(
             d, rounds=args.rounds, patches=args.patches,
             qubits_per_patch_factor=args.factor,
         )
         base = surgery_baseline_cost(d)
-        print(f"{d}  {ours}  {base:.0f}  {base / ours:.2f}")
+        rows.append(f"{d}  {ours}  {base:.0f}  {base / ours:.2f}")
+    print("\n".join(["d  qubit-cycles  surgery-baseline  ratio", *rows]))
     return 0
 
 

@@ -409,31 +409,45 @@ class _Harness:
 
     # -- execution ---------------------------------------------------------
 
-    def run_exact(self, faults: list[tuple[int, str, int]]) -> tuple[float, float]:
+    def run_exact(
+        self, configs: list[list[tuple[int, str, int]]]
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(acceptance probability, mean infidelity over accepted branches)
-        for Paulis inserted after given gate positions: (pos, pauli, qubit).
+        of each fault configuration, a list of Paulis inserted after given
+        gate positions: (pos, pauli, qubit). A configuration nothing accepts
+        reads (0, 0).
 
-        Runs every branch of the injection outcomes as one forced row of
-        `run_sampled`; acceptance is the sum of the row weights.
+        Every branch of the injection outcomes is one forced row of
+        `run_sampled`, and a configuration's acceptance is the sum of its
+        rows' weights. Configurations go to the kernel in groups that fill
+        one chunk: each `run_sampled` call holds
+        max(1, chunk rows // branches) whole configurations.
         """
-        try:
-            paulis = [_PAULI_INDEX[pauli] for _, pauli, _ in faults]
-        except KeyError as exc:
-            raise FaultAnalysisError(f"unknown Pauli {exc.args[0]!r}") from None
-        rows = len(self._exact_uniforms)
-        weight, infidelity = self.run_sampled(
-            (
-                np.repeat(np.arange(rows), len(faults)),
-                np.tile([pos for pos, _, _ in faults], rows),
-                np.tile(paulis, rows),
-                np.tile([qubit for _, _, qubit in faults], rows),
-            ),
-            self._exact_uniforms,
-        )
-        acc = float(weight.sum())
-        if acc <= 0.0:
-            return 0.0, 0.0
-        return acc, float(weight @ infidelity) / acc
+        indexed = [
+            [(pos, _pauli_index(pauli), qubit) for pos, pauli, qubit in faults]
+            for faults in configs
+        ]
+        branches = len(self._exact_uniforms)
+        group = max(1, (_CHUNK_AMPLITUDES >> self._peak) // branches)
+        uniforms = np.tile(self._exact_uniforms, (min(group, len(configs)), 1))
+        acceptance = np.zeros(len(configs))
+        infidelity = np.zeros(len(configs))
+        for lo in range(0, len(indexed), group):
+            part = indexed[lo : lo + group]
+            done = slice(lo, lo + len(part))
+            # configuration i owns rows i*branches .. (i+1)*branches - 1
+            first_row = np.repeat(np.arange(len(part)) * branches, [len(f) for f in part])
+            flat = np.array([f for faults in part for f in faults], dtype=np.int64)
+            pos, pauli, qubit = np.repeat(flat.reshape(-1, 3), branches, axis=0).T
+            weight, infid = self.run_sampled(
+                ((first_row[:, None] + np.arange(branches)).ravel(), pos, pauli, qubit),
+                uniforms[: len(part) * branches],
+            )
+            weight = weight.reshape(len(part), branches)
+            acceptance[done] = weight.sum(axis=1)
+            bad = np.einsum("ij,ij->i", weight, infid.reshape(len(part), branches))
+            np.divide(bad, acceptance[done], out=infidelity[done], where=acceptance[done] > 0.0)
+        return acceptance, infidelity
 
     def run_sampled(
         self, faults: tuple[np.ndarray, ...], uniforms: np.ndarray
@@ -631,6 +645,13 @@ _PAULI_INDEX = {"X": 0, "Y": 1, "Z": 2}
 _NO_FAULTS = (np.zeros(0, dtype=np.int64),) * 4
 
 
+def _pauli_index(pauli: str) -> int:
+    try:
+        return _PAULI_INDEX[pauli]
+    except KeyError:
+        raise FaultAnalysisError(f"unknown Pauli {pauli!r}") from None
+
+
 def _monomial(g: Gate, axes: list[int], k: int) -> tuple[np.ndarray | None, np.ndarray | None]:
     """A unitary gate on flat amplitudes of width k as new = old[src] *
     phase; None stands for the identity permutation or unit phases. Axis a
@@ -808,6 +829,8 @@ def enumerate_single_faults(
     """
     if sites not in ("tprep", "all"):
         raise FaultAnalysisError(f"unknown site class {sites!r}")
+    for pauli in paulis or ():  # before the harness runs the kernel
+        _pauli_index(pauli)
     harness = _Harness(c, outputs)
     if sites == "tprep":
         locations = harness.tprep_sites()
@@ -818,40 +841,31 @@ def enumerate_single_faults(
             if g.kind not in MEAS_KINDS
         ]
         paulis = paulis or ("X", "Y", "Z")
-    entries = []
-    for pos, qubit in locations:
-        for pauli in paulis:
-            acc, infid = harness.run_exact([(pos, pauli, qubit)])
-            entries.append(
-                FaultRecord(
-                    FaultLocation(pos, qubit, pauli, _round_of(harness, pos)),
-                    acc,
-                    infid,
-                )
-            )
-    return DetectionTable(entries)
+    faults = [(pos, pauli, qubit) for pos, qubit in locations for pauli in paulis]
+    acc, infid = harness.run_exact([[f] for f in faults])
+    return DetectionTable([
+        FaultRecord(
+            FaultLocation(pos, qubit, pauli, _round_of(harness, pos)),
+            float(acc[i]),
+            float(infid[i]),
+        )
+        for i, (pos, pauli, qubit) in enumerate(faults)
+    ])
 
 
 def enumerate_pair_faults(c: Circuit, outputs: list[int]) -> PairSummary:
     """Exhaustively classify all Z fault pairs on the T-type sites."""
     harness = _Harness(c, outputs)
     sites = harness.tprep_sites()
-    harmful = detected = harmless = 0
-    for a in range(len(sites)):
-        for b in range(a + 1, len(sites)):
-            faults = [
-                (sites[a][0], "Z", sites[a][1]),
-                (sites[b][0], "Z", sites[b][1]),
-            ]
-            acc, infid = harness.run_exact(faults)
-            if acc < DETECTED_ACCEPTANCE:
-                detected += 1
-            elif infid < HARMFUL_INFIDELITY:
-                harmless += 1
-            else:
-                harmful += 1
-    total = len(sites) * (len(sites) - 1) // 2
-    return PairSummary(total, harmful, detected, harmless)
+    acc, infid = harness.run_exact([
+        [(pos_a, "Z", qubit_a), (pos_b, "Z", qubit_b)]
+        for a, (pos_a, qubit_a) in enumerate(sites)
+        for pos_b, qubit_b in sites[a + 1 :]
+    ])
+    detected = acc < DETECTED_ACCEPTANCE
+    harmless = int(np.count_nonzero(~detected & (infid < HARMFUL_INFIDELITY)))
+    detected = int(np.count_nonzero(detected))
+    return PairSummary(len(acc), len(acc) - detected - harmless, detected, harmless)
 
 
 # ---------------------------------------------------------------------------
@@ -864,11 +878,17 @@ class FirstOrderReport:
     coefficient: float
     table: DetectionTable
     idle_round_increment: float
+    # (round index, label, share of the coefficient) for rounds 1 and later
+    rounds: tuple[tuple[int, str, float], ...]
 
     def to_dict(self) -> dict:
         return {
             "coefficient": self.coefficient,
             "idle_round_increment": self.idle_round_increment,
+            "rounds": [
+                {"index": index, "label": label, "contribution": contribution}
+                for index, label, contribution in self.rounds
+            ],
             "faults": self.table.to_dict(),
         }
 
@@ -878,25 +898,35 @@ def first_order_oracle(c: Circuit, outputs: list[int], nm: NoiseModel) -> FirstO
 
     Enumerates every end-of-round depolarizing fault (X, Y, Z at weight 1/3)
     and sums acceptance-weighted infidelities; this is the derivative of the
-    Monte Carlo estimate at p_L -> 0 for fixed t_decode.
+    Monte Carlo estimate at p_L -> 0 for fixed t_decode. The report splits
+    the sum by the round each fault ends.
     """
     harness = _Harness(c, outputs, nm.t_decode)
-    entries = []
-    coeff = 0.0
-    idle_increment = 0.0
-    for rnd_idx, pos, qubit in harness.depolarizing_sites():
-        for pauli in ("X", "Y", "Z"):
-            acc, infid = harness.run_exact([(pos, pauli, qubit)])
-            entries.append(
-                FaultRecord(FaultLocation(pos, qubit, pauli, rnd_idx), acc, infid)
-            )
-            contribution = acc * infid / 3.0
-            coeff += contribution
-            if harness.rounds[rnd_idx].label == "decode-idle":
-                idle_increment += contribution
-    n_idle = sum(1 for rnd in harness.rounds if rnd.label == "decode-idle")
-    per_idle = idle_increment / n_idle if n_idle else 0.0
-    return FirstOrderReport(coeff, DetectionTable(entries), per_idle)
+    faults = [
+        (rnd_idx, pos, pauli, qubit)
+        for rnd_idx, pos, qubit in harness.depolarizing_sites()
+        for pauli in ("X", "Y", "Z")
+    ]
+    acc, infid = harness.run_exact([[(pos, pauli, qubit)] for _, pos, pauli, qubit in faults])
+    contribution = acc * infid / 3.0
+    per_round = np.bincount(
+        np.array([f[0] for f in faults], dtype=np.int64),
+        weights=contribution,
+        minlength=len(harness.rounds),
+    )
+    idle = [r for r, rnd in enumerate(harness.rounds) if rnd.label == "decode-idle"]
+    return FirstOrderReport(
+        float(contribution.sum()),
+        DetectionTable([
+            FaultRecord(FaultLocation(pos, qubit, pauli, rnd_idx), float(acc[i]), float(infid[i]))
+            for i, (rnd_idx, pos, pauli, qubit) in enumerate(faults)
+        ]),
+        float(per_round[idle].sum()) / len(idle) if idle else 0.0,
+        tuple(
+            (r, rnd.label, float(per_round[r]))
+            for r, rnd in enumerate(harness.rounds) if r > 0
+        ),
+    )
 
 
 @dataclass

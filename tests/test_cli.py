@@ -355,3 +355,10 @@ class TestCostCommand:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bad_later_distance_prints_no_rows(self, capsys):
+        # the valid d=3 row must not reach stdout when d=0 fails after it
+        assert run(["cost", "--distance", "3,0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

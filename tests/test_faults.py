@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from rotsynth.compiler import compile_program
 from rotsynth import programs
 from rotsynth.ir import with_x_detection
 from rotsynth.semantics import SimulationError
+from rotsynth import faults as faults_module
 from rotsynth.faults import (
     FaultAnalysisError,
     NoiseModel,
@@ -44,6 +47,26 @@ def compiled_cs():
     rep = compile_program(programs.load("cs"), budget=1)
     outputs, detectors = programs.DESIGNATIONS["cs"]
     return with_x_detection(rep.circuit, detectors), list(outputs)
+
+
+def run_one(harness, faults):
+    """`run_exact` on a single fault configuration, as floats."""
+    acc, infid = harness.run_exact([faults])
+    return float(acc[0]), float(infid[0])
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Rows of every `run_sampled` call made while the test runs."""
+    calls = []
+    original = _Harness.run_sampled
+
+    def counted(self, faults, uniforms):
+        calls.append(len(uniforms))
+        return original(self, faults, uniforms)
+
+    monkeypatch.setattr(_Harness, "run_sampled", counted)
+    return calls
 
 
 class TestNoiseModel:
@@ -204,6 +227,22 @@ class TestFirstOrder:
         assert c2.coefficient - c1.coefficient == pytest.approx(
             c1.idle_round_increment, abs=1e-9
         )
+
+    def test_round_breakdown(self):
+        # gadgetized ccz at t_decode = 1: four cnot rounds, the decode idle,
+        # the correction and the last two cnot rounds
+        circ, outputs = compiled_ccz()
+        fo = first_order_oracle(gadgetize(circ), outputs, NoiseModel(1e-4, 0.0, 1))
+        rounds = fo.to_dict()["rounds"]
+        assert [r["index"] for r in rounds] == list(range(1, 9))
+        labels = ["cnot"] * 4 + ["decode-idle", "correct", "cnot", "cnot"]
+        assert [r["label"] for r in rounds] == labels
+        values = [r["contribution"] for r in rounds]
+        assert values == pytest.approx(
+            [4 / 3, 1.75, 1.0, 1.0, 1.0, 1.0, 7 / 3, 2.75], rel=0, abs=1e-9
+        )
+        assert sum(values) == pytest.approx(fo.coefficient, rel=0, abs=1e-12)
+        assert values[4] == pytest.approx(fo.idle_round_increment, rel=0, abs=1e-12)
 
     def test_ccz_coefficient_near_reported_value(self):
         circ, outputs = compiled_ccz()
@@ -415,13 +454,21 @@ class TestPreparationRoundFaults:
 
 
 class TestExactKernel:
-    """`run_exact` (forced rows of the trajectory kernel) against
-    `semantics.enumerate_branches` with the faults inserted as gates."""
+    """`run_exact` (forced rows of the trajectory kernel, whole fault
+    configurations per call) against `semantics.enumerate_branches` with the
+    faults inserted as gates."""
 
     @staticmethod
     def assert_same(harness, faults, got):
         want = reference_exact(harness, faults)
         assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+    @classmethod
+    def assert_all_same(cls, harness, configs):
+        acc, infid = harness.run_exact(configs)
+        assert len(acc) == len(infid) == len(configs)
+        for faults, got in zip(configs, zip(acc, infid)):
+            cls.assert_same(harness, faults, got)
 
     @pytest.mark.parametrize("name", ["ccz-g", "t15"])
     def test_all_singles(self, name):
@@ -442,23 +489,118 @@ class TestExactKernel:
         impl = gadgetize(circ)
         harness = _Harness(impl, outputs)
         sites = harness.tprep_sites()
-        for a in range(len(sites)):
-            for b in range(a + 1, len(sites)):
-                faults = [(sites[a][0], "Z", sites[a][1]), (sites[b][0], "Z", sites[b][1])]
-                self.assert_same(harness, faults, harness.run_exact(faults))
+        configs = [
+            [(sites[a][0], "Z", sites[a][1]), (sites[b][0], "Z", sites[b][1])]
+            for a in range(len(sites)) for b in range(a + 1, len(sites))
+        ]
+        assert len(configs) == 28
+        self.assert_all_same(harness, configs)
 
     def test_cs_tprep_singles(self):
         circ, outputs = compiled_cs()
         impl = gadgetize(circ)
         harness = _Harness(impl, outputs)
         assert len(harness._exact_uniforms) == 256
-        for pos, q in harness.tprep_sites():
-            self.assert_same(harness, [(pos, "Z", q)], harness.run_exact([(pos, "Z", q)]))
+        self.assert_all_same(harness, [[(pos, "Z", q)] for pos, q in harness.tprep_sites()])
 
-    def test_unknown_pauli(self):
+    def test_mixed_sizes_in_one_call(self):
+        # configurations of 0, 1, 2 and 3 faults side by side in one group
+        circ, outputs = compiled_ccz()
+        harness = _Harness(gadgetize(circ), outputs)
+        (p0, q0), (p1, q1), (p2, q2) = harness.tprep_sites()[:3]
+        self.assert_all_same(harness, [
+            [], [(p0, "Z", q0)], [(p0, "Z", q0), (p1, "X", q1)], [],
+            [(p2, "Y", q2), (p0, "Z", q0), (p2, "Y", q2)], [(p1, "Z", q1)],
+        ])
+
+    @pytest.mark.parametrize("chunk_rows", [48, 4])
+    def test_groups_split_mid_list(self, monkeypatch, chunk_rows):
+        # gadgetized ccz: 16 branches per configuration on 8 live qubits, so
+        # a 48-row chunk holds 3 configurations (100 of them end mid-group)
+        # and a 4-row chunk splits every configuration over 4 chunks
+        circ, outputs = compiled_ccz()
+        harness = _Harness(gadgetize(circ), outputs)
+        assert (len(harness._exact_uniforms), harness._peak) == (16, 8)
+        sites = _fault_sites(harness.circuit)
+        configs = [
+            [(pos, pauli, q)] for pos, q in sites[:: len(sites) // 34] for pauli in "XYZ"
+        ][:100]
+        assert len(configs) == 100
+        want = harness.run_exact(configs)
+        monkeypatch.setattr(faults_module, "_CHUNK_AMPLITUDES", chunk_rows << 8)
+        got = harness.run_exact(configs)
+        assert got[0] == pytest.approx(want[0], rel=0, abs=1e-12)
+        assert got[1] == pytest.approx(want[1], rel=0, abs=1e-12)
+        assert 0 < np.count_nonzero(want[0]) < len(configs)
+        assert np.count_nonzero(want[1] > 1e-9) > 0
+
+    def test_unknown_pauli(self, kernel_calls):
         circ, outputs = compiled_ccz()
         with pytest.raises(FaultAnalysisError):
             enumerate_single_faults(circ, outputs, paulis=("W",))
+        assert kernel_calls == []
+        harness = _Harness(circ, outputs)
+        kernel_calls.clear()
+        with pytest.raises(FaultAnalysisError, match="'W'"):
+            harness.run_exact([[(5, "Z", 0)], [(5, "W", 0)]])
+        assert kernel_calls == []
+
+
+class TestBatchedEnumeration:
+    """The enumerators hand all their configurations to one `run_exact`
+    call, which runs whole configurations per kernel call."""
+
+    @staticmethod
+    def group(harness):
+        rows = _CHUNK_AMPLITUDES >> harness._peak
+        return max(1, rows // len(harness._exact_uniforms))
+
+    @pytest.mark.parametrize("name", ["ccz-g", "cs-g", "t15"])
+    def test_kernel_calls_per_group(self, kernel_calls, name):
+        circ, outputs = {"ccz-g": compiled_ccz, "cs-g": compiled_cs, "t15": compiled_t15}[
+            name
+        ]()
+        if name.endswith("-g"):
+            circ = gadgetize(circ)
+        group = self.group(_Harness(circ, outputs, t_decode=1))
+        nm = NoiseModel(1e-4, 0.0, 1)
+        # each enumerator builds one harness, whose noiseless check is one call
+        for run in (
+            lambda: len(enumerate_single_faults(circ, outputs, sites="all").entries),
+            lambda: enumerate_pair_faults(circ, outputs).total,
+            lambda: len(first_order_oracle(circ, outputs, nm).table.entries),
+        ):
+            kernel_calls.clear()
+            configs = run()
+            assert configs > 0
+            assert len(kernel_calls) <= 1 + math.ceil(configs / group)
+
+    def test_one_t_site_has_no_pairs(self, kernel_calls):
+        gates = (
+            Gate("PrepPlus", (0,)),
+            Gate("PrepPlus", (1,)),
+            Gate("T", (0,)),
+            Gate("MeasX", (1,), "d0"),
+        )
+        pairs = enumerate_pair_faults(Circuit(2, gates), [0])
+        assert (pairs.total, pairs.harmful, pairs.detected, pairs.harmless) == (0, 0, 0, 0)
+        assert len(kernel_calls) == 1   # the harness's noiseless check
+
+    def test_no_t_sites_gives_empty_table(self):
+        gates = (
+            Gate("PrepPlus", (0,)),
+            Gate("PrepPlus", (1,)),
+            Gate("CNOT", (0, 1)),
+            Gate("MeasX", (1,), "d0"),
+        )
+        table = enumerate_single_faults(Circuit(2, gates), [0])
+        assert table.entries == []
+        assert table.to_dict()["total"] == 0
+
+    def test_empty_configuration_list(self):
+        circ, outputs = compiled_ccz()
+        acc, infid = _Harness(circ, outputs).run_exact([])
+        assert acc.shape == infid.shape == (0,)
 
 
 def _fault_sites(c: Circuit) -> list[tuple[int, int]]:
@@ -492,7 +634,7 @@ def test_random_faults_match_reference(exact_harnesses, name, data):
             )
         )
     ]
-    got = harness.run_exact(faults)
+    got = run_one(harness, faults)
     assert got == pytest.approx(reference_exact(harness, faults), rel=0, abs=1e-12)
 
 
@@ -538,23 +680,20 @@ class TestLiveWidth:
         sites = _fault_sites(harness.circuit)
         pending = [(pos, q) for pos, q in sites if q == 4 and pos < 8]
         assert len(pending) == 4   # after its preparation, rounds 0 and 1
-        for pos, q in sites:
-            for pauli in "XYZ":
-                faults = [(pos, pauli, q)]
-                assert harness.run_exact(faults) == pytest.approx(
-                    reference_exact(harness, faults), rel=0, abs=1e-12
-                )
+        configs = [[(pos, pauli, q)] for pos, q in sites for pauli in "XYZ"]
+        for faults, got in zip(configs, zip(*harness.run_exact(configs))):
+            assert got == pytest.approx(reference_exact(harness, faults), rel=0, abs=1e-12)
 
     def test_pairs_on_late_and_measured_qubits(self, harness):
         # two Paulis on the idle resource, and faults after its measurement
         positions = range(4, len(self.gates))
-        for a in positions:
-            for b in positions:
-                for pa, pb in (("X", "Z"), ("Y", "Y"), ("Z", "X")):
-                    faults = [(a, pa, 4), (b, pb, 4), (b, "X", 3)]
-                    assert harness.run_exact(faults) == pytest.approx(
-                        reference_exact(harness, faults), rel=0, abs=1e-12
-                    )
+        configs = [
+            [(a, pa, 4), (b, pb, 4), (b, "X", 3)]
+            for a in positions for b in positions
+            for pa, pb in (("X", "Z"), ("Y", "Y"), ("Z", "X"))
+        ]
+        for faults, got in zip(configs, zip(*harness.run_exact(configs))):
+            assert got == pytest.approx(reference_exact(harness, faults), rel=0, abs=1e-12)
 
     def test_sampled_rows(self, harness):
         sites = [(pos, pauli, q) for pos, q in _fault_sites(harness.circuit) for pauli in range(3)]
@@ -593,7 +732,7 @@ class TestLiveWidth:
             ok, infid = reference_trajectory(harness, {p: [("XYZ"[pa], q)]}, uniforms[row])
             assert (weight[row] > 0) == ok
             assert infidelity[row] == pytest.approx(infid, rel=1e-12, abs=1e-13)
-        assert harness.run_exact([]) == pytest.approx((1.0, 0.0), abs=1e-12)
+        assert run_one(harness, []) == pytest.approx((1.0, 0.0), abs=1e-12)
 
     def test_thirteen_live_qubits_rejected(self):
         gates = [Gate("PrepPlus", (q,)) for q in range(13)]
