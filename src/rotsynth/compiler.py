@@ -812,16 +812,15 @@ def _all_block_matrices(
 
 
 def _fast_cnot_metrics(
-    live: list[tuple[GF2Matrix, GF2Matrix]],
-    all_plus: bool,
-    depth_opt: bool,
+    live: list[tuple[GF2Matrix, GF2Matrix]], depth_opt: bool
 ) -> tuple[int, int]:
-    """(cnot_depth, cnot_count) of the merged, hoisted, absorbed pipeline.
+    """(cnot_depth, cnot_count) of the merged, hoisted, absorbed pipeline
+    under an all-|+> preparation.
 
     `live` holds (u^T, (u^T)^-1) for each block whose phase layer is
     non-empty, in circuit order. Mirrors the circuit passes on plain tuples;
-    valid when the preparation is all |+> so the leading CNOT operator is
-    absorbed entirely.
+    the all-|+> preparation absorbs the leading CNOT operator entirely, so
+    its gates are not counted.
     """
     if not live:
         return 0, 0
@@ -837,7 +836,7 @@ def _fast_cnot_metrics(
     # the last block, composing the wire maps passed so far
     gates: list[tuple[int, int]] = []
     tail = list(range(n))
-    for images, cnots in reversed(realized[1 if all_plus else 0 :]):
+    for images, cnots in reversed(realized[1:]):
         gates.extend((tail[c], tail[t]) for c, t in reversed(cnots))
         tail = [tail[q] for q in images]
     free = [0] * n
@@ -918,7 +917,7 @@ def partition_rotations(
         valid += 1
         if all_plus:
             live = [b.pair() for b in split if b.live]
-            depth, count = _fast_cnot_metrics(live, all_plus=True, depth_opt=depth_opt)
+            depth, count = _fast_cnot_metrics(live, depth_opt=depth_opt)
         else:
             circ = _emit_pipeline([b.matrix for b in split], [b.exponents for b in split],
                                   p.n, prep, absorb=True, depth_opt=depth_opt)

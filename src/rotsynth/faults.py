@@ -4,12 +4,14 @@ The analyzer works on circuits whose measurement records split into two
 groups: records consumed by classically controlled corrections (injection
 measurements) and unconsumed records (detection measurements, postselected
 on their noiseless outcomes). Faults are Paulis inserted at circuit
-positions, anywhere including the preparation round. One batched trajectory
-kernel (`_Harness.run_sampled`) runs them: the Monte Carlo engine samples
-the measurement outcomes, and the exact enumerators force one row per
-branch of the injection outcomes and weight it by its probability. The
-kernel's rows hold only the live qubits (from a qubit's first gate other
-than a preparation to the measurement that ends it), and the dense cap of
+positions, anywhere including the preparation round. This module defines
+no gate action of its own: it turns fault positions into insertion points
+of the dense trajectory kernel (`semantics.TrajectoryKernel`, through
+`_Harness.run_sampled`). The Monte Carlo engine samples the measurement
+outcomes, and the exact enumerators force one row per branch of the
+injection outcomes and weight it by its probability. The kernel's rows
+hold only the live qubits (from a qubit's first gate other than a
+preparation to the measurement that ends it), and the dense cap of
 `semantics.MAX_DENSE_QUBITS` applies to that live width: a gadgetized
 circuit may have many more qubits, since each |T> resource is live only
 from its injection CNOT to its measurement.
@@ -28,16 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ir import (
-    Circuit,
-    DIAG1_EXPONENT,
-    Gate,
-    MEAS_KINDS,
-    PREP_AMPLITUDES,
-    PREP_KINDS,
-    T_LIKE_KINDS,
-)
-from .semantics import MAX_DENSE_QUBITS, SimulationError
+from .ir import Circuit, Gate, MEAS_KINDS, PREP_KINDS, T_LIKE_KINDS
+from .semantics import _NO_INSERTIONS, TrajectoryKernel, _forced_uniforms
 
 HARMFUL_INFIDELITY = 1e-9
 DETECTED_ACCEPTANCE = 1e-12
@@ -262,20 +256,21 @@ def build_schedule(c: Circuit, t_decode: int = 0) -> tuple[Round, ...]:
 
 
 class _Harness:
-    """Executable form of a circuit with designated outputs.
+    """Fault semantics of a circuit with designated outputs, on the dense
+    trajectory kernel (`semantics.TrajectoryKernel`).
 
     Splits measurement records into injection records (consumed by CondS)
     and detection records (postselected on their noiseless outcomes), and
     freezes the noiseless reference: detection outcomes and the pure state
-    on the output qubits. `run_sampled` is the one trajectory kernel;
-    `run_exact`, the noiseless reference and its check run it with forced
-    outcomes.
+    on the output qubits. `run_sampled` places faults and runs them on the
+    kernel; `run_exact`, the noiseless reference and its check run it with
+    forced outcomes.
 
-    A row's state holds only the live qubits: a qubit gets its axis at its
-    first gate other than a preparation, and loses it at a measurement that
-    is its last gate unless it is an output. The dense cap
-    (`semantics.MAX_DENSE_QUBITS`) applies to the peak live width, not to
-    the circuit's qubit count.
+    The kernel keeps the outputs to the end, so a row's state holds only the
+    live qubits: a qubit gets its axis at its first gate other than a
+    preparation, and loses it at a measurement that is its last gate unless
+    it is an output. The dense cap (`semantics.MAX_DENSE_QUBITS`) applies to
+    the peak live width, not to the circuit's qubit count.
     """
 
     def __init__(self, c: Circuit, outputs: list[int], t_decode: int = 0):
@@ -299,104 +294,39 @@ class _Harness:
         self.meas_order = [g.record for g in c.gates if g.kind in MEAS_KINDS]
         if not self.detection:
             raise FaultAnalysisError("circuit has no detection measurements")
-        self._init_kernel()
+        self.kernel = TrajectoryKernel(c, self.outputs)
+        self._round0_end = len(self.rounds[0].gate_indices) - 1
+        self._prepared = np.full(c.n, -1)
+        for pos, g in enumerate(c.gates):
+            if g.kind in PREP_KINDS:
+                self._prepared[g.qubits[0]] = pos
+        self._out_perm = self.kernel.permutation(self.outputs)
 
         # The noiseless reference comes from one row that takes the likelier
         # outcome of every measurement (uniform 0.5); the detection outcomes
         # of a valid circuit are certain, so they do not depend on the row.
         self.reference = {}
         _, _, states, outcomes = self._run_chunk(
-            *_NO_FAULTS, np.full((1, len(self.meas_order)), 0.5)
+            *_NO_INSERTIONS, np.full((1, len(self.meas_order)), 0.5)
         )
         self.reference = {r: int(outcomes[r][0]) for r in self.detection}
         self.ideal_out = self._reduced_pure(states[0])
-        # one row per assignment of injection outcomes, detection outcomes
-        # forced to the reference; a uniform of -1 forces outcome 1, 2 forces 0
+        # one forced row per assignment of injection outcomes, detection
+        # outcomes forced to the reference
         injection = [r for r in self.meas_order if r in consumed]
         rows = np.arange(1 << len(injection))
-        forced = np.array(
+        self._exact_uniforms = _forced_uniforms(np.array(
             [
                 rows >> injection.index(r) & 1 if r in consumed
                 else np.full(len(rows), self.reference[r])
                 for r in self.meas_order
             ]
-        ).T
-        self._exact_uniforms = np.where(forced == 1, -1.0, 2.0)
-        weight, infidelity = self.run_sampled(_NO_FAULTS, self._exact_uniforms)
+        ).T)
+        weight, infidelity = self.run_sampled(_NO_INSERTIONS, self._exact_uniforms)
         if abs(weight.sum() - 1.0) > 1e-9:
             raise FaultAnalysisError("noiseless detection outcomes not deterministic")
         if (infidelity > 1e-10).any():
             raise FaultAnalysisError("noiseless branches disagree on the output state")
-
-    def _init_kernel(self):
-        """Tables of the trajectory kernel (`run_sampled`).
-
-        The kernel walks half-steps. Half-step 2p creates the axes of the
-        qubits whose first gate other than a preparation is gate p, from
-        their preparation amplitudes; p = len(gates) creates the outputs no
-        gate touches. Half-step 2p + 1 applies gate p, and drops the axis of
-        a measured qubit that no later gate touches and that is not an
-        output. New axes go last (least significant); dropped ones leave the
-        others in order.
-        """
-        c, n = self.circuit, self.n
-        gates = c.gates
-        never = len(gates) + 1
-        self._round0_end = len(self.rounds[0].gate_indices) - 1
-        self._last_prep = np.full(n, -1)
-        # position of the first gate other than a preparation (len(gates) for
-        # an untouched output, `never` for a qubit that gets no axis) and of
-        # the measurement that drops the axis
-        self._born = np.full(n, never)
-        self._dies = np.full(n, never)
-        self._prep_amps = [(1.0, 0.0)] * n
-        for pos, g in enumerate(gates):
-            for q in g.qubits:
-                if g.kind in PREP_KINDS:
-                    self._last_prep[q] = pos
-                    self._prep_amps[q] = PREP_AMPLITUDES[g.kind]
-                else:
-                    self._born[q] = min(self._born[q], pos)
-                    last_measured = g.kind in MEAS_KINDS and q not in self.outputs
-                    self._dies[q] = pos if last_measured else never
-        for q in self.outputs:
-            self._born[q] = min(self._born[q], len(gates))
-
-        self._layouts: list[tuple[int, ...]] = []   # live qubits after each half-step
-        layout: tuple[int, ...] = ()
-        for h in range(2 * len(gates) + 1):
-            p = h // 2
-            if h % 2 == 0:
-                layout += tuple(q for q in range(n) if self._born[q] == p)
-            elif self._dies[gates[p].qubits[0]] == p:
-                layout = tuple(q for q in layout if q != gates[p].qubits[0])
-            self._layouts.append(layout)
-        self._peak = max(map(len, self._layouts))
-        if self._peak > MAX_DENSE_QUBITS:
-            raise SimulationError(
-                f"dense fault analysis capped at {MAX_DENSE_QUBITS} live qubits, "
-                f"the circuit holds {self._peak} at once"
-            )
-        self._axis = np.full((len(self._layouts), n), -1)
-        for h, layout in enumerate(self._layouts):
-            self._axis[h, list(layout)] = np.arange(len(layout))
-
-        # last half-step of the unitary run starting at each half-step
-        self._run_end = [0] * len(self._layouts)
-        end = len(self._layouts) - 1
-        for h in range(len(self._layouts) - 1, -1, -1):
-            if h % 2 and (gates[h // 2].kind in MEAS_KINDS or gates[h // 2].kind == "CondS"):
-                end = h - 1
-            self._run_end[h] = end
-        meas_positions = [i for i, g in enumerate(gates) if g.kind in MEAS_KINDS]
-        self._meas_col = {pos: col for col, pos in enumerate(meas_positions)}
-        final = self._layouts[-1]
-        out_axes = [final.index(q) for q in self.outputs]
-        rest = [a for a in range(len(final)) if a not in out_axes]
-        self._out_perm = np.arange(1 << len(final)).reshape((2,) * len(final)).transpose(
-            out_axes + rest
-        ).reshape(-1)
-        self._runs: dict[tuple[int, int], tuple] = {}  # see _apply_run
 
     def _reduced_pure(self, state: np.ndarray) -> np.ndarray:
         """Pure state of the outputs, from a final-layout state."""
@@ -428,7 +358,7 @@ class _Harness:
             for faults in configs
         ]
         branches = len(self._exact_uniforms)
-        group = max(1, (_CHUNK_AMPLITUDES >> self._peak) // branches)
+        group = max(1, self.kernel.chunk_rows // branches)
         uniforms = np.tile(self._exact_uniforms, (min(group, len(configs)), 1))
         acceptance = np.zeros(len(configs))
         infidelity = np.zeros(len(configs))
@@ -461,15 +391,11 @@ class _Harness:
         order: outcome 1 where the uniform is below its probability, so a
         uniform below 0 forces outcome 1 and one of 1 or more forces 0.
         Returns (weight, infidelity) per row: the weight is the product of
-        the probabilities of the outcomes the row took, and 0 when a
-        detection outcome differs from the reference or an outcome had
-        probability below 1e-14; such rows read infidelity 0.
-
-        Rows run in chunks of `_CHUNK_AMPLITUDES >> peak live width` as one
-        (rows x 2^live) array. Each run of half-steps between break points
-        (measurements, CondS, half-steps where a row of the chunk gets a
-        fault) is one cached gather and multiply; dropped rows leave the
-        array at once.
+        the probabilities of the forced outcomes the row took (1 for a row
+        whose outcomes were all drawn), and 0 when a detection outcome
+        differs from the reference or an outcome had probability below
+        1e-14; such rows read infidelity 0. Rows run on the kernel in chunks
+        of `chunk_rows`.
         """
         n_rows = len(uniforms)
         weight = np.zeros(n_rows)
@@ -477,7 +403,7 @@ class _Harness:
         row, pos, pauli, qubit = (np.asarray(a, dtype=np.int64) for a in faults)
         order = np.argsort(row, kind="stable")
         row, pos, pauli, qubit = row[order], pos[order], pauli[order], qubit[order]
-        chunk = max(1, _CHUNK_AMPLITUDES >> self._peak)
+        chunk = self.kernel.chunk_rows
         for lo in range(0, n_rows, chunk):
             hi = min(lo + chunk, n_rows)
             a, b = np.searchsorted(row, (lo, hi))
@@ -493,16 +419,17 @@ class _Harness:
         return weight, infidelity
 
     def _run_chunk(self, row, pos, pauli, qubit, uniforms):
-        """One chunk of `run_sampled`: (surviving row indices, weights, final
-        states, outcomes of the surviving rows by record)."""
-        gates = self.circuit.gates
+        """One chunk of `run_sampled`: fault positions become kernel
+        half-steps. Returns the kernel's (surviving row indices, weights,
+        final states, outcomes by record)."""
+        born, dies = self.kernel.born, self.kernel.dies
         # A preparation resets its qubit, so a fault placed before it has no
         # effect; nor has one on a qubit whose axis is gone or never made (it
         # is measured or unused, and no later gate or output reads it).
         kept = (
-            (self._last_prep[qubit] <= pos)
-            & (pos < self._dies[qubit])
-            & (self._born[qubit] <= len(gates))
+            (self._prepared[qubit] <= pos)
+            & (pos < dies[qubit])
+            & (born[qubit] <= len(self.circuit.gates))
         )
         row, pos, pauli, qubit = row[kept], pos[kept], pauli[kept], qubit[kept]
         # Only preparations, X and diagonal gates make up round 0, so a Z
@@ -510,110 +437,8 @@ class _Harness:
         # fault on a qubit that no gate has touched yet commutes to just
         # after its axis is made.
         pos = np.where((pauli == 2) & (pos < self._round0_end), self._round0_end, pos)
-        born = self._born[qubit]
-        stop = np.where(pos < born, 2 * born, 2 * pos + 1)
-        order = np.argsort(stop, kind="stable")
-        row, stop, pauli, qubit = row[order], stop[order], pauli[order], qubit[order]
-        stops, firsts = np.unique(stop, return_index=True)
-        bounds = np.append(firsts, len(stop))
-
-        alive = np.arange(len(uniforms))     # chunk row of each state row
-        slot = np.arange(len(uniforms))      # state row of each chunk row, -1 once dropped
-        weight = np.ones(len(uniforms))
-        outcomes: dict[str, np.ndarray] = {}
-        # every row starts from the empty state, so the run up to the first
-        # break point is applied once and broadcast
-        last = self._run_end[0]
-        if len(stops):
-            last = min(last, stops[0])
-        states = self._apply_run(np.ones((1, 1), dtype=np.complex128), 0, last)
-        states = np.repeat(states, len(uniforms), axis=0)
-        k = 0
-        while True:
-            if k < len(stops) and stops[k] == last:
-                group = slice(bounds[k], bounds[k + 1])
-                cur = slot[row[group]]
-                live = cur >= 0
-                axes = self._axis[last, qubit[group][live]]
-                _apply_paulis(states, cur[live], pauli[group][live], axes)
-                k += 1
-            h = last + 1
-            if h == len(self._layouts) or not len(alive):
-                break
-            last = h
-            g = gates[h // 2] if h % 2 else None   # even half-steps make axes
-            kind = g.kind if g else None
-            if kind in MEAS_KINDS:
-                axis = self._axis[h - 1, g.qubits[0]]
-                drop = self._dies[g.qubits[0]] == h // 2
-                states, outcome, prob = _measure_rows(
-                    states, g.kind, axis, drop, uniforms[alive, self._meas_col[h // 2]]
-                )
-                outcomes[g.record] = outcome
-                weight *= prob
-                keep = prob >= 1e-14
-                expected = self.reference.get(g.record)
-                if expected is not None:
-                    keep &= outcome == expected
-                if not keep.all():
-                    states, alive, weight = states[keep], alive[keep], weight[keep]
-                    outcomes = {r: o[keep] for r, o in outcomes.items()}
-                    slot[:] = -1
-                    slot[alive] = np.arange(len(alive))
-            elif kind == "CondS":
-                flip = outcomes[g.record]
-                axis = self._axis[h, g.qubits[0]]
-                states.reshape(len(alive), 1 << axis, 2, -1)[flip, :, 1] *= _S_PHASE
-            else:
-                last = self._run_end[h]
-                if k < len(stops):
-                    last = min(last, stops[k])
-                states = self._apply_run(states, h, last)
-        return alive, weight, states, outcomes
-
-    def _half_step(self, h: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Half-step h (an axis creation or a unitary gate) as a monomial
-        from the layout before it to the layout after it."""
-        before = self._layouts[h - 1] if h else ()
-        if h % 2:
-            g = self.circuit.gates[h // 2]
-            if g.kind in PREP_KINDS:  # its amplitudes enter when the axis is made
-                return None, None
-            return _monomial(g, [before.index(q) for q in g.qubits], len(before))
-        new = self._layouts[h][len(before):]
-        if not new:
-            return None, None
-        idx = np.arange(1 << (len(before) + len(new)))
-        phase = np.ones(len(idx), dtype=np.complex128)
-        for j, q in enumerate(new):
-            a0, a1 = self._prep_amps[q]
-            phase *= np.where(idx >> (len(new) - 1 - j) & 1, a1, a0)
-        return idx >> len(new), phase
-
-    def _apply_run(self, states: np.ndarray, start: int, end: int) -> np.ndarray:
-        """Half-steps start..end (axis creations and unitary gates) on every
-        row; the result has the width of the layout after `end`."""
-        run = self._runs.get((start, end))
-        if run is None:
-            src = phase = None
-            for h in range(start, end + 1):
-                h_src, h_phase = self._half_step(h)
-                if h_src is not None:
-                    src = h_src if src is None else src[h_src]
-                    if phase is not None:
-                        phase = phase[h_src]
-                if h_phase is not None:
-                    phase = h_phase if phase is None else phase * h_phase
-            # a run never narrows the state, so an identity gather keeps its width
-            if src is not None and np.array_equal(src, np.arange(len(src))):
-                src = None
-            run = self._runs[(start, end)] = (src, phase)
-        src, phase = run
-        if src is not None:
-            states = np.take(states, src, axis=1)
-        if phase is not None:
-            states *= phase
-        return states
+        stop = np.where(pos < born[qubit], 2 * born[qubit], 2 * pos + 1)
+        return self.kernel.run((row, stop, pauli, qubit), uniforms, self.reference)
 
     # -- fault sites -------------------------------------------------------
 
@@ -637,12 +462,7 @@ class _Harness:
         return sites
 
 
-# amplitudes held by one chunk of batched trajectories (1 MiB of complex128)
-_CHUNK_AMPLITUDES = 1 << 16
-_S_PHASE = np.exp(1j * math.pi * DIAG1_EXPONENT["S"] / 4)
-_MULTI_DIAG_PHASE = {"CZ": -1.0, "CS": 1j, "CCZ": -1.0}
 _PAULI_INDEX = {"X": 0, "Y": 1, "Z": 2}
-_NO_FAULTS = (np.zeros(0, dtype=np.int64),) * 4
 
 
 def _pauli_index(pauli: str) -> int:
@@ -650,90 +470,6 @@ def _pauli_index(pauli: str) -> int:
         return _PAULI_INDEX[pauli]
     except KeyError:
         raise FaultAnalysisError(f"unknown Pauli {pauli!r}") from None
-
-
-def _monomial(g: Gate, axes: list[int], k: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """A unitary gate on flat amplitudes of width k as new = old[src] *
-    phase; None stands for the identity permutation or unit phases. Axis a
-    (the gate's qubits sit on `axes`) is bit k-1-a of the flat index."""
-    idx = np.arange(1 << k)
-    bits = [1 << (k - 1 - a) for a in axes]
-    on = [(idx & b) != 0 for b in bits]
-    if g.kind == "X":
-        return idx ^ bits[0], None
-    if g.kind == "CNOT":
-        return idx ^ (on[0] * bits[1]), None
-    if g.kind == "SWAP":
-        return idx ^ ((on[0] != on[1]) * (bits[0] | bits[1])), None
-    if g.kind in DIAG1_EXPONENT:
-        phase = np.exp(1j * math.pi * DIAG1_EXPONENT[g.kind] / 4)
-        return None, np.where(on[0], phase, 1.0 + 0j)
-    if g.kind in _MULTI_DIAG_PHASE:
-        phase = _MULTI_DIAG_PHASE[g.kind]
-        return None, np.where(np.logical_and.reduce(on), phase, 1.0 + 0j)
-    raise SimulationError(f"gate {g.kind} is not unitary")
-
-
-def _apply_paulis(states, rows, pauli, axes):
-    """Pauli faults on rows of a (rows x 2^k) state array, in place, each on
-    the qubit at its axis; Y acts as XZ, and a row hit twice on one qubit
-    gets the product."""
-
-    def odd(hit_rows):  # rows hit an odd number of times
-        return np.nonzero(np.bincount(hit_rows, minlength=len(states)) & 1)[0]
-
-    for a in np.unique(axes):
-        on_a = axes == a
-        view = states.reshape(len(states), 1 << a, 2, -1)
-        z = odd(rows[on_a & (pauli != 0)])  # Y or Z
-        view[z, :, 1] *= -1.0
-        x = odd(rows[on_a & (pauli != 2)])  # X or Y
-        view[x] = view[x, :, ::-1]
-
-
-def _sum_sq(a: np.ndarray) -> np.ndarray:
-    """Per-row squared norm of a C-contiguous (rows x ...) complex array."""
-    f = a.view(np.float64).reshape(len(a), -1)
-    return np.einsum("ij,ij->i", f, f)
-
-
-def _measure_rows(states, kind: str, axis: int, drop: bool, uniforms: np.ndarray):
-    """Measure the qubit at `axis` on every row of a (rows x 2^k) state
-    array, outcome 1 where the row's uniform is below its probability.
-    With `drop` the result keeps only the measured slice (width k-1), else
-    the array is projected in place. Returns (states, outcomes, probability
-    of each row's outcome)."""
-    rows = len(states)
-    view = states.reshape(rows, 1 << axis, 2, -1)
-    if kind == "MeasZ":
-        fv = states.view(np.float64).reshape(rows, 1 << axis, 2, -1)
-        p0 = np.einsum("ijk,ijk->i", fv[:, :, 0], fv[:, :, 0])
-        p1 = np.einsum("ijk,ijk->i", fv[:, :, 1], fv[:, :, 1])
-        outcome = uniforms < p1
-        prob = np.where(outcome, p1, p0)
-        inv = 1.0 / np.sqrt(np.maximum(prob, 1e-300))
-        if drop:
-            kept = view[np.arange(rows), :, outcome.astype(np.intp)]
-            return (kept * inv[:, None, None]).reshape(rows, -1), outcome, prob
-        scale = np.zeros((rows, 2))
-        scale[np.arange(rows), outcome.astype(np.intp)] = inv
-        view *= scale[:, None, :, None]
-        return states, outcome, prob
-    # MeasX, outcome 0 = |+>; p = |a0 +- a1|^2 / 2
-    plus = view[:, :, 0] + view[:, :, 1]
-    minus = view[:, :, 0] - view[:, :, 1]
-    p0 = _sum_sq(plus) / 2.0
-    p1 = _sum_sq(minus) / 2.0
-    outcome = uniforms < p1
-    prob = np.where(outcome, p1, p0)
-    comp = np.where(outcome[:, None, None], minus, plus)
-    if drop:  # the rest of the state, (a0 +- a1) / sqrt(2 prob)
-        inv = 1.0 / np.sqrt(np.maximum(2.0 * prob, 1e-300))
-        return (comp * inv[:, None, None]).reshape(rows, -1), outcome, prob
-    comp *= (0.5 / np.sqrt(np.maximum(prob, 1e-300)))[:, None, None]
-    view[:, :, 0] = comp
-    view[:, :, 1] = np.where(outcome[:, None, None], -comp, comp)
-    return states, outcome, prob
 
 
 # ---------------------------------------------------------------------------

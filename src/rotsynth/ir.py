@@ -218,12 +218,6 @@ class Circuit:
     def t_count(self) -> int:
         return sum(1 for g in self.gates if g.kind in T_LIKE_KINDS)
 
-    def gate_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for g in self.gates:
-            counts[g.kind] = counts.get(g.kind, 0) + 1
-        return counts
-
     def records(self) -> tuple[str, ...]:
         return tuple(g.record for g in self.gates if g.kind in MEAS_KINDS)
 

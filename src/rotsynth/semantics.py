@@ -1,4 +1,4 @@
-"""Ground-truth equivalence oracles.
+"""Ground-truth equivalence oracles and the dense executor.
 
 Two independent backends:
   * a canonical parity-phase form for circuits built from X, CNOT, SWAP and
@@ -6,6 +6,13 @@ Two independent backends:
     mod 16 in units of pi/8), and
   * dense statevector simulation for small qubit counts, with projective
     measurement, postselection and classically controlled corrections.
+
+`TrajectoryKernel` is the one dense executor. It runs rows of trajectories
+over the live qubits, with every gate as a gather and a multiply on flat
+amplitudes. `simulate` is one row, `enumerate_branches` one forced row per
+assignment of the unpostselected outcomes, and `unitary_of` composes the
+gates' monomials at full width; the fault analyzer runs its faulty
+trajectories on the same kernel.
 
 Basis convention: basis index bit q is qubit q (support strings read left
 to right); dense states are ndarrays of shape (2,)*n with axis q = qubit q.
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -209,148 +217,390 @@ class SimResult:
     state: np.ndarray           # flat, length 2^n; meaningless if not valid
     acceptance: float           # probability of the requested postselection
     outcomes: dict[str, int]
-    valid: bool                 # False when postselection had zero probability
+    valid: bool                 # False when a kept outcome had probability below 1e-14
 
 
-def _axis_slice(n: int, q: int, value: int) -> tuple:
-    idx: list = [slice(None)] * n
-    idx[q] = value
-    return tuple(idx)
+# amplitudes held by one chunk of trajectory rows (1 MiB of complex128)
+_CHUNK_AMPLITUDES = 1 << 16
+MAX_UNITARY_QUBITS = 10
+# flat basis indices of each width, shared by every monomial of that width
+_INDEX = tuple(np.arange(1 << k) for k in range(MAX_DENSE_QUBITS + 1))
+for _index in _INDEX:  # shared by every monomial and permutation: never written
+    _index.flags.writeable = False
+# (1, phase) of each diagonal gate, indexed by whether all its qubits are 1
+_DIAG_PHASES = {
+    kind: np.array([1.0, p], dtype=np.complex128)
+    for kind, p in [
+        *((kind, np.exp(1j * math.pi * k / 4)) for kind, k in DIAG1_EXPONENT.items()),
+        ("CZ", -1.0), ("CS", 1j), ("CCZ", -1.0),
+    ]
+}
+_NO_INSERTIONS = (np.zeros(0, dtype=np.int64),) * 4
 
 
-def _apply_unitary_gate(state: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    kind = g.kind
-    if kind == "CNOT":
-        c, t = g.qubits
-        sub = state[_axis_slice(n, c, 1)]
-        state[_axis_slice(n, c, 1)] = np.flip(sub, axis=t if t < c else t - 1)
-    elif kind == "SWAP":
-        a, b = g.qubits
-        state = np.ascontiguousarray(np.swapaxes(state, a, b))
-    elif kind == "X":
-        state = np.flip(state, axis=g.qubits[0]).copy()
-    elif kind in DIAG1_EXPONENT:
-        phase = np.exp(1j * math.pi * DIAG1_EXPONENT[kind] / 4)
-        state[_axis_slice(n, g.qubits[0], 1)] *= phase
-    elif kind == "CZ":
-        idx = _axis_slice(n, g.qubits[0], 1)
-        sub = state[idx]
-        a = g.qubits[1]
-        sub[_axis_slice(n - 1, a if a < g.qubits[0] else a - 1, 1)] *= -1.0
-        state[idx] = sub
-    elif kind in ("CS", "CCZ"):
-        phase = 1j if kind == "CS" else -1.0
-        idx: list = [slice(None)] * n
-        for q in g.qubits:
-            idx[q] = 1
-        state[tuple(idx)] *= phase
-    else:
-        raise SimulationError(f"gate {kind} is not unitary")
-    return state
+@lru_cache(maxsize=None)
+def _bit(k: int, s: int) -> np.ndarray:
+    """Bit s of every flat index of width k."""
+    bit = (_INDEX[k] >> s) & 1
+    bit.flags.writeable = False
+    return bit
 
 
-def _measurement_probability(state: np.ndarray, g: Gate, n: int, outcome: int):
-    """Return (probability, projected-unnormalized-state) for the outcome."""
-    q = g.qubits[0]
-    if g.kind == "MeasZ":
-        proj = state.copy()
-        proj[_axis_slice(n, q, 1 - outcome)] = 0.0
-    else:  # MeasX, outcome 0 = |+>
-        s0 = state[_axis_slice(n, q, 0)]
-        s1 = state[_axis_slice(n, q, 1)]
-        comp = (s0 + s1) / 2.0 if outcome == 0 else (s0 - s1) / 2.0
-        proj = np.empty_like(state)
-        proj[_axis_slice(n, q, 0)] = comp
-        proj[_axis_slice(n, q, 1)] = comp if outcome == 0 else -comp
-    prob = float(np.vdot(proj, proj).real)
-    return prob, proj
+def _monomial(g: Gate, axes, k: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """A unitary gate on flat amplitudes of width k as new = old[src] *
+    phase; None stands for the identity permutation or unit phases. Axis a
+    (the gate's qubits sit on `axes`) is bit k-1-a of the flat index."""
+    s = [k - 1 - a for a in axes]
+    if g.kind == "X":
+        return _INDEX[k] ^ (1 << s[0]), None
+    if g.kind == "CNOT":
+        return _INDEX[k] ^ (_bit(k, s[0]) << s[1]), None
+    if g.kind == "SWAP":
+        d = _bit(k, s[0]) ^ _bit(k, s[1])
+        return _INDEX[k] ^ ((d << s[0]) | (d << s[1])), None
+    if g.kind in _DIAG_PHASES:
+        on = _bit(k, s[0])
+        for t in s[1:]:
+            on = on & _bit(k, t)
+        return None, _DIAG_PHASES[g.kind][on]
+    raise SimulationError(f"gate {g.kind} is not unitary")
 
 
-def _execute(c: Circuit, postselect: dict[str, int] | None, rng) -> list[tuple]:
-    """Run c over a list of branches (state, weight, outcomes).
+def _compose(steps) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """One monomial (src, phase) for a sequence of them, first applied first."""
+    src = phase = None
+    for h_src, h_phase in steps:
+        if h_src is not None:
+            src = h_src if src is None else src.take(h_src)
+            if phase is not None:
+                phase = phase.take(h_src)
+        if h_phase is not None:
+            phase = h_phase if phase is None else phase * h_phase
+    return src, phase
 
-    A measurement keeps the postselected outcome if its record is named in
-    `postselect`, else one outcome drawn from `rng`, else (rng None) both;
-    a kept outcome of probability below 1e-14 ends its branch. Postselected
-    and branched outcomes multiply the weight by their probability. Every
-    branch owns its state, so gates act in place.
+
+def _forced_uniforms(outcomes: np.ndarray) -> np.ndarray:
+    """Uniforms that force the given outcomes: -1 takes outcome 1, 2 takes 0."""
+    return np.where(outcomes == 1, -1.0, 2.0)
+
+
+class TrajectoryKernel:
+    """Dense executor: rows of trajectories through one circuit, held as one
+    (rows x 2^w) array over the w live qubits.
+
+    The kernel walks half-steps. Half-step 2p creates the axes of the
+    qubits whose first gate other than a preparation is gate p, from their
+    preparation amplitudes; p = len(gates) creates the kept qubits no gate
+    touches. Half-step 2p + 1 applies gate p, and drops the axis of a
+    measured qubit that no later gate touches and that is not kept. New axes
+    go last (least significant); dropped ones leave the others in order. A
+    qubit that is neither kept nor touched by a gate other than a
+    preparation never gets an axis. The dense cap applies to the peak live
+    width.
     """
-    if c.n > MAX_DENSE_QUBITS:
-        raise SimulationError(f"dense simulation capped at {MAX_DENSE_QUBITS} qubits")
-    postselect = postselect or {}
-    missing = set(postselect) - set(c.records())
-    if missing:
-        raise SimulationError(f"postselected records not in circuit: {sorted(missing)}")
 
-    state0 = np.zeros((2,) * c.n if c.n else (1,), dtype=np.complex128)
-    state0.flat[0] = 1.0
-    branches = [(state0, 1.0, {})]
-    touched = [False] * c.n
-
-    for g in c.gates:
-        new_branches = []
-        for state, weight, outcomes in branches:
+    def __init__(self, c: Circuit, keep):
+        gates = c.gates
+        n = c.n
+        keep = set(keep)
+        never = len(gates) + 1
+        born = [never] * n   # first gate other than a preparation
+        dies = [never] * n   # the measurement that drops the axis
+        self._amps = [(1.0, 0.0)] * n
+        touched = [False] * n
+        for pos, g in enumerate(gates):
             if g.kind in PREP_KINDS:
                 q = g.qubits[0]
                 if touched[q]:
                     raise SimulationError(f"{g.kind} on qubit {q} after other gates")
-                a0, a1 = PREP_AMPLITUDES[g.kind]
-                sub = state[_axis_slice(c.n, q, 0)].copy()
-                state[_axis_slice(c.n, q, 0)] = a0 * sub
-                state[_axis_slice(c.n, q, 1)] = a1 * sub
-                new_branches.append((state, weight, outcomes))
-            elif g.kind in MEAS_KINDS:
-                drawn = g.record not in postselect and rng is not None
-                if drawn:
-                    prob1 = _measurement_probability(state, g, c.n, 1)[0]
-                    wanted = (int(rng.random() < prob1),)
-                elif g.record in postselect:
-                    wanted = (postselect[g.record],)
-                else:
-                    wanted = (0, 1)
-                for outcome in wanted:
-                    prob, proj = _measurement_probability(state, g, c.n, outcome)
-                    if prob < 1e-14:
-                        continue
-                    new_branches.append(
-                        (
-                            proj / math.sqrt(prob),
-                            weight if drawn else weight * prob,
-                            {**outcomes, g.record: outcome},
-                        )
-                    )
-            elif g.kind == "CondS":
-                if outcomes[g.record] == 1:
-                    state = _apply_unitary_gate(state, Gate("S", g.qubits), c.n)
-                new_branches.append((state, weight, outcomes))
+                self._amps[q] = PREP_AMPLITUDES[g.kind]
             else:
-                new_branches.append((_apply_unitary_gate(state, g, c.n), weight, outcomes))
-        branches = new_branches
-        for q in g.qubits:
-            touched[q] = True
-    return branches
+                dropped = g.kind in MEAS_KINDS
+                for q in g.qubits:
+                    born[q] = min(born[q], pos)
+                    dies[q] = pos if dropped and q not in keep else never
+            for q in g.qubits:
+                touched[q] = True
+        for q in keep:
+            born[q] = min(born[q], len(gates))
+        self.circuit = c
+        self.born = np.array(born, dtype=np.int64)
+        self.dies = np.array(dies, dtype=np.int64)
+
+        # the qubits that ever get an axis, in creation order, and which of
+        # them hold one after each half-step
+        order = np.argsort(self.born, kind="stable")
+        self._order = order[self.born[order] <= len(gates)]
+        half = np.arange(2 * len(gates) + 1)[:, None]
+        ranked_born, ranked_dies = self.born[self._order], self.dies[self._order]
+        self._live = (2 * ranked_born <= half) & (half < 2 * ranked_dies + 1)
+        self._width = self._live.sum(axis=1).tolist()
+        self.peak = max(self._width)
+        if self.peak > MAX_DENSE_QUBITS:
+            raise SimulationError(
+                f"dense simulation capped at {MAX_DENSE_QUBITS} live qubits, "
+                f"the circuit holds {self.peak} at once"
+            )
+        self._axis = np.full((len(half), n), -1)
+        self._axis[:, self._order] = np.where(self._live, np.cumsum(self._live, axis=1) - 1, -1)
+        self._born_at: dict[int, list[int]] = {}
+        for q in self._order.tolist():
+            self._born_at.setdefault(born[q], []).append(q)
+
+        # last half-step of the unitary run starting at each half-step
+        self._run_end = [0] * len(half)
+        end = len(half) - 1
+        for h in range(len(half) - 1, -1, -1):
+            if h % 2 and (gates[h // 2].kind in MEAS_KINDS or gates[h // 2].kind == "CondS"):
+                end = h - 1
+            self._run_end[h] = end
+        meas_positions = [i for i, g in enumerate(gates) if g.kind in MEAS_KINDS]
+        self._meas_col = {pos: col for col, pos in enumerate(meas_positions)}
+        self._runs: dict[tuple[int, int], tuple] = {}  # see _apply_run
+
+    @property
+    def chunk_rows(self) -> int:
+        """Rows per chunk, so that one chunk holds `_CHUNK_AMPLITUDES`."""
+        return max(1, _CHUNK_AMPLITUDES >> self.peak)
+
+    def layout(self, h: int) -> tuple[int, ...]:
+        """Live qubits after half-step h, in axis order."""
+        return tuple(self._order[self._live[h]].tolist())
+
+    def permutation(self, first) -> np.ndarray:
+        """Gather index that reorders a final state so that the qubits in
+        `first` lead, in that order, and the other live qubits follow."""
+        final = self.layout(len(self._live) - 1)
+        axes = [final.index(q) for q in first]
+        axes += [a for a in range(len(final)) if a not in axes]
+        return _INDEX[len(final)].reshape((2,) * len(final)).transpose(axes).reshape(-1)
+
+    def run(self, insertions, uniforms: np.ndarray, reject: dict[str, int] | None = None):
+        """Rows through the whole circuit, one per row of `uniforms`.
+
+        `insertions` holds four equal-length integer arrays (row, half-step,
+        Pauli index into "XYZ", qubit); each applies that Pauli to that
+        qubit after that half-step, where the qubit must have an axis. Row i
+        consumes uniforms[i], one value per measurement in circuit order:
+        outcome 1 where the uniform is below its probability, so a uniform
+        below 0 forces outcome 1 and one of 1 or more forces 0. A forced
+        outcome multiplies the row's weight by its probability, a drawn one
+        does not. A row is dropped when an outcome has probability below
+        1e-14 or differs from the one `reject` names for its record.
+
+        Returns (surviving row indices, their weights, their final states in
+        the final layout, their outcomes by record). Each run of half-steps
+        between break points (measurements, CondS, insertion half-steps) is
+        one cached gather and multiply; dropped rows leave the array at once.
+        """
+        reject = reject or {}
+        gates = self.circuit.gates
+        row, stop, pauli, qubit = insertions
+        order = np.argsort(stop, kind="stable")
+        row, stop, pauli, qubit = row[order], stop[order], pauli[order], qubit[order]
+        stops, firsts = np.unique(stop, return_index=True)
+        bounds = np.append(firsts, len(stop))
+
+        alive = np.arange(len(uniforms))     # row index of each state row
+        slot = np.arange(len(uniforms))      # state row of each row, -1 once dropped
+        weight = np.ones(len(uniforms))
+        outcomes: dict[str, np.ndarray] = {}
+        # every row starts from the empty state, so the run up to the first
+        # break point is applied once and broadcast
+        last = self._run_end[0]
+        if len(stops):
+            last = min(last, stops[0])
+        states = self._apply_run(np.ones((1, 1), dtype=np.complex128), 0, last)
+        states = np.repeat(states, len(uniforms), axis=0)
+        k = 0
+        while True:
+            if k < len(stops) and stops[k] == last:
+                group = slice(bounds[k], bounds[k + 1])
+                cur = slot[row[group]]
+                live = cur >= 0
+                axes = self._axis[last, qubit[group][live]]
+                _apply_paulis(states, cur[live], pauli[group][live], axes)
+                k += 1
+            h = last + 1
+            if h == len(self._live) or not len(alive):
+                break
+            last = h
+            g = gates[h // 2] if h % 2 else None   # even half-steps make axes
+            kind = g.kind if g else None
+            if kind in MEAS_KINDS:
+                q = g.qubits[0]
+                u = uniforms[alive, self._meas_col[h // 2]]
+                states, outcome, prob = _measure_rows(
+                    states, kind, self._axis[h - 1, q], self.dies[q] == h // 2, u
+                )
+                outcomes[g.record] = outcome
+                weight *= np.where((u < 0.0) | (u >= 1.0), prob, 1.0)
+                keep = prob >= 1e-14
+                expected = reject.get(g.record)
+                if expected is not None:
+                    keep &= outcome == expected
+                if not keep.all():
+                    states, alive, weight = states[keep], alive[keep], weight[keep]
+                    outcomes = {r: o[keep] for r, o in outcomes.items()}
+                    slot[:] = -1
+                    slot[alive] = np.arange(len(alive))
+            elif kind == "CondS":
+                flip = outcomes[g.record]
+                axis = self._axis[h, g.qubits[0]]
+                states.reshape(len(alive), 1 << axis, 2, -1)[flip, :, 1] *= _DIAG_PHASES["S"][1]
+            else:
+                last = self._run_end[h]
+                if k < len(stops):
+                    last = min(last, stops[k])
+                states = self._apply_run(states, h, last)
+        return alive, weight, states, outcomes
+
+    def _half_step(self, h: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Half-step h (an axis creation or a unitary gate) as a monomial
+        from the layout before it to the layout after it."""
+        if h % 2:
+            g = self.circuit.gates[h // 2]
+            if g.kind in PREP_KINDS:  # its amplitudes enter when the axis is made
+                return None, None
+            axis = self._axis[h - 1].tolist()
+            return _monomial(g, [axis[q] for q in g.qubits], self._width[h - 1])
+        new = self._born_at.get(h // 2)
+        if not new:
+            return None, None
+        idx = _INDEX[self._width[h]]
+        phase = None
+        for j, q in enumerate(new):
+            amps = np.array(self._amps[q], dtype=np.complex128)[(idx >> (len(new) - 1 - j)) & 1]
+            phase = amps if phase is None else phase * amps
+        return idx >> len(new), phase
+
+    def _apply_run(self, states: np.ndarray, start: int, end: int) -> np.ndarray:
+        """Half-steps start..end (axis creations and unitary gates) on every
+        row; the result has the width of the layout after `end`."""
+        run = self._runs.get((start, end))
+        if run is None:
+            src, phase = _compose(self._half_step(h) for h in range(start, end + 1))
+            # a run never narrows the state, so an identity gather keeps its width
+            if src is not None and np.array_equal(src, _INDEX[len(src).bit_length() - 1]):
+                src = None
+            run = self._runs[(start, end)] = (src, phase)
+        src, phase = run
+        if src is not None:
+            states = np.take(states, src, axis=1)
+        if phase is not None:
+            states *= phase
+        return states
 
 
-def simulate(
-    c: Circuit,
-    postselect: dict[str, int] | None = None,
-    seed: int = 0,
-    rng: np.random.Generator | None = None,
-) -> SimResult:
+def _apply_paulis(states, rows, pauli, axes):
+    """Pauli faults on rows of a (rows x 2^k) state array, in place, each on
+    the qubit at its axis; Y acts as XZ, and a row hit twice on one qubit
+    gets the product."""
+
+    def odd(hit_rows):  # rows hit an odd number of times
+        return np.nonzero(np.bincount(hit_rows, minlength=len(states)) & 1)[0]
+
+    for a in np.unique(axes):
+        on_a = axes == a
+        view = states.reshape(len(states), 1 << a, 2, -1)
+        z = odd(rows[on_a & (pauli != 0)])  # Y or Z
+        view[z, :, 1] *= -1.0
+        x = odd(rows[on_a & (pauli != 2)])  # X or Y
+        view[x] = view[x, :, ::-1]
+
+
+def _sum_sq(a: np.ndarray) -> np.ndarray:
+    """Per-row squared norm of a C-contiguous (rows x ...) complex array."""
+    f = a.view(np.float64).reshape(len(a), -1)
+    return np.einsum("ij,ij->i", f, f)
+
+
+def _measure_rows(states, kind: str, axis: int, drop: bool, uniforms: np.ndarray):
+    """Measure the qubit at `axis` on every row of a (rows x 2^k) state
+    array, outcome 1 where the row's uniform is below its probability.
+    With `drop` the result keeps only the measured slice (width k-1), else
+    the array is projected in place. Returns (states, outcomes, probability
+    of each row's outcome)."""
+    rows = len(states)
+    view = states.reshape(rows, 1 << axis, 2, -1)
+    if kind == "MeasZ":
+        fv = states.view(np.float64).reshape(rows, 1 << axis, 2, -1)
+        p0 = np.einsum("ijk,ijk->i", fv[:, :, 0], fv[:, :, 0])
+        p1 = np.einsum("ijk,ijk->i", fv[:, :, 1], fv[:, :, 1])
+        outcome = uniforms < p1
+        prob = np.where(outcome, p1, p0)
+        inv = 1.0 / np.sqrt(np.maximum(prob, 1e-300))
+        if drop:
+            kept = view[np.arange(rows), :, outcome.astype(np.intp)]
+            return (kept * inv[:, None, None]).reshape(rows, -1), outcome, prob
+        scale = np.zeros((rows, 2))
+        scale[np.arange(rows), outcome.astype(np.intp)] = inv
+        view *= scale[:, None, :, None]
+        return states, outcome, prob
+    # MeasX, outcome 0 = |+>; p = |a0 +- a1|^2 / 2
+    plus = view[:, :, 0] + view[:, :, 1]
+    minus = view[:, :, 0] - view[:, :, 1]
+    p0 = _sum_sq(plus) / 2.0
+    p1 = _sum_sq(minus) / 2.0
+    outcome = uniforms < p1
+    prob = np.where(outcome, p1, p0)
+    comp = np.where(outcome[:, None, None], minus, plus)
+    if drop:  # the rest of the state, (a0 +- a1) / sqrt(2 prob)
+        inv = 1.0 / np.sqrt(np.maximum(2.0 * prob, 1e-300))
+        return (comp * inv[:, None, None]).reshape(rows, -1), outcome, prob
+    comp *= (0.5 / np.sqrt(np.maximum(prob, 1e-300)))[:, None, None]
+    view[:, :, 0] = comp
+    view[:, :, 1] = np.where(outcome[:, None, None], -comp, comp)
+    return states, outcome, prob
+
+
+# ---------------------------------------------------------------------------
+# dense oracles on the kernel
+# ---------------------------------------------------------------------------
+
+
+def _dense_kernel(c: Circuit, postselect: dict[str, int] | None) -> TrajectoryKernel:
+    if c.n > MAX_DENSE_QUBITS:
+        raise SimulationError(
+            f"dense simulation capped at {MAX_DENSE_QUBITS} qubits, the circuit has {c.n}"
+        )
+    missing = set(postselect or ()) - set(c.records())
+    if missing:
+        raise SimulationError(f"postselected records not in circuit: {sorted(missing)}")
+    return TrajectoryKernel(c, range(c.n))
+
+
+def _results(kernel: TrajectoryKernel, uniforms: np.ndarray) -> list[SimResult]:
+    """Full-width rows of `uniforms` through the kernel, in qubit order."""
+    alive, weight, states, outcomes = kernel.run(_NO_INSERTIONS, uniforms)
+    if not len(alive):
+        return []
+    states = states[:, kernel.permutation(range(kernel.circuit.n))]
+    return [
+        SimResult(states[i], float(weight[i]), {r: int(o[i]) for r, o in outcomes.items()}, True)
+        for i in range(len(alive))
+    ]
+
+
+def simulate(c: Circuit, postselect: dict[str, int] | None = None, seed: int = 0) -> SimResult:
     """Run one trajectory: preps, unitaries, measurements, classical control.
 
     Records named in `postselect` are projected onto the requested outcome
-    (acceptance accumulates their probabilities); other measurements are
-    sampled with the seeded generator. The result is invalid when a kept
+    (acceptance is the product of their probabilities); the other
+    measurements are sampled, in circuit order, from
+    `numpy.random.default_rng(seed)`. The result is invalid when a kept
     outcome has probability below 1e-14.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    branches = _execute(c, postselect, rng)
-    if not branches:
+    kernel = _dense_kernel(c, postselect)
+    postselect = postselect or {}
+    records = c.records()
+    drawn = np.array([r not in postselect for r in records], dtype=bool)
+    uniforms = _forced_uniforms(np.array([postselect.get(r, 0) for r in records]))
+    uniforms[drawn] = np.random.default_rng(seed).random(int(drawn.sum()))
+    results = _results(kernel, uniforms[None, :])
+    if not results:
         return SimResult(np.zeros(1 << c.n, dtype=np.complex128), 0.0, {}, False)
-    state, acceptance, outcomes = branches[0]
-    return SimResult(state.reshape(-1), acceptance, outcomes, True)
+    return results[0]
 
 
 def enumerate_branches(
@@ -358,27 +608,39 @@ def enumerate_branches(
 ) -> list[SimResult]:
     """Exact branch enumeration: split on every unpostselected measurement.
 
-    Returns one SimResult per surviving branch; acceptances sum to the total
-    probability mass consistent with the postselection.
+    Returns one SimResult per surviving branch, in lexicographic order of
+    the unpostselected outcomes (the first measurement most significant);
+    acceptances sum to the total probability mass consistent with the
+    postselection. A branch ends where an outcome has probability below
+    1e-14.
     """
-    return [
-        SimResult(state.reshape(-1), weight, outcomes, True)
-        for state, weight, outcomes in _execute(c, postselect, None)
-    ]
+    kernel = _dense_kernel(c, postselect)
+    postselect = postselect or {}
+    records = c.records()
+    free = [col for col, r in enumerate(records) if r not in postselect]
+    fixed = np.array([postselect.get(r, 0) for r in records])
+    branches: list[SimResult] = []
+    for lo in range(0, 1 << len(free), kernel.chunk_rows):
+        rows = np.arange(lo, min(lo + kernel.chunk_rows, 1 << len(free)))
+        outcomes = np.tile(fixed, (len(rows), 1))
+        for j, col in enumerate(free):
+            outcomes[:, col] = (rows >> (len(free) - 1 - j)) & 1
+        branches += _results(kernel, _forced_uniforms(outcomes))
+    return branches
 
 
-def unitary_of(c: Circuit, max_qubits: int = 10) -> np.ndarray:
+def unitary_of(c: Circuit) -> np.ndarray:
     """Dense unitary of a measurement-free, prep-free circuit."""
-    if c.n > max_qubits:
-        raise SimulationError(f"unitary extraction capped at {max_qubits} qubits")
-    dim = 1 << c.n
-    # trailing axis indexes the input basis state
-    mat = np.eye(dim, dtype=np.complex128).reshape((2,) * c.n + (dim,))
+    if c.n > MAX_UNITARY_QUBITS:
+        raise SimulationError(f"unitary extraction capped at {MAX_UNITARY_QUBITS} qubits")
     for g in c.gates:
         if g.kind in PREP_KINDS or g.kind in MEAS_KINDS or g.kind == "CondS":
             raise SimulationError(f"{g.kind} has no unitary")
-        mat = _apply_unitary_gate(mat, g, c.n)
-    return mat.reshape(dim, dim)
+    src, phase = _compose(_monomial(g, g.qubits, c.n) for g in c.gates)
+    idx = _INDEX[c.n]
+    u = np.zeros((len(idx), len(idx)), dtype=np.complex128)
+    u[idx, idx if src is None else src] = 1.0 if phase is None else phase
+    return u
 
 
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
@@ -407,7 +669,3 @@ def state_fidelity(state: np.ndarray, ideal: np.ndarray, on: list[int], n: int) 
     # rho_on = psi psi^dagger; <ideal|rho|ideal> without forming rho
     vec = ideal.conj() @ psi
     return float(np.vdot(vec, vec).real)
-
-
-def fidelity_pure(a: np.ndarray, b: np.ndarray) -> float:
-    return float(abs(np.vdot(a, b)) ** 2)

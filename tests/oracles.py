@@ -1,8 +1,10 @@
 """Brute-force reference constructions shared by the tests.
 
 Everything here is intentionally independent of the package's compilation
-path: diagonal operators are built by enumerating basis states, linear maps
-by applying the matrix to basis indices.
+path and of its dense executor: diagonal operators are built by enumerating
+basis states, linear maps by applying the matrix to basis indices, and
+circuits run one (2,)*n tensor per branch with one slice assignment per
+gate.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from rotsynth.compiler import (
 from rotsynth.faults import AnalysisReport, NoiseModel, _Harness
 from rotsynth.gf2 import BitVec, GF2Matrix, invert, is_invertible
 from rotsynth.ir import (
+    DIAG1_EXPONENT,
     MEAS_KINDS,
     PREP_AMPLITUDES,
     PREP_KINDS,
@@ -35,13 +38,7 @@ from rotsynth.ir import (
     PhaseRotation,
     RotationProgram,
 )
-from rotsynth.semantics import (
-    _apply_unitary_gate,
-    _axis_slice,
-    _measurement_probability,
-    enumerate_branches,
-    state_fidelity,
-)
+from rotsynth.semantics import MAX_DENSE_QUBITS, SimResult, SimulationError, state_fidelity
 
 
 def basis_bits(index: int, n: int) -> BitVec:
@@ -123,6 +120,163 @@ def t_state() -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Dense reference: one tensor per branch, one slice assignment per gate
+# ---------------------------------------------------------------------------
+
+
+def _axis_slice(n: int, q: int, value: int) -> tuple:
+    idx: list = [slice(None)] * n
+    idx[q] = value
+    return tuple(idx)
+
+
+def _apply_unitary_gate(state: np.ndarray, g: Gate, n: int) -> np.ndarray:
+    kind = g.kind
+    if kind == "CNOT":
+        c, t = g.qubits
+        sub = state[_axis_slice(n, c, 1)]
+        state[_axis_slice(n, c, 1)] = np.flip(sub, axis=t if t < c else t - 1)
+    elif kind == "SWAP":
+        a, b = g.qubits
+        state = np.ascontiguousarray(np.swapaxes(state, a, b))
+    elif kind == "X":
+        state = np.flip(state, axis=g.qubits[0]).copy()
+    elif kind in DIAG1_EXPONENT:
+        phase = np.exp(1j * math.pi * DIAG1_EXPONENT[kind] / 4)
+        state[_axis_slice(n, g.qubits[0], 1)] *= phase
+    elif kind == "CZ":
+        idx = _axis_slice(n, g.qubits[0], 1)
+        sub = state[idx]
+        a = g.qubits[1]
+        sub[_axis_slice(n - 1, a if a < g.qubits[0] else a - 1, 1)] *= -1.0
+        state[idx] = sub
+    elif kind in ("CS", "CCZ"):
+        phase = 1j if kind == "CS" else -1.0
+        idx: list = [slice(None)] * n
+        for q in g.qubits:
+            idx[q] = 1
+        state[tuple(idx)] *= phase
+    else:
+        raise SimulationError(f"gate {kind} is not unitary")
+    return state
+
+
+def _measurement_probability(state: np.ndarray, g: Gate, n: int, outcome: int):
+    """Return (probability, projected-unnormalized-state) for the outcome."""
+    q = g.qubits[0]
+    if g.kind == "MeasZ":
+        proj = state.copy()
+        proj[_axis_slice(n, q, 1 - outcome)] = 0.0
+    else:  # MeasX, outcome 0 = |+>
+        s0 = state[_axis_slice(n, q, 0)]
+        s1 = state[_axis_slice(n, q, 1)]
+        comp = (s0 + s1) / 2.0 if outcome == 0 else (s0 - s1) / 2.0
+        proj = np.empty_like(state)
+        proj[_axis_slice(n, q, 0)] = comp
+        proj[_axis_slice(n, q, 1)] = comp if outcome == 0 else -comp
+    prob = float(np.vdot(proj, proj).real)
+    return prob, proj
+
+
+def _execute(c: Circuit, postselect: dict[str, int] | None, rng) -> list[tuple]:
+    """Run c over a list of branches (state, weight, outcomes).
+
+    A measurement keeps the postselected outcome if its record is named in
+    `postselect`, else one outcome drawn from `rng`, else (rng None) both;
+    a kept outcome of probability below 1e-14 ends its branch. Postselected
+    and branched outcomes multiply the weight by their probability. Every
+    branch owns its state, so gates act in place.
+    """
+    if c.n > MAX_DENSE_QUBITS:
+        raise SimulationError(f"dense simulation capped at {MAX_DENSE_QUBITS} qubits")
+    postselect = postselect or {}
+    missing = set(postselect) - set(c.records())
+    if missing:
+        raise SimulationError(f"postselected records not in circuit: {sorted(missing)}")
+
+    state0 = np.zeros((2,) * c.n if c.n else (1,), dtype=np.complex128)
+    state0.flat[0] = 1.0
+    branches = [(state0, 1.0, {})]
+    touched = [False] * c.n
+
+    for g in c.gates:
+        new_branches = []
+        for state, weight, outcomes in branches:
+            if g.kind in PREP_KINDS:
+                q = g.qubits[0]
+                if touched[q]:
+                    raise SimulationError(f"{g.kind} on qubit {q} after other gates")
+                a0, a1 = PREP_AMPLITUDES[g.kind]
+                sub = state[_axis_slice(c.n, q, 0)].copy()
+                state[_axis_slice(c.n, q, 0)] = a0 * sub
+                state[_axis_slice(c.n, q, 1)] = a1 * sub
+                new_branches.append((state, weight, outcomes))
+            elif g.kind in MEAS_KINDS:
+                drawn = g.record not in postselect and rng is not None
+                if drawn:
+                    prob1 = _measurement_probability(state, g, c.n, 1)[0]
+                    wanted = (int(rng.random() < prob1),)
+                elif g.record in postselect:
+                    wanted = (postselect[g.record],)
+                else:
+                    wanted = (0, 1)
+                for outcome in wanted:
+                    prob, proj = _measurement_probability(state, g, c.n, outcome)
+                    if prob < 1e-14:
+                        continue
+                    new_branches.append(
+                        (
+                            proj / math.sqrt(prob),
+                            weight if drawn else weight * prob,
+                            {**outcomes, g.record: outcome},
+                        )
+                    )
+            elif g.kind == "CondS":
+                if outcomes[g.record] == 1:
+                    state = _apply_unitary_gate(state, Gate("S", g.qubits), c.n)
+                new_branches.append((state, weight, outcomes))
+            else:
+                new_branches.append((_apply_unitary_gate(state, g, c.n), weight, outcomes))
+        branches = new_branches
+        for q in g.qubits:
+            touched[q] = True
+    return branches
+
+
+def reference_simulate(
+    c: Circuit, postselect: dict[str, int] | None = None, seed: int = 0
+) -> SimResult:
+    """`semantics.simulate`: one branch, drawing one uniform per
+    unpostselected measurement as it is reached."""
+    branches = _execute(c, postselect, np.random.default_rng(seed))
+    if not branches:
+        return SimResult(np.zeros(1 << c.n, dtype=np.complex128), 0.0, {}, False)
+    state, acceptance, outcomes = branches[0]
+    return SimResult(state.reshape(-1), acceptance, outcomes, True)
+
+
+def reference_branches(c: Circuit, postselect: dict[str, int] | None = None) -> list[SimResult]:
+    """`semantics.enumerate_branches`: split on every unpostselected
+    measurement."""
+    return [
+        SimResult(state.reshape(-1), weight, outcomes, True)
+        for state, weight, outcomes in _execute(c, postselect, None)
+    ]
+
+
+def reference_unitary(c: Circuit) -> np.ndarray:
+    """`semantics.unitary_of`: every basis input as a column of one tensor."""
+    dim = 1 << c.n
+    # trailing axis indexes the input basis state
+    mat = np.eye(dim, dtype=np.complex128).reshape((2,) * c.n + (dim,))
+    for g in c.gates:
+        if g.kind in PREP_KINDS or g.kind in MEAS_KINDS or g.kind == "CondS":
+            raise SimulationError(f"{g.kind} has no unitary")
+        mat = _apply_unitary_gate(mat, g, c.n)
+    return mat.reshape(dim, dim)
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo reference: one trajectory at a time, one gate call per gate
 # ---------------------------------------------------------------------------
 
@@ -174,9 +328,9 @@ def reference_trajectory(
 def reference_exact(
     harness: _Harness, faults: list[tuple[int, str, int]]
 ) -> tuple[float, float]:
-    """`_Harness.run_exact` by `semantics.enumerate_branches`: the Paulis go
-    into the circuit as gates, and the detection records are postselected on
-    the noiseless reference."""
+    """`_Harness.run_exact` by `reference_branches`: the Paulis go into the
+    circuit as gates, and the detection records are postselected on the
+    noiseless reference."""
     c = harness.circuit
     after: dict[int, list[Gate]] = {}
     for pos, pauli, qubit in faults:
@@ -186,7 +340,7 @@ def reference_exact(
         gates.append(g)
         gates.extend(after.get(pos, ()))
     acc = bad = 0.0
-    for branch in enumerate_branches(Circuit(c.n, tuple(gates)), harness.reference):
+    for branch in reference_branches(Circuit(c.n, tuple(gates)), harness.reference):
         acc += branch.acceptance
         bad += branch.acceptance * (
             1.0 - state_fidelity(branch.state, harness.ideal_out, harness.outputs, c.n)

@@ -426,6 +426,6 @@ class TestCompile:
             kmaps = [b.exponents for b in split]
             live = [b.pair() for b in split if b.live]
             for depth_opt in (True, False):
-                fast = _fast_cnot_metrics(live, all_plus=True, depth_opt=depth_opt)
+                fast = _fast_cnot_metrics(live, depth_opt=depth_opt)
                 circ = _emit_pipeline(us, kmaps, n, None, absorb=True, depth_opt=depth_opt)
                 assert fast == (circ.cnot_depth(), circ.cnot_count())

@@ -10,12 +10,11 @@ from rotsynth.ir import PREP_KINDS, Circuit, Gate
 from rotsynth.compiler import compile_program
 from rotsynth import programs
 from rotsynth.ir import with_x_detection
-from rotsynth.semantics import SimulationError
-from rotsynth import faults as faults_module
+from rotsynth import semantics
+from rotsynth.semantics import _CHUNK_AMPLITUDES, SimulationError
 from rotsynth.faults import (
     FaultAnalysisError,
     NoiseModel,
-    _CHUNK_AMPLITUDES,
     _Harness,
     TGadgetChannel,
     build_schedule,
@@ -455,8 +454,8 @@ class TestPreparationRoundFaults:
 
 class TestExactKernel:
     """`run_exact` (forced rows of the trajectory kernel, whole fault
-    configurations per call) against `semantics.enumerate_branches` with the
-    faults inserted as gates."""
+    configurations per call) against the per-branch reference executor with
+    the faults inserted as gates."""
 
     @staticmethod
     def assert_same(harness, faults, got):
@@ -520,14 +519,14 @@ class TestExactKernel:
         # and a 4-row chunk splits every configuration over 4 chunks
         circ, outputs = compiled_ccz()
         harness = _Harness(gadgetize(circ), outputs)
-        assert (len(harness._exact_uniforms), harness._peak) == (16, 8)
+        assert (len(harness._exact_uniforms), harness.kernel.peak) == (16, 8)
         sites = _fault_sites(harness.circuit)
         configs = [
             [(pos, pauli, q)] for pos, q in sites[:: len(sites) // 34] for pauli in "XYZ"
         ][:100]
         assert len(configs) == 100
         want = harness.run_exact(configs)
-        monkeypatch.setattr(faults_module, "_CHUNK_AMPLITUDES", chunk_rows << 8)
+        monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", chunk_rows << 8)
         got = harness.run_exact(configs)
         assert got[0] == pytest.approx(want[0], rel=0, abs=1e-12)
         assert got[1] == pytest.approx(want[1], rel=0, abs=1e-12)
@@ -552,7 +551,7 @@ class TestBatchedEnumeration:
 
     @staticmethod
     def group(harness):
-        rows = _CHUNK_AMPLITUDES >> harness._peak
+        rows = _CHUNK_AMPLITUDES >> harness.kernel.peak
         return max(1, rows // len(harness._exact_uniforms))
 
     @pytest.mark.parametrize("name", ["ccz-g", "cs-g", "t15"])
@@ -670,11 +669,11 @@ class TestLiveWidth:
     def test_layouts(self, harness):
         # live after each gate: qubit 2 survives d0, qubit 4 leaves at m0,
         # qubit 3 appears only at the end
-        live = [sorted(harness._layouts[2 * p + 1]) for p in range(len(self.gates))]
+        live = [sorted(harness.kernel.layout(2 * p + 1)) for p in range(len(self.gates))]
         assert live[7] == [0, 1, 2]
         assert live[9] == [0, 1, 2]
-        assert 3 not in live[-1] and 3 in harness._layouts[-1]
-        assert harness._peak == 4
+        assert 3 not in live[-1] and 3 in harness.kernel.layout(-1)
+        assert harness.kernel.peak == 4
 
     def test_singles_exact(self, harness):
         sites = _fault_sites(harness.circuit)
@@ -718,7 +717,7 @@ class TestLiveWidth:
             ]
         gates.append(Gate("MeasZ", (13,), "d0"))
         harness = _Harness(Circuit(n, tuple(gates)), [0])
-        assert harness._peak == 2
+        assert harness.kernel.peak == 2
         # pending Z on the data qubit and Y on a resource, faults after
         # measurements, and X on the idle detection qubit
         sites = [(5, 2, 0), (7, 1, 5), (15, 0, 0), (20, 0, 1), (30, 2, 0), (40, 1, 0),
@@ -746,7 +745,7 @@ class TestLiveWidth:
         circ, outputs = compiled_t15()
         impl = gadgetize(circ)
         harness = _Harness(impl, outputs)
-        assert (impl.n, harness._peak) == (15, 10)
+        assert (impl.n, harness.kernel.peak) == (15, 10)
         sites = harness.tprep_sites()
         uniforms = np.random.default_rng(6).random((len(sites), len(harness.meas_order)))
         pos, qubit = (np.array(col) for col in zip(*sites))
@@ -767,6 +766,16 @@ class TestHarnessOutputs:
         circ, _ = compiled_ccz()
         with pytest.raises(FaultAnalysisError):
             enumerate_single_faults(circ, outputs)
+
+    def test_preparation_after_other_gates(self):
+        # the schedule accepts frame gates in round 0, but a second
+        # preparation would reset qubit 0 after its X
+        gates = (
+            Gate("PrepPlus", (0,)), Gate("X", (0,)), Gate("PrepZero", (0,)),
+            Gate("PrepZero", (1,)), Gate("CNOT", (0, 1)), Gate("MeasZ", (1,), "d0"),
+        )
+        with pytest.raises(SimulationError, match="after other gates"):
+            _Harness(Circuit(2, gates), [0])
 
 
 class TestSpacetimeCost:

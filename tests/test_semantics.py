@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotsynth.gf2 import BitVec, GF2Matrix
 from rotsynth.ir import Circuit, Gate, PhaseRotation, RotationProgram
@@ -13,7 +14,6 @@ from rotsynth.semantics import (
     compose_polynomials,
     enumerate_branches,
     equal_up_to_global_phase,
-    fidelity_pure,
     phase_polynomial_of,
     poly_equal,
     simulate,
@@ -26,6 +26,9 @@ from oracles import (
     ccz_state,
     plus_prep,
     random_fragment_circuit,
+    reference_branches,
+    reference_simulate,
+    reference_unitary,
     rotation_product_unitary,
 )
 
@@ -212,10 +215,143 @@ class TestStateFidelity:
         assert abs(state_fidelity(s, ccz_state(), [0, 1, 2], 3) - 0.25) < 1e-12
 
 
-def test_fidelity_pure_matches_subset_fidelity():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=8) + 1j * rng.normal(size=8)
-    a /= np.linalg.norm(a)
-    b = rng.normal(size=8) + 1j * rng.normal(size=8)
-    b /= np.linalg.norm(b)
-    assert abs(fidelity_pure(a, b) - state_fidelity(a, b, [0, 1, 2], 3)) < 1e-12
+# ---------------------------------------------------------------------------
+# the dense kernel against the per-branch reference executor
+# ---------------------------------------------------------------------------
+
+_PREP_CHOICES = (None, "PrepPlus", "PrepZero", "PrepT", "PrepTdag")
+
+
+@st.composite
+def dense_circuits(draw, max_qubits: int = 6, unitary: bool = False) -> Circuit:
+    """Random circuits on 0..max_qubits qubits. Gates touch only the drawn
+    active qubits, so the others stay untouched. Unless `unitary`, each
+    qubit may get any of the four preparations (or none) anywhere before
+    its first gate, and measurements (a qubit may be measured twice or used
+    after its measurement) and CondS on earlier records join the gates."""
+    n = draw(st.integers(0, max_qubits))
+    active = draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []
+    kinds = []
+    if active:
+        kinds += ["X", "Z", "S", "Sdag", "T", "Tdag"]
+        if not unitary:
+            kinds += ["MeasZ", "MeasX", "MeasZ", "MeasX", "CondS"]
+    if len(active) >= 2:
+        kinds += ["CNOT", "CNOT", "SWAP", "CZ", "CS"]
+    if len(active) >= 3:
+        kinds += ["CCZ"]
+    gates: list[Gate] = []
+    records: list[str] = []
+    for _ in range(draw(st.integers(0, 14)) if kinds else 0):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "CondS" and not records:
+            kind = "MeasZ"
+        arity = {"CNOT": 2, "SWAP": 2, "CZ": 2, "CS": 2, "CCZ": 3}.get(kind, 1)
+        qubits = tuple(draw(st.permutations(active))[:arity])
+        if kind in ("MeasZ", "MeasX"):
+            records.append(f"m{len(records)}")
+            gates.append(Gate(kind, qubits, records[-1]))
+        elif kind == "CondS":
+            gates.append(Gate(kind, qubits, draw(st.sampled_from(records))))
+        else:
+            gates.append(Gate(kind, qubits))
+    if not unitary:
+        inserts = []
+        for q in range(n):
+            prep = draw(st.sampled_from(_PREP_CHOICES))
+            if prep is not None:
+                first = next((i for i, g in enumerate(gates) if q in g.qubits), len(gates))
+                inserts.append((draw(st.integers(0, first)), Gate(prep, (q,))))
+        for pos, g in sorted(inserts, key=lambda item: item[0], reverse=True):
+            gates.insert(pos, g)
+    return Circuit(n, tuple(gates))
+
+
+def _postselection(data, c: Circuit) -> dict[str, int]:
+    chosen = data.draw(st.lists(st.sampled_from(c.records()), unique=True)) if c.records() else []
+    return {r: data.draw(st.integers(0, 1)) for r in chosen}
+
+
+def _assert_same_result(got, want):
+    assert got.valid == want.valid
+    assert list(got.outcomes.items()) == list(want.outcomes.items())
+    assert abs(got.acceptance - want.acceptance) <= 1e-12
+    if want.valid:
+        assert got.state.shape == want.state.shape
+        assert np.max(np.abs(got.state - want.state), initial=0.0) <= 1e-12
+
+
+class TestDenseAgainstReference:
+    """`simulate`, `enumerate_branches` and `unitary_of` run on the
+    trajectory kernel; the reference runs one tensor per branch."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_simulate(self, data):
+        c = data.draw(dense_circuits())
+        post = _postselection(data, c)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        _assert_same_result(simulate(c, post, seed=seed), reference_simulate(c, post, seed))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_enumerate_branches(self, data):
+        c = data.draw(dense_circuits())
+        post = _postselection(data, c)
+        got, want = enumerate_branches(c, post), reference_branches(c, post)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_result(g, w)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(c=dense_circuits(unitary=True))
+    def test_unitary_of(self, c):
+        assert np.max(np.abs(unitary_of(c) - reference_unitary(c))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    def test_unitary_of_wide(self, n):
+        c = random_fragment_circuit(random.Random(n), n, 60)
+        assert np.max(np.abs(unitary_of(c) - reference_unitary(c))) <= 1e-12
+
+    def test_teleported_t_branch_order(self):
+        gates = plus_prep(1) + (
+            Gate("PrepT", (1,)),
+            Gate("CNOT", (0, 1)),
+            Gate("MeasZ", (1,), "a"),
+            Gate("CondS", (0,), "a"),
+            Gate("MeasX", (0,), "b"),
+        )
+        branches = enumerate_branches(Circuit(2, gates))
+        assert [b.outcomes for b in branches] == [
+            {"a": a, "b": b} for a in (0, 1) for b in (0, 1)
+        ]
+
+    @pytest.mark.parametrize(
+        "gates",
+        [
+            (Gate("X", (0,)), Gate("PrepPlus", (0,))),
+            (Gate("PrepPlus", (0,)), Gate("PrepZero", (0,))),
+            (Gate("MeasZ", (0,), "m"), Gate("PrepT", (0,))),
+        ],
+        ids=["after-x", "after-prep", "after-measurement"],
+    )
+    def test_prep_after_other_gates(self, gates):
+        c = Circuit(1, gates)
+        for run in (simulate, enumerate_branches):
+            with pytest.raises(SimulationError, match="after other gates"):
+                run(c)
+
+    def test_caps(self):
+        for run in (simulate, enumerate_branches):
+            with pytest.raises(SimulationError, match="13"):
+                run(Circuit(13))
+        with pytest.raises(SimulationError, match="10 qubits"):
+            unitary_of(Circuit(11))
+        with pytest.raises(SimulationError, match="no unitary"):
+            unitary_of(Circuit(1, (Gate("MeasZ", (0,), "m"),)))
+
+    def test_unknown_postselected_record(self):
+        c = Circuit(1, (Gate("MeasZ", (0,), "m"),))
+        for run in (simulate, enumerate_branches):
+            with pytest.raises(SimulationError, match="not in circuit"):
+                run(c, {"x": 0})
