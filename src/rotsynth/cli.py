@@ -167,7 +167,7 @@ def cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        ok = poly_equal(pa, pb, up_to_global=not args.strict_global)
+        ok = pa.n == pb.n and poly_equal(pa, pb, up_to_global=not args.strict_global)
     else:
         sides = []
         for kind, obj in ((kind_a, a), (kind_b, b)):

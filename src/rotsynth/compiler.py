@@ -4,7 +4,10 @@ Pipeline: partition the rotations into invertible blocks, realize each block
 as CX(U)^-1 (parallel phase layer) CX(U), synthesize every CNOT operator as
 a qubit permutation followed by few CNOTs, merge adjacent CNOT operators,
 hoist all permutations to time zero, and absorb the leading permutation and
-CNOT operator into state preparation.
+CNOT operator into state preparation. Every program is compiled for an
+all-|+> input, the U|+>^n form of the magic states it prepares: a
+permutation or CNOT operator maps |+>^n to itself, so the leading one is
+deleted outright.
 
 Matrix/gate conventions used throughout (exercised by the oracle tests):
   * CX(M) |e> = |M e> for invertible M over GF(2).
@@ -20,9 +23,8 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
 
-from .gf2 import BitVec, GF2Matrix, invert, is_invertible, is_permutation, rank
+from .gf2 import BitVec, GF2Matrix, invert, is_invertible, rank
 from .ir import (
     Circuit,
     CNOT_LIKE_KINDS,
@@ -33,12 +35,6 @@ from .ir import (
     RotationProgram,
     phase_gates,
 )
-
-EXHAUSTIVE_LIMIT = 1_000_000
-
-PLUS = "plus"
-ZERO = "zero"
-
 
 class PartitionError(ValueError):
     """No sampled ordering produced full-rank blocks."""
@@ -91,13 +87,6 @@ def replay_row_ops(result: SynthesisResult) -> GF2Matrix:
     for i, j in result.ops:
         rows[j] ^= rows[i]
     return GF2Matrix(result.perm.n_rows, result.perm.n_cols, tuple(rows))
-
-
-def _perm_images(perm: GF2Matrix) -> list[int]:
-    """Wire map s with s(i) = column of the 1 in row i."""
-    if not is_permutation(perm):
-        raise ValueError("not a permutation matrix")
-    return [r.bit_length() - 1 for r in perm.rows]
 
 
 def _transpositions(images: list[int]) -> list[tuple[int, int]]:
@@ -271,20 +260,6 @@ def _greedy_rows(u: GF2Matrix, score) -> tuple[list[int], list[tuple[int, int]]]
     return rows, ops
 
 
-@lru_cache(maxsize=65536)
-def _synthesize_cached(u: GF2Matrix) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Memoized synthesis, reduced to (wire map, CNOT (control, target) list).
-
-    The CNOT list is already conjugated through the leading permutation, so
-    the circuit [perm gates for the wire map] + [CNOT gates in list order]
-    realizes CX(u).
-    """
-    res = cnot_synthesize(u)
-    images = _perm_images(res.perm)
-    cnots = tuple((images[j], images[i]) for i, j in reversed(res.ops))
-    return tuple(images), cnots
-
-
 def _inverse_map(images: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * len(images)
     for i, img in enumerate(images):
@@ -300,30 +275,22 @@ def _emission_variants(u: GF2Matrix):
     of its transpose (reverse the gates with control/target flipped); both
     leave a trailing permutation that is folded back to the front.
     """
-    for score in _EMISSION_SCORES:
-        direct = _greedy_rows(u, score)
-        if direct is not None:
-            rows, ops = direct
+    for w, backwards, flip in ((u, False, False), (invert(u), True, False),
+                               (u.transpose(), True, True)):
+        for score in _EMISSION_SCORES:
+            reduced = _greedy_rows(w, score)
+            if reduced is None:
+                continue
+            rows, ops = reduced
             images = tuple(r.bit_length() - 1 for r in rows)
-            yield images, tuple((images[j], images[i]) for i, j in ops)
-    u_inv = invert(u)
-    for score in _EMISSION_SCORES:
-        r = _greedy_rows(u_inv, score)
-        if r is not None:
-            rows, ops = r
-            images = tuple(rr.bit_length() - 1 for rr in rows)
-            cn = [(images[j], images[i]) for i, j in ops]
+            cnots = [(images[j], images[i]) for i, j in ops]
+            if flip:
+                cnots = [(t, c) for c, t in cnots]
+            if not backwards:
+                yield images, tuple(cnots)
+                continue
             s_inv = _inverse_map(images)
-            yield s_inv, tuple((s_inv[c], s_inv[t]) for c, t in reversed(cn))
-    u_t = u.transpose()
-    for score in _EMISSION_SCORES:
-        r = _greedy_rows(u_t, score)
-        if r is not None:
-            rows, ops = r
-            images = tuple(rr.bit_length() - 1 for rr in rows)
-            cn = [(images[j], images[i]) for i, j in ops]
-            s_inv = _inverse_map(images)
-            yield s_inv, tuple((s_inv[t], s_inv[c]) for c, t in reversed(cn))
+            yield s_inv, tuple((s_inv[c], s_inv[t]) for c, t in reversed(cnots))
 
 
 def _pack_cnots(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
@@ -444,11 +411,13 @@ def _realize_cx(u: GF2Matrix, depth_opt: bool) -> tuple[tuple[int, ...], tuple[t
     With depth_opt, operators on up to DEPTH_OPT_LIMIT qubits are realized
     depth-optimally from a precomputed table; larger ones take the best of
     several greedy emission variants. Without it, the canonical synthesis is
-    used as is (commutation packing only, which never changes the count).
+    used as is (commutation packing only, which never changes the count); its
+    CNOTs are conjugated through the leading permutation.
     """
     if not depth_opt:
-        images, cnots = _synthesize_cached(u)
-        return images, _pack_cnots(cnots)
+        res = cnot_synthesize(u)
+        images = tuple(r.bit_length() - 1 for r in res.perm.rows)
+        return images, _pack_cnots(tuple((images[j], images[i]) for i, j in reversed(res.ops)))
     if u.n_rows <= DEPTH_OPT_LIMIT:
         return _table_realization(u)
     best = None
@@ -585,61 +554,29 @@ def hoist_permutations(c: Circuit) -> Circuit:
     return Circuit(n, tuple(lead) + tuple(emitted))
 
 
-def absorb_into_prep(c: Circuit, prep: list[str] | None = None) -> Circuit:
-    """Fold the leading permutation, CNOT operator and phase layer into state
-    preparation.
+def absorb_into_prep(c: Circuit) -> Circuit:
+    """Fold the leading permutation, CNOT operator and phase layer into |+>
+    preparations.
 
-    `prep` assigns each qubit "plus" or "zero" (default all "plus"). The
-    leading SWAPs are deleted by permuting the preparation assignment; leading
-    CNOTs that act trivially on the prepared product state are deleted; each
-    qubit's leading run of single-qubit phases on |+> becomes a magic-state
-    preparation (odd exponents) or an explicit phase gate (even exponents).
+    Every qubit starts in |+>. SWAPs and CNOTs map |+>^n to itself, so the
+    leading run of them is deleted; each qubit's leading run of single-qubit
+    phases becomes a magic-state preparation (odd exponents) or |+> and an
+    explicit phase gate (even exponents).
     """
-    n = c.n
-    prep = list(prep) if prep is not None else [PLUS] * n
-    if len(prep) != n or set(prep) - {PLUS, ZERO}:
-        raise ValueError(f"prep must assign '{PLUS}' or '{ZERO}' to each of {n} qubits")
     if any(g.kind in PREP_KINDS for g in c.gates):
         warnings.warn("circuit already contains preparations; absorb skipped")
         return c
-
-    gates = list(c.gates)
+    n = c.n
     pos = 0
-    # leading permutation: delete it and permute the preparation assignment
-    tau = list(range(n))
-    while pos < len(gates) and gates[pos].kind == "SWAP":
-        a, b = gates[pos].qubits
-        swap = list(range(n))
-        swap[a], swap[b] = b, a
-        tau = _compose_maps(swap, tau)
-        pos += 1
-    inv_tau = [0] * n
-    for i, img in enumerate(tau):
-        inv_tau[img] = i
-    state = [prep[inv_tau[q]] for q in range(n)]
-
-    # leading CNOTs: a control on |0> or a |+>,|+> pair acts trivially
-    kept_cnots: list[Gate] = []
-    while pos < len(gates) and gates[pos].kind == "CNOT":
-        ctrl, tgt = gates[pos].qubits
-        if state[ctrl] == ZERO or (state[ctrl] == PLUS and state[tgt] == PLUS):
-            pass
-        else:
-            kept_cnots.append(gates[pos])
-            state[ctrl] = state[tgt] = "dirty"
+    while pos < len(c.gates) and c.gates[pos].kind in CNOT_LIKE_KINDS:
         pos += 1
 
-    # per-qubit leading phase runs on still-product qubits
     absorbed_k = [0] * n
-    started = [state[q] == "dirty" for q in range(n)]
+    started = [False] * n
     rest: list[Gate] = []
-    for g in gates[pos:]:
+    for g in c.gates[pos:]:
         q = g.qubits[0]
-        if (
-            g.kind in DIAG1_EXPONENT
-            and len(g.qubits) == 1
-            and not started[q]
-        ):
+        if g.kind in DIAG1_EXPONENT and len(g.qubits) == 1 and not started[q]:
             absorbed_k[q] = (absorbed_k[q] + DIAG1_EXPONENT[g.kind]) % 8
         else:
             for q in g.qubits:
@@ -647,14 +584,7 @@ def absorb_into_prep(c: Circuit, prep: list[str] | None = None) -> Circuit:
             rest.append(g)
 
     out: list[Gate] = []
-    for q in range(n):
-        if state[q] == "dirty":
-            out.append(Gate("PrepPlus" if prep[inv_tau[q]] == PLUS else "PrepZero", (q,)))
-            continue
-        if state[q] == ZERO:
-            out.append(Gate("PrepZero", (q,)))  # phases act trivially on |0>
-            continue
-        k = absorbed_k[q]
+    for q, k in enumerate(absorbed_k):
         if k % 2 == 1:
             out.append(Gate("PrepT", (q,)))
             correction = {1: (), 3: ("S",), 5: ("Z",), 7: ("X",)}[k]
@@ -662,9 +592,7 @@ def absorb_into_prep(c: Circuit, prep: list[str] | None = None) -> Circuit:
         else:
             out.append(Gate("PrepPlus", (q,)))
             out.extend(phase_gates(k, q))
-    out.extend(kept_cnots)
-    out.extend(rest)
-    return Circuit(n, tuple(out))
+    return Circuit(n, tuple(out) + tuple(rest))
 
 
 def eliminate_tdag(c: Circuit) -> Circuit:
@@ -796,31 +724,15 @@ class _BlockAlgebra:
         return blocks
 
 
-def _all_block_matrices(
-    blocks: list[GF2Matrix],
-    exps: list[tuple[int, ...]],
-    residual: list[PhaseRotation],
-    n: int,
-) -> tuple[list[GF2Matrix], list[tuple[int, ...]]]:
-    full = list(blocks)
-    kmaps = list(exps)
-    pad = _pad_residual(residual, n)
-    if pad is not None:
-        full.append(pad[0])
-        kmaps.append(pad[1])
-    return full, kmaps
-
-
 def _fast_cnot_metrics(
     live: list[tuple[GF2Matrix, GF2Matrix]], depth_opt: bool
 ) -> tuple[int, int]:
-    """(cnot_depth, cnot_count) of the merged, hoisted, absorbed pipeline
-    under an all-|+> preparation.
+    """(cnot_depth, cnot_count) of the merged, hoisted and absorbed pipeline.
 
     `live` holds (u^T, (u^T)^-1) for each block whose phase layer is
     non-empty, in circuit order. Mirrors the circuit passes on plain tuples;
-    the all-|+> preparation absorbs the leading CNOT operator entirely, so
-    its gates are not counted.
+    absorption deletes the leading CNOT operator, so its gates are not
+    counted.
     """
     if not live:
         return 0, 0
@@ -846,22 +758,15 @@ def _fast_cnot_metrics(
     return max(free), len(gates)
 
 
-def _emit_pipeline(
-    us: list[GF2Matrix],
-    kmaps: list[tuple[int, ...]],
-    n: int,
-    prep: list[str] | None,
-    absorb: bool,
-    depth_opt: bool = True,
-) -> Circuit:
+def _emit_pipeline(blocks: list[_Block], n: int, absorb: bool, depth_opt: bool = True) -> Circuit:
     fragment = Circuit(n)
-    for u, ks in zip(us, kmaps):
-        fragment = fragment.concat(parallelize_block(u, list(ks), depth_opt))
+    for b in blocks:
+        fragment = fragment.concat(parallelize_block(b.matrix, list(b.exponents), depth_opt))
     merged = merge_adjacent_blocks(fragment, depth_opt)
     hoisted = hoist_permutations(merged)
     if not absorb:
         return hoisted
-    return eliminate_tdag(absorb_into_prep(hoisted, prep))
+    return eliminate_tdag(absorb_into_prep(hoisted))
 
 
 def _candidate_orderings(m: int, budget: int, seed: int):
@@ -869,7 +774,7 @@ def _candidate_orderings(m: int, budget: int, seed: int):
     yield identity
     if budget <= 1:
         return
-    if m <= 8 and factorial(m) <= EXHAUSTIVE_LIMIT:
+    if m <= 8:
         for order in permutations(range(m)):
             if order != identity:
                 yield order
@@ -886,14 +791,14 @@ def partition_rotations(
     budget: int = 200,
     seed: int = 0,
     objective: str = "cnot-depth",
-    prep: list[str] | None = None,
 ) -> Partition:
     """Search orderings of the rotations for the best valid block partition.
 
     budget=1 compiles the program order as given. Otherwise all orderings are
     enumerated when feasible (m <= 8), or `budget` seeded samples are drawn;
     each valid candidate is scored by the chosen objective of its fully
-    compiled circuit and ties break toward the earlier candidate.
+    compiled circuit (`_fast_cnot_metrics`) and ties break toward the
+    earlier candidate.
     """
     if p.n < 1:
         raise PartitionError("need at least one qubit")
@@ -903,7 +808,6 @@ def partition_rotations(
     if m == 0:
         return Partition((), (), (), (), 0, 0)
 
-    all_plus = prep is None or all(s == PLUS for s in prep)
     depth_opt = objective == "cnot-depth"
     algebra = _BlockAlgebra(p)
     best = None
@@ -915,13 +819,8 @@ def partition_rotations(
         if split is None:
             continue
         valid += 1
-        if all_plus:
-            live = [b.pair() for b in split if b.live]
-            depth, count = _fast_cnot_metrics(live, depth_opt=depth_opt)
-        else:
-            circ = _emit_pipeline([b.matrix for b in split], [b.exponents for b in split],
-                                  p.n, prep, absorb=True, depth_opt=depth_opt)
-            depth, count = circ.cnot_depth(), circ.cnot_count()
+        live = [b.pair() for b in split if b.live]
+        depth, count = _fast_cnot_metrics(live, depth_opt=depth_opt)
         key = depth if objective == "cnot-depth" else count
         if best_key is None or key < best_key:
             best_key = key
@@ -943,23 +842,27 @@ def partition_rotations(
     )
 
 
+def _compile(
+    p: RotationProgram, budget: int, seed: int, objective: str, absorb: bool
+) -> tuple[Partition, Circuit]:
+    """Search the partition, then emit the circuit of its blocks."""
+    part = partition_rotations(p, budget=budget, seed=seed, objective=objective)
+    blocks = _BlockAlgebra(p).split(part.ordering)
+    return part, _emit_pipeline(blocks, p.n, absorb, objective == "cnot-depth")
+
+
 def compile_program(
     p: RotationProgram,
-    prep: list[str] | None = None,
     budget: int = 200,
     seed: int = 0,
     objective: str = "cnot-depth",
 ) -> CompileReport:
-    """Full pipeline: partition, parallelize, synthesize, merge, hoist, absorb."""
+    """Full pipeline: partition, parallelize, synthesize, merge, hoist, absorb
+    into |+> preparations."""
     if not p.rotations:
         circuit = Circuit(p.n)
         return CompileReport(circuit, 0, 0, 0, 0, 0, 0, seed, budget, objective, None)
-    part = partition_rotations(p, budget=budget, seed=seed, objective=objective, prep=prep)
-    us, kmaps = _all_block_matrices(
-        list(part.blocks), list(part.exponent_maps), list(part.residual), p.n
-    )
-    circuit = _emit_pipeline(us, kmaps, p.n, prep, absorb=True,
-                             depth_opt=objective == "cnot-depth")
+    part, circuit = _compile(p, budget, seed, objective, absorb=True)
     return CompileReport(
         circuit=circuit,
         t_depth=circuit.t_depth(),
@@ -983,11 +886,4 @@ def compile_to_unitary(
 ) -> Circuit:
     """Pipeline output before preparation absorption: a pure unitary circuit
     operator-equal to the rotation product (useful for exact oracles)."""
-    part = partition_rotations(p, budget=budget, seed=seed, objective=objective)
-    if not part.blocks and not part.residual:
-        return Circuit(p.n)
-    us, kmaps = _all_block_matrices(
-        list(part.blocks), list(part.exponent_maps), list(part.residual), p.n
-    )
-    return _emit_pipeline(us, kmaps, p.n, None, absorb=False,
-                          depth_opt=objective == "cnot-depth")
+    return _compile(p, budget, seed, objective, absorb=False)[1]

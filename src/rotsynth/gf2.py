@@ -35,10 +35,6 @@ class BitVec:
             raise DimensionError(f"bits 0x{self.bits:x} out of range for length {self.n}")
 
     @staticmethod
-    def zeros(n: int) -> "BitVec":
-        return BitVec(n, 0)
-
-    @staticmethod
     def basis(n: int, i: int) -> "BitVec":
         if not 0 <= i < n:
             raise DimensionError(f"basis index {i} out of range for length {n}")
@@ -160,9 +156,6 @@ class GF2Matrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
 
     def row(self, i: int) -> BitVec:
         return BitVec(self.n_cols, self.rows[i])

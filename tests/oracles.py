@@ -17,9 +17,8 @@ import numpy as np
 from rotsynth.compiler import (
     Partition,
     PartitionError,
-    _all_block_matrices,
+    _Block,
     _candidate_orderings,
-    _emit_pipeline,
     _pad_residual,
     _realize_cx,
     _score_concat,
@@ -482,6 +481,22 @@ def _reference_split(p: RotationProgram, order: tuple[int, ...]):
     return blocks, exps, residual
 
 
+def _padded(blocks, exps, residual, n: int):
+    """Block matrices and exponent maps, the residual padded to a basis."""
+    us, kmaps = list(blocks), list(exps)
+    pad = _pad_residual(list(residual), n)
+    if pad is not None:
+        us.append(pad[0])
+        kmaps.append(pad[1])
+    return us, kmaps
+
+
+def partition_blocks(part: Partition, n: int) -> list[_Block]:
+    """The blocks a partition's circuit is emitted from, residual padded."""
+    us, kmaps = _padded(part.blocks, part.exponent_maps, part.residual, n)
+    return [_Block(u, ks) for u, ks in zip(us, kmaps)]
+
+
 def _reference_metrics(us, kmaps, depth_opt: bool) -> tuple[int, int]:
     """(cnot_depth, cnot_count) of the all-|+> pipeline, inverting every
     block matrix afresh."""
@@ -513,12 +528,10 @@ def reference_partition_rotations(
     budget: int = 200,
     seed: int = 0,
     objective: str = "cnot-depth",
-    prep: list[str] | None = None,
 ) -> Partition:
     """`compiler.partition_rotations` with every candidate cut, rank-checked,
     padded and inverted on its own."""
     m = len(p.rotations)
-    all_plus = prep is None or all(s == "plus" for s in prep)
     depth_opt = objective == "cnot-depth"
     best = best_key = None
     tried = valid = 0
@@ -529,12 +542,7 @@ def reference_partition_rotations(
             continue
         valid += 1
         blocks, exps, residual = split
-        us, kmaps = _all_block_matrices(blocks, exps, residual, p.n)
-        if all_plus:
-            depth, count = _reference_metrics(us, kmaps, depth_opt)
-        else:
-            circ = _emit_pipeline(us, kmaps, p.n, prep, absorb=True, depth_opt=depth_opt)
-            depth, count = circ.cnot_depth(), circ.cnot_count()
+        depth, count = _reference_metrics(*_padded(blocks, exps, residual, p.n), depth_opt)
         key = depth if depth_opt else count
         if best_key is None or key < best_key:
             best_key = key

@@ -107,6 +107,15 @@ class TestVerifyCommand:
     def test_poly_oracle_on_programs(self, tmp_path, ccz_program):
         assert run(["verify", "--a", ccz_program, "--b", ccz_program, "--oracle", "poly"]) == 0
 
+    @pytest.mark.parametrize("oracle", ["dense", "poly"])
+    def test_different_widths_not_equivalent(self, tmp_path, oracle, capsys):
+        # ccz has 4 qubits, t15 has 5: both oracles answer, neither raises
+        a, b = tmp_path / "ccz.json", tmp_path / "t15.json"
+        a.write_text(programs.program_text("ccz"))
+        b.write_text(programs.program_text("t15"))
+        assert run(["verify", "--a", a, "--b", b, "--oracle", oracle]) == 3
+        assert capsys.readouterr().err == "NOT equivalent\n"
+
     def test_poly_oracle_suggests_dense_for_preps(self, tmp_path, ccz_program, capsys):
         out = tmp_path / "circuit.json"
         run(["compile", "--in", ccz_program, "--out", out, "--budget", 1])

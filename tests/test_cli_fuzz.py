@@ -16,6 +16,9 @@ from rotsynth.compiler import compile_program
 from rotsynth.ir import GATE_ARITY, with_x_detection
 
 _NAMES = programs.NAMES
+# the other side of `verify`: any bundled program or compiled circuit, so
+# sides of different widths and kinds meet
+_ARTIFACTS = [f"{name}.json" for name in _NAMES] + [f"{name}_circuit.json" for name in _NAMES]
 _KINDS = sorted(GATE_ARITY) + ["Bogus"]
 _RECORDS = ["det0", "det1", "inj0", "m", ""]
 _JUNK = st.one_of(
@@ -50,7 +53,9 @@ def _replacement(draw, payload, path, value):
     n = payload.get("n") if isinstance(payload, dict) else None
     n = n if isinstance(n, int) and not isinstance(n, bool) and n > 0 else 4
     if key == "kind":
-        same = [k for k in _KINDS if GATE_ARITY.get(k) == GATE_ARITY.get(value)]
+        # an earlier edit may have left junk, maybe unhashable, in the field
+        arity = GATE_ARITY.get(value) if isinstance(value, str) else None
+        same = [k for k in _KINDS if GATE_ARITY.get(k) == arity]
         return draw(st.sampled_from(same or _KINDS))
     if key == "record":
         records = [g.get("record") for g in payload.get("gates", []) if isinstance(g, dict)]
@@ -133,25 +138,26 @@ def _run(argv) -> None:
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(name=st.sampled_from(_NAMES), data=st.data())
-def test_mutated_programs(workdir, name, data):
+@given(name=st.sampled_from(_NAMES), other=st.sampled_from(_ARTIFACTS), data=st.data())
+def test_mutated_programs(workdir, name, other, data):
     base = json.loads((workdir / f"{name}.json").read_text())
     mutant = workdir / "mutant_program.json"
     mutant.write_text(json.dumps(data.draw(mutations(base))))
     _run(["compile", "--in", mutant, "--out", workdir / "out.json", "--budget", 1])
     for oracle in ("dense", "poly"):
-        _run(["verify", "--a", mutant, "--b", workdir / f"{name}.json", "--oracle", oracle])
+        _run(["verify", "--a", mutant, "--b", workdir / other, "--oracle", oracle])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(name=st.sampled_from(_NAMES), gadgetize=st.booleans(), data=st.data())
-def test_mutated_circuits(workdir, name, gadgetize, data):
+@given(name=st.sampled_from(_NAMES), other=st.sampled_from(_ARTIFACTS),
+       gadgetize=st.booleans(), data=st.data())
+def test_mutated_circuits(workdir, name, other, gadgetize, data):
     base = json.loads((workdir / f"{name}_circuit.json").read_text())
     mutant = workdir / "mutant_circuit.json"
     mutant.write_text(json.dumps(data.draw(mutations(base))))
     outputs = ",".join(map(str, programs.DESIGNATIONS[name][0]))
     for oracle in ("dense", "poly"):
-        _run(["verify", "--a", mutant, "--b", workdir / f"{name}.json", "--oracle", oracle])
+        _run(["verify", "--a", mutant, "--b", workdir / other, "--oracle", oracle])
     # gadgetized first order on t15 runs 1024 forced rows per fault: singles only
     analyses = ["--singles"] if gadgetize else ["--singles", "--pairs", "--first-order"]
     _run(["faults", "--circuit", mutant, "--outputs", outputs, *analyses]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -209,7 +210,6 @@ class TestCircuitPasses:
         rng = random.Random(25)
         for _ in range(25):
             n = rng.choice([2, 3, 4])
-            prep = [rng.choice(["plus", "zero"]) for _ in range(n)]
             gates = list(synthesis_gates(random_invertible(n, rng.randrange(10**6))))
             for q in range(n):
                 gates.extend(Gate(k, (q,)) for k in rng.choice(
@@ -217,12 +217,8 @@ class TestCircuitPasses:
                 ))
             gates += [Gate("CNOT", tuple(rng.sample(range(n), 2)))]
             c = hoist_permutations(Circuit(n, tuple(gates)))
-            absorbed = absorb_into_prep(c, prep)
-            prep_gates = tuple(
-                Gate("PrepPlus" if s == "plus" else "PrepZero", (q,))
-                for q, s in enumerate(prep)
-            )
-            reference = Circuit(n, prep_gates + c.gates)
+            absorbed = absorb_into_prep(c)
+            reference = Circuit(n, plus_prep(n) + c.gates)
             sa = simulate(absorbed)
             sb = simulate(reference)
             assert equal_up_to_global_phase(sa.state, sb.state, 1e-9)
@@ -422,10 +418,75 @@ class TestCompile:
             if split is None:
                 continue
             checked += 1
-            us = [b.matrix for b in split]
-            kmaps = [b.exponents for b in split]
             live = [b.pair() for b in split if b.live]
             for depth_opt in (True, False):
                 fast = _fast_cnot_metrics(live, depth_opt=depth_opt)
-                circ = _emit_pipeline(us, kmaps, n, None, absorb=True, depth_opt=depth_opt)
+                circ = _emit_pipeline(split, n, True, depth_opt)
                 assert fast == (circ.cnot_depth(), circ.cnot_count())
+
+
+# SHA-256 of the emitted JSON: compile_program(...).circuit, then
+# compile_to_unitary(...), for each bundled program, budget and objective
+EMITTED_SHA256 = {
+    ("ccz", 1, "cnot-depth"): (
+        "39f9af2e4de8d29bbeb1dec47e415d1839c02b3ceed0cb5682514cd67e013fba",
+        "6b6679f6e1e09ecba3e0e68836cd37a82e0077aa381fc380486a571a5d93d1e2",
+    ),
+    ("ccz", 1, "cnot-count"): (
+        "1f49a80981317a9c2011a4cc84d55c24a450c757a7eca85ba150cd04855c0815",
+        "981215c4fb60155cdc62fad77d28303de864edfdc07cf44de0cc64788a5e8c7e",
+    ),
+    ("ccz", 200, "cnot-depth"): (
+        "39f9af2e4de8d29bbeb1dec47e415d1839c02b3ceed0cb5682514cd67e013fba",
+        "6b6679f6e1e09ecba3e0e68836cd37a82e0077aa381fc380486a571a5d93d1e2",
+    ),
+    ("ccz", 200, "cnot-count"): (
+        "1f49a80981317a9c2011a4cc84d55c24a450c757a7eca85ba150cd04855c0815",
+        "981215c4fb60155cdc62fad77d28303de864edfdc07cf44de0cc64788a5e8c7e",
+    ),
+    ("cs", 1, "cnot-depth"): (
+        "57b55d216b80409ec0a8ace5a0515609c85855fff6556b7e2cdb8ff5d74eb8a5",
+        "ecef016b1f98c31468245e7b5c14c40b90aa4fa26ccd1ac3b99db2b1dd573de9",
+    ),
+    ("cs", 1, "cnot-count"): (
+        "cd3be3ec84e98886819fede56ec6774dc1595538dc432ded91990a35dd9277cd",
+        "67648c76f411aa47fc353b65d5fcf0fc5620ed31e2f1bc74fe23601cd81d8450",
+    ),
+    ("cs", 200, "cnot-depth"): (
+        "265860e9905f2351c7d71e37d5cdd40da2213ee40f20834e780382cc364f5094",
+        "8213ce2f8d5b3bbf7dbbe7de6598da923b233efbcbe8e559f37ae39435a2fcdb",
+    ),
+    ("cs", 200, "cnot-count"): (
+        "ad0b7167b7d3d91f481bacc56e5e2f42cb35a0ce6b89572e1f0f62f9d96ac011",
+        "a9893abdf2a9891a5ae9bdb4389011dec256bad71d38a35deac60cc1bce3a02e",
+    ),
+    ("t15", 1, "cnot-depth"): (
+        "25bdd2b6ac6f9001ea763b4b18282cbbb1a71d5160fb422ecd8307dbbf1fbc49",
+        "c8402f784c6b89ed65fa1fcc2de2ba1228cb29a4521afa08bffc5cdc79c8d9f9",
+    ),
+    ("t15", 1, "cnot-count"): (
+        "448c3579c2bc819dfdaa8abcfe5a3aa3102bbd0ca5ad7b78f5630bb036dc2c56",
+        "20210ec051afc0c8cf9294c99143cbced2eee7a516ce28e05cf4bd0089d02bcf",
+    ),
+    ("t15", 200, "cnot-depth"): (
+        "814b8d8a86f3c1660aed3334dc23b6bb11a204de4f415cd3cd6c150299900892",
+        "069f9b1a6d163f01131f1f00ce52473de467e02c7a2391b4aeac5a21da3b5715",
+    ),
+    ("t15", 200, "cnot-count"): (
+        "7fce04db2c9bc489575f595a51c1f98fe78032b39d556237567d409784cdc016",
+        "01bc237e04177271822ba50d538b798e74717234407e4b5806a9cfcdca88af4b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, budget, objective", sorted(EMITTED_SHA256))
+def test_emitted_circuits_pinned(name, budget, objective):
+    # pins the emitted bytes, which the search tests (compared against the
+    # same emission code) cannot see change
+    prog = programs.load(name)
+    got = (
+        compile_program(prog, budget=budget, objective=objective).circuit.to_json(),
+        compile_to_unitary(prog, budget=budget, objective=objective).to_json(),
+    )
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in got)
+    assert digests == EMITTED_SHA256[name, budget, objective]

@@ -15,7 +15,6 @@ from rotsynth import programs
 from rotsynth.compiler import (
     _EMISSION_SCORES,
     PartitionError,
-    _all_block_matrices,
     _emit_pipeline,
     _greedy_rows,
     _score_concat,
@@ -29,9 +28,12 @@ from rotsynth.gf2 import random_invertible
 from rotsynth.ir import PhaseRotation, RotationProgram
 from rotsynth.semantics import phase_polynomial_of, poly_equal
 
-from oracles import random_program, reference_greedy_rows, reference_partition_rotations
-
-MIXED_PREP = ("plus", "zero", "plus", "zero", "plus")
+from oracles import (
+    partition_blocks,
+    random_program,
+    reference_greedy_rows,
+    reference_partition_rotations,
+)
 
 
 class TestGreedyKernel:
@@ -59,18 +61,15 @@ class TestGreedyKernel:
             assert res.ops == tuple(reversed(ops))
 
 
-def _assert_same_search(prog, budget, objective, prep=None, seed=0, reference=None):
+def _assert_same_search(prog, budget, objective, seed=0, reference=None):
     """compile_program's partition and circuit equal the reference loop's."""
     want = reference or reference_partition_rotations(
-        prog, budget=budget, seed=seed, objective=objective, prep=prep
+        prog, budget=budget, seed=seed, objective=objective
     )
-    got = compile_program(prog, prep=prep, budget=budget, seed=seed, objective=objective)
+    got = compile_program(prog, budget=budget, seed=seed, objective=objective)
     assert got.partition == want
-    us, kmaps = _all_block_matrices(
-        list(want.blocks), list(want.exponent_maps), list(want.residual), prog.n
-    )
-    depth_opt = objective == "cnot-depth"
-    assert got.circuit == _emit_pipeline(us, kmaps, prog.n, prep, True, depth_opt)
+    blocks = partition_blocks(want, prog.n)
+    assert got.circuit == _emit_pipeline(blocks, prog.n, True, objective == "cnot-depth")
     return got.partition
 
 
@@ -97,17 +96,10 @@ class TestPartitionExactness:
 
     @pytest.mark.parametrize("objective", ["cnot-depth", "cnot-count"])
     @pytest.mark.parametrize("budget", [1, 40, 200, 800])
-    @pytest.mark.parametrize("name", ["cs", "t15"])
-    @pytest.mark.parametrize("mixed", [False, True], ids=["all-plus", "mixed-prep"])
-    def test_bundled(self, name, budget, objective, mixed):
-        prog = programs.load(name)
-        prep = list(MIXED_PREP[: prog.n]) if mixed else None
-        _assert_same_search(prog, budget, objective, prep=prep)
-
-    @pytest.mark.parametrize("objective", ["cnot-depth", "cnot-count"])
-    def test_ccz_mixed_prep_program_order(self, objective):
-        # the exhaustive mixed-prep search emits 32256 circuits per side (~20 s)
-        _assert_same_search(programs.load("ccz"), 1, objective, prep=list(MIXED_PREP[:4]))
+    # every compile is for a |+>^n input, which the ids name
+    @pytest.mark.parametrize("name", ["cs", "t15"], ids=["all-plus-cs", "all-plus-t15"])
+    def test_bundled(self, name, budget, objective):
+        _assert_same_search(programs.load(name), budget, objective)
 
     @pytest.mark.parametrize("objective", ["cnot-depth", "cnot-count"])
     def test_random_programs(self, objective):
@@ -118,16 +110,15 @@ class TestPartitionExactness:
             small = exhaustive < 6
             m = rng.randrange(1, 7) if small else rng.randrange(9, 4 * n + 10)
             prog = random_program(rng, n, m)
-            prep = [rng.choice(("plus", "zero")) for _ in range(n)] if rng.random() < 0.5 else None
             try:
                 reference = reference_partition_rotations(
-                    prog, budget=30, seed=m, objective=objective, prep=prep
+                    prog, budget=30, seed=m, objective=objective
                 )
             except PartitionError:  # no valid ordering: both sides must fail
                 with pytest.raises(PartitionError):
-                    partition_rotations(prog, budget=30, seed=m, objective=objective, prep=prep)
+                    partition_rotations(prog, budget=30, seed=m, objective=objective)
                 continue
-            _assert_same_search(prog, 30, objective, prep=prep, seed=m, reference=reference)
+            _assert_same_search(prog, 30, objective, seed=m, reference=reference)
             if small:
                 exhaustive += 1
             else:
