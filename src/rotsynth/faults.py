@@ -8,8 +8,9 @@ positions, anywhere including the preparation round. This module defines
 no gate action of its own: it turns fault positions into insertion points
 of the dense trajectory kernel (`semantics.TrajectoryKernel`, through
 `_Harness.run_sampled`). The Monte Carlo engine samples the measurement
-outcomes, and the exact enumerators force one row per branch of the
-injection outcomes and weight it by its probability. The kernel's rows
+outcomes; the exact enumerators run one row per fault configuration that
+branches at every injection measurement, each branch weighted by its
+probability. The kernel's rows
 hold only the live qubits (from a qubit's first gate other than a
 preparation to the measurement that ends it), and the dense cap of
 `semantics.MAX_DENSE_QUBITS` applies to that live width: a gadgetized
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ir import Circuit, Gate, MEAS_KINDS, PREP_KINDS, T_LIKE_KINDS
-from .semantics import _NO_INSERTIONS, TrajectoryKernel, _forced_uniforms
+from .semantics import _NO_INSERTIONS, TrajectoryKernel
 
 HARMFUL_INFIDELITY = 1e-9
 DETECTED_ACCEPTANCE = 1e-12
@@ -263,8 +264,8 @@ class _Harness:
     and detection records (postselected on their noiseless outcomes), and
     freezes the noiseless reference: detection outcomes and the pure state
     on the output qubits. `run_sampled` places faults and runs them on the
-    kernel; `run_exact`, the noiseless reference and its check run it with
-    forced outcomes.
+    kernel; `run_exact` and the check of the noiseless reference run rows
+    that branch at every injection measurement.
 
     The kernel keeps the outputs to the end, so a row's state holds only the
     live qubits: a qubit gets its axis at its first gate other than a
@@ -292,6 +293,7 @@ class _Harness:
             g.record for g in c.gates if g.kind in MEAS_KINDS and g.record not in consumed
         ]
         self.meas_order = [g.record for g in c.gates if g.kind in MEAS_KINDS]
+        self.injection = [r for r in self.meas_order if r in consumed]
         if not self.detection:
             raise FaultAnalysisError("circuit has no detection measurements")
         self.kernel = TrajectoryKernel(c, self.outputs)
@@ -305,24 +307,15 @@ class _Harness:
         # The noiseless reference comes from one row that takes the likelier
         # outcome of every measurement (uniform 0.5); the detection outcomes
         # of a valid circuit are certain, so they do not depend on the row.
-        self.reference = {}
-        _, _, states, outcomes = self._run_chunk(
-            *_NO_INSERTIONS, np.full((1, len(self.meas_order)), 0.5)
+        _, _, states, outcomes = self.kernel.run(
+            _NO_INSERTIONS, np.full((1, len(self.meas_order)), 0.5)
         )
         self.reference = {r: int(outcomes[r][0]) for r in self.detection}
         self.ideal_out = self._reduced_pure(states[0])
-        # one forced row per assignment of injection outcomes, detection
-        # outcomes forced to the reference
-        injection = [r for r in self.meas_order if r in consumed]
-        rows = np.arange(1 << len(injection))
-        self._exact_uniforms = _forced_uniforms(np.array(
-            [
-                rows >> injection.index(r) & 1 if r in consumed
-                else np.full(len(rows), self.reference[r])
-                for r in self.meas_order
-            ]
-        ).T)
-        weight, infidelity = self.run_sampled(_NO_INSERTIONS, self._exact_uniforms)
+        # every branch of the injection outcomes, postselected on the reference
+        _, weight, infidelity = self.run_sampled(
+            _NO_INSERTIONS, np.full((1, len(self.meas_order)), np.nan)
+        )
         if abs(weight.sum() - 1.0) > 1e-9:
             raise FaultAnalysisError("noiseless detection outcomes not deterministic")
         if (infidelity > 1e-10).any():
@@ -347,81 +340,69 @@ class _Harness:
         gate positions: (pos, pauli, qubit). A configuration nothing accepts
         reads (0, 0).
 
-        Every branch of the injection outcomes is one forced row of
-        `run_sampled`, and a configuration's acceptance is the sum of its
-        rows' weights. Configurations go to the kernel in groups that fill
-        one chunk: each `run_sampled` call holds
-        max(1, chunk rows // branches) whole configurations.
+        Each configuration is one row of `run_sampled` that branches at
+        every injection measurement; its acceptance is the sum of its
+        branches' weights.
         """
         indexed = [
             [(pos, _pauli_index(pauli), qubit) for pos, pauli, qubit in faults]
             for faults in configs
         ]
-        branches = len(self._exact_uniforms)
-        group = max(1, self.kernel.chunk_rows // branches)
-        uniforms = np.tile(self._exact_uniforms, (min(group, len(configs)), 1))
-        acceptance = np.zeros(len(configs))
+        row = np.repeat(np.arange(len(indexed)), [len(f) for f in indexed])
+        flat = np.array([f for faults in indexed for f in faults], dtype=np.int64)
+        pos, pauli, qubit = flat.reshape(-1, 3).T
+        row, weight, infid = self.run_sampled(
+            (row, pos, pauli, qubit), np.full((len(configs), len(self.meas_order)), np.nan)
+        )
+        acceptance = np.bincount(row, weight, minlength=len(configs))
+        bad = np.bincount(row, weight * infid, minlength=len(configs))
         infidelity = np.zeros(len(configs))
-        for lo in range(0, len(indexed), group):
-            part = indexed[lo : lo + group]
-            done = slice(lo, lo + len(part))
-            # configuration i owns rows i*branches .. (i+1)*branches - 1
-            first_row = np.repeat(np.arange(len(part)) * branches, [len(f) for f in part])
-            flat = np.array([f for faults in part for f in faults], dtype=np.int64)
-            pos, pauli, qubit = np.repeat(flat.reshape(-1, 3), branches, axis=0).T
-            weight, infid = self.run_sampled(
-                ((first_row[:, None] + np.arange(branches)).ravel(), pos, pauli, qubit),
-                uniforms[: len(part) * branches],
-            )
-            weight = weight.reshape(len(part), branches)
-            acceptance[done] = weight.sum(axis=1)
-            bad = np.einsum("ij,ij->i", weight, infid.reshape(len(part), branches))
-            np.divide(bad, acceptance[done], out=infidelity[done], where=acceptance[done] > 0.0)
+        np.divide(bad, acceptance, out=infidelity, where=acceptance > 0.0)
         return acceptance, infidelity
 
     def run_sampled(
         self, faults: tuple[np.ndarray, ...], uniforms: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Trajectories, one per row of `uniforms`.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Trajectories of the rows of `uniforms`, with detection outcomes
+        postselected on the reference.
 
         `faults` holds four equal-length integer arrays (row, gate position,
         Pauli index into "XYZ", qubit); each entry inserts that Pauli after
         that gate (position -1: before the first) in that row's trajectory.
         Row i consumes uniforms[i], one value per measurement in circuit
-        order: outcome 1 where the uniform is below its probability, so a
-        uniform below 0 forces outcome 1 and one of 1 or more forces 0.
-        Returns (weight, infidelity) per row: the weight is the product of
-        the probabilities of the forced outcomes the row took (1 for a row
-        whose outcomes were all drawn), and 0 when a detection outcome
-        differs from the reference or an outcome had probability below
-        1e-14; such rows read infidelity 0. Rows run on the kernel in chunks
-        of `chunk_rows`.
+        order, as `TrajectoryKernel.run` does: a number in [0, 1) draws the
+        outcome, NaN branches on it. Returns (row, weight, infidelity) of
+        each surviving trajectory, rows ascending: the weight is the product
+        of the probabilities of the outcomes it branched on (1 for a row
+        that drew them all). A row that can branch may yield 2^k of them, k
+        the number of injection measurements, so rows run on the kernel in
+        chunks of max(1, chunk rows // 2^k); rows that cannot branch go
+        `chunk_rows` at a time.
         """
-        n_rows = len(uniforms)
-        weight = np.zeros(n_rows)
-        infidelity = np.zeros(n_rows)
         row, pos, pauli, qubit = (np.asarray(a, dtype=np.int64) for a in faults)
         order = np.argsort(row, kind="stable")
         row, pos, pauli, qubit = row[order], pos[order], pauli[order], qubit[order]
         chunk = self.kernel.chunk_rows
-        for lo in range(0, n_rows, chunk):
-            hi = min(lo + chunk, n_rows)
+        if np.isnan(uniforms).any():
+            chunk = max(1, chunk >> len(self.injection))
+        out = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
+        for lo in range(0, len(uniforms), chunk):
+            hi = min(lo + chunk, len(uniforms))
             a, b = np.searchsorted(row, (lo, hi))
-            alive, w, states, _ = self._run_chunk(
+            alive, weight, states, _ = self._run_chunk(
                 row[a:b] - lo, pos[a:b], pauli[a:b], qubit[a:b], uniforms[lo:hi]
             )
             if not len(alive):
                 continue
             mat = states[:, self._out_perm].reshape(len(alive), 1 << len(self.outputs), -1)
             vec = np.matmul(self.ideal_out.conj(), mat)
-            weight[lo + alive] = w
-            infidelity[lo + alive] = 1.0 - np.sum(vec.real**2 + vec.imag**2, axis=1)
-        return weight, infidelity
+            out.append((lo + alive, weight, 1.0 - np.sum(vec.real**2 + vec.imag**2, axis=1)))
+        return tuple(np.concatenate(part) for part in zip(*out))
 
     def _run_chunk(self, row, pos, pauli, qubit, uniforms):
         """One chunk of `run_sampled`: fault positions become kernel
-        half-steps. Returns the kernel's (surviving row indices, weights,
-        final states, outcomes by record)."""
+        half-steps. Returns the kernel's (input row of each surviving state
+        row, weights, final states, outcomes by record)."""
         born, dies = self.kernel.born, self.kernel.dies
         # A preparation resets its qubit, so a fault placed before it has no
         # effect; nor has one on a qubit whose axis is gone or never made (it
@@ -750,7 +731,7 @@ def _monte_carlo(
         accepted += b - len(faulty)  # clean shots pass with zero infidelity
         prep_row, prep_col = np.nonzero(prep_mask[faulty])
         depol_row, depol_col = np.nonzero(depol_mask[faulty])
-        weight, infid = harness.run_sampled(
+        row, _, infid = harness.run_sampled(
             (
                 np.concatenate([prep_row, depol_row]),
                 np.concatenate([prep_sites[prep_col, 0], depol_sites[depol_col, 1]]),
@@ -762,9 +743,12 @@ def _monte_carlo(
             ),
             uniforms[faulty],
         )
-        accepted += int(np.count_nonzero(weight))
-        total += float(infid.sum())
-        total_sq += float(np.dot(infid, infid))
+        accepted += len(row)
+        # per faulty shot, rejected ones 0, so the sums run in shot order
+        per_shot = np.zeros(len(faulty))
+        per_shot[row] = infid
+        total += float(per_shot.sum())
+        total_sq += float(np.dot(per_shot, per_shot))
         done += b
 
     if accepted == 0:

@@ -9,10 +9,13 @@ Two independent backends:
 
 `TrajectoryKernel` is the one dense executor. It runs rows of trajectories
 over the live qubits, with every gate as a gather and a multiply on flat
-amplitudes. `simulate` is one row, `enumerate_branches` one forced row per
-assignment of the unpostselected outcomes, and `unitary_of` composes the
-gates' monomials at full width; the fault analyzer runs its faulty
-trajectories on the same kernel.
+amplitudes. A row draws each measurement outcome from a uniform, or branches
+into one row per possible outcome where its uniform is NaN; postselection
+drops the branches it does not name. `simulate` is one row that branches
+only on postselected measurements, `enumerate_branches` one row that
+branches on every measurement, and `unitary_of` composes the gates'
+monomials at full width; the fault analyzer runs its faulty trajectories
+and its exact branch sums on the same kernel.
 
 Basis convention: basis index bit q is qubit q (support strings read left
 to right); dense states are ndarrays of shape (2,)*n with axis q = qubit q.
@@ -279,11 +282,6 @@ def _compose(steps) -> tuple[np.ndarray | None, np.ndarray | None]:
     return src, phase
 
 
-def _forced_uniforms(outcomes: np.ndarray) -> np.ndarray:
-    """Uniforms that force the given outcomes: -1 takes outcome 1, 2 takes 0."""
-    return np.where(outcomes == 1, -1.0, 2.0)
-
-
 class TrajectoryKernel:
     """Dense executor: rows of trajectories through one circuit, held as one
     (rows x 2^w) array over the w live qubits.
@@ -341,8 +339,11 @@ class TrajectoryKernel:
                 f"dense simulation capped at {MAX_DENSE_QUBITS} live qubits, "
                 f"the circuit holds {self.peak} at once"
             )
-        self._axis = np.full((len(half), n), -1)
-        self._axis[:, self._order] = np.where(self._live, np.cumsum(self._live, axis=1) - 1, -1)
+        # axis of each ranked qubit after each half-step (-1: none), and the
+        # column of each qubit in that table
+        self._axis = np.where(self._live, np.cumsum(self._live, axis=1) - 1, -1)
+        self._col = np.full(n, -1)
+        self._col[self._order] = np.arange(len(self._order))
         self._born_at: dict[int, list[int]] = {}
         for q in self._order.tolist():
             self._born_at.setdefault(born[q], []).append(q)
@@ -375,34 +376,36 @@ class TrajectoryKernel:
         axes += [a for a in range(len(final)) if a not in axes]
         return _INDEX[len(final)].reshape((2,) * len(final)).transpose(axes).reshape(-1)
 
-    def run(self, insertions, uniforms: np.ndarray, reject: dict[str, int] | None = None):
+    def run(self, insertions, uniforms: np.ndarray, postselect: dict[str, int] | None = None):
         """Rows through the whole circuit, one per row of `uniforms`.
 
         `insertions` holds four equal-length integer arrays (row, half-step,
         Pauli index into "XYZ", qubit); each applies that Pauli to that
-        qubit after that half-step, where the qubit must have an axis. Row i
-        consumes uniforms[i], one value per measurement in circuit order:
-        outcome 1 where the uniform is below its probability, so a uniform
-        below 0 forces outcome 1 and one of 1 or more forces 0. A forced
-        outcome multiplies the row's weight by its probability, a drawn one
-        does not. A row is dropped when an outcome has probability below
-        1e-14 or differs from the one `reject` names for its record.
+        qubit after that half-step, in every branch of that row, where the
+        qubit must have an axis. Row i consumes uniforms[i], one value per
+        measurement in circuit order. A number in [0, 1) draws the outcome:
+        1 where it is below the outcome's probability. NaN branches the row
+        into one state row per outcome, each with its weight multiplied by
+        that outcome's probability; the branches stay adjacent, outcome 0
+        first. A state row is dropped when its outcome has probability below
+        1e-14 or differs from the one `postselect` names for its record.
 
-        Returns (surviving row indices, their weights, their final states in
-        the final layout, their outcomes by record). Each run of half-steps
-        between break points (measurements, CondS, insertion half-steps) is
-        one cached gather and multiply; dropped rows leave the array at once.
+        Returns (input row of each surviving state row, in ascending order;
+        their weights; their final states in the final layout; their
+        outcomes by record). Each run of half-steps between break points
+        (measurements, CondS, insertion half-steps) is one cached gather and
+        multiply; dropped rows leave the array at once.
         """
-        reject = reject or {}
+        postselect = postselect or {}
         gates = self.circuit.gates
         row, stop, pauli, qubit = insertions
         order = np.argsort(stop, kind="stable")
-        row, stop, pauli, qubit = row[order], stop[order], pauli[order], qubit[order]
+        row, stop, pauli, col = row[order], stop[order], pauli[order], self._col[qubit[order]]
         stops, firsts = np.unique(stop, return_index=True)
         bounds = np.append(firsts, len(stop))
 
-        alive = np.arange(len(uniforms))     # row index of each state row
-        slot = np.arange(len(uniforms))      # state row of each row, -1 once dropped
+        alive = np.arange(len(uniforms))     # input row of each state row
+        hit, which, hit_bounds = _spread(alive, row, bounds)
         weight = np.ones(len(uniforms))
         outcomes: dict[str, np.ndarray] = {}
         # every row starts from the empty state, so the run up to the first
@@ -415,11 +418,9 @@ class TrajectoryKernel:
         k = 0
         while True:
             if k < len(stops) and stops[k] == last:
-                group = slice(bounds[k], bounds[k + 1])
-                cur = slot[row[group]]
-                live = cur >= 0
-                axes = self._axis[last, qubit[group][live]]
-                _apply_paulis(states, cur[live], pauli[group][live], axes)
+                group = slice(hit_bounds[k], hit_bounds[k + 1])
+                w = which[group]
+                _apply_paulis(states, hit[group], pauli[w], self._axis[last, col[w]])
                 k += 1
             h = last + 1
             if h == len(self._live) or not len(alive):
@@ -429,24 +430,19 @@ class TrajectoryKernel:
             kind = g.kind if g else None
             if kind in MEAS_KINDS:
                 q = g.qubits[0]
-                u = uniforms[alive, self._meas_col[h // 2]]
-                states, outcome, prob = _measure_rows(
-                    states, kind, self._axis[h - 1, q], self.dies[q] == h // 2, u
+                states, parent, outcome, factor = _measure_rows(
+                    states, kind, self._axis[h - 1, self._col[q]], self.dies[q] == h // 2,
+                    uniforms[alive, self._meas_col[h // 2]], postselect.get(g.record),
                 )
+                weight = weight[parent] * factor
+                if not np.array_equal(parent, np.arange(len(alive))):  # rows split or dropped
+                    alive = alive[parent]
+                    outcomes = {r: o[parent] for r, o in outcomes.items()}
+                    hit, which, hit_bounds = _spread(alive, row, bounds)
                 outcomes[g.record] = outcome
-                weight *= np.where((u < 0.0) | (u >= 1.0), prob, 1.0)
-                keep = prob >= 1e-14
-                expected = reject.get(g.record)
-                if expected is not None:
-                    keep &= outcome == expected
-                if not keep.all():
-                    states, alive, weight = states[keep], alive[keep], weight[keep]
-                    outcomes = {r: o[keep] for r, o in outcomes.items()}
-                    slot[:] = -1
-                    slot[alive] = np.arange(len(alive))
             elif kind == "CondS":
                 flip = outcomes[g.record]
-                axis = self._axis[h, g.qubits[0]]
+                axis = self._axis[h, self._col[g.qubits[0]]]
                 states.reshape(len(alive), 1 << axis, 2, -1)[flip, :, 1] *= _DIAG_PHASES["S"][1]
             else:
                 last = self._run_end[h]
@@ -462,8 +458,8 @@ class TrajectoryKernel:
             g = self.circuit.gates[h // 2]
             if g.kind in PREP_KINDS:  # its amplitudes enter when the axis is made
                 return None, None
-            axis = self._axis[h - 1].tolist()
-            return _monomial(g, [axis[q] for q in g.qubits], self._width[h - 1])
+            axes = self._axis[h - 1, self._col[list(g.qubits)]].tolist()
+            return _monomial(g, axes, self._width[h - 1])
         new = self._born_at.get(h // 2)
         if not new:
             return None, None
@@ -492,6 +488,18 @@ class TrajectoryKernel:
         return states
 
 
+def _spread(alive, row, bounds):
+    """Insertions on state rows: each insertion applies to every state row
+    of its input row (`alive`, ascending, holds the input row of each state
+    row). Returns (state row, insertion) of each hit, and the hits of each
+    group of insertions that `bounds` delimits."""
+    lo = alive.searchsorted(row)
+    count = alive.searchsorted(row, side="right") - lo
+    which = np.arange(len(row)).repeat(count)
+    hit = lo[which] + np.arange(len(which)) - (count.cumsum() - count)[which]
+    return hit, which, which.searchsorted(bounds)
+
+
 def _apply_paulis(states, rows, pauli, axes):
     """Pauli faults on rows of a (rows x 2^k) state array, in place, each on
     the qubit at its axis; Y acts as XZ, and a row hit twice on one qubit
@@ -515,43 +523,61 @@ def _sum_sq(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", f, f)
 
 
-def _measure_rows(states, kind: str, axis: int, drop: bool, uniforms: np.ndarray):
+def _measure_rows(states, kind: str, axis: int, drop: bool, uniforms: np.ndarray, expected):
     """Measure the qubit at `axis` on every row of a (rows x 2^k) state
-    array, outcome 1 where the row's uniform is below its probability.
-    With `drop` the result keeps only the measured slice (width k-1), else
-    the array is projected in place. Returns (states, outcomes, probability
-    of each row's outcome)."""
-    rows = len(states)
+    array. A row whose uniform is NaN becomes two children, outcome 0 then
+    1; any other row one child, outcome 1 where its uniform is below that
+    outcome's probability. A child is dropped when its outcome has
+    probability below 1e-14 or differs from `expected` (None: any). With
+    `drop` each child keeps only the measured slice (width k-1), else it is
+    projected at full width. Returns (children's states, the row each child
+    comes from, their outcomes, their weight factors: the outcome's
+    probability for a branch, 1 for a drawn outcome)."""
+    rows, width = states.shape
     view = states.reshape(rows, 1 << axis, 2, -1)
     if kind == "MeasZ":
         fv = states.view(np.float64).reshape(rows, 1 << axis, 2, -1)
         p0 = np.einsum("ijk,ijk->i", fv[:, :, 0], fv[:, :, 0])
         p1 = np.einsum("ijk,ijk->i", fv[:, :, 1], fv[:, :, 1])
-        outcome = uniforms < p1
-        prob = np.where(outcome, p1, p0)
+    else:  # MeasX, outcome 0 = |+>; p = |a0 +- a1|^2 / 2
+        plus = view[:, :, 0] + view[:, :, 1]
+        minus = view[:, :, 0] - view[:, :, 1]
+        p0 = _sum_sq(plus) / 2.0
+        p1 = _sum_sq(minus) / 2.0
+    split = np.isnan(uniforms)
+    parent = np.arange(rows)
+    outcome = uniforms < p1   # NaN compares False: a split row's first child
+    if split.any():  # and its second child, outcome 1, right after it
+        parent = parent.repeat(1 + split)
+        outcome = outcome.repeat(1 + split)
+        outcome[(1 + split).cumsum()[split] - 1] = True
+        p0, p1, split = p0[parent], p1[parent], split[parent]
+    prob = np.where(outcome, p1, p0)
+    keep = prob >= 1e-14
+    if expected is not None:
+        keep &= outcome == expected
+    if not keep.all():
+        parent, outcome, prob, split = parent[keep], outcome[keep], prob[keep], split[keep]
+    factor = np.where(split, prob, 1.0)
+    children = len(parent)
+    if kind == "MeasZ":
         inv = 1.0 / np.sqrt(np.maximum(prob, 1e-300))
         if drop:
-            kept = view[np.arange(rows), :, outcome.astype(np.intp)]
-            return (kept * inv[:, None, None]).reshape(rows, -1), outcome, prob
-        scale = np.zeros((rows, 2))
-        scale[np.arange(rows), outcome.astype(np.intp)] = inv
-        view *= scale[:, None, :, None]
-        return states, outcome, prob
-    # MeasX, outcome 0 = |+>; p = |a0 +- a1|^2 / 2
-    plus = view[:, :, 0] + view[:, :, 1]
-    minus = view[:, :, 0] - view[:, :, 1]
-    p0 = _sum_sq(plus) / 2.0
-    p1 = _sum_sq(minus) / 2.0
-    outcome = uniforms < p1
-    prob = np.where(outcome, p1, p0)
-    comp = np.where(outcome[:, None, None], minus, plus)
-    if drop:  # the rest of the state, (a0 +- a1) / sqrt(2 prob)
-        inv = 1.0 / np.sqrt(np.maximum(2.0 * prob, 1e-300))
-        return (comp * inv[:, None, None]).reshape(rows, -1), outcome, prob
-    comp *= (0.5 / np.sqrt(np.maximum(prob, 1e-300)))[:, None, None]
-    view[:, :, 0] = comp
-    view[:, :, 1] = np.where(outcome[:, None, None], -comp, comp)
-    return states, outcome, prob
+            states = view[parent, :, outcome.astype(np.intp)] * inv[:, None, None]
+        else:
+            scale = np.zeros((children, 2))
+            scale[np.arange(children), outcome.astype(np.intp)] = inv
+            states = states[parent]
+            view = states.reshape(children, 1 << axis, 2, width >> axis + 1)
+            view *= scale[:, None, :, None]
+    else:
+        comp = np.where(outcome[:, None, None], minus[parent], plus[parent])
+        if drop:  # the rest of the state, (a0 +- a1) / sqrt(2 prob)
+            states = comp * (1.0 / np.sqrt(np.maximum(2.0 * prob, 1e-300)))[:, None, None]
+        else:
+            comp *= (0.5 / np.sqrt(np.maximum(prob, 1e-300)))[:, None, None]
+            states = np.stack([comp, np.where(outcome[:, None, None], -comp, comp)], axis=2)
+    return states.reshape(children, width // 2 if drop else width), parent, outcome, factor
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +596,11 @@ def _dense_kernel(c: Circuit, postselect: dict[str, int] | None) -> TrajectoryKe
     return TrajectoryKernel(c, range(c.n))
 
 
-def _results(kernel: TrajectoryKernel, uniforms: np.ndarray) -> list[SimResult]:
+def _results(
+    kernel: TrajectoryKernel, uniforms: np.ndarray, postselect: dict[str, int] | None
+) -> list[SimResult]:
     """Full-width rows of `uniforms` through the kernel, in qubit order."""
-    alive, weight, states, outcomes = kernel.run(_NO_INSERTIONS, uniforms)
+    alive, weight, states, outcomes = kernel.run(_NO_INSERTIONS, uniforms, postselect)
     if not len(alive):
         return []
     states = states[:, kernel.permutation(range(kernel.circuit.n))]
@@ -592,12 +620,10 @@ def simulate(c: Circuit, postselect: dict[str, int] | None = None, seed: int = 0
     outcome has probability below 1e-14.
     """
     kernel = _dense_kernel(c, postselect)
-    postselect = postselect or {}
-    records = c.records()
-    drawn = np.array([r not in postselect for r in records], dtype=bool)
-    uniforms = _forced_uniforms(np.array([postselect.get(r, 0) for r in records]))
+    drawn = np.array([r not in (postselect or {}) for r in c.records()], dtype=bool)
+    uniforms = np.full(len(drawn), np.nan)   # postselected: branch, keep one
     uniforms[drawn] = np.random.default_rng(seed).random(int(drawn.sum()))
-    results = _results(kernel, uniforms[None, :])
+    results = _results(kernel, uniforms[None, :], postselect)
     if not results:
         return SimResult(np.zeros(1 << c.n, dtype=np.complex128), 0.0, {}, False)
     return results[0]
@@ -615,18 +641,7 @@ def enumerate_branches(
     1e-14.
     """
     kernel = _dense_kernel(c, postselect)
-    postselect = postselect or {}
-    records = c.records()
-    free = [col for col, r in enumerate(records) if r not in postselect]
-    fixed = np.array([postselect.get(r, 0) for r in records])
-    branches: list[SimResult] = []
-    for lo in range(0, 1 << len(free), kernel.chunk_rows):
-        rows = np.arange(lo, min(lo + kernel.chunk_rows, 1 << len(free)))
-        outcomes = np.tile(fixed, (len(rows), 1))
-        for j, col in enumerate(free):
-            outcomes[:, col] = (rows >> (len(free) - 1 - j)) & 1
-        branches += _results(kernel, _forced_uniforms(outcomes))
-    return branches
+    return _results(kernel, np.full((1, len(c.records())), np.nan), postselect)
 
 
 def unitary_of(c: Circuit) -> np.ndarray:

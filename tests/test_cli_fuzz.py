@@ -158,7 +158,7 @@ def test_mutated_circuits(workdir, name, other, gadgetize, data):
     outputs = ",".join(map(str, programs.DESIGNATIONS[name][0]))
     for oracle in ("dense", "poly"):
         _run(["verify", "--a", mutant, "--b", workdir / other, "--oracle", oracle])
-    # gadgetized first order on t15 runs 1024 forced rows per fault: singles only
+    # gadgetized first order on t15 takes seconds (up to 1024 branches per fault): singles only
     analyses = ["--singles"] if gadgetize else ["--singles", "--pairs", "--first-order"]
     _run(["faults", "--circuit", mutant, "--outputs", outputs, *analyses]
          + (["--gadgetize"] if gadgetize else []))

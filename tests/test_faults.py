@@ -54,17 +54,29 @@ def run_one(harness, faults):
     return float(acc[0]), float(infid[0])
 
 
+def sampled(harness, faults, uniforms):
+    """`run_sampled` on rows that draw every outcome, scattered back per
+    row: (accepted, infidelity), a rejected row reading (False, 0)."""
+    row, weight, infid = harness.run_sampled(faults, uniforms)
+    assert len(np.unique(row)) == len(row) and (weight == 1.0).all()
+    accepted = np.zeros(len(uniforms), dtype=bool)
+    infidelity = np.zeros(len(uniforms))
+    accepted[row] = True
+    infidelity[row] = infid
+    return accepted, infidelity
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Rows of every `run_sampled` call made while the test runs."""
+    """Rows of every kernel call `run_sampled` makes while the test runs."""
     calls = []
-    original = _Harness.run_sampled
+    original = _Harness._run_chunk
 
-    def counted(self, faults, uniforms):
+    def counted(self, row, pos, pauli, qubit, uniforms):
         calls.append(len(uniforms))
-        return original(self, faults, uniforms)
+        return original(self, row, pos, pauli, qubit, uniforms)
 
-    monkeypatch.setattr(_Harness, "run_sampled", counted)
+    monkeypatch.setattr(_Harness, "_run_chunk", counted)
     return calls
 
 
@@ -391,8 +403,7 @@ class TestBatchedKernel:
         uniforms = rng.random((len(sites), len(harness.meas_order)))
         rows = np.arange(len(sites))
         pos, pauli, qubit = (np.array(col) for col in zip(*sites))
-        weight, infidelity = harness.run_sampled((rows, pos, pauli, qubit), uniforms)
-        accepted = weight > 0
+        accepted, infidelity = sampled(harness, (rows, pos, pauli, qubit), uniforms)
         for row, (p, pa, q) in enumerate(sites):
             ok, infid = reference_trajectory(harness, {p: [("XYZ"[pa], q)]}, uniforms[row])
             assert accepted[row] == ok
@@ -423,22 +434,22 @@ class TestPreparationRoundFaults:
         one-trajectory reference."""
         uniforms = np.full((len(faults), 1), 0.5)
         pos, pauli, qubit = (np.array(col) for col in zip(*faults))
-        weight, infidelity = harness.run_sampled(
-            (np.arange(len(faults)), pos, pauli, qubit), uniforms
+        accepted, infidelity = sampled(
+            harness, (np.arange(len(faults)), pos, pauli, qubit), uniforms
         )
         prepared = {g.qubits[0]: i for i, g in enumerate(self.gates) if g.kind in PREP_KINDS}
         for row, (p, pa, q) in enumerate(faults):
             fault_map = {p: [("XYZ"[pa], q)]} if p >= prepared[q] else {}
             ok, infid = reference_trajectory(harness, fault_map, uniforms[row])
-            assert (weight[row] > 0) == ok
+            assert accepted[row] == ok
             assert infidelity[row] == pytest.approx(infid, rel=1e-12, abs=1e-13)
-        return weight
+        return accepted
 
     def test_matches_reference(self):
         harness = _Harness(Circuit(3, self.gates), [0, 1])
         faults = [(pos, 2, q) for pos in range(-1, len(self.gates)) for q in range(3)]
-        weight = self.run_rows(harness, faults)
-        assert 0 < np.count_nonzero(weight) < len(faults)
+        accepted = self.run_rows(harness, faults)
+        assert 0 < np.count_nonzero(accepted) < len(faults)
 
     def test_every_pauli_inside_round_0(self):
         harness = _Harness(Circuit(3, self.gates), [0, 1])
@@ -448,14 +459,14 @@ class TestPreparationRoundFaults:
             (pos, pauli, q) for pos in range(-1, len(round0)) for pauli in range(3)
             for q in range(3)
         ]
-        weight = self.run_rows(harness, faults)
-        assert 0 < np.count_nonzero(weight) < len(faults)
+        accepted = self.run_rows(harness, faults)
+        assert 0 < np.count_nonzero(accepted) < len(faults)
 
 
 class TestExactKernel:
-    """`run_exact` (forced rows of the trajectory kernel, whole fault
-    configurations per call) against the per-branch reference executor with
-    the faults inserted as gates."""
+    """`run_exact` (one row per fault configuration that branches at every
+    injection measurement, whole configurations per kernel call) against
+    the per-branch reference executor with the faults inserted as gates."""
 
     @staticmethod
     def assert_same(harness, faults, got):
@@ -499,7 +510,7 @@ class TestExactKernel:
         circ, outputs = compiled_cs()
         impl = gadgetize(circ)
         harness = _Harness(impl, outputs)
-        assert len(harness._exact_uniforms) == 256
+        assert len(harness.injection) == 8   # 256 branches per configuration
         self.assert_all_same(harness, [[(pos, "Z", q)] for pos, q in harness.tprep_sites()])
 
     def test_mixed_sizes_in_one_call(self):
@@ -515,11 +526,11 @@ class TestExactKernel:
     @pytest.mark.parametrize("chunk_rows", [48, 4])
     def test_groups_split_mid_list(self, monkeypatch, chunk_rows):
         # gadgetized ccz: 16 branches per configuration on 8 live qubits, so
-        # a 48-row chunk holds 3 configurations (100 of them end mid-group)
-        # and a 4-row chunk splits every configuration over 4 chunks
+        # a 48-row chunk takes 3 configurations (100 of them end mid-group)
+        # and a 4-row chunk one, whose branches outgrow it
         circ, outputs = compiled_ccz()
         harness = _Harness(gadgetize(circ), outputs)
-        assert (len(harness._exact_uniforms), harness.kernel.peak) == (16, 8)
+        assert (len(harness.injection), harness.kernel.peak) == (4, 8)
         sites = _fault_sites(harness.circuit)
         configs = [
             [(pos, pauli, q)] for pos, q in sites[:: len(sites) // 34] for pauli in "XYZ"
@@ -532,6 +543,25 @@ class TestExactKernel:
         assert got[1] == pytest.approx(want[1], rel=0, abs=1e-12)
         assert 0 < np.count_nonzero(want[0]) < len(configs)
         assert np.count_nonzero(want[1] > 1e-9) > 0
+
+    def test_branches_outgrow_chunk(self, monkeypatch, kernel_calls):
+        # a 4-row chunk on 8 live qubits takes one configuration per kernel
+        # call, and the configuration's 16 branches outgrow it
+        circ, outputs = compiled_ccz()
+        harness = _Harness(gadgetize(circ), outputs)
+        monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", 4 << 8)
+        assert harness.kernel.chunk_rows == 4
+        nothing = (np.zeros(0, dtype=np.int64),) * 4
+        row, _, _ = harness.run_sampled(nothing, np.full((1, len(harness.meas_order)), np.nan))
+        assert len(row) == 16
+        (p0, q0), (p1, q1), (p2, q2) = harness.tprep_sites()[:3]
+        configs = [
+            [], [(p0, "Z", q0)], [(p0, "Z", q0), (p1, "X", q1)], [(p2, "Y", q2)],
+            [(p1, "Z", q1), (p2, "Z", q2)],
+        ]
+        kernel_calls.clear()
+        self.assert_all_same(harness, configs)
+        assert kernel_calls == [1] * len(configs)
 
     def test_unknown_pauli(self, kernel_calls):
         circ, outputs = compiled_ccz()
@@ -552,7 +582,7 @@ class TestBatchedEnumeration:
     @staticmethod
     def group(harness):
         rows = _CHUNK_AMPLITUDES >> harness.kernel.peak
-        return max(1, rows // len(harness._exact_uniforms))
+        return max(1, rows // 2 ** len(harness.injection))
 
     @pytest.mark.parametrize("name", ["ccz-g", "cs-g", "t15"])
     def test_kernel_calls_per_group(self, kernel_calls, name):
@@ -572,7 +602,7 @@ class TestBatchedEnumeration:
             kernel_calls.clear()
             configs = run()
             assert configs > 0
-            assert len(kernel_calls) <= 1 + math.ceil(configs / group)
+            assert len(kernel_calls) == 1 + math.ceil(configs / group)
 
     def test_one_t_site_has_no_pairs(self, kernel_calls):
         gates = (
@@ -698,12 +728,12 @@ class TestLiveWidth:
         sites = [(pos, pauli, q) for pos, q in _fault_sites(harness.circuit) for pauli in range(3)]
         uniforms = np.random.default_rng(8).random((len(sites), len(harness.meas_order)))
         pos, pauli, qubit = (np.array(col) for col in zip(*sites))
-        weight, infidelity = harness.run_sampled(
-            (np.arange(len(sites)), pos, pauli, qubit), uniforms
+        accepted, infidelity = sampled(
+            harness, (np.arange(len(sites)), pos, pauli, qubit), uniforms
         )
         for row, (p, pa, q) in enumerate(sites):
             ok, infid = reference_trajectory(harness, {p: [("XYZ"[pa], q)]}, uniforms[row])
-            assert (weight[row] > 0) == ok
+            assert accepted[row] == ok
             assert infidelity[row] == pytest.approx(infid, rel=1e-12, abs=1e-13)
 
     def test_fourteen_qubits_two_live(self):
@@ -724,12 +754,12 @@ class TestLiveWidth:
                  (45, 0, 13)]
         uniforms = np.random.default_rng(3).random((len(sites), len(harness.meas_order)))
         pos, pauli, qubit = (np.array(col) for col in zip(*sites))
-        weight, infidelity = harness.run_sampled(
-            (np.arange(len(sites)), pos, pauli, qubit), uniforms
+        accepted, infidelity = sampled(
+            harness, (np.arange(len(sites)), pos, pauli, qubit), uniforms
         )
         for row, (p, pa, q) in enumerate(sites):
             ok, infid = reference_trajectory(harness, {p: [("XYZ"[pa], q)]}, uniforms[row])
-            assert (weight[row] > 0) == ok
+            assert accepted[row] == ok
             assert infidelity[row] == pytest.approx(infid, rel=1e-12, abs=1e-13)
         assert run_one(harness, []) == pytest.approx((1.0, 0.0), abs=1e-12)
 
@@ -749,12 +779,12 @@ class TestLiveWidth:
         sites = harness.tprep_sites()
         uniforms = np.random.default_rng(6).random((len(sites), len(harness.meas_order)))
         pos, qubit = (np.array(col) for col in zip(*sites))
-        weight, infidelity = harness.run_sampled(
-            (np.arange(len(sites)), pos, np.full(len(sites), 2), qubit), uniforms
+        accepted, infidelity = sampled(
+            harness, (np.arange(len(sites)), pos, np.full(len(sites), 2), qubit), uniforms
         )
         for row, (p, q) in enumerate(sites):
             ok, infid = reference_trajectory(harness, {p: [("Z", q)]}, uniforms[row])
-            assert (weight[row] > 0) == ok
+            assert accepted[row] == ok
             assert infidelity[row] == pytest.approx(infid, rel=1e-12, abs=1e-13)
         table = enumerate_single_faults(impl, outputs)
         assert (len(table.entries), table.count("harmful")) == (15, 0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rotsynth import semantics
 from rotsynth.gf2 import BitVec, GF2Matrix
 from rotsynth.ir import Circuit, Gate, PhaseRotation, RotationProgram
 from rotsynth.compiler import expand_reference
@@ -325,6 +326,26 @@ class TestDenseAgainstReference:
         assert [b.outcomes for b in branches] == [
             {"a": a, "b": b} for a in (0, 1) for b in (0, 1)
         ]
+
+    def test_dead_branches_pruned_at_once(self, monkeypatch):
+        # twenty measurements of |0>: one branch, and no measurement ever
+        # holds more than the row and its two children would
+        seen = []
+        measure = semantics._measure_rows
+
+        def counted(states, *args):
+            seen.append(len(states))
+            return measure(states, *args)
+
+        monkeypatch.setattr(semantics, "_measure_rows", counted)
+        gates = (Gate("PrepZero", (0,)),) + tuple(
+            Gate("MeasZ", (0,), f"m{i}") for i in range(20)
+        )
+        branches = enumerate_branches(Circuit(1, gates))
+        assert len(branches) == 1
+        assert branches[0].outcomes == {f"m{i}": 0 for i in range(20)}
+        assert branches[0].acceptance == 1.0
+        assert len(seen) == 20 and max(seen) <= 2
 
     @pytest.mark.parametrize(
         "gates",
