@@ -290,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=["cnot-depth", "cnot-count"],
                    default="cnot-depth")
     p.add_argument("--budget", type=int, default=200,
-                   help="ordering samples; 1 compiles the given order")
+                   help="orderings tried: the given order, then budget - 1 seeded "
+                        "shuffles; 1 compiles the given order")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--measure-x", dest="measure_x",
                    help="append X-basis detection on these qubits (comma list)")

@@ -328,75 +328,65 @@ def _cnot_layers(pairs) -> int:
     return depth
 
 
-def _layer_moves(n: int) -> list[tuple[tuple[int, int], ...]]:
-    pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
-    moves: list[tuple[tuple[int, int], ...]] = [(p,) for p in pairs]
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            if not set(pairs[a]) & set(pairs[b]):
-                moves.append((pairs[a], pairs[b]))
-    return moves
+@lru_cache(maxsize=None)
+def _depth_table(n: int) -> dict[int, tuple[int, tuple] | None]:
+    """Predecessor map of (depth, count)-optimal realizations of every CX
+    operator on n qubits: state -> (previous state, CNOT layer), None for a
+    permutation matrix.
 
-
-_DEPTH_TABLES: dict[int, tuple[dict, dict]] = {}
-
-
-def _depth_table(n: int) -> tuple[dict, dict]:
-    """(depth, count)-optimal realizations of every CX operator on n qubits.
-
-    Multi-source Dijkstra from all permutation matrices, moves = parallel
-    CNOT layers. Feasible for n <= 4 (|GL(4,2)| = 20160).
+    A state packs a matrix into one int, row i in bits n*i to n*i + n - 1.
+    Breadth-first search from all permutation matrices; every move is one
+    layer of one or two disjoint CNOTs, so a state's depth is its level.
+    Each level expands in order of (count, order of discovery), and a state
+    keeps the first predecessor that reaches it with the fewest CNOTs.
+    Feasible for n <= 4 (|GL(4,2)| = 20160).
     """
-    if n in _DEPTH_TABLES:
-        return _DEPTH_TABLES[n]
-    import heapq
-
-    moves = _layer_moves(n)
-    best: dict[tuple[int, ...], tuple[int, int]] = {}
-    prev: dict[tuple[int, ...], tuple[tuple[int, ...], tuple] | None] = {}
-    heap = []
-    counter = 0
-    for images in permutations(range(n)):
-        rows = [0] * n
-        for col, row in enumerate(images):
-            rows[row] |= 1 << col
-        state = tuple(rows)
-        best[state] = (0, 0)
-        prev[state] = None
-        heap.append((0, 0, counter, state))
-        counter += 1
-    heapq.heapify(heap)
-    while heap:
-        depth, count, _, state = heapq.heappop(heap)
-        if best[state] < (depth, count):
-            continue
-        for move in moves:
-            rows = list(state)
-            for c, t in move:
-                rows[t] ^= rows[c]
-            nxt = tuple(rows)
-            cand = (depth + 1, count + len(move))
-            if nxt not in best or cand < best[nxt]:
-                best[nxt] = cand
+    pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
+    moves = [(p,) for p in pairs] + [
+        (p, q) for a, p in enumerate(pairs) for q in pairs[a + 1 :] if not set(p) & set(q)
+    ]
+    # each move as indices into `pairs`, whose flips a state computes once
+    parts = [tuple(pairs.index(p) for p in move) for move in moves]
+    shifts = [(n * c, n * t) for c, t in pairs]
+    mask = (1 << n) - 1
+    level = [
+        sum(1 << (n * row + col) for col, row in enumerate(images))
+        for images in permutations(range(n))
+    ]
+    prev: dict[int, tuple[int, tuple] | None] = dict.fromkeys(level)
+    count = dict.fromkeys(level, 0)
+    while level:
+        found: dict[int, None] = {}  # the next level, in order of discovery
+        for state in level:
+            base = count[state]
+            flip = [((state >> c) & mask) << t for c, t in shifts]
+            for move, part in zip(moves, parts):
+                nxt = state
+                for k in part:
+                    nxt ^= flip[k]
+                cand = base + len(part)
+                if nxt in prev and (nxt not in found or count[nxt] <= cand):
+                    continue
+                found[nxt] = None
+                count[nxt] = cand
                 prev[nxt] = (state, move)
-                counter += 1
-                heapq.heappush(heap, (cand[0], cand[1], counter, nxt))
-    _DEPTH_TABLES[n] = (best, prev)
-    return best, prev
+        level = sorted(found, key=count.__getitem__)  # stable: ties keep discovery order
+    return prev
 
 
 def _table_realization(u: GF2Matrix) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    _, prev = _depth_table(u.n_rows)
-    state = tuple(u.rows)
+    n = u.n_rows
+    prev = _depth_table(n)
+    state = sum(row << (n * i) for i, row in enumerate(u.rows))
     layers = []
     while prev[state] is not None:
         state, move = prev[state]
         layers.append(move)
     layers.reverse()
     # start state is a permutation matrix P with P e_col = e_row
-    images = [0] * u.n_rows
-    for row, bits in enumerate(state):
-        images[bits.bit_length() - 1] = row
+    images = [0] * n
+    for row in range(n):
+        images[((state >> (n * row)) & ((1 << n) - 1)).bit_length() - 1] = row
     cnots = tuple(pair for move in layers for pair in move)
     return tuple(images), cnots
 
@@ -663,65 +653,44 @@ def _pad_residual(residual: list[PhaseRotation], n: int) -> tuple[GF2Matrix, tup
     return GF2Matrix.from_cols(cols), tuple(ks)
 
 
+@dataclass(frozen=True)
 class _Block:
     """One block of a candidate ordering: its matrix (the padded basis for the
     residual) and exponents."""
 
-    __slots__ = ("matrix", "exponents", "live", "_pair")
+    matrix: GF2Matrix
+    exponents: tuple[int, ...]
 
-    def __init__(self, matrix: GF2Matrix, exponents: tuple[int, ...]):
-        self.matrix = matrix
-        self.exponents = exponents
+    @property
+    def live(self) -> bool:
         # an empty phase layer contributes CX(M)^-1 CX(M) = identity
-        self.live = any(k % 8 for k in exponents)
-        self._pair = None
+        return any(k % 8 for k in self.exponents)
 
     def pair(self) -> tuple[GF2Matrix, GF2Matrix]:
         """(u^T, (u^T)^-1), the circuit-level matrix (see parallelize_block)
-        and its inverse; computed when a valid ordering first needs them."""
-        if self._pair is None:
-            fwd = self.matrix.transpose()
-            self._pair = (fwd, invert(fwd))
-        return self._pair
+        and its inverse."""
+        fwd = self.matrix.transpose()
+        return fwd, invert(fwd)
 
 
-class _BlockAlgebra:
-    """Blocks of one program, memoized by their tuple of rotation indices.
-
-    The orderings of a search share most of their blocks (ccz has 40320
-    orderings but 1680 ordered 4-blocks), so each block's matrix,
-    invertibility and inverse are computed once per search.
-    """
-
-    def __init__(self, p: RotationProgram):
-        self.p = p
-        self._blocks: dict[tuple[int, ...], _Block | None] = {}
-
-    def _block(self, idx: tuple[int, ...]) -> _Block | None:
-        rots = [self.p.rotations[i] for i in idx]
-        if len(idx) < self.p.n:
-            pad = _pad_residual(rots, self.p.n)
-            return None if pad is None else _Block(*pad)
+def _split(p: RotationProgram, order: tuple[int, ...]) -> list[_Block] | None:
+    """Cut an ordering into n-blocks and the padded residual; None if any
+    block is singular or the residual supports are dependent."""
+    n = p.n
+    blocks = []
+    for start in range(0, len(order), n):
+        rots = [p.rotations[i] for i in order[start : start + n]]
+        if len(rots) < n:
+            pad = _pad_residual(rots, n)
+            if pad is None:
+                return None
+            blocks.append(_Block(*pad))
+            continue
         mat = GF2Matrix.from_cols([r.support for r in rots])
         if not is_invertible(mat):
             return None
-        return _Block(mat, tuple(r.k for r in rots))
-
-    def split(self, order: tuple[int, ...]) -> list[_Block] | None:
-        """Cut an ordering into n-blocks and the padded residual; None if
-        any block is singular or the residual supports are dependent."""
-        n = self.p.n
-        blocks = []
-        for start in range(0, len(order), n):
-            idx = order[start : start + n]
-            try:
-                block = self._blocks[idx]
-            except KeyError:
-                block = self._blocks[idx] = self._block(idx)
-            if block is None:
-                return None
-            blocks.append(block)
-        return blocks
+        blocks.append(_Block(mat, tuple(r.k for r in rots)))
+    return blocks
 
 
 def _fast_cnot_metrics(
@@ -770,15 +739,8 @@ def _emit_pipeline(blocks: list[_Block], n: int, absorb: bool, depth_opt: bool =
 
 
 def _candidate_orderings(m: int, budget: int, seed: int):
-    identity = tuple(range(m))
-    yield identity
-    if budget <= 1:
-        return
-    if m <= 8:
-        for order in permutations(range(m)):
-            if order != identity:
-                yield order
-        return
+    """The program order, then `budget - 1` seeded shuffles."""
+    yield tuple(range(m))
     rng = random.Random(seed)
     for _ in range(budget - 1):
         order = list(range(m))
@@ -794,10 +756,10 @@ def partition_rotations(
 ) -> Partition:
     """Search orderings of the rotations for the best valid block partition.
 
-    budget=1 compiles the program order as given. Otherwise all orderings are
-    enumerated when feasible (m <= 8), or `budget` seeded samples are drawn;
-    each valid candidate is scored by the chosen objective of its fully
-    compiled circuit (`_fast_cnot_metrics`) and ties break toward the
+    The candidates are the program order and `budget - 1` seeded shuffles,
+    whatever the number of rotations, so budget=1 compiles the program order
+    as given. Each valid candidate is scored by the chosen objective of its
+    fully compiled circuit (`_fast_cnot_metrics`) and ties break toward the
     earlier candidate.
     """
     if p.n < 1:
@@ -809,13 +771,12 @@ def partition_rotations(
         return Partition((), (), (), (), 0, 0)
 
     depth_opt = objective == "cnot-depth"
-    algebra = _BlockAlgebra(p)
     best = None
     best_key = None
     tried = valid = 0
     for order in _candidate_orderings(m, budget, seed):
         tried += 1
-        split = algebra.split(order)
+        split = _split(p, order)
         if split is None:
             continue
         valid += 1
@@ -847,7 +808,7 @@ def _compile(
 ) -> tuple[Partition, Circuit]:
     """Search the partition, then emit the circuit of its blocks."""
     part = partition_rotations(p, budget=budget, seed=seed, objective=objective)
-    blocks = _BlockAlgebra(p).split(part.ordering)
+    blocks = _split(p, part.ordering)
     return part, _emit_pipeline(blocks, p.n, absorb, objective == "cnot-depth")
 
 

@@ -20,8 +20,9 @@ from its injection CNOT to its measurement.
 Noise placement follows a round schedule derived from the circuit: round 0
 prepares magic states (Z errors at rate p_T on each |T> preparation), and
 every later round ends with single-qubit depolarizing noise at rate p_L on
-each not-yet-measured qubit, with X, Y, Z each taken at p_L / 3. The
-decode latency inserts idle rounds before the adaptive correction round.
+each not-yet-measured qubit that a gate or an output uses, with X, Y, Z
+each taken at p_L / 3. The decode latency inserts idle rounds before the
+adaptive correction round.
 """
 
 from __future__ import annotations
@@ -190,7 +191,6 @@ class Round:
     label: str
     gate_indices: tuple[int, ...]
     insert_pos: int          # faults/noise apply after this gate index
-    noisy_qubits: tuple[int, ...]
 
 
 def build_schedule(c: Circuit, t_decode: int = 0) -> tuple[Round, ...]:
@@ -237,17 +237,12 @@ def build_schedule(c: Circuit, t_decode: int = 0) -> tuple[Round, ...]:
                     kind_of_round = "cnot"
                 rounds[-1][1].append(idx)
 
-    measured: set[int] = set()
     out: list[Round] = []
     last_pos = -1
     for label, idxs in rounds:
         if idxs:
             last_pos = max(idxs)
-        for i in idxs:
-            if c.gates[i].kind in MEAS_KINDS:
-                measured.add(c.gates[i].qubits[0])
-        noisy = tuple(q for q in range(c.n) if q not in measured)
-        out.append(Round(label, tuple(idxs), last_pos, noisy))
+        out.append(Round(label, tuple(idxs), last_pos))
     return tuple(out)
 
 
@@ -297,7 +292,6 @@ class _Harness:
         if not self.detection:
             raise FaultAnalysisError("circuit has no detection measurements")
         self.kernel = TrajectoryKernel(c, self.outputs)
-        self._round0_end = len(self.rounds[0].gate_indices) - 1
         self._prepared = np.full(c.n, -1)
         for pos, g in enumerate(c.gates):
             if g.kind in PREP_KINDS:
@@ -413,11 +407,8 @@ class _Harness:
             & (born[qubit] <= len(self.circuit.gates))
         )
         row, pos, pauli, qubit = row[kept], pos[kept], pauli[kept], qubit[kept]
-        # Only preparations, X and diagonal gates make up round 0, so a Z
-        # fault inside it commutes to the round's end up to a global sign. A
-        # fault on a qubit that no gate has touched yet commutes to just
-        # after its axis is made.
-        pos = np.where((pauli == 2) & (pos < self._round0_end), self._round0_end, pos)
+        # A fault on a qubit that no gate other than its preparation has
+        # touched yet commutes to just after its axis is made.
         stop = np.where(pos < born[qubit], 2 * born[qubit], 2 * pos + 1)
         return self.kernel.run((row, stop, pauli, qubit), uniforms, self.reference)
 
@@ -433,13 +424,19 @@ class _Harness:
 
     def depolarizing_sites(self) -> list[tuple[int, int, int]]:
         """(round index, insert position, qubit) for every end-of-round noise
-        location on a live qubit, rounds 1 and later."""
+        location, rounds 1 and later, on each qubit not yet measured that
+        has a kernel axis: a fault on a qubit without one (no gate or
+        output reads it) changes nothing."""
+        gates = self.circuit.gates
+        noisy = np.flatnonzero(self.kernel.born <= len(gates)).tolist()
         sites = []
         for r, rnd in enumerate(self.rounds):
-            if r == 0:
-                continue
-            for q in rnd.noisy_qubits:
-                sites.append((r, rnd.insert_pos, q))
+            measured = {
+                gates[i].qubits[0] for i in rnd.gate_indices if gates[i].kind in MEAS_KINDS
+            }
+            noisy = [q for q in noisy if q not in measured]
+            if r:
+                sites.extend((r, rnd.insert_pos, q) for q in noisy)
         return sites
 
 

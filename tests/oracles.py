@@ -9,6 +9,8 @@ gate.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import random
 
@@ -462,6 +464,50 @@ def reference_greedy_rows(
         rows[j] ^= rows[i]
         ops.append((i, j))
     return rows, ops
+
+
+def reference_depth_table(n: int) -> tuple[dict, dict]:
+    """`compiler._depth_table` as a multi-source Dijkstra on (depth, count)
+    from all permutation matrices, states as tuples of rows, moves = layers
+    of one or two disjoint CNOTs. Returns (best, prev): the optimal
+    (depth, count) of each state, and its predecessor (state, layer), None
+    for a permutation matrix."""
+    pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
+    moves = [(p,) for p in pairs]
+    for a in range(len(pairs)):
+        for b in range(a + 1, len(pairs)):
+            if not set(pairs[a]) & set(pairs[b]):
+                moves.append((pairs[a], pairs[b]))
+    best: dict[tuple[int, ...], tuple[int, int]] = {}
+    prev: dict[tuple[int, ...], tuple[tuple[int, ...], tuple] | None] = {}
+    heap = []
+    counter = 0
+    for images in itertools.permutations(range(n)):
+        rows = [0] * n
+        for col, row in enumerate(images):
+            rows[row] |= 1 << col
+        state = tuple(rows)
+        best[state] = (0, 0)
+        prev[state] = None
+        heap.append((0, 0, counter, state))
+        counter += 1
+    heapq.heapify(heap)
+    while heap:
+        depth, count, _, state = heapq.heappop(heap)
+        if best[state] < (depth, count):
+            continue
+        for move in moves:
+            rows = list(state)
+            for c, t in move:
+                rows[t] ^= rows[c]
+            nxt = tuple(rows)
+            cand = (depth + 1, count + len(move))
+            if nxt not in best or cand < best[nxt]:
+                best[nxt] = cand
+                prev[nxt] = (state, move)
+                counter += 1
+                heapq.heappush(heap, (cand[0], cand[1], counter, nxt))
+    return best, prev
 
 
 def _reference_split(p: RotationProgram, order: tuple[int, ...]):

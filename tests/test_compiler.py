@@ -256,6 +256,15 @@ class TestPartition:
         assert all(is_invertible(b) for b in part.blocks)
         assert part.residual == ()
 
+    def test_budget_counts_every_ordering(self):
+        # the program order plus budget - 1 seeded shuffles, however few
+        # rotations there are: ccz has 8! orderings, three rotations 3!
+        part = partition_rotations(programs.load("ccz"), budget=40)
+        assert (part.orderings_valid, part.orderings_tried) == (33, 40)
+        basis = RotationProgram(3, tuple(PhaseRotation(BitVec.basis(3, q), 1) for q in range(3)))
+        part = partition_rotations(basis, budget=40)
+        assert (part.orderings_valid, part.orderings_tried) == (40, 40)
+
     def test_partition_failure(self):
         # all supports equal: no block of two can ever be independent
         v = BitVec.from_string("11")
@@ -406,7 +415,7 @@ class TestCompile:
     def test_search_scorer_matches_emitted_circuit(self):
         # the ordering search scores candidates on plain tuples; the score
         # must equal the metrics of the honestly emitted circuit
-        from rotsynth.compiler import _BlockAlgebra, _emit_pipeline, _fast_cnot_metrics
+        from rotsynth.compiler import _emit_pipeline, _fast_cnot_metrics, _split
 
         rng = random.Random(31)
         checked = 0
@@ -414,7 +423,7 @@ class TestCompile:
             n = rng.randrange(2, 6)
             m = rng.randrange(1, 3 * n + 1)
             prog = random_program(rng, n, m)
-            split = _BlockAlgebra(prog).split(tuple(range(m)))
+            split = _split(prog, tuple(range(m)))
             if split is None:
                 continue
             checked += 1

@@ -156,11 +156,25 @@ class TestSchedules:
         assert labels[i - 3 : i] == ["decode-idle"] * 3
 
     def test_measured_qubits_stop_accruing_noise(self):
-        circ, _ = compiled_ccz()
-        impl = gadgetize(circ)
-        sched = build_schedule(impl, t_decode=0)
-        assert len(sched[1].noisy_qubits) == 8          # all live after round 1
-        assert len(sched[-1].noisy_qubits) == 3         # flag measured at the end
+        circ, outputs = compiled_ccz()
+        harness = _Harness(gadgetize(circ), outputs)
+        rounds = [r for r, _, _ in harness.depolarizing_sites()]
+        assert rounds.count(1) == 8                         # all live after round 1
+        assert rounds.count(len(harness.rounds) - 1) == 3   # flag measured at the end
+
+    def test_noise_only_on_qubits_in_use(self):
+        # declared qubits that no gate or output uses add no site, however
+        # many there are; an output that no gate touches keeps its noise
+        circ, outputs = compiled_ccz()
+        want = _Harness(circ, outputs, t_decode=1).depolarizing_sites()
+        wide = Circuit(200_000, circ.gates)
+        assert _Harness(wide, outputs, t_decode=1).depolarizing_sites() == want
+        idle = Circuit(5, (Gate("PrepPlus", (4,)),) + circ.gates)
+        harness = _Harness(idle, outputs + [4], t_decode=1)
+        sites = harness.depolarizing_sites()
+        # the extra preparation shifts every insert position by one
+        assert [(r, pos - 1, q) for r, pos, q in sites if q != 4] == want
+        assert [r for r, _, q in sites if q == 4] == list(range(1, len(harness.rounds)))
 
 
 class TestEnumeration:
@@ -412,10 +426,10 @@ class TestBatchedKernel:
 
 
 class TestPreparationRoundFaults:
-    """Every row starts from |0...0>, with preparations as gathers. A Z
-    fault inside round 0 commutes to the round's end up to a sign, X and Y
-    faults there are break points of their own, and a fault placed before
-    its qubit's preparation has no effect."""
+    """Every row starts from |0...0>, with preparations as gathers. A fault
+    inside round 0 goes in right after its gate, or just after its qubit's
+    axis is made if no gate other than the preparation has touched it yet;
+    a fault placed before its qubit's preparation has no effect."""
 
     gates = (
         Gate("PrepT", (0,)),
