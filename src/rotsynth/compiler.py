@@ -699,38 +699,36 @@ def _fast_cnot_metrics(
     """(cnot_depth, cnot_count) of the merged, hoisted and absorbed pipeline.
 
     `live` holds (u^T, (u^T)^-1) for each block whose phase layer is
-    non-empty, in circuit order. Mirrors the circuit passes on plain tuples;
-    absorption deletes the leading CNOT operator, so its gates are not
-    counted.
+    non-empty, in circuit order. Mirrors the circuit passes on plain tuples.
+    The merged operators are the run between each pair of consecutive live
+    blocks and the last block's inverse; the leading operator, the first
+    live block's u^T, is never synthesized, because absorption deletes it.
     """
     if not live:
         return 0, 0
-    n = live[0][0].n_rows
-    merged = [live[0][0]]
-    for b in range(1, len(live)):
-        merged.append(live[b][0] @ live[b - 1][1])
+    merged = [live[b][0] @ live[b - 1][1] for b in range(1, len(live))]
     merged.append(live[-1][1])
-
-    realized = [_realize_cx(w, depth_opt) for w in merged]
     # hoisting a block's permutation to time zero relabels every earlier
     # gate (its own CNOTs are already conjugated through it): walk back from
     # the last block, composing the wire maps passed so far
     gates: list[tuple[int, int]] = []
-    tail = list(range(n))
-    for images, cnots in reversed(realized[1:]):
+    tail = list(range(live[0][0].n_rows))
+    for w in reversed(merged):
+        images, cnots = _realize_cx(w, depth_opt)
         gates.extend((tail[c], tail[t]) for c, t in reversed(cnots))
         tail = [tail[q] for q in images]
-    free = [0] * n
-    for c, t in reversed(gates):
-        a, b = free[c], free[t]
-        free[c] = free[t] = (a if a > b else b) + 1
-    return max(free), len(gates)
+    return _cnot_layers(reversed(gates)), len(gates)
 
 
 def _emit_pipeline(blocks: list[_Block], n: int, absorb: bool, depth_opt: bool = True) -> Circuit:
+    """The circuit of a candidate's blocks: parallelize, merge, hoist and
+    (with `absorb`) absorb into |+> preparations. Only the merge synthesizes
+    with the objective: it rebuilds every CNOT run from its matrix, so the
+    blocks' own CNOTs only carry those matrices and take the canonical
+    greedy."""
     fragment = Circuit(n)
     for b in blocks:
-        fragment = fragment.concat(parallelize_block(b.matrix, list(b.exponents), depth_opt))
+        fragment = fragment.concat(parallelize_block(b.matrix, list(b.exponents), depth_opt=False))
     merged = merge_adjacent_blocks(fragment, depth_opt)
     hoisted = hoist_permutations(merged)
     if not absorb:

@@ -5,14 +5,14 @@ groups: records consumed by classically controlled corrections (injection
 measurements) and unconsumed records (detection measurements, postselected
 on their noiseless outcomes). Faults are Paulis inserted at circuit
 positions, anywhere including the preparation round. This module defines
-no gate action of its own: it turns fault positions into insertion points
-of the dense trajectory kernel (`semantics.TrajectoryKernel`, through
-`_Harness.run_sampled`). The Monte Carlo engine samples the measurement
-outcomes; the exact enumerators run one row per fault configuration that
-branches at every injection measurement, each branch weighted by its
-probability. The kernel's rows
-hold only the live qubits (from a qubit's first gate other than a
-preparation to the measurement that ends it), and the dense cap of
+no gate action and no qubit lifetime of its own: it hands gate positions to
+the dense trajectory kernel (`semantics.TrajectoryKernel`, through
+`_Harness.run_sampled`), which places each fault by its qubit's lifetime.
+The Monte Carlo engine samples the measurement outcomes; the exact
+enumerators run one row per fault configuration that branches at every
+injection measurement, each branch weighted by its probability. The
+kernel's rows hold only the live qubits (from a qubit's first gate other
+than a preparation to the measurement that ends it), and the dense cap of
 `semantics.MAX_DENSE_QUBITS` applies to that live width: a gadgetized
 circuit may have many more qubits, since each |T> resource is live only
 from its injection CNOT to its measurement.
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ir import Circuit, Gate, MEAS_KINDS, PREP_KINDS, T_LIKE_KINDS
-from .semantics import _NO_INSERTIONS, TrajectoryKernel
+from .semantics import TrajectoryKernel
 
 HARMFUL_INFIDELITY = 1e-9
 DETECTED_ACCEPTANCE = 1e-12
@@ -258,15 +258,14 @@ class _Harness:
     Splits measurement records into injection records (consumed by CondS)
     and detection records (postselected on their noiseless outcomes), and
     freezes the noiseless reference: detection outcomes and the pure state
-    on the output qubits. `run_sampled` places faults and runs them on the
-    kernel; `run_exact` and the check of the noiseless reference run rows
+    on the output qubits. `run_sampled` hands faults to the kernel by gate
+    position; `run_exact` and the check of the noiseless reference run rows
     that branch at every injection measurement.
 
-    The kernel keeps the outputs to the end, so a row's state holds only the
-    live qubits: a qubit gets its axis at its first gate other than a
-    preparation, and loses it at a measurement that is its last gate unless
-    it is an output. The dense cap (`semantics.MAX_DENSE_QUBITS`) applies to
-    the peak live width, not to the circuit's qubit count.
+    The kernel keeps the outputs to the end and owns every other qubit's
+    lifetime, so a row's state holds only the live qubits, and the dense cap
+    (`semantics.MAX_DENSE_QUBITS`) applies to the peak live width, not to
+    the circuit's qubit count.
     """
 
     def __init__(self, c: Circuit, outputs: list[int], t_decode: int = 0):
@@ -292,23 +291,17 @@ class _Harness:
         if not self.detection:
             raise FaultAnalysisError("circuit has no detection measurements")
         self.kernel = TrajectoryKernel(c, self.outputs)
-        self._prepared = np.full(c.n, -1)
-        for pos, g in enumerate(c.gates):
-            if g.kind in PREP_KINDS:
-                self._prepared[g.qubits[0]] = pos
         self._out_perm = self.kernel.permutation(self.outputs)
 
         # The noiseless reference comes from one row that takes the likelier
         # outcome of every measurement (uniform 0.5); the detection outcomes
         # of a valid circuit are certain, so they do not depend on the row.
-        _, _, states, outcomes = self.kernel.run(
-            _NO_INSERTIONS, np.full((1, len(self.meas_order)), 0.5)
-        )
+        _, _, states, outcomes = self.kernel.run(np.full((1, len(self.meas_order)), 0.5))
         self.reference = {r: int(outcomes[r][0]) for r in self.detection}
         self.ideal_out = self._reduced_pure(states[0])
         # every branch of the injection outcomes, postselected on the reference
         _, weight, infidelity = self.run_sampled(
-            _NO_INSERTIONS, np.full((1, len(self.meas_order)), np.nan)
+            np.zeros((4, 0), dtype=np.int64), np.full((1, len(self.meas_order)), np.nan)
         )
         if abs(weight.sum() - 1.0) > 1e-9:
             raise FaultAnalysisError("noiseless detection outcomes not deterministic")
@@ -362,7 +355,8 @@ class _Harness:
 
         `faults` holds four equal-length integer arrays (row, gate position,
         Pauli index into "XYZ", qubit); each entry inserts that Pauli after
-        that gate (position -1: before the first) in that row's trajectory.
+        that gate (position -1: before the first) in that row's trajectory,
+        where `TrajectoryKernel.run` places it by the qubit's lifetime.
         Row i consumes uniforms[i], one value per measurement in circuit
         order, as `TrajectoryKernel.run` does: a number in [0, 1) draws the
         outcome, NaN branches on it. Returns (row, weight, infidelity) of
@@ -383,8 +377,8 @@ class _Harness:
         for lo in range(0, len(uniforms), chunk):
             hi = min(lo + chunk, len(uniforms))
             a, b = np.searchsorted(row, (lo, hi))
-            alive, weight, states, _ = self._run_chunk(
-                row[a:b] - lo, pos[a:b], pauli[a:b], qubit[a:b], uniforms[lo:hi]
+            alive, weight, states, _ = self.kernel.run(
+                uniforms[lo:hi], self.reference, (row[a:b] - lo, pos[a:b], pauli[a:b], qubit[a:b])
             )
             if not len(alive):
                 continue
@@ -392,25 +386,6 @@ class _Harness:
             vec = np.matmul(self.ideal_out.conj(), mat)
             out.append((lo + alive, weight, 1.0 - np.sum(vec.real**2 + vec.imag**2, axis=1)))
         return tuple(np.concatenate(part) for part in zip(*out))
-
-    def _run_chunk(self, row, pos, pauli, qubit, uniforms):
-        """One chunk of `run_sampled`: fault positions become kernel
-        half-steps. Returns the kernel's (input row of each surviving state
-        row, weights, final states, outcomes by record)."""
-        born, dies = self.kernel.born, self.kernel.dies
-        # A preparation resets its qubit, so a fault placed before it has no
-        # effect; nor has one on a qubit whose axis is gone or never made (it
-        # is measured or unused, and no later gate or output reads it).
-        kept = (
-            (self._prepared[qubit] <= pos)
-            & (pos < dies[qubit])
-            & (born[qubit] <= len(self.circuit.gates))
-        )
-        row, pos, pauli, qubit = row[kept], pos[kept], pauli[kept], qubit[kept]
-        # A fault on a qubit that no gate other than its preparation has
-        # touched yet commutes to just after its axis is made.
-        stop = np.where(pos < born[qubit], 2 * born[qubit], 2 * pos + 1)
-        return self.kernel.run((row, stop, pauli, qubit), uniforms, self.reference)
 
     # -- fault sites -------------------------------------------------------
 
@@ -428,7 +403,7 @@ class _Harness:
         has a kernel axis: a fault on a qubit without one (no gate or
         output reads it) changes nothing."""
         gates = self.circuit.gates
-        noisy = np.flatnonzero(self.kernel.born <= len(gates)).tolist()
+        noisy = self.kernel.axis_qubits
         sites = []
         for r, rnd in enumerate(self.rounds):
             measured = {

@@ -286,51 +286,54 @@ class TrajectoryKernel:
     """Dense executor: rows of trajectories through one circuit, held as one
     (rows x 2^w) array over the w live qubits.
 
-    The kernel walks half-steps. Half-step 2p creates the axes of the
-    qubits whose first gate other than a preparation is gate p, from their
-    preparation amplitudes; p = len(gates) creates the kept qubits no gate
-    touches. Half-step 2p + 1 applies gate p, and drops the axis of a
-    measured qubit that no later gate touches and that is not kept. New axes
-    go last (least significant); dropped ones leave the others in order. A
-    qubit that is neither kept nor touched by a gate other than a
-    preparation never gets an axis. The dense cap applies to the peak live
-    width.
+    The kernel owns the qubits' lifetimes. A qubit's axis is made at its
+    first gate other than a preparation, from its preparation's amplitudes,
+    or at the end for a qubit in `keep` that no gate touches; it is dropped
+    at a measurement that no later gate reads, unless the qubit is kept.
+    Other qubits never get an axis, and the kernel keeps no table for them,
+    so a circuit's declared width costs nothing.
+
+    The kernel walks half-steps. Half-step 2p creates the axes born at gate
+    p (p = len(gates): the kept qubits no gate touches). Half-step 2p + 1
+    applies gate p and drops the axes it ends. New axes go last (least
+    significant); dropped ones leave the others in order. The dense cap
+    applies to the peak live width.
     """
 
     def __init__(self, c: Circuit, keep):
         gates = c.gates
-        n = c.n
         keep = set(keep)
         never = len(gates) + 1
-        born = [never] * n   # first gate other than a preparation
-        dies = [never] * n   # the measurement that drops the axis
-        self._amps = [(1.0, 0.0)] * n
-        touched = [False] * n
+        born: dict[int, int] = {}      # first gate other than a preparation
+        dies: dict[int, int] = {}      # the measurement that drops the axis
+        prepared: dict[int, int] = {}  # the preparation, and its amplitudes
+        amps: dict[int, tuple] = {}
         for pos, g in enumerate(gates):
             if g.kind in PREP_KINDS:
                 q = g.qubits[0]
-                if touched[q]:
+                if q in prepared or q in born:
                     raise SimulationError(f"{g.kind} on qubit {q} after other gates")
-                self._amps[q] = PREP_AMPLITUDES[g.kind]
-            else:
-                dropped = g.kind in MEAS_KINDS
-                for q in g.qubits:
-                    born[q] = min(born[q], pos)
-                    dies[q] = pos if dropped and q not in keep else never
+                prepared[q], amps[q] = pos, PREP_AMPLITUDES[g.kind]
+                continue
+            dropped = g.kind in MEAS_KINDS
             for q in g.qubits:
-                touched[q] = True
+                born.setdefault(q, pos)
+                dies[q] = pos if dropped and q not in keep else never
         for q in keep:
-            born[q] = min(born[q], len(gates))
+            born.setdefault(q, len(gates))
         self.circuit = c
-        self.born = np.array(born, dtype=np.int64)
-        self.dies = np.array(dies, dtype=np.int64)
+        # the qubits that get an axis, ascending, and their lifetimes
+        self._qubits = np.array(sorted(born), dtype=np.int64)
+        qubits = self._qubits.tolist()
+        self._born = np.array([born[q] for q in qubits], dtype=np.int64)
+        self._dies = np.array([dies.get(q, never) for q in qubits], dtype=np.int64)
+        self._prepared = np.array([prepared.get(q, -1) for q in qubits], dtype=np.int64)
+        self._amps = [amps.get(q, (1.0, 0.0)) for q in qubits]
 
-        # the qubits that ever get an axis, in creation order, and which of
-        # them hold one after each half-step
-        order = np.argsort(self.born, kind="stable")
-        self._order = order[self.born[order] <= len(gates)]
+        # slots in creation order, and which hold an axis after each half-step
+        self._order = np.argsort(self._born, kind="stable")
         half = np.arange(2 * len(gates) + 1)[:, None]
-        ranked_born, ranked_dies = self.born[self._order], self.dies[self._order]
+        ranked_born, ranked_dies = self._born[self._order], self._dies[self._order]
         self._live = (2 * ranked_born <= half) & (half < 2 * ranked_dies + 1)
         self._width = self._live.sum(axis=1).tolist()
         self.peak = max(self._width)
@@ -339,14 +342,13 @@ class TrajectoryKernel:
                 f"dense simulation capped at {MAX_DENSE_QUBITS} live qubits, "
                 f"the circuit holds {self.peak} at once"
             )
-        # axis of each ranked qubit after each half-step (-1: none), and the
-        # column of each qubit in that table
+        # axis of each ranked slot after each half-step (-1: none), and the
+        # column of each slot in that table
         self._axis = np.where(self._live, np.cumsum(self._live, axis=1) - 1, -1)
-        self._col = np.full(n, -1)
-        self._col[self._order] = np.arange(len(self._order))
+        self._col = np.argsort(self._order)
         self._born_at: dict[int, list[int]] = {}
-        for q in self._order.tolist():
-            self._born_at.setdefault(born[q], []).append(q)
+        for i in self._order.tolist():
+            self._born_at.setdefault(born[qubits[i]], []).append(i)
 
         # last half-step of the unitary run starting at each half-step
         self._run_end = [0] * len(half)
@@ -360,13 +362,18 @@ class TrajectoryKernel:
         self._runs: dict[tuple[int, int], tuple] = {}  # see _apply_run
 
     @property
+    def axis_qubits(self) -> list[int]:
+        """The qubits that get an axis, ascending."""
+        return self._qubits.tolist()
+
+    @property
     def chunk_rows(self) -> int:
         """Rows per chunk, so that one chunk holds `_CHUNK_AMPLITUDES`."""
         return max(1, _CHUNK_AMPLITUDES >> self.peak)
 
     def layout(self, h: int) -> tuple[int, ...]:
         """Live qubits after half-step h, in axis order."""
-        return tuple(self._order[self._live[h]].tolist())
+        return tuple(self._qubits[self._order[self._live[h]]].tolist())
 
     def permutation(self, first) -> np.ndarray:
         """Gather index that reorders a final state so that the qubits in
@@ -376,19 +383,25 @@ class TrajectoryKernel:
         axes += [a for a in range(len(final)) if a not in axes]
         return _INDEX[len(final)].reshape((2,) * len(final)).transpose(axes).reshape(-1)
 
-    def run(self, insertions, uniforms: np.ndarray, postselect: dict[str, int] | None = None):
+    def run(self, uniforms, postselect: dict[str, int] | None = None, insertions=_NO_INSERTIONS):
         """Rows through the whole circuit, one per row of `uniforms`.
 
-        `insertions` holds four equal-length integer arrays (row, half-step,
-        Pauli index into "XYZ", qubit); each applies that Pauli to that
-        qubit after that half-step, in every branch of that row, where the
-        qubit must have an axis. Row i consumes uniforms[i], one value per
-        measurement in circuit order. A number in [0, 1) draws the outcome:
-        1 where it is below the outcome's probability. NaN branches the row
-        into one state row per outcome, each with its weight multiplied by
-        that outcome's probability; the branches stay adjacent, outcome 0
-        first. A state row is dropped when its outcome has probability below
-        1e-14 or differs from the one `postselect` names for its record.
+        Row i consumes uniforms[i], one value per measurement in circuit
+        order. A number in [0, 1) draws the outcome: 1 where it is below the
+        outcome's probability. NaN branches the row into one state row per
+        outcome, each with its weight multiplied by that outcome's
+        probability; the branches stay adjacent, outcome 0 first. A state
+        row is dropped when its outcome has probability below 1e-14 or
+        differs from the one `postselect` names for its record.
+
+        `insertions` (optional) holds four equal-length integer arrays (row,
+        gate position, Pauli index into "XYZ", qubit); each applies that
+        Pauli to that qubit right after that gate (position -1: before the
+        first gate), in every branch of that row. The qubit's lifetime
+        places it: a Pauli before the qubit's preparation (which resets it),
+        at or after the measurement that drops its axis, or on a qubit that
+        never gets an axis has no effect, and one on a prepared qubit whose
+        axis is not made yet acts when the axis is made.
 
         Returns (input row of each surviving state row, in ascending order;
         their weights; their final states in the final layout; their
@@ -398,9 +411,9 @@ class TrajectoryKernel:
         """
         postselect = postselect or {}
         gates = self.circuit.gates
-        row, stop, pauli, qubit = insertions
+        row, stop, pauli, col = self._place(*insertions)
         order = np.argsort(stop, kind="stable")
-        row, stop, pauli, col = row[order], stop[order], pauli[order], self._col[qubit[order]]
+        row, stop, pauli, col = row[order], stop[order], pauli[order], col[order]
         stops, firsts = np.unique(stop, return_index=True)
         bounds = np.append(firsts, len(stop))
 
@@ -429,9 +442,9 @@ class TrajectoryKernel:
             g = gates[h // 2] if h % 2 else None   # even half-steps make axes
             kind = g.kind if g else None
             if kind in MEAS_KINDS:
-                q = g.qubits[0]
+                i = self._qubits.searchsorted(g.qubits[0])
                 states, parent, outcome, factor = _measure_rows(
-                    states, kind, self._axis[h - 1, self._col[q]], self.dies[q] == h // 2,
+                    states, kind, self._axis[h - 1, self._col[i]], self._dies[i] == h // 2,
                     uniforms[alive, self._meas_col[h // 2]], postselect.get(g.record),
                 )
                 weight = weight[parent] * factor
@@ -442,7 +455,7 @@ class TrajectoryKernel:
                 outcomes[g.record] = outcome
             elif kind == "CondS":
                 flip = outcomes[g.record]
-                axis = self._axis[h, self._col[g.qubits[0]]]
+                axis = self._axis[h, self._col[self._qubits.searchsorted(g.qubits[0])]]
                 states.reshape(len(alive), 1 << axis, 2, -1)[flip, :, 1] *= _DIAG_PHASES["S"][1]
             else:
                 last = self._run_end[h]
@@ -451,6 +464,18 @@ class TrajectoryKernel:
                 states = self._apply_run(states, h, last)
         return alive, weight, states, outcomes
 
+    def _place(self, row, pos, pauli, qubit):
+        """Insertions as (row, half-step after which each acts, Pauli, axis
+        column), without those that have no effect (see `run`)."""
+        slot = np.minimum(self._qubits.searchsorted(qubit), len(self._qubits) - 1)
+        kept = (
+            (self._qubits[slot] == qubit) & (self._prepared[slot] <= pos) & (pos < self._dies[slot])
+        )
+        slot, pos = slot[kept], pos[kept]
+        born = self._born[slot]
+        stop = np.where(pos < born, 2 * born, 2 * pos + 1)
+        return row[kept], stop, pauli[kept], self._col[slot]
+
     def _half_step(self, h: int) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Half-step h (an axis creation or a unitary gate) as a monomial
         from the layout before it to the layout after it."""
@@ -458,15 +483,15 @@ class TrajectoryKernel:
             g = self.circuit.gates[h // 2]
             if g.kind in PREP_KINDS:  # its amplitudes enter when the axis is made
                 return None, None
-            axes = self._axis[h - 1, self._col[list(g.qubits)]].tolist()
+            axes = self._axis[h - 1, self._col[self._qubits.searchsorted(g.qubits)]].tolist()
             return _monomial(g, axes, self._width[h - 1])
         new = self._born_at.get(h // 2)
         if not new:
             return None, None
         idx = _INDEX[self._width[h]]
         phase = None
-        for j, q in enumerate(new):
-            amps = np.array(self._amps[q], dtype=np.complex128)[(idx >> (len(new) - 1 - j)) & 1]
+        for j, i in enumerate(new):
+            amps = np.array(self._amps[i], dtype=np.complex128)[(idx >> (len(new) - 1 - j)) & 1]
             phase = amps if phase is None else phase * amps
         return idx >> len(new), phase
 
@@ -600,7 +625,7 @@ def _results(
     kernel: TrajectoryKernel, uniforms: np.ndarray, postselect: dict[str, int] | None
 ) -> list[SimResult]:
     """Full-width rows of `uniforms` through the kernel, in qubit order."""
-    alive, weight, states, outcomes = kernel.run(_NO_INSERTIONS, uniforms, postselect)
+    alive, weight, states, outcomes = kernel.run(uniforms, postselect)
     if not len(alive):
         return []
     states = states[:, kernel.permutation(range(kernel.circuit.n))]

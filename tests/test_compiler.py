@@ -433,6 +433,45 @@ class TestCompile:
                 circ = _emit_pipeline(split, n, True, depth_opt)
                 assert fast == (circ.cnot_depth(), circ.cnot_count())
 
+    def test_depth_synthesis_only_where_it_counts(self, monkeypatch):
+        # under cnot-depth the search asks the depth-optimal synthesizer only
+        # for the merged operators that absorption keeps (2 onward), and
+        # emission synthesizes the blocks' u^T with the canonical greedy,
+        # since the merge rebuilds every CNOT run from its matrix
+        from collections import Counter
+
+        from rotsynth import compiler
+
+        requests = []
+        realize, search = compiler._realize_cx, compiler.partition_rotations
+
+        def recorded(u, depth_opt):
+            requests.append((u, depth_opt))
+            return realize(u, depth_opt)
+
+        def searched(*args, **kwargs):
+            part = search(*args, **kwargs)
+            requests.append("emit")
+            return part
+
+        monkeypatch.setattr(compiler, "_realize_cx", recorded)
+        monkeypatch.setattr(compiler, "partition_rotations", searched)
+        prog = programs.load("t15")
+        compile_program(prog, budget=1, objective="cnot-depth")
+        blocks = compiler._split(prog, tuple(range(len(prog.rotations))))
+        live = [b.pair() for b in blocks if b.live]
+        merged = [live[0][0]] + [live[b][0] @ live[b - 1][1] for b in range(1, len(live))]
+        merged.append(live[-1][1])
+        assert len(merged) == 4
+
+        cut = requests.index("emit")
+        assert Counter(requests[:cut]) == Counter((w, True) for w in merged[1:])
+        emitted = requests[cut + 1 :]
+        assert [u for u, depth_opt in emitted if not depth_opt] == [
+            b.matrix.transpose() for b in blocks
+        ]
+        assert [u for u, depth_opt in emitted if depth_opt] == merged
+
 
 # SHA-256 of the emitted JSON: compile_program(...).circuit, then
 # compile_to_unitary(...), for each bundled program, budget and objective

@@ -70,13 +70,23 @@ def sampled(harness, faults, uniforms):
 def kernel_calls(monkeypatch):
     """Rows of every kernel call `run_sampled` makes while the test runs."""
     calls = []
-    original = _Harness._run_chunk
+    inside = []
+    run, run_sampled = semantics.TrajectoryKernel.run, _Harness.run_sampled
 
-    def counted(self, row, pos, pauli, qubit, uniforms):
-        calls.append(len(uniforms))
-        return original(self, row, pos, pauli, qubit, uniforms)
+    def sampled(self, *args):
+        inside.append(True)
+        try:
+            return run_sampled(self, *args)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(_Harness, "_run_chunk", counted)
+    def counted(self, uniforms, *args):
+        if inside:
+            calls.append(len(uniforms))
+        return run(self, uniforms, *args)
+
+    monkeypatch.setattr(_Harness, "run_sampled", sampled)
+    monkeypatch.setattr(semantics.TrajectoryKernel, "run", counted)
     return calls
 
 
@@ -168,7 +178,15 @@ class TestSchedules:
         circ, outputs = compiled_ccz()
         want = _Harness(circ, outputs, t_decode=1).depolarizing_sites()
         wide = Circuit(200_000, circ.gates)
-        assert _Harness(wide, outputs, t_decode=1).depolarizing_sites() == want
+        harness = _Harness(wide, outputs, t_decode=1)
+        assert harness.depolarizing_sites() == want
+        # and no table of the harness or its kernel grows with the declared n
+        tables = [
+            t for t in (*vars(harness).values(), *vars(harness.kernel).values())
+            if isinstance(t, (np.ndarray, list, tuple, dict))
+        ]
+        assert len(tables) > 10
+        assert max(t.size if isinstance(t, np.ndarray) else len(t) for t in tables) < wide.n
         idle = Circuit(5, (Gate("PrepPlus", (4,)),) + circ.gates)
         harness = _Harness(idle, outputs + [4], t_decode=1)
         sites = harness.depolarizing_sites()
@@ -708,7 +726,8 @@ class TestLiveWidth:
 
     @pytest.fixture(scope="class")
     def harness(self):
-        return _Harness(Circuit(5, self.gates), self.outputs)
+        # qubit 5 is declared, but no gate touches it
+        return _Harness(Circuit(6, self.gates), self.outputs)
 
     def test_layouts(self, harness):
         # live after each gate: qubit 2 survives d0, qubit 4 leaves at m0,
@@ -718,14 +737,41 @@ class TestLiveWidth:
         assert live[9] == [0, 1, 2]
         assert 3 not in live[-1] and 3 in harness.kernel.layout(-1)
         assert harness.kernel.peak == 4
+        # qubit 3 gets its axis after qubit 4, but the noise sites list each
+        # round's qubits in ascending order, which fixes the order of the
+        # fault tables and of the Monte Carlo draws; qubit 5 has no axis,
+        # and qubit 2 is measured in round 1
+        assert harness.kernel.axis_qubits == [0, 1, 2, 3, 4]
+        sites = harness.depolarizing_sites()
+        assert sites == sorted(sites) and {q for _, _, q in sites} == {0, 1, 3, 4}
 
     def test_singles_exact(self, harness):
         sites = _fault_sites(harness.circuit)
         pending = [(pos, q) for pos, q in sites if q == 4 and pos < 8]
         assert len(pending) == 4   # after its preparation, rounds 0 and 1
         configs = [[(pos, pauli, q)] for pos, q in sites for pauli in "XYZ"]
-        for faults, got in zip(configs, zip(*harness.run_exact(configs))):
+        acc, infid = harness.run_exact(configs)
+        for faults, got in zip(configs, zip(acc, infid)):
             assert got == pytest.approx(reference_exact(harness, faults), rel=0, abs=1e-12)
+        # faults without effect, in the reference too: on qubit 4 after the
+        # measurement that drops its axis, and on the untouched qubit 5
+        clean = reference_exact(harness, [])
+        dropped = [i for i, f in enumerate(configs) if f[0][2] == 4 and f[0][0] >= 9]
+        untouched = [i for i, f in enumerate(configs) if f[0][2] == 5]
+        assert (len(dropped), len(untouched)) == (18, 48)
+        for i in dropped + untouched:
+            assert (acc[i], infid[i]) == pytest.approx(clean, rel=0, abs=1e-12)
+        # and before a qubit's preparation, which resets it: every Pauli at
+        # every earlier position of the preparation block, against the
+        # fault-free reference (which takes no gate before a preparation)
+        prepared = {g.qubits[0]: pos for pos, g in enumerate(self.gates) if g.kind in PREP_KINDS}
+        early = [
+            [(pos, pauli, q)] for q, prep in prepared.items() for pos in range(-1, prep)
+            for pauli in "XYZ"
+        ]
+        assert len(early) == 45
+        for got in zip(*harness.run_exact(early)):
+            assert got == pytest.approx(clean, rel=0, abs=1e-12)
 
     def test_pairs_on_late_and_measured_qubits(self, harness):
         # two Paulis on the idle resource, and faults after its measurement
