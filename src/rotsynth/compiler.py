@@ -1,13 +1,18 @@
 """Recompilation of rotation programs into minimal-T-depth circuits.
 
 Pipeline: partition the rotations into invertible blocks, realize each block
-as CX(U)^-1 (parallel phase layer) CX(U), synthesize every CNOT operator as
-a qubit permutation followed by few CNOTs, merge adjacent CNOT operators,
-hoist all permutations to time zero, and absorb the leading permutation and
-CNOT operator into state preparation. Every program is compiled for an
-all-|+> input, the U|+>^n form of the magic states it prepares: a
-permutation or CNOT operator maps |+>^n to itself, so the leading one is
-deleted outright.
+as CX(U)^-1 (parallel phase layer) CX(U), merge adjacent CNOT operators,
+synthesize every merged operator as a qubit permutation followed by few
+CNOTs, hoist all permutations to time zero, and absorb the leading
+permutation and CNOT operator into state preparation. Every program is
+compiled for an all-|+> input, the U|+>^n form of the magic states it
+prepares: a permutation or CNOT operator maps |+>^n to itself, so the
+leading one is deleted outright.
+
+`_hoisted` runs it on a candidate's blocks, synthesizing only the merged
+operators: the search scores its gate list, and the circuit is emitted from
+it. The circuit passes below (`parallelize_block`, `merge_adjacent_blocks`,
+`hoist_permutations`) are its reference in the tests.
 
 Matrix/gate conventions used throughout (exercised by the oracle tests):
   * CX(M) |e> = |M e> for invertible M over GF(2).
@@ -29,6 +34,7 @@ from .ir import (
     Circuit,
     CNOT_LIKE_KINDS,
     DIAG1_EXPONENT,
+    EXPONENT_GATES,
     Gate,
     PREP_KINDS,
     PhaseRotation,
@@ -655,8 +661,8 @@ def _pad_residual(residual: list[PhaseRotation], n: int) -> tuple[GF2Matrix, tup
 
 @dataclass(frozen=True)
 class _Block:
-    """One block of a candidate ordering: its matrix (the padded basis for the
-    residual) and exponents."""
+    """One block of a candidate ordering, CX(u^T)^-1 (phase layer) CX(u^T):
+    its matrix u (the padded basis for the residual) and exponents."""
 
     matrix: GF2Matrix
     exponents: tuple[int, ...]
@@ -667,8 +673,7 @@ class _Block:
         return any(k % 8 for k in self.exponents)
 
     def pair(self) -> tuple[GF2Matrix, GF2Matrix]:
-        """(u^T, (u^T)^-1), the circuit-level matrix (see parallelize_block)
-        and its inverse."""
+        """(u^T, (u^T)^-1), the block's CNOT operator and its inverse."""
         fwd = self.matrix.transpose()
         return fwd, invert(fwd)
 
@@ -693,47 +698,34 @@ def _split(p: RotationProgram, order: tuple[int, ...]) -> list[_Block] | None:
     return blocks
 
 
-def _fast_cnot_metrics(
-    live: list[tuple[GF2Matrix, GF2Matrix]], depth_opt: bool
-) -> tuple[int, int]:
-    """(cnot_depth, cnot_count) of the merged, hoisted and absorbed pipeline.
+def _hoisted(blocks: list[_Block], n: int, depth_opt: bool, absorb: bool) -> tuple[list, list[int]]:
+    """(gates, wire map) of the merged and hoisted circuit of a candidate's
+    blocks: (kind, qubits) CNOTs and phase gates in final wire labels, after
+    the wire map hoisted to time zero (content of wire i moves to map[i]).
 
-    `live` holds (u^T, (u^T)^-1) for each block whose phase layer is
-    non-empty, in circuit order. Mirrors the circuit passes on plain tuples.
-    The merged operators are the run between each pair of consecutive live
-    blocks and the last block's inverse; the leading operator, the first
-    live block's u^T, is never synthesized, because absorption deletes it.
+    With live blocks 1..L (non-empty phase layers P_b) the merged circuit is
+    CX(M_0) P_1 CX(M_1) ... P_L CX(M_L): M_0 = u_1^T, M_b = u_{b+1}^T
+    (u_b^T)^-1, M_L = (u_L^T)^-1. Hoisting M_b's permutation relabels every
+    earlier gate, so the walk goes back from M_L composing the wire maps.
+    With `absorb` it stops before M_0, which maps |+>^n to itself.
     """
+    live = [b for b in blocks if b.live]
     if not live:
-        return 0, 0
-    merged = [live[b][0] @ live[b - 1][1] for b in range(1, len(live))]
-    merged.append(live[-1][1])
-    # hoisting a block's permutation to time zero relabels every earlier
-    # gate (its own CNOTs are already conjugated through it): walk back from
-    # the last block, composing the wire maps passed so far
-    gates: list[tuple[int, int]] = []
-    tail = list(range(live[0][0].n_rows))
-    for w in reversed(merged):
-        images, cnots = _realize_cx(w, depth_opt)
-        gates.extend((tail[c], tail[t]) for c, t in reversed(cnots))
+        return [], list(range(n))
+    pairs = [b.pair() for b in live]
+    merged = [pairs[0][0]]
+    merged += [fwd @ prev_inv for (fwd, _), (_, prev_inv) in zip(pairs[1:], pairs)]
+    merged.append(pairs[-1][1])
+    tail = list(range(n))
+    runs = []  # the last run first
+    for b in reversed(range(1 if absorb else 0, len(merged))):
+        images, cnots = _realize_cx(merged[b], depth_opt)
+        runs.append([("CNOT", (tail[c], tail[t])) for c, t in cnots])
         tail = [tail[q] for q in images]
-    return _cnot_layers(reversed(gates)), len(gates)
-
-
-def _emit_pipeline(blocks: list[_Block], n: int, absorb: bool, depth_opt: bool = True) -> Circuit:
-    """The circuit of a candidate's blocks: parallelize, merge, hoist and
-    (with `absorb`) absorb into |+> preparations. Only the merge synthesizes
-    with the objective: it rebuilds every CNOT run from its matrix, so the
-    blocks' own CNOTs only carry those matrices and take the canonical
-    greedy."""
-    fragment = Circuit(n)
-    for b in blocks:
-        fragment = fragment.concat(parallelize_block(b.matrix, list(b.exponents), depth_opt=False))
-    merged = merge_adjacent_blocks(fragment, depth_opt)
-    hoisted = hoist_permutations(merged)
-    if not absorb:
-        return hoisted
-    return eliminate_tdag(absorb_into_prep(hoisted))
+        if b:  # P_b, in parallelize_block's order
+            runs.append([(kind, (tail[q],)) for q, k in enumerate(live[b - 1].exponents)
+                         for kind in EXPONENT_GATES.get(k % 8, ())])
+    return [g for run in reversed(runs) for g in run], tail
 
 
 def _candidate_orderings(m: int, budget: int, seed: int):
@@ -756,9 +748,9 @@ def partition_rotations(
 
     The candidates are the program order and `budget - 1` seeded shuffles,
     whatever the number of rotations, so budget=1 compiles the program order
-    as given. Each valid candidate is scored by the chosen objective of its
-    fully compiled circuit (`_fast_cnot_metrics`) and ties break toward the
-    earlier candidate.
+    as given. Each valid candidate is scored by the chosen objective of the
+    gate list that its circuit is emitted from (`_hoisted`, absorbed), and
+    ties break toward the earlier candidate.
     """
     if p.n < 1:
         raise PartitionError("need at least one qubit")
@@ -778,9 +770,9 @@ def partition_rotations(
         if split is None:
             continue
         valid += 1
-        live = [b.pair() for b in split if b.live]
-        depth, count = _fast_cnot_metrics(live, depth_opt=depth_opt)
-        key = depth if objective == "cnot-depth" else count
+        gates, _ = _hoisted(split, p.n, depth_opt, absorb=True)
+        cnots = [qubits for kind, qubits in gates if kind == "CNOT"]
+        key = _cnot_layers(cnots) if depth_opt else len(cnots)
         if best_key is None or key < best_key:
             best_key = key
             best = (split, order)
@@ -804,10 +796,15 @@ def partition_rotations(
 def _compile(
     p: RotationProgram, budget: int, seed: int, objective: str, absorb: bool
 ) -> tuple[Partition, Circuit]:
-    """Search the partition, then emit the circuit of its blocks."""
+    """Search the partition, then emit its gate list: absorbed into |+>
+    preparations, or with the leading operator after the hoisted SWAPs."""
     part = partition_rotations(p, budget=budget, seed=seed, objective=objective)
-    blocks = _split(p, part.ordering)
-    return part, _emit_pipeline(blocks, p.n, absorb, objective == "cnot-depth")
+    gates, wires = _hoisted(_split(p, part.ordering), p.n, objective == "cnot-depth", absorb)
+    body = tuple(Gate(kind, qubits) for kind, qubits in gates)
+    if absorb:
+        return part, eliminate_tdag(absorb_into_prep(Circuit(p.n, body)))
+    lead = tuple(Gate("SWAP", pair) for pair in _transpositions(wires))
+    return part, Circuit(p.n, lead + body)
 
 
 def compile_program(
@@ -816,8 +813,8 @@ def compile_program(
     seed: int = 0,
     objective: str = "cnot-depth",
 ) -> CompileReport:
-    """Full pipeline: partition, parallelize, synthesize, merge, hoist, absorb
-    into |+> preparations."""
+    """Full pipeline: partition, synthesize the merged CNOT operators, hoist
+    their permutations, absorb into |+> preparations."""
     if not p.rotations:
         circuit = Circuit(p.n)
         return CompileReport(circuit, 0, 0, 0, 0, 0, 0, seed, budget, objective, None)

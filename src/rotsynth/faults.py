@@ -20,9 +20,9 @@ from its injection CNOT to its measurement.
 Noise placement follows a round schedule derived from the circuit: round 0
 prepares magic states (Z errors at rate p_T on each |T> preparation), and
 every later round ends with single-qubit depolarizing noise at rate p_L on
-each not-yet-measured qubit that a gate or an output uses, with X, Y, Z
-each taken at p_L / 3. The decode latency inserts idle rounds before the
-adaptive correction round.
+each qubit that a gate or an output uses, up to the measurement after which
+nothing reads it, with X, Y, Z each taken at p_L / 3. The decode latency
+inserts idle rounds before the adaptive correction round.
 """
 
 from __future__ import annotations
@@ -399,20 +399,14 @@ class _Harness:
 
     def depolarizing_sites(self) -> list[tuple[int, int, int]]:
         """(round index, insert position, qubit) for every end-of-round noise
-        location, rounds 1 and later, on each qubit not yet measured that
-        has a kernel axis: a fault on a qubit without one (no gate or
-        output reads it) changes nothing."""
-        gates = self.circuit.gates
-        noisy = self.kernel.axis_qubits
-        sites = []
-        for r, rnd in enumerate(self.rounds):
-            measured = {
-                gates[i].qubits[0] for i in rnd.gate_indices if gates[i].kind in MEAS_KINDS
-            }
-            noisy = [q for q in noisy if q not in measured]
-            if r:
-                sites.extend((r, rnd.insert_pos, q) for q in noisy)
-        return sites
+        location, rounds 1 and later, on each qubit a fault there acts on
+        (`TrajectoryKernel.acting_qubits`): a qubit that a gate or an output
+        reads, up to the measurement after which nothing reads it."""
+        return [
+            (r, rnd.insert_pos, q)
+            for r, rnd in enumerate(self.rounds[1:], start=1)
+            for q in self.kernel.acting_qubits(rnd.insert_pos)
+        ]
 
 
 _PAULI_INDEX = {"X": 0, "Y": 1, "Z": 2}

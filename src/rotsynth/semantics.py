@@ -371,6 +371,11 @@ class TrajectoryKernel:
         """Rows per chunk, so that one chunk holds `_CHUNK_AMPLITUDES`."""
         return max(1, _CHUNK_AMPLITUDES >> self.peak)
 
+    def acting_qubits(self, pos: int) -> list[int]:
+        """The qubits, ascending, on which a Pauli right after gate `pos` has
+        an effect (see `run`)."""
+        return self._qubits[self._acts(slice(None), pos)].tolist()
+
     def layout(self, h: int) -> tuple[int, ...]:
         """Live qubits after half-step h, in axis order."""
         return tuple(self._qubits[self._order[self._live[h]]].tolist())
@@ -468,13 +473,15 @@ class TrajectoryKernel:
         """Insertions as (row, half-step after which each acts, Pauli, axis
         column), without those that have no effect (see `run`)."""
         slot = np.minimum(self._qubits.searchsorted(qubit), len(self._qubits) - 1)
-        kept = (
-            (self._qubits[slot] == qubit) & (self._prepared[slot] <= pos) & (pos < self._dies[slot])
-        )
+        kept = (self._qubits[slot] == qubit) & self._acts(slot, pos)
         slot, pos = slot[kept], pos[kept]
         born = self._born[slot]
         stop = np.where(pos < born, 2 * born, 2 * pos + 1)
         return row[kept], stop, pauli[kept], self._col[slot]
+
+    def _acts(self, slot, pos):
+        """The qubit in `slot` is prepared by gate `pos`, and not dropped yet."""
+        return (self._prepared[slot] <= pos) & (pos < self._dies[slot])
 
     def _half_step(self, h: int) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Half-step h (an axis creation or a unitary gate) as a monomial

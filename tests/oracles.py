@@ -26,6 +26,11 @@ from rotsynth.compiler import (
     _score_concat,
     _score_maxsum,
     _score_total,
+    absorb_into_prep,
+    eliminate_tdag,
+    hoist_permutations,
+    merge_adjacent_blocks,
+    parallelize_block,
 )
 from rotsynth.faults import AnalysisReport, NoiseModel, _Harness
 from rotsynth.gf2 import BitVec, GF2Matrix, invert, is_invertible
@@ -541,6 +546,21 @@ def partition_blocks(part: Partition, n: int) -> list[_Block]:
     """The blocks a partition's circuit is emitted from, residual padded."""
     us, kmaps = _padded(part.blocks, part.exponent_maps, part.residual, n)
     return [_Block(u, ks) for u, ks in zip(us, kmaps)]
+
+
+def reference_emit(blocks: list[_Block], n: int, absorb: bool, depth_opt: bool) -> Circuit:
+    """The circuit of a candidate's blocks from the public circuit passes:
+    parallelize, merge, hoist and (with `absorb`) absorb into |+>
+    preparations. Only the merge synthesizes with the objective: it rebuilds
+    every CNOT run from its matrix, so the blocks' own CNOTs take the
+    canonical greedy."""
+    fragment = Circuit(n)
+    for b in blocks:
+        fragment = fragment.concat(parallelize_block(b.matrix, list(b.exponents), depth_opt=False))
+    hoisted = hoist_permutations(merge_adjacent_blocks(fragment, depth_opt))
+    if not absorb:
+        return hoisted
+    return eliminate_tdag(absorb_into_prep(hoisted))
 
 
 def _reference_metrics(us, kmaps, depth_opt: bool) -> tuple[int, int]:

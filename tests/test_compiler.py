@@ -38,6 +38,7 @@ from oracles import (
     cx_unitary,
     plus_prep,
     random_program,
+    reference_emit,
     rotation_product_unitary,
     t_state,
 )
@@ -413,9 +414,9 @@ class TestCompile:
         assert b.cnot_count <= a.cnot_count
 
     def test_search_scorer_matches_emitted_circuit(self):
-        # the ordering search scores candidates on plain tuples; the score
-        # must equal the metrics of the honestly emitted circuit
-        from rotsynth.compiler import _emit_pipeline, _fast_cnot_metrics, _split
+        # the search scores the gate list that the circuit is emitted from;
+        # both emitted forms must be byte-identical to the public passes
+        from rotsynth.compiler import _split
 
         rng = random.Random(31)
         checked = 0
@@ -427,17 +428,20 @@ class TestCompile:
             if split is None:
                 continue
             checked += 1
-            live = [b.pair() for b in split if b.live]
-            for depth_opt in (True, False):
-                fast = _fast_cnot_metrics(live, depth_opt=depth_opt)
-                circ = _emit_pipeline(split, n, True, depth_opt)
-                assert fast == (circ.cnot_depth(), circ.cnot_count())
+            for objective in ("cnot-depth", "cnot-count"):
+                depth_opt = objective == "cnot-depth"
+                rep = compile_program(prog, budget=1, objective=objective)
+                want = reference_emit(split, n, True, depth_opt)
+                assert rep.circuit.to_json() == want.to_json()
+                assert (rep.cnot_depth, rep.cnot_count) == (want.cnot_depth(), want.cnot_count())
+                got = compile_to_unitary(prog, budget=1, objective=objective)
+                assert got.to_json() == reference_emit(split, n, False, depth_opt).to_json()
 
     def test_depth_synthesis_only_where_it_counts(self, monkeypatch):
         # under cnot-depth the search asks the depth-optimal synthesizer only
-        # for the merged operators that absorption keeps (2 onward), and
-        # emission synthesizes the blocks' u^T with the canonical greedy,
-        # since the merge rebuilds every CNOT run from its matrix
+        # for the merged operators that absorption keeps (2 onward); emission
+        # asks for the same ones and nothing canonical, and the unitary adds
+        # only the first operator, which absorption deletes
         from collections import Counter
 
         from rotsynth import compiler
@@ -457,20 +461,22 @@ class TestCompile:
         monkeypatch.setattr(compiler, "_realize_cx", recorded)
         monkeypatch.setattr(compiler, "partition_rotations", searched)
         prog = programs.load("t15")
-        compile_program(prog, budget=1, objective="cnot-depth")
         blocks = compiler._split(prog, tuple(range(len(prog.rotations))))
         live = [b.pair() for b in blocks if b.live]
         merged = [live[0][0]] + [live[b][0] @ live[b - 1][1] for b in range(1, len(live))]
         merged.append(live[-1][1])
         assert len(merged) == 4
 
+        compile_program(prog, budget=1, objective="cnot-depth")
         cut = requests.index("emit")
         assert Counter(requests[:cut]) == Counter((w, True) for w in merged[1:])
-        emitted = requests[cut + 1 :]
-        assert [u for u, depth_opt in emitted if not depth_opt] == [
-            b.matrix.transpose() for b in blocks
-        ]
-        assert [u for u, depth_opt in emitted if depth_opt] == merged
+        assert Counter(requests[cut + 1 :]) == Counter((w, True) for w in merged[1:])
+
+        requests.clear()
+        compile_to_unitary(prog, budget=1, objective="cnot-depth")
+        cut = requests.index("emit")
+        assert Counter(requests[:cut]) == Counter((w, True) for w in merged[1:])
+        assert Counter(requests[cut + 1 :]) == Counter((w, True) for w in merged)
 
 
 # SHA-256 of the emitted JSON: compile_program(...).circuit, then

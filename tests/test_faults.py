@@ -739,11 +739,14 @@ class TestLiveWidth:
         assert harness.kernel.peak == 4
         # qubit 3 gets its axis after qubit 4, but the noise sites list each
         # round's qubits in ascending order, which fixes the order of the
-        # fault tables and of the Monte Carlo draws; qubit 5 has no axis,
-        # and qubit 2 is measured in round 1
+        # fault tables and of the Monte Carlo draws; qubit 5 has no axis
         assert harness.kernel.axis_qubits == [0, 1, 2, 3, 4]
         sites = harness.depolarizing_sites()
-        assert sites == sorted(sites) and {q for _, _, q in sites} == {0, 1, 3, 4}
+        assert sites == sorted(sites) and {q for _, _, q in sites} == {0, 1, 2, 3, 4}
+        # qubit 2 is measured in round 1 and read again up to its last
+        # measurement, in round 5: noise acts on it in rounds 1-4
+        assert [r for r, _, q in sites if q == 2] == [1, 2, 3, 4]
+        assert [r for r, _, q in sites if q == 4] == [1]
 
     def test_singles_exact(self, harness):
         sites = _fault_sites(harness.circuit)
@@ -780,6 +783,17 @@ class TestLiveWidth:
             [(a, pa, 4), (b, pb, 4), (b, "X", 3)]
             for a in positions for b in positions
             for pa, pb in (("X", "Z"), ("Y", "Y"), ("Z", "X"))
+        ]
+        # the noise sites of qubit 2, which is measured and read again: each
+        # alone and with an X on qubit 0 at every later noise site
+        sites = harness.depolarizing_sites()
+        mid = [pos for _, pos, q in sites if q == 2]
+        assert len(mid) == 4
+        configs += [[(pos, pauli, 2)] for pos in mid for pauli in "XYZ"]
+        configs += [
+            [(pos, pauli, 2), (later, "X", 0)]
+            for pos in mid for pauli in "XYZ"
+            for _, later, q in sites if q == 0 and later > pos
         ]
         for faults, got in zip(configs, zip(*harness.run_exact(configs))):
             assert got == pytest.approx(reference_exact(harness, faults), rel=0, abs=1e-12)

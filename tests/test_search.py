@@ -2,8 +2,10 @@
 
 The greedy synthesizer scores candidates incrementally and stops when it
 cycles; the ordering loop scores candidates on plain tuples; the depth table
-is a breadth-first search. Each must return exactly what the plain loops
-return: same operations, same partition, same circuit, same table.
+is a breadth-first search; the circuit is emitted from the gate list the
+search scored. Each must return exactly what the plain loops and the public
+circuit passes return: same operations, same partition, same circuit, same
+table.
 """
 
 import random
@@ -17,7 +19,6 @@ from rotsynth.compiler import (
     _EMISSION_SCORES,
     PartitionError,
     _depth_table,
-    _emit_pipeline,
     _greedy_rows,
     _score_concat,
     _table_realization,
@@ -35,6 +36,7 @@ from oracles import (
     partition_blocks,
     random_program,
     reference_depth_table,
+    reference_emit,
     reference_greedy_rows,
     reference_partition_rotations,
 )
@@ -73,7 +75,7 @@ def _assert_same_search(prog, budget, objective, seed=0, reference=None):
     got = compile_program(prog, budget=budget, seed=seed, objective=objective)
     assert got.partition == want
     blocks = partition_blocks(want, prog.n)
-    assert got.circuit == _emit_pipeline(blocks, prog.n, True, objective == "cnot-depth")
+    assert got.circuit == reference_emit(blocks, prog.n, True, objective == "cnot-depth")
     return got.partition
 
 
