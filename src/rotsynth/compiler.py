@@ -11,8 +11,12 @@ leading one is deleted outright.
 
 `_hoisted` runs it on a candidate's blocks, synthesizing only the merged
 operators: the search scores its gate list, and the circuit is emitted from
-it. The circuit passes below (`parallelize_block`, `merge_adjacent_blocks`,
-`hoist_permutations`) are its reference in the tests.
+it. The search first cuts every candidate, then synthesizes the merged
+operators of all of them together (`_realize_many`): the greedy row
+reduction runs in lockstep over a batch of same-size matrices held as one
+numpy tensor (`_greedy_batch`). The circuit passes below
+(`parallelize_block`, `merge_adjacent_blocks`, `hoist_permutations`) are its
+reference in the tests.
 
 Matrix/gate conventions used throughout (exercised by the oracle tests):
   * CX(M) |e> = |M e> for invertible M over GF(2).
@@ -25,9 +29,12 @@ from __future__ import annotations
 
 import random
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
+
+import numpy as np
 
 from .gf2 import BitVec, GF2Matrix, invert, is_invertible, rank
 from .ir import (
@@ -116,154 +123,200 @@ def _transpositions(images: list[int]) -> list[tuple[int, int]]:
     return swaps
 
 
-def _bit_sum(bits: int, by_bit: dict[int, int]) -> int:
-    """Sum of by_bit[1 << b] over the set bits b."""
-    total = 0
-    while bits:
-        low = bits & -bits
-        total += by_bit[low]
-        bits ^= low
-    return total
+# The greedy scores rank every candidate row operation "row j ^= row i" of a
+# whole batch of matrices at once, without building its column and row sums.
+# A score that compares sorted tuples of sums is a comparison of the value
+# histograms of those sums; weighting each value by a power of a base larger
+# than any count turns the histogram into an integer with the same order, so
+# a candidate's score is the change of that integer, summed over the few sums
+# the operation moves. Row i's bits change the column sums: +1 where row j
+# lacks the bit, -1 where it has it; row j's sum becomes
+# popcount(row i ^ row j). A score maps a (B, n, n) 0/1 int64 tensor of rows
+# and its `_sums` to the (B, n, n, L) keys of every (i, j). L = 1 while a key
+# fits in int64; beyond that every weight is split into L digits of radix
+# 2^31, most significant first, and digits add separately until `_carry`.
 
-
-def _col_sums(rows: list[int], n: int) -> list[int]:
-    cs = [0] * n
-    for r in rows:
-        while r:
-            low = r & -r
-            cs[low.bit_length() - 1] += 1
-            r ^= low
-    return cs
-
-
-# The greedy scores below rank every candidate row operation "row j ^= row i"
-# without building its column and row sums. A score that compares sorted
-# tuples of sums is a comparison of the value histograms of those sums;
-# weighting each value by a power of a base larger than any count turns the
-# histogram into an integer with the same order, so a candidate's score is
-# the change of that integer, summed over the few sums the operation moves.
-# Row i's bits change the column sums: +1 where row j lacks the bit, -1
-# where it has it; row j's sum becomes popcount(row i ^ row j).
+_DIGIT_BITS = 31
+_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
+_NEVER = np.iinfo(np.int64).max  # a key no candidate reaches
 
 
 @lru_cache(maxsize=None)
-def _powers(base: int, count: int) -> tuple[int, ...]:
-    """(base^0, ..., base^(count - 1))."""
-    return tuple(base**e for e in range(count))
+def _weights(n: int, base: int, exponents: range) -> np.ndarray:
+    """(len, L) int64 table of w[v] = base^exponents[v] for n x n keys.
+
+    A key adds up at most 2n + 2 weights and differences of weights, so one
+    column holds it when (2n + 2) max(w) fits in int64.
+    """
+    values = [base**e for e in exponents]
+    top = max(values)
+    if (2 * n + 2) * top < 2**63:
+        return np.array(values, dtype=np.int64)[:, None]
+    digits = -(-top.bit_length() // _DIGIT_BITS)
+    shifts = [_DIGIT_BITS * d for d in reversed(range(digits))]
+    return np.array([[(v >> s) & _DIGIT_MASK for s in shifts] for v in values], dtype=np.int64)
 
 
-def _score_concat(rows: list[int], n: int) -> tuple[int, int]:
-    """(i, j) minimizing (tuple(sorted(cs + rs)), i, j) after row j ^= row i.
+def _sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row sums rs (B, n), column sums cs (B, n) and x = popcount(row i ^
+    row j), the sum of row j after row j ^= row i (B, n, n)."""
+    shared = a @ a.swapaxes(1, 2)
+    rs = np.diagonal(shared, axis1=1, axis2=2)
+    x = rs[:, :, None] + rs[:, None, :] - 2 * shared
+    return rs, np.ones(a.shape[1], dtype=np.int64) @ a, x
+
+
+def _over_bits(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(B, n, 1, L): sum of d[b] over the set bits b of row i."""
+    return (a @ d)[:, :, None]
+
+
+def _over_shared_bits(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(B, n, n, L): sum of d[b] over the bits b that rows i and j share."""
+    by_digit = a[:, None] * d.transpose(0, 2, 1)[:, :, None]  # (B, L, n_i, n_b)
+    return (by_digit @ a.swapaxes(1, 2)[:, None]).transpose(0, 2, 3, 1)
+
+
+def _score_concat(a: np.ndarray, rs: np.ndarray, cs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Keys ordering (tuple(sorted(cs + rs)), i, j) after row j ^= row i.
 
     Ascending sorted tuples of equal length order like their histograms read
     from the smallest value, more copies first: with base = 2n + 1, the sum
     of w[v] = base^(n+1-v) over all 2n sums is larger exactly when the tuple
     is smaller.
     """
+    n = a.shape[1]
     # w[n + 1] and w[-1] enter only terms that cancel or are never read
-    w = _powers(2 * n + 1, n + 2)[::-1]
-    rs = [r.bit_count() for r in rows]
-    cs = _col_sums(rows, n)
-    up = [w[c + 1] - w[c] for c in cs]
-    upl = {1 << b: x for b, x in enumerate(up)}
+    w = _weights(n, 2 * n + 1, range(n + 1, -1, -1))
+    up = w[cs + 1] - w[cs]
     # a bit of row i that row j shares lowers its column sum instead
-    dd = {1 << b: w[c - 1] - w[c] - up[b] for b, c in enumerate(cs)}
-    best = None
-    for i in range(n):
-        ri = rows[i]
-        gain_i = _bit_sum(ri, upl)
-        for j in range(n):
-            if i == j:
-                continue
-            rj = rows[j]
-            key = w[rs[j]] - w[(ri ^ rj).bit_count()] - gain_i
-            both = ri & rj
-            while both:
-                low = both & -both
-                key -= dd[low]
-                both ^= low
-            if best is None or key < best:
-                best, bi, bj = key, i, j
-    return bi, bj
+    dd = w[cs - 1] - w[cs] - up
+    return w[rs][:, None] - w[x] - _over_bits(a, up) - _over_shared_bits(a, dd)
 
 
-def _score_maxsum(rows: list[int], n: int) -> tuple[int, int]:
-    """(i, j) minimizing (tuple(sorted(cs[k] + rs[k], reverse=True)), i, j).
+def _score_maxsum(a: np.ndarray, rs: np.ndarray, cs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Keys ordering (tuple(sorted(cs[k] + rs[k], reverse=True)), i, j).
 
     Descending sorted tuples order like their histograms read from the
     largest value, fewer copies first: with base = n + 1, the sum of
     w[v] = base^v over the n sums s[k] = cs[k] + rs[k] orders them the same
     way.
     """
+    n = a.shape[1]
     # w[2n + 1] and w[-1] enter only terms that cancel or are never read
-    w = _powers(n + 1, 2 * n + 2)
-    rs = [r.bit_count() for r in rows]
-    s = [c + r for c, r in zip(_col_sums(rows, n), rs)]
-    up = [w[v + 1] - w[v] for v in s]
-    upl = {1 << b: x for b, x in enumerate(up)}
-    dd = {1 << b: w[v - 1] - w[v] - up[b] for b, v in enumerate(s)}
-    best = None
-    for i in range(n):
-        ri = rows[i]
-        gain_i = _bit_sum(ri, upl)
-        for j in range(n):
-            if i == j:
-                continue
-            rj = rows[j]
-            key = gain_i
-            both = ri & rj
-            while both:
-                low = both & -both
-                key += dd[low]
-                both ^= low
-            # s[j] moves by its column change (counted above) and its row change
-            sj = s[j] + (((ri >> j) & 1) and (1 - 2 * ((rj >> j) & 1)))
-            key += w[sj + (ri ^ rj).bit_count() - rs[j]] - w[sj]
-            if best is None or key < best:
-                best, bi, bj = key, i, j
-    return bi, bj
+    w = _weights(n, n + 1, range(2 * n + 2))
+    s = cs + rs
+    up = w[s + 1] - w[s]
+    dd = w[s - 1] - w[s] - up
+    # s[j] moves by its column change (counted above) and its row change
+    sj = s[:, None, :] + a * (1 - 2 * np.diagonal(a, axis1=1, axis2=2)[:, None, :])
+    moved = w[sj + x - rs[:, None, :]] - w[sj]
+    return _over_bits(a, up) + _over_shared_bits(a, dd) + moved
 
 
-def _score_total(rows: list[int], n: int) -> tuple[int, int]:
-    """(i, j) minimizing (sum(cs) + sum(rs), i, j): both sums move by
+def _score_total(a: np.ndarray, rs: np.ndarray, cs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Keys ordering (sum(cs) + sum(rs), i, j): both sums move by
     popcount(row i ^ row j) - rs[j]."""
-    rs = [r.bit_count() for r in rows]
-    best = None
-    for i in range(n):
-        ri = rows[i]
-        for j in range(n):
-            if i == j:
-                continue
-            key = (ri ^ rows[j]).bit_count() - rs[j]
-            if best is None or key < best:
-                best, bi, bj = key, i, j
-    return bi, bj
+    return (x - rs[:, None, :])[..., None]
 
 
 _EMISSION_SCORES = (_score_concat, _score_maxsum, _score_total)
 
 
+def _carry(key: np.ndarray) -> np.ndarray:
+    """Keys with L > 1 digits carried in place, so that every digit but the
+    leading one lies in [0, 2^31) and keys compare digit by digit."""
+    for d in range(key.shape[-1] - 1, 0, -1):
+        key[..., d - 1] += key[..., d] >> _DIGIT_BITS
+        key[..., d] &= _DIGIT_MASK
+    return key
+
+
+def _lex_argmin(key: np.ndarray) -> np.ndarray:
+    """Index of the first smallest of the carried (B, P, L) keys along P."""
+    if key.shape[2] == 1:
+        return key[:, :, 0].argmin(axis=1)
+    best = np.ones(key.shape[:2], dtype=bool)
+    for d in range(key.shape[2]):
+        digit = np.where(best, key[:, :, d], _NEVER)
+        best &= digit == digit.min(axis=1, keepdims=True)
+    return best.argmax(axis=1)
+
+
+def _bits(ms: list[GF2Matrix]) -> np.ndarray:
+    """(len(ms), n, n) uint8 tensor of n x n matrices: [k, r, c] = ms[k][r, c]."""
+    n = ms[0].n_rows
+    width = (n + 7) // 8
+    raw = b"".join(r.to_bytes(width, "little") for m in ms for r in m.rows)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(ms), n, width)
+    return np.unpackbits(packed, axis=2, count=n, bitorder="little")
+
+
+def _greedy_batch(a: np.ndarray, score) -> list[tuple[list[int], list[tuple[int, int]]] | None]:
+    """Greedy row reduction of each matrix in a (B, n, n) 0/1 tensor of rows
+    to a permutation matrix, all matrices in lockstep.
+
+    Each step applies to every unfinished matrix the row operation (i, j),
+    row j ^= row i, of the smallest (score, i, j). A finished matrix gives
+    (rows, ops) as `_greedy_rows` does. The greedy is a function of the rows
+    alone, so a state that comes back means a cycle that never reaches a
+    permutation: None, as when the cap of 4 n^2 steps is hit. Each state is
+    compared with a snapshot taken at the last power-of-two step, which
+    catches a cycle within twice its start plus its length.
+    """
+    count, n = a.shape[:2]
+    cap = 4 * n * n
+    a = a.astype(np.int64)
+    live = np.arange(count)
+    nops = np.full(count, -1)
+    images = np.zeros((count, n), dtype=np.int64)
+    picks = []  # per step, (i, j) of every matrix still reducing
+    snap = a
+    step = 0
+    while True:
+        rs, cs, x = _sums(a)
+        done = rs.sum(axis=1) == n
+        stop = done | (step >= cap)
+        if step:
+            stop |= (a == snap).all(axis=(1, 2))
+        if stop.any():
+            nops[live[done]] = step
+            images[live[done]] = a[done].argmax(axis=2)
+            keep = ~stop
+            live, a, snap = live[keep], a[keep], snap[keep]
+            if not live.size:
+                break
+            rs, cs, x = rs[keep], cs[keep], x[keep]
+        if step & (step - 1) == 0:
+            snap = a.copy()
+        # (i, j) in i-major order, as the tie-break; i == j is no operation
+        key = _carry(score(a, rs, cs, x)).reshape(live.size, n * n, -1)
+        key[:, :: n + 1, 0] = _NEVER
+        i, j = np.divmod(_lex_argmin(key), n)
+        record = np.full((2, count), -1)
+        record[:, live] = i, j
+        picks.append(record)
+        rows = np.arange(live.size)
+        a[rows, j] ^= a[rows, i]
+        step += 1
+    ops_i, ops_j = np.stack(picks, axis=2) if picks else np.zeros((2, count, 0), dtype=int)
+    out = []
+    for k in range(count):
+        if nops[k] < 0:
+            out.append(None)
+            continue
+        rows_k = [1 << c for c in images[k].tolist()]
+        out.append((rows_k, list(zip(ops_i[k, : nops[k]].tolist(), ops_j[k, : nops[k]].tolist()))))
+    return out
+
+
 def _greedy_rows(u: GF2Matrix, score) -> tuple[list[int], list[tuple[int, int]]] | None:
     """Greedy row reduction of transpose(u) to a permutation matrix.
 
-    `score` picks the row operation (i, j), row j ^= row i, of each step.
-    The greedy is a function of the rows alone, so a repeated row state
-    means it cycles: None, as when it hits the cap of 4 n^2 steps.
+    `score` picks the row operation (i, j), row j ^= row i, of each step;
+    None if the greedy cycles or hits its cap (see `_greedy_batch`).
     """
-    n = u.n_rows
-    rows = list(u.transpose().rows)
-    ops: list[tuple[int, int]] = []
-    cap = 4 * n * n
-    seen: set[tuple[int, ...]] = set()
-    while sum(map(int.bit_count, rows)) != n:
-        state = tuple(rows)
-        if len(ops) >= cap or state in seen:
-            return None
-        seen.add(state)
-        i, j = score(rows, n)
-        rows[j] ^= rows[i]
-        ops.append((i, j))
-    return rows, ops
+    return _greedy_batch(_bits([u]).swapaxes(1, 2), score)[0]
 
 
 def _inverse_map(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -273,53 +326,61 @@ def _inverse_map(images: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _emission_variants(u: GF2Matrix):
-    """Alternative (wire map, CNOT list) realizations of CX(u).
-
-    Besides the direct greedy under several scores, the same operator can be
-    realized from a synthesis of its inverse (run the circuit backwards) or
-    of its transpose (reverse the gates with control/target flipped); both
-    leave a trailing permutation that is folded back to the front.
-    """
-    for w, backwards, flip in ((u, False, False), (invert(u), True, False),
-                               (u.transpose(), True, True)):
-        for score in _EMISSION_SCORES:
-            reduced = _greedy_rows(w, score)
-            if reduced is None:
-                continue
-            rows, ops = reduced
-            images = tuple(r.bit_length() - 1 for r in rows)
-            cnots = [(images[j], images[i]) for i, j in ops]
-            if flip:
-                cnots = [(t, c) for c, t in cnots]
-            if not backwards:
-                yield images, tuple(cnots)
-                continue
-            s_inv = _inverse_map(images)
-            yield s_inv, tuple((s_inv[c], s_inv[t]) for c, t in reversed(cnots))
+# The forms of CX(u) that the emission variants reduce, as (backwards, flip):
+# besides u itself, the same operator can be realized from a synthesis of its
+# inverse (run the circuit backwards) or of its transpose (reverse the gates
+# with control/target flipped); both leave a trailing permutation that is
+# folded back to the front.
+_FORMS = ((False, False), (True, False), (True, True))
 
 
-def _pack_cnots(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    """Reorder commuting CNOTs so greedy layering packs them tighter.
+def _variant(reduced, backwards: bool, flip: bool):
+    """(wire map, CNOT list) realizing CX(u) from a greedy reduction of one
+    of its `_FORMS`."""
+    rows, ops = reduced
+    images = tuple(r.bit_length() - 1 for r in rows)
+    cnots = [(images[j], images[i]) for i, j in ops]
+    if flip:
+        cnots = [(t, c) for c, t in cnots]
+    if not backwards:
+        return images, tuple(cnots)
+    s_inv = _inverse_map(images)
+    return s_inv, tuple((s_inv[c], s_inv[t]) for c, t in reversed(cnots))
 
-    Two CNOTs commute unless one's target is the other's control; gates move
-    to the earliest layer compatible with every earlier non-commuting gate.
+
+def _pack_levels(pairs: tuple[tuple[int, int], ...]) -> list[int]:
+    """Layer of each CNOT when commuting gates move as early as they can.
+
+    Two CNOTs commute unless one's target is the other's control; a gate
+    takes the earliest layer after every earlier non-commuting gate that
+    shares no qubit with a gate already placed there. The packed circuit's
+    CNOT depth is the largest level plus one.
     """
     layer_of: list[int] = []
     used: list[set[int]] = []
-    for idx, (c, t) in enumerate(pairs):
-        lo = 0
-        for j in range(idx):
-            c2, t2 = pairs[j]
-            if t == c2 or t2 == c:
-                lo = max(lo, layer_of[j] + 1)
-        level = lo
+    # qubit -> first level after every placed gate that it controls / targets
+    after_control: dict[int, int] = {}
+    after_target: dict[int, int] = {}
+    for c, t in pairs:
+        level = after_control.get(t, 0)
+        if after_target.get(c, 0) > level:
+            level = after_target[c]
         while level < len(used) and (c in used[level] or t in used[level]):
             level += 1
-        while len(used) <= level:
+        if level == len(used):
             used.append(set())
         used[level] |= {c, t}
         layer_of.append(level)
+        if after_control.get(c, 0) <= level:
+            after_control[c] = level + 1
+        if after_target.get(t, 0) <= level:
+            after_target[t] = level + 1
+    return layer_of
+
+
+def _pack_cnots(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """Reorder commuting CNOTs by their `_pack_levels` layer."""
+    layer_of = _pack_levels(pairs)
     order = sorted(range(len(pairs)), key=lambda i: (layer_of[i], i))
     return tuple(pairs[i] for i in order)
 
@@ -400,31 +461,87 @@ def _table_realization(u: GF2Matrix) -> tuple[tuple[int, ...], tuple[tuple[int, 
 DEPTH_OPT_LIMIT = 4
 
 
-@lru_cache(maxsize=65536)
+def _synthesize(us: list[GF2Matrix], depth_opt: bool) -> list[tuple]:
+    """`_realize_cx` of operators of one size, their greedy reductions run
+    as one batch per score."""
+    n = us[0].n_rows
+    if depth_opt and n <= DEPTH_OPT_LIMIT:
+        return [_table_realization(u) for u in us]
+    bits = _bits(us)
+    if not depth_opt:
+        if not all(map(is_invertible, us)):
+            raise ValueError("CNOT synthesis needs an invertible matrix")
+        out = []
+        for reduced in _greedy_batch(bits.swapaxes(1, 2), _score_concat):
+            if reduced is None:
+                raise SynthesisStallError(
+                    f"greedy row reduction cycles before a permutation (cap {4 * n * n} steps)"
+                )
+            images, cnots = _variant(reduced, False, False)
+            out.append((images, _pack_cnots(cnots)))
+        return out
+    # the greedy reduces transpose(w) for w = u, u^-1, u^T (`_FORMS`)
+    inverses = _bits([invert(u) for u in us])
+    forms = np.concatenate([bits.swapaxes(1, 2), inverses.swapaxes(1, 2), bits])
+    reductions = [_greedy_batch(forms, score) for score in _EMISSION_SCORES]
+    out = []
+    for k in range(len(us)):
+        best = None
+        idx = 0
+        for form, (backwards, flip) in enumerate(_FORMS):
+            for reduced_all in reductions:
+                reduced = reduced_all[form * len(us) + k]
+                if reduced is not None:
+                    images, cnots = _variant(reduced, backwards, flip)
+                    key = (max(_pack_levels(cnots), default=-1) + 1, len(cnots), idx)
+                    if best is None or key < best[0]:
+                        best = (key, images, cnots)
+                idx += 1
+        if best is None:
+            raise SynthesisStallError("all emission variants stalled")
+        out.append((best[1], _pack_cnots(best[2])))
+    return out
+
+
+_SYNTHESIS_CHUNK = 64  # operators per `_synthesize` call
+_REALIZED_MAX = 65536
+# (u, depth_opt) -> realization for the whole process, least recently used first
+_REALIZED: OrderedDict[tuple[GF2Matrix, bool], tuple] = OrderedDict()
+
+
+def _realize_many(us: list[GF2Matrix], depth_opt: bool) -> list[tuple]:
+    """`_realize_cx` of every operator in `us`, all of one size.
+
+    The operators missing from the process-wide cache are synthesized
+    together, `_SYNTHESIS_CHUNK` per batch; the cache keeps the
+    `_REALIZED_MAX` most recently used.
+    """
+    cache = _REALIZED
+    missing = list(dict.fromkeys(u for u in us if (u, depth_opt) not in cache))
+    for start in range(0, len(missing), _SYNTHESIS_CHUNK):
+        chunk = missing[start : start + _SYNTHESIS_CHUNK]
+        for u, realized in zip(chunk, _synthesize(chunk, depth_opt)):
+            cache[u, depth_opt] = realized
+    out = []
+    for u in us:
+        cache.move_to_end((u, depth_opt))
+        out.append(cache[u, depth_opt])
+    while len(cache) > _REALIZED_MAX:
+        cache.popitem(last=False)
+    return out
+
+
 def _realize_cx(u: GF2Matrix, depth_opt: bool) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Wire map + CNOT list realizing CX(u): permutation gates first.
 
     With depth_opt, operators on up to DEPTH_OPT_LIMIT qubits are realized
     depth-optimally from a precomputed table; larger ones take the best of
-    several greedy emission variants. Without it, the canonical synthesis is
-    used as is (commutation packing only, which never changes the count); its
-    CNOTs are conjugated through the leading permutation.
+    several greedy emission variants (fewest layers, then fewest CNOTs).
+    Without it, the canonical synthesis is used as is (commutation packing
+    only, which never changes the count); its CNOTs are conjugated through
+    the leading permutation.
     """
-    if not depth_opt:
-        res = cnot_synthesize(u)
-        images = tuple(r.bit_length() - 1 for r in res.perm.rows)
-        return images, _pack_cnots(tuple((images[j], images[i]) for i, j in reversed(res.ops)))
-    if u.n_rows <= DEPTH_OPT_LIMIT:
-        return _table_realization(u)
-    best = None
-    for idx, (images, cnots) in enumerate(_emission_variants(u)):
-        packed = _pack_cnots(cnots)
-        key = (_cnot_layers(packed), len(packed), idx)
-        if best is None or key < best[0]:
-            best = (key, images, packed)
-    if best is None:
-        raise SynthesisStallError("all emission variants stalled")
-    return best[1], best[2]
+    return _realize_many([u], depth_opt)[0]
 
 
 def synthesis_gates(u: GF2Matrix, depth_opt: bool = True) -> tuple[Gate, ...]:
@@ -698,28 +815,36 @@ def _split(p: RotationProgram, order: tuple[int, ...]) -> list[_Block] | None:
     return blocks
 
 
-def _hoisted(blocks: list[_Block], n: int, depth_opt: bool, absorb: bool) -> tuple[list, list[int]]:
-    """(gates, wire map) of the merged and hoisted circuit of a candidate's
-    blocks: (kind, qubits) CNOTs and phase gates in final wire labels, after
-    the wire map hoisted to time zero (content of wire i moves to map[i]).
-
-    With live blocks 1..L (non-empty phase layers P_b) the merged circuit is
-    CX(M_0) P_1 CX(M_1) ... P_L CX(M_L): M_0 = u_1^T, M_b = u_{b+1}^T
-    (u_b^T)^-1, M_L = (u_L^T)^-1. Hoisting M_b's permutation relabels every
-    earlier gate, so the walk goes back from M_L composing the wire maps.
-    With `absorb` it stops before M_0, which maps |+>^n to itself.
-    """
+def _merged(blocks: list[_Block]) -> tuple[list[_Block], list[GF2Matrix]]:
+    """A candidate's live blocks 1..L (non-empty phase layers P_b) and the
+    merged CNOT operators of its circuit CX(M_0) P_1 CX(M_1) ... P_L CX(M_L):
+    M_0 = u_1^T, M_b = u_{b+1}^T (u_b^T)^-1, M_L = (u_L^T)^-1."""
     live = [b for b in blocks if b.live]
     if not live:
-        return [], list(range(n))
+        return [], []
     pairs = [b.pair() for b in live]
     merged = [pairs[0][0]]
     merged += [fwd @ prev_inv for (fwd, _), (_, prev_inv) in zip(pairs[1:], pairs)]
     merged.append(pairs[-1][1])
+    return live, merged
+
+
+def _hoisted(live: list[_Block], realized: list[tuple], n: int) -> tuple[list, list[int]]:
+    """(gates, wire map) of the merged and hoisted circuit of a candidate's
+    live blocks: (kind, qubits) CNOTs and phase gates in final wire labels,
+    after the wire map hoisted to time zero (content of wire i moves to
+    map[i]).
+
+    `realized` holds the `_realize_cx` of the last merged operators (see
+    `_merged`): all of them, or all but M_0, which maps |+>^n to itself and
+    is absorbed. Hoisting M_b's permutation relabels every earlier gate, so
+    the walk goes back from M_L composing the wire maps.
+    """
     tail = list(range(n))
     runs = []  # the last run first
-    for b in reversed(range(1 if absorb else 0, len(merged))):
-        images, cnots = _realize_cx(merged[b], depth_opt)
+    first = len(live) + 1 - len(realized)
+    for b in reversed(range(first, len(live) + 1)):
+        images, cnots = realized[b - first]
         runs.append([("CNOT", (tail[c], tail[t])) for c, t in cnots])
         tail = [tail[q] for q in images]
         if b:  # P_b, in parallelize_block's order
@@ -738,6 +863,11 @@ def _candidate_orderings(m: int, budget: int, seed: int):
         yield tuple(order)
 
 
+# orderings cut before the merged operators of the valid ones are synthesized
+# together; bounds the candidates a search holds at once
+_SEARCH_WINDOW = 1024
+
+
 def partition_rotations(
     p: RotationProgram,
     budget: int = 200,
@@ -750,7 +880,10 @@ def partition_rotations(
     whatever the number of rotations, so budget=1 compiles the program order
     as given. Each valid candidate is scored by the chosen objective of the
     gate list that its circuit is emitted from (`_hoisted`, absorbed), and
-    ties break toward the earlier candidate.
+    ties break toward the earlier candidate. The candidates are cut a window
+    at a time, and the merged operators of a window's valid ones are
+    synthesized together before any is scored. A repeated ordering counts
+    as tried (and valid) but is not cut again.
     """
     if p.n < 1:
         raise PartitionError("need at least one qubit")
@@ -761,21 +894,34 @@ def partition_rotations(
         return Partition((), (), (), (), 0, 0)
 
     depth_opt = objective == "cnot-depth"
+    tried = valid = 0
+    first_valid: dict[tuple[int, ...], bool] = {}
     best = None
     best_key = None
-    tried = valid = 0
-    for order in _candidate_orderings(m, budget, seed):
-        tried += 1
-        split = _split(p, order)
-        if split is None:
-            continue
-        valid += 1
-        gates, _ = _hoisted(split, p.n, depth_opt, absorb=True)
-        cnots = [qubits for kind, qubits in gates if kind == "CNOT"]
-        key = _cnot_layers(cnots) if depth_opt else len(cnots)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (split, order)
+    orderings = _candidate_orderings(m, budget, seed)
+    while window := list(islice(orderings, _SEARCH_WINDOW)):
+        candidates = []  # (ordering, blocks, live blocks, merged operators)
+        for order in window:
+            tried += 1
+            if order in first_valid:
+                # a repeat scores as its first occurrence, so it cannot win
+                valid += first_valid[order]
+                continue
+            split = _split(p, order)
+            first_valid[order] = split is not None
+            if split is None:
+                continue
+            valid += 1
+            candidates.append((order, split, *_merged(split)))
+        ops = list(dict.fromkeys(w for *_, merged in candidates for w in merged[1:]))
+        realized = dict(zip(ops, _realize_many(ops, depth_opt)))
+        for order, split, live, merged in candidates:
+            gates, _ = _hoisted(live, [realized[w] for w in merged[1:]], p.n)
+            cnots = [qubits for kind, qubits in gates if kind == "CNOT"]
+            key = _cnot_layers(cnots) if depth_opt else len(cnots)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (split, order)
     if best is None:
         raise PartitionError(
             f"no valid block partition among {tried} sampled ordering(s) "
@@ -799,7 +945,9 @@ def _compile(
     """Search the partition, then emit its gate list: absorbed into |+>
     preparations, or with the leading operator after the hoisted SWAPs."""
     part = partition_rotations(p, budget=budget, seed=seed, objective=objective)
-    gates, wires = _hoisted(_split(p, part.ordering), p.n, objective == "cnot-depth", absorb)
+    live, merged = _merged(_split(p, part.ordering))
+    realized = _realize_many(merged[1 if absorb else 0 :], objective == "cnot-depth")
+    gates, wires = _hoisted(live, realized, p.n)
     body = tuple(Gate(kind, qubits) for kind, qubits in gates)
     if absorb:
         return part, eliminate_tdag(absorb_into_prep(Circuit(p.n, body)))

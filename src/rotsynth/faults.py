@@ -716,6 +716,9 @@ def _monte_carlo(
         total += float(per_shot.sum())
         total_sq += float(np.dot(per_shot, per_shot))
         done += b
+        # free this batch's draws before the next batch makes its own, so the
+        # peak holds one batch of them, not two
+        del prep_mask, depol_mask, pauli_pick, uniforms, faulty
 
     if accepted == 0:
         return AnalysisReport(

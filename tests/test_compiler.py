@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -82,6 +83,9 @@ class TestCnotSynthesize:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             cnot_synthesize(GF2Matrix.zeros(3, 3))
+        # rows 0b11 and 0: as many ones as rows, but no permutation
+        with pytest.raises(ValueError):
+            synthesis_gates(GF2Matrix(2, 2, (3, 0)), depth_opt=False)
 
     def test_reconstruction_random(self):
         for seed in range(100):
@@ -257,14 +261,21 @@ class TestPartition:
         assert all(is_invertible(b) for b in part.blocks)
         assert part.residual == ()
 
-    def test_budget_counts_every_ordering(self):
+    def test_budget_counts_every_ordering(self, monkeypatch):
         # the program order plus budget - 1 seeded shuffles, however few
-        # rotations there are: ccz has 8! orderings, three rotations 3!
+        # rotations there are: ccz has 8! orderings, three rotations 3!;
+        # a repeated ordering counts but is not cut again
+        from rotsynth import compiler
+
         part = partition_rotations(programs.load("ccz"), budget=40)
         assert (part.orderings_valid, part.orderings_tried) == (33, 40)
+        cut = []
+        split = compiler._split
+        monkeypatch.setattr(compiler, "_split", lambda p, order: cut.append(order) or split(p, order))
         basis = RotationProgram(3, tuple(PhaseRotation(BitVec.basis(3, q), 1) for q in range(3)))
         part = partition_rotations(basis, budget=40)
         assert (part.orderings_valid, part.orderings_tried) == (40, 40)
+        assert sorted(cut) == sorted(permutations(range(3)))
 
     def test_partition_failure(self):
         # all supports equal: no block of two can ever be independent
@@ -438,45 +449,62 @@ class TestCompile:
                 assert got.to_json() == reference_emit(split, n, False, depth_opt).to_json()
 
     def test_depth_synthesis_only_where_it_counts(self, monkeypatch):
-        # under cnot-depth the search asks the depth-optimal synthesizer only
-        # for the merged operators that absorption keeps (2 onward); emission
-        # asks for the same ones and nothing canonical, and the unitary adds
-        # only the first operator, which absorption deletes
-        from collections import Counter
+        # under cnot-depth the search hands the batch realizer, in one call,
+        # the merged operators that absorption keeps (2 onward) of every
+        # valid candidate, each once; emission synthesizes nothing new, and
+        # the unitary adds only the first operator, which absorption deletes
+        from collections import OrderedDict
 
         from rotsynth import compiler
 
-        requests = []
-        realize, search = compiler._realize_cx, compiler.partition_rotations
+        handed, synthesized = [], []
+        realize, synthesize = compiler._realize_many, compiler._synthesize
+        search = compiler.partition_rotations
 
-        def recorded(u, depth_opt):
-            requests.append((u, depth_opt))
-            return realize(u, depth_opt)
+        def recorded_realize(us, depth_opt):
+            handed.append((list(us), depth_opt))
+            return realize(us, depth_opt)
+
+        def recorded_synthesize(us, depth_opt):
+            synthesized.extend((u, depth_opt) for u in us)
+            return synthesize(us, depth_opt)
 
         def searched(*args, **kwargs):
             part = search(*args, **kwargs)
-            requests.append("emit")
+            handed.append("emit")
+            synthesized.append("emit")
             return part
 
-        monkeypatch.setattr(compiler, "_realize_cx", recorded)
+        monkeypatch.setattr(compiler, "_REALIZED", OrderedDict())  # a cold cache
+        monkeypatch.setattr(compiler, "_realize_many", recorded_realize)
+        monkeypatch.setattr(compiler, "_synthesize", recorded_synthesize)
         monkeypatch.setattr(compiler, "partition_rotations", searched)
         prog = programs.load("t15")
-        blocks = compiler._split(prog, tuple(range(len(prog.rotations))))
-        live = [b.pair() for b in blocks if b.live]
-        merged = [live[0][0]] + [live[b][0] @ live[b - 1][1] for b in range(1, len(live))]
-        merged.append(live[-1][1])
+        m = len(prog.rotations)
+        _, merged = compiler._merged(compiler._split(prog, tuple(range(m))))
         assert len(merged) == 4
 
         compile_program(prog, budget=1, objective="cnot-depth")
-        cut = requests.index("emit")
-        assert Counter(requests[:cut]) == Counter((w, True) for w in merged[1:])
-        assert Counter(requests[cut + 1 :]) == Counter((w, True) for w in merged[1:])
+        assert handed == [(merged[1:], True), "emit", (merged[1:], True)]
+        assert synthesized == [(w, True) for w in merged[1:]] + ["emit"]
 
-        requests.clear()
+        handed.clear()
+        synthesized.clear()
         compile_to_unitary(prog, budget=1, objective="cnot-depth")
-        cut = requests.index("emit")
-        assert Counter(requests[:cut]) == Counter((w, True) for w in merged[1:])
-        assert Counter(requests[cut + 1 :]) == Counter((w, True) for w in merged)
+        assert handed == [(merged[1:], True), "emit", (merged, True)]
+        assert synthesized == ["emit", (merged[0], True)]
+
+        # many candidates: one call with the union of their operators 2 onward
+        handed.clear()
+        compile_program(prog, budget=40, seed=3, objective="cnot-depth")
+        want = set()
+        for order in set(compiler._candidate_orderings(m, 40, 3)):
+            split = compiler._split(prog, order)
+            if split is not None:
+                want.update(compiler._merged(split)[1][1:])
+        (ops, depth_opt), emit = handed[:2]
+        assert emit == "emit" and depth_opt
+        assert len(ops) == len(set(ops)) and set(ops) == want
 
 
 # SHA-256 of the emitted JSON: compile_program(...).circuit, then

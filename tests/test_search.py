@@ -1,15 +1,16 @@
 """The compile search against its references in tests/oracles.py.
 
-The greedy synthesizer scores candidates incrementally and stops when it
-cycles; the ordering loop scores candidates on plain tuples; the depth table
-is a breadth-first search; the circuit is emitted from the gate list the
-search scored. Each must return exactly what the plain loops and the public
-circuit passes return: same operations, same partition, same circuit, same
-table.
+The greedy synthesizer scores every candidate of a batch of matrices at
+once and stops a matrix when it cycles; the ordering loop scores candidates
+on plain tuples; the depth table is a breadth-first search; the circuit is
+emitted from the gate list the search scored. Each must return exactly
+what the plain loops and the public circuit passes return: same operations,
+same partition, same circuit, same table.
 """
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,10 +19,17 @@ from rotsynth import programs
 from rotsynth.compiler import (
     _EMISSION_SCORES,
     PartitionError,
+    _bits,
+    _carry,
     _depth_table,
+    _greedy_batch,
     _greedy_rows,
+    _lex_argmin,
     _score_concat,
+    _score_maxsum,
+    _score_total,
     _table_realization,
+    _weights,
     cnot_synthesize,
     compile_program,
     compile_to_unitary,
@@ -42,6 +50,10 @@ from oracles import (
 )
 
 
+# rows of a 5x5 matrix on which the maxsum and total greedies cycle
+CYCLING_5 = (12, 19, 10, 11, 22)
+
+
 class TestGreedyKernel:
     def test_matches_reference(self):
         rng = random.Random(2024)
@@ -55,6 +67,75 @@ class TestGreedyKernel:
                 stalls[score] += got is None
         # the cycle exit must be exercised, not only the converging path
         assert sum(stalls.values()) >= 10, stalls
+
+    def test_mixed_batch_matches_reference(self):
+        # one lockstep batch of converging and cycling matrices that finish
+        # at different steps: each result is the per-matrix reference, so the
+        # batch's other contents never change a result
+        rng = random.Random(11)
+        us = [random_invertible(5, rng.randrange(10**6)) for _ in range(40)]
+        us.append(GF2Matrix(5, 5, CYCLING_5))
+        rows = _bits(us).swapaxes(1, 2)
+        for score in _EMISSION_SCORES:
+            got = _greedy_batch(rows, score)
+            want = [reference_greedy_rows(u, score) for u in us]
+            assert got == want, score.__name__
+            assert len({None if r is None else len(r[1]) for r in want}) > 2
+        assert want[-1] is None  # total, as maxsum, cycles on the last matrix
+
+    @pytest.mark.parametrize(
+        "score, sizes",
+        [(_score_concat, (12, 13)), (_score_maxsum, (9, 10, 11, 12))],
+        ids=["concat", "maxsum"],
+    )
+    def test_multi_digit_keys(self, score, sizes):
+        # the sizes where the weights overflow int64 and split into digits
+        for n in sizes:
+            rng = random.Random(n)
+            us = [random_invertible(n, rng.randrange(10**6)) for _ in range(4)]
+            for u in us:
+                assert _greedy_rows(u, score) == reference_greedy_rows(u, score), n
+        # one size smaller still fits in one int64 column
+        assert _weights(11, 23, range(12, -1, -1)).shape[1] == 1
+        assert _weights(12, 25, range(13, -1, -1)).shape[1] > 1
+        assert _weights(8, 9, range(18)).shape[1] == 1
+        assert _weights(9, 10, range(20)).shape[1] > 1
+
+    def test_digit_keys_order_like_integers(self):
+        # scores add signed digits of radix 2^31 without carrying; after
+        # `_carry` they must compare like the integers they encode, the
+        # first of equal ones winning
+        rng = np.random.default_rng(3)
+        digits = rng.integers(-(2**33), 2**33, size=(200, 12, 3))
+        digits[:, :, 0] = rng.integers(-1, 2, size=(200, 12))  # leading digits tie often
+        # equal values in other digits: 2^31 * d0 + d1 = 2^31 * (d0 + 1) + (d1 - 2^31)
+        digits[:, 7] = digits[:, 2] + [1, -(2**31), 0]
+        values = [[(int(a) << 62) + (int(b) << 31) + int(c) for a, b, c in row] for row in digits]
+        got = _lex_argmin(_carry(digits.copy()))
+        assert got.tolist() == [row.index(min(row)) for row in values]
+        assert any(row[2] == min(row) for row in values)  # the tie is exercised
+
+    def test_one_qubit_and_cycle(self):
+        for score in _EMISSION_SCORES:
+            assert _greedy_rows(GF2Matrix.identity(1), score) == ([1], [])
+        # maxsum and total enter a 2-cycle after one step; concat converges
+        u = GF2Matrix(5, 5, CYCLING_5)
+        assert _greedy_rows(u, _score_maxsum) is None
+        assert _greedy_rows(u, _score_total) is None
+        assert _greedy_rows(u, _score_concat) == reference_greedy_rows(u, _score_concat)
+
+    @pytest.mark.parametrize("n", [64, 66])
+    def test_near_identity_wide(self, n):
+        # rows wider than one machine word load and unpack
+        rng = random.Random(n)
+        rows = [1 << i for i in range(n)]
+        for _ in range(3):
+            c, t = rng.sample(range(n), 2)
+            rows[t] ^= rows[c]
+        u = GF2Matrix(n, n, tuple(rows))
+        for score in _EMISSION_SCORES:
+            got = _greedy_rows(u, score)
+            assert got is not None and got == reference_greedy_rows(u, score), score.__name__
 
     def test_cnot_synthesize_wraps_concat_greedy(self):
         rng = random.Random(7)
@@ -143,6 +224,17 @@ class TestPartitionExactness:
                 short += 1
             else:
                 long += 1
+
+
+@pytest.mark.parametrize("objective", ["cnot-depth", "cnot-count"])
+def test_search_windows_match_reference(monkeypatch, objective):
+    # a budget over several windows: the scores, the tie-break toward the
+    # earlier candidate and the counts carry across window boundaries
+    from rotsynth import compiler
+
+    monkeypatch.setattr(compiler, "_SEARCH_WINDOW", 7)
+    for name in ("ccz", "cs"):
+        _assert_same_search(programs.load(name), 40, objective)
 
 
 def _blocks_program(n: int, seeds: list[int], residual_seed: int, residual: int, ks: list[int]):
