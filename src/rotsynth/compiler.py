@@ -1,7 +1,7 @@
 """Recompilation of rotation programs into minimal-T-depth circuits.
 
 Pipeline: partition the rotations into invertible blocks, realize each block
-as CX(U)^-1 (parallel phase layer) CX(U), merge adjacent CNOT operators,
+as CX(F)^-1 (parallel phase layer) CX(F), merge adjacent CNOT operators,
 synthesize every merged operator as a qubit permutation followed by few
 CNOTs, hoist all permutations to time zero, and absorb the leading
 permutation and CNOT operator into state preparation. Every program is
@@ -9,14 +9,17 @@ compiled for an all-|+> input, the U|+>^n form of the magic states it
 prepares: a permutation or CNOT operator maps |+>^n to itself, so the
 leading one is deleted outright.
 
-`_hoisted` runs it on a candidate's blocks, synthesizing only the merged
-operators: the search scores its gate list, and the circuit is emitted from
-it. The search first cuts every candidate, then synthesizes the merged
-operators of all of them together (`_realize_many`): the greedy row
-reduction runs in lockstep over a batch of same-size matrices held as one
-numpy tensor (`_greedy_batch`). The circuit passes below
-(`parallelize_block`, `merge_adjacent_blocks`, `hoist_permutations`) are its
-reference in the tests.
+A block is held as its CNOT operator F (rows: the rotation supports) and
+F^-1, whose one elimination is also the block's validity test; the merged
+operators are products of these pairs and carry their inverses into
+synthesis. `_hoisted` runs the pipeline on a candidate's blocks,
+synthesizing only the merged operators: the search scores its gate list,
+and the circuit is emitted from it. The search first cuts every candidate,
+then synthesizes the merged operators of all of them together
+(`_realize_many`): the greedy row reduction runs in lockstep over a batch
+of same-size matrices held as one numpy tensor (`_greedy_batch`). The
+circuit passes below (`parallelize_block`, `merge_adjacent_blocks`,
+`hoist_permutations`) are its reference in the tests.
 
 Matrix/gate conventions used throughout (exercised by the oracle tests):
   * CX(M) |e> = |M e> for invertible M over GF(2).
@@ -32,11 +35,11 @@ import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 
 import numpy as np
 
-from .gf2 import BitVec, GF2Matrix, invert, is_invertible, rank
+from .gf2 import GF2Matrix, SingularMatrixError, invert, is_invertible
 from .ir import (
     Circuit,
     CNOT_LIKE_KINDS,
@@ -50,7 +53,8 @@ from .ir import (
 )
 
 class PartitionError(ValueError):
-    """No sampled ordering produced full-rank blocks."""
+    """No block partition: none exists ("no block partition exists"), or no
+    sampled ordering produced one."""
 
 
 class SynthesisStallError(RuntimeError):
@@ -258,8 +262,9 @@ def _greedy_batch(a: np.ndarray, score) -> list[tuple[list[int], list[tuple[int,
 
     Each step applies to every unfinished matrix the row operation (i, j),
     row j ^= row i, of the smallest (score, i, j). A finished matrix gives
-    (rows, ops) as `_greedy_rows` does. The greedy is a function of the rows
-    alone, so a state that comes back means a cycle that never reaches a
+    its wire map (the column of each row's one in the permutation reached)
+    and its operations. The greedy is a function of the rows alone, so a
+    state that comes back means a cycle that never reaches a
     permutation: None, as when the cap of 4 n^2 steps is hit. Each state is
     compared with a snapshot taken at the last power-of-two step, which
     catches a cycle within twice its start plus its length.
@@ -305,18 +310,19 @@ def _greedy_batch(a: np.ndarray, score) -> list[tuple[list[int], list[tuple[int,
         if nops[k] < 0:
             out.append(None)
             continue
-        rows_k = [1 << c for c in images[k].tolist()]
-        out.append((rows_k, list(zip(ops_i[k, : nops[k]].tolist(), ops_j[k, : nops[k]].tolist()))))
+        ops_k = zip(ops_i[k, : nops[k]].tolist(), ops_j[k, : nops[k]].tolist())
+        out.append((images[k].tolist(), list(ops_k)))
     return out
 
 
 def _greedy_rows(u: GF2Matrix, score) -> tuple[list[int], list[tuple[int, int]]] | None:
-    """Greedy row reduction of transpose(u) to a permutation matrix.
-
-    `score` picks the row operation (i, j), row j ^= row i, of each step;
-    None if the greedy cycles or hits its cap (see `_greedy_batch`).
+    """Greedy row reduction of transpose(u) to a permutation matrix: its rows
+    and the row operations (i, j), row j ^= row i, that `score` picks at
+    each step; None if the greedy cycles or hits its cap (see
+    `_greedy_batch`).
     """
-    return _greedy_batch(_bits([u]).swapaxes(1, 2), score)[0]
+    reduced = _greedy_batch(_bits([u]).swapaxes(1, 2), score)[0]
+    return reduced and ([1 << c for c in reduced[0]], reduced[1])
 
 
 def _inverse_map(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -337,8 +343,7 @@ _FORMS = ((False, False), (True, False), (True, True))
 def _variant(reduced, backwards: bool, flip: bool):
     """(wire map, CNOT list) realizing CX(u) from a greedy reduction of one
     of its `_FORMS`."""
-    rows, ops = reduced
-    images = tuple(r.bit_length() - 1 for r in rows)
+    images, ops = tuple(reduced[0]), reduced[1]
     cnots = [(images[j], images[i]) for i, j in ops]
     if flip:
         cnots = [(t, c) for c, t in cnots]
@@ -376,13 +381,6 @@ def _pack_levels(pairs: tuple[tuple[int, int], ...]) -> list[int]:
         if after_target.get(t, 0) <= level:
             after_target[t] = level + 1
     return layer_of
-
-
-def _pack_cnots(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    """Reorder commuting CNOTs by their `_pack_levels` layer."""
-    layer_of = _pack_levels(pairs)
-    order = sorted(range(len(pairs)), key=lambda i: (layer_of[i], i))
-    return tuple(pairs[i] for i in order)
 
 
 def _cnot_layers(pairs) -> int:
@@ -461,45 +459,40 @@ def _table_realization(u: GF2Matrix) -> tuple[tuple[int, ...], tuple[tuple[int, 
 DEPTH_OPT_LIMIT = 4
 
 
-def _synthesize(us: list[GF2Matrix], depth_opt: bool) -> list[tuple]:
-    """`_realize_cx` of operators of one size, their greedy reductions run
-    as one batch per score."""
-    n = us[0].n_rows
+def _synthesize(pairs: list[tuple[GF2Matrix, GF2Matrix]], depth_opt: bool) -> list[tuple]:
+    """Wire map + CNOT list realizing CX(u), permutation gates first, for
+    each (u, u^-1) of one size: from the depth-optimal table under
+    cnot-depth up to DEPTH_OPT_LIMIT qubits, else the best (fewest layers,
+    fewest CNOTs, first) of the greedy variants, each form in `_FORMS`
+    under each emission score for cnot-depth and u under concat for
+    cnot-count, with its commuting CNOTs ordered by layer."""
+    n = pairs[0][0].n_rows
     if depth_opt and n <= DEPTH_OPT_LIMIT:
-        return [_table_realization(u) for u in us]
-    bits = _bits(us)
-    if not depth_opt:
-        if not all(map(is_invertible, us)):
-            raise ValueError("CNOT synthesis needs an invertible matrix")
-        out = []
-        for reduced in _greedy_batch(bits.swapaxes(1, 2), _score_concat):
-            if reduced is None:
-                raise SynthesisStallError(
-                    f"greedy row reduction cycles before a permutation (cap {4 * n * n} steps)"
-                )
-            images, cnots = _variant(reduced, False, False)
-            out.append((images, _pack_cnots(cnots)))
-        return out
+        return [_table_realization(u) for u, _ in pairs]
+    ops = _bits([u for u, _ in pairs])
     # the greedy reduces transpose(w) for w = u, u^-1, u^T (`_FORMS`)
-    inverses = _bits([invert(u) for u in us])
-    forms = np.concatenate([bits.swapaxes(1, 2), inverses.swapaxes(1, 2), bits])
-    reductions = [_greedy_batch(forms, score) for score in _EMISSION_SCORES]
+    forms, scores = [ops.swapaxes(1, 2)], (_score_concat,)
+    if depth_opt:
+        forms += [_bits([inv for _, inv in pairs]).swapaxes(1, 2), ops]
+        scores = _EMISSION_SCORES
+    reductions = [_greedy_batch(np.concatenate(forms), score) for score in scores]
     out = []
-    for k in range(len(us)):
-        best = None
-        idx = 0
-        for form, (backwards, flip) in enumerate(_FORMS):
-            for reduced_all in reductions:
-                reduced = reduced_all[form * len(us) + k]
-                if reduced is not None:
-                    images, cnots = _variant(reduced, backwards, flip)
-                    key = (max(_pack_levels(cnots), default=-1) + 1, len(cnots), idx)
-                    if best is None or key < best[0]:
-                        best = (key, images, cnots)
-                idx += 1
-        if best is None:
-            raise SynthesisStallError("all emission variants stalled")
-        out.append((best[1], _pack_cnots(best[2])))
+    for k in range(len(pairs)):
+        variants = []  # (key, images, cnots, levels); the key's idx is unique
+        for idx, (form, reduced_all) in enumerate(product(range(len(forms)), reductions)):
+            reduced = reduced_all[form * len(pairs) + k]
+            if reduced is not None:
+                images, cnots = _variant(reduced, *_FORMS[form])
+                levels = _pack_levels(cnots)
+                key = (max(levels, default=-1) + 1, len(cnots), idx)
+                variants.append((key, images, cnots, levels))
+        if not variants:
+            raise SynthesisStallError(
+                f"greedy row reduction cycles before a permutation (cap {4 * n * n} steps)"
+            )
+        _, images, cnots, levels = min(variants)
+        order = sorted(range(len(cnots)), key=lambda i: (levels[i], i))
+        out.append((images, tuple(cnots[i] for i in order)))
     return out
 
 
@@ -509,21 +502,21 @@ _REALIZED_MAX = 65536
 _REALIZED: OrderedDict[tuple[GF2Matrix, bool], tuple] = OrderedDict()
 
 
-def _realize_many(us: list[GF2Matrix], depth_opt: bool) -> list[tuple]:
-    """`_realize_cx` of every operator in `us`, all of one size.
+def _realize_many(pairs: list[tuple[GF2Matrix, GF2Matrix]], depth_opt: bool) -> list[tuple]:
+    """`_synthesize` of every (u, u^-1) in `pairs`, all of one size.
 
-    The operators missing from the process-wide cache are synthesized
-    together, `_SYNTHESIS_CHUNK` per batch; the cache keeps the
-    `_REALIZED_MAX` most recently used.
+    The operators missing from the process-wide cache, which is keyed by u,
+    are synthesized together, `_SYNTHESIS_CHUNK` per batch; the cache keeps
+    the `_REALIZED_MAX` most recently used.
     """
     cache = _REALIZED
-    missing = list(dict.fromkeys(u for u in us if (u, depth_opt) not in cache))
+    missing = list(dict.fromkeys(pair for pair in pairs if (pair[0], depth_opt) not in cache))
     for start in range(0, len(missing), _SYNTHESIS_CHUNK):
         chunk = missing[start : start + _SYNTHESIS_CHUNK]
-        for u, realized in zip(chunk, _synthesize(chunk, depth_opt)):
+        for (u, _), realized in zip(chunk, _synthesize(chunk, depth_opt)):
             cache[u, depth_opt] = realized
     out = []
-    for u in us:
+    for u, _ in pairs:
         cache.move_to_end((u, depth_opt))
         out.append(cache[u, depth_opt])
     while len(cache) > _REALIZED_MAX:
@@ -531,22 +524,13 @@ def _realize_many(us: list[GF2Matrix], depth_opt: bool) -> list[tuple]:
     return out
 
 
-def _realize_cx(u: GF2Matrix, depth_opt: bool) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Wire map + CNOT list realizing CX(u): permutation gates first.
-
-    With depth_opt, operators on up to DEPTH_OPT_LIMIT qubits are realized
-    depth-optimally from a precomputed table; larger ones take the best of
-    several greedy emission variants (fewest layers, then fewest CNOTs).
-    Without it, the canonical synthesis is used as is (commutation packing
-    only, which never changes the count); its CNOTs are conjugated through
-    the leading permutation.
-    """
-    return _realize_many([u], depth_opt)[0]
-
-
 def synthesis_gates(u: GF2Matrix, depth_opt: bool = True) -> tuple[Gate, ...]:
-    """Gate realization of CX(u): leading SWAPs then two-qubit CNOTs."""
-    images, cnots = _realize_cx(u, depth_opt)
+    """Gate realization of CX(u): leading SWAPs then two-qubit CNOTs.
+
+    A singular u raises `SingularMatrixError` (a ValueError) under both
+    objectives.
+    """
+    images, cnots = _realize_many([(u, invert(u))], depth_opt)[0]
     gates = [Gate("SWAP", pair) for pair in _transpositions(list(images))]
     gates.extend(Gate("CNOT", pair) for pair in cnots)
     return tuple(gates)
@@ -755,77 +739,76 @@ class CompileReport:
     partition: Partition | None
 
 
-def _pad_residual(residual: list[PhaseRotation], n: int) -> tuple[GF2Matrix, tuple[int, ...]] | None:
-    """Extend independent residual supports to a basis with identity columns."""
+def _pad_residual(residual: list[PhaseRotation], n: int) -> list[int] | None:
+    """The residual's supports, extended to a basis by the unit vectors e_i
+    that keep them independent, lowest i first; None if the residual is
+    empty or its supports are dependent."""
     if not residual:
         return None
-    cols = [r.support for r in residual]
-    mat = GF2Matrix.from_cols(cols)
-    if rank(mat) != len(cols):
-        return None
-    ks = [r.k for r in residual]
-    for i in range(n):
-        if len(cols) == n:
-            break
-        cand = cols + [BitVec.basis(n, i)]
-        if rank(GF2Matrix.from_cols(cand)) == len(cand):
-            cols = cand
-            ks.append(0)
-    if len(cols) != n:
-        return None
-    return GF2Matrix.from_cols(cols), tuple(ks)
+    supports = [r.support.bits for r in residual]
+    basis: dict[int, int] = {}  # leading bit -> the reduced vector that has it
+    padded: list[int] = []
+    for v in supports + [1 << i for i in range(n)]:
+        w = v
+        while w and (w.bit_length() - 1) in basis:
+            w ^= basis[w.bit_length() - 1]
+        if w:
+            basis[w.bit_length() - 1] = w
+            padded.append(v)
+        elif len(padded) < len(supports):
+            return None
+    return padded
 
 
 @dataclass(frozen=True)
 class _Block:
-    """One block of a candidate ordering, CX(u^T)^-1 (phase layer) CX(u^T):
-    its matrix u (the padded basis for the residual) and exponents."""
+    """One block of a candidate ordering, CX(F)^-1 (phase layer) CX(F): its
+    CNOT operator F, whose rows are the rotation supports (the padded basis
+    for the residual), F^-1 and the exponents."""
 
-    matrix: GF2Matrix
+    op: GF2Matrix
+    inv: GF2Matrix
     exponents: tuple[int, ...]
 
     @property
     def live(self) -> bool:
-        # an empty phase layer contributes CX(M)^-1 CX(M) = identity
+        # an empty phase layer contributes CX(F)^-1 CX(F) = identity
         return any(k % 8 for k in self.exponents)
-
-    def pair(self) -> tuple[GF2Matrix, GF2Matrix]:
-        """(u^T, (u^T)^-1), the block's CNOT operator and its inverse."""
-        fwd = self.matrix.transpose()
-        return fwd, invert(fwd)
 
 
 def _split(p: RotationProgram, order: tuple[int, ...]) -> list[_Block] | None:
-    """Cut an ordering into n-blocks and the padded residual; None if any
-    block is singular or the residual supports are dependent."""
+    """Cut an ordering into n-blocks and the padded residual, inverting each
+    block once; None if any block is singular or the residual supports are
+    dependent."""
     n = p.n
     blocks = []
     for start in range(0, len(order), n):
         rots = [p.rotations[i] for i in order[start : start + n]]
+        rows = [r.support.bits for r in rots]
         if len(rots) < n:
-            pad = _pad_residual(rots, n)
-            if pad is None:
+            rows = _pad_residual(rots, n)
+            if rows is None:
                 return None
-            blocks.append(_Block(*pad))
-            continue
-        mat = GF2Matrix.from_cols([r.support for r in rots])
-        if not is_invertible(mat):
+        op = GF2Matrix(n, n, tuple(rows))
+        try:
+            inv = invert(op)
+        except SingularMatrixError:
             return None
-        blocks.append(_Block(mat, tuple(r.k for r in rots)))
+        blocks.append(_Block(op, inv, tuple(r.k for r in rots) + (0,) * (n - len(rots))))
     return blocks
 
 
-def _merged(blocks: list[_Block]) -> tuple[list[_Block], list[GF2Matrix]]:
+def _merged(blocks: list[_Block]) -> tuple[list[_Block], list[tuple[GF2Matrix, GF2Matrix]]]:
     """A candidate's live blocks 1..L (non-empty phase layers P_b) and the
-    merged CNOT operators of its circuit CX(M_0) P_1 CX(M_1) ... P_L CX(M_L):
-    M_0 = u_1^T, M_b = u_{b+1}^T (u_b^T)^-1, M_L = (u_L^T)^-1."""
+    merged CNOT operators of its circuit CX(M_0) P_1 CX(M_1) ... P_L CX(M_L),
+    each with its inverse: M_0 = F_1, M_b = F_{b+1} F_b^-1 (inverse
+    F_b F_{b+1}^-1), M_L = F_L^-1."""
     live = [b for b in blocks if b.live]
     if not live:
         return [], []
-    pairs = [b.pair() for b in live]
-    merged = [pairs[0][0]]
-    merged += [fwd @ prev_inv for (fwd, _), (_, prev_inv) in zip(pairs[1:], pairs)]
-    merged.append(pairs[-1][1])
+    merged = [(live[0].op, live[0].inv)]
+    merged += [(nxt.op @ prev.inv, prev.op @ nxt.inv) for prev, nxt in zip(live, live[1:])]
+    merged.append((live[-1].inv, live[-1].op))
     return live, merged
 
 
@@ -835,7 +818,7 @@ def _hoisted(live: list[_Block], realized: list[tuple], n: int) -> tuple[list, l
     after the wire map hoisted to time zero (content of wire i moves to
     map[i]).
 
-    `realized` holds the `_realize_cx` of the last merged operators (see
+    `realized` holds the `_synthesize` of the last merged operators (see
     `_merged`): all of them, or all but M_0, which maps |+>^n to itself and
     is absorbed. Hoisting M_b's permutation relabels every earlier gate, so
     the walk goes back from M_L composing the wire maps.
@@ -883,7 +866,9 @@ def partition_rotations(
     ties break toward the earlier candidate. The candidates are cut a window
     at a time, and the merged operators of a window's valid ones are
     synthesized together before any is scored. A repeated ordering counts
-    as tried (and valid) but is not cut again.
+    as tried (and valid) but is not cut again. Where no ordering can be
+    valid (an empty support, or fewer rotations than qubits with dependent
+    supports), it raises "no block partition exists" before any search.
     """
     if p.n < 1:
         raise PartitionError("need at least one qubit")
@@ -892,6 +877,14 @@ def partition_rotations(
     m = len(p.rotations)
     if m == 0:
         return Partition((), (), (), (), 0, 0)
+    # no ordering can be valid, whatever the budget
+    empty = [i for i, r in enumerate(p.rotations) if not r.support]
+    if empty:
+        raise PartitionError(f"no block partition exists: rotation {empty[0]} has an "
+                             f"empty support, so every block that holds it is singular")
+    if m < p.n and _pad_residual(list(p.rotations), p.n) is None:
+        raise PartitionError(f"no block partition exists: the {m} rotation(s) on {p.n} qubits "
+                             f"all form the residual, and their supports are dependent")
 
     depth_opt = objective == "cnot-depth"
     tried = valid = 0
@@ -930,7 +923,7 @@ def partition_rotations(
     split, order = best
     full = split[: m // p.n]
     return Partition(
-        tuple(b.matrix for b in full),
+        tuple(b.op.transpose() for b in full),
         tuple(b.exponents for b in full),
         tuple(p.rotations[i] for i in order[m - m % p.n :]),
         order,

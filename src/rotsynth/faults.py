@@ -37,6 +37,17 @@ from .semantics import TrajectoryKernel
 
 HARMFUL_INFIDELITY = 1e-9
 DETECTED_ACCEPTANCE = 1e-12
+_FAULT_CLASSES = ("detected", "harmless", "harmful")
+
+
+def _fault_class(acceptance, infidelity):
+    """Index into _FAULT_CLASSES of a fault, or of each fault of two arrays:
+    detected if its acceptance is below DETECTED_ACCEPTANCE, otherwise
+    harmless if its infidelity is below HARMFUL_INFIDELITY, otherwise
+    harmful."""
+    detected = acceptance < DETECTED_ACCEPTANCE
+    harmless = infidelity < HARMFUL_INFIDELITY
+    return (1 - detected) * (2 - harmless)
 
 
 class FaultAnalysisError(ValueError):
@@ -440,11 +451,7 @@ class FaultRecord:
 
     @property
     def classification(self) -> str:
-        if self.acceptance < DETECTED_ACCEPTANCE:
-            return "detected"
-        if self.infidelity < HARMFUL_INFIDELITY:
-            return "harmless"
-        return "harmful"
+        return _FAULT_CLASSES[_fault_class(self.acceptance, self.infidelity)]
 
 
 @dataclass
@@ -545,10 +552,8 @@ def enumerate_pair_faults(c: Circuit, outputs: list[int]) -> PairSummary:
         for a, (pos_a, qubit_a) in enumerate(sites)
         for pos_b, qubit_b in sites[a + 1 :]
     ])
-    detected = acc < DETECTED_ACCEPTANCE
-    harmless = int(np.count_nonzero(~detected & (infid < HARMFUL_INFIDELITY)))
-    detected = int(np.count_nonzero(detected))
-    return PairSummary(len(acc), len(acc) - detected - harmless, detected, harmless)
+    detected, harmless, harmful = np.bincount(_fault_class(acc, infid), minlength=3).tolist()
+    return PairSummary(len(acc), harmful, detected, harmless)
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +667,9 @@ def monte_carlo_infidelity(
     return _monte_carlo(_Harness(c, outputs, nm.t_decode), nm, shots, seed, batch)
 
 
+_DRAW_ROWS = 4096  # shots per chunk of each Monte Carlo draw
+
+
 def _monte_carlo(
     harness: _Harness, nm: NoiseModel, shots: int, seed: int, batch: int = 1 << 16
 ) -> AnalysisReport:
@@ -688,11 +696,18 @@ def _monte_carlo(
     done = 0
     while done < shots:
         b = min(batch, shots - done)
-        prep_mask = rng.random((b, len(prep_sites))) < nm.p_t
-        depol_mask = rng.random((b, len(depol_sites))) < nm.p_l
-        pauli_pick = rng.integers(0, 3, size=(b, len(depol_sites)))
-        uniforms = rng.random((b, n_meas))
-        faulty = np.nonzero(prep_mask.any(axis=1) | depol_mask.any(axis=1))[0]
+        # each draw is made in consecutive row chunks, which gives the values
+        # of one whole-batch draw, so no (b, sites) float or int temporary
+        # exists; of the Pauli picks only those at fired sites are kept
+        chunks = [(s, min(_DRAW_ROWS, b - s)) for s in range(0, b, _DRAW_ROWS)]
+        prep_mask = np.concatenate([rng.random((k, len(prep_sites))) < nm.p_t for _, k in chunks])
+        depol_mask = np.concatenate([rng.random((k, len(depol_sites))) < nm.p_l for _, k in chunks])
+        picks = np.concatenate([
+            rng.integers(0, 3, size=(k, len(depol_sites)))[depol_mask[s : s + k]] for s, k in chunks
+        ])
+        fired = prep_mask.any(axis=1) | depol_mask.any(axis=1)
+        uniforms = np.concatenate([rng.random((k, n_meas))[fired[s : s + k]] for s, k in chunks])
+        faulty = np.nonzero(fired)[0]
         n_faulty += len(faulty)
         accepted += b - len(faulty)  # clean shots pass with zero infidelity
         prep_row, prep_col = np.nonzero(prep_mask[faulty])
@@ -701,13 +716,10 @@ def _monte_carlo(
             (
                 np.concatenate([prep_row, depol_row]),
                 np.concatenate([prep_sites[prep_col, 0], depol_sites[depol_col, 1]]),
-                np.concatenate([
-                    np.full(len(prep_row), 2),  # Z
-                    pauli_pick[faulty[depol_row], depol_col],
-                ]),
+                np.concatenate([np.full(len(prep_row), 2), picks]),  # Z at |T> sites
                 np.concatenate([prep_sites[prep_col, 1], depol_sites[depol_col, 2]]),
             ),
-            uniforms[faulty],
+            uniforms,
         )
         accepted += len(row)
         # per faulty shot, rejected ones 0, so the sums run in shot order
@@ -718,7 +730,7 @@ def _monte_carlo(
         done += b
         # free this batch's draws before the next batch makes its own, so the
         # peak holds one batch of them, not two
-        del prep_mask, depol_mask, pauli_pick, uniforms, faulty
+        del prep_mask, depol_mask, picks, uniforms, faulty
 
     if accepted == 0:
         return AnalysisReport(

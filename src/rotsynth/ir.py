@@ -155,7 +155,7 @@ def parse_rotation_program(text: str) -> RotationProgram:
             vec = BitVec.from_string(support)
         except ValueError as exc:
             raise ParseError(f"rotation {idx}: {exc}") from exc
-        if not isinstance(k, int) or not 0 <= k <= 7:
+        if not _is_index(k) or k > 7:
             raise ParseError(f"rotation {idx}: k must be an integer in 0..7, got {k!r}")
         rotations.append(PhaseRotation(vec, k))
     return RotationProgram(n, tuple(rotations))
@@ -292,7 +292,10 @@ def parse_circuit(text: str) -> Circuit:
             qubits = tuple(entry["qubits"])
             if not all(_is_index(q) for q in qubits):
                 raise ParseError(f"gate {idx}: qubits must be non-negative integers")
-            gates.append(Gate(entry["kind"], qubits, entry.get("record")))
+            record = entry.get("record")
+            if record is not None and not isinstance(record, str):
+                raise ParseError(f"gate {idx}: record must be a string, got {record!r}")
+            gates.append(Gate(entry["kind"], qubits, record))
         except (KeyError, TypeError, AttributeError, CircuitError) as exc:
             raise ParseError(f"gate {idx}: {exc}") from exc
     try:

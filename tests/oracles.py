@@ -22,7 +22,7 @@ from rotsynth.compiler import (
     _Block,
     _candidate_orderings,
     _pad_residual,
-    _realize_cx,
+    _realize_many,
     _score_concat,
     _score_maxsum,
     _score_total,
@@ -537,15 +537,15 @@ def _padded(blocks, exps, residual, n: int):
     us, kmaps = list(blocks), list(exps)
     pad = _pad_residual(list(residual), n)
     if pad is not None:
-        us.append(pad[0])
-        kmaps.append(pad[1])
+        us.append(GF2Matrix.from_cols([BitVec(n, v) for v in pad]))
+        kmaps.append(tuple(r.k for r in residual) + (0,) * (n - len(residual)))
     return us, kmaps
 
 
 def partition_blocks(part: Partition, n: int) -> list[_Block]:
     """The blocks a partition's circuit is emitted from, residual padded."""
     us, kmaps = _padded(part.blocks, part.exponent_maps, part.residual, n)
-    return [_Block(u, ks) for u, ks in zip(us, kmaps)]
+    return [_Block(u.transpose(), invert(u.transpose()), ks) for u, ks in zip(us, kmaps)]
 
 
 def reference_emit(blocks: list[_Block], n: int, absorb: bool, depth_opt: bool) -> Circuit:
@@ -556,7 +556,7 @@ def reference_emit(blocks: list[_Block], n: int, absorb: bool, depth_opt: bool) 
     canonical greedy."""
     fragment = Circuit(n)
     for b in blocks:
-        fragment = fragment.concat(parallelize_block(b.matrix, list(b.exponents), depth_opt=False))
+        fragment = fragment.concat(parallelize_block(b.op.transpose(), list(b.exponents), depth_opt=False))
     hoisted = hoist_permutations(merge_adjacent_blocks(fragment, depth_opt))
     if not absorb:
         return hoisted
@@ -575,7 +575,7 @@ def _reference_metrics(us, kmaps, depth_opt: bool) -> tuple[int, int]:
     merged.append(invert(ms[-1]))
     groups = []
     for w in merged:
-        images, cnots = _realize_cx(w, depth_opt)
+        images, cnots = _realize_many([(w, invert(w))], depth_opt)[0]
         groups = [tuple((images[c], images[t]) for c, t in grp) for grp in groups]
         groups.append(cnots)
     free = [0] * n

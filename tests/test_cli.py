@@ -51,6 +51,16 @@ class TestCompileCommand:
         code = run(["compile", "--in", prog, "--out", tmp_path / "o.json", "--budget", 20])
         assert code == 2
 
+    def test_no_partition_exists_exit_2(self, tmp_path, capsys):
+        # an empty support: no budget can help, and the message says so
+        prog = tmp_path / "empty.json"
+        prog.write_text(json.dumps({"n": 3, "rotations": [{"support": "000", "k": 0}]}))
+        capsys.readouterr()
+        code = run(["compile", "--in", prog, "--out", tmp_path / "o.json"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "no block partition exists" in err and err.count("\n") == 1
+
     def test_measure_x_out_of_range_exit_1(self, tmp_path, ccz_program, capsys):
         out = tmp_path / "circuit.json"
         code = run([
@@ -297,9 +307,12 @@ class TestMalformedInput:
             {"n": 2, "gates": [{"kind": "CNOT", "qubits": [0, True]}]},
             {"n": 2, "gates": 5},
             {"n": 2, "rotations": 5},
+            {"n": 1, "gates": [{"kind": "MeasZ", "qubits": [0], "record": [1]}]},
+            {"n": 1, "gates": [{"kind": "MeasZ", "qubits": [0], "record": {"a": 1}}]},
+            {"n": 1, "rotations": [{"support": "1", "k": True}]},
         ],
         ids=["number", "list", "n-float", "qubit-float", "qubit-bool", "gates-number",
-             "rotations-number"],
+             "rotations-number", "record-list", "record-object", "k-bool"],
     )
     def test_verify(self, tmp_path, ccz_program, capsys, payload):
         bad = tmp_path / "bad.json"
@@ -309,8 +322,9 @@ class TestMalformedInput:
     @pytest.mark.parametrize("command", ["faults", "sweep"])
     @pytest.mark.parametrize(
         "payload",
-        [{"n": 2.5, "gates": []}, {"n": 2, "gates": [{"kind": "X", "qubits": [0.5]}]}],
-        ids=["n-float", "qubit-float"],
+        [{"n": 2.5, "gates": []}, {"n": 2, "gates": [{"kind": "X", "qubits": [0.5]}]},
+         {"n": 1, "gates": [{"kind": "MeasZ", "qubits": [0], "record": [1]}]}],
+        ids=["n-float", "qubit-float", "record-list"],
     )
     def test_circuit_commands(self, tmp_path, capsys, command, payload):
         bad = tmp_path / "bad.json"

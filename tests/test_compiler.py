@@ -6,7 +6,15 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from rotsynth.gf2 import BitVec, GF2Matrix, invert, is_invertible, is_permutation, random_invertible
+from rotsynth.gf2 import (
+    BitVec,
+    GF2Matrix,
+    SingularMatrixError,
+    invert,
+    is_invertible,
+    is_permutation,
+    random_invertible,
+)
 from rotsynth.ir import Circuit, Gate, PhaseRotation, RotationProgram
 from rotsynth.compiler import (
     PartitionError,
@@ -102,6 +110,21 @@ class TestCnotSynthesize:
             if len(cnot_synthesize(u).ops) <= gaussian_op_count(u):
                 wins += 1
         assert wins >= 90
+
+    @pytest.mark.parametrize("depth_opt", [False, True])
+    def test_singular_operator_one_rule(self, depth_opt):
+        # every size and objective, the depth table (n <= 4 under
+        # cnot-depth) included: a singular operator is a SingularMatrixError
+        rng = random.Random(23)
+        for n in range(2, 7):
+            for _ in range(4):
+                rows = list(random_invertible(n, rng.randrange(10**6)).rows)
+                i, j = rng.sample(range(n), 2)
+                rows[j] = rows[i]
+                with pytest.raises(SingularMatrixError):
+                    synthesis_gates(GF2Matrix(n, n, tuple(rows)), depth_opt)
+        with pytest.raises(ValueError):
+            synthesis_gates(GF2Matrix(2, 2, (3, 0)), depth_opt)
 
     @pytest.mark.parametrize("depth_opt", [False, True])
     def test_gates_realize_operator(self, depth_opt):
@@ -278,11 +301,33 @@ class TestPartition:
         assert sorted(cut) == sorted(permutations(range(3)))
 
     def test_partition_failure(self):
-        # all supports equal: no block of two can ever be independent
+        # all supports equal: no block of two can ever be independent, but
+        # neither proof below covers it, so the search decides
         v = BitVec.from_string("11")
         prog = RotationProgram(2, (PhaseRotation(v, 1),) * 4)
-        with pytest.raises(PartitionError):
+        with pytest.raises(PartitionError, match="among 50 sampled ordering"):
             partition_rotations(prog, budget=50)
+
+    @pytest.mark.parametrize(
+        "n, supports, cause",
+        [
+            (3, ["000"], "rotation 0 has an empty support"),
+            (3, ["110", "101", "011", "000"], "rotation 3 has an empty support"),
+            (3, ["110", "110"], "all form the residual"),
+            (4, ["1100", "0110", "1010"], "all form the residual"),
+        ],
+    )
+    def test_no_partition_exists(self, n, supports, cause):
+        # proven before any search, so the budget is never spent
+        prog = RotationProgram(
+            n, tuple(PhaseRotation(BitVec.from_string(v), int("1" in v)) for v in supports)
+        )
+        with pytest.raises(PartitionError, match=f"no block partition exists: .*{cause}"):
+            partition_rotations(prog, budget=200)
+        # fewer rotations than qubits with independent supports are a residual
+        head = RotationProgram(n, prog.rotations[:1])
+        if supports[0].count("1"):
+            assert partition_rotations(head, budget=1).residual == head.rotations
 
     def test_residual_padding(self):
         rng = random.Random(26)
@@ -447,6 +492,32 @@ class TestCompile:
                 assert (rep.cnot_depth, rep.cnot_count) == (want.cnot_depth(), want.cnot_count())
                 got = compile_to_unitary(prog, budget=1, objective=objective)
                 assert got.to_json() == reference_emit(split, n, False, depth_opt).to_json()
+
+    def test_blocks_carry_their_inverses(self):
+        # one elimination per block: each block's operator F has the
+        # rotation supports as rows and comes with F^-1, and every merged
+        # operator of a candidate with its inverse
+        from rotsynth import compiler
+
+        rng = random.Random(32)
+        checked = 0
+        while checked < 40:
+            n = rng.randrange(1, 7)
+            m = rng.randrange(1, 3 * n + 1)
+            prog = random_program(rng, n, m)
+            order = tuple(rng.sample(range(m), m))
+            split = compiler._split(prog, order)
+            if split is None:
+                continue
+            checked += 1
+            identity = GF2Matrix.identity(n)
+            for b, start in zip(split, range(0, m, n)):
+                supports = [prog.rotations[i].support.bits for i in order[start : start + n]]
+                assert list(b.op.rows[: len(supports)]) == supports
+            live, merged = compiler._merged(split)
+            assert len(merged) == (len(live) + 1 if live else 0)
+            for op, inv in [(b.op, b.inv) for b in split] + merged:
+                assert op @ inv == identity and inv @ op == identity
 
     def test_depth_synthesis_only_where_it_counts(self, monkeypatch):
         # under cnot-depth the search hands the batch realizer, in one call,

@@ -73,6 +73,7 @@ class TestProgramParsing:
             '{"n": 3, "rotations": [{"support": "101", "k": 8}]}',
             '{"n": 3, "rotations": [{"support": "1x1", "k": 1}]}',
             '{"n": 3, "rotations": [{"k": 1}]}',
+            '{"n": 1, "rotations": [{"support": "1", "k": true}]}',
             "not json",
         ],
     )
@@ -92,6 +93,12 @@ class TestCircuitSerialization:
             ),
         )
         assert parse_circuit(c.to_json()) == c
+
+    @pytest.mark.parametrize("record", ['[1]', '{"a": 1}', "7"], ids=["list", "object", "number"])
+    def test_non_string_record(self, record):
+        text = f'{{"n": 1, "gates": [{{"kind": "MeasZ", "qubits": [0], "record": {record}}}]}}'
+        with pytest.raises(ParseError, match="record must be a string"):
+            parse_circuit(text)
 
     def test_record_survives(self):
         c = Circuit(1, (Gate("MeasZ", (0,), "m7"),))
