@@ -39,7 +39,7 @@ from itertools import islice, permutations, product
 
 import numpy as np
 
-from .gf2 import GF2Matrix, SingularMatrixError, invert, is_invertible
+from .gf2 import GF2Matrix, SingularMatrixError, independent, invert, is_invertible, rank
 from .ir import (
     Circuit,
     CNOT_LIKE_KINDS,
@@ -741,23 +741,13 @@ class CompileReport:
 
 def _pad_residual(residual: list[PhaseRotation], n: int) -> list[int] | None:
     """The residual's supports, extended to a basis by the unit vectors e_i
-    that keep them independent, lowest i first; None if the residual is
-    empty or its supports are dependent."""
-    if not residual:
+    that keep them independent, lowest i first; None if the supports are
+    dependent."""
+    vectors = [r.support.bits for r in residual] + [1 << i for i in range(n)]
+    kept = independent(vectors)
+    if kept[: len(residual)] != list(range(len(residual))):
         return None
-    supports = [r.support.bits for r in residual]
-    basis: dict[int, int] = {}  # leading bit -> the reduced vector that has it
-    padded: list[int] = []
-    for v in supports + [1 << i for i in range(n)]:
-        w = v
-        while w and (w.bit_length() - 1) in basis:
-            w ^= basis[w.bit_length() - 1]
-        if w:
-            basis[w.bit_length() - 1] = w
-            padded.append(v)
-        elif len(padded) < len(supports):
-            return None
-    return padded
+    return [vectors[i] for i in kept]
 
 
 @dataclass(frozen=True)
@@ -867,8 +857,8 @@ def partition_rotations(
     at a time, and the merged operators of a window's valid ones are
     synthesized together before any is scored. A repeated ordering counts
     as tried (and valid) but is not cut again. Where no ordering can be
-    valid (an empty support, or fewer rotations than qubits with dependent
-    supports), it raises "no block partition exists" before any search.
+    valid (an empty support, or supports that span fewer than min(m, n)
+    dimensions), it raises "no block partition exists" before any search.
     """
     if p.n < 1:
         raise PartitionError("need at least one qubit")
@@ -877,14 +867,19 @@ def partition_rotations(
     m = len(p.rotations)
     if m == 0:
         return Partition((), (), (), (), 0, 0)
-    # no ordering can be valid, whatever the budget
+    # no ordering can be valid, whatever the budget: blocks of n and the
+    # residual need supports that span min(m, n) dimensions
     empty = [i for i, r in enumerate(p.rotations) if not r.support]
     if empty:
         raise PartitionError(f"no block partition exists: rotation {empty[0]} has an "
                              f"empty support, so every block that holds it is singular")
-    if m < p.n and _pad_residual(list(p.rotations), p.n) is None:
+    span = rank(GF2Matrix(m, p.n, tuple(r.support.bits for r in p.rotations)))
+    if m < p.n and span < m:
         raise PartitionError(f"no block partition exists: the {m} rotation(s) on {p.n} qubits "
                              f"all form the residual, and their supports are dependent")
+    if span < p.n <= m:
+        raise PartitionError(f"no block partition exists: the {m} supports span {span} of "
+                             f"{p.n} dimensions, so every block of {p.n} is singular")
 
     depth_opt = objective == "cnot-depth"
     tried = valid = 0

@@ -509,28 +509,25 @@ def enumerate_single_faults(
     c: Circuit,
     outputs: list[int],
     sites: str = "tprep",
-    paulis: tuple[str, ...] | None = None,
 ) -> DetectionTable:
     """Exhaustively classify single Pauli faults.
 
-    sites="tprep" inserts faults right after each T-type gate (default
-    Paulis: Z only, the phase noise of a faulty magic state); sites="all"
-    inserts X, Y, Z after every gate.
+    sites="tprep" inserts Z faults right after each T-type gate (the phase
+    noise of a faulty magic state); sites="all" inserts X, Y, Z after every
+    gate.
     """
     if sites not in ("tprep", "all"):
         raise FaultAnalysisError(f"unknown site class {sites!r}")
-    for pauli in paulis or ():  # before the harness runs the kernel
-        _pauli_index(pauli)
     harness = _Harness(c, outputs)
     if sites == "tprep":
         locations = harness.tprep_sites()
-        paulis = paulis or ("Z",)
+        paulis = ("Z",)
     else:
         locations = [
             (i, q) for i, g in enumerate(c.gates) for q in g.qubits
             if g.kind not in MEAS_KINDS
         ]
-        paulis = paulis or ("X", "Y", "Z")
+        paulis = ("X", "Y", "Z")
     faults = [(pos, pauli, qubit) for pos, qubit in locations for pauli in paulis]
     acc, infid = harness.run_exact([[f] for f in faults])
     return DetectionTable([
@@ -655,7 +652,6 @@ def monte_carlo_infidelity(
     nm: NoiseModel,
     shots: int,
     seed: int = 0,
-    batch: int = 1 << 16,
 ) -> AnalysisReport:
     """Monte Carlo estimate of the postselected output infidelity.
 
@@ -664,21 +660,18 @@ def monte_carlo_infidelity(
     (decode idles included); trajectories whose detection outcomes differ
     from the noiseless reference are discarded.
     """
-    return _monte_carlo(_Harness(c, outputs, nm.t_decode), nm, shots, seed, batch)
+    return _monte_carlo(_Harness(c, outputs, nm.t_decode), nm, shots, seed)
 
 
+_BATCH = 1 << 16  # shots per Monte Carlo batch; it sets the sample stream
 _DRAW_ROWS = 4096  # shots per chunk of each Monte Carlo draw
 
 
-def _monte_carlo(
-    harness: _Harness, nm: NoiseModel, shots: int, seed: int, batch: int = 1 << 16
-) -> AnalysisReport:
+def _monte_carlo(harness: _Harness, nm: NoiseModel, shots: int, seed: int) -> AnalysisReport:
     """`monte_carlo_infidelity` on a harness built with nm.t_decode; a sweep
     over p_L and p_T builds its harness once."""
     if shots < 1:
         raise FaultAnalysisError("needs at least one shot")
-    if batch < 1:
-        raise FaultAnalysisError("batch must be at least one shot")
     c = harness.circuit
     prep_sites = np.array(
         [(pos, q) for pos, q in harness.tprep_sites()
@@ -695,7 +688,7 @@ def _monte_carlo(
     total_sq = 0.0
     done = 0
     while done < shots:
-        b = min(batch, shots - done)
+        b = min(_BATCH, shots - done)
         # each draw is made in consecutive row chunks, which gives the values
         # of one whole-batch draw, so no (b, sites) float or int temporary
         # exists; of the Pauli picks only those at fired sites are kept

@@ -5,6 +5,10 @@ Row XOR is a single integer operation and column extraction / column
 addition are O(n), which is what the greedy CNOT synthesis loop needs.
 All public types are immutable values: operations return new objects, so
 speculative copies inside search loops are cheap and thread-safe.
+
+`rank`, `independent` and `invert` share one elimination, the incremental
+xor basis `_basis`: rank is its size, and the inputs recorded for each unit
+vector reduced against the basis of a matrix's rows give the inverse.
 """
 
 from __future__ import annotations
@@ -205,26 +209,39 @@ class GF2Matrix:
         return BitVec(self.n_rows, bits)
 
 
-def rank(m: GF2Matrix) -> int:
-    """GF(2) rank by Gaussian elimination on a working copy."""
-    rows = list(m.rows)
-    r = 0
-    for col in range(m.n_cols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if (rows[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> col) & 1:
-                rows[i] ^= rows[r]
-        r += 1
-        if r == len(rows):
+def _basis(vectors) -> dict[int, tuple[int, int]]:
+    """Xor basis of `vectors` (packed ints), leading bit -> (vector, inputs):
+    bit i of `inputs` is set for each input i that XORs to the vector, and
+    its highest bit is the input whose remainder the vector is."""
+    basis: dict[int, tuple[int, int]] = {}
+    for i, v in enumerate(vectors):
+        v, inputs = _reduce(basis, v, 1 << i)
+        if v:
+            basis[v.bit_length() - 1] = (v, inputs)
+    return basis
+
+
+def _reduce(basis: dict[int, tuple[int, int]], v: int, inputs: int) -> tuple[int, int]:
+    """v reduced until its leading bit has no basis vector, and `inputs`
+    XORed with the inputs of the basis vectors taken."""
+    while v:
+        hit = basis.get(v.bit_length() - 1)
+        if hit is None:
             break
-    return r
+        v ^= hit[0]
+        inputs ^= hit[1]
+    return v, inputs
+
+
+def independent(vectors) -> list[int]:
+    """Indices, ascending, of the vectors (packed ints) that are not in the
+    span of the vectors before them."""
+    return sorted(inputs.bit_length() - 1 for _, inputs in _basis(vectors).values())
+
+
+def rank(m: GF2Matrix) -> int:
+    """GF(2) rank: the size of the xor basis of the rows."""
+    return len(_basis(m.rows))
 
 
 def is_invertible(m: GF2Matrix) -> bool:
@@ -234,26 +251,15 @@ def is_invertible(m: GF2Matrix) -> bool:
 
 
 def invert(m: GF2Matrix) -> GF2Matrix:
-    """Inverse over GF(2) via Gauss-Jordan on rows augmented with identity."""
+    """Inverse over GF(2): each unit vector e_j reduced against the xor basis
+    of the rows; the rows that XOR to e_j form row j of the inverse."""
     if m.n_rows != m.n_cols:
         raise DimensionError(f"cannot invert shape {m.shape}")
     n = m.n_rows
-    aug = [m.rows[i] | (1 << (n + i)) for i in range(n)]
-    r = 0
-    for col in range(n):
-        pivot = None
-        for i in range(r, n):
-            if (aug[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular over GF(2)")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        for i in range(n):
-            if i != r and (aug[i] >> col) & 1:
-                aug[i] ^= aug[r]
-        r += 1
-    return GF2Matrix(n, n, tuple(row >> n for row in aug))
+    basis = _basis(m.rows)
+    if len(basis) < n:
+        raise SingularMatrixError("matrix is singular over GF(2)")
+    return GF2Matrix(n, n, tuple(_reduce(basis, 1 << j, 0)[1] for j in range(n)))
 
 
 def col_add(m: GF2Matrix, i: int, j: int) -> GF2Matrix:

@@ -16,12 +16,12 @@ import random
 
 import numpy as np
 
+from rotsynth import faults as _faults
 from rotsynth.compiler import (
     Partition,
     PartitionError,
     _Block,
     _candidate_orderings,
-    _pad_residual,
     _realize_many,
     _score_concat,
     _score_maxsum,
@@ -33,7 +33,7 @@ from rotsynth.compiler import (
     parallelize_block,
 )
 from rotsynth.faults import AnalysisReport, NoiseModel, _Harness
-from rotsynth.gf2 import BitVec, GF2Matrix, invert, is_invertible
+from rotsynth.gf2 import BitVec, DimensionError, GF2Matrix, SingularMatrixError
 from rotsynth.ir import (
     DIAG1_EXPONENT,
     MEAS_KINDS,
@@ -362,10 +362,10 @@ def reference_monte_carlo(
     nm: NoiseModel,
     shots: int,
     seed: int = 0,
-    batch: int = 1 << 16,
 ) -> AnalysisReport:
     """`monte_carlo_infidelity` with every faulty shot run alone through
-    `reference_trajectory`; same random draws in the same order."""
+    `reference_trajectory`; same random draws in the same order, in batches
+    of `faults._BATCH` shots."""
     harness = _Harness(c, outputs, nm.t_decode)
     prep_sites = [
         (pos, q)
@@ -381,7 +381,7 @@ def reference_monte_carlo(
     total = total_sq = 0.0
     done = 0
     while done < shots:
-        b = min(batch, shots - done)
+        b = min(_faults._BATCH, shots - done)
         prep_mask = rng.random((b, len(prep_sites))) < nm.p_t
         depol_mask = rng.random((b, len(depol_sites))) < nm.p_l
         pauli_pick = rng.integers(0, 3, size=(b, len(depol_sites)))
@@ -515,6 +515,47 @@ def reference_depth_table(n: int) -> tuple[dict, dict]:
     return best, prev
 
 
+def reference_invert(m: GF2Matrix) -> GF2Matrix:
+    """Inverse over GF(2) by Gauss-Jordan on the rows augmented with the
+    identity: the pivot of each column swapped up and cleared from every
+    other row."""
+    if m.n_rows != m.n_cols:
+        raise DimensionError(f"cannot invert shape {m.shape}")
+    n = m.n_rows
+    aug = [m.rows[i] | (1 << (n + i)) for i in range(n)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if (aug[i] >> col) & 1), None)
+        if pivot is None:
+            raise SingularMatrixError("matrix is singular over GF(2)")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for i in range(n):
+            if i != col and (aug[i] >> col) & 1:
+                aug[i] ^= aug[col]
+    return GF2Matrix(n, n, tuple(row >> n for row in aug))
+
+
+def _span(vectors) -> set[int]:
+    span = {0}
+    for v in vectors:
+        span |= {v ^ s for s in span}
+    return span
+
+
+def reference_pad_residual(residual: list[PhaseRotation], n: int) -> list[int] | None:
+    """`compiler._pad_residual` from explicit spans: None unless each support
+    lies outside the span of those before it; then each unit vector e_i,
+    lowest i first, joins when it lies outside the span so far."""
+    padded: list[int] = []
+    for r in residual:
+        if r.support.bits in _span(padded):
+            return None
+        padded.append(r.support.bits)
+    for i in range(n):
+        if (1 << i) not in _span(padded):
+            padded.append(1 << i)
+    return padded
+
+
 def _reference_split(p: RotationProgram, order: tuple[int, ...]):
     n, m = p.n, len(p.rotations)
     rots = [p.rotations[i] for i in order]
@@ -522,12 +563,14 @@ def _reference_split(p: RotationProgram, order: tuple[int, ...]):
     for start in range(0, m - m % n, n):
         group = rots[start : start + n]
         mat = GF2Matrix.from_cols([r.support for r in group])
-        if not is_invertible(mat):
+        try:
+            reference_invert(mat)
+        except SingularMatrixError:
             return None
         blocks.append(mat)
         exps.append(tuple(r.k for r in group))
     residual = rots[m - m % n :]
-    if residual and _pad_residual(residual, n) is None:
+    if reference_pad_residual(residual, n) is None:
         return None
     return blocks, exps, residual
 
@@ -535,8 +578,8 @@ def _reference_split(p: RotationProgram, order: tuple[int, ...]):
 def _padded(blocks, exps, residual, n: int):
     """Block matrices and exponent maps, the residual padded to a basis."""
     us, kmaps = list(blocks), list(exps)
-    pad = _pad_residual(list(residual), n)
-    if pad is not None:
+    if residual:
+        pad = reference_pad_residual(list(residual), n)
         us.append(GF2Matrix.from_cols([BitVec(n, v) for v in pad]))
         kmaps.append(tuple(r.k for r in residual) + (0,) * (n - len(residual)))
     return us, kmaps
@@ -545,7 +588,7 @@ def _padded(blocks, exps, residual, n: int):
 def partition_blocks(part: Partition, n: int) -> list[_Block]:
     """The blocks a partition's circuit is emitted from, residual padded."""
     us, kmaps = _padded(part.blocks, part.exponent_maps, part.residual, n)
-    return [_Block(u.transpose(), invert(u.transpose()), ks) for u, ks in zip(us, kmaps)]
+    return [_Block(u.transpose(), reference_invert(u.transpose()), ks) for u, ks in zip(us, kmaps)]
 
 
 def reference_emit(blocks: list[_Block], n: int, absorb: bool, depth_opt: bool) -> Circuit:
@@ -571,11 +614,11 @@ def _reference_metrics(us, kmaps, depth_opt: bool) -> tuple[int, int]:
     if not live:
         return 0, 0
     ms = [u.transpose() for u in live]
-    merged = [ms[0]] + [ms[b] @ invert(ms[b - 1]) for b in range(1, len(ms))]
-    merged.append(invert(ms[-1]))
+    merged = [ms[0]] + [ms[b] @ reference_invert(ms[b - 1]) for b in range(1, len(ms))]
+    merged.append(reference_invert(ms[-1]))
     groups = []
     for w in merged:
-        images, cnots = _realize_many([(w, invert(w))], depth_opt)[0]
+        images, cnots = _realize_many([(w, reference_invert(w))], depth_opt)[0]
         groups = [tuple((images[c], images[t]) for c, t in grp) for grp in groups]
         groups.append(cnots)
     free = [0] * n

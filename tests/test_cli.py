@@ -42,14 +42,18 @@ class TestCompileCommand:
         code = run(["compile", "--in", tmp_path / "nope.json", "--out", tmp_path / "o.json"])
         assert code == 1
 
-    def test_partition_failure_exit_2(self, tmp_path):
+    def test_partition_failure_exit_2(self, tmp_path, capsys):
+        # infeasible, but no proof covers it: the budget runs out
         prog = tmp_path / "bad.json"
         prog.write_text(json.dumps({
             "n": 2,
-            "rotations": [{"support": "11", "k": 1}] * 4,
+            "rotations": [{"support": v, "k": 1} for v in ("10", "10", "10", "01")],
         }))
+        capsys.readouterr()
         code = run(["compile", "--in", prog, "--out", tmp_path / "o.json", "--budget", 20])
+        err = capsys.readouterr().err
         assert code == 2
+        assert "no valid block partition among 20 sampled" in err and err.count("\n") == 1
 
     def test_no_partition_exists_exit_2(self, tmp_path, capsys):
         # an empty support: no budget can help, and the message says so
@@ -60,6 +64,18 @@ class TestCompileCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "no block partition exists" in err and err.count("\n") == 1
+
+    def test_rank_deficient_exit_2(self, tmp_path, capsys):
+        # four "11" supports span 1 of 2 dimensions: every block is singular
+        prog = tmp_path / "rank1.json"
+        prog.write_text(json.dumps({"n": 2, "rotations": [{"support": "11", "k": 1}] * 4}))
+        capsys.readouterr()
+        code = run(["compile", "--in", prog, "--out", tmp_path / "o.json"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "no block partition exists: the 4 supports span 1 of 2" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o.json").exists()
 
     def test_measure_x_out_of_range_exit_1(self, tmp_path, ccz_program, capsys):
         out = tmp_path / "circuit.json"

@@ -18,6 +18,7 @@ from rotsynth.gf2 import (
 from rotsynth.ir import Circuit, Gate, PhaseRotation, RotationProgram
 from rotsynth.compiler import (
     PartitionError,
+    _pad_residual,
     absorb_into_prep,
     cnot_synthesize,
     compile_program,
@@ -48,6 +49,7 @@ from oracles import (
     plus_prep,
     random_program,
     reference_emit,
+    reference_pad_residual,
     rotation_product_unitary,
     t_state,
 )
@@ -301,12 +303,21 @@ class TestPartition:
         assert sorted(cut) == sorted(permutations(range(3)))
 
     def test_partition_failure(self):
-        # all supports equal: no block of two can ever be independent, but
-        # neither proof below covers it, so the search decides
-        v = BitVec.from_string("11")
-        prog = RotationProgram(2, (PhaseRotation(v, 1),) * 4)
+        # the supports span both dimensions, but every cut into two blocks
+        # of two puts two "10" together: infeasible, yet no proof below
+        # covers it, so the search decides
+        prog = RotationProgram(2, tuple(
+            PhaseRotation(BitVec.from_string(v), 1) for v in ("10", "10", "10", "01")
+        ))
         with pytest.raises(PartitionError, match="among 50 sampled ordering"):
             partition_rotations(prog, budget=50)
+        # feasible (10 01 | 10 01), but the program order is not
+        lucky = RotationProgram(2, tuple(
+            PhaseRotation(BitVec.from_string(v), 1) for v in ("10", "10", "01", "01")
+        ))
+        with pytest.raises(PartitionError, match="among 1 sampled ordering"):
+            partition_rotations(lucky, budget=1)
+        assert partition_rotations(lucky, budget=50).orderings_valid > 0
 
     @pytest.mark.parametrize(
         "n, supports, cause",
@@ -315,19 +326,46 @@ class TestPartition:
             (3, ["110", "101", "011", "000"], "rotation 3 has an empty support"),
             (3, ["110", "110"], "all form the residual"),
             (4, ["1100", "0110", "1010"], "all form the residual"),
+            (2, ["11"] * 4, "4 supports span 1 of 2 dimensions"),
+            (3, ["110", "011", "101"], "3 supports span 2 of 3 dimensions"),
+            (3, ["110", "011", "101", "110", "011"], "5 supports span 2 of 3 dimensions"),
+            (4, ["1000", "0100", "1100"] * 3, "9 supports span 2 of 4 dimensions"),
         ],
     )
-    def test_no_partition_exists(self, n, supports, cause):
-        # proven before any search, so the budget is never spent
+    def test_no_partition_exists(self, n, supports, cause, monkeypatch):
+        # proven before any search, so no ordering is ever cut
+        from rotsynth import compiler
+
+        cut = []
+        split = compiler._split
+        monkeypatch.setattr(compiler, "_split", lambda p, order: cut.append(order) or split(p, order))
         prog = RotationProgram(
             n, tuple(PhaseRotation(BitVec.from_string(v), int("1" in v)) for v in supports)
         )
         with pytest.raises(PartitionError, match=f"no block partition exists: .*{cause}"):
             partition_rotations(prog, budget=200)
+        assert cut == []
         # fewer rotations than qubits with independent supports are a residual
         head = RotationProgram(n, prog.rotations[:1])
         if supports[0].count("1"):
             assert partition_rotations(head, budget=1).residual == head.rotations
+
+    def test_pad_residual_against_span_oracle(self):
+        # residuals of 0..n supports, zero and repeated ones included
+        rng = random.Random(27)
+        padded = dependent = 0
+        for _ in range(400):
+            n = rng.randrange(1, 7)
+            supports = [rng.getrandbits(n) for _ in range(rng.randrange(0, n + 1))]
+            residual = [PhaseRotation(BitVec(n, v), int(v > 0)) for v in supports]
+            got = _pad_residual(residual, n)
+            assert got == reference_pad_residual(residual, n)
+            if got is None:
+                dependent += 1
+            else:
+                padded += 1
+                assert len(got) == n and is_invertible(GF2Matrix(n, n, tuple(got)))
+        assert padded > 100 and dependent > 50
 
     def test_residual_padding(self):
         rng = random.Random(26)

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from oracles import reference_invert
 
 from rotsynth.gf2 import (
     BitVec,
@@ -8,6 +10,7 @@ from rotsynth.gf2 import (
     GF2Matrix,
     SingularMatrixError,
     col_add,
+    independent,
     invert,
     is_invertible,
     is_permutation,
@@ -69,6 +72,36 @@ class TestRank:
             m = random_matrix(rng.randrange(1, 7), rng.randrange(1, 7), rng)
             assert rank(m) == rank_by_span(m)
 
+    def test_non_square_against_span_oracle(self):
+        # tall, wide and empty shapes, including more rows than columns
+        rng = random.Random(5)
+        shapes = [(0, 3), (3, 0), (1, 9), (9, 1), (12, 4), (4, 12), (20, 6), (6, 20)]
+        for n_rows, n_cols in shapes:
+            for _ in range(20):
+                m = random_matrix(n_rows, n_cols, rng)
+                assert rank(m) == rank_by_span(m)
+                assert rank(m) <= min(n_rows, n_cols)
+
+
+class TestIndependent:
+    def test_against_span_oracle(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            n = rng.randrange(1, 7)
+            vectors = [rng.getrandbits(n) for _ in range(rng.randrange(0, 10))]
+            span, want = {0}, []
+            for i, v in enumerate(vectors):
+                if v not in span:
+                    span |= {v ^ s for s in span}
+                    want.append(i)
+            assert independent(vectors) == want
+
+    def test_examples(self):
+        assert independent([]) == []
+        assert independent([0, 0b11, 0b11, 0b01, 0b10, 0b100]) == [1, 3, 5]
+        # wide ints: bit 70 and bit 0, then their sum
+        assert independent([1 << 70, 1, (1 << 70) | 1]) == [0, 1]
+
 
 class TestInvertibility:
     def test_reference_block(self):
@@ -111,6 +144,49 @@ class TestInvert:
         for seed in range(20):
             m = random_invertible(5, seed)
             assert invert(invert(m)) == m
+
+    def test_non_square_rejected(self):
+        for shape in ((2, 3), (3, 2), (1, 0)):
+            with pytest.raises(DimensionError):
+                invert(GF2Matrix.zeros(*shape))
+
+    @staticmethod
+    def assert_matches_reference(m):
+        try:
+            want = reference_invert(m)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError, match="singular over GF\\(2\\)"):
+                invert(m)
+            return False
+        assert invert(m) == want
+        assert m @ want == GF2Matrix.identity(m.n_rows)
+        return True
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_small_matrix(self, n):
+        # 6 of the 16 2x2 and 168 of the 512 3x3 matrices are invertible
+        invertible = 0
+        for rows in itertools.product(range(1 << n), repeat=n):
+            invertible += self.assert_matches_reference(GF2Matrix(n, n, rows))
+        assert invertible == {2: 6, 3: 168}[n]
+
+    @pytest.mark.parametrize("n", list(range(1, 13)) + [64, 66])
+    def test_random_against_reference(self, n):
+        # random draws (singular about 71% of the time for n >= 4), random
+        # invertible ones, and invertible ones with a row duplicated
+        rng = random.Random(n)
+        draws = 40 if n <= 12 else 6
+        singular = 0
+        for seed in range(draws):
+            singular += not self.assert_matches_reference(random_matrix(n, n, rng))
+            m = random_invertible(n, seed)
+            assert self.assert_matches_reference(m)
+            if n > 1:
+                i, j = rng.sample(range(n), 2)
+                rows = list(m.rows)
+                rows[j] = rows[i]
+                assert not self.assert_matches_reference(GF2Matrix(n, n, tuple(rows)))
+        assert singular > 0
 
 
 class TestColAdd:
