@@ -86,6 +86,16 @@ class UsageError(ValueError):
     """Malformed command-line value."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a `UsageError` (exit 1, one line)
+    instead of printing the usage and exiting 2, which means "no
+    partition". Subparsers take their parent's class, so every subcommand
+    reports this way."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _at_least(value: int, low: int, flag: str):
     if value < low:
         raise UsageError(f"{flag} must be at least {low}, got {value}")
@@ -136,10 +146,8 @@ def cmd_compile(args) -> int:
             "t_count": report.t_count,
             "orderings_tried": report.orderings_tried,
             "orderings_valid": report.orderings_valid,
-            "blocks": [b.to_lists() for b in report.partition.blocks]
-            if report.partition
-            else [],
-            "ordering": list(report.partition.ordering) if report.partition else [],
+            "blocks": [b.to_lists() for b in report.partition.blocks],
+            "ordering": list(report.partition.ordering),
         }
         _write(args.report, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(
@@ -274,7 +282,7 @@ def cmd_cost(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rotsynth",
         description="Compile multi-qubit phase-rotation programs into "
         "minimal-T-depth circuits and analyze their fault tolerance.",
@@ -341,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (
         OSError,

@@ -14,12 +14,13 @@ F^-1, whose one elimination is also the block's validity test; the merged
 operators are products of these pairs and carry their inverses into
 synthesis. `_hoisted` runs the pipeline on a candidate's blocks,
 synthesizing only the merged operators: the search scores its gate list,
-and the circuit is emitted from it. The search first cuts every candidate,
-then synthesizes the merged operators of all of them together
-(`_realize_many`): the greedy row reduction runs in lockstep over a batch
-of same-size matrices held as one numpy tensor (`_greedy_batch`). The
-circuit passes below (`parallelize_block`, `merge_adjacent_blocks`,
-`hoist_permutations`) are its reference in the tests.
+and hands over the winner's, absorbed, as the compiled circuit. The search
+first cuts every candidate, then synthesizes the merged operators of all
+of them in one `_synthesize` call: the greedy row reduction runs in
+lockstep over a batch of same-size matrices held as one numpy tensor
+(`_greedy_batch`). Nothing is cached between calls. The circuit passes
+below (`parallelize_block`, `merge_adjacent_blocks`, `hoist_permutations`)
+are its reference in the tests.
 
 Matrix/gate conventions used throughout (exercised by the oracle tests):
   * CX(M) |e> = |M e> for invertible M over GF(2).
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import random
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations, product
@@ -459,68 +459,48 @@ def _table_realization(u: GF2Matrix) -> tuple[tuple[int, ...], tuple[tuple[int, 
 DEPTH_OPT_LIMIT = 4
 
 
+_SYNTHESIS_CHUNK = 64  # operators reduced in one greedy batch
+
+
 def _synthesize(pairs: list[tuple[GF2Matrix, GF2Matrix]], depth_opt: bool) -> list[tuple]:
     """Wire map + CNOT list realizing CX(u), permutation gates first, for
-    each (u, u^-1) of one size: from the depth-optimal table under
-    cnot-depth up to DEPTH_OPT_LIMIT qubits, else the best (fewest layers,
-    fewest CNOTs, first) of the greedy variants, each form in `_FORMS`
-    under each emission score for cnot-depth and u under concat for
-    cnot-count, with its commuting CNOTs ordered by layer."""
-    n = pairs[0][0].n_rows
-    if depth_opt and n <= DEPTH_OPT_LIMIT:
-        return [_table_realization(u) for u, _ in pairs]
-    ops = _bits([u for u, _ in pairs])
-    # the greedy reduces transpose(w) for w = u, u^-1, u^T (`_FORMS`)
-    forms, scores = [ops.swapaxes(1, 2)], (_score_concat,)
-    if depth_opt:
-        forms += [_bits([inv for _, inv in pairs]).swapaxes(1, 2), ops]
-        scores = _EMISSION_SCORES
-    reductions = [_greedy_batch(np.concatenate(forms), score) for score in scores]
+    each (u, u^-1) of one size, any number of them (none included): from
+    the depth-optimal table under cnot-depth up to DEPTH_OPT_LIMIT qubits,
+    else the best (fewest layers, fewest CNOTs, first) of the greedy
+    variants, each form in `_FORMS` under each emission score for
+    cnot-depth and u under concat for cnot-count, with its commuting CNOTs
+    ordered by layer. The greedy reduces `_SYNTHESIS_CHUNK` operators at a
+    time."""
     out = []
-    for k in range(len(pairs)):
-        variants = []  # (key, images, cnots, levels); the key's idx is unique
-        for idx, (form, reduced_all) in enumerate(product(range(len(forms)), reductions)):
-            reduced = reduced_all[form * len(pairs) + k]
-            if reduced is not None:
-                images, cnots = _variant(reduced, *_FORMS[form])
-                levels = _pack_levels(cnots)
-                key = (max(levels, default=-1) + 1, len(cnots), idx)
-                variants.append((key, images, cnots, levels))
-        if not variants:
-            raise SynthesisStallError(
-                f"greedy row reduction cycles before a permutation (cap {4 * n * n} steps)"
-            )
-        _, images, cnots, levels = min(variants)
-        order = sorted(range(len(cnots)), key=lambda i: (levels[i], i))
-        out.append((images, tuple(cnots[i] for i in order)))
-    return out
-
-
-_SYNTHESIS_CHUNK = 64  # operators per `_synthesize` call
-_REALIZED_MAX = 65536
-# (u, depth_opt) -> realization for the whole process, least recently used first
-_REALIZED: OrderedDict[tuple[GF2Matrix, bool], tuple] = OrderedDict()
-
-
-def _realize_many(pairs: list[tuple[GF2Matrix, GF2Matrix]], depth_opt: bool) -> list[tuple]:
-    """`_synthesize` of every (u, u^-1) in `pairs`, all of one size.
-
-    The operators missing from the process-wide cache, which is keyed by u,
-    are synthesized together, `_SYNTHESIS_CHUNK` per batch; the cache keeps
-    the `_REALIZED_MAX` most recently used.
-    """
-    cache = _REALIZED
-    missing = list(dict.fromkeys(pair for pair in pairs if (pair[0], depth_opt) not in cache))
-    for start in range(0, len(missing), _SYNTHESIS_CHUNK):
-        chunk = missing[start : start + _SYNTHESIS_CHUNK]
-        for (u, _), realized in zip(chunk, _synthesize(chunk, depth_opt)):
-            cache[u, depth_opt] = realized
-    out = []
-    for u, _ in pairs:
-        cache.move_to_end((u, depth_opt))
-        out.append(cache[u, depth_opt])
-    while len(cache) > _REALIZED_MAX:
-        cache.popitem(last=False)
+    for start in range(0, len(pairs), _SYNTHESIS_CHUNK):
+        chunk = pairs[start : start + _SYNTHESIS_CHUNK]
+        n = chunk[0][0].n_rows
+        if depth_opt and n <= DEPTH_OPT_LIMIT:
+            out += [_table_realization(u) for u, _ in chunk]
+            continue
+        ops = _bits([u for u, _ in chunk])
+        # the greedy reduces transpose(w) for w = u, u^-1, u^T (`_FORMS`)
+        forms, scores = [ops.swapaxes(1, 2)], (_score_concat,)
+        if depth_opt:
+            forms += [_bits([inv for _, inv in chunk]).swapaxes(1, 2), ops]
+            scores = _EMISSION_SCORES
+        reductions = [_greedy_batch(np.concatenate(forms), score) for score in scores]
+        for k in range(len(chunk)):
+            variants = []  # (key, images, cnots, levels); the key's idx is unique
+            for idx, (form, reduced_all) in enumerate(product(range(len(forms)), reductions)):
+                reduced = reduced_all[form * len(chunk) + k]
+                if reduced is not None:
+                    images, cnots = _variant(reduced, *_FORMS[form])
+                    levels = _pack_levels(cnots)
+                    key = (max(levels, default=-1) + 1, len(cnots), idx)
+                    variants.append((key, images, cnots, levels))
+            if not variants:
+                raise SynthesisStallError(
+                    f"greedy row reduction cycles before a permutation (cap {4 * n * n} steps)"
+                )
+            _, images, cnots, levels = min(variants)
+            order = sorted(range(len(cnots)), key=lambda i: (levels[i], i))
+            out.append((images, tuple(cnots[i] for i in order)))
     return out
 
 
@@ -530,7 +510,7 @@ def synthesis_gates(u: GF2Matrix, depth_opt: bool = True) -> tuple[Gate, ...]:
     A singular u raises `SingularMatrixError` (a ValueError) under both
     objectives.
     """
-    images, cnots = _realize_many([(u, invert(u))], depth_opt)[0]
+    images, cnots = _synthesize([(u, invert(u))], depth_opt)[0]
     gates = [Gate("SWAP", pair) for pair in _transpositions(list(images))]
     gates.extend(Gate("CNOT", pair) for pair in cnots)
     return tuple(gates)
@@ -714,7 +694,9 @@ def eliminate_tdag(c: Circuit) -> Circuit:
 
 @dataclass(frozen=True)
 class Partition:
-    """Rotations regrouped into invertible blocks plus a residual tail."""
+    """Rotations regrouped into invertible blocks plus a residual tail, and
+    the circuit emitted from them: the merged and hoisted gate list that
+    the search scored, absorbed into |+> preparations."""
 
     blocks: tuple[GF2Matrix, ...]
     exponent_maps: tuple[tuple[int, ...], ...]
@@ -722,6 +704,7 @@ class Partition:
     ordering: tuple[int, ...]
     orderings_tried: int
     orderings_valid: int  # candidates whose blocks were all invertible
+    circuit: Circuit
 
 
 @dataclass(frozen=True)
@@ -736,7 +719,7 @@ class CompileReport:
     seed: int
     budget: int
     objective: str
-    partition: Partition | None
+    partition: Partition
 
 
 def _pad_residual(residual: list[PhaseRotation], n: int) -> list[int] | None:
@@ -853,20 +836,23 @@ def partition_rotations(
     whatever the number of rotations, so budget=1 compiles the program order
     as given. Each valid candidate is scored by the chosen objective of the
     gate list that its circuit is emitted from (`_hoisted`, absorbed), and
-    ties break toward the earlier candidate. The candidates are cut a window
-    at a time, and the merged operators of a window's valid ones are
-    synthesized together before any is scored. A repeated ordering counts
-    as tried (and valid) but is not cut again. Where no ordering can be
-    valid (an empty support, or supports that span fewer than min(m, n)
-    dimensions), it raises "no block partition exists" before any search.
+    ties break toward the earlier candidate; the winner's scored gate list,
+    absorbed into |+> preparations, is the partition's circuit. The
+    candidates are cut a window at a time, and the merged operators of a
+    window's valid ones are synthesized together before any is scored. A
+    repeated ordering counts as tried (and valid) but is not cut again.
+    The empty program, on any number of qubits, needs no search: its
+    circuit is n |+> preparations. Where no ordering can be valid (an empty
+    support, or supports that span fewer than min(m, n) dimensions), it
+    raises "no block partition exists" before any search.
     """
-    if p.n < 1:
-        raise PartitionError("need at least one qubit")
     if objective not in ("cnot-depth", "cnot-count"):
         raise ValueError(f"unknown objective {objective!r}")
     m = len(p.rotations)
     if m == 0:
-        return Partition((), (), (), (), 0, 0)
+        return Partition((), (), (), (), 0, 0, _absorbed(p.n, []))
+    if p.n < 1:
+        raise PartitionError("need at least one qubit")
     # no ordering can be valid, whatever the budget: blocks of n and the
     # residual need supports that span min(m, n) dimensions
     empty = [i for i, r in enumerate(p.rotations) if not r.support]
@@ -902,20 +888,20 @@ def partition_rotations(
             valid += 1
             candidates.append((order, split, *_merged(split)))
         ops = list(dict.fromkeys(w for *_, merged in candidates for w in merged[1:]))
-        realized = dict(zip(ops, _realize_many(ops, depth_opt)))
+        realized = dict(zip(ops, _synthesize(ops, depth_opt)))
         for order, split, live, merged in candidates:
             gates, _ = _hoisted(live, [realized[w] for w in merged[1:]], p.n)
             cnots = [qubits for kind, qubits in gates if kind == "CNOT"]
             key = _cnot_layers(cnots) if depth_opt else len(cnots)
             if best_key is None or key < best_key:
                 best_key = key
-                best = (split, order)
+                best = (split, order, gates)
     if best is None:
         raise PartitionError(
             f"no valid block partition among {tried} sampled ordering(s) "
             f"(m={m}, n={p.n})"
         )
-    split, order = best
+    split, order, gates = best
     full = split[: m // p.n]
     return Partition(
         tuple(b.op.transpose() for b in full),
@@ -924,23 +910,15 @@ def partition_rotations(
         order,
         tried,
         valid,
+        _absorbed(p.n, gates),
     )
 
 
-def _compile(
-    p: RotationProgram, budget: int, seed: int, objective: str, absorb: bool
-) -> tuple[Partition, Circuit]:
-    """Search the partition, then emit its gate list: absorbed into |+>
-    preparations, or with the leading operator after the hoisted SWAPs."""
-    part = partition_rotations(p, budget=budget, seed=seed, objective=objective)
-    live, merged = _merged(_split(p, part.ordering))
-    realized = _realize_many(merged[1 if absorb else 0 :], objective == "cnot-depth")
-    gates, wires = _hoisted(live, realized, p.n)
-    body = tuple(Gate(kind, qubits) for kind, qubits in gates)
-    if absorb:
-        return part, eliminate_tdag(absorb_into_prep(Circuit(p.n, body)))
-    lead = tuple(Gate("SWAP", pair) for pair in _transpositions(wires))
-    return part, Circuit(p.n, lead + body)
+def _absorbed(n: int, gates: list) -> Circuit:
+    """A (kind, qubits) gate list from `_hoisted`, absorbed into |+>
+    preparations."""
+    body = Circuit(n, tuple(Gate(kind, qubits) for kind, qubits in gates))
+    return eliminate_tdag(absorb_into_prep(body))
 
 
 def compile_program(
@@ -950,11 +928,10 @@ def compile_program(
     objective: str = "cnot-depth",
 ) -> CompileReport:
     """Full pipeline: partition, synthesize the merged CNOT operators, hoist
-    their permutations, absorb into |+> preparations."""
-    if not p.rotations:
-        circuit = Circuit(p.n)
-        return CompileReport(circuit, 0, 0, 0, 0, 0, 0, seed, budget, objective, None)
-    part, circuit = _compile(p, budget, seed, objective, absorb=True)
+    their permutations, absorb into |+> preparations. The circuit is the
+    one that the partition search scored and emitted."""
+    part = partition_rotations(p, budget=budget, seed=seed, objective=objective)
+    circuit = part.circuit
     return CompileReport(
         circuit=circuit,
         t_depth=circuit.t_depth(),
@@ -977,5 +954,15 @@ def compile_to_unitary(
     objective: str = "cnot-depth",
 ) -> Circuit:
     """Pipeline output before preparation absorption: a pure unitary circuit
-    operator-equal to the rotation product (useful for exact oracles)."""
-    return _compile(p, budget, seed, objective, absorb=False)[1]
+    operator-equal to the rotation product (useful for exact oracles).
+
+    The winning ordering is cut again and all of its merged operators are
+    synthesized in one call, the leading one included, which absorption
+    deletes; the hoisted permutation leads as SWAPs.
+    """
+    part = partition_rotations(p, budget=budget, seed=seed, objective=objective)
+    # no rotations, no blocks; on 0 qubits `_split` has no block size to step
+    live, merged = _merged(_split(p, part.ordering) if part.ordering else [])
+    gates, wires = _hoisted(live, _synthesize(merged, objective == "cnot-depth"), p.n)
+    lead = tuple(Gate("SWAP", pair) for pair in _transpositions(wires))
+    return Circuit(p.n, lead + tuple(Gate(kind, qubits) for kind, qubits in gates))

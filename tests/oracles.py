@@ -22,10 +22,10 @@ from rotsynth.compiler import (
     PartitionError,
     _Block,
     _candidate_orderings,
-    _realize_many,
     _score_concat,
     _score_maxsum,
     _score_total,
+    _synthesize,
     absorb_into_prep,
     eliminate_tdag,
     hoist_permutations,
@@ -585,12 +585,6 @@ def _padded(blocks, exps, residual, n: int):
     return us, kmaps
 
 
-def partition_blocks(part: Partition, n: int) -> list[_Block]:
-    """The blocks a partition's circuit is emitted from, residual padded."""
-    us, kmaps = _padded(part.blocks, part.exponent_maps, part.residual, n)
-    return [_Block(u.transpose(), reference_invert(u.transpose()), ks) for u, ks in zip(us, kmaps)]
-
-
 def reference_emit(blocks: list[_Block], n: int, absorb: bool, depth_opt: bool) -> Circuit:
     """The circuit of a candidate's blocks from the public circuit passes:
     parallelize, merge, hoist and (with `absorb`) absorb into |+>
@@ -606,9 +600,16 @@ def reference_emit(blocks: list[_Block], n: int, absorb: bool, depth_opt: bool) 
     return eliminate_tdag(absorb_into_prep(hoisted))
 
 
+# (operator, depth_opt) -> `_synthesize` of it, for every reference search in
+# the process: the package keeps no cache, and searches of one program at
+# growing budgets share most of their operators
+_REALIZED: dict = {}
+
+
 def _reference_metrics(us, kmaps, depth_opt: bool) -> tuple[int, int]:
     """(cnot_depth, cnot_count) of the all-|+> pipeline, inverting every
-    block matrix afresh."""
+    block matrix afresh; each merged operator is synthesized once per
+    process (`_REALIZED`)."""
     n = us[0].n_rows
     live = [u for u, ks in zip(us, kmaps) if any(k % 8 for k in ks)]
     if not live:
@@ -618,7 +619,9 @@ def _reference_metrics(us, kmaps, depth_opt: bool) -> tuple[int, int]:
     merged.append(reference_invert(ms[-1]))
     groups = []
     for w in merged:
-        images, cnots = _realize_many([(w, reference_invert(w))], depth_opt)[0]
+        if (w, depth_opt) not in _REALIZED:
+            _REALIZED[w, depth_opt] = _synthesize([(w, reference_invert(w))], depth_opt)[0]
+        images, cnots = _REALIZED[w, depth_opt]
         groups = [tuple((images[c], images[t]) for c, t in grp) for grp in groups]
         groups.append(cnots)
     free = [0] * n
@@ -639,7 +642,8 @@ def reference_partition_rotations(
     objective: str = "cnot-depth",
 ) -> Partition:
     """`compiler.partition_rotations` with every candidate cut, rank-checked,
-    padded and inverted on its own."""
+    padded and inverted on its own, and the winner's circuit emitted by the
+    public circuit passes (`reference_emit`)."""
     m = len(p.rotations)
     depth_opt = objective == "cnot-depth"
     best = best_key = None
@@ -659,4 +663,7 @@ def reference_partition_rotations(
     if best is None:
         raise PartitionError(f"no valid block partition among {tried} ordering(s)")
     blocks, exps, residual, order = best
-    return Partition(tuple(blocks), tuple(exps), tuple(residual), order, tried, valid)
+    us, kmaps = _padded(blocks, exps, residual, p.n)
+    emitted = [_Block(u.transpose(), reference_invert(u.transpose()), ks) for u, ks in zip(us, kmaps)]
+    circuit = reference_emit(emitted, p.n, True, depth_opt)
+    return Partition(tuple(blocks), tuple(exps), tuple(residual), order, tried, valid, circuit)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from rotsynth import faults, programs
+from rotsynth import __version__, faults, programs
 from rotsynth.cli import main
 from rotsynth.ir import Circuit, Gate, parse_circuit
 
@@ -116,6 +116,18 @@ class TestVerifyCommand:
         out = tmp_path / "circuit.json"
         run(["compile", "--in", ccz_program, "--out", out, "--budget", 1])
         assert run(["verify", "--a", out, "--b", ccz_program, "--oracle", "dense"]) == 0
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_empty_program_verifies(self, tmp_path, n):
+        # no rotations prepares |+>^n: n preparations, none on 0 qubits
+        prog = tmp_path / "empty.json"
+        prog.write_text(json.dumps({"n": n, "rotations": []}))
+        out = tmp_path / "circuit.json"
+        assert run(["compile", "--in", prog, "--out", out]) == 0
+        assert parse_circuit(out.read_text()).gates == tuple(
+            Gate("PrepPlus", (q,)) for q in range(n)
+        )
+        assert run(["verify", "--a", out, "--b", prog, "--oracle", "dense"]) == 0
 
     def test_circuit_vs_itself(self, tmp_path, ccz_program):
         out = tmp_path / "circuit.json"
@@ -300,6 +312,34 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "--budget", "abc"],
+            ["compile"],
+            ["bogus"],
+            ["compile", "--objective", "fast"],
+        ],
+        ids=["budget-not-int", "missing-in", "unknown-subcommand", "unknown-objective"],
+    )
+    def test_usage_exit_1(self, tmp_path, ccz_program, capsys, argv):
+        # argparse's own errors: exit 1 and one line, not exit 2 (no
+        # partition) and the usage text
+        if argv != ["compile"]:
+            argv = argv + ["--in", ccz_program]
+        capsys.readouterr()
+        assert run(argv + ["--out", tmp_path / "o.json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "o.json").exists()
+
+    def test_version_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip() == __version__
 
 
 class TestMalformedInput:

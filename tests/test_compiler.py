@@ -129,6 +129,33 @@ class TestCnotSynthesize:
             synthesis_gates(GF2Matrix(2, 2, (3, 0)), depth_opt)
 
     @pytest.mark.parametrize("depth_opt", [False, True])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_synthesize_in_chunks(self, monkeypatch, n, depth_opt):
+        # chunks of 3 realize 10 operators as one call per operator does;
+        # only the greedy batches them (n = 4 under cnot-depth reads the
+        # table), one batch per chunk and score holding every form
+        from rotsynth import compiler
+
+        pairs = [(u, invert(u)) for u in (random_invertible(n, seed) for seed in range(10))]
+        want = [compiler._synthesize([pair], depth_opt)[0] for pair in pairs]
+        batches = []
+        greedy = compiler._greedy_batch
+
+        def recorded(a, score):
+            batches.append(len(a))
+            return greedy(a, score)
+
+        monkeypatch.setattr(compiler, "_SYNTHESIS_CHUNK", 3)
+        monkeypatch.setattr(compiler, "_greedy_batch", recorded)
+        assert compiler._synthesize(pairs, depth_opt) == want
+        forms = 3 if depth_opt else 1  # u, u^-1, u^T; and as many scores
+        if depth_opt and n <= compiler.DEPTH_OPT_LIMIT:
+            assert batches == []
+        else:
+            assert batches == [forms * size for size in (3, 3, 3, 1) for _ in range(forms)]
+        assert compiler._synthesize([], depth_opt) == []
+
+    @pytest.mark.parametrize("depth_opt", [False, True])
     def test_gates_realize_operator(self, depth_opt):
         rng = random.Random(21)
         for _ in range(40):
@@ -379,9 +406,17 @@ class TestPartition:
 
 class TestCompile:
     def test_empty_program(self):
-        rep = compile_program(RotationProgram(3, ()))
-        assert rep.circuit.gates == ()
+        # the identity on |+>^n: n preparations, as for rotations with k = 0
+        prog = RotationProgram(3, ())
+        rep = compile_program(prog)
+        assert rep.circuit.gates == plus_prep(3)
         assert rep.t_depth == rep.cnot_depth == rep.cnot_count == 0
+        assert rep.partition.ordering == () and rep.orderings_tried == 0
+        plus = np.full(8, 1 / math.sqrt(8))
+        state = simulate(rep.circuit).state
+        assert equal_up_to_global_phase(state, rotation_product_unitary(prog) @ plus, 1e-10)
+        assert compile_program(RotationProgram(0, ())).circuit == Circuit(0)
+        assert compile_to_unitary(prog) == Circuit(3)
 
     def test_ccz_golden_metrics(self):
         rep = compile_program(programs.load("ccz"), budget=1)
@@ -558,34 +593,24 @@ class TestCompile:
                 assert op @ inv == identity and inv @ op == identity
 
     def test_depth_synthesis_only_where_it_counts(self, monkeypatch):
-        # under cnot-depth the search hands the batch realizer, in one call,
-        # the merged operators that absorption keeps (2 onward) of every
-        # valid candidate, each once; emission synthesizes nothing new, and
-        # the unitary adds only the first operator, which absorption deletes
-        from collections import OrderedDict
-
+        # under cnot-depth the search hands the synthesizer, in one call, the
+        # merged operators that absorption keeps (2 onward) of every valid
+        # candidate, each once, and emission synthesizes nothing; the
+        # unitary cuts the winner again and synthesizes all of its operators
         from rotsynth import compiler
 
-        handed, synthesized = [], []
-        realize, synthesize = compiler._realize_many, compiler._synthesize
-        search = compiler.partition_rotations
+        calls = []
+        synthesize, search = compiler._synthesize, compiler.partition_rotations
 
-        def recorded_realize(us, depth_opt):
-            handed.append((list(us), depth_opt))
-            return realize(us, depth_opt)
-
-        def recorded_synthesize(us, depth_opt):
-            synthesized.extend((u, depth_opt) for u in us)
-            return synthesize(us, depth_opt)
+        def recorded_synthesize(pairs, depth_opt):
+            calls.append((list(pairs), depth_opt))
+            return synthesize(pairs, depth_opt)
 
         def searched(*args, **kwargs):
             part = search(*args, **kwargs)
-            handed.append("emit")
-            synthesized.append("emit")
+            calls.append("emit")
             return part
 
-        monkeypatch.setattr(compiler, "_REALIZED", OrderedDict())  # a cold cache
-        monkeypatch.setattr(compiler, "_realize_many", recorded_realize)
         monkeypatch.setattr(compiler, "_synthesize", recorded_synthesize)
         monkeypatch.setattr(compiler, "partition_rotations", searched)
         prog = programs.load("t15")
@@ -594,26 +619,23 @@ class TestCompile:
         assert len(merged) == 4
 
         compile_program(prog, budget=1, objective="cnot-depth")
-        assert handed == [(merged[1:], True), "emit", (merged[1:], True)]
-        assert synthesized == [(w, True) for w in merged[1:]] + ["emit"]
+        assert calls == [(merged[1:], True), "emit"]
 
-        handed.clear()
-        synthesized.clear()
+        calls.clear()
         compile_to_unitary(prog, budget=1, objective="cnot-depth")
-        assert handed == [(merged[1:], True), "emit", (merged, True)]
-        assert synthesized == ["emit", (merged[0], True)]
+        assert calls == [(merged[1:], True), "emit", (merged, True)]
 
         # many candidates: one call with the union of their operators 2 onward
-        handed.clear()
+        calls.clear()
         compile_program(prog, budget=40, seed=3, objective="cnot-depth")
         want = set()
         for order in set(compiler._candidate_orderings(m, 40, 3)):
             split = compiler._split(prog, order)
             if split is not None:
                 want.update(compiler._merged(split)[1][1:])
-        (ops, depth_opt), emit = handed[:2]
-        assert emit == "emit" and depth_opt
-        assert len(ops) == len(set(ops)) and set(ops) == want
+        assert len(calls) == 2 and calls[1] == "emit"
+        pairs, depth_opt = calls[0]
+        assert depth_opt and len(pairs) == len(set(pairs)) and set(pairs) == want
 
 
 # SHA-256 of the emitted JSON: compile_program(...).circuit, then
