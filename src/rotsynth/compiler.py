@@ -18,7 +18,10 @@ and hands over the winner's, absorbed, as the compiled circuit. The search
 first cuts every candidate, then synthesizes the merged operators of all
 of them in one `_synthesize` call: the greedy row reduction runs in
 lockstep over a batch of same-size matrices held as one numpy tensor
-(`_greedy_batch`). Nothing is cached between calls. The circuit passes
+(`_greedy_batch`); under cnot-depth, operators on up to DEPTH_OPT_LIMIT
+qubits are read instead from a depth-optimal table, two flat arrays that a
+numpy breadth-first search builds once per process (`_depth_table`).
+Nothing else is cached between calls. The circuit passes
 below (`parallelize_block`, `merge_adjacent_blocks`, `hoist_permutations`)
 are its reference in the tests.
 
@@ -270,6 +273,8 @@ def _greedy_batch(a: np.ndarray, score) -> list[tuple[list[int], list[tuple[int,
     catches a cycle within twice its start plus its length.
     """
     count, n = a.shape[:2]
+    if not n:  # the 0 x 0 matrix is a permutation: empty wire map, no operations
+        return [([], []) for _ in range(count)]
     cap = 4 * n * n
     a = a.astype(np.int64)
     live = np.arange(count)
@@ -393,70 +398,96 @@ def _cnot_layers(pairs) -> int:
     return depth
 
 
-@lru_cache(maxsize=None)
-def _depth_table(n: int) -> dict[int, tuple[int, tuple] | None]:
-    """Predecessor map of (depth, count)-optimal realizations of every CX
-    operator on n qubits: state -> (previous state, CNOT layer), None for a
-    permutation matrix.
+DEPTH_OPT_LIMIT = 4
 
-    A state packs a matrix into one int, row i in bits n*i to n*i + n - 1.
-    Breadth-first search from all permutation matrices; every move is one
-    layer of one or two disjoint CNOTs, so a state's depth is its level.
-    Each level expands in order of (count, order of discovery), and a state
-    keeps the first predecessor that reaches it with the fewest CNOTs.
-    Feasible for n <= 4 (|GL(4,2)| = 20160).
+
+@lru_cache(maxsize=None)
+def _depth_table(n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """(moves, pred, move): predecessor arrays of (depth, count)-optimal
+    realizations of every CX operator on n <= DEPTH_OPT_LIMIT qubits.
+
+    A state packs an n x n matrix into one int, row i in bits n*i to
+    n*i + n - 1, and indexes the flat arrays of 2^(n^2) entries. pred (int32)
+    holds each state's predecessor, a permutation matrix's own state, and -1
+    where the search never reached the state (a singular matrix); move
+    (int8) holds the index in `moves` of the layer that leads from pred to
+    the state, -1 where there is none. A move is one layer of one or two
+    disjoint CNOTs, so a state's depth is its level.
+
+    Breadth-first search from all permutation matrices, one level at a time:
+    the (level x moves) array of candidates, read in row-major order (state
+    order, then move order), drops the states seen at earlier levels; each
+    new state keeps the candidate with the fewest CNOTs, the earliest among
+    equals; the next level is ordered by (CNOT count, position of first
+    discovery). Feasible for n <= 4 (|GL(4,2)| = 20160).
     """
+    if n > DEPTH_OPT_LIMIT:
+        raise ValueError(f"depth table only up to {DEPTH_OPT_LIMIT} qubits, not {n}")
     pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
-    moves = [(p,) for p in pairs] + [
+    moves = tuple((p,) for p in pairs) + tuple(
         (p, q) for a, p in enumerate(pairs) for q in pairs[a + 1 :] if not set(p) & set(q)
-    ]
-    # each move as indices into `pairs`, whose flips a state computes once
-    parts = [tuple(pairs.index(p) for p in move) for move in moves]
-    shifts = [(n * c, n * t) for c, t in pairs]
-    mask = (1 << n) - 1
-    level = [
-        sum(1 << (n * row + col) for col, row in enumerate(images))
-        for images in permutations(range(n))
-    ]
-    prev: dict[int, tuple[int, tuple] | None] = dict.fromkeys(level)
-    count = dict.fromkeys(level, 0)
-    while level:
-        found: dict[int, None] = {}  # the next level, in order of discovery
-        for state in level:
-            base = count[state]
-            flip = [((state >> c) & mask) << t for c, t in shifts]
-            for move, part in zip(moves, parts):
-                nxt = state
-                for k in part:
-                    nxt ^= flip[k]
-                cand = base + len(part)
-                if nxt in prev and (nxt not in found or count[nxt] <= cand):
-                    continue
-                found[nxt] = None
-                count[nxt] = cand
-                prev[nxt] = (state, move)
-        level = sorted(found, key=count.__getitem__)  # stable: ties keep discovery order
-    return prev
+    )
+    # each move as two columns of `flip`; a one-CNOT move's second is the zero column
+    parts = np.array(
+        [[pairs.index(p) for p in move] + [len(pairs)] * (2 - len(move)) for move in moves],
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    size = np.array([len(move) for move in moves], dtype=np.int8)
+    controls = np.array([n * c for c, _ in pairs], dtype=np.int32)
+    targets = np.array([n * t for _, t in pairs], dtype=np.int32)
+    pred = np.full(1 << (n * n), -1, dtype=np.int32)
+    move = np.full(1 << (n * n), -1, dtype=np.int8)
+    level = np.array(
+        [
+            sum(1 << (n * row + col) for col, row in enumerate(images))
+            for images in permutations(range(n))
+        ],
+        dtype=np.int32,
+    )
+    pred[level] = level
+    count = np.zeros(level.size, dtype=np.int8)
+    while level.size:
+        flip = np.zeros((level.size, len(pairs) + 1), dtype=np.int32)
+        flip[:, :-1] = ((level[:, None] >> controls) & ((1 << n) - 1)) << targets
+        nxt = level[:, None] ^ flip[:, parts[:, 0]]
+        nxt ^= flip[:, parts[:, 1]]
+        nxt = nxt.ravel()
+        pos = np.flatnonzero(pred[nxt] < 0).astype(np.int32)  # candidates of new states, in order
+        if not pos.size:
+            break
+        nxt, cost = nxt[pos], (count[:, None] + size).ravel()[pos]
+        # stable: by state, then fewest CNOTs, then position
+        order = np.lexsort((cost, nxt))
+        nxt, cost, pos = nxt[order], cost[order], pos[order]
+        head = np.flatnonzero(np.diff(nxt, prepend=-1))  # each state's kept candidate
+        found = np.minimum.reduceat(pos, head)  # each state's first discovery
+        new, cost, pos = nxt[head], cost[head], pos[head]
+        pred[new] = level[pos // len(moves)]
+        move[new] = pos % len(moves)
+        order = np.lexsort((found, cost))
+        level, count = new[order], cost[order]
+    pred.flags.writeable = move.flags.writeable = False
+    return moves, pred, move
 
 
 def _table_realization(u: GF2Matrix) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     n = u.n_rows
-    prev = _depth_table(n)
+    moves, pred, move = _depth_table(n)
     state = sum(row << (n * i) for i, row in enumerate(u.rows))
+    back = pred.item(state)
+    if back < 0:
+        raise SingularMatrixError("matrix is singular over GF(2)")
     layers = []
-    while prev[state] is not None:
-        state, move = prev[state]
-        layers.append(move)
+    while back != state:
+        layers.append(moves[move.item(state)])
+        state, back = back, pred.item(back)
     layers.reverse()
     # start state is a permutation matrix P with P e_col = e_row
     images = [0] * n
     for row in range(n):
         images[((state >> (n * row)) & ((1 << n) - 1)).bit_length() - 1] = row
-    cnots = tuple(pair for move in layers for pair in move)
+    cnots = tuple(pair for layer in layers for pair in layer)
     return tuple(images), cnots
-
-
-DEPTH_OPT_LIMIT = 4
 
 
 _SYNTHESIS_CHUNK = 64  # operators reduced in one greedy batch

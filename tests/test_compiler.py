@@ -129,6 +129,18 @@ class TestCnotSynthesize:
             synthesis_gates(GF2Matrix(2, 2, (3, 0)), depth_opt)
 
     @pytest.mark.parametrize("depth_opt", [False, True])
+    def test_empty_operator(self, depth_opt):
+        # the 0 x 0 matrix is already a permutation: nothing to emit
+        empty = GF2Matrix(0, 0, ())
+        assert synthesis_gates(empty, depth_opt) == ()
+        assert parallelize_block(empty, [], depth_opt) == Circuit(0, ())
+
+    def test_empty_operator_greedy(self):
+        res = cnot_synthesize(GF2Matrix(0, 0, ()))
+        assert res.perm == GF2Matrix(0, 0, ())
+        assert res.ops == ()
+
+    @pytest.mark.parametrize("depth_opt", [False, True])
     @pytest.mark.parametrize("n", [4, 6])
     def test_synthesize_in_chunks(self, monkeypatch, n, depth_opt):
         # chunks of 3 realize 10 operators as one call per operator does;

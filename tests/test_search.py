@@ -36,7 +36,7 @@ from rotsynth.compiler import (
     expand_reference,
     partition_rotations,
 )
-from rotsynth.gf2 import GF2Matrix, random_invertible
+from rotsynth.gf2 import GF2Matrix, SingularMatrixError, random_invertible
 from rotsynth.ir import PhaseRotation, RotationProgram
 from rotsynth.semantics import phase_polynomial_of, poly_equal
 
@@ -160,14 +160,19 @@ def _assert_same_search(prog, budget, objective, seed=0, reference=None):
 
 
 class TestDepthTable:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_reference_dijkstra(self, n):
         _, want = reference_depth_table(n)
 
         def pack(rows):
             return sum(row << (n * i) for i, row in enumerate(rows))
 
-        got = _depth_table(n)
+        # the arrays decoded: every reached state, None for a permutation
+        moves, pred, move = _depth_table(n)
+        got = {
+            state: None if pred[state] == state else (int(pred[state]), moves[move[state]])
+            for state in np.flatnonzero(pred >= 0).tolist()
+        }
         assert got == {
             pack(state): None if step is None else (pack(step[0]), step[1])
             for state, step in want.items()
@@ -183,6 +188,23 @@ class TestDepthTable:
                 images[bits.bit_length() - 1] = row
             cnots = tuple(pair for move in reversed(layers) for pair in move)
             assert _table_realization(GF2Matrix(n, n, state)) == (tuple(images), cnots)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_singular_state_unreached(self, n):
+        # two equal rows: a state the search never reaches
+        rng = random.Random(n)
+        for _ in range(10):
+            rows = list(random_invertible(n, rng.randrange(10**6)).rows)
+            i, j = rng.sample(range(n), 2)
+            rows[j] = rows[i]
+            with pytest.raises(SingularMatrixError):
+                _table_realization(GF2Matrix(n, n, tuple(rows)))
+        with pytest.raises(SingularMatrixError):
+            _table_realization(GF2Matrix(n, n, (0,) * n))
+
+    def test_oversized_rejected(self):
+        with pytest.raises(ValueError, match="up to 4 qubits"):
+            _depth_table(5)
 
 
 class TestPartitionExactness:
