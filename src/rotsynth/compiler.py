@@ -9,21 +9,25 @@ compiled for an all-|+> input, the U|+>^n form of the magic states it
 prepares: a permutation or CNOT operator maps |+>^n to itself, so the
 leading one is deleted outright.
 
-A block is held as its CNOT operator F (rows: the rotation supports) and
-F^-1, whose one elimination is also the block's validity test; the merged
-operators are products of these pairs and carry their inverses into
-synthesis. `_hoisted` runs the pipeline on a candidate's blocks,
-synthesizing only the merged operators: the search scores its gate list,
-and hands over the winner's, absorbed, as the compiled circuit. The search
-first cuts every candidate, then synthesizes the merged operators of all
-of them in one `_synthesize` call: the greedy row reduction runs in
-lockstep over a batch of same-size matrices held as one numpy tensor
-(`_greedy_batch`); under cnot-depth, operators on up to DEPTH_OPT_LIMIT
-qubits are read instead from a depth-optimal table, two flat arrays that a
-numpy breadth-first search builds once per process (`_depth_table`).
-Nothing else is cached between calls. The circuit passes
-below (`parallelize_block`, `merge_adjacent_blocks`, `hoist_permutations`)
-are its reference in the tests.
+The search holds a window of candidate orderings as numpy tensors from the
+cut to synthesis. `_cut` gathers every block of every ordering into one
+(orderings x blocks, n, n) tensor of CNOT operators F (rows: the rotation
+supports; the residual padded to a basis), and one batched GF(2)
+elimination gives each F^-1 and tests it (`_eliminate`). `_merged` forms
+the merged operators of the live blocks, M_b = F_{b+1} F_b^-1 with their
+inverses, as batched products mod 2, and the distinct ones go to one
+`_synthesize` call. There the greedy row reduction runs in lockstep over
+the whole batch (`_greedy_batch`), every greedy variant of every operator
+is packed into layers at once (`_pack_levels`) and ranked on index arrays,
+and only each operator's winner becomes Python tuples; under cnot-depth,
+operators on up to DEPTH_OPT_LIMIT qubits are read instead from a
+depth-optimal table, two flat arrays that a numpy breadth-first search
+builds once per process (`_depth_table`). `_hoisted` builds a candidate's
+one gate list: the search scores it, and hands over the winner's,
+absorbed, as the compiled circuit; `compile_to_unitary` cuts the winner
+again on the same path. Nothing else is cached between calls. The circuit
+passes below (`parallelize_block`, `merge_adjacent_blocks`,
+`hoist_permutations`) are its reference in the tests.
 
 Matrix/gate conventions used throughout (exercised by the oracle tests):
   * CX(M) |e> = |M e> for invertible M over GF(2).
@@ -38,11 +42,11 @@ import random
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, permutations, product
+from itertools import compress, islice, permutations
 
 import numpy as np
 
-from .gf2 import GF2Matrix, SingularMatrixError, independent, invert, is_invertible, rank
+from .gf2 import GF2Matrix, SingularMatrixError, invert, is_invertible, rank
 from .ir import (
     Circuit,
     CNOT_LIKE_KINDS,
@@ -251,35 +255,37 @@ def _lex_argmin(key: np.ndarray) -> np.ndarray:
 
 
 def _bits(ms: list[GF2Matrix]) -> np.ndarray:
-    """(len(ms), n, n) uint8 tensor of n x n matrices: [k, r, c] = ms[k][r, c]."""
-    n = ms[0].n_rows
-    width = (n + 7) // 8
+    """(len(ms), r, c) uint8 tensor of r x c matrices: [k, i, j] = ms[k][i, j]."""
+    rows, cols = ms[0].shape
+    width = (cols + 7) // 8
     raw = b"".join(r.to_bytes(width, "little") for m in ms for r in m.rows)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(ms), n, width)
-    return np.unpackbits(packed, axis=2, count=n, bitorder="little")
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(ms), rows, width)
+    return np.unpackbits(packed, axis=2, count=cols, bitorder="little")
 
 
-def _greedy_batch(a: np.ndarray, score) -> list[tuple[list[int], list[tuple[int, int]]] | None]:
+def _greedy_batch(a: np.ndarray, score) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedy row reduction of each matrix in a (B, n, n) 0/1 tensor of rows
     to a permutation matrix, all matrices in lockstep.
 
     Each step applies to every unfinished matrix the row operation (i, j),
-    row j ^= row i, of the smallest (score, i, j). A finished matrix gives
-    its wire map (the column of each row's one in the permutation reached)
-    and its operations. The greedy is a function of the rows alone, so a
-    state that comes back means a cycle that never reaches a
-    permutation: None, as when the cap of 4 n^2 steps is hit. Each state is
-    compared with a snapshot taken at the last power-of-two step, which
-    catches a cycle within twice its start plus its length.
+    row j ^= row i, of the smallest (score, i, j). Returns (steps, images,
+    picks): the number of operations of each matrix (B,), its wire map (the
+    column of each row's one in the permutation reached, (B, n)) and the
+    (i, j) of its operations in order ((2, B, S), -1 past its last). The
+    greedy is a function of the rows alone, so a state that comes back means
+    a cycle that never reaches a permutation: steps -1, as when the cap of
+    4 n^2 steps is hit. Each state is compared with a snapshot taken at the
+    last power-of-two step, which catches a cycle within twice its start
+    plus its length.
     """
     count, n = a.shape[:2]
+    images = np.zeros((count, n), dtype=np.int64)
     if not n:  # the 0 x 0 matrix is a permutation: empty wire map, no operations
-        return [([], []) for _ in range(count)]
+        return np.zeros(count, dtype=np.int64), images, np.zeros((2, count, 0), dtype=np.int64)
     cap = 4 * n * n
     a = a.astype(np.int64)
     live = np.arange(count)
-    nops = np.full(count, -1)
-    images = np.zeros((count, n), dtype=np.int64)
+    steps = np.full(count, -1)
     picks = []  # per step, (i, j) of every matrix still reducing
     snap = a
     step = 0
@@ -290,7 +296,7 @@ def _greedy_batch(a: np.ndarray, score) -> list[tuple[list[int], list[tuple[int,
         if step:
             stop |= (a == snap).all(axis=(1, 2))
         if stop.any():
-            nops[live[done]] = step
+            steps[live[done]] = step
             images[live[done]] = a[done].argmax(axis=2)
             keep = ~stop
             live, a, snap = live[keep], a[keep], snap[keep]
@@ -309,15 +315,8 @@ def _greedy_batch(a: np.ndarray, score) -> list[tuple[list[int], list[tuple[int,
         rows = np.arange(live.size)
         a[rows, j] ^= a[rows, i]
         step += 1
-    ops_i, ops_j = np.stack(picks, axis=2) if picks else np.zeros((2, count, 0), dtype=int)
-    out = []
-    for k in range(count):
-        if nops[k] < 0:
-            out.append(None)
-            continue
-        ops_k = zip(ops_i[k, : nops[k]].tolist(), ops_j[k, : nops[k]].tolist())
-        out.append((images[k].tolist(), list(ops_k)))
-    return out
+    picks = np.stack(picks, axis=2) if picks else np.zeros((2, count, 0), dtype=np.int64)
+    return steps, images, picks
 
 
 def _greedy_rows(u: GF2Matrix, score) -> tuple[list[int], list[tuple[int, int]]] | None:
@@ -326,66 +325,45 @@ def _greedy_rows(u: GF2Matrix, score) -> tuple[list[int], list[tuple[int, int]]]
     each step; None if the greedy cycles or hits its cap (see
     `_greedy_batch`).
     """
-    reduced = _greedy_batch(_bits([u]).swapaxes(1, 2), score)[0]
-    return reduced and ([1 << c for c in reduced[0]], reduced[1])
+    steps, images, (ops_i, ops_j) = _greedy_batch(_bits([u]).swapaxes(1, 2), score)
+    if steps[0] < 0:
+        return None
+    ops = zip(ops_i[0, : steps[0]].tolist(), ops_j[0, : steps[0]].tolist())
+    return [1 << c for c in images[0].tolist()], list(ops)
 
 
-def _inverse_map(images: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(images)
-    for i, img in enumerate(images):
-        out[img] = i
-    return tuple(out)
-
-
-# The forms of CX(u) that the emission variants reduce, as (backwards, flip):
-# besides u itself, the same operator can be realized from a synthesis of its
-# inverse (run the circuit backwards) or of its transpose (reverse the gates
-# with control/target flipped); both leave a trailing permutation that is
-# folded back to the front.
-_FORMS = ((False, False), (True, False), (True, True))
-
-
-def _variant(reduced, backwards: bool, flip: bool):
-    """(wire map, CNOT list) realizing CX(u) from a greedy reduction of one
-    of its `_FORMS`."""
-    images, ops = tuple(reduced[0]), reduced[1]
-    cnots = [(images[j], images[i]) for i, j in ops]
-    if flip:
-        cnots = [(t, c) for c, t in cnots]
-    if not backwards:
-        return images, tuple(cnots)
-    s_inv = _inverse_map(images)
-    return s_inv, tuple((s_inv[c], s_inv[t]) for c, t in reversed(cnots))
-
-
-def _pack_levels(pairs: tuple[tuple[int, int], ...]) -> list[int]:
-    """Layer of each CNOT when commuting gates move as early as they can.
+def _pack_levels(controls: np.ndarray, targets: np.ndarray, n: int) -> np.ndarray:
+    """Layer of each CNOT of many gate lists at once, when commuting gates
+    move as early as they can: (V, S) for the (V, S) controls and targets of
+    V lists of S gates, where qubit n pads a list and meets no other qubit.
 
     Two CNOTs commute unless one's target is the other's control; a gate
     takes the earliest layer after every earlier non-commuting gate that
-    shares no qubit with a gate already placed there. The packed circuit's
-    CNOT depth is the largest level plus one.
+    shares no qubit with a gate already placed there. A packed list's CNOT
+    depth is its largest level plus one. The layers in use are always
+    0..(largest), so gate s lands at level s or below.
     """
-    layer_of: list[int] = []
-    used: list[set[int]] = []
-    # qubit -> first level after every placed gate that it controls / targets
-    after_control: dict[int, int] = {}
-    after_target: dict[int, int] = {}
-    for c, t in pairs:
-        level = after_control.get(t, 0)
-        if after_target.get(c, 0) > level:
-            level = after_target[c]
-        while level < len(used) and (c in used[level] or t in used[level]):
-            level += 1
-        if level == len(used):
-            used.append(set())
-        used[level] |= {c, t}
-        layer_of.append(level)
-        if after_control.get(c, 0) <= level:
-            after_control[c] = level + 1
-        if after_target.get(t, 0) <= level:
-            after_target[t] = level + 1
-    return layer_of
+    count, length = controls.shape
+    # qubit q of list v is slot v * (n + 1) + q of the flat state
+    base = (n + 1) * np.arange(count)[:, None]
+    control_at = np.ascontiguousarray((base + controls).T)
+    target_at = np.ascontiguousarray((base + targets).T)
+    occupied = np.zeros((count * (n + 1), length), dtype=bool)  # [slot, level]
+    # slot -> first level after every placed gate that it controls / targets
+    after_control = np.zeros(count * (n + 1), dtype=np.int64)
+    after_target = np.zeros(count * (n + 1), dtype=np.int64)
+    below = np.arange(length)
+    levels = np.empty((length, count), dtype=np.int64)
+    for s in range(length):
+        c, t = control_at[s], target_at[s]
+        taken = occupied[c, : s + 1] | occupied[t, : s + 1]
+        taken |= below[: s + 1] < np.maximum(after_control[t], after_target[c])[:, None]
+        level = taken.argmin(axis=1)
+        levels[s] = level
+        occupied[c, level] = occupied[t, level] = True
+        after_control[c] = np.maximum(after_control[c], level + 1)
+        after_target[t] = np.maximum(after_target[t], level + 1)
+    return levels.T
 
 
 def _cnot_layers(pairs) -> int:
@@ -470,10 +448,10 @@ def _depth_table(n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     return moves, pred, move
 
 
-def _table_realization(u: GF2Matrix) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    n = u.n_rows
+def _table_realization(n: int, state: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Wire map + CNOT list of the depth table's realization of the operator
+    packed into `state` (row i in bits n*i to n*i + n - 1)."""
     moves, pred, move = _depth_table(n)
-    state = sum(row << (n * i) for i, row in enumerate(u.rows))
     back = pred.item(state)
     if back < 0:
         raise SingularMatrixError("matrix is singular over GF(2)")
@@ -490,49 +468,97 @@ def _table_realization(u: GF2Matrix) -> tuple[tuple[int, ...], tuple[tuple[int, 
     return tuple(images), cnots
 
 
-_SYNTHESIS_CHUNK = 64  # operators reduced in one greedy batch
+# operators x n^2 entries reduced in one greedy batch: bounds the tensors of
+# a batch, whatever the qubit count
+_SYNTHESIS_CELLS = 1 << 15
 
 
-def _synthesize(pairs: list[tuple[GF2Matrix, GF2Matrix]], depth_opt: bool) -> list[tuple]:
+def _synthesize(ops: np.ndarray, invs: np.ndarray, depth_opt: bool) -> list[tuple]:
     """Wire map + CNOT list realizing CX(u), permutation gates first, for
-    each (u, u^-1) of one size, any number of them (none included): from
-    the depth-optimal table under cnot-depth up to DEPTH_OPT_LIMIT qubits,
-    else the best (fewest layers, fewest CNOTs, first) of the greedy
-    variants, each form in `_FORMS` under each emission score for
-    cnot-depth and u under concat for cnot-count, with its commuting CNOTs
-    ordered by layer. The greedy reduces `_SYNTHESIS_CHUNK` operators at a
-    time."""
+    each operator u of a (D, n, n) 0/1 uint8 tensor, given with its inverses
+    `invs`, any number of them (none included). Under cnot-depth, operators
+    on up to DEPTH_OPT_LIMIT qubits are read from the depth-optimal table;
+    every other operator gets the best of its greedy variants
+    (`_rank_variants`), reduced and ranked _SYNTHESIS_CELLS // n^2
+    operators at a time (1310 of five qubits)."""
+    count, n = ops.shape[:2]
+    if depth_opt and n <= DEPTH_OPT_LIMIT:
+        # row i of u in bits n*i to n*i + n - 1
+        states = ops.reshape(count, n * n) @ (1 << np.arange(n * n, dtype=np.int64))
+        return [_table_realization(n, state) for state in states.tolist()]
+    chunk = max(1, _SYNTHESIS_CELLS // (n * n)) if n else max(1, count)
     out = []
-    for start in range(0, len(pairs), _SYNTHESIS_CHUNK):
-        chunk = pairs[start : start + _SYNTHESIS_CHUNK]
-        n = chunk[0][0].n_rows
-        if depth_opt and n <= DEPTH_OPT_LIMIT:
-            out += [_table_realization(u) for u, _ in chunk]
-            continue
-        ops = _bits([u for u, _ in chunk])
-        # the greedy reduces transpose(w) for w = u, u^-1, u^T (`_FORMS`)
-        forms, scores = [ops.swapaxes(1, 2)], (_score_concat,)
-        if depth_opt:
-            forms += [_bits([inv for _, inv in chunk]).swapaxes(1, 2), ops]
-            scores = _EMISSION_SCORES
-        reductions = [_greedy_batch(np.concatenate(forms), score) for score in scores]
-        for k in range(len(chunk)):
-            variants = []  # (key, images, cnots, levels); the key's idx is unique
-            for idx, (form, reduced_all) in enumerate(product(range(len(forms)), reductions)):
-                reduced = reduced_all[form * len(chunk) + k]
-                if reduced is not None:
-                    images, cnots = _variant(reduced, *_FORMS[form])
-                    levels = _pack_levels(cnots)
-                    key = (max(levels, default=-1) + 1, len(cnots), idx)
-                    variants.append((key, images, cnots, levels))
-            if not variants:
-                raise SynthesisStallError(
-                    f"greedy row reduction cycles before a permutation (cap {4 * n * n} steps)"
-                )
-            _, images, cnots, levels = min(variants)
-            order = sorted(range(len(cnots)), key=lambda i: (levels[i], i))
-            out.append((images, tuple(cnots[i] for i in order)))
+    for start in range(0, count, chunk):
+        out += _rank_variants(ops[start : start + chunk], invs[start : start + chunk], depth_opt)
     return out
+
+
+def _rank_variants(ops: np.ndarray, invs: np.ndarray, depth_opt: bool) -> list[tuple]:
+    """The best (fewest layers, fewest CNOTs, first) of the greedy variants
+    of each operator u, with its commuting CNOTs ordered by layer.
+
+    Under cnot-depth the greedy reduces transpose(w) for each of the forms
+    w = u, u^-1, u^T under each emission score; under cnot-count u alone
+    under concat. A reduction with wire map s and operations (i, j) realizes
+    CX(u), read as (wire map, CNOT list): from u, (s, (s[j], s[i]) in
+    order); from u^-1, the circuit run backwards, (s^-1, (j, i) reversed);
+    from u^T, the gates reversed with control and target flipped, (s^-1,
+    (i, j) reversed). Variant idx = form * (scores) + score. Relabeling the
+    qubits keeps a list's layers, so every variant is packed (`_pack_levels`)
+    and ranked on the (i, j) index arrays, and only each operator's winner
+    is relabeled and becomes Python tuples.
+    """
+    count, n = ops.shape[:2]
+    forms, scores = [ops.swapaxes(1, 2)], (_score_concat,)
+    if depth_opt:
+        forms += [invs.swapaxes(1, 2), ops]
+        scores = _EMISSION_SCORES
+    runs = [_greedy_batch(np.concatenate(forms), score) for score in scores]
+    # the longest list that reaches a permutation; cycling ones are never read
+    length = max(int(run[0].max(initial=0)) for run in runs)
+    shape = (len(forms), len(scores), count)  # form, score, operator
+    steps = np.empty(shape, dtype=np.int64)
+    images = np.empty(shape + (n,), dtype=np.int64)
+    ops_i, ops_j = picks = np.full((2,) + shape + (length,), -1)
+    for s, (run_steps, run_images, run_picks) in enumerate(runs):
+        steps[:, s] = run_steps.reshape(shape[0], count)
+        images[:, s] = run_images.reshape(shape[0], count, n)
+        width = min(length, run_picks.shape[2])
+        picks[:, :, s, :, :width] = run_picks[:, :, :width].reshape(2, shape[0], count, width)
+    # the lists before relabeling, from u, u^-1 and u^T: (j, i), (j, i)
+    # reversed, (i, j) reversed; a reversed list leads with its padding
+    controls = np.concatenate([ops_j[:1], ops_j[1:2, ..., ::-1], ops_i[2:, ..., ::-1]])
+    targets = np.concatenate([ops_i[:1], ops_i[1:2, ..., ::-1], ops_j[2:, ..., ::-1]])
+    variants = len(forms) * len(scores)
+    controls = controls.reshape(variants * count, length)
+    targets = targets.reshape(variants * count, length)
+    padding = controls < 0
+    controls[padding] = targets[padding] = n
+    levels = np.where(padding, length, _pack_levels(controls, targets, n))
+    levels = levels.reshape(variants, count, length)
+    depth = np.where(levels < length, levels + 1, 0).max(axis=2, initial=0)
+    steps = steps.reshape(variants, count)
+    key = (depth * (4 * n * n + 1) + steps) * variants + np.arange(variants)[:, None]
+    key[steps < 0] = _NEVER
+    win = (key.argmin(axis=0), np.arange(count))
+    if (key[win] == _NEVER).any():
+        raise SynthesisStallError(
+            f"greedy row reduction cycles before a permutation (cap {4 * n * n} steps)"
+        )
+    images = images.reshape(variants, count, n)[win]
+    from_u = (win[0] < len(scores))[:, None]
+    wires = np.where(from_u, images, np.argsort(images, axis=1))  # s or s^-1
+    # u's wire map relabels its list; column n keeps the padding
+    relabel = np.concatenate([np.where(from_u, images, np.arange(n)), np.full((count, 1), n)], 1)
+    # the winner's gates by layer, earlier gates first within one layer
+    rows = np.arange(count)[:, None]
+    order = (win[0][:, None], win[1][:, None], np.argsort(levels[win], axis=1, kind="stable"))
+    controls = relabel[rows, controls.reshape(variants, count, length)[order]]
+    targets = relabel[rows, targets.reshape(variants, count, length)[order]]
+    winners = zip(wires.tolist(), steps[win].tolist(), controls.tolist(), targets.tolist())
+    return [
+        (tuple(wire_map), tuple(zip(cs[:size], ts[:size]))) for wire_map, size, cs, ts in winners
+    ]
 
 
 def synthesis_gates(u: GF2Matrix, depth_opt: bool = True) -> tuple[Gate, ...]:
@@ -541,7 +567,7 @@ def synthesis_gates(u: GF2Matrix, depth_opt: bool = True) -> tuple[Gate, ...]:
     A singular u raises `SingularMatrixError` (a ValueError) under both
     objectives.
     """
-    images, cnots = _synthesize([(u, invert(u))], depth_opt)[0]
+    images, cnots = _synthesize(_bits([u]), _bits([invert(u)]), depth_opt)[0]
     gates = [Gate("SWAP", pair) for pair in _transpositions(list(images))]
     gates.extend(Gate("CNOT", pair) for pair in cnots)
     return tuple(gates)
@@ -753,74 +779,130 @@ class CompileReport:
     partition: Partition
 
 
-def _pad_residual(residual: list[PhaseRotation], n: int) -> list[int] | None:
-    """The residual's supports, extended to a basis by the unit vectors e_i
-    that keep them independent, lowest i first; None if the supports are
-    dependent."""
-    vectors = [r.support.bits for r in residual] + [1 << i for i in range(n)]
-    kept = independent(vectors)
-    if kept[: len(residual)] != list(range(len(residual))):
-        return None
-    return [vectors[i] for i in kept]
+def _eliminate(a: np.ndarray, columns) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan elimination over GF(2) of every matrix of a (B, r, w) 0/1
+    uint8 tensor of rows in lockstep, pivoting on `columns` in the order
+    given and moving no row: the reduced rows and the pivot row of each
+    column, (B, w), -1 where the column took none."""
+    a = a.copy()
+    count, r, w = a.shape
+    batch = np.arange(count)
+    free = np.ones((count, r), dtype=bool)  # rows that hold no pivot yet
+    pivots = np.full((count, w), -1)
+    for c in columns if r else ():  # no rows, no pivots
+        hit = a[:, :, c].view(bool) & free
+        row = hit.argmax(axis=1)
+        has = hit[batch, row]
+        pivot = a[batch, row]
+        # the pivot row clears column c from every other row
+        clear = a[:, :, c] & has[:, None]
+        clear[batch, row] = 0
+        a ^= clear[:, :, None] & pivot[:, None, :]
+        free[batch, row] &= ~has
+        pivots[:, c] = np.where(has, row, -1)
+    return a, pivots
 
 
-@dataclass(frozen=True)
-class _Block:
-    """One block of a candidate ordering, CX(F)^-1 (phase layer) CX(F): its
-    CNOT operator F, whose rows are the rotation supports (the padded basis
-    for the residual), F^-1 and the exponents."""
-
-    op: GF2Matrix
-    inv: GF2Matrix
-    exponents: tuple[int, ...]
-
-    @property
-    def live(self) -> bool:
-        # an empty phase layer contributes CX(F)^-1 CX(F) = identity
-        return any(k % 8 for k in self.exponents)
+def _inverse(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F^-1, invertible) of each F in a (B, n, n) 0/1 uint8 tensor: one
+    elimination of every [F | I], whose pivot row of column c is row c of
+    F^-1; a singular F's inverse is not one."""
+    n = ops.shape[1]
+    eye = np.broadcast_to(np.eye(n, dtype=np.uint8), ops.shape)
+    reduced, pivots = _eliminate(np.concatenate([ops, eye], axis=2), range(n))
+    pivots = pivots[:, :n]
+    rows = np.maximum(pivots, 0)
+    return reduced[np.arange(len(ops))[:, None], rows, n:], (pivots >= 0).all(axis=1)
 
 
-def _split(p: RotationProgram, order: tuple[int, ...]) -> list[_Block] | None:
-    """Cut an ordering into n-blocks and the padded residual, inverting each
-    block once; None if any block is singular or the residual supports are
-    dependent."""
-    n = p.n
-    blocks = []
-    for start in range(0, len(order), n):
-        rots = [p.rotations[i] for i in order[start : start + n]]
-        rows = [r.support.bits for r in rots]
-        if len(rots) < n:
-            rows = _pad_residual(rots, n)
-            if rows is None:
-                return None
-        op = GF2Matrix(n, n, tuple(rows))
-        try:
-            inv = invert(op)
-        except SingularMatrixError:
-            return None
-        blocks.append(_Block(op, inv, tuple(r.k for r in rots) + (0,) * (n - len(rots))))
-    return blocks
+def _padded(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residual supports, a (k, r, n) tensor with r < n, extended to bases:
+    (k, n, n) and whether the supports are independent (k,).
+
+    A basis is the supports, then the unit vectors e_i, lowest i first,
+    that lie outside the span of the supports and the e_j before them: the
+    e_i whose i is the leading (highest) bit of no vector in the span of the
+    supports, which are the pivot columns of an elimination from the highest
+    column down.
+    """
+    k, r, n = rows.shape
+    leading = _eliminate(rows, range(n - 1, -1, -1))[1] >= 0
+    units = np.argsort(leading, axis=1, kind="stable")[:, : n - r]
+    pad = np.eye(n, dtype=np.uint8)[units]
+    return np.concatenate([rows, pad], axis=1), leading.sum(axis=1) == r
 
 
-def _merged(blocks: list[_Block]) -> tuple[list[_Block], list[tuple[GF2Matrix, GF2Matrix]]]:
-    """A candidate's live blocks 1..L (non-empty phase layers P_b) and the
-    merged CNOT operators of its circuit CX(M_0) P_1 CX(M_1) ... P_L CX(M_L),
-    each with its inverse: M_0 = F_1, M_b = F_{b+1} F_b^-1 (inverse
-    F_b F_{b+1}^-1), M_L = F_L^-1."""
-    live = [b for b in blocks if b.live]
-    if not live:
-        return [], []
-    merged = [(live[0].op, live[0].inv)]
-    merged += [(nxt.op @ prev.inv, prev.op @ nxt.inv) for prev, nxt in zip(live, live[1:])]
-    merged.append((live[-1].inv, live[-1].op))
-    return live, merged
+def _cut(p: RotationProgram, orders: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every block of each ordering of a (k, m) array, cut in lockstep:
+    (ops, invs, exps, valid).
+
+    A block is CX(F)^-1 (phase layer) CX(F): ops (k, blocks, n, n) holds F,
+    whose rows are the rotation supports (the padded basis for the
+    residual), invs F^-1 and exps (k, blocks, n) the exponents, 0 on the
+    padding; blocks = ceil(m / n). valid (k,) says that every block is
+    invertible and the residual supports are independent. One elimination
+    inverts every block and tests it.
+    """
+    n, m = p.n, len(p.rotations)
+    full, blocks, count = m - m % n, -(-m // n), len(orders)
+    supports = _bits([GF2Matrix(m, n, tuple(r.support.bits for r in p.rotations))])[0][orders]
+    exps = np.zeros((count, blocks * n), dtype=np.int64)
+    exps[:, :m] = np.array([r.k for r in p.rotations], dtype=np.int64)[orders]
+    ops = supports[:, :full].reshape(count, full // n, n, n)
+    independent = True
+    if full < m:
+        residual, independent = _padded(supports[:, full:])
+        ops = np.concatenate([ops, residual[:, None]], axis=1)
+    invs, invertible = _inverse(ops.reshape(-1, n, n))
+    valid = invertible.reshape(count, blocks).all(axis=1) & independent
+    return ops, invs.reshape(ops.shape), exps.reshape(count, blocks, n), valid
 
 
-def _hoisted(live: list[_Block], realized: list[tuple], n: int) -> tuple[list, list[int]]:
+def _merged(ops: np.ndarray, invs: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The live blocks of cut candidates (non-empty phase layers P_b) and
+    the merged CNOT operators of each one's circuit CX(M_0) P_1 CX(M_1) ...
+    P_L CX(M_L): M_0 = F_1, M_b = F_{b+1} F_b^-1 (inverse F_b F_{b+1}^-1),
+    M_L = F_L^-1.
+
+    Returns (at, merged, merged_inv): at (T,) the flat index (candidate *
+    blocks + block) of every live block, candidate by candidate, and the
+    (T, n, n) operators M_b after each with their inverses. M_0 is
+    F[at[0]] of a candidate's first entry.
+    """
+    n = ops.shape[-1]
+    # an empty phase layer contributes CX(F)^-1 CX(F) = identity
+    at = np.flatnonzero((exps % 8 != 0).any(axis=-1))
+    ops, invs = ops.reshape(-1, n, n), invs.reshape(-1, n, n)
+    owner = at // exps.shape[1]
+    last = np.append(owner[1:] != owner[:-1], True)[:, None, None]
+    nxt = np.concatenate([at[1:], at[:1]])
+    eye = np.eye(n, dtype=np.uint8)
+    # uint8 products wrap mod 256, which keeps their parity
+    merged = (np.where(last, eye, ops[nxt]) @ invs[at]) & 1
+    merged_inv = (ops[at] @ np.where(last, eye, invs[nxt])) & 1
+    return at, merged, merged_inv
+
+
+def _distinct(ops: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """(first, which): the index of the first of each distinct (n, n)
+    operator of a (T, n, n) tensor, in order of first occurrence, and the
+    position in `first` of each operator's own."""
+    keys = np.packbits(ops.reshape(len(ops), ops.shape[1] * ops.shape[2]), axis=1)
+    index: dict[bytes, int] = {}
+    first, which = [], []
+    for pos, key in enumerate(keys.view(np.dtype((np.void, keys.shape[1]))).ravel().tolist()):
+        if key not in index:
+            index[key] = len(first)
+            first.append(pos)
+        which.append(index[key])
+    return np.array(first, dtype=np.intp), which
+
+
+def _hoisted(exponents: list, realized: list[tuple], n: int) -> tuple[list, list[int]]:
     """(gates, wire map) of the merged and hoisted circuit of a candidate's
-    live blocks: (kind, qubits) CNOTs and phase gates in final wire labels,
-    after the wire map hoisted to time zero (content of wire i moves to
-    map[i]).
+    live blocks, given by their `exponents`: (kind, qubits) CNOTs and phase
+    gates in final wire labels, after the wire map hoisted to time zero
+    (content of wire i moves to map[i]).
 
     `realized` holds the `_synthesize` of the last merged operators (see
     `_merged`): all of them, or all but M_0, which maps |+>^n to itself and
@@ -829,13 +911,13 @@ def _hoisted(live: list[_Block], realized: list[tuple], n: int) -> tuple[list, l
     """
     tail = list(range(n))
     runs = []  # the last run first
-    first = len(live) + 1 - len(realized)
-    for b in reversed(range(first, len(live) + 1)):
+    first = len(exponents) + 1 - len(realized)
+    for b in reversed(range(first, len(exponents) + 1)):
         images, cnots = realized[b - first]
         runs.append([("CNOT", (tail[c], tail[t])) for c, t in cnots])
         tail = [tail[q] for q in images]
         if b:  # P_b, in parallelize_block's order
-            runs.append([(kind, (tail[q],)) for q, k in enumerate(live[b - 1].exponents)
+            runs.append([(kind, (tail[q],)) for q, k in enumerate(exponents[b - 1])
                          for kind in EXPONENT_GATES.get(k % 8, ())])
     return [g for run in reversed(runs) for g in run], tail
 
@@ -905,39 +987,39 @@ def partition_rotations(
     best_key = None
     orderings = _candidate_orderings(m, budget, seed)
     while window := list(islice(orderings, _SEARCH_WINDOW)):
-        candidates = []  # (ordering, blocks, live blocks, merged operators)
-        for order in window:
-            tried += 1
-            if order in first_valid:
-                # a repeat scores as its first occurrence, so it cannot win
-                valid += first_valid[order]
-                continue
-            split = _split(p, order)
-            first_valid[order] = split is not None
-            if split is None:
-                continue
-            valid += 1
-            candidates.append((order, split, *_merged(split)))
-        ops = list(dict.fromkeys(w for *_, merged in candidates for w in merged[1:]))
-        realized = dict(zip(ops, _synthesize(ops, depth_opt)))
-        for order, split, live, merged in candidates:
-            gates, _ = _hoisted(live, [realized[w] for w in merged[1:]], p.n)
+        tried += len(window)
+        # a repeat scores as its first occurrence, so it cannot win: only
+        # the first occurrence is cut
+        fresh = list(dict.fromkeys(order for order in window if order not in first_valid))
+        ops, invs, exps, ok = _cut(p, np.array(fresh, dtype=np.intp).reshape(len(fresh), m))
+        first_valid.update(zip(fresh, ok.tolist()))
+        valid += sum(first_valid[order] for order in window)
+        exps = exps[ok]
+        at, merged, merged_inv = _merged(ops[ok], invs[ok], exps)
+        first, which = _distinct(merged)
+        realized = _synthesize(merged[first], merged_inv[first], depth_opt)
+        live = exps.reshape(-1, p.n)[at].tolist()
+        # the live blocks of valid candidate c are at[bounds[c] : bounds[c + 1]]
+        bounds = np.searchsorted(at // exps.shape[1], np.arange(len(exps) + 1)).tolist()
+        for order, lo, hi in zip(compress(fresh, ok.tolist()), bounds, bounds[1:]):
+            gates, _ = _hoisted(live[lo:hi], [realized[w] for w in which[lo:hi]], p.n)
             cnots = [qubits for kind, qubits in gates if kind == "CNOT"]
             key = _cnot_layers(cnots) if depth_opt else len(cnots)
             if best_key is None or key < best_key:
                 best_key = key
-                best = (split, order, gates)
+                best = (order, gates)
     if best is None:
         raise PartitionError(
             f"no valid block partition among {tried} sampled ordering(s) "
             f"(m={m}, n={p.n})"
         )
-    split, order, gates = best
-    full = split[: m // p.n]
+    order, gates = best
+    rots = [p.rotations[i] for i in order]
+    starts = range(0, m - m % p.n, p.n)
     return Partition(
-        tuple(b.op.transpose() for b in full),
-        tuple(b.exponents for b in full),
-        tuple(p.rotations[i] for i in order[m - m % p.n :]),
+        tuple(GF2Matrix.from_cols([r.support for r in rots[s : s + p.n]]) for s in starts),
+        tuple(tuple(r.k for r in rots[s : s + p.n]) for s in starts),
+        tuple(rots[m - m % p.n :]),
         order,
         tried,
         valid,
@@ -992,8 +1074,16 @@ def compile_to_unitary(
     deletes; the hoisted permutation leads as SWAPs.
     """
     part = partition_rotations(p, budget=budget, seed=seed, objective=objective)
-    # no rotations, no blocks; on 0 qubits `_split` has no block size to step
-    live, merged = _merged(_split(p, part.ordering) if part.ordering else [])
-    gates, wires = _hoisted(live, _synthesize(merged, objective == "cnot-depth"), p.n)
+    gates, wires = [], list(range(p.n))
+    if part.ordering:  # no rotations, no blocks
+        ops, invs, exps, _ = _cut(p, np.array([part.ordering], dtype=np.intp))
+        at, merged, merged_inv = _merged(ops, invs, exps)
+        head = at[:1]  # M_0 = F_1, when a block is live
+        realized = _synthesize(
+            np.concatenate([ops.reshape(-1, p.n, p.n)[head], merged]),
+            np.concatenate([invs.reshape(-1, p.n, p.n)[head], merged_inv]),
+            objective == "cnot-depth",
+        )
+        gates, wires = _hoisted(exps.reshape(-1, p.n)[at].tolist(), realized, p.n)
     lead = tuple(Gate("SWAP", pair) for pair in _transpositions(wires))
     return Circuit(p.n, lead + tuple(Gate(kind, qubits) for kind, qubits in gates))

@@ -13,6 +13,7 @@ import heapq
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from rotsynth import faults as _faults
 from rotsynth.compiler import (
     Partition,
     PartitionError,
-    _Block,
+    _bits,
     _candidate_orderings,
     _score_concat,
     _score_maxsum,
@@ -556,36 +557,80 @@ def reference_pad_residual(residual: list[PhaseRotation], n: int) -> list[int] |
     return padded
 
 
-def _reference_split(p: RotationProgram, order: tuple[int, ...]):
-    n, m = p.n, len(p.rotations)
-    rots = [p.rotations[i] for i in order]
-    blocks, exps = [], []
-    for start in range(0, m - m % n, n):
-        group = rots[start : start + n]
-        mat = GF2Matrix.from_cols([r.support for r in group])
+@dataclass(frozen=True)
+class Block:
+    """One block of a candidate ordering, CX(F)^-1 (phase layer) CX(F): its
+    CNOT operator F, whose rows are the rotation supports (the padded basis
+    for the residual), F^-1 and the exponents."""
+
+    op: GF2Matrix
+    inv: GF2Matrix
+    exponents: tuple[int, ...]
+
+    @property
+    def live(self) -> bool:
+        # an empty phase layer contributes CX(F)^-1 CX(F) = identity
+        return any(k % 8 for k in self.exponents)
+
+
+def reference_split(p: RotationProgram, order: tuple[int, ...]) -> list[Block] | None:
+    """An ordering cut into n-blocks and the padded residual, one block at a
+    time, each inverted on its own; None if any block is singular or the
+    residual supports are dependent."""
+    n = p.n
+    blocks = []
+    for start in range(0, len(order), n):
+        rots = [p.rotations[i] for i in order[start : start + n]]
+        rows = [r.support.bits for r in rots]
+        if len(rots) < n:
+            rows = reference_pad_residual(rots, n)
+            if rows is None:
+                return None
+        op = GF2Matrix(n, n, tuple(rows))
         try:
-            reference_invert(mat)
+            inv = reference_invert(op)
         except SingularMatrixError:
             return None
-        blocks.append(mat)
-        exps.append(tuple(r.k for r in group))
-    residual = rots[m - m % n :]
-    if reference_pad_residual(residual, n) is None:
-        return None
-    return blocks, exps, residual
+        blocks.append(Block(op, inv, tuple(r.k for r in rots) + (0,) * (n - len(rots))))
+    return blocks
 
 
-def _padded(blocks, exps, residual, n: int):
-    """Block matrices and exponent maps, the residual padded to a basis."""
-    us, kmaps = list(blocks), list(exps)
-    if residual:
-        pad = reference_pad_residual(list(residual), n)
-        us.append(GF2Matrix.from_cols([BitVec(n, v) for v in pad]))
-        kmaps.append(tuple(r.k for r in residual) + (0,) * (n - len(residual)))
-    return us, kmaps
+def reference_merged(blocks: list[Block]) -> tuple[list[Block], list[tuple[GF2Matrix, GF2Matrix]]]:
+    """A candidate's live blocks 1..L and the merged CNOT operators of its
+    circuit CX(M_0) P_1 CX(M_1) ... P_L CX(M_L), each with its inverse:
+    M_0 = F_1, M_b = F_{b+1} F_b^-1 (inverse F_b F_{b+1}^-1), M_L = F_L^-1."""
+    live = [b for b in blocks if b.live]
+    if not live:
+        return [], []
+    merged = [(live[0].op, live[0].inv)]
+    merged += [(nxt.op @ prev.inv, prev.op @ nxt.inv) for prev, nxt in zip(live, live[1:])]
+    merged.append((live[-1].inv, live[-1].op))
+    return live, merged
 
 
-def reference_emit(blocks: list[_Block], n: int, absorb: bool, depth_opt: bool) -> Circuit:
+def reference_pack_levels(pairs) -> list[int]:
+    """Layer of each CNOT when commuting gates move as early as they can,
+    one gate at a time: a gate takes the earliest layer after every earlier
+    gate whose control is its target or whose target is its control, among
+    the layers where no placed gate shares a qubit with it."""
+    layer_of: list[int] = []
+    used: list[set[int]] = []
+    after_control: dict[int, int] = {}
+    after_target: dict[int, int] = {}
+    for c, t in pairs:
+        level = max(after_control.get(t, 0), after_target.get(c, 0))
+        while level < len(used) and (c in used[level] or t in used[level]):
+            level += 1
+        if level == len(used):
+            used.append(set())
+        used[level] |= {c, t}
+        layer_of.append(level)
+        after_control[c] = max(after_control.get(c, 0), level + 1)
+        after_target[t] = max(after_target.get(t, 0), level + 1)
+    return layer_of
+
+
+def reference_emit(blocks: list[Block], n: int, absorb: bool, depth_opt: bool) -> Circuit:
     """The circuit of a candidate's blocks from the public circuit passes:
     parallelize, merge, hoist and (with `absorb`) absorb into |+>
     preparations. Only the merge synthesizes with the objective: it rebuilds
@@ -606,21 +651,21 @@ def reference_emit(blocks: list[_Block], n: int, absorb: bool, depth_opt: bool) 
 _REALIZED: dict = {}
 
 
-def _reference_metrics(us, kmaps, depth_opt: bool) -> tuple[int, int]:
+def _reference_metrics(blocks: list[Block], depth_opt: bool) -> tuple[int, int]:
     """(cnot_depth, cnot_count) of the all-|+> pipeline, inverting every
-    block matrix afresh; each merged operator is synthesized once per
-    process (`_REALIZED`)."""
-    n = us[0].n_rows
-    live = [u for u, ks in zip(us, kmaps) if any(k % 8 for k in ks)]
-    if not live:
+    live block's operator afresh; each merged operator is synthesized once
+    per process (`_REALIZED`)."""
+    n = blocks[0].op.n_rows
+    ms = [b.op for b in blocks if b.live]
+    if not ms:
         return 0, 0
-    ms = [u.transpose() for u in live]
     merged = [ms[0]] + [ms[b] @ reference_invert(ms[b - 1]) for b in range(1, len(ms))]
     merged.append(reference_invert(ms[-1]))
     groups = []
     for w in merged:
         if (w, depth_opt) not in _REALIZED:
-            _REALIZED[w, depth_opt] = _synthesize([(w, reference_invert(w))], depth_opt)[0]
+            inverse = reference_invert(w)
+            _REALIZED[w, depth_opt] = _synthesize(_bits([w]), _bits([inverse]), depth_opt)[0]
         images, cnots = _REALIZED[w, depth_opt]
         groups = [tuple((images[c], images[t]) for c, t in grp) for grp in groups]
         groups.append(cnots)
@@ -650,20 +695,26 @@ def reference_partition_rotations(
     tried = valid = 0
     for order in _candidate_orderings(m, budget, seed):
         tried += 1
-        split = _reference_split(p, order)
+        split = reference_split(p, order)
         if split is None:
             continue
         valid += 1
-        blocks, exps, residual = split
-        depth, count = _reference_metrics(*_padded(blocks, exps, residual, p.n), depth_opt)
+        depth, count = _reference_metrics(split, depth_opt)
         key = depth if depth_opt else count
         if best_key is None or key < best_key:
             best_key = key
-            best = (blocks, exps, residual, order)
+            best = (split, order)
     if best is None:
         raise PartitionError(f"no valid block partition among {tried} ordering(s)")
-    blocks, exps, residual, order = best
-    us, kmaps = _padded(blocks, exps, residual, p.n)
-    emitted = [_Block(u.transpose(), reference_invert(u.transpose()), ks) for u, ks in zip(us, kmaps)]
-    circuit = reference_emit(emitted, p.n, True, depth_opt)
-    return Partition(tuple(blocks), tuple(exps), tuple(residual), order, tried, valid, circuit)
+    split, order = best
+    full = split[: m // p.n]
+    circuit = reference_emit(split, p.n, True, depth_opt)
+    return Partition(
+        tuple(b.op.transpose() for b in full),
+        tuple(b.exponents for b in full),
+        tuple(p.rotations[i] for i in order[m - m % p.n :]),
+        order,
+        tried,
+        valid,
+        circuit,
+    )

@@ -18,7 +18,8 @@ from rotsynth.gf2 import (
 from rotsynth.ir import Circuit, Gate, PhaseRotation, RotationProgram
 from rotsynth.compiler import (
     PartitionError,
-    _pad_residual,
+    _bits,
+    _padded,
     absorb_into_prep,
     cnot_synthesize,
     compile_program,
@@ -49,10 +50,18 @@ from oracles import (
     plus_prep,
     random_program,
     reference_emit,
+    reference_merged,
     reference_pad_residual,
+    reference_split,
     rotation_product_unitary,
     t_state,
 )
+
+
+def _matrix(bits: list[list[int]]) -> GF2Matrix:
+    """A square GF2Matrix from the 0/1 rows of a tensor entry."""
+    return GF2Matrix(len(bits), len(bits), tuple(sum(b << j for j, b in enumerate(row)) for row in bits))
+
 
 U0 = GF2Matrix.from_rows([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 1]])
 U1 = GF2Matrix.from_rows([[0, 0, 0, 1], [0, 0, 1, 1], [1, 0, 0, 0], [1, 1, 1, 1]])
@@ -148,8 +157,9 @@ class TestCnotSynthesize:
         # table), one batch per chunk and score holding every form
         from rotsynth import compiler
 
-        pairs = [(u, invert(u)) for u in (random_invertible(n, seed) for seed in range(10))]
-        want = [compiler._synthesize([pair], depth_opt)[0] for pair in pairs]
+        us = [random_invertible(n, seed) for seed in range(10)]
+        ops, invs = _bits(us), _bits([invert(u) for u in us])
+        want = [compiler._synthesize(ops[k : k + 1], invs[k : k + 1], depth_opt)[0] for k in range(10)]
         batches = []
         greedy = compiler._greedy_batch
 
@@ -157,15 +167,16 @@ class TestCnotSynthesize:
             batches.append(len(a))
             return greedy(a, score)
 
-        monkeypatch.setattr(compiler, "_SYNTHESIS_CHUNK", 3)
+        # the batch bound counts operators x n^2 entries: room for 3
+        monkeypatch.setattr(compiler, "_SYNTHESIS_CELLS", 3 * n * n + n)
         monkeypatch.setattr(compiler, "_greedy_batch", recorded)
-        assert compiler._synthesize(pairs, depth_opt) == want
+        assert compiler._synthesize(ops, invs, depth_opt) == want
         forms = 3 if depth_opt else 1  # u, u^-1, u^T; and as many scores
         if depth_opt and n <= compiler.DEPTH_OPT_LIMIT:
             assert batches == []
         else:
             assert batches == [forms * size for size in (3, 3, 3, 1) for _ in range(forms)]
-        assert compiler._synthesize([], depth_opt) == []
+        assert compiler._synthesize(ops[:0], invs[:0], depth_opt) == []
 
     @pytest.mark.parametrize("depth_opt", [False, True])
     def test_gates_realize_operator(self, depth_opt):
@@ -334,8 +345,9 @@ class TestPartition:
         part = partition_rotations(programs.load("ccz"), budget=40)
         assert (part.orderings_valid, part.orderings_tried) == (33, 40)
         cut = []
-        split = compiler._split
-        monkeypatch.setattr(compiler, "_split", lambda p, order: cut.append(order) or split(p, order))
+        batched = compiler._cut
+        monkeypatch.setattr(compiler, "_cut", lambda p, orders: cut.extend(map(tuple, orders.tolist()))
+                            or batched(p, orders))
         basis = RotationProgram(3, tuple(PhaseRotation(BitVec.basis(3, q), 1) for q in range(3)))
         part = partition_rotations(basis, budget=40)
         assert (part.orderings_valid, part.orderings_tried) == (40, 40)
@@ -376,8 +388,9 @@ class TestPartition:
         from rotsynth import compiler
 
         cut = []
-        split = compiler._split
-        monkeypatch.setattr(compiler, "_split", lambda p, order: cut.append(order) or split(p, order))
+        batched = compiler._cut
+        monkeypatch.setattr(compiler, "_cut", lambda p, orders: cut.extend(map(tuple, orders.tolist()))
+                            or batched(p, orders))
         prog = RotationProgram(
             n, tuple(PhaseRotation(BitVec.from_string(v), int("1" in v)) for v in supports)
         )
@@ -397,9 +410,11 @@ class TestPartition:
             n = rng.randrange(1, 7)
             supports = [rng.getrandbits(n) for _ in range(rng.randrange(0, n + 1))]
             residual = [PhaseRotation(BitVec(n, v), int(v > 0)) for v in supports]
-            got = _pad_residual(residual, n)
-            assert got == reference_pad_residual(residual, n)
-            if got is None:
+            want = reference_pad_residual(residual, n)
+            basis, independent = _padded(_bits([GF2Matrix(len(supports), n, tuple(supports))]))
+            got = list(_matrix(basis[0].tolist()).rows)
+            assert (got if independent[0] else None) == want
+            if want is None:
                 dependent += 1
             else:
                 padded += 1
@@ -557,15 +572,13 @@ class TestCompile:
     def test_search_scorer_matches_emitted_circuit(self):
         # the search scores the gate list that the circuit is emitted from;
         # both emitted forms must be byte-identical to the public passes
-        from rotsynth.compiler import _split
-
         rng = random.Random(31)
         checked = 0
         while checked < 25:
             n = rng.randrange(2, 6)
             m = rng.randrange(1, 3 * n + 1)
             prog = random_program(rng, n, m)
-            split = _split(prog, tuple(range(m)))
+            split = reference_split(prog, tuple(range(m)))
             if split is None:
                 continue
             checked += 1
@@ -579,9 +592,10 @@ class TestCompile:
                 assert got.to_json() == reference_emit(split, n, False, depth_opt).to_json()
 
     def test_blocks_carry_their_inverses(self):
-        # one elimination per block: each block's operator F has the
-        # rotation supports as rows and comes with F^-1, and every merged
-        # operator of a candidate with its inverse
+        # one elimination per cut: each block's operator F has the rotation
+        # supports as rows and comes with F^-1, and every merged operator of
+        # a candidate with its inverse; a window of orderings, valid and
+        # not, is cut in one batch as each ordering is on its own
         from rotsynth import compiler
 
         rng = random.Random(32)
@@ -590,19 +604,29 @@ class TestCompile:
             n = rng.randrange(1, 7)
             m = rng.randrange(1, 3 * n + 1)
             prog = random_program(rng, n, m)
-            order = tuple(rng.sample(range(m), m))
-            split = compiler._split(prog, order)
-            if split is None:
-                continue
-            checked += 1
-            identity = GF2Matrix.identity(n)
-            for b, start in zip(split, range(0, m, n)):
-                supports = [prog.rotations[i].support.bits for i in order[start : start + n]]
-                assert list(b.op.rows[: len(supports)]) == supports
-            live, merged = compiler._merged(split)
-            assert len(merged) == (len(live) + 1 if live else 0)
-            for op, inv in [(b.op, b.inv) for b in split] + merged:
-                assert op @ inv == identity and inv @ op == identity
+            orders = [tuple(rng.sample(range(m), m)) for _ in range(4)]
+            ops, invs, exps, valid = compiler._cut(prog, np.array(orders))
+            for k, order in enumerate(orders):
+                split = reference_split(prog, order)
+                assert valid[k] == (split is not None)
+                if split is None:
+                    continue
+                checked += 1
+                identity = GF2Matrix.identity(n)
+                blocks = [(_matrix(op), _matrix(inv)) for op, inv in zip(ops[k].tolist(), invs[k].tolist())]
+                assert [b[0] for b in blocks] == [b.op for b in split]
+                assert exps[k].tolist() == [list(b.exponents) for b in split]
+                for b, start in zip(blocks, range(0, m, n)):
+                    supports = [prog.rotations[i].support.bits for i in order[start : start + n]]
+                    assert list(b[0].rows[: len(supports)]) == supports
+                at, merged, merged_inv = compiler._merged(ops[k : k + 1], invs[k : k + 1], exps[k : k + 1])
+                live, want = reference_merged(split)
+                assert len(want) == (len(live) + 1 if live else 0)
+                assert len(at) == len(live) and len(merged) == len(want[1:])
+                pairs = [(_matrix(op), _matrix(inv)) for op, inv in zip(merged.tolist(), merged_inv.tolist())]
+                assert pairs == want[1:]
+                for op, inv in blocks + pairs:
+                    assert op @ inv == identity and inv @ op == identity
 
     def test_depth_synthesis_only_where_it_counts(self, monkeypatch):
         # under cnot-depth the search hands the synthesizer, in one call, the
@@ -614,9 +638,10 @@ class TestCompile:
         calls = []
         synthesize, search = compiler._synthesize, compiler.partition_rotations
 
-        def recorded_synthesize(pairs, depth_opt):
-            calls.append((list(pairs), depth_opt))
-            return synthesize(pairs, depth_opt)
+        def recorded_synthesize(ops, invs, depth_opt):
+            pairs = [(_matrix(op), _matrix(inv)) for op, inv in zip(ops.tolist(), invs.tolist())]
+            calls.append((pairs, depth_opt))
+            return synthesize(ops, invs, depth_opt)
 
         def searched(*args, **kwargs):
             part = search(*args, **kwargs)
@@ -627,7 +652,7 @@ class TestCompile:
         monkeypatch.setattr(compiler, "partition_rotations", searched)
         prog = programs.load("t15")
         m = len(prog.rotations)
-        _, merged = compiler._merged(compiler._split(prog, tuple(range(m))))
+        _, merged = reference_merged(reference_split(prog, tuple(range(m))))
         assert len(merged) == 4
 
         compile_program(prog, budget=1, objective="cnot-depth")
@@ -642,9 +667,9 @@ class TestCompile:
         compile_program(prog, budget=40, seed=3, objective="cnot-depth")
         want = set()
         for order in set(compiler._candidate_orderings(m, 40, 3)):
-            split = compiler._split(prog, order)
+            split = reference_split(prog, order)
             if split is not None:
-                want.update(compiler._merged(split)[1][1:])
+                want.update(reference_merged(split)[1][1:])
         assert len(calls) == 2 and calls[1] == "emit"
         pairs, depth_opt = calls[0]
         assert depth_opt and len(pairs) == len(set(pairs)) and set(pairs) == want

@@ -24,7 +24,9 @@ from rotsynth.compiler import (
     _depth_table,
     _greedy_batch,
     _greedy_rows,
+    _inverse,
     _lex_argmin,
+    _pack_levels,
     _score_concat,
     _score_maxsum,
     _score_total,
@@ -36,7 +38,7 @@ from rotsynth.compiler import (
     expand_reference,
     partition_rotations,
 )
-from rotsynth.gf2 import GF2Matrix, SingularMatrixError, random_invertible
+from rotsynth.gf2 import BitVec, GF2Matrix, SingularMatrixError, random_invertible, random_matrix
 from rotsynth.ir import PhaseRotation, RotationProgram
 from rotsynth.semantics import phase_polynomial_of, poly_equal
 
@@ -44,6 +46,8 @@ from oracles import (
     random_program,
     reference_depth_table,
     reference_greedy_rows,
+    reference_invert,
+    reference_pack_levels,
     reference_partition_rotations,
 )
 
@@ -76,7 +80,11 @@ class TestGreedyKernel:
         us.append(GF2Matrix(5, 5, CYCLING_5))
         rows = _bits(us).swapaxes(1, 2)
         for score in _EMISSION_SCORES:
-            got = [r and ([1 << c for c in r[0]], r[1]) for r in _greedy_batch(rows, score)]
+            steps, images, (ops_i, ops_j) = _greedy_batch(rows, score)
+            got = [
+                None if size < 0 else ([1 << c for c in wires], list(zip(i[:size], j[:size])))
+                for size, wires, i, j in zip(steps.tolist(), images.tolist(), ops_i.tolist(), ops_j.tolist())
+            ]
             want = [reference_greedy_rows(u, score) for u in us]
             assert got == want, score.__name__
             assert len({None if r is None else len(r[1]) for r in want}) > 2
@@ -147,6 +155,58 @@ class TestGreedyKernel:
             assert res.ops == tuple(reversed(ops))
 
 
+class TestBatchedKernels:
+    @pytest.mark.parametrize("n", list(range(1, 13)) + [64, 66])
+    def test_inverse_matches_reference(self, n):
+        # one lockstep elimination of invertible and singular matrices:
+        # each flag and each inverse as Gauss-Jordan on that matrix alone
+        rng = random.Random(n)
+        us = [random_invertible(n, rng.randrange(10**6)) for _ in range(6)]
+        us += [random_matrix(n, n, rng) for _ in range(10)]
+        for u in us[:3]:  # a repeated row, a zero row
+            rows = list(u.rows)
+            rows[rng.randrange(n)] = rows[0] if n > 1 else 0
+            us.append(GF2Matrix(n, n, tuple(rows)))
+        us.append(GF2Matrix(n, n, (0,) * n))
+        invs, ok = _inverse(_bits(us))
+        kinds = set()
+        for u, inv, valid in zip(us, invs.tolist(), ok.tolist()):
+            try:
+                want = reference_invert(u)
+            except SingularMatrixError:
+                assert not valid
+                kinds.add("singular")
+                continue
+            assert valid
+            assert inv == [[(row >> j) & 1 for j in range(n)] for row in want.rows]
+            kinds.add("invertible")
+        assert kinds == {"invertible", "singular"}
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_pack_levels_matches_reference(self, n):
+        # lists of 0-60 CNOTs packed together, shorter ones padded on
+        # qubit n; the empty list has no level, so depth 0
+        rng = random.Random(n)
+        lists = [[]] + [
+            [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(61))]
+            for _ in range(40 if n > 1 else 0)
+        ]
+        length = max(map(len, lists))
+        controls = np.full((len(lists), length), n)
+        targets = np.full((len(lists), length), n)
+        for v, pairs in enumerate(lists):
+            if pairs:
+                controls[v, : len(pairs)], targets[v, : len(pairs)] = zip(*pairs)
+        levels = _pack_levels(controls, targets, n)
+        assert levels.shape == (len(lists), length)
+        for v, pairs in enumerate(lists):
+            want = reference_pack_levels(pairs)
+            assert levels[v, : len(pairs)].tolist() == want
+            depth = max(want) + 1 if want else 0
+            assert depth == (int(levels[v, : len(pairs)].max()) + 1 if pairs else 0)
+        assert _pack_levels(controls[:, :0], targets[:, :0], n).shape == (len(lists), 0)
+
+
 def _assert_same_search(prog, budget, objective, seed=0, reference=None):
     """compile_program's partition equals the reference loop's, its circuit
     included: the reference emits it by the public circuit passes."""
@@ -187,7 +247,7 @@ class TestDepthTable:
             for row, bits in enumerate(start):
                 images[bits.bit_length() - 1] = row
             cnots = tuple(pair for move in reversed(layers) for pair in move)
-            assert _table_realization(GF2Matrix(n, n, state)) == (tuple(images), cnots)
+            assert _table_realization(n, pack(state)) == (tuple(images), cnots)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_singular_state_unreached(self, n):
@@ -198,9 +258,9 @@ class TestDepthTable:
             i, j = rng.sample(range(n), 2)
             rows[j] = rows[i]
             with pytest.raises(SingularMatrixError):
-                _table_realization(GF2Matrix(n, n, tuple(rows)))
+                _table_realization(n, sum(row << (n * i) for i, row in enumerate(rows)))
         with pytest.raises(SingularMatrixError):
-            _table_realization(GF2Matrix(n, n, (0,) * n))
+            _table_realization(n, 0)
 
     def test_oversized_rejected(self):
         with pytest.raises(ValueError, match="up to 4 qubits"):
@@ -245,6 +305,70 @@ class TestPartitionExactness:
                 short += 1
             else:
                 long += 1
+
+
+def _residual_or_dead_program(rng: random.Random, n: int, dead: bool) -> RotationProgram:
+    """One or two invertible blocks in program order, then (for n > 1) a
+    residual of 1 to n - 1 independent supports; with `dead`, the first
+    block's exponents are all 0 and most others too."""
+    blocks = [random_invertible(n, rng.randrange(10**6)) for _ in range(rng.randrange(1, 3))]
+    supports = [u.col(j) for u in blocks for j in range(n)]
+    residual = random_invertible(n, rng.randrange(10**6))
+    supports += [residual.col(j) for j in range(rng.randrange(1, n) if n > 1 else 0)]
+    ks = [0 if dead and (i < n or rng.random() < 0.6) else rng.randrange(8) for i in range(len(supports))]
+    return RotationProgram(n, tuple(PhaseRotation(v, k) for v, k in zip(supports, ks)))
+
+
+@pytest.mark.parametrize("objective", ["cnot-depth", "cnot-count"])
+@pytest.mark.parametrize("budget", [1, 7, 40])
+def test_residual_and_dead_blocks_match_reference(budget, objective):
+    # where the batched cut differs most from one ordering at a time: the
+    # padded residual and blocks whose phase layers are all empty
+    rng = random.Random(budget)
+    seen = {"residual": 0, "dead": 0, "failed": 0}
+    for trial in range(16):
+        n = 1 + trial // 2
+        prog = _residual_or_dead_program(rng, n, dead=trial % 2 == 1)
+        try:
+            reference = reference_partition_rotations(prog, budget=budget, seed=trial, objective=objective)
+        except PartitionError:  # no valid ordering: both sides must fail
+            with pytest.raises(PartitionError):
+                partition_rotations(prog, budget=budget, seed=trial, objective=objective)
+            seen["failed"] += 1
+            continue
+        part = _assert_same_search(prog, budget, objective, seed=trial, reference=reference)
+        seen["residual"] += bool(part.residual)
+        blocks = [part.ordering[s : s + n] for s in range(0, len(part.ordering), n)]
+        seen["dead"] += any(all(prog.rotations[i].k % 8 == 0 for i in b) for b in blocks)
+    assert seen["residual"] >= 8 and seen["dead"] >= 4, seen
+
+
+@pytest.mark.parametrize("objective", ["cnot-depth", "cnot-count"])
+def test_repeats_within_and_across_windows(monkeypatch, objective):
+    # 3 and 4 rotations have 6 and 24 orderings, fewer than the budget, so
+    # orderings repeat inside a window of 7 and across windows; some are
+    # invalid (two equal supports in one block), and a repeat counts as its
+    # first occurrence, valid or not
+    from rotsynth import compiler
+
+    monkeypatch.setattr(compiler, "_SEARCH_WINDOW", 7)
+    programs_ = [
+        RotationProgram(2, tuple(PhaseRotation(BitVec.from_string(v), 1) for v in ("10", "10", "01"))),
+        RotationProgram(2, tuple(PhaseRotation(BitVec.from_string(v), k)
+                                 for v, k in (("10", 1), ("10", 3), ("01", 5), ("11", 0)))),
+        RotationProgram(3, tuple(PhaseRotation(BitVec.from_string(v), 7) for v in ("100", "010", "111"))),
+    ]
+    valid = []
+    for prog in programs_:
+        m = len(prog.rotations)
+        orders = list(compiler._candidate_orderings(m, 40, 0))
+        windows = [orders[s : s + 7] for s in range(0, 40, 7)]
+        assert any(len(set(w)) < len(w) for w in windows)  # a repeat inside a window
+        assert any(o in orders[:s] for s in range(7, 40, 7) for o in orders[s : s + 7])  # and across
+        part = _assert_same_search(prog, 40, objective)
+        assert part.orderings_tried == 40
+        valid.append(part.orderings_valid)
+    assert any(0 < v < 40 for v in valid), valid
 
 
 @pytest.mark.parametrize("objective", ["cnot-depth", "cnot-count"])
