@@ -7,15 +7,15 @@ on their noiseless outcomes). Faults are Paulis inserted at circuit
 positions, anywhere including the preparation round. This module defines
 no gate action and no qubit lifetime of its own: it hands gate positions to
 the dense trajectory kernel (`semantics.TrajectoryKernel`, through
-`_Harness.run_sampled`), which places each fault by its qubit's lifetime.
-The Monte Carlo engine samples the measurement outcomes; the exact
-enumerators run one row per fault configuration that branches at every
-injection measurement, each branch weighted by its probability. The
-kernel's rows hold only the live qubits (from a qubit's first gate other
-than a preparation to the measurement that ends it), and the dense cap of
-`semantics.MAX_DENSE_QUBITS` applies to that live width: a gadgetized
-circuit may have many more qubits, since each |T> resource is live only
-from its injection CNOT to its measurement.
+`_Harness.run_sampled`), which carries each fault forward as its Pauli
+frame. The Monte Carlo engine samples the measurement outcomes; the exact
+enumerators run one row per class of configurations with equal frames,
+which branches at every injection measurement, each branch weighted by its
+probability. The kernel's rows hold only the live qubits (from a qubit's
+first gate other than a preparation to the measurement that ends it), and
+the dense cap of `semantics.MAX_DENSE_QUBITS` applies to that live width: a
+gadgetized circuit may have many more qubits, since each |T> resource is
+live only from its injection CNOT to its measurement.
 
 Noise placement follows a round schedule derived from the circuit: round 0
 prepares magic states (Z errors at rate p_T on each |T> preparation), and
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ir import Circuit, Gate, MEAS_KINDS, PREP_KINDS, T_LIKE_KINDS
-from .semantics import TrajectoryKernel
+from .semantics import MAX_DENSE_QUBITS, TrajectoryKernel
 
 HARMFUL_INFIDELITY = 1e-9
 DETECTED_ACCEPTANCE = 1e-12
@@ -270,8 +270,9 @@ class _Harness:
     and detection records (postselected on their noiseless outcomes), and
     freezes the noiseless reference: detection outcomes and the pure state
     on the output qubits. `run_sampled` hands faults to the kernel by gate
-    position; `run_exact` and the check of the noiseless reference run rows
-    that branch at every injection measurement.
+    position; `run_exact` (one row per fault class) and the check of the
+    noiseless reference run rows that branch at every injection
+    measurement.
 
     The kernel keeps the outputs to the end and owns every other qubit's
     lifetime, so a row's state holds only the live qubits, and the dense cap
@@ -338,25 +339,47 @@ class _Harness:
         gate positions: (pos, pauli, qubit). A configuration nothing accepts
         reads (0, 0).
 
-        Each configuration is one row of `run_sampled` that branches at
-        every injection measurement; its acceptance is the sum of its
-        branches' weights.
+        Each class of configurations (`fault_classes`) is one row of
+        `run_sampled` that branches at every injection measurement, and its
+        acceptance is the sum of its branches' weights; every configuration
+        reads the values of its class.
         """
-        indexed = [
-            [(pos, _pauli_index(pauli), qubit) for pos, pauli, qubit in faults]
-            for faults in configs
-        ]
-        row = np.repeat(np.arange(len(indexed)), [len(f) for f in indexed])
-        flat = np.array([f for faults in indexed for f in faults], dtype=np.int64)
-        pos, pauli, qubit = flat.reshape(-1, 3).T
+        faults = _fault_arrays(configs)
+        first, klass = self.fault_classes(faults, len(configs))
+        chosen = np.zeros(len(configs), dtype=bool)
+        chosen[first] = True
+        row, pos, pauli, qubit = (a[chosen[faults[0]]] for a in faults)
         row, weight, infid = self.run_sampled(
-            (row, pos, pauli, qubit), np.full((len(configs), len(self.meas_order)), np.nan)
+            (klass[row], pos, pauli, qubit), np.full((len(first), len(self.meas_order)), np.nan)
         )
-        acceptance = np.bincount(row, weight, minlength=len(configs))
-        bad = np.bincount(row, weight * infid, minlength=len(configs))
-        infidelity = np.zeros(len(configs))
+        acceptance = np.bincount(row, weight, minlength=len(first))
+        bad = np.bincount(row, weight * infid, minlength=len(first))
+        infidelity = np.zeros(len(first))
         np.divide(bad, acceptance, out=infidelity, where=acceptance > 0.0)
-        return acceptance, infidelity
+        return acceptance[klass], infidelity[klass]
+
+    def fault_classes(
+        self, faults: tuple[np.ndarray, ...], n_configs: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Configurations with the same effect: (the first configuration of
+        each class, the class of each configuration). `faults` holds four
+        integer arrays (configuration, gate position, Pauli index into
+        "XYZ", qubit), as `run_sampled` takes them. A configuration's key is
+        its Pauli frames (`TrajectoryKernel.frames`), one (stop, X mask, Z
+        mask) per stop where their product is not the identity; the
+        configurations without one share the fault-free class."""
+        row, stop, x, z = self.kernel.frames(*faults)
+        key = (stop << 2 * MAX_DENSE_QUBITS) | (x << MAX_DENSE_QUBITS) | z
+        count = np.bincount(row, minlength=n_configs)
+        keys = np.full((n_configs, count.max(initial=0)), -1, dtype=np.int64)
+        keys[row, np.arange(len(row)) - (count.cumsum() - count)[row]] = key
+        order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(n_configs)
+        ranked = keys[order]
+        new = np.ones(n_configs, dtype=bool)
+        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        klass = np.empty(n_configs, dtype=np.int64)
+        klass[order] = new.cumsum() - 1
+        return order[new], klass
 
     def run_sampled(
         self, faults: tuple[np.ndarray, ...], uniforms: np.ndarray
@@ -367,7 +390,7 @@ class _Harness:
         `faults` holds four equal-length integer arrays (row, gate position,
         Pauli index into "XYZ", qubit); each entry inserts that Pauli after
         that gate (position -1: before the first) in that row's trajectory,
-        where `TrajectoryKernel.run` places it by the qubit's lifetime.
+        where `TrajectoryKernel.run` places it as its Pauli frame.
         Row i consumes uniforms[i], one value per measurement in circuit
         order, as `TrajectoryKernel.run` does: a number in [0, 1) draws the
         outcome, NaN branches on it. Returns (row, weight, infidelity) of
@@ -421,6 +444,17 @@ class _Harness:
 
 
 _PAULI_INDEX = {"X": 0, "Y": 1, "Z": 2}
+
+
+def _fault_arrays(configs: list[list[tuple[int, str, int]]]) -> tuple[np.ndarray, ...]:
+    """Fault configurations as the four arrays (configuration, gate
+    position, Pauli index into "XYZ", qubit) of `_Harness.run_sampled`."""
+    flat = np.array(
+        [(i, pos, _pauli_index(pauli), qubit)
+         for i, faults in enumerate(configs) for pos, pauli, qubit in faults],
+        dtype=np.int64,
+    )
+    return tuple(flat.reshape(-1, 4).T)
 
 
 def _pauli_index(pauli: str) -> int:

@@ -15,7 +15,9 @@ drops the branches it does not name. `simulate` is one row that branches
 only on postselected measurements, `enumerate_branches` one row that
 branches on every measurement, and `unitary_of` composes the gates'
 monomials at full width; the fault analyzer runs its faulty trajectories
-and its exact branch sums on the same kernel.
+and its exact branch sums on the same kernel. A Pauli fault enters the
+kernel as its Pauli frame: carried forward through the gates it passes, and
+applied at the first gate that stops it (see `TrajectoryKernel.run`).
 
 Basis convention: basis index bit q is qubit q (support strings read left
 to right); dense states are ndarrays of shape (2,)*n with axis q = qubit q.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -239,6 +241,10 @@ _DIAG_PHASES = {
     ]
 }
 _NO_INSERTIONS = (np.zeros(0, dtype=np.int64),) * 4
+# (-1)^(number of set bits) of every flat index of the widest layout
+_PARITY_SIGN = np.ones(1)
+for _ in range(MAX_DENSE_QUBITS):
+    _PARITY_SIGN = np.concatenate([_PARITY_SIGN, -_PARITY_SIGN])
 
 
 @lru_cache(maxsize=None)
@@ -400,26 +406,28 @@ class TrajectoryKernel:
         differs from the one `postselect` names for its record.
 
         `insertions` (optional) holds four equal-length integer arrays (row,
-        gate position, Pauli index into "XYZ", qubit); each applies that
-        Pauli to that qubit right after that gate (position -1: before the
-        first gate), in every branch of that row. The qubit's lifetime
-        places it: a Pauli before the qubit's preparation (which resets it),
-        at or after the measurement that drops its axis, or on a qubit that
-        never gets an axis has no effect, and one on a prepared qubit whose
-        axis is not made yet acts when the axis is made.
+        gate position, Pauli index into "XYZ", qubit); each inserts that
+        Pauli on that qubit right after that gate (position -1: before the
+        first gate), in every branch of that row. A Pauli before the qubit's
+        preparation (which resets it), at or after the measurement that
+        drops its axis, or on a qubit that never gets an axis has no effect.
+        Any other goes in as its Pauli frame (see `frames`), up to a sign
+        that may differ between the branches of a row: a global phase of
+        each state row.
 
         Returns (input row of each surviving state row, in ascending order;
         their weights; their final states in the final layout; their
         outcomes by record). Each run of half-steps between break points
-        (measurements, CondS, insertion half-steps) is one cached gather and
-        multiply; dropped rows leave the array at once.
+        (measurements, CondS, the stops of the frames) is one cached gather
+        and multiply; dropped rows leave the array at once.
         """
         postselect = postselect or {}
         gates = self.circuit.gates
-        row, stop, pauli, col = self._place(*insertions)
-        order = np.argsort(stop, kind="stable")
-        row, stop, pauli, col = row[order], stop[order], pauli[order], col[order]
-        stops, firsts = np.unique(stop, return_index=True)
+        row, stop, x, z = self.frames(*insertions)
+        order = np.argsort(stop, kind="stable")   # by stop, rows ascending in each
+        row, stop, x, z = row[order], stop[order], x[order], z[order]
+        firsts = np.flatnonzero(np.diff(stop, prepend=-1))
+        stops = stop[firsts]
         bounds = np.append(firsts, len(stop))
 
         alive = np.arange(len(uniforms))     # input row of each state row
@@ -438,7 +446,7 @@ class TrajectoryKernel:
             if k < len(stops) and stops[k] == last:
                 group = slice(hit_bounds[k], hit_bounds[k + 1])
                 w = which[group]
-                _apply_paulis(states, hit[group], pauli[w], self._axis[last, col[w]])
+                _apply_paulis(states, hit[group], x[w], z[w])
                 k += 1
             h = last + 1
             if h == len(self._live) or not len(alive):
@@ -469,15 +477,102 @@ class TrajectoryKernel:
                 states = self._apply_run(states, h, last)
         return alive, weight, states, outcomes
 
-    def _place(self, row, pos, pauli, qubit):
-        """Insertions as (row, half-step after which each acts, Pauli, axis
-        column), without those that have no effect (see `run`)."""
+    def frames(self, row, pos, pauli, qubit):
+        """The Pauli frames of insertions given as in `run`, combined per
+        row and stop: (row, stop, X mask, Z mask), sorted by row and then
+        stop, without the identity. Their product at stop h is X^x Z^z after
+        half-step h, the masks over the flat index bits of the layout there.
+
+        An inserted Pauli is carried forward from the first gate that it
+        meets. X, Z, CNOT, SWAP, CZ, S and Sdag conjugate it; its Z part
+        passes T, Tdag, CS, CCZ and CondS; a measurement drops the part that
+        commutes with it. It stops at half-step 2g, before gate g, where g is
+        a measurement that anticommutes with it, or a T, Tdag, CS, CCZ or
+        CondS that meets its X part, and otherwise at the last half-step.
+        Up to a global phase of each branch, the frame there has the
+        inserted Pauli's effect.
+        """
+        row, pos, pauli, qubit = (np.asarray(a, dtype=np.int64) for a in (row, pos, pauli, qubit))
+        if not len(row):
+            return _NO_INSERTIONS
         slot = np.minimum(self._qubits.searchsorted(qubit), len(self._qubits) - 1)
         kept = (self._qubits[slot] == qubit) & self._acts(slot, pos)
-        slot, pos = slot[kept], pos[kept]
-        born = self._born[slot]
-        stop = np.where(pos < born, 2 * born, 2 * pos + 1)
-        return row[kept], stop, pauli[kept], self._col[slot]
+        touches, table_stop, table_x, table_z = self._frame_table
+        first = touches.searchsorted(self._col[slot[kept]] * len(self._live) + pos[kept] + 1)
+        i = 3 * first + pauli[kept]
+        row, stop, x, z = row[kept], table_stop[i], table_x[i], table_z[i]
+        order = np.lexsort((stop, row))
+        row, stop, x, z = row[order], stop[order], x[order], z[order]
+        firsts = np.flatnonzero((np.diff(row, prepend=-1) != 0) | (np.diff(stop, prepend=-1) != 0))
+        if len(firsts):
+            row, stop = row[firsts], stop[firsts]
+            x, z = np.bitwise_xor.reduceat(x, firsts), np.bitwise_xor.reduceat(z, firsts)
+        effect = (x | z) != 0
+        return row[effect], stop[effect], x[effect], z[effect]
+
+    @cached_property
+    def _frame_table(self):
+        """The frame of each Pauli by the first gate that it meets: (sorted
+        keys col * len(half-steps) + g of each gate g that touches the slot
+        in ranked column col, with g = len(gates) ending each column; then
+        stop, X mask and Z mask of each key's X, Y and Z, at index 3 * key
+        + Pauli). All frames are carried through the gates at once."""
+        gates = self.circuit.gates
+        end = len(gates)
+        met = [
+            (self._col[self._qubits.searchsorted(q)], pos)
+            for pos, g in enumerate(gates) if g.kind not in PREP_KINDS for q in g.qubits
+        ]
+        met += [(col, end) for col in range(len(self._qubits))]
+        col, first = np.array(met, dtype=np.int64).reshape(-1, 2).T
+        touches = col * len(self._live) + first
+        by_key = np.argsort(touches, kind="stable")
+        by_gate = np.argsort(first, kind="stable")   # frames that met gate g: a prefix
+        # frame rows in gate order, three per touch: X, Y, Z on its column
+        rows = 3 * len(met)
+        on = col[by_gate].repeat(3)
+        pauli = np.tile(np.arange(3), len(met))
+        x = np.zeros((rows, len(self._qubits)), dtype=bool)
+        z = np.zeros_like(x)
+        x[np.arange(rows), on] = pauli != 2
+        z[np.arange(rows), on] = pauli != 0
+        stop = np.full(rows, 2 * end)
+        stopped = np.zeros(rows, dtype=bool)
+        out_x, out_z = np.zeros_like(x), np.zeros_like(z)
+        started = 3 * first[by_gate].searchsorted(np.arange(end), side="right")
+        for pos, g in enumerate(gates):
+            k = started[pos]
+            if not k or g.kind in PREP_KINDS or g.kind in ("X", "Z"):
+                continue
+            a = self._col[self._qubits.searchsorted(g.qubits)]
+            gx, gz = x[:k], z[:k]
+            if g.kind == "CNOT":
+                gx[:, a[1]] ^= gx[:, a[0]]
+                gz[:, a[0]] ^= gz[:, a[1]]
+            elif g.kind == "SWAP":
+                gx[:, a] = gx[:, a[::-1]]
+                gz[:, a] = gz[:, a[::-1]]
+            elif g.kind in ("S", "Sdag"):
+                gz[:, a[0]] ^= gx[:, a[0]]
+            elif g.kind == "CZ":
+                gz[:, a[0]] ^= gx[:, a[1]]
+                gz[:, a[1]] ^= gx[:, a[0]]
+            else:  # a measurement, or T, Tdag, CS, CCZ or CondS
+                blocking = gz if g.kind == "MeasX" else gx
+                hit = np.flatnonzero(blocking[:, a].any(axis=1) & ~stopped[:k])
+                stop[hit], out_x[hit], out_z[hit], stopped[hit] = 2 * pos, gx[hit], gz[hit], True
+                if g.kind in MEAS_KINDS:  # the commuting part acts as a phase
+                    (gx if g.kind == "MeasX" else gz)[:, a[0]] = False
+        out_x[~stopped], out_z[~stopped] = x[~stopped], z[~stopped]
+        # masks over the flat index bits at the stop; a column without an
+        # axis there only occurs in frames no insertion looks up
+        axes = self._axis[stop]
+        bit = np.where(axes >= 0, np.left_shift(1, np.array(self._width)[stop, None] - 1 - axes), 0)
+        key_rank = by_key.argsort()[by_gate]
+        table = [np.zeros(rows, dtype=np.int64) for _ in range(3)]
+        for t, values in zip(table, (stop, (out_x * bit).sum(axis=1), (out_z * bit).sum(axis=1))):
+            t.reshape(-1, 3)[key_rank] = values.reshape(-1, 3)
+        return (touches[by_key], *table)
 
     def _acts(self, slot, pos):
         """The qubit in `slot` is prepared by gate `pos`, and not dropped yet."""
@@ -532,21 +627,11 @@ def _spread(alive, row, bounds):
     return hit, which, which.searchsorted(bounds)
 
 
-def _apply_paulis(states, rows, pauli, axes):
-    """Pauli faults on rows of a (rows x 2^k) state array, in place, each on
-    the qubit at its axis; Y acts as XZ, and a row hit twice on one qubit
-    gets the product."""
-
-    def odd(hit_rows):  # rows hit an odd number of times
-        return np.nonzero(np.bincount(hit_rows, minlength=len(states)) & 1)[0]
-
-    for a in np.unique(axes):
-        on_a = axes == a
-        view = states.reshape(len(states), 1 << a, 2, -1)
-        z = odd(rows[on_a & (pauli != 0)])  # Y or Z
-        view[z, :, 1] *= -1.0
-        x = odd(rows[on_a & (pauli != 2)])  # X or Y
-        view[x] = view[x, :, ::-1]
+def _apply_paulis(states, rows, x, z):
+    """X^x Z^z on rows of a (rows x 2^k) state array, in place: one gather
+    and one sign per row, x and z masks over the flat index bits."""
+    src = _INDEX[states.shape[1].bit_length() - 1] ^ x[:, None]
+    states[rows] = states[rows[:, None], src] * _PARITY_SIGN[src & z[:, None]]
 
 
 def _sum_sq(a: np.ndarray) -> np.ndarray:
@@ -654,7 +739,8 @@ def simulate(c: Circuit, postselect: dict[str, int] | None = None, seed: int = 0
     kernel = _dense_kernel(c, postselect)
     drawn = np.array([r not in (postselect or {}) for r in c.records()], dtype=bool)
     uniforms = np.full(len(drawn), np.nan)   # postselected: branch, keep one
-    uniforms[drawn] = np.random.default_rng(seed).random(int(drawn.sum()))
+    if drawn.any():
+        uniforms[drawn] = np.random.default_rng(seed).random(int(drawn.sum()))
     results = _results(kernel, uniforms[None, :], postselect)
     if not results:
         return SimResult(np.zeros(1 << c.n, dtype=np.complex128), 0.0, {}, False)

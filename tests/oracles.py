@@ -357,6 +357,67 @@ def reference_exact(
     return acc, bad / acc
 
 
+def reference_deferred_exact(
+    harness: _Harness, faults: list[tuple[int, str, int]]
+) -> tuple[float, float]:
+    """`reference_exact` by deferred measurement: one full-width tensor and
+    no branches, so it also runs where the branches or the width outgrow
+    `reference_branches`. An injection measurement stays coherent (MeasX as
+    a Hadamard into the Z basis), and its CondS becomes a CS controlled by
+    the measured qubit; a detection measurement projects onto its reference
+    outcome without renormalizing. The accepted weight is the squared norm
+    at the end, and the branches' weighted fidelity is the weight of the
+    ideal output in it. Every measured qubit must be left alone after its
+    measurement; a Pauli on it from then on, like one before its
+    preparation, has no effect. An accepted weight below 1e-14 reads (0, 0),
+    as a branch that improbable ends in `reference_branches`."""
+    c = harness.circuit
+    n = c.n
+    measured: dict[int, int] = {}
+    for pos, g in enumerate(c.gates):
+        if any(q in measured for q in g.qubits):
+            raise ValueError(f"{g.kind} at {pos} acts on a measured qubit")
+        if g.kind in MEAS_KINDS:
+            measured[g.qubits[0]] = pos
+    prepared = {g.qubits[0]: pos for pos, g in enumerate(c.gates) if g.kind in PREP_KINDS}
+    after: dict[int, list[Gate]] = {}
+    for pos, pauli, qubit in faults:
+        if prepared.get(qubit, -1) <= pos < measured.get(qubit, len(c.gates)):
+            after.setdefault(pos, []).extend(Gate(k, (qubit,)) for k in _PAULI_GATES[pauli])
+    state = np.zeros((2,) * n, dtype=np.complex128)
+    state.flat[0] = 1.0
+    holder: dict[str, int] = {}  # the qubit that holds each injection record
+    for pos in range(-1, len(c.gates)):
+        if pos >= 0:
+            g = c.gates[pos]
+            if g.kind in PREP_KINDS:
+                a0, a1 = PREP_AMPLITUDES[g.kind]
+                q = g.qubits[0]
+                sub = state[_axis_slice(n, q, 0)].copy()
+                state[_axis_slice(n, q, 0)] = a0 * sub
+                state[_axis_slice(n, q, 1)] = a1 * sub
+            elif g.kind in MEAS_KINDS and g.record in harness.reference:
+                state = _measurement_probability(state, g, n, harness.reference[g.record])[1]
+            elif g.kind in MEAS_KINDS:
+                q = holder[g.record] = g.qubits[0]
+                if g.kind == "MeasX":
+                    s0, s1 = state[_axis_slice(n, q, 0)], state[_axis_slice(n, q, 1)]
+                    state = np.stack([s0 + s1, s0 - s1], axis=q) / math.sqrt(2.0)
+            elif g.kind == "CondS":
+                state = _apply_unitary_gate(state, Gate("CS", (holder[g.record], g.qubits[0])), n)
+            else:
+                state = _apply_unitary_gate(state, g, n)
+        for p in after.get(pos, ()):
+            state = _apply_unitary_gate(state, p, n)
+    acc = float(np.vdot(state, state).real)
+    if acc < 1e-14:
+        return 0.0, 0.0
+    rest = [q for q in range(n) if q not in harness.outputs]
+    psi = np.transpose(state, harness.outputs + rest).reshape(1 << len(harness.outputs), -1)
+    vec = harness.ideal_out.conj() @ psi
+    return acc, 1.0 - float(np.vdot(vec, vec).real) / acc
+
+
 def reference_monte_carlo(
     c: Circuit,
     outputs: list[int],

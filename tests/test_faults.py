@@ -1,10 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
-from oracles import reference_exact, reference_monte_carlo, reference_trajectory
+from oracles import (
+    reference_deferred_exact,
+    reference_exact,
+    reference_monte_carlo,
+    reference_trajectory,
+)
 
 from rotsynth.ir import PREP_KINDS, Circuit, Gate
 from rotsynth.compiler import compile_program
@@ -16,6 +24,8 @@ from rotsynth.faults import (
     FaultAnalysisError,
     NoiseModel,
     _Harness,
+    _fault_arrays,
+    _fault_class,
     TGadgetChannel,
     build_schedule,
     channel_superoperator,
@@ -493,9 +503,9 @@ class TestPreparationRoundFaults:
 
 
 class TestExactKernel:
-    """`run_exact` (one row per fault configuration that branches at every
-    injection measurement, whole configurations per kernel call) against
-    the per-branch reference executor with the faults inserted as gates."""
+    """`run_exact` (one row per fault class that branches at every
+    injection measurement, whole classes per kernel call) against the
+    per-branch reference executor with the faults inserted as gates."""
 
     @staticmethod
     def assert_same(harness, faults, got):
@@ -601,9 +611,25 @@ class TestExactKernel:
         assert kernel_calls == []
 
 
+def _table_configs(table):
+    """The fault configuration of each entry of a detection table."""
+    return [[(e.location.gate_index, e.location.pauli, e.location.qubit)] for e in table.entries]
+
+
+def _pair_configs(harness):
+    """The configurations of `enumerate_pair_faults`, in its order."""
+    sites = harness.tprep_sites()
+    return [
+        [(pos_a, "Z", qubit_a), (pos_b, "Z", qubit_b)]
+        for a, (pos_a, qubit_a) in enumerate(sites)
+        for pos_b, qubit_b in sites[a + 1 :]
+    ]
+
+
 class TestBatchedEnumeration:
     """The enumerators hand all their configurations to one `run_exact`
-    call, which runs whole configurations per kernel call."""
+    call, which runs one row per fault class, whole classes per kernel
+    call."""
 
     @staticmethod
     def group(harness):
@@ -617,18 +643,27 @@ class TestBatchedEnumeration:
         ]()
         if name.endswith("-g"):
             circ = gadgetize(circ)
-        group = self.group(_Harness(circ, outputs, t_decode=1))
+        harness = _Harness(circ, outputs, t_decode=1)
+        group = self.group(harness)
         nm = NoiseModel(1e-4, 0.0, 1)
+
+        def pairs():
+            configs = _pair_configs(harness)
+            assert enumerate_pair_faults(circ, outputs).total == len(configs)
+            return configs
+
         # each enumerator builds one harness, whose noiseless check is one call
         for run in (
-            lambda: len(enumerate_single_faults(circ, outputs, sites="all").entries),
-            lambda: enumerate_pair_faults(circ, outputs).total,
-            lambda: len(first_order_oracle(circ, outputs, nm).table.entries),
+            lambda: _table_configs(enumerate_single_faults(circ, outputs, sites="all")),
+            pairs,
+            lambda: _table_configs(first_order_oracle(circ, outputs, nm).table),
         ):
             kernel_calls.clear()
             configs = run()
-            assert configs > 0
-            assert len(kernel_calls) == 1 + math.ceil(configs / group)
+            classes = len(harness.fault_classes(_fault_arrays(configs), len(configs))[0])
+            assert 0 < classes <= len(configs)
+            assert len(kernel_calls) == 1 + math.ceil(classes / group)
+            assert sum(kernel_calls[1:]) == classes
 
     def test_one_t_site_has_no_pairs(self, kernel_calls):
         gates = (
@@ -656,6 +691,135 @@ class TestBatchedEnumeration:
         circ, outputs = compiled_ccz()
         acc, infid = _Harness(circ, outputs).run_exact([])
         assert acc.shape == infid.shape == (0,)
+
+
+class TestFaultClasses:
+    """`run_exact` runs one row per class of configurations with equal Pauli
+    frames. For every enumeration on the bundled circuits and their
+    gadgetized forms: its classification counts, the same as with one row
+    per configuration; its number of classes; and the values of each
+    class's first member and of one random member against the per-position
+    reference. Gadgetized cs and t15 outgrow `reference_exact` (256 branches
+    of 12 qubits, and 15 qubits), so they use `reference_deferred_exact`."""
+
+    # (detected, harmless, harmful) of each enumeration, and its number of
+    # classes; first order at t_decode 0, 1 and 2
+    expected = {
+        "ccz": {
+            "tprep": ((8, 0, 0), 8), "all": ((34, 15, 47), 53), "pairs": ((0, 0, 28), 7),
+            "fo0": ((16, 2, 39), 37), "fo1": ((16, 2, 39), 37), "fo2": ((16, 2, 39), 37),
+        },
+        "ccz-g": {
+            "tprep": ((8, 0, 0), 8), "all": ((42, 35, 55), 73), "pairs": ((0, 0, 28), 7),
+            "fo0": ((36, 26, 55), 59), "fo1": ((40, 26, 63), 59), "fo2": ((44, 26, 71), 59),
+        },
+        "cs": {
+            "tprep": ((12, 0, 0), 12), "all": ((62, 20, 56), 70), "pairs": ((48, 0, 18), 42),
+            "fo0": ((43, 10, 37), 56), "fo1": ((43, 10, 37), 56), "fo2": ((43, 10, 37), 56),
+        },
+        "cs-g": {
+            "tprep": ((12, 0, 0), 12), "all": ((78, 60, 72), 110), "pairs": ((48, 0, 18), 42),
+            "fo0": ((109, 99, 74), 97), "fo1": ((121, 107, 90), 97),
+            "fo2": ((133, 115, 106), 97),
+        },
+        "t15": {
+            "tprep": ((15, 0, 0), 15), "all": ((131, 82, 45), 113), "pairs": ((105, 0, 0), 81),
+            "fo0": ((119, 58, 36), 100), "fo1": ((119, 58, 36), 100),
+            "fo2": ((119, 58, 36), 100),
+        },
+        "t15-g": {
+            "tprep": ((15, 0, 0), 15), "all": ((151, 142, 55), 163),
+            "fo0": ((218, 255, 55), 152),
+        },
+    }
+
+    @staticmethod
+    def enumerate(label, circ, outputs, harness):
+        """(configurations, acceptance, infidelity) of one enumeration."""
+        if label == "pairs":
+            configs = _pair_configs(harness)
+            acc, infid = harness.run_exact(configs)
+            summary = enumerate_pair_faults(circ, outputs)
+            counts = np.bincount(_fault_class(acc, infid), minlength=3).tolist()
+            assert counts == [summary.detected, summary.harmless, summary.harmful]
+            return configs, acc, infid
+        if label.startswith("fo"):
+            table = first_order_oracle(circ, outputs, NoiseModel(1e-4, 0.0, int(label[2:]))).table
+        else:
+            table = enumerate_single_faults(circ, outputs, sites=label)
+        acc = np.array([e.acceptance for e in table.entries])
+        infid = np.array([e.infidelity for e in table.entries])
+        return _table_configs(table), acc, infid
+
+    @pytest.mark.parametrize("name", list(expected))
+    def test_classes_against_reference(self, name):
+        base, gadgetized = name.split("-g")[0], name.endswith("-g")
+        circ, outputs = {"ccz": compiled_ccz, "cs": compiled_cs, "t15": compiled_t15}[base]()
+        if gadgetized:
+            circ = gadgetize(circ)
+        harness = _Harness(circ, outputs)
+        reference = reference_deferred_exact if name in ("cs-g", "t15-g") else reference_exact
+        known: dict[tuple, tuple[float, float]] = {}
+        rng = np.random.default_rng(len(name))
+        for label, (counts, classes) in self.expected[name].items():
+            configs, acc, infid = self.enumerate(label, circ, outputs, harness)
+            assert tuple(np.bincount(_fault_class(acc, infid), minlength=3)) == counts
+            first, klass = harness.fault_classes(_fault_arrays(configs), len(configs))
+            assert len(first) == classes and (klass[first] == np.arange(classes)).all()
+            members = [rng.choice(np.flatnonzero(klass == k)) for k in range(classes)]
+            for i in {*first.tolist(), *members}:
+                key = tuple(configs[i])
+                if key not in known:
+                    known[key] = reference(harness, configs[i])
+                assert (acc[i], infid[i]) == pytest.approx(known[key], rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("name", ["ccz-g", "cs-g"])
+    def test_deferred_reference(self, name):
+        # the deferred-measurement reference against the per-branch one: on
+        # gadgetized ccz every Pauli after every gate, on gadgetized cs
+        # (1 s per branch enumeration) Z on each T site
+        circ, outputs = compiled_ccz() if name == "ccz-g" else compiled_cs()
+        harness = _Harness(gadgetize(circ), outputs)
+        if name == "ccz-g":
+            configs = [
+                [(pos, pauli, q)]
+                for pos, g in enumerate(harness.circuit.gates) for q in g.qubits
+                for pauli in "XYZ"
+            ]
+        else:
+            configs = [[(pos, "Z", q)] for pos, q in harness.tprep_sites()]
+        for faults in configs:
+            assert reference_deferred_exact(harness, faults) == pytest.approx(
+                reference_exact(harness, faults), rel=0, abs=1e-14
+            )
+
+
+def test_exact_analysis_imports_no_sampling_modules():
+    # the exact enumerators and a measurement-free dense simulation, in a
+    # fresh interpreter, leave numpy.ma and numpy.random unimported
+    code = "\n".join([
+        "import sys",
+        "from rotsynth import programs",
+        "from rotsynth.compiler import compile_program",
+        "from rotsynth.faults import (NoiseModel, enumerate_pair_faults,",
+        "    enumerate_single_faults, first_order_oracle, gadgetize)",
+        "from rotsynth.ir import Circuit, Gate, with_x_detection",
+        "from rotsynth.semantics import simulate",
+        "outputs, detectors = programs.DESIGNATIONS['ccz']",
+        "circ = compile_program(programs.load('ccz'), budget=1).circuit",
+        "circ = gadgetize(with_x_detection(circ, detectors))",
+        "enumerate_single_faults(circ, list(outputs), sites='all')",
+        "enumerate_pair_faults(circ, list(outputs))",
+        "first_order_oracle(circ, list(outputs), NoiseModel(1e-4, 0.0, 1))",
+        "simulate(Circuit(2, (Gate('PrepPlus', (0,)), Gate('CNOT', (0, 1)))))",
+        "print(sorted(m for m in ('numpy.ma', 'numpy.random') if m in sys.modules))",
+    ])
+    src = os.path.dirname(os.path.dirname(semantics.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.split() == ["[]"]
 
 
 def _fault_sites(c: Circuit) -> list[tuple[int, int]]:

@@ -12,6 +12,7 @@ from rotsynth.compiler import expand_reference
 from rotsynth.semantics import (
     NotDiagonalizableError,
     SimulationError,
+    TrajectoryKernel,
     compose_polynomials,
     enumerate_branches,
     equal_up_to_global_phase,
@@ -376,3 +377,109 @@ class TestDenseAgainstReference:
         for run in (simulate, enumerate_branches):
             with pytest.raises(SimulationError, match="not in circuit"):
                 run(c, {"x": 0})
+
+
+# ---------------------------------------------------------------------------
+# Pauli frames: a fault placed by the kernel against the same fault, and its
+# frame at its stop, as gates in the per-branch reference
+# ---------------------------------------------------------------------------
+
+_FRAME_KINDS = {
+    "X", "Z", "S", "Sdag", "T", "Tdag", "CNOT", "SWAP", "CZ", "CS", "CCZ",
+    "MeasZ", "MeasX", "CondS",
+}
+
+
+def _frame_circuit(seed: int) -> Circuit:
+    """A random fragment circuit on 4 prepared qubits, extended with CZ, S,
+    T, three measurements (a measured qubit is used again) and CondS on
+    their records."""
+    rng = random.Random(seed)
+    n = 4
+    gates = list(random_fragment_circuit(rng, n, 16).gates)
+    extra = ("CZ", "S", "T", "MeasZ", "MeasX", "MeasZ", "CondS", "CondS")
+    for i, kind in enumerate(extra):
+        at = rng.randrange(len(gates) + 1)
+        qubits = tuple(rng.sample(range(n), 2 if kind == "CZ" else 1))
+        if kind.startswith("Meas"):
+            gates.insert(at, Gate(kind, qubits, f"m{i}"))
+        elif kind == "CondS":
+            # after the first measurement, conditioned on one before it
+            first = next(i for i, g in enumerate(gates) if g.kind in ("MeasZ", "MeasX"))
+            at = rng.randrange(first + 1, len(gates) + 1)
+            record = rng.choice([g.record for g in gates[:at] if g.record])
+            gates.insert(at, Gate(kind, qubits, record))
+        else:
+            gates.insert(at, Gate(kind, qubits))
+    preps = tuple(Gate(rng.choice(["PrepPlus", "PrepZero", "PrepT"]), (q,)) for q in range(n))
+    return Circuit(n, preps + tuple(gates))
+
+
+def _with_paulis(c: Circuit, pos: int, paulis) -> Circuit:
+    """c with (pauli, qubit) gates right after gate pos (-1: before the
+    first); Y goes in as Z then X."""
+    extra = tuple(
+        Gate(kind, (q,)) for pauli, q in paulis for kind in {"X": "X", "Y": "ZX", "Z": "Z"}[pauli]
+    )
+    return Circuit(c.n, c.gates[: pos + 1] + extra + c.gates[pos + 1 :])
+
+
+def _assert_same_branches(got, want):
+    """Equal branch lists, each state up to its own global phase."""
+    assert [b.outcomes for b in got] == [b.outcomes for b in want]
+    for g, w in zip(got, want):
+        assert abs(g.acceptance - w.acceptance) <= 1e-12
+        assert equal_up_to_global_phase(g.state, w.state, 1e-12)
+
+
+class TestPauliFrames:
+    """A Pauli inserted before a gate goes into the kernel as its frame at
+    its stop (`TrajectoryKernel.frames`). Both are checked against the
+    per-branch reference with the Paulis as gates: the frame at its stop
+    has the fault's effect on every branch, and the kernel's branches equal
+    the reference's, each up to a global phase."""
+
+    seeds = range(6)
+
+    def test_every_gate_kind_drawn(self):
+        kinds = {g.kind for seed in self.seeds for g in _frame_circuit(seed).gates}
+        assert kinds - semantics.PREP_KINDS == _FRAME_KINDS
+
+    @pytest.mark.parametrize("seed", seeds)
+    def test_fault_before_each_gate(self, seed):
+        c = _frame_circuit(seed)
+        kernel = TrajectoryKernel(c, range(c.n))
+        nan = np.full((1, len(c.records())), np.nan)
+        to_qubits = kernel.permutation(range(c.n))
+        for g_pos, g in enumerate(c.gates):
+            if g.kind in semantics.PREP_KINDS:
+                continue
+            for q in g.qubits:
+                for pauli in range(3):
+                    fault = _with_paulis(c, g_pos - 1, [("XYZ"[pauli], q)])
+                    want = reference_branches(fault)
+                    # the frame at its stop, as gates: stop 2p is before gate p
+                    insertion = tuple(np.array([v]) for v in (0, g_pos - 1, pauli, q))
+                    _, stop, x, z = kernel.frames(*insertion)
+                    assert len(stop) <= 1 and (stop % 2 == 0).all()
+                    frame = reference_branches(c)
+                    if len(stop):
+                        layout = kernel.layout(stop[0])
+                        bits = [1 << (len(layout) - 1 - a) for a in range(len(layout))]
+                        paulis = [
+                            ("IZXY"[bool(x[0] & b) * 2 + bool(z[0] & b)], layout[a])
+                            for a, b in enumerate(bits)
+                        ]
+                        paulis = [(p, qubit) for p, qubit in paulis if p != "I"]
+                        frame = reference_branches(_with_paulis(c, stop[0] // 2 - 1, paulis))
+                    _assert_same_branches(frame, want)
+                    # the kernel's branches, fault placed by the kernel
+                    alive, weight, states, outcomes = kernel.run(nan, None, insertion)
+                    got = [
+                        semantics.SimResult(
+                            states[i, to_qubits], float(weight[i]),
+                            {r: int(o[i]) for r, o in outcomes.items()}, True,
+                        )
+                        for i in range(len(alive))
+                    ]
+                    _assert_same_branches(got, want)
