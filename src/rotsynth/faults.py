@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ir import Circuit, Gate, MEAS_KINDS, PREP_KINDS, T_LIKE_KINDS
-from .semantics import MAX_DENSE_QUBITS, TrajectoryKernel
+from .semantics import TrajectoryKernel
 
 HARMFUL_INFIDELITY = 1e-9
 DETECTED_ACCEPTANCE = 1e-12
@@ -367,19 +367,20 @@ class _Harness:
         "XYZ", qubit), as `run_sampled` takes them. A configuration's key is
         its Pauli frames (`TrajectoryKernel.frames`), one (stop, X mask, Z
         mask) per stop where their product is not the identity; the
-        configurations without one share the fault-free class."""
-        row, stop, x, z = self.kernel.frames(*faults)
-        key = (stop << 2 * MAX_DENSE_QUBITS) | (x << MAX_DENSE_QUBITS) | z
-        count = np.bincount(row, minlength=n_configs)
-        keys = np.full((n_configs, count.max(initial=0)), -1, dtype=np.int64)
-        keys[row, np.arange(len(row)) - (count.cumsum() - count)[row]] = key
-        order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(n_configs)
-        ranked = keys[order]
-        new = np.ones(n_configs, dtype=bool)
-        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        configurations without one share the fault-free class. Classes are
+        numbered in the order of their first configuration."""
+        keys: list[list[tuple[int, int, int]]] = [[] for _ in range(n_configs)]
+        for r, *frame in zip(*(a.tolist() for a in self.kernel.frames(*faults))):
+            keys[r].append(tuple(frame))
+        classes: dict[tuple, int] = {}
+        first = []
         klass = np.empty(n_configs, dtype=np.int64)
-        klass[order] = new.cumsum() - 1
-        return order[new], klass
+        for i, key in enumerate(map(tuple, keys)):
+            if key not in classes:
+                classes[key] = len(first)
+                first.append(i)
+            klass[i] = classes[key]
+        return np.array(first, dtype=np.int64), klass
 
     def run_sampled(
         self, faults: tuple[np.ndarray, ...], uniforms: np.ndarray
