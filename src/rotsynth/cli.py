@@ -240,9 +240,12 @@ def cmd_sweep(args) -> int:
     pls = _number_list(args.pl, float, "--pl")
     rs_ = _number_list(args.r, float, "--r")
     try:
-        shots = int(float(args.shots))
-    except (ValueError, OverflowError):
+        shots = float(args.shots)   # a whole number, also written as 2e3
+    except ValueError:
         raise UsageError(f"--shots: expected a number, got {args.shots!r}") from None
+    if not shots.is_integer():
+        raise UsageError(f"--shots: expected a whole number, got {args.shots!r}")
+    shots = int(shots)
     harness = _Harness(circuit, outputs, args.tdecode)
     rows = []
     for p_l in pls:

@@ -391,7 +391,7 @@ class _Harness:
         `faults` holds four equal-length integer arrays (row, gate position,
         Pauli index into "XYZ", qubit); each entry inserts that Pauli after
         that gate (position -1: before the first) in that row's trajectory,
-        where `TrajectoryKernel.run` places it as its Pauli frame.
+        as its Pauli frame (`TrajectoryKernel.frames`).
         Row i consumes uniforms[i], one value per measurement in circuit
         order, as `TrajectoryKernel.run` does: a number in [0, 1) draws the
         outcome, NaN branches on it. Returns (row, weight, infidelity) of
@@ -400,27 +400,43 @@ class _Harness:
         that drew them all). A row that can branch may yield 2^k of them, k
         the number of injection measurements, so rows run on the kernel in
         chunks of max(1, chunk rows // 2^k); rows that cannot branch go
-        `chunk_rows` at a time.
+        `chunk_rows` at a time. Where the rows fill more than one chunk of
+        several rows, they go into chunks in the order of their earliest
+        frame stop, so that the rows of a chunk share as much of the run
+        before their stops as they can (see `TrajectoryKernel.run`).
         """
-        row, pos, pauli, qubit = (np.asarray(a, dtype=np.int64) for a in faults)
-        order = np.argsort(row, kind="stable")
-        row, pos, pauli, qubit = row[order], pos[order], pauli[order], qubit[order]
+        row, stop, x, z = self.kernel.frames(*faults)
         chunk = self.kernel.chunk_rows
         if np.isnan(uniforms).any():
             chunk = max(1, chunk >> len(self.injection))
+        by_stop = np.arange(len(uniforms))   # the row in each place
+        if 1 < chunk < len(uniforms):
+            earliest = np.full(len(uniforms), np.iinfo(np.int64).max)
+            first = np.ones(len(row), dtype=bool)   # frames go by row, then stop
+            first[1:] = row[1:] != row[:-1]
+            earliest[row[first]] = stop[first]
+            by_stop = np.argsort(earliest, kind="stable")
+            uniforms = uniforms[by_stop]
+            place = np.empty_like(by_stop)
+            place[by_stop] = np.arange(len(by_stop))
+            row = place[row]
+            order = np.argsort(row, kind="stable")
+            row, stop, x, z = row[order], stop[order], x[order], z[order]
         out = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
         for lo in range(0, len(uniforms), chunk):
             hi = min(lo + chunk, len(uniforms))
             a, b = np.searchsorted(row, (lo, hi))
             alive, weight, states, _ = self.kernel.run(
-                uniforms[lo:hi], self.reference, (row[a:b] - lo, pos[a:b], pauli[a:b], qubit[a:b])
+                uniforms[lo:hi], self.reference, (row[a:b] - lo, stop[a:b], x[a:b], z[a:b])
             )
             if not len(alive):
                 continue
             mat = states[:, self._out_perm].reshape(len(alive), 1 << len(self.outputs), -1)
             vec = np.matmul(self.ideal_out.conj(), mat)
-            out.append((lo + alive, weight, 1.0 - np.sum(vec.real**2 + vec.imag**2, axis=1)))
-        return tuple(np.concatenate(part) for part in zip(*out))
+            out.append((by_stop[lo + alive], weight, 1.0 - np.sum(vec.real**2 + vec.imag**2, axis=1)))
+        row, weight, infidelity = (np.concatenate(part) for part in zip(*out))
+        order = np.argsort(row, kind="stable")   # a row's branches stay in their order
+        return row[order], weight[order], infidelity[order]
 
     # -- fault sites -------------------------------------------------------
 
@@ -699,12 +715,109 @@ def monte_carlo_infidelity(
 
 
 _BATCH = 1 << 16  # shots per Monte Carlo batch; it sets the sample stream
-_DRAW_ROWS = 4096  # shots per chunk of each Monte Carlo draw
+_DRAW_ROWS = 2048  # shots per chunk of each Monte Carlo draw
+_LOW = np.uint64(0xFFFFFFFF)
+_HIGH = np.uint64(32)
+
+
+def _fired(bitgen, p: float, shots: int, sites: int) -> np.ndarray:
+    """Flat indices (shot * sites + site), ascending, of the entries of
+    `rng.random((shots, sites))` below p, drawn from the same raw 64-bit
+    words: random() is (raw >> 11) * 2^-53, so it is below p exactly where
+    raw is below ceil(p * 2^53) << 11."""
+    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+    total, step = shots * sites, _DRAW_ROWS * sites
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        np.flatnonzero(bitgen.random_raw(min(step, total - a)) < threshold) + a
+        for a in range(0, total, step or 1)
+    ])
+
+
+def _zero_word(raw: np.ndarray) -> bool:
+    """A 32-bit half of some raw word is 0. `integers(0, 3)` maps a word w to
+    (3 w) >> 32 by Lemire's method, which rejects w, and draws another word,
+    exactly where (3 w) mod 2^32 < (2^32 - 3) mod 3 = 1: where w = 0. (The
+    order of the halves in a 32-bit view does not matter here.)"""
+    return bool(raw.view(np.uint32).min() == 0)
+
+
+def _picks(rng, fired: np.ndarray, words: int, sites: int) -> np.ndarray:
+    """The entries at the flat indices `fired` (ascending) of
+    `rng.integers(0, 3, size=words)`, leaving `rng` as that call would.
+
+    That call takes one 32-bit word per entry: PCG64's buffered half first,
+    if it holds one, then both halves of each raw 64-bit word, low half
+    first, and it buffers a last high half that it does not use. Only the
+    raw words are drawn here, in chunks, and only the fired entries' words
+    are kept. Where a word is 0, `integers` would have rejected it (see
+    `_zero_word`): then the state before the call is restored and the
+    entries are drawn by `integers` itself."""
+    if not words:
+        return np.zeros(0, dtype=np.int64)
+    bitgen = rng.bit_generator
+    before = bitgen.state
+    buffered = before["has_uint32"]
+    half = fired - buffered          # -1: the buffered half
+    raw_of, high = half >> 1, (half & 1).astype(bool)
+    word = np.zeros(len(fired), dtype=np.uint64)
+    if buffered and len(fired) and fired[0] == 0:
+        word[0] = before["uinteger"]
+    rejected = buffered and before["uinteger"] == 0
+    n_raw, step = (words - buffered + 1) // 2, _DRAW_ROWS * sites
+    raw = None
+    for a in range(0, n_raw, step):
+        raw = bitgen.random_raw(min(step, n_raw - a))
+        rejected = rejected or _zero_word(raw)
+        lo, hi = raw_of.searchsorted((a, a + len(raw)))
+        got = raw[raw_of[lo:hi] - a]
+        word[lo:hi] = np.where(high[lo:hi], got >> _HIGH, got & _LOW)
+    if rejected:
+        bitgen.state = before
+        picks = np.zeros(len(fired), dtype=np.int64)
+        for a in range(0, words, step):
+            drawn = rng.integers(0, 3, size=min(step, words - a))
+            lo, hi = fired.searchsorted((a, a + len(drawn)))
+            picks[lo:hi] = drawn[fired[lo:hi] - a]
+        return picks
+    after = bitgen.state
+    after["has_uint32"] = (words - buffered) % 2
+    if raw is not None:
+        after["uinteger"] = int(raw[-1] >> _HIGH)
+    bitgen.state = after
+    return ((word * np.uint64(3)) >> _HIGH).astype(np.int64)
+
+
+def _draw_batch(rng, b: int, nm: NoiseModel, n_prep: int, n_depol: int, n_meas: int):
+    """One batch's draws: (fired |T> preparation sites and fired
+    depolarizing sites, as flat indices shot * sites + site; the Pauli pick
+    of each fired depolarizing site; the faulty shots, ascending; their
+    uniforms).
+
+    They are the values, and leave `rng` in the state, of these calls in
+    this order: rng.random((b, n_prep)) < p_t, rng.random((b, n_depol)) <
+    p_l, rng.integers(0, 3, size=(b, n_depol)) and rng.random((b, n_meas)).
+    The masks and the picks are drawn as raw words (`_fired`, `_picks`), so
+    only the fired sites are kept, and only the faulty shots' uniforms. Each
+    draw goes in chunks of `_DRAW_ROWS` shots."""
+    prep = _fired(rng.bit_generator, nm.p_t, b, n_prep)
+    depol = _fired(rng.bit_generator, nm.p_l, b, n_depol)
+    picks = _picks(rng, depol, b * n_depol, n_depol)
+    faulty = np.union1d(prep // max(n_prep, 1), depol // max(n_depol, 1))
+    uniforms = [np.zeros((0, n_meas))]
+    for s in range(0, b, _DRAW_ROWS):
+        drawn = rng.random((min(_DRAW_ROWS, b - s), n_meas))
+        lo, hi = faulty.searchsorted((s, s + _DRAW_ROWS))
+        uniforms.append(drawn[faulty[lo:hi] - s])
+    return prep, depol, picks, faulty, np.concatenate(uniforms)
 
 
 def _monte_carlo(harness: _Harness, nm: NoiseModel, shots: int, seed: int) -> AnalysisReport:
     """`monte_carlo_infidelity` on a harness built with nm.t_decode; a sweep
-    over p_L and p_T builds its harness once."""
+    over p_L and p_T builds its harness once. The shots go in batches of
+    `_BATCH`, each drawn by `_draw_batch` from numpy.random.default_rng(seed):
+    a site fires where its value is below its rate, a fired depolarizing
+    site takes X, Y or Z by its pick, and a faulty shot draws its
+    measurement outcomes from its uniforms."""
     if shots < 1:
         raise FaultAnalysisError("needs at least one shot")
     c = harness.circuit
@@ -714,7 +827,7 @@ def _monte_carlo(harness: _Harness, nm: NoiseModel, shots: int, seed: int) -> An
         dtype=np.int64,
     ).reshape(-1, 2)
     depol_sites = np.array(harness.depolarizing_sites(), dtype=np.int64).reshape(-1, 3)
-    n_meas = len(harness.meas_order)
+    n_prep, n_depol = len(prep_sites), len(depol_sites)
     rng = np.random.default_rng(seed)
 
     accepted = 0
@@ -724,27 +837,18 @@ def _monte_carlo(harness: _Harness, nm: NoiseModel, shots: int, seed: int) -> An
     done = 0
     while done < shots:
         b = min(_BATCH, shots - done)
-        # each draw is made in consecutive row chunks, which gives the values
-        # of one whole-batch draw, so no (b, sites) float or int temporary
-        # exists; of the Pauli picks only those at fired sites are kept
-        chunks = [(s, min(_DRAW_ROWS, b - s)) for s in range(0, b, _DRAW_ROWS)]
-        prep_mask = np.concatenate([rng.random((k, len(prep_sites))) < nm.p_t for _, k in chunks])
-        depol_mask = np.concatenate([rng.random((k, len(depol_sites))) < nm.p_l for _, k in chunks])
-        picks = np.concatenate([
-            rng.integers(0, 3, size=(k, len(depol_sites)))[depol_mask[s : s + k]] for s, k in chunks
-        ])
-        fired = prep_mask.any(axis=1) | depol_mask.any(axis=1)
-        uniforms = np.concatenate([rng.random((k, n_meas))[fired[s : s + k]] for s, k in chunks])
-        faulty = np.nonzero(fired)[0]
+        prep, depol, picks, faulty, uniforms = _draw_batch(
+            rng, b, nm, n_prep, n_depol, len(harness.meas_order)
+        )
+        prep_shot, prep_col = np.divmod(prep, max(n_prep, 1))
+        depol_shot, depol_col = np.divmod(depol, max(n_depol, 1))
         n_faulty += len(faulty)
         accepted += b - len(faulty)  # clean shots pass with zero infidelity
-        prep_row, prep_col = np.nonzero(prep_mask[faulty])
-        depol_row, depol_col = np.nonzero(depol_mask[faulty])
         row, _, infid = harness.run_sampled(
             (
-                np.concatenate([prep_row, depol_row]),
+                faulty.searchsorted(np.concatenate([prep_shot, depol_shot])),
                 np.concatenate([prep_sites[prep_col, 0], depol_sites[depol_col, 1]]),
-                np.concatenate([np.full(len(prep_row), 2), picks]),  # Z at |T> sites
+                np.concatenate([np.full(len(prep), 2), picks]),  # Z at |T> sites
                 np.concatenate([prep_sites[prep_col, 1], depol_sites[depol_col, 2]]),
             ),
             uniforms,
@@ -756,9 +860,6 @@ def _monte_carlo(harness: _Harness, nm: NoiseModel, shots: int, seed: int) -> An
         total += float(per_shot.sum())
         total_sq += float(np.dot(per_shot, per_shot))
         done += b
-        # free this batch's draws before the next batch makes its own, so the
-        # peak holds one batch of them, not two
-        del prep_mask, depol_mask, picks, uniforms, faulty
 
     if accepted == 0:
         return AnalysisReport(

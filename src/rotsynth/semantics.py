@@ -17,7 +17,7 @@ branches on every measurement, and `unitary_of` composes the gates'
 monomials at full width; the fault analyzer runs its faulty trajectories
 and its exact branch sums on the same kernel. A Pauli fault enters the
 kernel as its Pauli frame: carried forward through the gates it passes, and
-applied at the first gate that stops it (see `TrajectoryKernel.run`).
+applied at the first gate that stops it (see `TrajectoryKernel.frames`).
 
 Basis convention: basis index bit q is qubit q (support strings read left
 to right); dense states are ndarrays of shape (2,)*n with axis q = qubit q.
@@ -240,7 +240,7 @@ _DIAG_PHASES = {
         ("CZ", -1.0), ("CS", 1j), ("CCZ", -1.0),
     ]
 }
-_NO_INSERTIONS = (np.zeros(0, dtype=np.int64),) * 4
+_NO_FRAMES = (np.zeros(0, dtype=np.int64),) * 4
 # (-1)^(number of set bits) of every flat index of the widest layout
 _PARITY_SIGN = np.ones(1)
 for _ in range(MAX_DENSE_QUBITS):
@@ -394,7 +394,7 @@ class TrajectoryKernel:
         axes += [a for a in range(len(final)) if a not in axes]
         return _INDEX[len(final)].reshape((2,) * len(final)).transpose(axes).reshape(-1)
 
-    def run(self, uniforms, postselect: dict[str, int] | None = None, insertions=_NO_INSERTIONS):
+    def run(self, uniforms, postselect: dict[str, int] | None = None, frames=_NO_FRAMES):
         """Rows through the whole circuit, one per row of `uniforms`.
 
         Row i consumes uniforms[i], one value per measurement in circuit
@@ -405,48 +405,54 @@ class TrajectoryKernel:
         row is dropped when its outcome has probability below 1e-14 or
         differs from the one `postselect` names for its record.
 
-        `insertions` (optional) holds four equal-length integer arrays (row,
-        gate position, Pauli index into "XYZ", qubit); each inserts that
-        Pauli on that qubit right after that gate (position -1: before the
-        first gate), in every branch of that row. A Pauli before the qubit's
-        preparation (which resets it), at or after the measurement that
-        drops its axis, or on a qubit that never gets an axis has no effect.
-        Any other goes in as its Pauli frame (see `frames`), up to a sign
-        that may differ between the branches of a row: a global phase of
-        each state row.
+        `frames` (optional) holds Pauli frames as `frames` returns them for
+        the faults of these rows: (row, stop, X mask, Z mask), sorted by row
+        and then stop. Each acts on every branch of its row after its stop,
+        up to a sign that may differ between the branches of a row: a
+        global phase of each state row.
 
         Returns (input row of each surviving state row, in ascending order;
         their weights; their final states in the final layout; their
         outcomes by record). Each run of half-steps between break points
         (measurements, CondS, the stops of the frames) is one cached gather
         and multiply; dropped rows leave the array at once.
+
+        State rows share states. Until its first stop a row's state depends
+        only on its outcomes so far, so the half-steps act on one state per
+        distinct outcome history: at a measurement a drawn row takes the
+        history that its uniform selects against that state's
+        probabilities, a NaN row every branch, and the rows of one state
+        that take one outcome share the new state (`_measure_rows`). At its
+        first stop a row takes a state of its own (`_fork`).
         """
         postselect = postselect or {}
         gates = self.circuit.gates
-        row, stop, x, z = self.frames(*insertions)
+        row, stop, x, z = frames
         order = np.argsort(stop, kind="stable")   # by stop, rows ascending in each
         row, stop, x, z = row[order], stop[order], x[order], z[order]
-        firsts = np.flatnonzero(np.diff(stop, prepend=-1))
+        head = np.ones(len(stop), dtype=bool)
+        head[1:] = stop[1:] != stop[:-1]
+        firsts = np.flatnonzero(head)
         stops = stop[firsts]
         bounds = np.append(firsts, len(stop))
 
         alive = np.arange(len(uniforms))     # input row of each state row
+        of = np.zeros(len(uniforms), dtype=np.intp)   # its state; None: row i holds state i
         hit, which, hit_bounds = _spread(alive, row, bounds)
         weight = np.ones(len(uniforms))
-        outcomes: dict[str, np.ndarray] = {}
-        # every row starts from the empty state, so the run up to the first
-        # break point is applied once and broadcast
+        outcomes: dict[str, np.ndarray] = {}   # of each state, by record
         last = self._run_end[0]
         if len(stops):
             last = min(last, stops[0])
         states = self._apply_run(np.ones((1, 1), dtype=np.complex128), 0, last)
-        states = np.repeat(states, len(uniforms), axis=0)
         k = 0
         while True:
             if k < len(stops) and stops[k] == last:
                 group = slice(hit_bounds[k], hit_bounds[k + 1])
                 w = which[group]
-                _apply_paulis(states, hit[group], x[w], z[w])
+                states, of, origin = _fork(states, of, hit[group], x[w], z[w])
+                if origin is not None:
+                    outcomes = {r: o[origin] for r, o in outcomes.items()}
                 k += 1
             h = last + 1
             if h == len(self._live) or not len(alive):
@@ -456,34 +462,43 @@ class TrajectoryKernel:
             kind = g.kind if g else None
             if kind in MEAS_KINDS:
                 i = self._qubits.searchsorted(g.qubits[0])
-                states, parent, outcome, factor = _measure_rows(
-                    states, kind, self._axis[h - 1, self._col[i]], self._dies[i] == h // 2,
+                states, origin, outcome, of, parent, factor = _measure_rows(
+                    states, of, kind, self._axis[h - 1, self._col[i]], self._dies[i] == h // 2,
                     uniforms[alive, self._meas_col[h // 2]], postselect.get(g.record),
                 )
                 weight = weight[parent] * factor
+                outcomes = {r: o[origin] for r, o in outcomes.items()}
+                outcomes[g.record] = outcome
                 if not np.array_equal(parent, np.arange(len(alive))):  # rows split or dropped
                     alive = alive[parent]
-                    outcomes = {r: o[parent] for r, o in outcomes.items()}
                     hit, which, hit_bounds = _spread(alive, row, bounds)
-                outcomes[g.record] = outcome
             elif kind == "CondS":
                 flip = outcomes[g.record]
                 axis = self._axis[h, self._col[self._qubits.searchsorted(g.qubits[0])]]
-                states.reshape(len(alive), 1 << axis, 2, -1)[flip, :, 1] *= _DIAG_PHASES["S"][1]
+                states.reshape(len(states), 1 << axis, 2, -1)[flip, :, 1] *= _DIAG_PHASES["S"][1]
             else:
                 last = self._run_end[h]
                 if k < len(stops):
                     last = min(last, stops[k])
                 states = self._apply_run(states, h, last)
+        if of is not None:
+            states, outcomes = states[of], {r: o[of] for r, o in outcomes.items()}
         return alive, weight, states, outcomes
 
     def frames(self, row, pos, pauli, qubit):
-        """The Pauli frames of insertions given as in `run`, combined per
-        row and stop: (row, stop, X mask, Z mask), sorted by row and then
-        stop, without the identity. Their product at stop h is X^x Z^z after
-        half-step h, the masks over the flat index bits of the layout there.
+        """The Pauli frames of inserted Paulis, combined per row and stop,
+        as `run` takes them: (row, stop, X mask, Z mask), sorted by row and
+        then stop, without the identity. Their product at stop h is X^x Z^z
+        after half-step h, the masks over the flat index bits of the layout
+        there.
 
-        An inserted Pauli is carried forward from the first gate that it
+        The insertions are four equal-length integer arrays (row, gate
+        position, Pauli index into "XYZ", qubit); each inserts that Pauli
+        on that qubit right after that gate (position -1: before the first
+        gate). A Pauli before the qubit's preparation (which resets it), at
+        or after the measurement that drops its axis, or on a qubit that
+        never gets an axis has no effect. Any other is carried forward from
+        the first gate that it
         meets. X, Z, CNOT, SWAP, CZ, S and Sdag conjugate it; its Z part
         passes T, Tdag, CS, CCZ and CondS; a measurement drops the part that
         commutes with it. It stops at half-step 2g, before gate g, where g is
@@ -494,7 +509,7 @@ class TrajectoryKernel:
         """
         row, pos, pauli, qubit = (np.asarray(a, dtype=np.int64) for a in (row, pos, pauli, qubit))
         if not len(row):
-            return _NO_INSERTIONS
+            return _NO_FRAMES
         slot = np.minimum(self._qubits.searchsorted(qubit), len(self._qubits) - 1)
         kept = (self._qubits[slot] == qubit) & self._acts(slot, pos)
         touches, table_stop, table_x, table_z = self._frame_table
@@ -503,7 +518,9 @@ class TrajectoryKernel:
         row, stop, x, z = row[kept], table_stop[i], table_x[i], table_z[i]
         order = np.lexsort((stop, row))
         row, stop, x, z = row[order], stop[order], x[order], z[order]
-        firsts = np.flatnonzero((np.diff(row, prepend=-1) != 0) | (np.diff(stop, prepend=-1) != 0))
+        head = np.ones(len(row), dtype=bool)   # the first Pauli of each row and stop
+        head[1:] = (row[1:] != row[:-1]) | (stop[1:] != stop[:-1])
+        firsts = np.flatnonzero(head)
         if len(firsts):
             row, stop = row[firsts], stop[firsts]
             x, z = np.bitwise_xor.reduceat(x, firsts), np.bitwise_xor.reduceat(z, firsts)
@@ -616,10 +633,10 @@ class TrajectoryKernel:
 
 
 def _spread(alive, row, bounds):
-    """Insertions on state rows: each insertion applies to every state row
-    of its input row (`alive`, ascending, holds the input row of each state
-    row). Returns (state row, insertion) of each hit, and the hits of each
-    group of insertions that `bounds` delimits."""
+    """Frames on state rows: each frame applies to every state row of its
+    input row (`alive`, ascending, holds the input row of each state row).
+    Returns (state row, frame) of each hit, and the hits of each group of
+    frames that `bounds` delimits."""
     lo = alive.searchsorted(row)
     count = alive.searchsorted(row, side="right") - lo
     which = np.arange(len(row)).repeat(count)
@@ -627,11 +644,31 @@ def _spread(alive, row, bounds):
     return hit, which, which.searchsorted(bounds)
 
 
-def _apply_paulis(states, rows, x, z):
-    """X^x Z^z on rows of a (rows x 2^k) state array, in place: one gather
-    and one sign per row, x and z masks over the flat index bits."""
-    src = _INDEX[states.shape[1].bit_length() - 1] ^ x[:, None]
-    states[rows] = states[rows[:, None], src] * _PARITY_SIGN[src & z[:, None]]
+def _fork(states, of, rows, x, z):
+    """X^x Z^z on the state of each state row in `rows`, x and z masks over
+    the flat index bits; `of` maps state rows to the states they hold (None:
+    row i holds state i). Where each of these rows alone holds its state,
+    the states change in place. Otherwise each row gets a new state, in the
+    slot of a state that no row holds any more or else at the end; a state
+    left without rows is dropped at the next measurement. Returns (states,
+    of, the old state of each slot's state, or None where none moved)."""
+    src = rows if of is None else of[rows]
+    moved = _INDEX[states.shape[1].bit_length() - 1] ^ x[:, None]
+    forked = states[src[:, None], moved] * _PARITY_SIGN[moved & z[:, None]]
+    held = None if of is None else np.bincount(of, minlength=len(states))
+    if held is None or (held[src] == 1).all():
+        states[src] = forked
+        return states, of, None
+    free = np.flatnonzero(np.bincount(src, minlength=len(states)) == held)[: len(rows)]
+    grow = len(rows) - len(free)
+    slot = np.concatenate([free, len(states) + np.arange(grow)])
+    origin = np.arange(len(states) + grow)
+    origin[slot] = src
+    if grow:
+        states = np.concatenate([states, np.empty((grow, states.shape[1]), states.dtype)])
+    states[slot] = forked
+    of[rows] = slot
+    return states, of, origin
 
 
 def _sum_sq(a: np.ndarray) -> np.ndarray:
@@ -640,20 +677,23 @@ def _sum_sq(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", f, f)
 
 
-def _measure_rows(states, kind: str, axis: int, drop: bool, uniforms: np.ndarray, expected):
-    """Measure the qubit at `axis` on every row of a (rows x 2^k) state
-    array. A row whose uniform is NaN becomes two children, outcome 0 then
-    1; any other row one child, outcome 1 where its uniform is below that
-    outcome's probability. A child is dropped when its outcome has
-    probability below 1e-14 or differs from `expected` (None: any). With
-    `drop` each child keeps only the measured slice (width k-1), else it is
-    projected at full width. Returns (children's states, the row each child
-    comes from, their outcomes, their weight factors: the outcome's
-    probability for a branch, 1 for a drawn outcome)."""
-    rows, width = states.shape
-    view = states.reshape(rows, 1 << axis, 2, -1)
+def _measure_rows(states, of, kind: str, axis: int, drop: bool, uniforms: np.ndarray, expected):
+    """Measure the qubit at `axis` on state rows that share the states of a
+    (states x 2^k) array: row i holds states[of[i]] (states[i] where `of` is
+    None) and consumes uniforms[i]. A row whose uniform is NaN becomes two
+    children, outcome 0 then 1; any other row one child, outcome 1 where its
+    uniform is below that outcome's probability. A child is dropped when its
+    outcome has probability below 1e-14 or differs from `expected` (None:
+    any). The children of one state with one outcome share one new state:
+    with `drop` it keeps only the measured slice (width k-1), else it is
+    projected at full width. Returns (the new states; the old state and the
+    outcome of each; the new state of each child, None where child i holds
+    state i; the row each child comes from; its weight factor: the
+    outcome's probability for a branch, 1 for a drawn outcome)."""
+    n, width = states.shape
+    view = states.reshape(n, 1 << axis, 2, -1)
     if kind == "MeasZ":
-        fv = states.view(np.float64).reshape(rows, 1 << axis, 2, -1)
+        fv = states.view(np.float64).reshape(n, 1 << axis, 2, -1)
         p0 = np.einsum("ijk,ijk->i", fv[:, :, 0], fv[:, :, 0])
         p1 = np.einsum("ijk,ijk->i", fv[:, :, 1], fv[:, :, 1])
     else:  # MeasX, outcome 0 = |+>; p = |a0 +- a1|^2 / 2
@@ -662,39 +702,59 @@ def _measure_rows(states, kind: str, axis: int, drop: bool, uniforms: np.ndarray
         p0 = _sum_sq(plus) / 2.0
         p1 = _sum_sq(minus) / 2.0
     split = np.isnan(uniforms)
-    parent = np.arange(rows)
-    outcome = uniforms < p1   # NaN compares False: a split row's first child
-    if split.any():  # and its second child, outcome 1, right after it
+    parent = np.arange(len(uniforms))
+    state = parent if of is None else of
+    # NaN compares False: a split row's first child; its second, outcome 1,
+    # goes right after it
+    outcome = uniforms < (p1 if of is None else p1[of])
+    if split.any():
         parent = parent.repeat(1 + split)
         outcome = outcome.repeat(1 + split)
         outcome[(1 + split).cumsum()[split] - 1] = True
-        p0, p1, split = p0[parent], p1[parent], split[parent]
-    prob = np.where(outcome, p1, p0)
+        state, split = state[parent], split[parent]
+    prob = np.where(outcome, p1[state], p0[state])
     keep = prob >= 1e-14
     if expected is not None:
         keep &= outcome == expected
     if not keep.all():
-        parent, outcome, prob, split = parent[keep], outcome[keep], prob[keep], split[keep]
+        parent, state, outcome, prob, split = (
+            a[keep] for a in (parent, state, outcome, prob, split)
+        )
     factor = np.where(split, prob, 1.0)
-    children = len(parent)
+    if of is not None:   # the children of one state with one outcome share a state
+        pair = 2 * state + outcome
+        of = None
+        if not (pair[1:] > pair[:-1]).all():
+            taken = np.zeros(2 * n, dtype=bool)
+            taken[pair] = True
+            of = (np.cumsum(taken) - 1)[pair]
+            pair = np.flatnonzero(taken)
+            state, outcome = pair >> 1, (pair & 1).astype(bool)
+            prob = np.where(outcome, p1[state], p0[state])
+    new = len(state)
     if kind == "MeasZ":
         inv = 1.0 / np.sqrt(np.maximum(prob, 1e-300))
         if drop:
-            states = view[parent, :, outcome.astype(np.intp)] * inv[:, None, None]
+            states = view[state, :, outcome.astype(np.intp)] * inv[:, None, None]
         else:
-            scale = np.zeros((children, 2))
-            scale[np.arange(children), outcome.astype(np.intp)] = inv
-            states = states[parent]
-            view = states.reshape(children, 1 << axis, 2, width >> axis + 1)
+            scale = np.zeros((new, 2))
+            scale[np.arange(new), outcome.astype(np.intp)] = inv
+            states = states[state]
+            view = states.reshape(new, 1 << axis, 2, width >> axis + 1)
             view *= scale[:, None, :, None]
     else:
-        comp = np.where(outcome[:, None, None], minus[parent], plus[parent])
+        comp = plus[state]
+        comp[outcome] = minus[state[outcome]]
         if drop:  # the rest of the state, (a0 +- a1) / sqrt(2 prob)
-            states = comp * (1.0 / np.sqrt(np.maximum(2.0 * prob, 1e-300)))[:, None, None]
+            comp *= (1.0 / np.sqrt(np.maximum(2.0 * prob, 1e-300)))[:, None, None]
+            states = comp
         else:
             comp *= (0.5 / np.sqrt(np.maximum(prob, 1e-300)))[:, None, None]
-            states = np.stack([comp, np.where(outcome[:, None, None], -comp, comp)], axis=2)
-    return states.reshape(children, width // 2 if drop else width), parent, outcome, factor
+            second = comp.copy()
+            second[outcome] = -comp[outcome]
+            states = np.stack([comp, second], axis=2)
+    states = states.reshape(new, width // 2 if drop else width)
+    return states, state, outcome, of, parent, factor
 
 
 # ---------------------------------------------------------------------------

@@ -165,3 +165,27 @@ def test_mutated_circuits(workdir, name, other, gadgetize, data):
     _run(["sweep", "--circuit", mutant, "--outputs", outputs, "--pl", "1e-3", "--r", "1",
           "--shots", 20, "--out", workdir / "sweep.csv"]
          + (["--gadgetize"] if gadgetize else []))
+
+
+@pytest.mark.parametrize(
+    "shots, want",
+    [("1.5", None), ("0.5", None), ("1e-3", None), ("inf", None), ("nan", None),
+     ("1e400", None), ("2e3", 2000), ("7.0", 7), ("20", 20)],
+)
+def test_sweep_shot_count(workdir, shots, want):
+    # a count with a fraction is refused, not truncated to fewer shots
+    out = workdir / "shots.csv"
+    out.unlink(missing_ok=True)
+    outputs = ",".join(map(str, programs.DESIGNATIONS["ccz"][0]))
+    argv = ["sweep", "--circuit", workdir / "ccz_circuit.json", "--outputs", outputs,
+            "--pl", "1e-3", "--r", "1", "--shots", shots, "--out", out]
+    _run(argv)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    if want is None:
+        assert code == 1 and err.getvalue().startswith("error: --shots")
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert out.read_text().splitlines()[1].split(",")[2] == str(want)

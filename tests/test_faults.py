@@ -365,6 +365,107 @@ class TestMonteCarlo:
             pytest.fail("no rejecting seed found")
 
 
+class TestSparseSampler:
+    """`_draw_batch` draws the masks and the Pauli picks as raw words and
+    keeps only the fired sites. Against the literal calls whose values it
+    reproduces, batch after batch from one seed: equal fired sites, picks,
+    faulty shots and uniforms, and an equal generator state after every
+    batch (PCG64 buffers the unused half of a raw word for the next 32-bit
+    draw)."""
+
+    @staticmethod
+    def literal(rng, b, nm, n_prep, n_depol, n_meas):
+        prep = rng.random((b, n_prep)) < nm.p_t
+        depol = rng.random((b, n_depol)) < nm.p_l
+        picks = rng.integers(0, 3, size=(b, n_depol))[depol]
+        uniforms = rng.random((b, n_meas))
+        faulty = np.flatnonzero(prep.any(axis=1) | depol.any(axis=1))
+        return np.flatnonzero(prep), np.flatnonzero(depol), picks, faulty, uniforms[faulty]
+
+    class Counted:
+        """A generator that counts its `integers` calls."""
+
+        def __init__(self, rng):
+            self.rng, self.integers_calls = rng, 0
+            self.bit_generator = rng.bit_generator
+
+        def random(self, *args, **kwargs):
+            return self.rng.random(*args, **kwargs)
+
+        def integers(self, *args, **kwargs):
+            self.integers_calls += 1
+            return self.rng.integers(*args, **kwargs)
+
+    def assert_batches(self, batches, nm, n_prep, n_depol, n_meas, seed=11, fallback=False):
+        got_rng = self.Counted(np.random.default_rng(seed))
+        want_rng = np.random.default_rng(seed)
+        fired = 0
+        for b in batches:
+            got = faults._draw_batch(got_rng, b, nm, n_prep, n_depol, n_meas)
+            want = self.literal(want_rng, b, nm, n_prep, n_depol, n_meas)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and (g == w).all()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            fired += len(got[1])
+        # the picks come from `integers` only where a word is rejected
+        assert (got_rng.integers_calls > 0) == (fallback and n_depol > 0)
+        return fired
+
+    @pytest.mark.parametrize("draw_rows", [2048, 5])
+    def test_odd_words_carry_a_buffered_half(self, monkeypatch, draw_rows):
+        # 7 x 43 words: odd, so a buffered half goes into the next batch,
+        # which uses it for its first pick
+        monkeypatch.setattr(faults, "_DRAW_ROWS", draw_rows)
+        nm = NoiseModel(0.2, 0.1)
+        assert self.assert_batches([7, 7, 8, 1, 7, 33], nm, 8, 43, 7) > 0
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_extreme_rates(self, monkeypatch, p):
+        monkeypatch.setattr(faults, "_DRAW_ROWS", 6)
+        fired = self.assert_batches([13, 9, 20], NoiseModel(p, p), 3, 11, 4)
+        assert (fired == 0) == (p == 0.0)
+
+    def test_no_preparation_sites(self):
+        assert self.assert_batches([5, 3, 11], NoiseModel(0.3, 0.3), 0, 9, 3) > 0
+
+    def test_no_sites_at_all(self):
+        assert self.assert_batches([5, 4], NoiseModel(0.3, 0.3), 0, 0, 3) == 0
+
+    def test_rejected_word_falls_back(self, monkeypatch):
+        # a word of 0 (probability 2^-32 each) makes `integers` draw again;
+        # then the batch's picks come from `integers` itself
+        fallbacks = []
+
+        def always(raw):
+            fallbacks.append(len(raw))
+            return True
+
+        monkeypatch.setattr(faults, "_zero_word", always)
+        monkeypatch.setattr(faults, "_DRAW_ROWS", 4)
+        assert self.assert_batches([7, 9, 3], NoiseModel(0.2, 0.2), 2, 5, 3, fallback=True) > 0
+        assert fallbacks
+
+    def test_zero_word(self):
+        low, high = np.uint64(0xFFFFFFFF), np.uint64(1 << 32)
+        assert not faults._zero_word(np.array([low + high, high + np.uint64(1)]))
+        assert faults._zero_word(np.array([low + high, high]))        # low half 0
+        assert faults._zero_word(np.array([low, low + high]))         # high half 0
+        # Lemire's method in `integers(0, 3)` rejects exactly the word 0
+        words = np.array([1, 2, 3, 0x55555555, 0xAAAAAAAB, 0xFFFFFFFF], dtype=np.uint64)
+        assert ((words * np.uint64(3)) % np.uint64(1 << 32) >= 1).all()
+
+    def test_monte_carlo_with_odd_batches(self, monkeypatch):
+        # whole runs across odd batches against the reference's literal draws
+        circ, outputs = compiled_ccz()
+        impl = gadgetize(circ)
+        monkeypatch.setattr(faults, "_BATCH", 333)
+        nm = NoiseModel(0.01, 0.02, 1)
+        got = monte_carlo_infidelity(impl, outputs, nm, 1000, seed=8)
+        want = reference_monte_carlo(impl, outputs, nm, 1000, seed=8)
+        assert (got.accepted, got.faulty) == (want.accepted, want.faulty)
+        assert got.infidelity == pytest.approx(want.infidelity, rel=1e-12, abs=1e-15)
+
+
 class TestBatchedKernel:
     """The batched trajectory kernel against the one-trajectory reference in
     tests/oracles.py: same draws, so equal accepted counts, and estimates
@@ -448,6 +549,146 @@ class TestBatchedKernel:
             assert accepted[row] == ok
             assert infidelity[row] == pytest.approx(infid, rel=1e-12, abs=1e-13)
         assert 0 < accepted.sum() < len(sites)
+
+
+class TestSharedPrefix:
+    """Rows share one state per outcome history up to their first stop, and
+    `run_sampled` puts rows into chunks by their earliest stop. Neither may
+    change a row's result."""
+
+    @staticmethod
+    def mc_batch(harness, p, shots, seed):
+        """The faults and uniforms of the faulty shots of one Monte Carlo
+        batch at p_L = p_T = p, as `run_sampled` takes them."""
+        c = harness.circuit
+        prep_sites = np.array(
+            [(pos, q) for pos, q in harness.tprep_sites() if c.gates[pos].kind == "PrepT"]
+        ).reshape(-1, 2)
+        depol_sites = np.array(harness.depolarizing_sites()).reshape(-1, 3)
+        prep, depol, picks, faulty, uniforms = faults._draw_batch(
+            np.random.default_rng(seed), shots, NoiseModel(p, p), len(prep_sites),
+            len(depol_sites), len(harness.meas_order),
+        )
+        prep_shot, prep_col = np.divmod(prep, len(prep_sites))
+        depol_shot, depol_col = np.divmod(depol, len(depol_sites))
+        insertions = (
+            faulty.searchsorted(np.concatenate([prep_shot, depol_shot])),
+            np.concatenate([prep_sites[prep_col, 0], depol_sites[depol_col, 1]]),
+            np.concatenate([np.full(len(prep), 2), picks]),
+            np.concatenate([prep_sites[prep_col, 1], depol_sites[depol_col, 2]]),
+        )
+        return insertions, uniforms
+
+    @pytest.mark.parametrize("name", ["ccz-g", "cs-g", "t15"])
+    def test_row_order_changes_nothing(self, monkeypatch, name):
+        circ, outputs = {"ccz-g": compiled_ccz, "cs-g": compiled_cs, "t15": compiled_t15}[
+            name
+        ]()
+        if name.endswith("-g"):
+            circ = gadgetize(circ)
+        harness = _Harness(circ, outputs, t_decode=1)
+        monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", 100 << harness.kernel.peak)
+        (row, pos, pauli, qubit), uniforms = self.mc_batch(harness, 0.01, 3000, 5)
+        assert len(uniforms) > 5 * harness.kernel.chunk_rows   # several chunks
+        accepted, infidelity = sampled(harness, (row, pos, pauli, qubit), uniforms)
+        perm = np.random.default_rng(1).permutation(len(uniforms))
+        place = np.argsort(perm)   # the place of each row in the permuted batch
+        got_accepted, got_infidelity = sampled(
+            harness, (place[row], pos, pauli, qubit), uniforms[perm]
+        )
+        assert (got_accepted[place] == accepted).all()
+        assert np.abs(got_infidelity[place] - infidelity).max() <= 1e-12
+        assert 0 < accepted.sum() < len(uniforms)
+
+    def test_stops_at_first_and_last_half_step(self, kernel_calls):
+        # gadgetized ccz behind a T on an extra output qubit, in |0>: an X or
+        # Y before that T stops at half-step 0, and a Pauli after the last
+        # gate at the last half-step; all rows go into one chunk
+        circ, outputs = compiled_ccz()
+        impl = gadgetize(circ)
+        extra = impl.n
+        c = Circuit(extra + 1, (Gate("T", (extra,)),) + impl.gates)
+        harness = _Harness(c, outputs + [extra])
+        end = len(c.gates) - 1
+        sites = [(-1, 0, extra), (-1, 1, extra), (-1, 2, extra)]
+        sites += [(end, pauli, q) for q in outputs + [extra] for pauli in range(3)]
+        sites += [
+            (pos, pauli, q) for pos, q in _fault_sites(c)[5::40] for pauli in range(3)
+            if q != extra
+        ]
+        _, stop, _, _ = harness.kernel.frames(
+            np.arange(len(sites)), *(np.array(col) for col in zip(*sites))
+        )
+        last = 2 * len(c.gates)
+        assert {0, last} <= set(stop.tolist()) and len(set(stop.tolist())) > 4
+        assert len(sites) <= harness.kernel.chunk_rows
+        uniforms = np.random.default_rng(4).random((len(sites), len(harness.meas_order)))
+        pos, pauli, qubit = (np.array(col) for col in zip(*sites))
+        kernel_calls.clear()
+        accepted, infidelity = sampled(
+            harness, (np.arange(len(sites)), pos, pauli, qubit), uniforms
+        )
+        assert kernel_calls == [len(sites)]
+        for row, (p, pa, q) in enumerate(sites):
+            ok, infid = reference_trajectory(harness, {p: [("XYZ"[pa], q)]}, uniforms[row])
+            assert accepted[row] == ok
+            assert infidelity[row] == pytest.approx(infid, rel=1e-12, abs=1e-13)
+        assert accepted[:2].all() and infidelity[:2] == pytest.approx(1.0)
+        assert 0 < accepted.sum() < len(sites)
+
+    def test_one_state_per_history_before_the_stops(self, monkeypatch):
+        # rows whose faults all stop at the end: every half-step acts on one
+        # state per outcome history of the 4 injection measurements, not on
+        # one per row, and each row still reads its own outcomes
+        circ, outputs = compiled_ccz()
+        harness = _Harness(gadgetize(circ), outputs)
+        assert len(harness.injection) == 4
+        end = len(harness.circuit.gates) - 1
+        rows = 200
+        assert rows <= harness.kernel.chunk_rows
+        widths = []
+        apply_run = semantics.TrajectoryKernel._apply_run
+
+        def counted(self, states, start, stop):
+            widths.append(len(states))
+            return apply_run(self, states, start, stop)
+
+        monkeypatch.setattr(semantics.TrajectoryKernel, "_apply_run", counted)
+        rng = np.random.default_rng(2)
+        uniforms = rng.random((rows, len(harness.meas_order)))
+        qubit = rng.choice(outputs, rows)
+        pauli = rng.integers(0, 3, rows)
+        accepted, infidelity = sampled(
+            harness, (np.arange(rows), np.full(rows, end), pauli, qubit), uniforms
+        )
+        assert widths and max(widths) <= 16
+        for row in range(rows):
+            ok, infid = reference_trajectory(
+                harness, {end: [("XYZ"[pauli[row]], qubit[row])]}, uniforms[row]
+            )
+            assert accepted[row] == ok
+            assert infidelity[row] == pytest.approx(infid, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("name", ["ccz-g", "t15"])
+    def test_exact_classes_in_one_chunk(self, name, kernel_calls):
+        # classes that stop early, late and not at all share one kernel call
+        circ, outputs = compiled_t15() if name == "t15" else compiled_ccz()
+        if name == "ccz-g":
+            circ = gadgetize(circ)
+        harness = _Harness(circ, outputs)
+        sites = _fault_sites(harness.circuit)
+        end = len(harness.circuit.gates) - 1
+        configs = [[]] + [[(end, "X", q)] for q in outputs]
+        configs += [[(pos, pauli, q)] for pos, q in sites[::17] for pauli in "XYZ"]
+        configs += [[(pos, "Z", q), (end, "Y", outputs[0])] for pos, q in sites[3::31]]
+        classes = len(harness.fault_classes(_fault_arrays(configs), len(configs))[0])
+        group = max(1, harness.kernel.chunk_rows >> len(harness.injection))
+        kernel_calls.clear()
+        acc, infid = harness.run_exact(configs)
+        assert kernel_calls == [min(group, classes - lo) for lo in range(0, classes, group)]
+        assert max(kernel_calls) > 8
+        for config, got in zip(configs, zip(acc, infid)):
+            assert got == pytest.approx(reference_exact(harness, config), rel=0, abs=1e-12)
 
 
 class TestPreparationRoundFaults:

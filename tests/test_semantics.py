@@ -474,7 +474,9 @@ class TestPauliFrames:
                         frame = reference_branches(_with_paulis(c, stop[0] // 2 - 1, paulis))
                     _assert_same_branches(frame, want)
                     # the kernel's branches, fault placed by the kernel
-                    alive, weight, states, outcomes = kernel.run(nan, None, insertion)
+                    alive, weight, states, outcomes = kernel.run(
+                        nan, None, kernel.frames(*insertion)
+                    )
                     got = [
                         semantics.SimResult(
                             states[i, to_qubits], float(weight[i]),
