@@ -11,7 +11,9 @@ the dense trajectory kernel (`semantics.TrajectoryKernel`, through
 frame. The Monte Carlo engine samples the measurement outcomes; the exact
 enumerators run one row per class of configurations with equal frames,
 which branches at every injection measurement, each branch weighted by its
-probability. The kernel's rows hold only the live qubits (from a qubit's
+probability, and forks from the fault-free branch tree at its first frame
+stop. A row whose first frame flips a detection outcome is rejected
+without a run. The kernel's rows hold only the live qubits (from a qubit's
 first gate other than a preparation to the measurement that ends it), and
 the dense cap of `semantics.MAX_DENSE_QUBITS` applies to that live width: a
 gadgetized circuit may have many more qubits, since each |T> resource is
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ir import Circuit, Gate, MEAS_KINDS, PREP_KINDS, T_LIKE_KINDS
-from .semantics import TrajectoryKernel
+from .semantics import _NO_FRAMES, TrajectoryKernel
 
 HARMFUL_INFIDELITY = 1e-9
 DETECTED_ACCEPTANCE = 1e-12
@@ -270,9 +272,22 @@ class _Harness:
     and detection records (postselected on their noiseless outcomes), and
     freezes the noiseless reference: detection outcomes and the pure state
     on the output qubits. `run_sampled` hands faults to the kernel by gate
-    position; `run_exact` (one row per fault class) and the check of the
-    noiseless reference run rows that branch at every injection
-    measurement.
+    position, as Pauli frames; `run_exact` runs one row per fault class.
+
+    Rows are settled in three ways (see `run_sampled`):
+      * decided: a row whose first frame flips a detection outcome is
+        rejected without a run;
+      * forked: rows that branch at every measurement start from the
+        fault-free branch tree (the trunk) at their first stop, and run only
+        the rest of the circuit; the fault-free rows read the trunk itself,
+        and `run_exact` folds the branches of each row (`_forked`);
+      * run: rows that draw their outcomes run from the start, in chunks.
+    The noiseless check in `__init__` is one trunk run.
+
+    `counts` keeps deterministic tallies of this work: "kernel_calls"
+    (calls of `TrajectoryKernel.run`, trunks included), "trunk_runs",
+    "rows_decided", "rows_forked" and "rows_run" (rows run from the first
+    half-step on their own, the reference row included).
 
     The kernel keeps the outputs to the end and owns every other qubit's
     lifetime, so a row's state holds only the live qubits, and the dense cap
@@ -304,14 +319,28 @@ class _Harness:
             raise FaultAnalysisError("circuit has no detection measurements")
         self.kernel = TrajectoryKernel(c, self.outputs)
         self._out_perm = self.kernel.permutation(self.outputs)
+        self.counts = dict.fromkeys(
+            ("kernel_calls", "trunk_runs", "rows_decided", "rows_forked", "rows_run"), 0
+        )
+        # The flat index bit that a frame stopping at half-step 2g holds in
+        # its Z mask (before a detection MeasX at gate g) or X mask (MeasZ)
+        # when it flips that measurement's outcome.
+        self._flips_x = np.zeros(2 * len(c.gates) + 1, dtype=np.int64)
+        self._flips_z = np.zeros_like(self._flips_x)
+        for pos, g in enumerate(c.gates):
+            if g.kind in MEAS_KINDS and g.record not in consumed:
+                flips = self._flips_z if g.kind == "MeasX" else self._flips_x
+                flips[2 * pos] = self.kernel.axis_bit(2 * pos, g.qubits[0])
 
         # The noiseless reference comes from one row that takes the likelier
         # outcome of every measurement (uniform 0.5); the detection outcomes
         # of a valid circuit are certain, so they do not depend on the row.
-        _, _, states, outcomes = self.kernel.run(np.full((1, len(self.meas_order)), 0.5))
+        _, _, states, outcomes = self._kernel_run(np.full((1, len(self.meas_order)), 0.5))
+        self.counts["rows_run"] += 1
         self.reference = {r: int(outcomes[r][0]) for r in self.detection}
         self.ideal_out = self._reduced_pure(states[0])
-        # every branch of the injection outcomes, postselected on the reference
+        # every branch of the injection outcomes, postselected on the
+        # reference: one trunk run without forks
         _, weight, infidelity = self.run_sampled(
             np.zeros((4, 0), dtype=np.int64), np.full((1, len(self.meas_order)), np.nan)
         )
@@ -329,6 +358,18 @@ class _Harness:
             raise FaultAnalysisError("output qubits are not in a pure state")
         return vecs[:, -1]
 
+    def _infidelity(self, states: np.ndarray) -> np.ndarray:
+        """1 - <ideal| rho_out |ideal> of each final-layout state."""
+        k = len(self.outputs)
+        mat = states[:, self._out_perm].reshape(len(states), 1 << k, len(self._out_perm) >> k)
+        vec = np.matmul(self.ideal_out.conj(), mat)
+        return 1.0 - np.sum(vec.real**2 + vec.imag**2, axis=1)
+
+    def _kernel_run(self, uniforms, *args):
+        """`self.kernel.run`, counted."""
+        self.counts["kernel_calls"] += 1
+        return self.kernel.run(uniforms, *args)
+
     # -- execution ---------------------------------------------------------
 
     def run_exact(
@@ -339,18 +380,24 @@ class _Harness:
         gate positions: (pos, pauli, qubit). A configuration nothing accepts
         reads (0, 0).
 
-        Each class of configurations (`fault_classes`) is one row of
-        `run_sampled` that branches at every injection measurement, and its
-        acceptance is the sum of its branches' weights; every configuration
-        reads the values of its class.
+        Each class of configurations (`fault_classes`) is one row that
+        branches at every injection measurement, decided or forked from the
+        trunk as in `run_sampled`, but with its branches folded (`_forked`);
+        its acceptance is the sum of its branches' weights, and every
+        configuration reads the values of its class. The frames of the
+        configurations are computed once.
         """
-        faults = _fault_arrays(configs)
-        first, klass = self.fault_classes(faults, len(configs))
+        frames = self.kernel.frames(*_fault_arrays(configs))
+        first, klass = self._classes(frames, len(configs))
         chosen = np.zeros(len(configs), dtype=bool)
         chosen[first] = True
-        row, pos, pauli, qubit = (a[chosen[faults[0]]] for a in faults)
-        row, weight, infid = self.run_sampled(
-            (klass[row], pos, pauli, qubit), np.full((len(first), len(self.meas_order)), np.nan)
+        # the frames of each class's first configuration; classes are
+        # numbered in the order of their first configurations, so the rows
+        # stay ascending
+        kept = chosen[frames[0]]
+        row, weight, infid = self._run(
+            (klass[frames[0][kept]], *(a[kept] for a in frames[1:])),
+            np.full((len(first), len(self.meas_order)), np.nan), fold=True,
         )
         acceptance = np.bincount(row, weight, minlength=len(first))
         bad = np.bincount(row, weight * infid, minlength=len(first))
@@ -369,8 +416,13 @@ class _Harness:
         mask) per stop where their product is not the identity; the
         configurations without one share the fault-free class. Classes are
         numbered in the order of their first configuration."""
+        return self._classes(self.kernel.frames(*faults), n_configs)
+
+    @staticmethod
+    def _classes(frames, n_configs: int) -> tuple[np.ndarray, np.ndarray]:
+        """`fault_classes` of configurations given by their frames."""
         keys: list[list[tuple[int, int, int]]] = [[] for _ in range(n_configs)]
-        for r, *frame in zip(*(a.tolist() for a in self.kernel.frames(*faults))):
+        for r, *frame in zip(*(a.tolist() for a in frames)):
             keys[r].append(tuple(frame))
         classes: dict[tuple, int] = {}
         first = []
@@ -397,15 +449,135 @@ class _Harness:
         outcome, NaN branches on it. Returns (row, weight, infidelity) of
         each surviving trajectory, rows ascending: the weight is the product
         of the probabilities of the outcomes it branched on (1 for a row
-        that drew them all). A row that can branch may yield 2^k of them, k
-        the number of injection measurements, so rows run on the kernel in
-        chunks of max(1, chunk rows // 2^k); rows that cannot branch go
-        `chunk_rows` at a time. Where the rows fill more than one chunk of
-        several rows, they go into chunks in the order of their earliest
-        frame stop, so that the rows of a chunk share as much of the run
-        before their stops as they can (see `TrajectoryKernel.run`).
+        that drew them all).
+
+        Up to its first frame stop a row is the fault-free trajectory, up
+        to a phase, and `__init__` has shown every fault-free detection
+        outcome to be certain (to 1e-9 in total; on the bundled circuits the
+        other outcome's probability is 0 up to rounding). So a row whose
+        combined frame at its first stop anticommutes with the detection
+        measurement there flips a certain outcome: the outcome it must match
+        has a probability below the kernel's 1e-14, the kernel would keep no
+        branch of the row, and the row is rejected without a run
+        (`_decided`). A combined frame that commutes there (two frames that
+        cancel) runs. The other rows run:
+          * When every uniform is NaN, every row's prefix is the fault-free
+            branch tree of one NaN row. That tree (the trunk) runs once, and
+            the rows fork from its branches at their first stops and run
+            only the rest (`_forked`).
+          * Otherwise rows run from the start, in chunks of `chunk_rows`
+            rows (max(1, chunk_rows // 2^k) if some uniform is NaN, k the
+            number of injection measurements). Where the rows fill more
+            than one chunk of several rows, they go into chunks in the order
+            of their earliest frame stop, so that the rows of a chunk share
+            as much of the run before their stops as they can (see
+            `TrajectoryKernel.run`).
         """
-        row, stop, x, z = self.kernel.frames(*faults)
+        return self._run(self.kernel.frames(*faults), uniforms)
+
+    def _run(self, frames, uniforms, fold: bool = False):
+        """`run_sampled` on rows given by their frames; `fold` as in
+        `_forked`."""
+        row, stop, x, z = frames
+        first = np.ones(len(row), dtype=bool)   # frames go by row, then stop
+        first[1:] = row[1:] != row[:-1]
+        decided = row[first][self._decided(stop[first], x[first], z[first])]
+        self.counts["rows_decided"] += len(decided)
+        kept = np.ones(len(uniforms), dtype=bool)
+        kept[decided] = False
+        place = np.cumsum(kept) - 1
+        on = kept[row]
+        frames = (place[row[on]], stop[on], x[on], z[on])
+        kept = np.flatnonzero(kept)
+        if np.isnan(uniforms).all():
+            row, weight, infidelity = self._forked(frames, len(kept), fold)
+        else:
+            row, weight, infidelity = self._chunked(frames, uniforms[kept])
+        return kept[row], weight, infidelity
+
+    def _decided(self, stop, x, z) -> np.ndarray:
+        """Which frames, each a row's first, flip the certain outcome of the
+        detection measurement at their stop."""
+        return ((x & self._flips_x[stop]) | (z & self._flips_z[stop])) != 0
+
+    def _forked(self, frames, rows: int, fold: bool):
+        """`run_sampled` on `rows` rows that branch at every measurement.
+
+        One kernel call walks the trunk, the fault-free branch tree of one
+        NaN row, and pauses at the first stop of each row. At a pause the
+        rows that stop there, and as many with later stops before the next
+        fold as `TrajectoryKernel.tail_rows` allows, start from the trunk's
+        branches (states, weights and outcomes; each row's frame applied at
+        its stop) and run only the rest, one kernel call per chunk. They are
+        reduced to (row, weight, infidelity) before the trunk moves on, so
+        one tree is held at a time. The rows without frames read the
+        trunk's own branches.
+
+        With `fold`, trunk and chunks fold their branches
+        (`TrajectoryKernel.run`) once a stretch of injections is corrected
+        and before the next one, where a row's branches differ only by
+        phases in the fault-free case and fold into few; a chunk then does
+        not reach past the next fold, so that rows that stop later fork
+        from the folded trunk. A row then returns its folded branches:
+        their sums of weight and of weight x infidelity are those of its
+        branches, and only those sums mean anything."""
+        if not rows:
+            return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
+        row, stop, x, z = frames
+        first = np.ones(len(row), dtype=bool)
+        first[1:] = row[1:] != row[:-1]
+        earliest = np.full(rows, -1)
+        earliest[row[first]] = stop[first]
+        # rows by first stop (fault-free ones first), renumbered in that order
+        by_stop = np.argsort(earliest, kind="stable")
+        place = np.empty_like(by_stop)
+        place[by_stop] = np.arange(rows)
+        row = place[row]
+        order = np.argsort(row, kind="stable")
+        row, stop, x, z = row[order], stop[order], x[order], z[order]
+        earliest = earliest[by_stop]
+        nan = np.full((1, len(self.meas_order)), np.nan)
+        out = []
+        clean = int(earliest.searchsorted(0))   # the rows without frames
+        done = clean   # rows [0, done) have run
+
+        def fork(tree):
+            nonlocal done
+            if done == rows or earliest[done] != tree.h:
+                return   # these rows went with a chunk from an earlier stop
+            step = self.kernel.tail_rows(tree, self.reference)
+            # a chunk takes rows from later stops too, to share their prefix,
+            # but no row past the next fold of the trunk's own branches
+            here = earliest.searchsorted(tree.h, side="right")
+            limit = earliest.searchsorted(
+                self.kernel.next_fold(tree.h) if fold else earliest[-1], side="right"
+            )
+            while done < here:
+                a, b = done, min(done + step, limit)
+                fa, fb = row.searchsorted((a, b))
+                alive, weight, states, _ = self._kernel_run(
+                    nan.repeat(b - a, axis=0), self.reference,
+                    (row[fa:fb] - a, stop[fa:fb], x[fa:fb], z[fa:fb]), tree, (), None, fold,
+                )
+                out.append((by_stop[a + alive], weight, self._infidelity(states)))
+                self.counts["rows_forked"] += int(b - a)
+                done = b
+
+        self.counts["trunk_runs"] += 1
+        _, weight, states, _ = self._kernel_run(
+            nan, self.reference, _NO_FRAMES, None, earliest[earliest >= 0].tolist(), fork, fold
+        )
+        out.append((
+            by_stop[:clean].repeat(len(weight)), np.tile(weight, clean),
+            np.tile(self._infidelity(states), clean),
+        ))
+        row, weight, infidelity = (np.concatenate(part) for part in zip(*out))
+        order = np.argsort(row, kind="stable")   # a row's branches stay in their order
+        return row[order], weight[order], infidelity[order]
+
+    def _chunked(self, frames, uniforms):
+        """`run_sampled` on rows that run from the first half-step."""
+        row, stop, x, z = frames
         chunk = self.kernel.chunk_rows
         if np.isnan(uniforms).any():
             chunk = max(1, chunk >> len(self.injection))
@@ -426,14 +598,12 @@ class _Harness:
         for lo in range(0, len(uniforms), chunk):
             hi = min(lo + chunk, len(uniforms))
             a, b = np.searchsorted(row, (lo, hi))
-            alive, weight, states, _ = self.kernel.run(
+            alive, weight, states, _ = self._kernel_run(
                 uniforms[lo:hi], self.reference, (row[a:b] - lo, stop[a:b], x[a:b], z[a:b])
             )
-            if not len(alive):
-                continue
-            mat = states[:, self._out_perm].reshape(len(alive), 1 << len(self.outputs), -1)
-            vec = np.matmul(self.ideal_out.conj(), mat)
-            out.append((by_stop[lo + alive], weight, 1.0 - np.sum(vec.real**2 + vec.imag**2, axis=1)))
+            self.counts["rows_run"] += hi - lo
+            if len(alive):
+                out.append((by_stop[lo + alive], weight, self._infidelity(states)))
         row, weight, infidelity = (np.concatenate(part) for part in zip(*out))
         order = np.argsort(row, kind="stable")   # a row's branches stay in their order
         return row[order], weight[order], infidelity[order]
@@ -715,7 +885,7 @@ def monte_carlo_infidelity(
 
 
 _BATCH = 1 << 16  # shots per Monte Carlo batch; it sets the sample stream
-_DRAW_ROWS = 2048  # shots per chunk of each Monte Carlo draw
+_DRAW_ROWS = 1024  # shots per chunk of each Monte Carlo draw
 _LOW = np.uint64(0xFFFFFFFF)
 _HIGH = np.uint64(32)
 

@@ -17,7 +17,10 @@ branches on every measurement, and `unitary_of` composes the gates'
 monomials at full width; the fault analyzer runs its faulty trajectories
 and its exact branch sums on the same kernel. A Pauli fault enters the
 kernel as its Pauli frame: carried forward through the gates it passes, and
-applied at the first gate that stops it (see `TrajectoryKernel.frames`).
+applied at the first gate that stops it (see `TrajectoryKernel.frames`). A
+run can pause to hand its branches (`BranchTree`) to a caller, and other
+rows can start from them, so that the fault analyzer runs the fault-free
+prefix of its exact rows once.
 
 Basis convention: basis index bit q is qubit q (support strings read left
 to right); dense states are ndarrays of shape (2,)*n with axis q = qubit q.
@@ -288,6 +291,38 @@ def _compose(steps) -> tuple[np.ndarray | None, np.ndarray | None]:
     return src, phase
 
 
+@dataclass
+class BranchTree:
+    """Rows of trajectories after half-step `h` of a kernel's walk. State
+    row i comes from input row alive[i] (ascending), has weight weight[i]
+    and holds states[of[i]] (states[i] where `of` is None); `outcomes`
+    holds the outcomes of each state, by record."""
+
+    h: int
+    alive: np.ndarray
+    weight: np.ndarray
+    states: np.ndarray
+    of: np.ndarray | None
+    outcomes: dict[str, np.ndarray]
+
+    @classmethod
+    def root(cls, rows: int) -> "BranchTree":
+        """`rows` input rows before the first half-step, sharing one empty
+        state."""
+        return cls(
+            -1, np.arange(rows), np.ones(rows), np.ones((1, 1), dtype=np.complex128),
+            np.zeros(rows, dtype=np.intp), {},
+        )
+
+    def final(self):
+        """(alive, weight, the state of each state row, its outcomes by
+        record), as `TrajectoryKernel.run` returns them."""
+        if self.of is None:
+            return self.alive, self.weight, self.states, self.outcomes
+        of = self.of
+        return self.alive, self.weight, self.states[of], {r: o[of] for r, o in self.outcomes.items()}
+
+
 class TrajectoryKernel:
     """Dense executor: rows of trajectories through one circuit, held as one
     (rows x 2^w) array over the w live qubits.
@@ -366,6 +401,19 @@ class TrajectoryKernel:
         meas_positions = [i for i, g in enumerate(gates) if g.kind in MEAS_KINDS]
         self._meas_col = {pos: col for col, pos in enumerate(meas_positions)}
         self._runs: dict[tuple[int, int], tuple] = {}  # see _apply_run
+        self._tails: dict[frozenset, list[int]] = {}   # see tail_rows
+        # where `run` folds branches: the CondS half-steps after which no gate
+        # reads an outcome measured so far, but a later CondS reads one yet
+        # to be measured (the branches would grow again)
+        last_read = {g.record: pos for pos, g in enumerate(gates) if g.kind == "CondS"}
+        read = [pos for pos, g in enumerate(gates) if g.kind in MEAS_KINDS and g.record in last_read]
+        self._folds = set()
+        pending = -1
+        for pos, g in enumerate(gates):
+            if g.kind in MEAS_KINDS:
+                pending = max(pending, last_read.get(g.record, -1))
+            elif g.kind == "CondS" and pending == pos and pos < read[-1]:
+                self._folds.add(2 * pos + 1)
 
     @property
     def axis_qubits(self) -> list[int]:
@@ -382,6 +430,36 @@ class TrajectoryKernel:
         an effect (see `run`)."""
         return self._qubits[self._acts(slice(None), pos)].tolist()
 
+    def axis_bit(self, h: int, qubit: int) -> int:
+        """The flat index bit of `qubit`'s axis in the layout after
+        half-step h, as the masks of `frames` hold it; the qubit must have
+        an axis there."""
+        axis = self._axis[h, self._col[self._qubits.searchsorted(qubit)]]
+        return 1 << (self._width[h] - 1 - int(axis))
+
+    def tail_rows(self, tree: BranchTree, postselect: dict[str, int]) -> int:
+        """Rows that `run` may start from the one-row `tree` in one call
+        (at least 1) and hold at most `_CHUNK_AMPLITUDES` amplitudes at every
+        later half-step, where each NaN row has at most len(tree.alive) times
+        2^(measurements since tree.h that `postselect` does not name) state
+        rows of 2^(live width) amplitudes."""
+        key = frozenset(postselect)
+        tail = self._tails.get(key)
+        if tail is None:   # the most amplitudes per state row from h on
+            tail = self._tails[key] = [0] * len(self._live)
+            peak = 0
+            for h in range(len(self._live) - 1, -1, -1):
+                peak = tail[h] = max(peak, 1 << self._width[h])
+                g = self.circuit.gates[h // 2] if h % 2 else None
+                if g and g.kind in MEAS_KINDS and g.record not in key:
+                    peak *= 2
+        return max(1, _CHUNK_AMPLITUDES // (len(tree.alive) * tail[tree.h]))
+
+    def next_fold(self, h: int) -> int:
+        """The first half-step after h after which `run` with `fold` folds
+        branches, or the last half-step."""
+        return min((f for f in self._folds if f > h), default=len(self._live) - 1)
+
     def layout(self, h: int) -> tuple[int, ...]:
         """Live qubits after half-step h, in axis order."""
         return tuple(self._qubits[self._order[self._live[h]]].tolist())
@@ -394,7 +472,10 @@ class TrajectoryKernel:
         axes += [a for a in range(len(final)) if a not in axes]
         return _INDEX[len(final)].reshape((2,) * len(final)).transpose(axes).reshape(-1)
 
-    def run(self, uniforms, postselect: dict[str, int] | None = None, frames=_NO_FRAMES):
+    def run(
+        self, uniforms, postselect: dict[str, int] | None = None, frames=_NO_FRAMES,
+        start: BranchTree | None = None, pauses=(), visit=None, fold: bool = False,
+    ):
         """Rows through the whole circuit, one per row of `uniforms`.
 
         Row i consumes uniforms[i], one value per measurement in circuit
@@ -411,6 +492,26 @@ class TrajectoryKernel:
         up to a sign that may differ between the branches of a row: a
         global phase of each state row.
 
+        `start` (optional) is a `BranchTree` of one input row, as `visit`
+        receives it. Every row then begins as a copy of its branches after
+        half-step start.h, its frames at that stop applied (`_branch`), and
+        consumes its uniforms from there on; no frame may stop earlier, and
+        `start` is left as it was.
+
+        `visit` (optional) is called with the walk's own `BranchTree` after
+        each half-step in `pauses` (ascending) that a state row reaches,
+        after the frames that stop there. It reads the tree, or starts
+        `run` from it, and must not change it: the walk goes on with it.
+
+        With `fold`, the branches of each input row are folded (`_fold`)
+        after every CondS after which no gate reads an outcome measured so
+        far: into the fewest state rows whose weighted sum of |state><state|
+        is theirs. Everything after that point acts linearly on that sum, so
+        the sums of weight and of weight x any quadratic form of the final
+        states (acceptance, infidelity) keep their values, to rounding; the
+        single branches, and the outcomes measured before the fold, are
+        gone.
+
         Returns (input row of each surviving state row, in ascending order;
         their weights; their final states in the final layout; their
         outcomes by record). Each run of half-steps between break points
@@ -425,65 +526,68 @@ class TrajectoryKernel:
         that take one outcome share the new state (`_measure_rows`). At its
         first stop a row takes a state of its own (`_fork`).
         """
-        postselect = postselect or {}
-        gates = self.circuit.gates
+        postselect, pauses = postselect or {}, set(pauses)
         row, stop, x, z = frames
         order = np.argsort(stop, kind="stable")   # by stop, rows ascending in each
         row, stop, x, z = row[order], stop[order], x[order], z[order]
         head = np.ones(len(stop), dtype=bool)
         head[1:] = stop[1:] != stop[:-1]
-        firsts = np.flatnonzero(head)
-        stops = stop[firsts]
-        bounds = np.append(firsts, len(stop))
-
-        alive = np.arange(len(uniforms))     # input row of each state row
-        of = np.zeros(len(uniforms), dtype=np.intp)   # its state; None: row i holds state i
-        hit, which, hit_bounds = _spread(alive, row, bounds)
-        weight = np.ones(len(uniforms))
-        outcomes: dict[str, np.ndarray] = {}   # of each state, by record
-        last = self._run_end[0]
-        if len(stops):
-            last = min(last, stops[0])
-        states = self._apply_run(np.ones((1, 1), dtype=np.complex128), 0, last)
-        k = 0
-        while True:
-            if k < len(stops) and stops[k] == last:
-                group = slice(hit_bounds[k], hit_bounds[k + 1])
-                w = which[group]
-                states, of, origin = _fork(states, of, hit[group], x[w], z[w])
-                if origin is not None:
-                    outcomes = {r: o[origin] for r, o in outcomes.items()}
-                k += 1
-            h = last + 1
-            if h == len(self._live) or not len(alive):
+        bounds = np.append(np.flatnonzero(head), len(stop))
+        if start is None:
+            tree = BranchTree.root(len(uniforms))
+        else:
+            if len(stop) and stop[0] < start.h:
+                raise SimulationError(f"a frame stops at {stop[0]}, before the start {start.h}")
+            at = int(stop.searchsorted(start.h, side="right"))
+            tree = _branch(start, len(uniforms), row[:at], x[:at], z[:at])
+            bounds = bounds[bounds >= at]
+        k = 0   # the next group of frames, by stop
+        for h in sorted({*stop[bounds[:-1]].tolist(), *pauses}):
+            self._walk(tree, uniforms, postselect, h, fold)
+            if not len(tree.alive):
                 break
-            last = h
+            if k < len(bounds) - 1 and stop[bounds[k]] == h:
+                hit, which = _spread(tree.alive, row[bounds[k]:bounds[k + 1]])
+                which += bounds[k]
+                tree.states, tree.of, origin = _fork(tree.states, tree.of, hit, x[which], z[which])
+                if origin is not None:
+                    tree.outcomes = {r: o[origin] for r, o in tree.outcomes.items()}
+                k += 1
+            if visit is not None and h in pauses:
+                visit(tree)
+        self._walk(tree, uniforms, postselect, len(self._live) - 1, fold)
+        return tree.final()
+
+    def _walk(self, tree, uniforms, postselect: dict[str, int], to: int, fold: bool):
+        """Advance `tree` through half-steps tree.h + 1 .. to, or until no
+        state row is left; `fold` as in `run`."""
+        gates = self.circuit.gates
+        while tree.h < to and len(tree.alive):
+            h = tree.h + 1
             g = gates[h // 2] if h % 2 else None   # even half-steps make axes
             kind = g.kind if g else None
             if kind in MEAS_KINDS:
                 i = self._qubits.searchsorted(g.qubits[0])
-                states, origin, outcome, of, parent, factor = _measure_rows(
-                    states, of, kind, self._axis[h - 1, self._col[i]], self._dies[i] == h // 2,
-                    uniforms[alive, self._meas_col[h // 2]], postselect.get(g.record),
+                tree.states, origin, outcome, tree.of, parent, factor = _measure_rows(
+                    tree.states, tree.of, kind, self._axis[h - 1, self._col[i]],
+                    self._dies[i] == h // 2, uniforms[tree.alive, self._meas_col[h // 2]],
+                    postselect.get(g.record),
                 )
-                weight = weight[parent] * factor
-                outcomes = {r: o[origin] for r, o in outcomes.items()}
-                outcomes[g.record] = outcome
-                if not np.array_equal(parent, np.arange(len(alive))):  # rows split or dropped
-                    alive = alive[parent]
-                    hit, which, hit_bounds = _spread(alive, row, bounds)
+                tree.alive, tree.weight = tree.alive[parent], tree.weight[parent] * factor
+                tree.outcomes = {r: o[origin] for r, o in tree.outcomes.items()}
+                tree.outcomes[g.record] = outcome
+                tree.h = h
             elif kind == "CondS":
-                flip = outcomes[g.record]
+                flip = tree.outcomes[g.record]
                 axis = self._axis[h, self._col[self._qubits.searchsorted(g.qubits[0])]]
-                states.reshape(len(states), 1 << axis, 2, -1)[flip, :, 1] *= _DIAG_PHASES["S"][1]
+                view = tree.states.reshape(len(tree.states), 1 << axis, 2, -1)
+                view[flip, :, 1] *= _DIAG_PHASES["S"][1]
+                tree.h = h
+                if fold and h in self._folds:
+                    _fold(tree)
             else:
-                last = self._run_end[h]
-                if k < len(stops):
-                    last = min(last, stops[k])
-                states = self._apply_run(states, h, last)
-        if of is not None:
-            states, outcomes = states[of], {r: o[of] for r, o in outcomes.items()}
-        return alive, weight, states, outcomes
+                tree.h = min(self._run_end[h], to)
+                tree.states = self._apply_run(tree.states, h, tree.h)
 
     def frames(self, row, pos, pauli, qubit):
         """The Pauli frames of inserted Paulis, combined per row and stop,
@@ -632,16 +736,74 @@ class TrajectoryKernel:
         return states
 
 
-def _spread(alive, row, bounds):
+def _fold(tree: BranchTree):
+    """Fold the branches of each input row of `tree` into the fewest state
+    rows with the same weighted sum of |state><state|: with M the matrix of
+    a row's sqrt(weight) x state, the rows of its SVD's V^H scaled by the
+    singular values s have the same M^H M. Singular values below 1e-10 s_max
+    (weight below 1e-20 of the largest) are rounding and are dropped. The
+    outcomes are dropped too. Input rows with equally many branches go
+    through one batched SVD."""
+    alive = tree.alive
+    first = np.flatnonzero(np.r_[True, alive[1:] != alive[:-1]])
+    if len(first) == len(alive):   # one branch per input row
+        return
+    count = np.diff(np.append(first, len(alive)))
+    held = tree.states if tree.of is None else tree.states[tree.of]
+    scaled = held * np.sqrt(tree.weight)[:, None]
+    sv = np.zeros((len(first), min(count.max(), held.shape[1])))
+    vh = np.zeros((*sv.shape, held.shape[1]), dtype=np.complex128)
+    for c in sorted(set(count.tolist())):
+        rows = np.flatnonzero(count == c)
+        m = scaled[first[rows, None] + np.arange(c)]
+        _, sv[rows, : min(c, held.shape[1])], vh[rows, : min(c, held.shape[1])] = np.linalg.svd(
+            m, full_matrices=False
+        )
+    keep = sv > 1e-10 * sv[:, :1]
+    tree.alive = alive[first].repeat(keep.sum(axis=1))
+    tree.weight, tree.states = sv[keep] ** 2, vh[keep]
+    tree.of, tree.outcomes = None, {}
+
+
+def _spread(alive, row):
     """Frames on state rows: each frame applies to every state row of its
     input row (`alive`, ascending, holds the input row of each state row).
-    Returns (state row, frame) of each hit, and the hits of each group of
-    frames that `bounds` delimits."""
+    Returns (state row, frame) of each hit."""
     lo = alive.searchsorted(row)
     count = alive.searchsorted(row, side="right") - lo
     which = np.arange(len(row)).repeat(count)
-    hit = lo[which] + np.arange(len(which)) - (count.cumsum() - count)[which]
-    return hit, which, which.searchsorted(bounds)
+    return lo[which] + np.arange(len(which)) - (count.cumsum() - count)[which], which
+
+
+def _branch(start: BranchTree, rows: int, row, x, z) -> BranchTree:
+    """`rows` input rows that each begin with the branches of the one-row
+    tree `start`, with X^x Z^z on every branch of input row row[i] (rows
+    ascending, each at most once). The rows hit get states of their own;
+    the others share copies of the states of `start`, which is not
+    written."""
+    n, w = len(start.alive), start.states.shape[1]
+    of = np.arange(n) if start.of is None else start.of
+    held = start.states if start.of is None else start.states[of]
+    moved = _INDEX[w.bit_length() - 1] ^ x[:, None]
+    forked = np.empty((len(row), n, w), dtype=np.complex128)
+    # (branch, row, amplitude) gathered, then signed into (row, branch, amplitude)
+    np.multiply(
+        np.take(held, moved, axis=1).transpose(1, 0, 2),
+        _PARITY_SIGN[moved & z[:, None]][:, None, :], out=forked,
+    )
+    forked = forked.reshape(-1, w)
+    outcomes = {r: np.tile(o[of], len(row)) for r, o in start.outcomes.items()}
+    if len(row) == rows:
+        return BranchTree(
+            start.h, np.arange(rows).repeat(n), np.tile(start.weight, rows), forked, None, outcomes,
+        )
+    shared = np.tile(of, rows).reshape(rows, n)
+    shared[row] = len(start.states) + np.arange(len(forked)).reshape(len(row), n)
+    return BranchTree(
+        start.h, np.arange(rows).repeat(n), np.tile(start.weight, rows),
+        np.concatenate([start.states, forked]), shared.reshape(-1),
+        {r: np.concatenate([o, outcomes[r]]) for r, o in start.outcomes.items()},
+    )
 
 
 def _fork(states, of, rows, x, z):
@@ -692,16 +854,24 @@ def _measure_rows(states, of, kind: str, axis: int, drop: bool, uniforms: np.nda
     outcome's probability for a branch, 1 for a drawn outcome)."""
     n, width = states.shape
     view = states.reshape(n, 1 << axis, 2, -1)
+    split = np.isnan(uniforms)
+    # an outcome's probability is needed where a child with it may be kept,
+    # and p1 where a row draws its outcome; an unneeded one reads 0
+    need = (expected != 1, expected != 0 or not split.all())
+    p0 = p1 = np.zeros(n)
     if kind == "MeasZ":
         fv = states.view(np.float64).reshape(n, 1 << axis, 2, -1)
-        p0 = np.einsum("ijk,ijk->i", fv[:, :, 0], fv[:, :, 0])
-        p1 = np.einsum("ijk,ijk->i", fv[:, :, 1], fv[:, :, 1])
+        if need[0]:
+            p0 = np.einsum("ijk,ijk->i", fv[:, :, 0], fv[:, :, 0])
+        if need[1]:
+            p1 = np.einsum("ijk,ijk->i", fv[:, :, 1], fv[:, :, 1])
     else:  # MeasX, outcome 0 = |+>; p = |a0 +- a1|^2 / 2
-        plus = view[:, :, 0] + view[:, :, 1]
-        minus = view[:, :, 0] - view[:, :, 1]
-        p0 = _sum_sq(plus) / 2.0
-        p1 = _sum_sq(minus) / 2.0
-    split = np.isnan(uniforms)
+        if need[0]:
+            plus = view[:, :, 0] + view[:, :, 1]
+            p0 = _sum_sq(plus) / 2.0
+        if need[1]:
+            minus = view[:, :, 0] - view[:, :, 1]
+            p1 = _sum_sq(minus) / 2.0
     parent = np.arange(len(uniforms))
     state = parent if of is None else of
     # NaN compares False: a split row's first child; its second, outcome 1,
@@ -734,8 +904,9 @@ def _measure_rows(states, of, kind: str, axis: int, drop: bool, uniforms: np.nda
     new = len(state)
     if kind == "MeasZ":
         inv = 1.0 / np.sqrt(np.maximum(prob, 1e-300))
-        if drop:
-            states = view[state, :, outcome.astype(np.intp)] * inv[:, None, None]
+        if drop:   # in place: `gathered * inv` would take numpy's slow path
+            states = view[state, :, outcome.astype(np.intp)]
+            np.multiply(states, inv[:, None, None], out=states)
         else:
             scale = np.zeros((new, 2))
             scale[np.arange(new), outcome.astype(np.intp)] = inv
@@ -743,8 +914,14 @@ def _measure_rows(states, of, kind: str, axis: int, drop: bool, uniforms: np.nda
             view = states.reshape(new, 1 << axis, 2, width >> axis + 1)
             view *= scale[:, None, :, None]
     else:
-        comp = plus[state]
-        comp[outcome] = minus[state[outcome]]
+        if not need[0]:   # every kept child has outcome 1
+            comp = minus[state]
+        elif not outcome.any() and np.array_equal(state, np.arange(n)):   # plus is this call's own
+            comp = plus
+        else:
+            comp = plus[state]
+            if outcome.any():
+                comp[outcome] = minus[state[outcome]]
         if drop:  # the rest of the state, (a0 +- a1) / sqrt(2 prob)
             comp *= (1.0 / np.sqrt(np.maximum(2.0 * prob, 1e-300)))[:, None, None]
             states = comp

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from oracles import (
     reference_deferred_exact,
     reference_exact,
@@ -98,6 +98,27 @@ def kernel_calls(monkeypatch):
     monkeypatch.setattr(_Harness, "run_sampled", sampled)
     monkeypatch.setattr(semantics.TrajectoryKernel, "run", counted)
     return calls
+
+
+@pytest.fixture
+def harnesses(monkeypatch):
+    """Every `_Harness` built while the test runs, in order."""
+    made = []
+    init = _Harness.__init__
+
+    def recorded(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Harness, "__init__", recorded)
+    return made
+
+
+def tallied(harness, run):
+    """(What `run()` returns, what it adds to each of `harness.counts`)."""
+    before = dict(harness.counts)
+    result = run()
+    return result, {k: harness.counts[k] - before[k] for k in before}
 
 
 class TestNoiseModel:
@@ -600,10 +621,11 @@ class TestSharedPrefix:
         assert np.abs(got_infidelity[place] - infidelity).max() <= 1e-12
         assert 0 < accepted.sum() < len(uniforms)
 
-    def test_stops_at_first_and_last_half_step(self, kernel_calls):
+    def test_stops_at_first_and_last_half_step(self):
         # gadgetized ccz behind a T on an extra output qubit, in |0>: an X or
         # Y before that T stops at half-step 0, and a Pauli after the last
-        # gate at the last half-step; all rows go into one chunk
+        # gate at the last half-step; the kernel runs all rows in one chunk,
+        # those that stop at a detector too
         circ, outputs = compiled_ccz()
         impl = gadgetize(circ)
         extra = impl.n
@@ -616,25 +638,38 @@ class TestSharedPrefix:
             (pos, pauli, q) for pos, q in _fault_sites(c)[5::40] for pauli in range(3)
             if q != extra
         ]
-        _, stop, _, _ = harness.kernel.frames(
-            np.arange(len(sites)), *(np.array(col) for col in zip(*sites))
-        )
+        rows = np.arange(len(sites))
+        pos, pauli, qubit = (np.array(col) for col in zip(*sites))
+        frames = harness.kernel.frames(rows, pos, pauli, qubit)
+        row, stop, x, z = frames
         last = 2 * len(c.gates)
         assert {0, last} <= set(stop.tolist()) and len(set(stop.tolist())) > 4
         assert len(sites) <= harness.kernel.chunk_rows
         uniforms = np.random.default_rng(4).random((len(sites), len(harness.meas_order)))
-        pos, pauli, qubit = (np.array(col) for col in zip(*sites))
-        kernel_calls.clear()
-        accepted, infidelity = sampled(
-            harness, (np.arange(len(sites)), pos, pauli, qubit), uniforms
-        )
-        assert kernel_calls == [len(sites)]
-        for row, (p, pa, q) in enumerate(sites):
-            ok, infid = reference_trajectory(harness, {p: [("XYZ"[pa], q)]}, uniforms[row])
-            assert accepted[row] == ok
-            assert infidelity[row] == pytest.approx(infid, rel=1e-12, abs=1e-13)
+        alive, weight, states, _ = harness.kernel.run(uniforms, harness.reference, frames)
+        assert (weight == 1.0).all()
+        accepted = np.zeros(len(sites), dtype=bool)
+        accepted[alive] = True
+        infidelity = np.zeros(len(sites))
+        infidelity[alive] = harness._infidelity(states)
+        for r, (p, pa, q) in enumerate(sites):
+            ok, infid = reference_trajectory(harness, {p: [("XYZ"[pa], q)]}, uniforms[r])
+            assert accepted[r] == ok
+            assert infidelity[r] == pytest.approx(infid, rel=1e-12, abs=1e-13)
         assert accepted[:2].all() and infidelity[:2] == pytest.approx(1.0)
         assert 0 < accepted.sum() < len(sites)
+        # `run_sampled` decides the 5 rows whose first frame flips a detector
+        # (the kernel rejected them) and runs the other 31 as one chunk
+        decided = _decided_rows(harness, frames)
+        assert len(decided) == 5 and not accepted[decided].any()
+        (got_accepted, got_infidelity), counts = tallied(
+            harness, lambda: sampled(harness, (rows, pos, pauli, qubit), uniforms)
+        )
+        assert counts == {
+            "kernel_calls": 1, "trunk_runs": 0, "rows_decided": 5, "rows_forked": 0, "rows_run": 31,
+        }
+        assert (got_accepted == accepted).all()
+        assert np.abs(got_infidelity - infidelity).max() <= 1e-12
 
     def test_one_state_per_history_before_the_stops(self, monkeypatch):
         # rows whose faults all stop at the end: every half-step acts on one
@@ -670,8 +705,10 @@ class TestSharedPrefix:
             assert infidelity[row] == pytest.approx(infid, rel=1e-12, abs=1e-13)
 
     @pytest.mark.parametrize("name", ["ccz-g", "t15"])
-    def test_exact_classes_in_one_chunk(self, name, kernel_calls):
-        # classes that stop early, late and not at all share one kernel call
+    def test_exact_classes_in_one_chunk(self, name):
+        # classes that stop early, late and not at all: those that flip a
+        # detector are decided, the rest fork from one trunk in one chunk,
+        # and the fault-free class reads the trunk
         circ, outputs = compiled_t15() if name == "t15" else compiled_ccz()
         if name == "ccz-g":
             circ = gadgetize(circ)
@@ -682,13 +719,15 @@ class TestSharedPrefix:
         configs += [[(pos, pauli, q)] for pos, q in sites[::17] for pauli in "XYZ"]
         configs += [[(pos, "Z", q), (end, "Y", outputs[0])] for pos, q in sites[3::31]]
         classes = len(harness.fault_classes(_fault_arrays(configs), len(configs))[0])
-        group = max(1, harness.kernel.chunk_rows >> len(harness.injection))
-        kernel_calls.clear()
-        acc, infid = harness.run_exact(configs)
-        assert kernel_calls == [min(group, classes - lo) for lo in range(0, classes, group)]
-        assert max(kernel_calls) > 8
-        for config, got in zip(configs, zip(acc, infid)):
-            assert got == pytest.approx(reference_exact(harness, config), rel=0, abs=1e-12)
+        decided, forked = {"ccz-g": (13, 27), "t15": (30, 27)}[name]
+        assert decided + forked + 1 == classes
+        (acc, infid), counts = tallied(harness, lambda: harness.run_exact(configs))
+        assert counts == {
+            "kernel_calls": 2, "trunk_runs": 1, "rows_decided": decided, "rows_forked": forked,
+            "rows_run": 0,
+        }
+        for config, value in zip(configs, zip(acc, infid)):
+            assert value == pytest.approx(reference_exact(harness, config), rel=0, abs=1e-12)
 
 
 class TestPreparationRoundFaults:
@@ -824,13 +863,14 @@ class TestExactKernel:
         assert 0 < np.count_nonzero(want[0]) < len(configs)
         assert np.count_nonzero(want[1] > 1e-9) > 0
 
-    def test_branches_outgrow_chunk(self, monkeypatch, kernel_calls):
-        # a 4-row chunk on 8 live qubits takes one configuration per kernel
-        # call, and the configuration's 16 branches outgrow it
+    def test_branches_outgrow_chunk(self, monkeypatch):
+        # a 128-amplitude chunk holds half an 8-qubit state: every chunk
+        # takes one row, whose 16 branches outgrow it, and each row that
+        # forks from the trunk runs in a call of its own
         circ, outputs = compiled_ccz()
         harness = _Harness(gadgetize(circ), outputs)
-        monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", 4 << 8)
-        assert harness.kernel.chunk_rows == 4
+        monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", 1 << 7)
+        assert harness.kernel.chunk_rows == 1
         nothing = (np.zeros(0, dtype=np.int64),) * 4
         row, _, _ = harness.run_sampled(nothing, np.full((1, len(harness.meas_order)), np.nan))
         assert len(row) == 16
@@ -839,9 +879,9 @@ class TestExactKernel:
             [], [(p0, "Z", q0)], [(p0, "Z", q0), (p1, "X", q1)], [(p2, "Y", q2)],
             [(p1, "Z", q1), (p2, "Z", q2)],
         ]
-        kernel_calls.clear()
-        self.assert_all_same(harness, configs)
-        assert kernel_calls == [1] * len(configs)
+        assert tallied(harness, lambda: self.assert_all_same(harness, configs))[1] == {
+            "kernel_calls": 4, "trunk_runs": 1, "rows_decided": 1, "rows_forked": 3, "rows_run": 0,
+        }
 
     def test_unknown_pauli(self, kernel_calls):
         circ, outputs = compiled_ccz()
@@ -869,23 +909,26 @@ def _pair_configs(harness):
 
 class TestBatchedEnumeration:
     """The enumerators hand all their configurations to one `run_exact`
-    call, which runs one row per fault class, whole classes per kernel
-    call."""
+    call, which runs one row per fault class: decided at a detector, forked
+    from the trunk, or the fault-free class that reads the trunk."""
 
-    @staticmethod
-    def group(harness):
-        rows = _CHUNK_AMPLITUDES >> harness.kernel.peak
-        return max(1, rows // 2 ** len(harness.injection))
+    # per enumeration: (rows decided, rows forked, fault-free classes, tail
+    # calls); its harness also runs the reference row, and one trunk for the
+    # noiseless check and one for the enumeration
+    pinned = {
+        "ccz-g": {"singles": (15, 57, 1, 1), "pairs": (0, 7, 0, 1), "first order": (12, 47, 0, 1)},
+        "cs-g": {"singles": (22, 87, 1, 4), "pairs": (32, 10, 0, 1), "first order": (20, 76, 1, 4)},
+        "t15": {"singles": (41, 71, 1, 1), "pairs": (70, 11, 0, 1), "first order": (37, 62, 1, 1)},
+    }
 
     @pytest.mark.parametrize("name", ["ccz-g", "cs-g", "t15"])
-    def test_kernel_calls_per_group(self, kernel_calls, name):
+    def test_kernel_calls_per_group(self, harnesses, name):
         circ, outputs = {"ccz-g": compiled_ccz, "cs-g": compiled_cs, "t15": compiled_t15}[
             name
         ]()
         if name.endswith("-g"):
             circ = gadgetize(circ)
         harness = _Harness(circ, outputs, t_decode=1)
-        group = self.group(harness)
         nm = NoiseModel(1e-4, 0.0, 1)
 
         def pairs():
@@ -893,18 +936,21 @@ class TestBatchedEnumeration:
             assert enumerate_pair_faults(circ, outputs).total == len(configs)
             return configs
 
-        # each enumerator builds one harness, whose noiseless check is one call
-        for run in (
-            lambda: _table_configs(enumerate_single_faults(circ, outputs, sites="all")),
-            pairs,
-            lambda: _table_configs(first_order_oracle(circ, outputs, nm).table),
+        for label, run in (
+            ("singles", lambda: _table_configs(enumerate_single_faults(circ, outputs, sites="all"))),
+            ("pairs", pairs),
+            ("first order", lambda: _table_configs(first_order_oracle(circ, outputs, nm).table)),
         ):
-            kernel_calls.clear()
+            harnesses.clear()
             configs = run()
+            (made,) = harnesses   # each enumerator builds one harness
             classes = len(harness.fault_classes(_fault_arrays(configs), len(configs))[0])
-            assert 0 < classes <= len(configs)
-            assert len(kernel_calls) == 1 + math.ceil(classes / group)
-            assert sum(kernel_calls[1:]) == classes
+            decided, forked, clean, tails = self.pinned[name][label]
+            assert decided + forked + clean == classes
+            assert made.counts == {
+                "kernel_calls": 3 + tails, "trunk_runs": 2, "rows_decided": decided,
+                "rows_forked": forked, "rows_run": 1,
+            }
 
     def test_one_t_site_has_no_pairs(self, kernel_calls):
         gates = (
@@ -1084,9 +1130,28 @@ def exact_harnesses():
     return {"ccz-g": _Harness(gadgetize(ccz), ccz_out), "t15": _Harness(t15, t15_out)}
 
 
+def _decided_rows(harness, frames):
+    """The rows, ascending, that `run_sampled` decides at a detector without
+    a run, by their frames as `TrajectoryKernel.frames` returns them."""
+    row, stop, x, z = frames
+    first = np.ones(len(row), dtype=bool)
+    first[1:] = row[1:] != row[:-1]
+    return row[first][harness._decided(stop[first], x[first], z[first])]
+
+
+def _detector_flips(harness):
+    """A fault right before each detection measurement that flips it."""
+    return [
+        (pos - 1, "Z" if g.kind == "MeasX" else "X", g.qubits[0])
+        for pos, g in enumerate(harness.circuit.gates) if g.record in harness.reference
+    ]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(name=st.sampled_from(["ccz-g", "t15"]), data=st.data())
 def test_random_faults_match_reference(exact_harnesses, name, data):
+    # a draw may add a fault that flips a detector, so that rows decided at
+    # a detector, and rows whose frames cancel there, are drawn too
     harness = exact_harnesses[name]
     sites = _fault_sites(harness.circuit)
     faults = [
@@ -1098,8 +1163,162 @@ def test_random_faults_match_reference(exact_harnesses, name, data):
             )
         )
     ]
-    got = run_one(harness, faults)
+    faults += data.draw(st.lists(st.sampled_from(_detector_flips(harness)), max_size=1))
+    decided = len(_decided_rows(harness, harness.kernel.frames(*_fault_arrays([faults]))))
+    event(f"decided at a detector: {bool(decided)}")
+    got, counts = tallied(harness, lambda: run_one(harness, faults))
+    assert counts["rows_decided"] == decided
     assert got == pytest.approx(reference_exact(harness, faults), rel=0, abs=1e-12)
+
+
+class TestDecidedRows:
+    """A row whose first frame flips a certain detection outcome is decided
+    without a kernel run. The kernel itself keeps no branch of any such
+    row, with every outcome branched and with drawn outcomes."""
+
+    @staticmethod
+    def enumerations(circ, outputs, harness):
+        """(label, configurations) of singles on every site, Z pairs on the
+        T sites, and first order at t_decode 0, 1 and 2."""
+        yield "singles", _table_configs(enumerate_single_faults(circ, outputs, sites="all"))
+        yield "pairs", _pair_configs(harness)
+        for t_decode in range(3):
+            nm = NoiseModel(1e-4, 0.0, t_decode)
+            yield f"fo{t_decode}", _table_configs(first_order_oracle(circ, outputs, nm).table)
+
+    @pytest.mark.parametrize("name", ["ccz", "ccz-g", "cs", "cs-g", "t15", "t15-g"])
+    def test_kernel_keeps_no_branch(self, name):
+        base = name.split("-g")[0]
+        circ, outputs = {"ccz": compiled_ccz, "cs": compiled_cs, "t15": compiled_t15}[base]()
+        if name.endswith("-g"):
+            circ = gadgetize(circ)
+        harness = _Harness(circ, outputs)
+        kernel = harness.kernel
+        rng = np.random.default_rng(len(name))
+        total = 0
+        for label, configs in self.enumerations(circ, outputs, harness):
+            frames = kernel.frames(*_fault_arrays(configs))
+            first, klass = harness.fault_classes(_fault_arrays(configs), len(configs))
+            decided = _decided_rows(harness, frames)
+            # one row per decided class, renumbered in order
+            rows = np.unique(first[klass[decided]])
+            total += len(rows)
+            on = np.isin(frames[0], rows)
+            sub = (rows.searchsorted(frames[0][on]), *(a[on] for a in frames[1:]))
+            drawn = rng.random((len(rows), len(harness.meas_order)))
+            assert len(kernel.run(drawn, harness.reference, sub)[0]) == 0, label
+            step = max(1, kernel.chunk_rows >> len(harness.injection))
+            for lo in range(0, len(rows), step):
+                hi = min(lo + step, len(rows))
+                a, b = sub[0].searchsorted((lo, hi))
+                alive, _, _, _ = kernel.run(
+                    np.full((hi - lo, len(harness.meas_order)), np.nan), harness.reference,
+                    (sub[0][a:b] - lo, *(f[a:b] for f in sub[1:])),
+                )
+                assert len(alive) == 0, label
+        assert total > 0
+
+    def test_frames_that_cancel_at_a_detector_run(self):
+        # two Z faults on T sites of gadgetized ccz: each one's frame stops
+        # at the detection MeasX and flips it, so each alone is decided; the
+        # two frames cancel there, so the pair runs (and is harmful)
+        circ, outputs = compiled_ccz()
+        harness = _Harness(gadgetize(circ), outputs)
+        pair = _pair_configs(harness)[0]
+        configs = [[pair[0]], [pair[1]], pair]
+        frames = harness.kernel.frames(*_fault_arrays(configs))
+        row, stop = frames[:2]
+        (det,) = [2 * pos for pos, g in enumerate(harness.circuit.gates) if g.record == "det0"]
+        assert stop[row == 0].min() == stop[row == 1].min() == det
+        assert _decided_rows(harness, frames).tolist() == [0, 1]
+        (acc, infid), counts = tallied(harness, lambda: harness.run_exact(configs))
+        assert counts == {
+            "kernel_calls": 2, "trunk_runs": 1, "rows_decided": 2, "rows_forked": 1, "rows_run": 0,
+        }
+        assert acc[:2].tolist() == infid[:2].tolist() == [0.0, 0.0]
+        assert (acc[2], infid[2]) == pytest.approx(reference_exact(harness, pair), rel=0, abs=1e-12)
+        assert _fault_class(acc[2], infid[2]) == 2   # harmful
+
+
+class TestFoldedBranches:
+    """`run_exact` folds a row's branches where a stretch of injections is
+    corrected and another one follows; `run_sampled` keeps every branch of
+    the same rows. Their sums of weight and of weight x infidelity agree."""
+
+    @pytest.mark.parametrize("name", ["cs-g", "t15-g"])
+    def test_folded_sums_match_branches(self, name):
+        circ, outputs = compiled_cs() if name == "cs-g" else compiled_t15()
+        harness = _Harness(gadgetize(circ), outputs, t_decode=1)
+        nan = np.full((1, len(harness.meas_order)), np.nan)
+        branches = 2 ** len(harness.injection)
+        assert len(harness.kernel.run(nan, harness.reference)[0]) == branches
+        assert len(harness.kernel.run(nan, harness.reference, fold=True)[0]) < branches
+        configs = [
+            [(pos, pauli, q)] for _, pos, q in harness.depolarizing_sites()[::5] for pauli in "XYZ"
+        ]
+        acc, infid = harness.run_exact(configs)
+        row, weight, infidelity = harness.run_sampled(
+            _fault_arrays(configs), nan.repeat(len(configs), axis=0)
+        )
+        want_acc = np.bincount(row, weight, minlength=len(configs))
+        assert np.abs(acc - want_acc).max() <= 1e-14
+        bad = np.bincount(row, weight * infidelity, minlength=len(configs))
+        assert np.abs(acc * infid - bad).max() <= 1e-14
+        assert 0 < np.count_nonzero(acc) < len(configs) and np.count_nonzero(infid > 1e-9) > 0
+
+
+class TestTrunk:
+    """Exact rows fork from the fault-free branch tree of one NaN row (the
+    trunk), several stops per kernel call, within the chunk's amplitudes."""
+
+    @pytest.mark.parametrize("name", ["ccz-g", "cs-g", "t15-g"])
+    def test_chunks_stay_within_amplitudes(self, monkeypatch, name):
+        circ, outputs = {"ccz-g": compiled_ccz, "cs-g": compiled_cs, "t15-g": compiled_t15}[name]()
+        harness = _Harness(gadgetize(circ), outputs, t_decode=1)
+        budget = 1 << 12
+        monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", budget)
+        rows, seen = [0], []
+        run, apply_run = semantics.TrajectoryKernel.run, semantics.TrajectoryKernel._apply_run
+
+        def tail(self, uniforms, postselect=None, frames=semantics._NO_FRAMES, start=None, *args):
+            if start is not None:
+                rows[0] = len(uniforms)
+            try:
+                return run(self, uniforms, postselect, frames, start, *args)
+            finally:
+                rows[0] = 0
+
+        def applied(self, states, first, last):
+            out = apply_run(self, states, first, last)
+            if rows[0] > 1:   # a chunk of one row may outgrow the budget
+                seen.append(out.size)
+            return out
+
+        monkeypatch.setattr(semantics.TrajectoryKernel, "run", tail)
+        monkeypatch.setattr(semantics.TrajectoryKernel, "_apply_run", applied)
+        configs = [
+            [(pos, pauli, q)] for _, pos, q in harness.depolarizing_sites() for pauli in "XYZ"
+        ]
+        acc, infid = harness.run_exact(configs)
+        assert seen and max(seen) <= budget
+        monkeypatch.undo()
+        want = harness.run_exact(configs)
+        assert np.abs(acc - want[0]).max() <= 1e-14 and np.abs(infid - want[1]).max() <= 1e-14
+
+    def test_no_frame_before_the_start(self):
+        circ, outputs = compiled_ccz()
+        harness = _Harness(gadgetize(circ), outputs)
+        kernel = harness.kernel
+        nan = np.full((1, len(harness.meas_order)), np.nan)
+        end = 2 * len(harness.circuit.gates)
+        trees = []
+        kernel.run(nan, harness.reference, semantics._NO_FRAMES, None, [end], trees.append)
+        (tree,) = trees
+        assert tree.h == end
+        early = kernel.frames([0], [harness.tprep_sites()[0][0]], [2], [harness.tprep_sites()[0][1]])
+        assert len(early[1]) == 1 and early[1][0] < end
+        with pytest.raises(SimulationError, match="before the start"):
+            kernel.run(nan, harness.reference, early, tree)
 
 
 class TestLiveWidth:
