@@ -279,10 +279,11 @@ class _Harness:
         rejected without a run;
       * forked: rows that branch at every measurement start from the
         fault-free branch tree (the trunk) at their first stop, and run only
-        the rest of the circuit; the fault-free rows read the trunk itself,
-        and `run_exact` folds the branches of each row (`_forked`);
+        the rest of the circuit; the fault-free rows read the trunk itself
+        (`_forked`);
       * run: rows that draw their outcomes run from the start, in chunks.
-    The noiseless check in `__init__` is one trunk run.
+    The noiseless check in `__init__` is one trunk run; it also finds the
+    detection outcomes certain enough to decide rows on.
 
     `counts` keeps deterministic tallies of this work: "kernel_calls"
     (calls of `TrajectoryKernel.run`, trunks included), "trunk_runs",
@@ -322,15 +323,6 @@ class _Harness:
         self.counts = dict.fromkeys(
             ("kernel_calls", "trunk_runs", "rows_decided", "rows_forked", "rows_run"), 0
         )
-        # The flat index bit that a frame stopping at half-step 2g holds in
-        # its Z mask (before a detection MeasX at gate g) or X mask (MeasZ)
-        # when it flips that measurement's outcome.
-        self._flips_x = np.zeros(2 * len(c.gates) + 1, dtype=np.int64)
-        self._flips_z = np.zeros_like(self._flips_x)
-        for pos, g in enumerate(c.gates):
-            if g.kind in MEAS_KINDS and g.record not in consumed:
-                flips = self._flips_z if g.kind == "MeasX" else self._flips_x
-                flips[2 * pos] = self.kernel.axis_bit(2 * pos, g.qubits[0])
 
         # The noiseless reference comes from one row that takes the likelier
         # outcome of every measurement (uniform 0.5); the detection outcomes
@@ -340,14 +332,39 @@ class _Harness:
         self.reference = {r: int(outcomes[r][0]) for r in self.detection}
         self.ideal_out = self._reduced_pure(states[0])
         # every branch of the injection outcomes, postselected on the
-        # reference: one trunk run without forks
-        _, weight, infidelity = self.run_sampled(
-            np.zeros((4, 0), dtype=np.int64), np.full((1, len(self.meas_order)), np.nan)
+        # reference: one trunk run, which pauses before each detection
+        # measurement to see whether some branch keeps its other outcome
+        detectors = {
+            2 * pos: g for pos, g in enumerate(c.gates)
+            if g.kind in MEAS_KINDS and g.record in self.reference
+        }
+        uncertain = set()
+
+        def check(tree):
+            g = detectors[tree.h]
+            if self.kernel.keeps(tree, 1 - self.reference[g.record]):
+                uncertain.add(tree.h)
+
+        self.counts["trunk_runs"] += 1
+        _, weight, states, _ = self._kernel_run(
+            np.full((1, len(self.meas_order)), np.nan), self.reference, _NO_FRAMES, None,
+            sorted(detectors), check,
         )
         if abs(weight.sum() - 1.0) > 1e-9:
             raise FaultAnalysisError("noiseless detection outcomes not deterministic")
-        if (infidelity > 1e-10).any():
+        if (self._infidelity(states) > 1e-10).any():
             raise FaultAnalysisError("noiseless branches disagree on the output state")
+        # The flat index bit that a frame stopping at half-step 2g holds in
+        # its Z mask (before a detection MeasX at gate g) or X mask (MeasZ)
+        # when it flips that measurement's outcome. It stays 0 where some
+        # branch keeps the other outcome (probability 1e-14 or more), and
+        # the kernel settles such a flip (see `run_sampled`).
+        self._flips_x = np.zeros(2 * len(c.gates) + 1, dtype=np.int64)
+        self._flips_z = np.zeros_like(self._flips_x)
+        for h, g in detectors.items():
+            if h not in uncertain:
+                flips = self._flips_z if g.kind == "MeasX" else self._flips_x
+                flips[h] = self.kernel.axis_bit(h, g.qubits[0])
 
     def _reduced_pure(self, state: np.ndarray) -> np.ndarray:
         """Pure state of the outputs, from a final-layout state."""
@@ -382,10 +399,9 @@ class _Harness:
 
         Each class of configurations (`fault_classes`) is one row that
         branches at every injection measurement, decided or forked from the
-        trunk as in `run_sampled`, but with its branches folded (`_forked`);
-        its acceptance is the sum of its branches' weights, and every
-        configuration reads the values of its class. The frames of the
-        configurations are computed once.
+        trunk as in `run_sampled`; its acceptance is the sum of its
+        branches' weights, and every configuration reads the values of its
+        class. The frames of the configurations are computed once.
         """
         frames = self.kernel.frames(*_fault_arrays(configs))
         first, klass = self._classes(frames, len(configs))
@@ -397,7 +413,7 @@ class _Harness:
         kept = chosen[frames[0]]
         row, weight, infid = self._run(
             (klass[frames[0][kept]], *(a[kept] for a in frames[1:])),
-            np.full((len(first), len(self.meas_order)), np.nan), fold=True,
+            np.full((len(first), len(self.meas_order)), np.nan),
         )
         acceptance = np.bincount(row, weight, minlength=len(first))
         bad = np.bincount(row, weight * infid, minlength=len(first))
@@ -446,38 +462,39 @@ class _Harness:
         as its Pauli frame (`TrajectoryKernel.frames`).
         Row i consumes uniforms[i], one value per measurement in circuit
         order, as `TrajectoryKernel.run` does: a number in [0, 1) draws the
-        outcome, NaN branches on it. Returns (row, weight, infidelity) of
+        outcome, NaN branches on it. Either every uniform is NaN or none is
+        (ValueError otherwise). Returns (row, weight, infidelity) of
         each surviving trajectory, rows ascending: the weight is the product
         of the probabilities of the outcomes it branched on (1 for a row
         that drew them all).
 
         Up to its first frame stop a row is the fault-free trajectory, up
-        to a phase, and `__init__` has shown every fault-free detection
-        outcome to be certain (to 1e-9 in total; on the bundled circuits the
-        other outcome's probability is 0 up to rounding). So a row whose
-        combined frame at its first stop anticommutes with the detection
-        measurement there flips a certain outcome: the outcome it must match
-        has a probability below the kernel's 1e-14, the kernel would keep no
-        branch of the row, and the row is rejected without a run
-        (`_decided`). A combined frame that commutes there (two frames that
-        cancel) runs. The other rows run:
+        to a phase. `__init__` marked each detection measurement at which
+        no branch of the noiseless trunk keeps the other outcome: its
+        probability is below the kernel's 1e-14 in every branch
+        (`TrajectoryKernel.keeps`). A row whose combined frame at its
+        first stop anticommutes with such a measurement must match an
+        outcome of that probability, so the kernel would keep no branch of
+        the row (up to the rounding of that probability's sum), and the row
+        is rejected without a run (`_decided`). A combined frame that
+        commutes there (two frames that cancel) runs. The other rows run:
           * When every uniform is NaN, every row's prefix is the fault-free
             branch tree of one NaN row. That tree (the trunk) runs once, and
             the rows fork from its branches at their first stops and run
             only the rest (`_forked`).
           * Otherwise rows run from the start, in chunks of `chunk_rows`
-            rows (max(1, chunk_rows // 2^k) if some uniform is NaN, k the
-            number of injection measurements). Where the rows fill more
-            than one chunk of several rows, they go into chunks in the order
-            of their earliest frame stop, so that the rows of a chunk share
-            as much of the run before their stops as they can (see
-            `TrajectoryKernel.run`).
+            rows. Where the rows fill more than one chunk of several rows,
+            they go into chunks in the order of their earliest frame stop,
+            so that the rows of a chunk share as much of the run before
+            their stops as they can (see `TrajectoryKernel.run`).
         """
         return self._run(self.kernel.frames(*faults), uniforms)
 
-    def _run(self, frames, uniforms, fold: bool = False):
-        """`run_sampled` on rows given by their frames; `fold` as in
-        `_forked`."""
+    def _run(self, frames, uniforms):
+        """`run_sampled` on rows given by their frames."""
+        nan = np.isnan(uniforms)
+        if nan.any() and not nan.all():
+            raise ValueError("uniforms must be all NaN or all drawn")
         row, stop, x, z = frames
         first = np.ones(len(row), dtype=bool)   # frames go by row, then stop
         first[1:] = row[1:] != row[:-1]
@@ -489,8 +506,8 @@ class _Harness:
         on = kept[row]
         frames = (place[row[on]], stop[on], x[on], z[on])
         kept = np.flatnonzero(kept)
-        if np.isnan(uniforms).all():
-            row, weight, infidelity = self._forked(frames, len(kept), fold)
+        if nan.all():
+            row, weight, infidelity = self._forked(frames, len(kept))
         else:
             row, weight, infidelity = self._chunked(frames, uniforms[kept])
         return kept[row], weight, infidelity
@@ -500,27 +517,18 @@ class _Harness:
         detection measurement at their stop."""
         return ((x & self._flips_x[stop]) | (z & self._flips_z[stop])) != 0
 
-    def _forked(self, frames, rows: int, fold: bool):
+    def _forked(self, frames, rows: int):
         """`run_sampled` on `rows` rows that branch at every measurement.
 
         One kernel call walks the trunk, the fault-free branch tree of one
         NaN row, and pauses at the first stop of each row. At a pause the
-        rows that stop there, and as many with later stops before the next
-        fold as `TrajectoryKernel.tail_rows` allows, start from the trunk's
+        rows that stop there, and as many with later stops as
+        `TrajectoryKernel.tail_rows` allows, start from the trunk's
         branches (states, weights and outcomes; each row's frame applied at
         its stop) and run only the rest, one kernel call per chunk. They are
         reduced to (row, weight, infidelity) before the trunk moves on, so
         one tree is held at a time. The rows without frames read the
-        trunk's own branches.
-
-        With `fold`, trunk and chunks fold their branches
-        (`TrajectoryKernel.run`) once a stretch of injections is corrected
-        and before the next one, where a row's branches differ only by
-        phases in the fault-free case and fold into few; a chunk then does
-        not reach past the next fold, so that rows that stop later fork
-        from the folded trunk. A row then returns its folded branches:
-        their sums of weight and of weight x infidelity are those of its
-        branches, and only those sums mean anything."""
+        trunk's own branches."""
         if not rows:
             return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
         row, stop, x, z = frames
@@ -546,18 +554,14 @@ class _Harness:
             if done == rows or earliest[done] != tree.h:
                 return   # these rows went with a chunk from an earlier stop
             step = self.kernel.tail_rows(tree, self.reference)
-            # a chunk takes rows from later stops too, to share their prefix,
-            # but no row past the next fold of the trunk's own branches
+            # a chunk takes rows from later stops too, to share their prefix
             here = earliest.searchsorted(tree.h, side="right")
-            limit = earliest.searchsorted(
-                self.kernel.next_fold(tree.h) if fold else earliest[-1], side="right"
-            )
             while done < here:
-                a, b = done, min(done + step, limit)
+                a, b = done, min(done + step, rows)
                 fa, fb = row.searchsorted((a, b))
                 alive, weight, states, _ = self._kernel_run(
                     nan.repeat(b - a, axis=0), self.reference,
-                    (row[fa:fb] - a, stop[fa:fb], x[fa:fb], z[fa:fb]), tree, (), None, fold,
+                    (row[fa:fb] - a, stop[fa:fb], x[fa:fb], z[fa:fb]), tree,
                 )
                 out.append((by_stop[a + alive], weight, self._infidelity(states)))
                 self.counts["rows_forked"] += int(b - a)
@@ -565,7 +569,7 @@ class _Harness:
 
         self.counts["trunk_runs"] += 1
         _, weight, states, _ = self._kernel_run(
-            nan, self.reference, _NO_FRAMES, None, earliest[earliest >= 0].tolist(), fork, fold
+            nan, self.reference, _NO_FRAMES, None, earliest[earliest >= 0].tolist(), fork
         )
         out.append((
             by_stop[:clean].repeat(len(weight)), np.tile(weight, clean),
@@ -576,11 +580,10 @@ class _Harness:
         return row[order], weight[order], infidelity[order]
 
     def _chunked(self, frames, uniforms):
-        """`run_sampled` on rows that run from the first half-step."""
+        """`run_sampled` on rows that draw every outcome, from the first
+        half-step."""
         row, stop, x, z = frames
         chunk = self.kernel.chunk_rows
-        if np.isnan(uniforms).any():
-            chunk = max(1, chunk >> len(self.injection))
         by_stop = np.arange(len(uniforms))   # the row in each place
         if 1 < chunk < len(uniforms):
             earliest = np.full(len(uniforms), np.iinfo(np.int64).max)

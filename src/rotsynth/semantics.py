@@ -402,18 +402,6 @@ class TrajectoryKernel:
         self._meas_col = {pos: col for col, pos in enumerate(meas_positions)}
         self._runs: dict[tuple[int, int], tuple] = {}  # see _apply_run
         self._tails: dict[frozenset, list[int]] = {}   # see tail_rows
-        # where `run` folds branches: the CondS half-steps after which no gate
-        # reads an outcome measured so far, but a later CondS reads one yet
-        # to be measured (the branches would grow again)
-        last_read = {g.record: pos for pos, g in enumerate(gates) if g.kind == "CondS"}
-        read = [pos for pos, g in enumerate(gates) if g.kind in MEAS_KINDS and g.record in last_read]
-        self._folds = set()
-        pending = -1
-        for pos, g in enumerate(gates):
-            if g.kind in MEAS_KINDS:
-                pending = max(pending, last_read.get(g.record, -1))
-            elif g.kind == "CondS" and pending == pos and pos < read[-1]:
-                self._folds.add(2 * pos + 1)
 
     @property
     def axis_qubits(self) -> list[int]:
@@ -455,10 +443,18 @@ class TrajectoryKernel:
                     peak *= 2
         return max(1, _CHUNK_AMPLITUDES // (len(tree.alive) * tail[tree.h]))
 
-    def next_fold(self, h: int) -> int:
-        """The first half-step after h after which `run` with `fold` folds
-        branches, or the last half-step."""
-        return min((f for f in self._folds if f > h), default=len(self._live) - 1)
+    def keeps(self, tree: BranchTree, outcome: int) -> bool:
+        """Whether `run` keeps some state row of `tree`, paused right before
+        a measurement, with that measurement's `outcome`: whether the
+        outcome has probability 1e-14 or more in some state row. `tree` is
+        not written."""
+        g = self.circuit.gates[tree.h // 2]
+        i = self._qubits.searchsorted(g.qubits[0])
+        _, origin, _, _, _, _ = _measure_rows(
+            tree.states, tree.of, g.kind, self._axis[tree.h, self._col[i]], False,
+            np.full(len(tree.alive), np.nan), outcome,
+        )
+        return len(origin) > 0
 
     def layout(self, h: int) -> tuple[int, ...]:
         """Live qubits after half-step h, in axis order."""
@@ -474,7 +470,7 @@ class TrajectoryKernel:
 
     def run(
         self, uniforms, postselect: dict[str, int] | None = None, frames=_NO_FRAMES,
-        start: BranchTree | None = None, pauses=(), visit=None, fold: bool = False,
+        start: BranchTree | None = None, pauses=(), visit=None,
     ):
         """Rows through the whole circuit, one per row of `uniforms`.
 
@@ -502,15 +498,6 @@ class TrajectoryKernel:
         each half-step in `pauses` (ascending) that a state row reaches,
         after the frames that stop there. It reads the tree, or starts
         `run` from it, and must not change it: the walk goes on with it.
-
-        With `fold`, the branches of each input row are folded (`_fold`)
-        after every CondS after which no gate reads an outcome measured so
-        far: into the fewest state rows whose weighted sum of |state><state|
-        is theirs. Everything after that point acts linearly on that sum, so
-        the sums of weight and of weight x any quadratic form of the final
-        states (acceptance, infidelity) keep their values, to rounding; the
-        single branches, and the outcomes measured before the fold, are
-        gone.
 
         Returns (input row of each surviving state row, in ascending order;
         their weights; their final states in the final layout; their
@@ -543,7 +530,7 @@ class TrajectoryKernel:
             bounds = bounds[bounds >= at]
         k = 0   # the next group of frames, by stop
         for h in sorted({*stop[bounds[:-1]].tolist(), *pauses}):
-            self._walk(tree, uniforms, postselect, h, fold)
+            self._walk(tree, uniforms, postselect, h)
             if not len(tree.alive):
                 break
             if k < len(bounds) - 1 and stop[bounds[k]] == h:
@@ -555,12 +542,12 @@ class TrajectoryKernel:
                 k += 1
             if visit is not None and h in pauses:
                 visit(tree)
-        self._walk(tree, uniforms, postselect, len(self._live) - 1, fold)
+        self._walk(tree, uniforms, postselect, len(self._live) - 1)
         return tree.final()
 
-    def _walk(self, tree, uniforms, postselect: dict[str, int], to: int, fold: bool):
+    def _walk(self, tree, uniforms, postselect: dict[str, int], to: int):
         """Advance `tree` through half-steps tree.h + 1 .. to, or until no
-        state row is left; `fold` as in `run`."""
+        state row is left."""
         gates = self.circuit.gates
         while tree.h < to and len(tree.alive):
             h = tree.h + 1
@@ -583,8 +570,6 @@ class TrajectoryKernel:
                 view = tree.states.reshape(len(tree.states), 1 << axis, 2, -1)
                 view[flip, :, 1] *= _DIAG_PHASES["S"][1]
                 tree.h = h
-                if fold and h in self._folds:
-                    _fold(tree)
             else:
                 tree.h = min(self._run_end[h], to)
                 tree.states = self._apply_run(tree.states, h, tree.h)
@@ -734,35 +719,6 @@ class TrajectoryKernel:
         if phase is not None:
             states *= phase
         return states
-
-
-def _fold(tree: BranchTree):
-    """Fold the branches of each input row of `tree` into the fewest state
-    rows with the same weighted sum of |state><state|: with M the matrix of
-    a row's sqrt(weight) x state, the rows of its SVD's V^H scaled by the
-    singular values s have the same M^H M. Singular values below 1e-10 s_max
-    (weight below 1e-20 of the largest) are rounding and are dropped. The
-    outcomes are dropped too. Input rows with equally many branches go
-    through one batched SVD."""
-    alive = tree.alive
-    first = np.flatnonzero(np.r_[True, alive[1:] != alive[:-1]])
-    if len(first) == len(alive):   # one branch per input row
-        return
-    count = np.diff(np.append(first, len(alive)))
-    held = tree.states if tree.of is None else tree.states[tree.of]
-    scaled = held * np.sqrt(tree.weight)[:, None]
-    sv = np.zeros((len(first), min(count.max(), held.shape[1])))
-    vh = np.zeros((*sv.shape, held.shape[1]), dtype=np.complex128)
-    for c in sorted(set(count.tolist())):
-        rows = np.flatnonzero(count == c)
-        m = scaled[first[rows, None] + np.arange(c)]
-        _, sv[rows, : min(c, held.shape[1])], vh[rows, : min(c, held.shape[1])] = np.linalg.svd(
-            m, full_matrices=False
-        )
-    keep = sv > 1e-10 * sv[:, :1]
-    tree.alive = alive[first].repeat(keep.sum(axis=1))
-    tree.weight, tree.states = sv[keep] ** 2, vh[keep]
-    tree.of, tree.outcomes = None, {}
 
 
 def _spread(alive, row):

@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -917,7 +916,7 @@ class TestBatchedEnumeration:
     # noiseless check and one for the enumeration
     pinned = {
         "ccz-g": {"singles": (15, 57, 1, 1), "pairs": (0, 7, 0, 1), "first order": (12, 47, 0, 1)},
-        "cs-g": {"singles": (22, 87, 1, 4), "pairs": (32, 10, 0, 1), "first order": (20, 76, 1, 4)},
+        "cs-g": {"singles": (22, 87, 1, 6), "pairs": (32, 10, 0, 1), "first order": (20, 76, 1, 5)},
         "t15": {"singles": (41, 71, 1, 1), "pairs": (70, 11, 0, 1), "first order": (37, 62, 1, 1)},
     }
 
@@ -952,7 +951,7 @@ class TestBatchedEnumeration:
                 "rows_forked": forked, "rows_run": 1,
             }
 
-    def test_one_t_site_has_no_pairs(self, kernel_calls):
+    def test_one_t_site_has_no_pairs(self, harnesses):
         gates = (
             Gate("PrepPlus", (0,)),
             Gate("PrepPlus", (1,)),
@@ -961,7 +960,11 @@ class TestBatchedEnumeration:
         )
         pairs = enumerate_pair_faults(Circuit(2, gates), [0])
         assert (pairs.total, pairs.harmful, pairs.detected, pairs.harmless) == (0, 0, 0, 0)
-        assert len(kernel_calls) == 1   # the harness's noiseless check
+        # the harness's reference row and noiseless check, and no pair
+        (made,) = harnesses
+        assert made.counts == {
+            "kernel_calls": 2, "trunk_runs": 1, "rows_decided": 0, "rows_forked": 0, "rows_run": 1,
+        }
 
     def test_no_t_sites_gives_empty_table(self):
         gates = (
@@ -1239,43 +1242,41 @@ class TestDecidedRows:
         assert (acc[2], infid[2]) == pytest.approx(reference_exact(harness, pair), rel=0, abs=1e-12)
         assert _fault_class(acc[2], infid[2]) == 2   # harmful
 
-
-class TestFoldedBranches:
-    """`run_exact` folds a row's branches where a stretch of injections is
-    corrected and another one follows; `run_sampled` keeps every branch of
-    the same rows. Their sums of weight and of weight x infidelity agree."""
-
-    @pytest.mark.parametrize("name", ["cs-g", "t15-g"])
-    def test_folded_sums_match_branches(self, name):
-        circ, outputs = compiled_cs() if name == "cs-g" else compiled_t15()
-        harness = _Harness(gadgetize(circ), outputs, t_decode=1)
-        nan = np.full((1, len(harness.meas_order)), np.nan)
-        branches = 2 ** len(harness.injection)
-        assert len(harness.kernel.run(nan, harness.reference)[0]) == branches
-        assert len(harness.kernel.run(nan, harness.reference, fold=True)[0]) < branches
-        configs = [
-            [(pos, pauli, q)] for _, pos, q in harness.depolarizing_sites()[::5] for pauli in "XYZ"
-        ]
-        acc, infid = harness.run_exact(configs)
-        row, weight, infidelity = harness.run_sampled(
-            _fault_arrays(configs), nan.repeat(len(configs), axis=0)
+    @pytest.mark.parametrize("eps", [1e-20, 1e-12])
+    def test_outcome_not_certain_to_the_drop_threshold(self, monkeypatch, eps):
+        # a detector prepared as sqrt(1 - eps)|0> + sqrt(eps)|1>: the
+        # noiseless check tolerates eps, and an X before its MeasZ leaves
+        # the reference outcome probability eps. At 1e-12 the kernel keeps
+        # that branch, so the row must run; at 1e-20 it is decided.
+        amps = dict(semantics.PREP_AMPLITUDES, PrepZero=(np.sqrt(1.0 - eps), np.sqrt(eps)))
+        monkeypatch.setattr(semantics, "PREP_AMPLITUDES", amps)
+        circ = Circuit(2, (
+            Gate("PrepT", (0,)), Gate("PrepZero", (1,)), Gate("MeasZ", (1,), "d"),
+        ))
+        harness = _Harness(circ, [0])
+        configs = [[(1, "X", 1)]]
+        _, weight, _, _ = harness.kernel.run(
+            np.full((1, 1), np.nan), harness.reference,
+            harness.kernel.frames(*_fault_arrays(configs)),
         )
-        want_acc = np.bincount(row, weight, minlength=len(configs))
-        assert np.abs(acc - want_acc).max() <= 1e-14
-        bad = np.bincount(row, weight * infidelity, minlength=len(configs))
-        assert np.abs(acc * infid - bad).max() <= 1e-14
-        assert 0 < np.count_nonzero(acc) < len(configs) and np.count_nonzero(infid > 1e-9) > 0
+        (acc, infid), counts = tallied(harness, lambda: harness.run_exact(configs))
+        assert counts["rows_decided"] == (eps < 1e-14)
+        assert acc[0] == weight.sum() and acc[0] == pytest.approx(eps if eps > 1e-14 else 0.0)
+        assert infid[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestTrunk:
     """Exact rows fork from the fault-free branch tree of one NaN row (the
     trunk), several stops per kernel call, within the chunk's amplitudes."""
 
-    @pytest.mark.parametrize("name", ["ccz-g", "cs-g", "t15-g"])
-    def test_chunks_stay_within_amplitudes(self, monkeypatch, name):
+    # budgets at which some chunks take several rows: a trunk with more
+    # branches leaves fewer rows per chunk
+    @pytest.mark.parametrize(
+        "name, budget", [("ccz-g", 1 << 12), ("cs-g", 1 << 14), ("t15-g", 1 << 16)]
+    )
+    def test_chunks_stay_within_amplitudes(self, monkeypatch, name, budget):
         circ, outputs = {"ccz-g": compiled_ccz, "cs-g": compiled_cs, "t15-g": compiled_t15}[name]()
         harness = _Harness(gadgetize(circ), outputs, t_decode=1)
-        budget = 1 << 12
         monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", budget)
         rows, seen = [0], []
         run, apply_run = semantics.TrajectoryKernel.run, semantics.TrajectoryKernel._apply_run
@@ -1304,6 +1305,14 @@ class TestTrunk:
         monkeypatch.undo()
         want = harness.run_exact(configs)
         assert np.abs(acc - want[0]).max() <= 1e-14 and np.abs(infid - want[1]).max() <= 1e-14
+
+    def test_uniforms_all_nan_or_all_drawn(self):
+        circ, outputs = compiled_ccz()
+        harness = _Harness(gadgetize(circ), outputs)
+        uniforms = np.full((2, len(harness.meas_order)), np.nan)
+        uniforms[1] = 0.5
+        with pytest.raises(ValueError, match="all NaN or all drawn"):
+            harness.run_sampled(_fault_arrays([[], []]), uniforms)
 
     def test_no_frame_before_the_start(self):
         circ, outputs = compiled_ccz()
