@@ -4,7 +4,6 @@ from .gf2 import (
     BitVec,
     GF2Matrix,
     SingularMatrixError,
-    col_add,
     invert,
     is_invertible,
     is_permutation,

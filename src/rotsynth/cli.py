@@ -208,25 +208,30 @@ def cmd_faults(args) -> int:
             args, ["circuit", "outputs", "singles", "pairs", "first_order", "gadgetize", "tdecode"]
         )
     }
+    # the report is written before the summary is printed, so an unwritable
+    # --out leaves stdout empty
+    summary = []
     if args.singles:
         table = enumerate_single_faults(circuit, outputs, sites=args.sites)
         payload["singles"] = table.to_dict()
-        print(
+        summary.append(
             f"singles: {table.count('detected')} detected, "
             f"{table.count('harmless')} harmless, {table.count('harmful')} harmful"
         )
     if args.pairs:
         pairs = enumerate_pair_faults(circuit, outputs)
         payload["pairs"] = pairs.to_dict()
-        print(f"pairs: {pairs.harmful} harmful of {pairs.total}")
+        summary.append(f"pairs: {pairs.harmful} harmful of {pairs.total}")
     if args.first_order:
         fo = first_order_oracle(
             circuit, outputs, NoiseModel(1e-4, 0.0, args.tdecode)
         )
         payload["first_order"] = fo.to_dict()
-        print(f"first-order p_L coefficient: {fo.coefficient:.6f}")
+        summary.append(f"first-order p_L coefficient: {fo.coefficient:.6f}")
     if args.out:
         _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if summary:
+        print("\n".join(summary))
     return 0
 
 

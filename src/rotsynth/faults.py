@@ -35,10 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ir import Circuit, Gate, MEAS_KINDS, PREP_KINDS, T_LIKE_KINDS
-from .semantics import _NO_FRAMES, TrajectoryKernel
+from .semantics import BranchTree, TrajectoryKernel
 
 HARMFUL_INFIDELITY = 1e-9
 DETECTED_ACCEPTANCE = 1e-12
+_NO_STOP = np.iinfo(np.int64).max   # the first stop of a row without frames
 _FAULT_CLASSES = ("detected", "harmless", "harmful")
 
 
@@ -279,14 +280,14 @@ class _Harness:
         rejected without a run;
       * forked: rows that branch at every measurement start from the
         fault-free branch tree (the trunk) at their first stop, and run only
-        the rest of the circuit; the fault-free rows read the trunk itself
-        (`_forked`);
-      * run: rows that draw their outcomes run from the start, in chunks.
-    The noiseless check in `__init__` is one trunk run; it also finds the
-    detection outcomes certain enough to decide rows on.
+        the rest of the circuit; the fault-free rows read the trunk itself;
+      * run: rows that draw their outcomes run from the start.
+    The harness walks the trunk itself (`TrajectoryKernel.walk`), one
+    stretch at a time. The noiseless check in `__init__` is one trunk walk;
+    it also finds the detection outcomes certain enough to decide rows on.
 
     `counts` keeps deterministic tallies of this work: "kernel_calls"
-    (calls of `TrajectoryKernel.run`, trunks included), "trunk_runs",
+    (calls of `TrajectoryKernel.run`, and one per trunk), "trunk_runs",
     "rows_decided", "rows_forked" and "rows_run" (rows run from the first
     half-step on their own, the reference row included).
 
@@ -319,6 +320,7 @@ class _Harness:
         if not self.detection:
             raise FaultAnalysisError("circuit has no detection measurements")
         self.kernel = TrajectoryKernel(c, self.outputs)
+        self._nan = np.full((1, len(self.meas_order)), np.nan)
         self._out_perm = self.kernel.permutation(self.outputs)
         self.counts = dict.fromkeys(
             ("kernel_calls", "trunk_runs", "rows_decided", "rows_forked", "rows_run"), 0
@@ -327,29 +329,26 @@ class _Harness:
         # The noiseless reference comes from one row that takes the likelier
         # outcome of every measurement (uniform 0.5); the detection outcomes
         # of a valid circuit are certain, so they do not depend on the row.
-        _, _, states, outcomes = self._kernel_run(np.full((1, len(self.meas_order)), 0.5))
+        _, _, states, outcomes = self._kernel_run(np.full_like(self._nan, 0.5))
         self.counts["rows_run"] += 1
         self.reference = {r: int(outcomes[r][0]) for r in self.detection}
         self.ideal_out = self._reduced_pure(states[0])
         # every branch of the injection outcomes, postselected on the
-        # reference: one trunk run, which pauses before each detection
+        # reference: one trunk walk, which stops before each detection
         # measurement to see whether some branch keeps its other outcome
         detectors = {
             2 * pos: g for pos, g in enumerate(c.gates)
             if g.kind in MEAS_KINDS and g.record in self.reference
         }
         uncertain = set()
-
-        def check(tree):
-            g = detectors[tree.h]
-            if self.kernel.keeps(tree, 1 - self.reference[g.record]):
-                uncertain.add(tree.h)
-
-        self.counts["trunk_runs"] += 1
-        _, weight, states, _ = self._kernel_run(
-            np.full((1, len(self.meas_order)), np.nan), self.reference, _NO_FRAMES, None,
-            sorted(detectors), check,
-        )
+        trunk = self._trunk()
+        for h, g in detectors.items():
+            if not self._walk(trunk, h):
+                break
+            if self.kernel.keeps(trunk, 1 - self.reference[g.record]):
+                uncertain.add(h)
+        self._walk(trunk)
+        _, weight, states, _ = trunk.final()
         if abs(weight.sum() - 1.0) > 1e-9:
             raise FaultAnalysisError("noiseless detection outcomes not deterministic")
         if (self._infidelity(states) > 1e-10).any():
@@ -386,6 +385,21 @@ class _Harness:
         """`self.kernel.run`, counted."""
         self.counts["kernel_calls"] += 1
         return self.kernel.run(uniforms, *args)
+
+    def _trunk(self) -> BranchTree:
+        """The trunk before its first half-step: the fault-free branch tree
+        of one row that branches at every measurement, postselected on the
+        reference, as `_walk` advances it. Each trunk counts as one kernel
+        call and one trunk run."""
+        self.counts["kernel_calls"] += 1
+        self.counts["trunk_runs"] += 1
+        return BranchTree.root(1)
+
+    def _walk(self, trunk: BranchTree, to: int | None = None) -> int:
+        """`self.kernel.walk` of the trunk to half-step `to` (default: the
+        last); returns the number of its branches left."""
+        self.kernel.walk(trunk, self._nan, self.reference, to)
+        return len(trunk.alive)
 
     # -- execution ---------------------------------------------------------
 
@@ -477,16 +491,23 @@ class _Harness:
         outcome of that probability, so the kernel would keep no branch of
         the row (up to the rounding of that probability's sum), and the row
         is rejected without a run (`_decided`). A combined frame that
-        commutes there (two frames that cancel) runs. The other rows run:
-          * When every uniform is NaN, every row's prefix is the fault-free
-            branch tree of one NaN row. That tree (the trunk) runs once, and
-            the rows fork from its branches at their first stops and run
-            only the rest (`_forked`).
-          * Otherwise rows run from the start, in chunks of `chunk_rows`
-            rows. Where the rows fill more than one chunk of several rows,
-            they go into chunks in the order of their earliest frame stop,
-            so that the rows of a chunk share as much of the run before
-            their stops as they can (see `TrajectoryKernel.run`).
+        commutes there (two frames that cancel) runs.
+
+        The other rows go in the order of their first frame stop, the rows
+        without frames last, so that the rows of one kernel call share as
+        much of the run before their stops as they can (see
+        `TrajectoryKernel.run`). Where a kernel call starts is the only
+        difference between the two kinds of rows:
+          * Drawn rows start at the first half-step, `chunk_rows` rows per
+            call.
+          * NaN rows share the fault-free branch tree of one NaN row as
+            their prefix. That tree (the trunk) is walked once, and stops
+            at each first stop; there the rows that stop there, and as many
+            with later stops as `TrajectoryKernel.tail_rows` allows, start
+            from its branches (their frames at that stop applied) and run
+            only the rest. They are reduced to (row, weight, infidelity)
+            before the trunk moves on, so one tree is held at a time. The
+            rows without frames read the trunk's final branches.
         """
         return self._run(self.kernel.frames(*faults), uniforms)
 
@@ -500,116 +521,70 @@ class _Harness:
         first[1:] = row[1:] != row[:-1]
         decided = row[first][self._decided(stop[first], x[first], z[first])]
         self.counts["rows_decided"] += len(decided)
+        # the other rows by first stop, rows without frames last: place i
+        # holds row by_stop[i], and the frames are renumbered by place
+        earliest = np.full(len(uniforms), _NO_STOP)
+        earliest[row[first]] = stop[first]
         kept = np.ones(len(uniforms), dtype=bool)
         kept[decided] = False
-        place = np.cumsum(kept) - 1
+        by_stop = np.flatnonzero(kept)
+        by_stop = by_stop[np.argsort(earliest[by_stop], kind="stable")]
+        place = np.empty(len(uniforms), dtype=np.int64)
+        place[by_stop] = np.arange(len(by_stop))
         on = kept[row]
-        frames = (place[row[on]], stop[on], x[on], z[on])
-        kept = np.flatnonzero(kept)
-        if nan.all():
-            row, weight, infidelity = self._forked(frames, len(kept))
-        else:
-            row, weight, infidelity = self._chunked(frames, uniforms[kept])
-        return kept[row], weight, infidelity
+        row, stop, x, z = place[row[on]], stop[on], x[on], z[on]
+        order = np.argsort(row, kind="stable")
+        frames = (row[order], stop[order], x[order], z[order])
+        earliest, uniforms = earliest[by_stop], uniforms[by_stop]
+        rows, framed = len(by_stop), int(earliest.searchsorted(_NO_STOP))
+        out = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
+        if not nan.all():
+            step = self.kernel.chunk_rows
+            out += [
+                self._chunk(frames, uniforms, lo, min(lo + step, rows))
+                for lo in range(0, rows, step)
+            ]
+        elif rows:
+            # the trunk stops at every first stop, also where an earlier chunk
+            # took its rows: where a walk stops splits the gathers and phases
+            # that the kernel composes, and so moves the values' last bits
+            trunk, done = self._trunk(), 0
+            for h in sorted(set(earliest[:framed].tolist())):
+                if not self._walk(trunk, h):
+                    break
+                here = earliest.searchsorted(h, side="right")
+                step = self.kernel.tail_rows(trunk, self.reference)
+                while done < here:
+                    lo, done = done, min(done + step, framed)
+                    out.append(self._chunk(frames, uniforms, lo, done, trunk))
+            self._walk(trunk)
+            _, weight, states, _ = trunk.final()
+            clean = rows - framed   # the rows without frames read the trunk's branches
+            out.append((
+                np.arange(framed, rows).repeat(len(weight)), np.tile(weight, clean),
+                np.tile(self._infidelity(states), clean),
+            ))
+        row, weight, infidelity = (np.concatenate(part) for part in zip(*out))
+        row = by_stop[row]
+        order = np.argsort(row, kind="stable")   # a row's branches stay in their order
+        return row[order], weight[order], infidelity[order]
 
     def _decided(self, stop, x, z) -> np.ndarray:
         """Which frames, each a row's first, flip the certain outcome of the
         detection measurement at their stop."""
         return ((x & self._flips_x[stop]) | (z & self._flips_z[stop])) != 0
 
-    def _forked(self, frames, rows: int):
-        """`run_sampled` on `rows` rows that branch at every measurement.
-
-        One kernel call walks the trunk, the fault-free branch tree of one
-        NaN row, and pauses at the first stop of each row. At a pause the
-        rows that stop there, and as many with later stops as
-        `TrajectoryKernel.tail_rows` allows, start from the trunk's
-        branches (states, weights and outcomes; each row's frame applied at
-        its stop) and run only the rest, one kernel call per chunk. They are
-        reduced to (row, weight, infidelity) before the trunk moves on, so
-        one tree is held at a time. The rows without frames read the
-        trunk's own branches."""
-        if not rows:
-            return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
+    def _chunk(self, frames, uniforms, lo: int, hi: int, start: BranchTree | None = None):
+        """The rows in places lo..hi-1 in one kernel call, from the first
+        half-step or from `start`: (place, weight, infidelity) of each
+        surviving trajectory."""
         row, stop, x, z = frames
-        first = np.ones(len(row), dtype=bool)
-        first[1:] = row[1:] != row[:-1]
-        earliest = np.full(rows, -1)
-        earliest[row[first]] = stop[first]
-        # rows by first stop (fault-free ones first), renumbered in that order
-        by_stop = np.argsort(earliest, kind="stable")
-        place = np.empty_like(by_stop)
-        place[by_stop] = np.arange(rows)
-        row = place[row]
-        order = np.argsort(row, kind="stable")
-        row, stop, x, z = row[order], stop[order], x[order], z[order]
-        earliest = earliest[by_stop]
-        nan = np.full((1, len(self.meas_order)), np.nan)
-        out = []
-        clean = int(earliest.searchsorted(0))   # the rows without frames
-        done = clean   # rows [0, done) have run
-
-        def fork(tree):
-            nonlocal done
-            if done == rows or earliest[done] != tree.h:
-                return   # these rows went with a chunk from an earlier stop
-            step = self.kernel.tail_rows(tree, self.reference)
-            # a chunk takes rows from later stops too, to share their prefix
-            here = earliest.searchsorted(tree.h, side="right")
-            while done < here:
-                a, b = done, min(done + step, rows)
-                fa, fb = row.searchsorted((a, b))
-                alive, weight, states, _ = self._kernel_run(
-                    nan.repeat(b - a, axis=0), self.reference,
-                    (row[fa:fb] - a, stop[fa:fb], x[fa:fb], z[fa:fb]), tree,
-                )
-                out.append((by_stop[a + alive], weight, self._infidelity(states)))
-                self.counts["rows_forked"] += int(b - a)
-                done = b
-
-        self.counts["trunk_runs"] += 1
-        _, weight, states, _ = self._kernel_run(
-            nan, self.reference, _NO_FRAMES, None, earliest[earliest >= 0].tolist(), fork
+        a, b = row.searchsorted((lo, hi))
+        alive, weight, states, _ = self._kernel_run(
+            uniforms[lo:hi], self.reference, (row[a:b] - lo, stop[a:b], x[a:b], z[a:b]), start,
         )
-        out.append((
-            by_stop[:clean].repeat(len(weight)), np.tile(weight, clean),
-            np.tile(self._infidelity(states), clean),
-        ))
-        row, weight, infidelity = (np.concatenate(part) for part in zip(*out))
-        order = np.argsort(row, kind="stable")   # a row's branches stay in their order
-        return row[order], weight[order], infidelity[order]
-
-    def _chunked(self, frames, uniforms):
-        """`run_sampled` on rows that draw every outcome, from the first
-        half-step."""
-        row, stop, x, z = frames
-        chunk = self.kernel.chunk_rows
-        by_stop = np.arange(len(uniforms))   # the row in each place
-        if 1 < chunk < len(uniforms):
-            earliest = np.full(len(uniforms), np.iinfo(np.int64).max)
-            first = np.ones(len(row), dtype=bool)   # frames go by row, then stop
-            first[1:] = row[1:] != row[:-1]
-            earliest[row[first]] = stop[first]
-            by_stop = np.argsort(earliest, kind="stable")
-            uniforms = uniforms[by_stop]
-            place = np.empty_like(by_stop)
-            place[by_stop] = np.arange(len(by_stop))
-            row = place[row]
-            order = np.argsort(row, kind="stable")
-            row, stop, x, z = row[order], stop[order], x[order], z[order]
-        out = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
-        for lo in range(0, len(uniforms), chunk):
-            hi = min(lo + chunk, len(uniforms))
-            a, b = np.searchsorted(row, (lo, hi))
-            alive, weight, states, _ = self._kernel_run(
-                uniforms[lo:hi], self.reference, (row[a:b] - lo, stop[a:b], x[a:b], z[a:b])
-            )
-            self.counts["rows_run"] += hi - lo
-            if len(alive):
-                out.append((by_stop[lo + alive], weight, self._infidelity(states)))
-        row, weight, infidelity = (np.concatenate(part) for part in zip(*out))
-        order = np.argsort(row, kind="stable")   # a row's branches stay in their order
-        return row[order], weight[order], infidelity[order]
+        self.counts["rows_run" if start is None else "rows_forked"] += hi - lo
+        return lo + alive, weight, self._infidelity(states)
 
     # -- fault sites -------------------------------------------------------
 

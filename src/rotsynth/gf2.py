@@ -1,14 +1,14 @@
 """Exact linear algebra over GF(2) on bit-packed vectors and matrices.
 
 Rows are stored as Python integers, bit j of row i holding entry (i, j).
-Row XOR is a single integer operation and column extraction / column
-addition are O(n), which is what the greedy CNOT synthesis loop needs.
+Row XOR is a single integer operation and column extraction is O(n),
+which is what the greedy CNOT synthesis loop needs.
 All public types are immutable values: operations return new objects, so
 speculative copies inside search loops are cheap and thread-safe.
 
-`rank`, `independent` and `invert` share one elimination, the incremental
-xor basis `_basis`: rank is its size, and the inputs recorded for each unit
-vector reduced against the basis of a matrix's rows give the inverse.
+`rank` and `invert` share one elimination, the incremental xor basis
+`_basis`: rank is its size, and the inputs recorded for each unit vector
+reduced against the basis of a matrix's rows give the inverse.
 """
 
 from __future__ import annotations
@@ -233,12 +233,6 @@ def _reduce(basis: dict[int, tuple[int, int]], v: int, inputs: int) -> tuple[int
     return v, inputs
 
 
-def independent(vectors) -> list[int]:
-    """Indices, ascending, of the vectors (packed ints) that are not in the
-    span of the vectors before them."""
-    return sorted(inputs.bit_length() - 1 for _, inputs in _basis(vectors).values())
-
-
 def rank(m: GF2Matrix) -> int:
     """GF(2) rank: the size of the xor basis of the rows."""
     return len(_basis(m.rows))
@@ -262,16 +256,6 @@ def invert(m: GF2Matrix) -> GF2Matrix:
     return GF2Matrix(n, n, tuple(_reduce(basis, 1 << j, 0)[1] for j in range(n)))
 
 
-def col_add(m: GF2Matrix, i: int, j: int) -> GF2Matrix:
-    """Return a copy with column j replaced by column i XOR column j."""
-    if i == j:
-        raise IndexError("col_add requires distinct columns")
-    if not (0 <= i < m.n_cols and 0 <= j < m.n_cols):
-        raise IndexError(f"column index out of range for shape {m.shape}")
-    rows = tuple(r ^ (((r >> i) & 1) << j) for r in m.rows)
-    return GF2Matrix(m.n_rows, m.n_cols, rows)
-
-
 def is_permutation(m: GF2Matrix) -> bool:
     """True iff every row sum and every column sum equals one."""
     if m.n_rows != m.n_cols:
@@ -282,17 +266,6 @@ def is_permutation(m: GF2Matrix) -> bool:
             return False
         seen |= r
     return seen == (1 << m.n_cols) - 1
-
-
-def permutation_matrix(images: list[int] | tuple[int, ...]) -> GF2Matrix:
-    """Matrix P with P e_i = e_images[i] (column i has its one in row images[i])."""
-    n = len(images)
-    if sorted(images) != list(range(n)):
-        raise DimensionError(f"{images!r} is not a permutation of 0..{n - 1}")
-    rows = [0] * n
-    for col, row in enumerate(images):
-        rows[row] |= 1 << col
-    return GF2Matrix(n, n, tuple(rows))
 
 
 def random_matrix(n_rows: int, n_cols: int, rng: random.Random) -> GF2Matrix:

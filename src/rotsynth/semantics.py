@@ -18,9 +18,10 @@ monomials at full width; the fault analyzer runs its faulty trajectories
 and its exact branch sums on the same kernel. A Pauli fault enters the
 kernel as its Pauli frame: carried forward through the gates it passes, and
 applied at the first gate that stops it (see `TrajectoryKernel.frames`). A
-run can pause to hand its branches (`BranchTree`) to a caller, and other
-rows can start from them, so that the fault analyzer runs the fault-free
-prefix of its exact rows once.
+caller can walk a row's branches (`BranchTree`) up to any half-step itself
+(`TrajectoryKernel.walk`) and start other rows from them (`run`'s `start`),
+so that the fault analyzer runs the fault-free prefix of its exact rows
+once.
 
 Basis convention: basis index bit q is qubit q (support strings read left
 to right); dense states are ndarrays of shape (2,)*n with axis q = qubit q.
@@ -146,35 +147,6 @@ def phase_polynomial_of(c: Circuit) -> PhasePolynomial:
     for g in c.gates:
         builder.feed(g)
     return builder.result()
-
-
-def compose_polynomials(first: PhasePolynomial, second: PhasePolynomial) -> PhasePolynomial:
-    """Canonical form of (second circuit applied after first circuit)."""
-    if first.n != second.n:
-        raise NotDiagonalizableError("qubit count mismatch")
-    builder = _PolyBuilder(first.n)
-    builder.rows = [first.linear.rows[i] for i in range(first.n)]
-    builder.b = first.affine.bits
-    builder.coeffs = {v.bits: k for v, k in first.coeffs.items()}
-    builder.global16 = first.global_phase
-    # pull second's phase terms back through first's affine map
-    for v, k in second.coeffs.items():
-        vbits = 0
-        offset = 0
-        for q in v.support():
-            vbits ^= first.linear.rows[q]
-            offset ^= (first.affine.bits >> q) & 1
-        builder.add_term(vbits, offset, k)
-    linear = second.linear @ first.linear
-    affine = second.linear.mul_vec(first.affine) ^ second.affine
-    builder.global16 = (builder.global16 + second.global_phase) % 16
-    return PhasePolynomial(
-        first.n,
-        linear,
-        affine,
-        {BitVec(first.n, v): k for v, k in builder.coeffs.items()},
-        builder.global16,
-    )
 
 
 def _monomial_form(coeffs: dict[BitVec, int]) -> dict[int, int]:
@@ -444,8 +416,8 @@ class TrajectoryKernel:
         return max(1, _CHUNK_AMPLITUDES // (len(tree.alive) * tail[tree.h]))
 
     def keeps(self, tree: BranchTree, outcome: int) -> bool:
-        """Whether `run` keeps some state row of `tree`, paused right before
-        a measurement, with that measurement's `outcome`: whether the
+        """Whether `run` keeps some state row of `tree`, walked to right
+        before a measurement, with that measurement's `outcome`: whether the
         outcome has probability 1e-14 or more in some state row. `tree` is
         not written."""
         g = self.circuit.gates[tree.h // 2]
@@ -470,7 +442,7 @@ class TrajectoryKernel:
 
     def run(
         self, uniforms, postselect: dict[str, int] | None = None, frames=_NO_FRAMES,
-        start: BranchTree | None = None, pauses=(), visit=None,
+        start: BranchTree | None = None,
     ):
         """Rows through the whole circuit, one per row of `uniforms`.
 
@@ -488,16 +460,11 @@ class TrajectoryKernel:
         up to a sign that may differ between the branches of a row: a
         global phase of each state row.
 
-        `start` (optional) is a `BranchTree` of one input row, as `visit`
-        receives it. Every row then begins as a copy of its branches after
+        `start` (optional) is a `BranchTree` of one input row, as `walk`
+        leaves it. Every row then begins as a copy of its branches after
         half-step start.h, its frames at that stop applied (`_branch`), and
         consumes its uniforms from there on; no frame may stop earlier, and
         `start` is left as it was.
-
-        `visit` (optional) is called with the walk's own `BranchTree` after
-        each half-step in `pauses` (ascending) that a state row reaches,
-        after the frames that stop there. It reads the tree, or starts
-        `run` from it, and must not change it: the walk goes on with it.
 
         Returns (input row of each surviving state row, in ascending order;
         their weights; their final states in the final layout; their
@@ -513,7 +480,7 @@ class TrajectoryKernel:
         that take one outcome share the new state (`_measure_rows`). At its
         first stop a row takes a state of its own (`_fork`).
         """
-        postselect, pauses = postselect or {}, set(pauses)
+        postselect = postselect or {}
         row, stop, x, z = frames
         order = np.argsort(stop, kind="stable")   # by stop, rows ascending in each
         row, stop, x, z = row[order], stop[order], x[order], z[order]
@@ -528,26 +495,27 @@ class TrajectoryKernel:
             at = int(stop.searchsorted(start.h, side="right"))
             tree = _branch(start, len(uniforms), row[:at], x[:at], z[:at])
             bounds = bounds[bounds >= at]
-        k = 0   # the next group of frames, by stop
-        for h in sorted({*stop[bounds[:-1]].tolist(), *pauses}):
-            self._walk(tree, uniforms, postselect, h)
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):   # the frames of one stop
+            self.walk(tree, uniforms, postselect, int(stop[lo]))
             if not len(tree.alive):
                 break
-            if k < len(bounds) - 1 and stop[bounds[k]] == h:
-                hit, which = _spread(tree.alive, row[bounds[k]:bounds[k + 1]])
-                which += bounds[k]
-                tree.states, tree.of, origin = _fork(tree.states, tree.of, hit, x[which], z[which])
-                if origin is not None:
-                    tree.outcomes = {r: o[origin] for r, o in tree.outcomes.items()}
-                k += 1
-            if visit is not None and h in pauses:
-                visit(tree)
-        self._walk(tree, uniforms, postselect, len(self._live) - 1)
+            hit, which = _spread(tree.alive, row[lo:hi])
+            which += lo
+            tree.states, tree.of, origin = _fork(tree.states, tree.of, hit, x[which], z[which])
+            if origin is not None:
+                tree.outcomes = {r: o[origin] for r, o in tree.outcomes.items()}
+        self.walk(tree, uniforms, postselect)
         return tree.final()
 
-    def _walk(self, tree, uniforms, postselect: dict[str, int], to: int):
-        """Advance `tree` through half-steps tree.h + 1 .. to, or until no
-        state row is left."""
+    def walk(self, tree: BranchTree, uniforms, postselect: dict[str, int], to: int | None = None):
+        """Advance `tree` in place through half-steps tree.h + 1 .. `to`
+        (default: the last), or until no state row is left, as `run` does
+        between frame stops: input row i consumes uniforms[i], and
+        `postselect` names the kept outcome of its records. A walk to
+        tree.h or earlier changes nothing. Where a walk ends, the gathers
+        and phases that `_apply_run` composes into one also end."""
+        if to is None:
+            to = len(self._live) - 1
         gates = self.circuit.gates
         while tree.h < to and len(tree.alive):
             h = tree.h + 1

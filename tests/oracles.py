@@ -596,6 +596,17 @@ def reference_invert(m: GF2Matrix) -> GF2Matrix:
     return GF2Matrix(n, n, tuple(row >> n for row in aug))
 
 
+def permutation_matrix(images: list[int] | tuple[int, ...]) -> GF2Matrix:
+    """Matrix P with P e_i = e_images[i] (column i has its one in row images[i])."""
+    n = len(images)
+    if sorted(images) != list(range(n)):
+        raise DimensionError(f"{images!r} is not a permutation of 0..{n - 1}")
+    rows = [0] * n
+    for col, row in enumerate(images):
+        rows[row] |= 1 << col
+    return GF2Matrix(n, n, tuple(rows))
+
+
 def _span(vectors) -> set[int]:
     span = {0}
     for v in vectors:

@@ -189,3 +189,16 @@ def test_sweep_shot_count(workdir, shots, want):
     else:
         assert code == 0
         assert out.read_text().splitlines()[1].split(",")[2] == str(want)
+
+
+def test_faults_unwritable_out(workdir):
+    # the report is written before the summary: a missing directory leaves
+    # stdout empty and one error line on stderr
+    outputs = ",".join(map(str, programs.DESIGNATIONS["ccz"][0]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["faults", "--circuit", str(workdir / "ccz_circuit.json"), "--outputs", outputs,
+                     "--gadgetize", "--pairs", "--out", str(workdir / "missing" / "f.json")])
+    assert code == 1
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

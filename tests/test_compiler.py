@@ -47,6 +47,7 @@ from oracles import (
     ccz_state,
     cs_state,
     cx_unitary,
+    permutation_matrix,
     plus_prep,
     random_program,
     reference_emit,
@@ -92,8 +93,6 @@ class TestCnotSynthesize:
         assert res.ops == ()
 
     def test_permutation_input(self):
-        from rotsynth.gf2 import permutation_matrix
-
         p = permutation_matrix([1, 2, 0, 3])
         res = cnot_synthesize(p)
         assert res.perm == p.transpose()

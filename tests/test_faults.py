@@ -325,6 +325,60 @@ class TestFirstOrder:
         assert abs(fo.coefficient - 11.25) / 11.25 < 0.15
 
 
+def pinned_circuit(name):
+    """A bundled circuit with its detection, gadgetized under a "-g" name."""
+    circ, outputs = {"ccz": compiled_ccz, "cs": compiled_cs, "t15": compiled_t15}[
+        name.removesuffix("-g")
+    ]()
+    return (gadgetize(circ) if name.endswith("-g") else circ), outputs
+
+
+# (detected, harmless, harmful) of single faults by site class, and of pairs
+PINNED_CLASS_COUNTS = {
+    ("ccz-g", "tprep"): (8, 0, 0),
+    ("ccz-g", "all"): (42, 35, 55),
+    ("ccz-g", "pairs"): (0, 0, 28),
+    ("t15", "tprep"): (15, 0, 0),
+    ("t15", "all"): (131, 82, 45),
+    ("t15", "pairs"): (105, 0, 0),
+}
+# first-order coefficient at t_decode 1
+PINNED_FIRST_ORDER = {"ccz-g": 12.166666666666645, "cs-g": 11.166666666666657, "t15": 3.9375}
+# (circuit, r, shots) -> (accepted, faulty) at p_L 1e-3, t_decode 1, seed 3
+PINNED_MONTE_CARLO = {
+    ("ccz-g", 1, 100_000): (96958, 4842),
+    ("ccz-g", 10, 30_000): (27237, 3379),
+    ("cs-g", 1, 10_000): (9237, 1052),
+    ("t15", 1, 40_000): (37768, 2829),
+}
+
+
+@pytest.mark.parametrize("name, sites", sorted(PINNED_CLASS_COUNTS))
+def test_fault_classes_pinned(name, sites):
+    # pins the exact analysis end to end, which the oracle comparisons check
+    # only up to their tolerances
+    circ, outputs = pinned_circuit(name)
+    if sites == "pairs":
+        got = enumerate_pair_faults(circ, outputs).to_dict()
+    else:
+        got = enumerate_single_faults(circ, outputs, sites=sites).to_dict()
+    assert (got["detected"], got["harmless"], got["harmful"]) == PINNED_CLASS_COUNTS[name, sites]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FIRST_ORDER))
+def test_first_order_pinned(name):
+    circ, outputs = pinned_circuit(name)
+    fo = first_order_oracle(circ, outputs, NoiseModel(1e-4, 0.0, 1))
+    assert fo.coefficient == pytest.approx(PINNED_FIRST_ORDER[name], rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, r, shots", sorted(PINNED_MONTE_CARLO))
+def test_monte_carlo_pinned(name, r, shots):
+    circ, outputs = pinned_circuit(name)
+    rep = monte_carlo_infidelity(circ, outputs, NoiseModel.from_ratio(1e-3, r, 1), shots, seed=3)
+    assert (rep.accepted, rep.faulty) == PINNED_MONTE_CARLO[name, r, shots]
+
+
 class TestMonteCarlo:
     def test_noiseless(self):
         circ, outputs = compiled_ccz()
@@ -1320,14 +1374,98 @@ class TestTrunk:
         kernel = harness.kernel
         nan = np.full((1, len(harness.meas_order)), np.nan)
         end = 2 * len(harness.circuit.gates)
-        trees = []
-        kernel.run(nan, harness.reference, semantics._NO_FRAMES, None, [end], trees.append)
-        (tree,) = trees
+        tree = semantics.BranchTree.root(1)
+        kernel.walk(tree, nan, harness.reference, end)
         assert tree.h == end
         early = kernel.frames([0], [harness.tprep_sites()[0][0]], [2], [harness.tprep_sites()[0][1]])
         assert len(early[1]) == 1 and early[1][0] < end
         with pytest.raises(SimulationError, match="before the start"):
             kernel.run(nan, harness.reference, early, tree)
+
+    @staticmethod
+    def _trunk(to=None):
+        """(harness, NaN uniforms of one row, the trunk of gadgetized ccz
+        walked to half-step `to`)."""
+        circ, outputs = compiled_ccz()
+        harness = _Harness(gadgetize(circ), outputs)
+        nan = np.full((1, len(harness.meas_order)), np.nan)
+        tree = semantics.BranchTree.root(1)
+        harness.kernel.walk(tree, nan, harness.reference, to)
+        return harness, nan, tree
+
+    @staticmethod
+    def _snapshot(tree):
+        return (
+            tree.h, tree.alive.copy(), tree.weight.copy(), tree.states.copy(),
+            None if tree.of is None else tree.of.copy(),
+            {r: o.copy() for r, o in tree.outcomes.items()},
+        )
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert got[0] == want[0]
+        for a, b in zip(got[1:4], want[1:4]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert (got[4] is None) == (want[4] is None)
+        if want[4] is not None:
+            assert np.array_equal(got[4], want[4])
+        assert got[5].keys() == want[5].keys()
+        assert all(np.array_equal(got[5][r], want[5][r]) for r in want[5])
+
+    def test_walk_advances_in_place(self):
+        # ccz-g: its four injection measurements are gates 22-25
+        harness, nan, tree = self._trunk(50)
+        assert tree.h == 50 and len(tree.alive) == 8
+        assert set(tree.outcomes) == {"inj0", "inj1", "inj2"}
+        harness.kernel.walk(tree, nan, harness.reference)
+        assert tree.h == 2 * len(harness.circuit.gates)
+        alive, weight, states, outcomes = tree.final()
+        want = harness.kernel.run(nan, harness.reference)
+        assert np.array_equal(alive, want[0]) and len(alive) == 16
+        assert np.allclose(weight, want[1], rtol=0, atol=1e-14)
+        assert np.allclose(states, want[2], rtol=0, atol=1e-14)
+        assert all(np.array_equal(outcomes[r], want[3][r]) for r in want[3])
+
+    def test_walk_stops_with_no_state_row(self):
+        harness, nan, tree = self._trunk(-1)
+        flipped = {r: 1 - o for r, o in harness.reference.items()}
+        harness.kernel.walk(tree, nan, flipped)
+        # the detection MeasX is gate 35, the last; no branch keeps its flip
+        assert len(tree.alive) == 0 and tree.h == 2 * 35 + 1
+
+    @pytest.mark.parametrize("to", [44, 50, 72])
+    def test_walk_back_changes_nothing(self, to):
+        harness, nan, tree = self._trunk(to)
+        before = self._snapshot(tree)
+        states = tree.states
+        for earlier in (to, to - 1, -1):
+            harness.kernel.walk(tree, nan, harness.reference, earlier)
+            self._assert_same(self._snapshot(tree), before)
+        assert tree.states is states
+
+    # at half-step 44 every branch shares one state (`of` is set); at 50
+    # the trunk holds 8 branches, each with its own state
+    @pytest.mark.parametrize("to", [44, 50])
+    @pytest.mark.parametrize("every", [True, False], ids=["every-row", "some-rows"])
+    def test_run_leaves_the_start_unwritten(self, to, every):
+        harness, _, tree = self._trunk(to)
+        kernel = harness.kernel
+        configs = [
+            [(pos, pauli, q)] for _, pos, q in harness.depolarizing_sites() for pauli in "XYZ"
+        ]
+        row, stop, x, z = kernel.frames(*_fault_arrays(configs))
+        here = np.flatnonzero(stop == to)
+        assert len(here) >= 10
+        # one frame per row; without `every`, rows without frames in between
+        rows = len(here) if every else 2 * len(here) + 1
+        placed = np.arange(len(here)) * (1 if every else 2) + (0 if every else 1)
+        before = self._snapshot(tree)
+        alive, weight, states, _ = kernel.run(
+            np.full((rows, len(harness.meas_order)), np.nan), harness.reference,
+            (placed, stop[here], x[here], z[here]), tree,
+        )
+        assert len(alive) and (weight > 0).all()
+        self._assert_same(self._snapshot(tree), before)
 
 
 class TestLiveWidth:

@@ -2,19 +2,16 @@ import itertools
 import random
 
 import pytest
-from oracles import reference_invert
+from oracles import permutation_matrix, reference_invert
 
 from rotsynth.gf2 import (
     BitVec,
     DimensionError,
     GF2Matrix,
     SingularMatrixError,
-    col_add,
-    independent,
     invert,
     is_invertible,
     is_permutation,
-    permutation_matrix,
     random_invertible,
     random_matrix,
     rank,
@@ -81,26 +78,6 @@ class TestRank:
                 m = random_matrix(n_rows, n_cols, rng)
                 assert rank(m) == rank_by_span(m)
                 assert rank(m) <= min(n_rows, n_cols)
-
-
-class TestIndependent:
-    def test_against_span_oracle(self):
-        rng = random.Random(6)
-        for _ in range(300):
-            n = rng.randrange(1, 7)
-            vectors = [rng.getrandbits(n) for _ in range(rng.randrange(0, 10))]
-            span, want = {0}, []
-            for i, v in enumerate(vectors):
-                if v not in span:
-                    span |= {v ^ s for s in span}
-                    want.append(i)
-            assert independent(vectors) == want
-
-    def test_examples(self):
-        assert independent([]) == []
-        assert independent([0, 0b11, 0b11, 0b01, 0b10, 0b100]) == [1, 3, 5]
-        # wide ints: bit 70 and bit 0, then their sum
-        assert independent([1 << 70, 1, (1 << 70) | 1]) == [0, 1]
 
 
 class TestInvertibility:
@@ -187,29 +164,6 @@ class TestInvert:
                 rows[j] = rows[i]
                 assert not self.assert_matches_reference(GF2Matrix(n, n, tuple(rows)))
         assert singular > 0
-
-
-class TestColAdd:
-    def test_identity_example(self):
-        m = col_add(GF2Matrix.identity(2), 0, 1)
-        assert m == GF2Matrix.from_cols([[1, 0], [1, 1]])
-
-    def test_involution(self):
-        m = random_invertible(5, 3)
-        assert col_add(col_add(m, 1, 4), 1, 4) == m
-
-    def test_same_index_rejected(self):
-        with pytest.raises(IndexError):
-            col_add(GF2Matrix.identity(3), 2, 2)
-
-    def test_preserves_invertibility_and_rank(self):
-        rng = random.Random(2)
-        for seed in range(50):
-            m = random_invertible(6, seed)
-            i, j = rng.sample(range(6), 2)
-            m2 = col_add(m, i, j)
-            assert is_invertible(m2)
-            assert rank(m2) == rank(m)
 
 
 class TestIsPermutation:

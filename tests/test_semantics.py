@@ -13,7 +13,6 @@ from rotsynth.semantics import (
     NotDiagonalizableError,
     SimulationError,
     TrajectoryKernel,
-    compose_polynomials,
     enumerate_branches,
     equal_up_to_global_phase,
     phase_polynomial_of,
@@ -56,19 +55,6 @@ class TestPhasePolynomial:
     def test_rejects_measurement(self):
         with pytest.raises(NotDiagonalizableError):
             phase_polynomial_of(Circuit(1, (Gate("MeasZ", (0,), "m"),)))
-
-    def test_composition(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            n = rng.randrange(2, 5)
-            c1 = random_fragment_circuit(rng, n, 8)
-            c2 = random_fragment_circuit(rng, n, 8)
-            combined = phase_polynomial_of(c1.concat(c2))
-            composed = compose_polynomials(
-                phase_polynomial_of(c1), phase_polynomial_of(c2)
-            )
-            assert poly_equal(combined, composed, up_to_global=False)
-            assert combined.global_phase == composed.global_phase
 
     def test_oracle_agreement_with_dense(self):
         # equal and unequal pairs must classify identically under both oracles
