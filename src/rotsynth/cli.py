@@ -20,11 +20,12 @@ from .compiler import PartitionError, compile_program, expand_reference
 from .faults import (
     FaultAnalysisError,
     NoiseModel,
+    _first_order,
     _Harness,
     _monte_carlo,
-    enumerate_pair_faults,
-    enumerate_single_faults,
-    first_order_oracle,
+    _pairs,
+    _singles,
+    build_schedule,
     gadgetize,
     spacetime_cost,
     surgery_baseline_cost,
@@ -209,23 +210,23 @@ def cmd_faults(args) -> int:
         )
     }
     # the report is written before the summary is printed, so an unwritable
-    # --out leaves stdout empty
+    # --out leaves stdout empty; the enumerations share one harness
     summary = []
+    if args.singles or args.pairs or args.first_order:
+        harness = _Harness(circuit, outputs)
     if args.singles:
-        table = enumerate_single_faults(circuit, outputs, sites=args.sites)
+        table = _singles(harness, build_schedule(circuit), args.sites)
         payload["singles"] = table.to_dict()
         summary.append(
             f"singles: {table.count('detected')} detected, "
             f"{table.count('harmless')} harmless, {table.count('harmful')} harmful"
         )
     if args.pairs:
-        pairs = enumerate_pair_faults(circuit, outputs)
+        pairs = _pairs(harness)
         payload["pairs"] = pairs.to_dict()
         summary.append(f"pairs: {pairs.harmful} harmful of {pairs.total}")
     if args.first_order:
-        fo = first_order_oracle(
-            circuit, outputs, NoiseModel(1e-4, 0.0, args.tdecode)
-        )
+        fo = _first_order(harness, build_schedule(circuit, args.tdecode))
         payload["first_order"] = fo.to_dict()
         summary.append(f"first-order p_L coefficient: {fo.coefficient:.6f}")
     if args.out:
@@ -251,7 +252,7 @@ def cmd_sweep(args) -> int:
     if not shots.is_integer():
         raise UsageError(f"--shots: expected a whole number, got {args.shots!r}")
     shots = int(shots)
-    harness = _Harness(circuit, outputs, args.tdecode)
+    harness = _Harness(circuit, outputs)
     rows = []
     for p_l in pls:
         for r in rs_:

@@ -295,9 +295,13 @@ class _Harness:
     lifetime, so a row's state holds only the live qubits, and the dense cap
     (`semantics.MAX_DENSE_QUBITS`) applies to the peak live width, not to
     the circuit's qubit count.
+
+    The harness holds no round schedule (`build_schedule`): the decode
+    latency moves only where the noise sits, so one harness serves every
+    t_decode, and each enumeration takes its schedule.
     """
 
-    def __init__(self, c: Circuit, outputs: list[int], t_decode: int = 0):
+    def __init__(self, c: Circuit, outputs: list[int]):
         if (
             not outputs
             or len(set(outputs)) != len(outputs)
@@ -310,7 +314,6 @@ class _Harness:
         self.circuit = c
         self.n = c.n
         self.outputs = list(outputs)
-        self.rounds = build_schedule(c, t_decode)
         consumed = {g.record for g in c.gates if g.kind == "CondS"}
         self.detection = [
             g.record for g in c.gates if g.kind in MEAS_KINDS and g.record not in consumed
@@ -596,14 +599,15 @@ class _Harness:
             if g.kind in T_LIKE_KINDS
         ]
 
-    def depolarizing_sites(self) -> list[tuple[int, int, int]]:
+    def depolarizing_sites(self, rounds: tuple[Round, ...]) -> list[tuple[int, int, int]]:
         """(round index, insert position, qubit) for every end-of-round noise
-        location, rounds 1 and later, on each qubit a fault there acts on
-        (`TrajectoryKernel.acting_qubits`): a qubit that a gate or an output
-        reads, up to the measurement after which nothing reads it."""
+        location of the schedule `rounds`, rounds 1 and later, on each qubit
+        a fault there acts on (`TrajectoryKernel.acting_qubits`): a qubit
+        that a gate or an output reads, up to the measurement after which
+        nothing reads it."""
         return [
             (r, rnd.insert_pos, q)
-            for r, rnd in enumerate(self.rounds[1:], start=1)
+            for r, rnd in enumerate(rounds[1:], start=1)
             for q in self.kernel.acting_qubits(rnd.insert_pos)
         ]
 
@@ -697,8 +701,8 @@ class PairSummary:
         }
 
 
-def _round_of(harness: _Harness, pos: int) -> int:
-    for r, rnd in enumerate(harness.rounds):
+def _round_of(rounds: tuple[Round, ...], pos: int) -> int:
+    for r, rnd in enumerate(rounds):
         if pos in rnd.gate_indices:
             return r
     return -1
@@ -717,7 +721,13 @@ def enumerate_single_faults(
     """
     if sites not in ("tprep", "all"):
         raise FaultAnalysisError(f"unknown site class {sites!r}")
-    harness = _Harness(c, outputs)
+    return _singles(_Harness(c, outputs), build_schedule(c), sites)
+
+
+def _singles(harness: _Harness, rounds: tuple[Round, ...], sites: str) -> DetectionTable:
+    """`enumerate_single_faults` on a harness, with the round of each fault
+    taken from `rounds`."""
+    c = harness.circuit
     if sites == "tprep":
         locations = harness.tprep_sites()
         paulis = ("Z",)
@@ -731,7 +741,7 @@ def enumerate_single_faults(
     acc, infid = harness.run_exact([[f] for f in faults])
     return DetectionTable([
         FaultRecord(
-            FaultLocation(pos, qubit, pauli, _round_of(harness, pos)),
+            FaultLocation(pos, qubit, pauli, _round_of(rounds, pos)),
             float(acc[i]),
             float(infid[i]),
         )
@@ -741,7 +751,11 @@ def enumerate_single_faults(
 
 def enumerate_pair_faults(c: Circuit, outputs: list[int]) -> PairSummary:
     """Exhaustively classify all Z fault pairs on the T-type sites."""
-    harness = _Harness(c, outputs)
+    return _pairs(_Harness(c, outputs))
+
+
+def _pairs(harness: _Harness) -> PairSummary:
+    """`enumerate_pair_faults` on a harness."""
     sites = harness.tprep_sites()
     acc, infid = harness.run_exact([
         [(pos_a, "Z", qubit_a), (pos_b, "Z", qubit_b)]
@@ -785,10 +799,15 @@ def first_order_oracle(c: Circuit, outputs: list[int], nm: NoiseModel) -> FirstO
     Monte Carlo estimate at p_L -> 0 for fixed t_decode. The report splits
     the sum by the round each fault ends.
     """
-    harness = _Harness(c, outputs, nm.t_decode)
+    return _first_order(_Harness(c, outputs), build_schedule(c, nm.t_decode))
+
+
+def _first_order(harness: _Harness, rounds: tuple[Round, ...]) -> FirstOrderReport:
+    """`first_order_oracle` on a harness, with the noise of the schedule
+    `rounds`."""
     faults = [
         (rnd_idx, pos, pauli, qubit)
-        for rnd_idx, pos, qubit in harness.depolarizing_sites()
+        for rnd_idx, pos, qubit in harness.depolarizing_sites(rounds)
         for pauli in ("X", "Y", "Z")
     ]
     acc, infid = harness.run_exact([[(pos, pauli, qubit)] for _, pos, pauli, qubit in faults])
@@ -796,9 +815,9 @@ def first_order_oracle(c: Circuit, outputs: list[int], nm: NoiseModel) -> FirstO
     per_round = np.bincount(
         np.array([f[0] for f in faults], dtype=np.int64),
         weights=contribution,
-        minlength=len(harness.rounds),
+        minlength=len(rounds),
     )
-    idle = [r for r, rnd in enumerate(harness.rounds) if rnd.label == "decode-idle"]
+    idle = [r for r, rnd in enumerate(rounds) if rnd.label == "decode-idle"]
     return FirstOrderReport(
         float(contribution.sum()),
         DetectionTable([
@@ -808,7 +827,7 @@ def first_order_oracle(c: Circuit, outputs: list[int], nm: NoiseModel) -> FirstO
         float(per_round[idle].sum()) / len(idle) if idle else 0.0,
         tuple(
             (r, rnd.label, float(per_round[r]))
-            for r, rnd in enumerate(harness.rounds) if r > 0
+            for r, rnd in enumerate(rounds) if r > 0
         ),
     )
 
@@ -859,7 +878,7 @@ def monte_carlo_infidelity(
     (decode idles included); trajectories whose detection outcomes differ
     from the noiseless reference are discarded.
     """
-    return _monte_carlo(_Harness(c, outputs, nm.t_decode), nm, shots, seed)
+    return _monte_carlo(_Harness(c, outputs), nm, shots, seed)
 
 
 _BATCH = 1 << 16  # shots per Monte Carlo batch; it sets the sample stream
@@ -960,21 +979,22 @@ def _draw_batch(rng, b: int, nm: NoiseModel, n_prep: int, n_depol: int, n_meas: 
 
 
 def _monte_carlo(harness: _Harness, nm: NoiseModel, shots: int, seed: int) -> AnalysisReport:
-    """`monte_carlo_infidelity` on a harness built with nm.t_decode; a sweep
-    over p_L and p_T builds its harness once. The shots go in batches of
-    `_BATCH`, each drawn by `_draw_batch` from numpy.random.default_rng(seed):
-    a site fires where its value is below its rate, a fired depolarizing
-    site takes X, Y or Z by its pick, and a faulty shot draws its
-    measurement outcomes from its uniforms."""
+    """`monte_carlo_infidelity` on a harness, with the noise of the schedule
+    at nm.t_decode; a sweep over p_L and p_T builds its harness once. The
+    shots go in batches of `_BATCH`, each drawn by `_draw_batch` from
+    numpy.random.default_rng(seed): a site fires where its value is below
+    its rate, a fired depolarizing site takes X, Y or Z by its pick, and a
+    faulty shot draws its measurement outcomes from its uniforms."""
     if shots < 1:
         raise FaultAnalysisError("needs at least one shot")
     c = harness.circuit
+    rounds = build_schedule(c, nm.t_decode)
     prep_sites = np.array(
         [(pos, q) for pos, q in harness.tprep_sites()
          if c.gates[pos].kind in ("PrepT", "PrepTdag")],
         dtype=np.int64,
     ).reshape(-1, 2)
-    depol_sites = np.array(harness.depolarizing_sites(), dtype=np.int64).reshape(-1, 3)
+    depol_sites = np.array(harness.depolarizing_sites(rounds), dtype=np.int64).reshape(-1, 3)
     n_prep, n_depol = len(prep_sites), len(depol_sites)
     rng = np.random.default_rng(seed)
 
@@ -1012,7 +1032,7 @@ def _monte_carlo(harness: _Harness, nm: NoiseModel, shots: int, seed: int) -> An
     if accepted == 0:
         return AnalysisReport(
             shots, 0, n_faulty, 0.0, None, None, nm.p_l, nm.p_t, nm.t_decode, seed,
-            undefined=True, rounds=tuple(r.label for r in harness.rounds),
+            undefined=True, rounds=tuple(r.label for r in rounds),
         )
     mean = total / accepted
     var = max(total_sq / accepted - mean * mean, 0.0)
@@ -1028,7 +1048,7 @@ def _monte_carlo(harness: _Harness, nm: NoiseModel, shots: int, seed: int) -> An
         nm.p_t,
         nm.t_decode,
         seed,
-        rounds=tuple(r.label for r in harness.rounds),
+        rounds=tuple(r.label for r in rounds),
     )
 
 

@@ -8,13 +8,14 @@ Two independent backends:
     measurement, postselection and classically controlled corrections.
 
 `TrajectoryKernel` is the one dense executor. It runs rows of trajectories
-over the live qubits, with every gate as a gather and a multiply on flat
-amplitudes. A row draws each measurement outcome from a uniform, or branches
-into one row per possible outcome where its uniform is NaN; postselection
-drops the branches it does not name. `simulate` is one row that branches
-only on postselected measurements, `enumerate_branches` one row that
-branches on every measurement, and `unitary_of` composes the gates'
-monomials at full width; the fault analyzer runs its faulty trajectories
+over the live qubits, with each run of unitary gates and axis creations as
+one gather and one multiply on flat amplitudes (`_compose_run`). A row draws
+each measurement outcome from a uniform, or branches into one row per
+possible outcome where its uniform is NaN; postselection drops the branches
+it does not name. `simulate` is one row that branches only on postselected
+measurements, `enumerate_branches` one row that branches on every
+measurement, and `unitary_of` composes the whole circuit as one run at full
+width; the fault analyzer runs its faulty trajectories
 and its exact branch sums on the same kernel. A Pauli fault enters the
 kernel as its Pauli frame: carried forward through the gates it passes, and
 applied at the first gate that stops it (see `TrajectoryKernel.frames`). A
@@ -31,7 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -160,21 +162,14 @@ def _monomial_form(coeffs: dict[BitVec, int]) -> dict[int, int]:
     """
     mono: dict[int, int] = {}
     for vec, k in coeffs.items():
-        qs = vec.support()
-        w = len(qs)
-        for i in range(w):
-            m = 1 << qs[i]
-            mono[m] = (mono.get(m, 0) + k) % 8
-        for i in range(w):
-            for j in range(i + 1, w):
-                m = (1 << qs[i]) | (1 << qs[j])
-                mono[m] = (mono.get(m, 0) - 2 * k) % 8
-        for i in range(w):
-            for j in range(i + 1, w):
-                for l in range(j + 1, w):
-                    m = (1 << qs[i]) | (1 << qs[j]) | (1 << qs[l])
-                    mono[m] = (mono.get(m, 0) + 4 * k) % 8
-    return {m: v for m, v in mono.items() if v}
+        bits = [1 << q for q in vec.support()]
+        for m in bits:
+            mono[m] = mono.get(m, 0) + k
+        for a, b in combinations(bits, 2):
+            mono[a | b] = mono.get(a | b, 0) - 2 * k
+        for a, b, c in combinations(bits, 3):
+            mono[a | b | c] = mono.get(a | b | c, 0) + 4 * k
+    return {m: v % 8 for m, v in mono.items() if v % 8}
 
 
 def poly_equal(a: PhasePolynomial, b: PhasePolynomial, up_to_global: bool = True) -> bool:
@@ -222,45 +217,67 @@ for _ in range(MAX_DENSE_QUBITS):
     _PARITY_SIGN = np.concatenate([_PARITY_SIGN, -_PARITY_SIGN])
 
 
-@lru_cache(maxsize=None)
-def _bit(k: int, s: int) -> np.ndarray:
-    """Bit s of every flat index of width k."""
-    bit = (_INDEX[k] >> s) & 1
-    bit.flags.writeable = False
-    return bit
+def _compose_run(width: int, steps) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """One monomial (src, phase), new = old[src] * phase, for a run of steps
+    on flat amplitudes that ends at `width` bits; None stands for the
+    identity permutation or unit phases. Axis a is bit width-1-a of the flat
+    index. A step is (kind, axes) for a unitary gate on those axes, or
+    (None, ((axis, (a0, a1)), ...)) for axes made there from the amplitudes
+    of their preparations; new axes are the last ones, and src drops their
+    bits.
 
-
-def _monomial(g: Gate, axes, k: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """A unitary gate on flat amplitudes of width k as new = old[src] *
-    phase; None stands for the identity permutation or unit phases. Axis a
-    (the gate's qubits sit on `axes`) is bit k-1-a of the flat index."""
-    s = [k - 1 - a for a in axes]
-    if g.kind == "X":
-        return _INDEX[k] ^ (1 << s[0]), None
-    if g.kind == "CNOT":
-        return _INDEX[k] ^ (_bit(k, s[0]) << s[1]), None
-    if g.kind == "SWAP":
-        d = _bit(k, s[0]) ^ _bit(k, s[1])
-        return _INDEX[k] ^ ((d << s[0]) | (d << s[1])), None
-    if g.kind in _DIAG_PHASES:
-        on = _bit(k, s[0])
-        for t in s[1:]:
-            on = on & _bit(k, t)
-        return None, _DIAG_PHASES[g.kind][on]
-    raise SimulationError(f"gate {g.kind} is not unitary")
-
-
-def _compose(steps) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """One monomial (src, phase) for a sequence of them, first applied first."""
-    src = phase = None
-    for h_src, h_phase in steps:
-        if h_src is not None:
-            src = h_src if src is None else src.take(h_src)
-            if phase is not None:
-                phase = phase.take(h_src)
-        if h_phase is not None:
-            phase = h_phase if phase is None else phase * h_phase
-    return src, phase
+    The input index i of the run holds the old index above the bits of the
+    axes the run makes, each set to its value when it is made. X, CNOT and
+    SWAP move each axis's value, a parity of i's bits (a mask) xor a
+    constant; each diagonal gate's factor and each creation's amplitude
+    product (multiplied within it first) is evaluated on i, in step order;
+    the output index of i is then built once, and the phase gathered by it.
+    So every output index meets the factors of the per-gate product in its
+    order, and the result is the same to the last bit."""
+    idx = _INDEX[width]
+    bit_of = [1 << (width - 1 - a) for a in range(width)]
+    mask, const = list(bit_of), [0] * width
+    created = 0
+    phase = None
+    for kind, axes in steps:
+        if kind == "X":
+            const[axes[0]] ^= 1
+            continue
+        if kind == "CNOT":
+            c, t = axes
+            mask[t] ^= mask[c]
+            const[t] ^= const[c]
+            continue
+        if kind == "SWAP":
+            a, b = axes
+            mask[a], mask[b], const[a], const[b] = mask[b], mask[a], const[b], const[a]
+            continue
+        if kind is None:
+            factor = None
+            for a, amp in axes:
+                values = np.array(amp, dtype=np.complex128).take((idx & bit_of[a]) != 0)
+                factor = values if factor is None else factor * values
+            created += len(axes)
+        elif kind in _DIAG_PHASES:
+            on = None
+            for a in axes:   # the axis's value: its parity, or its opposite
+                sign = _PARITY_SIGN.take(idx & mask[a])
+                bit = sign > 0 if const[a] else sign < 0
+                on = bit if on is None else np.logical_and(on, bit, out=on)
+            factor = _DIAG_PHASES[kind].take(on)
+        else:
+            raise SimulationError(f"gate {kind} is not unitary")
+        phase = factor if phase is None else phase * factor
+    if mask == bit_of and not any(const):
+        return (idx >> created if created else None), phase
+    # the output index of every input index, by doubling over the input bits
+    out = np.array([sum(b for b, c in zip(bit_of, const) if c)])
+    for j in range(width):
+        column = sum(b for b, m in zip(bit_of, mask) if m >> j & 1)
+        out = np.concatenate([out, out ^ column])
+    source = np.empty_like(out)
+    source[out] = idx
+    return source >> created, None if phase is None else phase.take(source)
 
 
 @dataclass
@@ -311,6 +328,12 @@ class TrajectoryKernel:
     applies gate p and drops the axes it ends. New axes go last (least
     significant); dropped ones leave the others in order. The dense cap
     applies to the peak live width.
+
+    Between break points (measurements, CondS, and wherever a walk stops)
+    the half-steps form runs of unitary gates and axis creations. Each run
+    is composed once, on the basis index at its final width, into one
+    cached gather and phase vector (`_composed`, `_compose_run`); each
+    gate's axes are looked up once, for all gates, when the kernel is built.
     """
 
     def __init__(self, c: Circuit, keep):
@@ -362,6 +385,12 @@ class TrajectoryKernel:
         self._born_at: dict[int, list[int]] = {}
         for i in self._order.tolist():
             self._born_at.setdefault(born[qubits[i]], []).append(i)
+        # the axes of each gate's qubits before it (none for a preparation)
+        arity = [0 if g.kind in PREP_KINDS else len(g.qubits) for g in gates]
+        touched = [q for g, k in zip(gates, arity) if k for q in g.qubits]
+        slots = self._col[self._qubits.searchsorted(np.array(touched, dtype=np.int64))]
+        flat = self._axis[np.repeat(2 * np.arange(len(gates)), arity), slots].tolist()
+        self._gate_axes = [tuple(flat[e - k : e]) for k, e in zip(arity, accumulate(arity))]
 
         # last half-step of the unitary run starting at each half-step
         self._run_end = [0] * len(half)
@@ -421,9 +450,8 @@ class TrajectoryKernel:
         outcome has probability 1e-14 or more in some state row. `tree` is
         not written."""
         g = self.circuit.gates[tree.h // 2]
-        i = self._qubits.searchsorted(g.qubits[0])
         _, origin, _, _, _, _ = _measure_rows(
-            tree.states, tree.of, g.kind, self._axis[tree.h, self._col[i]], False,
+            tree.states, tree.of, g.kind, self._gate_axes[tree.h // 2][0], False,
             np.full(len(tree.alive), np.nan), outcome,
         )
         return len(origin) > 0
@@ -524,7 +552,7 @@ class TrajectoryKernel:
             if kind in MEAS_KINDS:
                 i = self._qubits.searchsorted(g.qubits[0])
                 tree.states, origin, outcome, tree.of, parent, factor = _measure_rows(
-                    tree.states, tree.of, kind, self._axis[h - 1, self._col[i]],
+                    tree.states, tree.of, kind, self._gate_axes[h // 2][0],
                     self._dies[i] == h // 2, uniforms[tree.alive, self._meas_col[h // 2]],
                     postselect.get(g.record),
                 )
@@ -533,8 +561,7 @@ class TrajectoryKernel:
                 tree.outcomes[g.record] = outcome
                 tree.h = h
             elif kind == "CondS":
-                flip = tree.outcomes[g.record]
-                axis = self._axis[h, self._col[self._qubits.searchsorted(g.qubits[0])]]
+                flip, axis = tree.outcomes[g.record], self._gate_axes[h // 2][0]
                 view = tree.states.reshape(len(tree.states), 1 << axis, 2, -1)
                 view[flip, :, 1] *= _DIAG_PHASES["S"][1]
                 tree.h = h
@@ -652,41 +679,34 @@ class TrajectoryKernel:
         """The qubit in `slot` is prepared by gate `pos`, and not dropped yet."""
         return (self._prepared[slot] <= pos) & (pos < self._dies[slot])
 
-    def _half_step(self, h: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Half-step h (an axis creation or a unitary gate) as a monomial
-        from the layout before it to the layout after it."""
-        if h % 2:
-            g = self.circuit.gates[h // 2]
-            if g.kind in PREP_KINDS:  # its amplitudes enter when the axis is made
-                return None, None
-            axes = self._axis[h - 1, self._col[self._qubits.searchsorted(g.qubits)]].tolist()
-            return _monomial(g, axes, self._width[h - 1])
-        new = self._born_at.get(h // 2)
-        if not new:
-            return None, None
-        idx = _INDEX[self._width[h]]
-        phase = None
-        for j, i in enumerate(new):
-            amps = np.array(self._amps[i], dtype=np.complex128)[(idx >> (len(new) - 1 - j)) & 1]
-            phase = amps if phase is None else phase * amps
-        return idx >> len(new), phase
-
     def _apply_run(self, states: np.ndarray, start: int, end: int) -> np.ndarray:
         """Half-steps start..end (axis creations and unitary gates) on every
-        row; the result has the width of the layout after `end`."""
-        run = self._runs.get((start, end))
-        if run is None:
-            src, phase = _compose(self._half_step(h) for h in range(start, end + 1))
-            # a run never narrows the state, so an identity gather keeps its width
-            if src is not None and np.array_equal(src, _INDEX[len(src).bit_length() - 1]):
-                src = None
-            run = self._runs[(start, end)] = (src, phase)
-        src, phase = run
+        row, as one gather and one multiply (`_composed`); the result has the
+        width of the layout after `end`."""
+        src, phase = self._composed(start, end)
         if src is not None:
             states = np.take(states, src, axis=1)
         if phase is not None:
             states *= phase
         return states
+
+    def _composed(self, start: int, end: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Half-steps start..end as one cached monomial (`_compose_run`) at
+        the width after `end`. A run makes axes but drops none, so each axis
+        keeps its place from its creation to the run's end."""
+        run = self._runs.get((start, end))
+        if run is None:
+            gates, steps = self.circuit.gates, []
+            for h in range(start, end + 1):
+                if h % 2:
+                    if gates[h // 2].kind not in PREP_KINDS:   # preparations act at creation
+                        steps.append((gates[h // 2].kind, self._gate_axes[h // 2]))
+                elif h // 2 in self._born_at:
+                    new = self._born_at[h // 2]
+                    first = self._width[h] - len(new)
+                    steps.append((None, [(first + j, self._amps[i]) for j, i in enumerate(new)]))
+            run = self._runs[(start, end)] = _compose_run(self._width[end], steps)
+        return run
 
 
 def _spread(alive, row):
@@ -930,7 +950,7 @@ def unitary_of(c: Circuit) -> np.ndarray:
     for g in c.gates:
         if g.kind in PREP_KINDS or g.kind in MEAS_KINDS or g.kind == "CondS":
             raise SimulationError(f"{g.kind} has no unitary")
-    src, phase = _compose(_monomial(g, g.qubits, c.n) for g in c.gates)
+    src, phase = _compose_run(c.n, [(g.kind, g.qubits) for g in c.gates])
     idx = _INDEX[c.n]
     u = np.zeros((len(idx), len(idx)), dtype=np.complex128)
     u[idx, idx if src is None else src] = 1.0 if phase is None else phase

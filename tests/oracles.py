@@ -45,7 +45,14 @@ from rotsynth.ir import (
     PhaseRotation,
     RotationProgram,
 )
-from rotsynth.semantics import MAX_DENSE_QUBITS, SimResult, SimulationError, state_fidelity
+from rotsynth.semantics import (
+    _DIAG_PHASES,
+    MAX_DENSE_QUBITS,
+    SimResult,
+    SimulationError,
+    TrajectoryKernel,
+    state_fidelity,
+)
 
 
 def basis_bits(index: int, n: int) -> BitVec:
@@ -284,6 +291,112 @@ def reference_unitary(c: Circuit) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The dense kernel's runs composed one half-step at a time, at full width:
+# each half-step a monomial (src, phase) on flat amplitudes, chained by
+# gathers. `semantics._compose_run` must give the same arrays to the bit.
+# ---------------------------------------------------------------------------
+
+
+def _flat_bit(k: int, s: int) -> np.ndarray:
+    """Bit s of every flat index of width k."""
+    return (np.arange(1 << k) >> s) & 1
+
+
+def reference_gate_monomial(kind: str, axes, k: int):
+    """A unitary gate on flat amplitudes of width k as new = old[src] *
+    phase; None stands for the identity permutation or unit phases. Axis a
+    is bit k-1-a of the flat index."""
+    index = np.arange(1 << k)
+    s = [k - 1 - a for a in axes]
+    if kind == "X":
+        return index ^ (1 << s[0]), None
+    if kind == "CNOT":
+        return index ^ (_flat_bit(k, s[0]) << s[1]), None
+    if kind == "SWAP":
+        d = _flat_bit(k, s[0]) ^ _flat_bit(k, s[1])
+        return index ^ ((d << s[0]) | (d << s[1])), None
+    if kind in _DIAG_PHASES:
+        on = _flat_bit(k, s[0])
+        for t in s[1:]:
+            on = on & _flat_bit(k, t)
+        return None, _DIAG_PHASES[kind][on]
+    raise SimulationError(f"gate {kind} is not unitary")
+
+
+def reference_compose(steps) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """One monomial (src, phase) for a sequence of them, first applied first."""
+    src = phase = None
+    for h_src, h_phase in steps:
+        if h_src is not None:
+            src = h_src if src is None else src.take(h_src)
+            if phase is not None:
+                phase = phase.take(h_src)
+        if h_phase is not None:
+            phase = h_phase if phase is None else phase * h_phase
+    return src, phase
+
+
+def reference_half_step(kernel: TrajectoryKernel, h: int):
+    """Half-step h of the kernel (an axis creation or a unitary gate) as a
+    monomial from the layout before it to the layout after it."""
+    if h % 2:
+        g = kernel.circuit.gates[h // 2]
+        if g.kind in PREP_KINDS:  # its amplitudes enter when the axis is made
+            return None, None
+        axes = kernel._axis[h - 1, kernel._col[kernel._qubits.searchsorted(g.qubits)]].tolist()
+        return reference_gate_monomial(g.kind, axes, kernel._width[h - 1])
+    new = kernel._born_at.get(h // 2)
+    if not new:
+        return None, None
+    idx = np.arange(1 << kernel._width[h])
+    phase = None
+    for j, i in enumerate(new):
+        amps = np.array(kernel._amps[i], dtype=np.complex128)[(idx >> (len(new) - 1 - j)) & 1]
+        phase = amps if phase is None else phase * amps
+    return idx >> len(new), phase
+
+
+def reference_run(kernel: TrajectoryKernel, start: int, end: int):
+    """`TrajectoryKernel._composed`: half-steps start..end, one monomial per
+    half-step, with an identity gather read as None."""
+    src, phase = reference_compose(reference_half_step(kernel, h) for h in range(start, end + 1))
+    if src is not None and np.array_equal(src, np.arange(len(src))):
+        src = None
+    return src, phase
+
+
+def reference_unitary_per_gate(c: Circuit) -> np.ndarray:
+    """`semantics.unitary_of` by the per-gate product, qubit q on axis q."""
+    src, phase = reference_compose(reference_gate_monomial(g.kind, g.qubits, c.n) for g in c.gates)
+    idx = np.arange(1 << c.n)
+    u = np.zeros((len(idx), len(idx)), dtype=np.complex128)
+    u[idx, idx if src is None else src] = 1.0 if phase is None else phase
+    return u
+
+
+def reference_monomial_form(coeffs: dict[BitVec, int]) -> dict[int, int]:
+    """`semantics._monomial_form` by one loop per degree, reducing mod 8
+    at every term."""
+    mono: dict[int, int] = {}
+    for vec, k in coeffs.items():
+        qs = vec.support()
+        w = len(qs)
+        for i in range(w):
+            m = 1 << qs[i]
+            mono[m] = (mono.get(m, 0) + k) % 8
+        for i in range(w):
+            for j in range(i + 1, w):
+                m = (1 << qs[i]) | (1 << qs[j])
+                mono[m] = (mono.get(m, 0) - 2 * k) % 8
+        for i in range(w):
+            for j in range(i + 1, w):
+                for l in range(j + 1, w):
+                    m = (1 << qs[i]) | (1 << qs[j]) | (1 << qs[l])
+                    mono[m] = (mono.get(m, 0) + 4 * k) % 8
+    return {m: v for m, v in mono.items() if v}
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo reference: one trajectory at a time, one gate call per gate
 # ---------------------------------------------------------------------------
 
@@ -428,13 +541,14 @@ def reference_monte_carlo(
     """`monte_carlo_infidelity` with every faulty shot run alone through
     `reference_trajectory`; same random draws in the same order, in batches
     of `faults._BATCH` shots."""
-    harness = _Harness(c, outputs, nm.t_decode)
+    harness = _Harness(c, outputs)
+    schedule = _faults.build_schedule(c, nm.t_decode)
     prep_sites = [
         (pos, q)
         for pos, q in harness.tprep_sites()
         if c.gates[pos].kind in ("PrepT", "PrepTdag")
     ]
-    depol_sites = harness.depolarizing_sites()
+    depol_sites = harness.depolarizing_sites(schedule)
     n_meas = len(harness.meas_order)
     rng = np.random.default_rng(seed)
     paulis = ("X", "Y", "Z")
@@ -466,7 +580,7 @@ def reference_monte_carlo(
                 total_sq += infid * infid
         done += b
 
-    rounds = tuple(r.label for r in harness.rounds)
+    rounds = tuple(r.label for r in schedule)
     if accepted == 0:
         return AnalysisReport(
             shots, 0, faulty_total, 0.0, None, None, nm.p_l, nm.p_t, nm.t_decode, seed,

@@ -178,6 +178,35 @@ class TestFaultsCommand:
         assert payload["pairs"]["harmful"] == 28
         assert payload["singles"]["detected"] == 8
 
+    def test_harness_built_once(self, tmp_path, ccz_program, monkeypatch):
+        out = tmp_path / "circuit.json"
+        run(["compile", "--in", ccz_program, "--out", out, "--budget", 1, "--measure-x", "3"])
+        built = []
+        init = faults._Harness.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(faults._Harness, "__init__", counting_init)
+        report = tmp_path / "faults.json"
+        assert run([
+            "faults", "--circuit", out, "--outputs", "0,1,2", "--gadgetize", "--singles",
+            "--sites", "all", "--pairs", "--first-order", "--tdecode", 2, "--out", report,
+        ]) == 0
+        assert len(built) == 1
+        monkeypatch.undo()
+        # the same tables as the enumerators give, each on its own harness
+        payload = json.loads(report.read_text())
+        circuit = faults.gadgetize(parse_circuit(out.read_text()))
+        assert payload["singles"] == faults.enumerate_single_faults(
+            circuit, [0, 1, 2], sites="all"
+        ).to_dict()
+        assert payload["pairs"] == faults.enumerate_pair_faults(circuit, [0, 1, 2]).to_dict()
+        assert payload["first_order"] == faults.first_order_oracle(
+            circuit, [0, 1, 2], faults.NoiseModel(1e-4, 0.0, 2)
+        ).to_dict()
+
 
 class TestSweepCommand:
     def test_row_count(self, tmp_path, ccz_program):

@@ -198,18 +198,19 @@ class TestSchedules:
     def test_measured_qubits_stop_accruing_noise(self):
         circ, outputs = compiled_ccz()
         harness = _Harness(gadgetize(circ), outputs)
-        rounds = [r for r, _, _ in harness.depolarizing_sites()]
-        assert rounds.count(1) == 8                         # all live after round 1
-        assert rounds.count(len(harness.rounds) - 1) == 3   # flag measured at the end
+        schedule = build_schedule(harness.circuit)
+        rounds = [r for r, _, _ in harness.depolarizing_sites(schedule)]
+        assert rounds.count(1) == 8                     # all live after round 1
+        assert rounds.count(len(schedule) - 1) == 3     # flag measured at the end
 
     def test_noise_only_on_qubits_in_use(self):
         # declared qubits that no gate or output uses add no site, however
         # many there are; an output that no gate touches keeps its noise
         circ, outputs = compiled_ccz()
-        want = _Harness(circ, outputs, t_decode=1).depolarizing_sites()
+        want = _Harness(circ, outputs).depolarizing_sites(build_schedule(circ, 1))
         wide = Circuit(200_000, circ.gates)
-        harness = _Harness(wide, outputs, t_decode=1)
-        assert harness.depolarizing_sites() == want
+        harness = _Harness(wide, outputs)
+        assert harness.depolarizing_sites(build_schedule(wide, 1)) == want
         # and no table of the harness or its kernel grows with the declared n
         tables = [
             t for t in (*vars(harness).values(), *vars(harness.kernel).values())
@@ -218,11 +219,11 @@ class TestSchedules:
         assert len(tables) > 10
         assert max(t.size if isinstance(t, np.ndarray) else len(t) for t in tables) < wide.n
         idle = Circuit(5, (Gate("PrepPlus", (4,)),) + circ.gates)
-        harness = _Harness(idle, outputs + [4], t_decode=1)
-        sites = harness.depolarizing_sites()
+        schedule = build_schedule(idle, 1)
+        sites = _Harness(idle, outputs + [4]).depolarizing_sites(schedule)
         # the extra preparation shifts every insert position by one
         assert [(r, pos - 1, q) for r, pos, q in sites if q != 4] == want
-        assert [r for r, _, q in sites if q == 4] == list(range(1, len(harness.rounds)))
+        assert [r for r, _, q in sites if q == 4] == list(range(1, len(schedule)))
 
 
 class TestEnumeration:
@@ -606,10 +607,10 @@ class TestBatchedKernel:
         # more rows than one 12-qubit chunk holds
         circ, outputs = compiled_cs()
         impl = gadgetize(circ)
-        harness = _Harness(impl, outputs, t_decode=1)
+        harness = _Harness(impl, outputs)
         sites = [
             (pos, pauli, q)
-            for _, pos, q in harness.depolarizing_sites()
+            for _, pos, q in harness.depolarizing_sites(build_schedule(impl, 1))
             for pauli in range(3)
         ]
         assert len(sites) > 2 * (_CHUNK_AMPLITUDES >> impl.n)
@@ -638,7 +639,7 @@ class TestSharedPrefix:
         prep_sites = np.array(
             [(pos, q) for pos, q in harness.tprep_sites() if c.gates[pos].kind == "PrepT"]
         ).reshape(-1, 2)
-        depol_sites = np.array(harness.depolarizing_sites()).reshape(-1, 3)
+        depol_sites = np.array(harness.depolarizing_sites(build_schedule(c, 1))).reshape(-1, 3)
         prep, depol, picks, faulty, uniforms = faults._draw_batch(
             np.random.default_rng(seed), shots, NoiseModel(p, p), len(prep_sites),
             len(depol_sites), len(harness.meas_order),
@@ -660,7 +661,7 @@ class TestSharedPrefix:
         ]()
         if name.endswith("-g"):
             circ = gadgetize(circ)
-        harness = _Harness(circ, outputs, t_decode=1)
+        harness = _Harness(circ, outputs)
         monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", 100 << harness.kernel.peak)
         (row, pos, pauli, qubit), uniforms = self.mc_batch(harness, 0.01, 3000, 5)
         assert len(uniforms) > 5 * harness.kernel.chunk_rows   # several chunks
@@ -825,7 +826,7 @@ class TestPreparationRoundFaults:
 
     def test_every_pauli_inside_round_0(self):
         harness = _Harness(Circuit(3, self.gates), [0, 1])
-        round0 = harness.rounds[0].gate_indices
+        round0 = build_schedule(harness.circuit)[0].gate_indices
         assert len(round0) == 6
         faults = [
             (pos, pauli, q) for pos in range(-1, len(round0)) for pauli in range(3)
@@ -981,7 +982,7 @@ class TestBatchedEnumeration:
         ]()
         if name.endswith("-g"):
             circ = gadgetize(circ)
-        harness = _Harness(circ, outputs, t_decode=1)
+        harness = _Harness(circ, outputs)
         nm = NoiseModel(1e-4, 0.0, 1)
 
         def pairs():
@@ -1330,7 +1331,7 @@ class TestTrunk:
     )
     def test_chunks_stay_within_amplitudes(self, monkeypatch, name, budget):
         circ, outputs = {"ccz-g": compiled_ccz, "cs-g": compiled_cs, "t15-g": compiled_t15}[name]()
-        harness = _Harness(gadgetize(circ), outputs, t_decode=1)
+        harness = _Harness(gadgetize(circ), outputs)
         monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", budget)
         rows, seen = [0], []
         run, apply_run = semantics.TrajectoryKernel.run, semantics.TrajectoryKernel._apply_run
@@ -1352,7 +1353,9 @@ class TestTrunk:
         monkeypatch.setattr(semantics.TrajectoryKernel, "run", tail)
         monkeypatch.setattr(semantics.TrajectoryKernel, "_apply_run", applied)
         configs = [
-            [(pos, pauli, q)] for _, pos, q in harness.depolarizing_sites() for pauli in "XYZ"
+            [(pos, pauli, q)]
+            for _, pos, q in harness.depolarizing_sites(build_schedule(harness.circuit, 1))
+            for pauli in "XYZ"
         ]
         acc, infid = harness.run_exact(configs)
         assert seen and max(seen) <= budget
@@ -1451,7 +1454,9 @@ class TestTrunk:
         harness, _, tree = self._trunk(to)
         kernel = harness.kernel
         configs = [
-            [(pos, pauli, q)] for _, pos, q in harness.depolarizing_sites() for pauli in "XYZ"
+            [(pos, pauli, q)]
+            for _, pos, q in harness.depolarizing_sites(build_schedule(harness.circuit))
+            for pauli in "XYZ"
         ]
         row, stop, x, z = kernel.frames(*_fault_arrays(configs))
         here = np.flatnonzero(stop == to)
@@ -1510,7 +1515,7 @@ class TestLiveWidth:
         # round's qubits in ascending order, which fixes the order of the
         # fault tables and of the Monte Carlo draws; qubit 5 has no axis
         assert harness.kernel.axis_qubits == [0, 1, 2, 3, 4]
-        sites = harness.depolarizing_sites()
+        sites = harness.depolarizing_sites(build_schedule(harness.circuit))
         assert sites == sorted(sites) and {q for _, _, q in sites} == {0, 1, 2, 3, 4}
         # qubit 2 is measured in round 1 and read again up to its last
         # measurement, in round 5: noise acts on it in rounds 1-4
@@ -1555,7 +1560,7 @@ class TestLiveWidth:
         ]
         # the noise sites of qubit 2, which is measured and read again: each
         # alone and with an X on qubit 0 at every later noise site
-        sites = harness.depolarizing_sites()
+        sites = harness.depolarizing_sites(build_schedule(harness.circuit))
         mid = [pos for _, pos, q in sites if q == 2]
         assert len(mid) == 4
         configs += [[(pos, pauli, 2)] for pos in mid for pauli in "XYZ"]

@@ -10,6 +10,8 @@ from rotsynth.gf2 import BitVec, GF2Matrix
 from rotsynth.ir import Circuit, Gate, PhaseRotation, RotationProgram
 from rotsynth.compiler import expand_reference
 from rotsynth.semantics import (
+    MAX_DENSE_QUBITS,
+    MAX_UNITARY_QUBITS,
     NotDiagonalizableError,
     SimulationError,
     TrajectoryKernel,
@@ -28,8 +30,11 @@ from oracles import (
     plus_prep,
     random_fragment_circuit,
     reference_branches,
+    reference_monomial_form,
+    reference_run,
     reference_simulate,
     reference_unitary,
+    reference_unitary_per_gate,
     rotation_product_unitary,
 )
 
@@ -89,6 +94,19 @@ class TestPhasePolynomial:
             got = unitary_of(expand_reference(program))
             want = rotation_product_unitary(program)
             assert np.max(np.abs(got - want)) < 1e-10
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_monomial_form_matches_reference(self, data):
+        # the same dict, in the same key order, as the loop that reduces
+        # mod 8 at every term
+        n = data.draw(st.integers(1, 14))
+        coeffs = data.draw(st.dictionaries(
+            st.integers(1, (1 << n) - 1).map(lambda bits: BitVec(n, bits)),
+            st.integers(-20, 20), max_size=30,
+        ))
+        got, want = semantics._monomial_form(coeffs), reference_monomial_form(coeffs)
+        assert list(got.items()) == list(want.items())
 
 
 class TestSimulate:
@@ -301,6 +319,11 @@ class TestDenseAgainstReference:
         c = random_fragment_circuit(random.Random(n), n, 60)
         assert np.max(np.abs(unitary_of(c) - reference_unitary(c))) <= 1e-12
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(c=dense_circuits(max_qubits=MAX_UNITARY_QUBITS, unitary=True))
+    def test_unitary_of_bit_exact(self, c):
+        assert _bit_equal(unitary_of(c), reference_unitary_per_gate(c))
+
     def test_teleported_t_branch_order(self):
         gates = plus_prep(1) + (
             Gate("PrepT", (1,)),
@@ -363,6 +386,95 @@ class TestDenseAgainstReference:
         for run in (simulate, enumerate_branches):
             with pytest.raises(SimulationError, match="not in circuit"):
                 run(c, {"x": 0})
+
+
+# ---------------------------------------------------------------------------
+# the kernel's runs, composed on the basis index, against the per-gate
+# product of tests/oracles.py: the same arrays to the last bit
+# ---------------------------------------------------------------------------
+
+
+def _bit_equal(got, want) -> bool:
+    """Both None, or arrays of one dtype and shape with the same bytes."""
+    if got is None or want is None:
+        return got is None and want is None
+    return (
+        got.dtype == want.dtype and np.array_equal(got, want) and got.tobytes() == want.tobytes()
+    )
+
+
+def _walk_runs(kernel: TrajectoryKernel, stops) -> list[tuple[int, int]]:
+    """(start, end) of each run that `TrajectoryKernel.walk` composes on a
+    walk that stops at each half-step of `stops`, then goes to the end."""
+    gates, last = kernel.circuit.gates, len(kernel._live) - 1
+    h, runs = 0, []
+    for to in sorted(set(stops)) + [last]:
+        while h <= to:
+            if h % 2 and gates[h // 2].kind in ("MeasZ", "MeasX", "CondS"):
+                h += 1
+                continue
+            end = min(kernel._run_end[h], to)
+            runs.append((h, end))
+            h = end + 1
+    return runs
+
+
+def _assert_runs_match(kernel: TrajectoryKernel, runs):
+    for start, end in runs:
+        src, phase = kernel._composed(start, end)
+        want_src, want_phase = reference_run(kernel, start, end)
+        assert _bit_equal(src, want_src), (start, end)
+        assert _bit_equal(phase, want_phase), (start, end)
+
+
+class TestRunComposer:
+    """`TrajectoryKernel._composed` (`semantics._compose_run`) against the
+    per-gate product: runs from the first half-step and from the stops of
+    a walk, on 0-12 qubits, with axes made between the gates from all four
+    preparations."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_walk_runs(self, data):
+        c = data.draw(dense_circuits(max_qubits=MAX_DENSE_QUBITS))
+        keep = data.draw(st.lists(st.integers(0, c.n - 1), unique=True)) if c.n else []
+        kernel = TrajectoryKernel(c, keep)
+        last = len(kernel._live) - 1
+        stops = data.draw(st.lists(st.integers(0, last), max_size=4))
+        _assert_runs_match(kernel, _walk_runs(kernel, stops))
+
+    @pytest.mark.parametrize("n", range(MAX_DENSE_QUBITS + 1))
+    def test_every_width(self, n):
+        # a random fragment circuit on n prepared qubits, each made at its
+        # first gate; the trunk stops after every fifth half-step
+        rng = random.Random(n)
+        body = random_fragment_circuit(rng, n, 8 * n).gates if n >= 2 else ()
+        preps = tuple(Gate(rng.choice(_PREP_CHOICES[1:]), (q,)) for q in range(n))
+        kernel = TrajectoryKernel(Circuit(n, preps + body), range(n))
+        assert kernel.peak == n
+        last = len(kernel._live) - 1
+        _assert_runs_match(kernel, _walk_runs(kernel, []))
+        _assert_runs_match(kernel, _walk_runs(kernel, range(0, last, 5)))
+
+    # one witness per part of the composer: an X moving a later T's factor
+    # (the xor constant), two axes made at once after a T (the amplitudes of
+    # one creation multiply first) and a CNOT after a T (the phase follows
+    # the index)
+    @pytest.mark.parametrize(
+        "gates",
+        [
+            (Gate("PrepPlus", (0,)), Gate("PrepT", (1,)), Gate("X", (0,)), Gate("T", (0,)),
+             Gate("CS", (0, 1)), Gate("X", (1,)), Gate("CCZ", (0, 1, 2))),
+            (Gate("PrepT", (0,)), Gate("PrepT", (1,)), Gate("PrepTdag", (2,)), Gate("T", (0,)),
+             Gate("S", (0,)), Gate("CCZ", (0, 1, 2)), Gate("T", (2,))),
+            (Gate("PrepPlus", (0,)), Gate("PrepZero", (1,)), Gate("T", (0,)),
+             Gate("CNOT", (0, 1)), Gate("SWAP", (0, 1)), Gate("Sdag", (1,))),
+        ],
+        ids=["xor-constant", "creation-grouping", "phase-gather"],
+    )
+    def test_witness(self, gates):
+        kernel = TrajectoryKernel(Circuit(3, gates), range(3))
+        _assert_runs_match(kernel, _walk_runs(kernel, []))
 
 
 # ---------------------------------------------------------------------------
