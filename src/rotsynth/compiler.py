@@ -953,11 +953,11 @@ def partition_rotations(
     absorbed into |+> preparations, is the partition's circuit. The
     candidates are cut a window at a time, and the merged operators of a
     window's valid ones are synthesized together before any is scored. A
-    repeated ordering counts as tried (and valid) but is not cut again.
-    The empty program, on any number of qubits, needs no search: its
-    circuit is n |+> preparations. Where no ordering can be valid (an empty
-    support, or supports that span fewer than min(m, n) dimensions), it
-    raises "no block partition exists" before any search.
+    repeated ordering is cut and scored again; it ties its first occurrence
+    and loses the tie. The empty program, on any number of qubits, needs
+    no search: its circuit is n |+> preparations. Where no ordering can be
+    valid (an empty support, or supports that span fewer than min(m, n)
+    dimensions), it raises "no block partition exists" before any search.
     """
     if objective not in ("cnot-depth", "cnot-count"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -982,18 +982,13 @@ def partition_rotations(
 
     depth_opt = objective == "cnot-depth"
     tried = valid = 0
-    first_valid: dict[tuple[int, ...], bool] = {}
     best = None
     best_key = None
     orderings = _candidate_orderings(m, budget, seed)
     while window := list(islice(orderings, _SEARCH_WINDOW)):
         tried += len(window)
-        # a repeat scores as its first occurrence, so it cannot win: only
-        # the first occurrence is cut
-        fresh = list(dict.fromkeys(order for order in window if order not in first_valid))
-        ops, invs, exps, ok = _cut(p, np.array(fresh, dtype=np.intp).reshape(len(fresh), m))
-        first_valid.update(zip(fresh, ok.tolist()))
-        valid += sum(first_valid[order] for order in window)
+        ops, invs, exps, ok = _cut(p, np.array(window, dtype=np.intp))
+        valid += int(ok.sum())
         exps = exps[ok]
         at, merged, merged_inv = _merged(ops[ok], invs[ok], exps)
         first, which = _distinct(merged)
@@ -1001,7 +996,7 @@ def partition_rotations(
         live = exps.reshape(-1, p.n)[at].tolist()
         # the live blocks of valid candidate c are at[bounds[c] : bounds[c + 1]]
         bounds = np.searchsorted(at // exps.shape[1], np.arange(len(exps) + 1)).tolist()
-        for order, lo, hi in zip(compress(fresh, ok.tolist()), bounds, bounds[1:]):
+        for order, lo, hi in zip(compress(window, ok.tolist()), bounds, bounds[1:]):
             gates, _ = _hoisted(live[lo:hi], [realized[w] for w in which[lo:hi]], p.n)
             cnots = [qubits for kind, qubits in gates if kind == "CNOT"]
             key = _cnot_layers(cnots) if depth_opt else len(cnots)

@@ -271,9 +271,12 @@ class _Harness:
 
     Splits measurement records into injection records (consumed by CondS)
     and detection records (postselected on their noiseless outcomes), and
-    freezes the noiseless reference: detection outcomes and the pure state
-    on the output qubits. `run_sampled` hands faults to the kernel by gate
-    position, as Pauli frames; `run_exact` runs one row per fault class.
+    freezes the noiseless reference: detection outcomes, which of them are
+    certain, and the pure state on the output qubits, all from one walk of
+    the fault-free branch tree, which also checks that the detection
+    outcomes are deterministic and that every branch holds that output
+    state. `run_sampled` hands faults to the kernel by gate position, as
+    Pauli frames; `run_exact` runs one row per fault class.
 
     Rows are settled in three ways (see `run_sampled`):
       * decided: a row whose first frame flips a detection outcome is
@@ -283,13 +286,13 @@ class _Harness:
         the rest of the circuit; the fault-free rows read the trunk itself;
       * run: rows that draw their outcomes run from the start.
     The harness walks the trunk itself (`TrajectoryKernel.walk`), one
-    stretch at a time. The noiseless check in `__init__` is one trunk walk;
-    it also finds the detection outcomes certain enough to decide rows on.
+    stretch at a time.
 
     `counts` keeps deterministic tallies of this work: "kernel_calls"
     (calls of `TrajectoryKernel.run`, and one per trunk), "trunk_runs",
-    "rows_decided", "rows_forked" and "rows_run" (rows run from the first
-    half-step on their own, the reference row included).
+    "rows_decided", "rows_forked" and "rows_run" (drawn rows, run from the
+    first half-step). A new harness reads one kernel call and one trunk
+    run, the walk of its noiseless reference, and nothing else.
 
     The kernel keeps the outputs to the end and owns every other qubit's
     lifetime, so a row's state holds only the live qubits, and the dense cap
@@ -329,44 +332,40 @@ class _Harness:
             ("kernel_calls", "trunk_runs", "rows_decided", "rows_forked", "rows_run"), 0
         )
 
-        # The noiseless reference comes from one row that takes the likelier
-        # outcome of every measurement (uniform 0.5); the detection outcomes
-        # of a valid circuit are certain, so they do not depend on the row.
-        _, _, states, outcomes = self._kernel_run(np.full_like(self._nan, 0.5))
-        self.counts["rows_run"] += 1
-        self.reference = {r: int(outcomes[r][0]) for r in self.detection}
-        self.ideal_out = self._reduced_pure(states[0])
-        # every branch of the injection outcomes, postselected on the
-        # reference: one trunk walk, which stops before each detection
-        # measurement to see whether some branch keeps its other outcome
-        detectors = {
-            2 * pos: g for pos, g in enumerate(c.gates)
-            if g.kind in MEAS_KINDS and g.record in self.reference
-        }
-        uncertain = set()
+        # One trunk walk, branching at every measurement: right after a
+        # detection measurement the outcome of larger total weight becomes
+        # the reference, and the other outcome's branches are dropped. Where
+        # the kernel (which drops outcomes below 1e-14) kept none, a frame
+        # stopping at half-step 2g flips a certain outcome by the flat index
+        # bit in `_flips_x` (a MeasZ at gate g) or `_flips_z` (a MeasX).
+        self.reference: dict[str, int] = {}
+        self._flips_x = np.zeros(2 * len(c.gates) + 1, dtype=np.int64)
+        self._flips_z = np.zeros_like(self._flips_x)
         trunk = self._trunk()
-        for h, g in detectors.items():
-            if not self._walk(trunk, h):
-                break
-            if self.kernel.keeps(trunk, 1 - self.reference[g.record]):
-                uncertain.add(h)
+        for pos, g in enumerate(c.gates):
+            if g.kind in MEAS_KINDS and g.record not in consumed:
+                # a measured one-row tree holds one state per branch
+                self._walk(trunk, 2 * pos + 1)
+                outcome = trunk.outcomes[g.record]
+                ref = self.reference[g.record] = int(
+                    trunk.weight[outcome].sum() > trunk.weight[~outcome].sum()
+                )
+                kept = outcome == ref
+                if kept.all():
+                    flips = self._flips_z if g.kind == "MeasX" else self._flips_x
+                    flips[2 * pos] = self.kernel.axis_bit(2 * pos, g.qubits[0])
+                    continue
+                trunk.alive, trunk.weight, trunk.states = (
+                    a[kept] for a in (trunk.alive, trunk.weight, trunk.states)
+                )
+                trunk.outcomes = {r: o[kept] for r, o in trunk.outcomes.items()}
         self._walk(trunk)
         _, weight, states, _ = trunk.final()
+        self.ideal_out = self._reduced_pure(states[0])
         if abs(weight.sum() - 1.0) > 1e-9:
             raise FaultAnalysisError("noiseless detection outcomes not deterministic")
         if (self._infidelity(states) > 1e-10).any():
             raise FaultAnalysisError("noiseless branches disagree on the output state")
-        # The flat index bit that a frame stopping at half-step 2g holds in
-        # its Z mask (before a detection MeasX at gate g) or X mask (MeasZ)
-        # when it flips that measurement's outcome. It stays 0 where some
-        # branch keeps the other outcome (probability 1e-14 or more), and
-        # the kernel settles such a flip (see `run_sampled`).
-        self._flips_x = np.zeros(2 * len(c.gates) + 1, dtype=np.int64)
-        self._flips_z = np.zeros_like(self._flips_x)
-        for h, g in detectors.items():
-            if h not in uncertain:
-                flips = self._flips_z if g.kind == "MeasX" else self._flips_x
-                flips[h] = self.kernel.axis_bit(h, g.qubits[0])
 
     def _reduced_pure(self, state: np.ndarray) -> np.ndarray:
         """Pure state of the outputs, from a final-layout state."""
@@ -487,9 +486,9 @@ class _Harness:
 
         Up to its first frame stop a row is the fault-free trajectory, up
         to a phase. `__init__` marked each detection measurement at which
-        no branch of the noiseless trunk keeps the other outcome: its
-        probability is below the kernel's 1e-14 in every branch
-        (`TrajectoryKernel.keeps`). A row whose combined frame at its
+        the kernel kept no branch of the noiseless trunk with the other
+        outcome: its probability is below the kernel's 1e-14 in every
+        branch. A row whose combined frame at its
         first stop anticommutes with such a measurement must match an
         outcome of that probability, so the kernel would keep no branch of
         the row (up to the rounding of that probability's sum), and the row

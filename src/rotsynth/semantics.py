@@ -41,6 +41,9 @@ from .gf2 import BitVec, GF2Matrix
 from .ir import Circuit, DIAG1_EXPONENT, Gate, MEAS_KINDS, PREP_AMPLITUDES, PREP_KINDS
 
 MAX_DENSE_QUBITS = 12
+# amplitudes a branch tree may hold after a measurement (`TrajectoryKernel.walk`;
+# 64 MiB of complex128)
+MAX_TREE_AMPLITUDES = 1 << 22
 
 # parity-phase expansions of the multi-qubit diagonal gates, as
 # (exponent, operand subset) terms; subsets index into gate.qubits
@@ -444,18 +447,6 @@ class TrajectoryKernel:
                     peak *= 2
         return max(1, _CHUNK_AMPLITUDES // (len(tree.alive) * tail[tree.h]))
 
-    def keeps(self, tree: BranchTree, outcome: int) -> bool:
-        """Whether `run` keeps some state row of `tree`, walked to right
-        before a measurement, with that measurement's `outcome`: whether the
-        outcome has probability 1e-14 or more in some state row. `tree` is
-        not written."""
-        g = self.circuit.gates[tree.h // 2]
-        _, origin, _, _, _, _ = _measure_rows(
-            tree.states, tree.of, g.kind, self._gate_axes[tree.h // 2][0], False,
-            np.full(len(tree.alive), np.nan), outcome,
-        )
-        return len(origin) > 0
-
     def layout(self, h: int) -> tuple[int, ...]:
         """Live qubits after half-step h, in axis order."""
         return tuple(self._qubits[self._order[self._live[h]]].tolist())
@@ -541,7 +532,10 @@ class TrajectoryKernel:
         between frame stops: input row i consumes uniforms[i], and
         `postselect` names the kept outcome of its records. A walk to
         tree.h or earlier changes nothing. Where a walk ends, the gathers
-        and phases that `_apply_run` composes into one also end."""
+        and phases that `_apply_run` composes into one also end. Before a
+        measurement that could leave the tree more than
+        `MAX_TREE_AMPLITUDES` amplitudes (each NaN row not postselected
+        there counted twice), it raises SimulationError."""
         if to is None:
             to = len(self._live) - 1
         gates = self.circuit.gates
@@ -551,10 +545,17 @@ class TrajectoryKernel:
             kind = g.kind if g else None
             if kind in MEAS_KINDS:
                 i = self._qubits.searchsorted(g.qubits[0])
+                uniform = uniforms[tree.alive, self._meas_col[h // 2]]
+                expected = postselect.get(g.record)
+                rows = len(uniform) + (0 if expected is not None else int(np.isnan(uniform).sum()))
+                if rows << self._width[h] > MAX_TREE_AMPLITUDES:
+                    raise SimulationError(
+                        f"a branch tree of {rows} rows of 2^{self._width[h]} amplitudes at "
+                        f"gate {h // 2} exceeds the cap of {MAX_TREE_AMPLITUDES} amplitudes"
+                    )
                 tree.states, origin, outcome, tree.of, parent, factor = _measure_rows(
                     tree.states, tree.of, kind, self._gate_axes[h // 2][0],
-                    self._dies[i] == h // 2, uniforms[tree.alive, self._meas_col[h // 2]],
-                    postselect.get(g.record),
+                    self._dies[i] == h // 2, uniform, expected,
                 )
                 tree.alive, tree.weight = tree.alive[parent], tree.weight[parent] * factor
                 tree.outcomes = {r: o[origin] for r, o in tree.outcomes.items()}

@@ -18,6 +18,7 @@ from rotsynth.compiler import compile_program
 from rotsynth import programs
 from rotsynth.ir import with_x_detection
 from rotsynth import faults, semantics
+from rotsynth.cli import main as cli_main
 from rotsynth.semantics import _CHUNK_AMPLITUDES, SimulationError
 from rotsynth.faults import (
     FaultAnalysisError,
@@ -967,8 +968,8 @@ class TestBatchedEnumeration:
     from the trunk, or the fault-free class that reads the trunk."""
 
     # per enumeration: (rows decided, rows forked, fault-free classes, tail
-    # calls); its harness also runs the reference row, and one trunk for the
-    # noiseless check and one for the enumeration
+    # calls); its harness also walks one trunk for the noiseless reference
+    # and one for the enumeration
     pinned = {
         "ccz-g": {"singles": (15, 57, 1, 1), "pairs": (0, 7, 0, 1), "first order": (12, 47, 0, 1)},
         "cs-g": {"singles": (22, 87, 1, 6), "pairs": (32, 10, 0, 1), "first order": (20, 76, 1, 5)},
@@ -1002,8 +1003,8 @@ class TestBatchedEnumeration:
             decided, forked, clean, tails = self.pinned[name][label]
             assert decided + forked + clean == classes
             assert made.counts == {
-                "kernel_calls": 3 + tails, "trunk_runs": 2, "rows_decided": decided,
-                "rows_forked": forked, "rows_run": 1,
+                "kernel_calls": 2 + tails, "trunk_runs": 2, "rows_decided": decided,
+                "rows_forked": forked, "rows_run": 0,
             }
 
     def test_one_t_site_has_no_pairs(self, harnesses):
@@ -1015,10 +1016,10 @@ class TestBatchedEnumeration:
         )
         pairs = enumerate_pair_faults(Circuit(2, gates), [0])
         assert (pairs.total, pairs.harmful, pairs.detected, pairs.harmless) == (0, 0, 0, 0)
-        # the harness's reference row and noiseless check, and no pair
+        # the harness's noiseless reference, and no pair
         (made,) = harnesses
         assert made.counts == {
-            "kernel_calls": 2, "trunk_runs": 1, "rows_decided": 0, "rows_forked": 0, "rows_run": 1,
+            "kernel_calls": 1, "trunk_runs": 1, "rows_decided": 0, "rows_forked": 0, "rows_run": 0,
         }
 
     def test_no_t_sites_gives_empty_table(self):
@@ -1654,6 +1655,117 @@ class TestHarnessOutputs:
         )
         with pytest.raises(SimulationError, match="after other gates"):
             _Harness(Circuit(2, gates), [0])
+
+
+def _cli_exit_1(tmp_path, capsys, circ, command, match):
+    """`rotsynth faults --singles` or `sweep` on `circ` with output 0 ends in
+    exit 1 with one stderr line that contains `match`."""
+    path = tmp_path / "circuit.json"
+    path.write_text(circ.to_json())
+    extra = (
+        ["--singles"] if command == "faults"
+        else ["--pl", "1e-3", "--r", "1", "--shots", "10", "--out", tmp_path / "o.csv"]
+    )
+    capsys.readouterr()
+    assert cli_main([command, "--circuit", str(path), "--outputs", "0", *map(str, extra)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err and err.count("\n") == 1
+
+
+def _random_detectors(k: int) -> Circuit:
+    """Output |0> on qubit 0, and k |+> qubits measured in Z as detectors."""
+    gates = [Gate("PrepZero", (0,))]
+    for q in range(1, k + 1):
+        gates += [Gate("PrepPlus", (q,)), Gate("MeasZ", (q,), f"d{q}")]
+    return Circuit(k + 1, tuple(gates))
+
+
+class TestNoiselessReference:
+    """`_Harness` takes its reference from one trunk walk and rejects a
+    circuit whose noiseless run has a random detector, branches that
+    disagree on the output, or an output entangled with another qubit."""
+
+    invalid = {
+        "not deterministic": _random_detectors(1),
+        "disagree on the output": Circuit(4, (
+            Gate("PrepPlus", (0,)), Gate("PrepZero", (1,)), Gate("PrepZero", (2,)),
+            Gate("PrepZero", (3,)), Gate("CNOT", (0, 1)), Gate("MeasZ", (1,), "m"),
+            Gate("CondS", (2,), "m"), Gate("MeasZ", (3,), "d"),
+        )),
+        "not in a pure state": Circuit(3, (
+            Gate("PrepPlus", (0,)), Gate("PrepZero", (1,)), Gate("PrepZero", (2,)),
+            Gate("CNOT", (0, 1)), Gate("MeasZ", (2,), "d"),
+        )),
+    }
+
+    @pytest.mark.parametrize("message", list(invalid))
+    def test_harness_rejects(self, message):
+        with pytest.raises(FaultAnalysisError, match=message):
+            _Harness(self.invalid[message], [0])
+
+    @pytest.mark.parametrize("message", list(invalid))
+    def test_cli_exit_1(self, tmp_path, capsys, message):
+        _cli_exit_1(tmp_path, capsys, self.invalid[message], "faults", message)
+
+    def test_trunk_stays_bounded(self, monkeypatch):
+        # 30 random detectors: the trunk drops the branches of each one's
+        # other outcome, so it never holds more than two branches
+        monkeypatch.setattr(semantics, "MAX_TREE_AMPLITUDES", 2)
+        with pytest.raises(FaultAnalysisError, match="not deterministic"):
+            _Harness(_random_detectors(30), [0])
+
+    def test_one_trunk_walk(self):
+        circ, outputs = compiled_ccz()
+        harness = _Harness(gadgetize(circ), outputs)
+        assert harness.reference == {"det0": 0}
+        assert harness.counts == {
+            "kernel_calls": 1, "trunk_runs": 1, "rows_decided": 0, "rows_forked": 0, "rows_run": 0,
+        }
+
+
+def _injection_chain(k: int) -> Circuit:
+    """k |+> qubits, each measured in Z and consumed by a CondS on the |0>
+    output (qubit 0), and one certain detector: the fault-free branch tree
+    doubles at each injection."""
+    gates = [Gate("PrepZero", (0,)), Gate("PrepZero", (k + 1,))]
+    for q in range(1, k + 1):
+        gates += [
+            Gate("PrepPlus", (q,)), Gate("MeasZ", (q,), f"m{q}"), Gate("CondS", (0,), f"m{q}"),
+        ]
+    gates.append(Gate("MeasZ", (k + 1,), "d"))
+    return Circuit(k + 2, tuple(gates))
+
+
+class TestTreeCap:
+    """A walk raises SimulationError before a measurement could leave a
+    branch tree more than `semantics.MAX_TREE_AMPLITUDES` amplitudes; the
+    CLI ends in exit 1 with one line."""
+
+    def test_harness(self, monkeypatch):
+        # 8 injections: 2^8 branches of the 1-qubit output
+        harness = _Harness(_injection_chain(8), [0])
+        _, weight, _ = harness.run_sampled(
+            (np.zeros(0, dtype=np.int64),) * 4, np.full((1, 8 + 1), np.nan)
+        )
+        assert len(weight) == 1 << 8 and weight.sum() == pytest.approx(1.0)
+        monkeypatch.setattr(semantics, "MAX_TREE_AMPLITUDES", 1 << 8)
+        with pytest.raises(SimulationError, match="exceeds the cap of 256 amplitudes"):
+            _Harness(_injection_chain(8), [0])
+
+    def test_enumerate_branches(self, monkeypatch):
+        # one qubit measured in X and Z in turn: every outcome is random
+        gates = (Gate("PrepZero", (0,)),) + tuple(
+            Gate("MeasX" if i % 2 == 0 else "MeasZ", (0,), f"m{i}") for i in range(8)
+        )
+        assert len(semantics.enumerate_branches(Circuit(1, gates))) == 1 << 8
+        monkeypatch.setattr(semantics, "MAX_TREE_AMPLITUDES", 1 << 8)
+        with pytest.raises(SimulationError, match="exceeds the cap"):
+            semantics.enumerate_branches(Circuit(1, gates))
+
+    @pytest.mark.parametrize("command", ["faults", "sweep"])
+    def test_cli_exit_1(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(semantics, "MAX_TREE_AMPLITUDES", 1 << 8)
+        _cli_exit_1(tmp_path, capsys, _injection_chain(8), command, "exceeds the cap")
 
 
 class TestSpacetimeCost:
