@@ -121,6 +121,10 @@ def cmd_compile(args) -> int:
     _at_least(args.budget, 1, "--budget")
     _at_least(args.seed, 0, "--seed")
     program = parse_rotation_program(_read(args.infile))
+    detect = _number_list(args.measure_x, int, "--measure-x") if args.measure_x else []
+    if len(set(detect)) != len(detect) or any(not 0 <= q < program.n for q in detect):
+        raise UsageError(f"--measure-x: expected distinct qubits below {program.n}, "
+                         f"got {args.measure_x!r}")
     try:
         report = compile_program(
             program,
@@ -131,9 +135,7 @@ def cmd_compile(args) -> int:
     except PartitionError as exc:
         print(f"compile failed: {exc}", file=sys.stderr)
         return 2
-    circuit = report.circuit
-    if args.measure_x:
-        circuit = with_x_detection(circuit, _number_list(args.measure_x, int, "--measure-x"))
+    circuit = with_x_detection(report.circuit, detect)
     config = _config_dict(args, ["infile", "objective", "budget", "seed", "measure_x"])
     _write(args.out, circuit.to_json() + "\n")
     if args.diagram:

@@ -21,13 +21,15 @@ the whole batch (`_greedy_batch`), every greedy variant of every operator
 is packed into layers at once (`_pack_levels`) and ranked on index arrays,
 and only each operator's winner becomes Python tuples; under cnot-depth,
 operators on up to DEPTH_OPT_LIMIT qubits are read instead from a
-depth-optimal table, two flat arrays that a numpy breadth-first search
-builds once per process (`_depth_table`). `_hoisted` builds a candidate's
+depth-optimal table, two flat arrays that the package ships as data and
+loads once per process (`_depth_table`). `_hoisted` builds a candidate's
 one gate list: the search scores it, and hands over the winner's,
-absorbed, as the compiled circuit; `compile_to_unitary` cuts the winner
-again on the same path. Nothing else is cached between calls. The circuit
-passes below (`parallelize_block`, `merge_adjacent_blocks`,
-`hoist_permutations`) are its reference in the tests.
+absorbed, as the compiled circuit. For `compile_to_unitary` the same batch
+also synthesizes each valid candidate's leading operator, and the winner
+is emitted from its realized operators with no second cut or synthesis.
+Nothing else is cached between calls. The circuit passes below
+(`parallelize_block`, `merge_adjacent_blocks`, `hoist_permutations`) are
+its reference in the tests.
 
 Matrix/gate conventions used throughout (exercised by the oracle tests):
   * CX(M) |e> = |M e> for invertible M over GF(2).
@@ -38,10 +40,14 @@ Matrix/gate conventions used throughout (exercised by the oracle tests):
 
 from __future__ import annotations
 
+import base64
+import json
 import random
 import warnings
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import resources
 from itertools import compress, islice, permutations
 
 import numpy as np
@@ -377,12 +383,13 @@ def _cnot_layers(pairs) -> int:
 
 
 DEPTH_OPT_LIMIT = 4
+_DEPTH_TABLES = "depth_tables.json"  # package data, written by tests/oracles.py
 
 
 @lru_cache(maxsize=None)
 def _depth_table(n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """(moves, pred, move): predecessor arrays of (depth, count)-optimal
-    realizations of every CX operator on n <= DEPTH_OPT_LIMIT qubits.
+    """(moves, pred, move): read-only predecessor arrays of (depth, count)-
+    optimal realizations of every CX operator on n <= DEPTH_OPT_LIMIT qubits.
 
     A state packs an n x n matrix into one int, row i in bits n*i to
     n*i + n - 1, and indexes the flat arrays of 2^(n^2) entries. pred (int32)
@@ -392,12 +399,11 @@ def _depth_table(n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     the state, -1 where there is none. A move is one layer of one or two
     disjoint CNOTs, so a state's depth is its level.
 
-    Breadth-first search from all permutation matrices, one level at a time:
-    the (level x moves) array of candidates, read in row-major order (state
-    order, then move order), drops the states seen at earlier levels; each
-    new state keeps the candidate with the fewest CNOTs, the earliest among
-    equals; the next level is ordered by (CNOT count, position of first
-    discovery). Feasible for n <= 4 (|GL(4,2)| = 20160).
+    The package ships move for every n in `_DEPTH_TABLES`, zlib-compressed
+    and base64-encoded, from a search of all permutation matrices outward
+    that keeps for each state its fewest layers, then fewest CNOTs, with
+    the ties of the reference search in the tests. Every layer is its own
+    inverse, so pred is rebuilt by re-applying each state's layer.
     """
     if n > DEPTH_OPT_LIMIT:
         raise ValueError(f"depth table only up to {DEPTH_OPT_LIMIT} qubits, not {n}")
@@ -405,45 +411,20 @@ def _depth_table(n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     moves = tuple((p,) for p in pairs) + tuple(
         (p, q) for a, p in enumerate(pairs) for q in pairs[a + 1 :] if not set(p) & set(q)
     )
-    # each move as two columns of `flip`; a one-CNOT move's second is the zero column
-    parts = np.array(
-        [[pairs.index(p) for p in move] + [len(pairs)] * (2 - len(move)) for move in moves],
-        dtype=np.intp,
-    ).reshape(-1, 2)
-    size = np.array([len(move) for move in moves], dtype=np.int8)
-    controls = np.array([n * c for c, _ in pairs], dtype=np.int32)
-    targets = np.array([n * t for _, t in pairs], dtype=np.int32)
-    pred = np.full(1 << (n * n), -1, dtype=np.int32)
-    move = np.full(1 << (n * n), -1, dtype=np.int8)
-    level = np.array(
-        [
-            sum(1 << (n * row + col) for col, row in enumerate(images))
-            for images in permutations(range(n))
-        ],
-        dtype=np.int32,
-    )
-    pred[level] = level
-    count = np.zeros(level.size, dtype=np.int8)
-    while level.size:
-        flip = np.zeros((level.size, len(pairs) + 1), dtype=np.int32)
-        flip[:, :-1] = ((level[:, None] >> controls) & ((1 << n) - 1)) << targets
-        nxt = level[:, None] ^ flip[:, parts[:, 0]]
-        nxt ^= flip[:, parts[:, 1]]
-        nxt = nxt.ravel()
-        pos = np.flatnonzero(pred[nxt] < 0).astype(np.int32)  # candidates of new states, in order
-        if not pos.size:
-            break
-        nxt, cost = nxt[pos], (count[:, None] + size).ravel()[pos]
-        # stable: by state, then fewest CNOTs, then position
-        order = np.lexsort((cost, nxt))
-        nxt, cost, pos = nxt[order], cost[order], pos[order]
-        head = np.flatnonzero(np.diff(nxt, prepend=-1))  # each state's kept candidate
-        found = np.minimum.reduceat(pos, head)  # each state's first discovery
-        new, cost, pos = nxt[head], cost[head], pos[head]
-        pred[new] = level[pos // len(moves)]
-        move[new] = pos % len(moves)
-        order = np.lexsort((found, cost))
-        level, count = new[order], cost[order]
+    tables = json.loads(resources.files(__package__).joinpath(_DEPTH_TABLES).read_text())
+    packed = base64.b64decode("".join(tables["move"][str(n)]))
+    move = np.frombuffer(zlib.decompress(packed), dtype=np.int8)
+    pred = np.full(move.size, -1, dtype=np.int32)
+    perms = [sum(1 << (n * row + col) for col, row in enumerate(images))
+             for images in permutations(range(n))]
+    pred[perms] = perms
+    reached = np.flatnonzero(move >= 0).astype(np.int32)
+    layer_of = move[reached]
+    pred[reached] = reached
+    for k, layer in enumerate(moves):
+        state = reached[layer_of == k]
+        for c, t in layer:
+            pred[state] ^= ((state >> (n * c)) & ((1 << n) - 1)) << (n * t)
     pred.flags.writeable = move.flags.writeable = False
     return moves, pred, move
 
@@ -959,11 +940,33 @@ def partition_rotations(
     valid (an empty support, or supports that span fewer than min(m, n)
     dimensions), it raises "no block partition exists" before any search.
     """
+    tried, valid, (order, gates, _, _) = _search(p, budget, seed, objective, head=False)
+    rots = [p.rotations[i] for i in order]
+    # the empty program has no blocks, on any number of qubits
+    cut = range(0, len(rots) - len(rots) % p.n, p.n) if rots else ()
+    blocks = [rots[s : s + p.n] for s in cut]
+    return Partition(
+        tuple(GF2Matrix.from_cols([r.support for r in block]) for block in blocks),
+        tuple(tuple(r.k for r in block) for block in blocks),
+        tuple(rots[len(blocks) * p.n :]),
+        order,
+        tried,
+        valid,
+        _absorbed(p.n, gates),
+    )
+
+
+def _search(p: RotationProgram, budget: int, seed: int, objective: str, head: bool):
+    """The search of `partition_rotations`: (tried, valid, winner), the
+    winner as (ordering, scored gate list, live phase layers, realized), where
+    realized holds the `_synthesize` of the winner's merged operators for
+    `_hoisted`. It leaves out M_0 unless `head`: then every valid
+    candidate's M_0 = F_1 joins its window's one synthesis batch."""
     if objective not in ("cnot-depth", "cnot-count"):
         raise ValueError(f"unknown objective {objective!r}")
     m = len(p.rotations)
     if m == 0:
-        return Partition((), (), (), (), 0, 0, _absorbed(p.n, []))
+        return 0, 0, ((), [], [], [])
     if p.n < 1:
         raise PartitionError("need at least one qubit")
     # no ordering can be valid, whatever the budget: blocks of n and the
@@ -989,37 +992,34 @@ def partition_rotations(
         tried += len(window)
         ops, invs, exps, ok = _cut(p, np.array(window, dtype=np.intp))
         valid += int(ok.sum())
-        exps = exps[ok]
-        at, merged, merged_inv = _merged(ops[ok], invs[ok], exps)
-        first, which = _distinct(merged)
-        realized = _synthesize(merged[first], merged_inv[first], depth_opt)
-        live = exps.reshape(-1, p.n)[at].tolist()
+        ops, invs, exps = ops[ok], invs[ok], exps[ok]
+        at, merged, merged_inv = _merged(ops, invs, exps)
         # the live blocks of valid candidate c are at[bounds[c] : bounds[c + 1]]
-        bounds = np.searchsorted(at // exps.shape[1], np.arange(len(exps) + 1)).tolist()
+        bounds = np.searchsorted(at // exps.shape[1], np.arange(len(exps) + 1))
+        # M_0 is the operator of a candidate's first live block
+        lead = at[bounds[:-1][np.diff(bounds) > 0]] if head else at[:0]
+        batch = np.concatenate([ops.reshape(-1, p.n, p.n)[lead], merged])
+        batch_inv = np.concatenate([invs.reshape(-1, p.n, p.n)[lead], merged_inv])
+        first, which = _distinct(batch)
+        realized = _synthesize(batch[first], batch_inv[first], depth_opt)
+        realized = [realized[w] for w in which]
+        heads, kept = iter(realized[: len(lead)]), realized[len(lead) :]
+        live = exps.reshape(-1, p.n)[at].tolist()
+        bounds = bounds.tolist()
         for order, lo, hi in zip(compress(window, ok.tolist()), bounds, bounds[1:]):
-            gates, _ = _hoisted(live[lo:hi], [realized[w] for w in which[lo:hi]], p.n)
+            gates, _ = _hoisted(live[lo:hi], kept[lo:hi], p.n)
             cnots = [qubits for kind, qubits in gates if kind == "CNOT"]
             key = _cnot_layers(cnots) if depth_opt else len(cnots)
+            own = [next(heads)] if head and hi > lo else []
             if best_key is None or key < best_key:
                 best_key = key
-                best = (order, gates)
+                best = (order, gates, live[lo:hi], own + kept[lo:hi])
     if best is None:
         raise PartitionError(
             f"no valid block partition among {tried} sampled ordering(s) "
             f"(m={m}, n={p.n})"
         )
-    order, gates = best
-    rots = [p.rotations[i] for i in order]
-    starts = range(0, m - m % p.n, p.n)
-    return Partition(
-        tuple(GF2Matrix.from_cols([r.support for r in rots[s : s + p.n]]) for s in starts),
-        tuple(tuple(r.k for r in rots[s : s + p.n]) for s in starts),
-        tuple(rots[m - m % p.n :]),
-        order,
-        tried,
-        valid,
-        _absorbed(p.n, gates),
-    )
+    return tried, valid, best
 
 
 def _absorbed(n: int, gates: list) -> Circuit:
@@ -1064,21 +1064,12 @@ def compile_to_unitary(
     """Pipeline output before preparation absorption: a pure unitary circuit
     operator-equal to the rotation product (useful for exact oracles).
 
-    The winning ordering is cut again and all of its merged operators are
-    synthesized in one call, the leading one included, which absorption
-    deletes; the hoisted permutation leads as SWAPs.
+    The search synthesizes every valid candidate's leading operator, which
+    absorption deletes, in one batch with the merged ones, and the winner
+    is emitted from its realized operators; the hoisted permutation leads
+    as SWAPs.
     """
-    part = partition_rotations(p, budget=budget, seed=seed, objective=objective)
-    gates, wires = [], list(range(p.n))
-    if part.ordering:  # no rotations, no blocks
-        ops, invs, exps, _ = _cut(p, np.array([part.ordering], dtype=np.intp))
-        at, merged, merged_inv = _merged(ops, invs, exps)
-        head = at[:1]  # M_0 = F_1, when a block is live
-        realized = _synthesize(
-            np.concatenate([ops.reshape(-1, p.n, p.n)[head], merged]),
-            np.concatenate([invs.reshape(-1, p.n, p.n)[head], merged_inv]),
-            objective == "cnot-depth",
-        )
-        gates, wires = _hoisted(exps.reshape(-1, p.n)[at].tolist(), realized, p.n)
+    _, _, (_, _, layers, realized) = _search(p, budget, seed, objective, head=True)
+    gates, wires = _hoisted(layers, realized, p.n)
     lead = tuple(Gate("SWAP", pair) for pair in _transpositions(wires))
     return Circuit(p.n, lead + tuple(Gate(kind, qubits) for kind, qubits in gates))

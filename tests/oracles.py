@@ -9,18 +9,24 @@ gate.
 
 from __future__ import annotations
 
+import base64
 import heapq
 import itertools
+import json
 import math
 import random
+import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from rotsynth import faults as _faults
 from rotsynth.compiler import (
+    DEPTH_OPT_LIMIT,
     Partition,
     PartitionError,
+    _DEPTH_TABLES,
     _bits,
     _candidate_orderings,
     _score_concat,
@@ -647,18 +653,25 @@ def reference_greedy_rows(
     return rows, ops
 
 
-def reference_depth_table(n: int) -> tuple[dict, dict]:
-    """`compiler._depth_table` as a multi-source Dijkstra on (depth, count)
-    from all permutation matrices, states as tuples of rows, moves = layers
-    of one or two disjoint CNOTs. Returns (best, prev): the optimal
-    (depth, count) of each state, and its predecessor (state, layer), None
-    for a permutation matrix."""
+def _reference_moves(n: int) -> list[tuple]:
+    """Layers of one CNOT (c, t), then of two disjoint ones, in the order of
+    `compiler._depth_table`'s moves."""
     pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
     moves = [(p,) for p in pairs]
     for a in range(len(pairs)):
         for b in range(a + 1, len(pairs)):
             if not set(pairs[a]) & set(pairs[b]):
                 moves.append((pairs[a], pairs[b]))
+    return moves
+
+
+def reference_depth_table(n: int) -> tuple[dict, dict]:
+    """`compiler._depth_table` as a multi-source Dijkstra on (depth, count)
+    from all permutation matrices, states as tuples of rows, moves = layers
+    of one or two disjoint CNOTs. Returns (best, prev): the optimal
+    (depth, count) of each state, and its predecessor (state, layer), None
+    for a permutation matrix."""
+    moves = _reference_moves(n)
     best: dict[tuple[int, ...], tuple[int, int]] = {}
     prev: dict[tuple[int, ...], tuple[tuple[int, ...], tuple] | None] = {}
     heap = []
@@ -689,6 +702,34 @@ def reference_depth_table(n: int) -> tuple[dict, dict]:
                 counter += 1
                 heapq.heappush(heap, (cand[0], cand[1], counter, nxt))
     return best, prev
+
+
+DEPTH_TABLES_PATH = Path(__file__).resolve().parents[1] / "src" / "rotsynth" / _DEPTH_TABLES
+DEPTH_TABLES_COMMAND = "PYTHONPATH=src python tests/oracles.py"
+
+
+def depth_tables_text() -> str:
+    """The text of the package's depth-table file, built from
+    `reference_depth_table`: for each n up to DEPTH_OPT_LIMIT, the int8 array
+    `move` of `compiler._depth_table` (the index of each state's last layer,
+    -1 for a permutation matrix or a singular one), zlib-compressed at level
+    9 and base64-encoded in lines of 76 characters."""
+    tables = {}
+    for n in range(DEPTH_OPT_LIMIT + 1):
+        index = {layer: k for k, layer in enumerate(_reference_moves(n))}
+        move = np.full(1 << (n * n), -1, dtype=np.int8)
+        for state, step in reference_depth_table(n)[1].items():
+            if step is not None:
+                move[sum(row << (n * i) for i, row in enumerate(state))] = index[step[1]]
+        text = base64.b64encode(zlib.compress(move.tobytes(), 9)).decode()
+        tables[str(n)] = [text[i : i + 76] for i in range(0, len(text), 76)]
+    about = (
+        "Depth-optimal CNOT tables of rotsynth.compiler._depth_table. For each "
+        "qubit count n, the int8 array move over the 2^(n^2) packed matrices, "
+        "zlib-compressed and base64-encoded in lines. Generated by "
+        f"`{DEPTH_TABLES_COMMAND}`; do not edit."
+    )
+    return json.dumps({"about": about, "move": tables}, indent=1) + "\n"
 
 
 def reference_invert(m: GF2Matrix) -> GF2Matrix:
@@ -904,3 +945,8 @@ def reference_partition_rotations(
         valid,
         circuit,
     )
+
+
+if __name__ == "__main__":
+    # regenerates the package's depth-table file from the reference search
+    DEPTH_TABLES_PATH.write_text(depth_tables_text())

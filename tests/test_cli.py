@@ -86,6 +86,35 @@ class TestCompileCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("qubits", ["4", "-1", "3,3", "0,1,0", "a", "1,x", ","])
+    def test_measure_x_rejected_before_search(self, tmp_path, ccz_program, capsys,
+                                              monkeypatch, qubits):
+        # a bad qubit list ends in exit 1 with one line, and the search never runs
+        from rotsynth import cli
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "compile_program", no_search)
+        out = tmp_path / "circuit.json"
+        capsys.readouterr()
+        code = run([
+            "compile", "--in", ccz_program, "--out", out, "--budget", 1, "--measure-x", qubits,
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: --measure-x") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_measure_x_checked_before_partition_failure(self, tmp_path, capsys):
+        # no partition exists (exit 2), but the repeated qubit is found first
+        prog = tmp_path / "rank1.json"
+        prog.write_text(json.dumps({"n": 2, "rotations": [{"support": "11", "k": 1}] * 4}))
+        capsys.readouterr()
+        assert run(["compile", "--in", prog, "--out", tmp_path / "o.json",
+                    "--measure-x", "1,1"]) == 1
+        assert capsys.readouterr().err.startswith("error: --measure-x")
+
     def test_objective_flag_preserves_t_count(self, tmp_path, ccz_program):
         outs = []
         for objective in ("cnot-depth", "cnot-count"):

@@ -126,7 +126,7 @@ def workdir(tmp_path_factory):
     return root
 
 
-def _run(argv) -> None:
+def _run(argv) -> int:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
@@ -135,6 +135,7 @@ def _run(argv) -> None:
     assert "Traceback" not in text
     if code:
         assert text.count("\n") == 1 and text.endswith("\n"), (argv, text)
+    return code
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -146,6 +147,36 @@ def test_mutated_programs(workdir, name, other, data):
     _run(["compile", "--in", mutant, "--out", workdir / "out.json", "--budget", 1])
     for oracle in ("dense", "poly"):
         _run(["verify", "--a", mutant, "--b", workdir / other, "--oracle", oracle])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(_NAMES), qubits=st.one_of(
+    st.lists(st.integers(-2, 6), max_size=5).map(lambda qs: ",".join(map(str, qs))),
+    st.text(alphabet="0123,x -", max_size=6),
+))
+def test_measure_x_lists(workdir, name, qubits):
+    # compile appends one MeasX per listed qubit, or rejects the list (exit
+    # 1): a token that is no integer, no qubit at all, a qubit outside the
+    # program, or one listed twice
+    n = programs.load(name).n
+    try:
+        want = [int(x) for x in qubits.split(",") if x != ""]
+    except ValueError:
+        want = None
+    accept = qubits == "" or (
+        bool(want) and len(set(want)) == len(want) and all(0 <= q < n for q in want)
+    )
+    out = workdir / "measured.json"
+    out.unlink(missing_ok=True)
+    # "--flag=value" keeps a list that starts with "-" from reading as a flag
+    code = _run(["compile", "--in", workdir / f"{name}.json", "--out", out, "--budget", 1,
+                 f"--measure-x={qubits}"])
+    assert code == (0 if accept else 1), (qubits, code)
+    if accept:
+        gates = json.loads(out.read_text())["gates"]
+        assert [g["qubits"][0] for g in gates if g["kind"] == "MeasX"] == (want or [])
+    else:
+        assert not out.exists()
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -630,12 +630,12 @@ class TestCompile:
     def test_depth_synthesis_only_where_it_counts(self, monkeypatch):
         # under cnot-depth the search hands the synthesizer, in one call, the
         # merged operators that absorption keeps (2 onward) of every valid
-        # candidate, each once, and emission synthesizes nothing; the
-        # unitary cuts the winner again and synthesizes all of its operators
+        # candidate, each once, and emission synthesizes nothing; for the
+        # unitary the same call also holds each candidate's leading operator
         from rotsynth import compiler
 
         calls = []
-        synthesize, search = compiler._synthesize, compiler.partition_rotations
+        synthesize, search = compiler._synthesize, compiler._search
 
         def recorded_synthesize(ops, invs, depth_opt):
             pairs = [(_matrix(op), _matrix(inv)) for op, inv in zip(ops.tolist(), invs.tolist())]
@@ -643,12 +643,12 @@ class TestCompile:
             return synthesize(ops, invs, depth_opt)
 
         def searched(*args, **kwargs):
-            part = search(*args, **kwargs)
+            found = search(*args, **kwargs)
             calls.append("emit")
-            return part
+            return found
 
         monkeypatch.setattr(compiler, "_synthesize", recorded_synthesize)
-        monkeypatch.setattr(compiler, "partition_rotations", searched)
+        monkeypatch.setattr(compiler, "_search", searched)
         prog = programs.load("t15")
         m = len(prog.rotations)
         _, merged = reference_merged(reference_split(prog, tuple(range(m))))
@@ -659,19 +659,19 @@ class TestCompile:
 
         calls.clear()
         compile_to_unitary(prog, budget=1, objective="cnot-depth")
-        assert calls == [(merged[1:], True), "emit", (merged, True)]
+        assert calls == [(merged, True), "emit"]
 
-        # many candidates: one call with the union of their operators 2 onward
-        calls.clear()
-        compile_program(prog, budget=40, seed=3, objective="cnot-depth")
-        want = set()
-        for order in set(compiler._candidate_orderings(m, 40, 3)):
-            split = reference_split(prog, order)
-            if split is not None:
-                want.update(reference_merged(split)[1][1:])
-        assert len(calls) == 2 and calls[1] == "emit"
-        pairs, depth_opt = calls[0]
-        assert depth_opt and len(pairs) == len(set(pairs)) and set(pairs) == want
+        # many candidates: one call with the union of their operators 2
+        # onward, and for the unitary of all of their operators
+        orders = set(compiler._candidate_orderings(m, 40, 3))
+        splits = [s for s in (reference_split(prog, o) for o in orders) if s is not None]
+        for emit, skip in ((compile_program, 1), (compile_to_unitary, 0)):
+            calls.clear()
+            emit(prog, budget=40, seed=3, objective="cnot-depth")
+            want = {op for split in splits for op in reference_merged(split)[1][skip:]}
+            assert len(calls) == 2 and calls[1] == "emit"
+            pairs, depth_opt = calls[0]
+            assert depth_opt and len(pairs) == len(set(pairs)) and set(pairs) == want
 
 
 # SHA-256 of the emitted JSON: compile_program(...).circuit, then
@@ -739,3 +739,107 @@ def test_emitted_circuits_pinned(name, budget, objective):
     )
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in got)
     assert digests == EMITTED_SHA256[name, budget, objective]
+
+
+def _unitary_cases() -> dict:
+    """(program, budget) by name: programs whose leading block is dead (all
+    k = 0), whose blocks are all dead, that are all residual, and budget-7
+    searches with several valid candidates, some won by a shuffle."""
+    rng = random.Random(26)
+    cases = {}
+    for name in programs.NAMES:
+        prog = programs.load(name)
+        n, rots = prog.n, prog.rotations
+        dead = tuple(PhaseRotation(r.support, 0) for r in rots[:n]) + rots[n:]
+        cases[f"{name}-dead-lead"] = (RotationProgram(n, dead), 1)
+        cases[f"{name}-dead-lead-7"] = (RotationProgram(n, dead), 7)
+        all_dead = tuple(PhaseRotation(r.support, 0) for r in rots)
+        cases[f"{name}-all-dead"] = (RotationProgram(n, all_dead), 7)
+        cases[f"{name}-residual"] = (RotationProgram(n, rots[: n - 1]), 1)
+        cases[f"{name}-7"] = (prog, 7)
+    for n in range(2, 7):
+        u = random_invertible(n, rng.getrandbits(32))
+        ks = [rng.randrange(8) for _ in range(2 * n)]
+        v = random_invertible(n, rng.getrandbits(32))
+        cols = [u.col(j) for j in range(n)] + [v.col(j) for j in range(n)]
+        full = tuple(PhaseRotation(c, k) for c, k in zip(cols, ks))
+        cases[f"rand{n}-residual"] = (RotationProgram(n, full[: n - 1]), 7)
+        lead = tuple(PhaseRotation(c, 0) for c in cols[:n]) + full[n:]
+        cases[f"rand{n}-dead-lead"] = (RotationProgram(n, lead), 1)
+        cases[f"rand{n}-7"] = (RotationProgram(n, full + full[:2]), 7)
+    return cases
+
+
+# SHA-256 of compile_to_unitary(...).to_json() at seed 2 for each case of
+# `_unitary_cases` and objective, recorded from the implementation that cut
+# the search's winner again and synthesized its operators in a second call:
+# synthesizing them in the search's own batch must emit the same bytes
+UNITARY_SHA256 = {
+    ("ccz-7", "cnot-depth"): "6b6679f6e1e09ecba3e0e68836cd37a82e0077aa381fc380486a571a5d93d1e2",
+    ("ccz-7", "cnot-count"): "981215c4fb60155cdc62fad77d28303de864edfdc07cf44de0cc64788a5e8c7e",
+    ("ccz-all-dead", "cnot-depth"): "55dc37ea9d717d95fbbf117d90f37d507ecfdd57f0d0cfdda26a22ca04e97909",
+    ("ccz-all-dead", "cnot-count"): "55dc37ea9d717d95fbbf117d90f37d507ecfdd57f0d0cfdda26a22ca04e97909",
+    ("ccz-dead-lead", "cnot-depth"): "c3dd007e3dcceab8ba036b7cf3e7697d62c9bf4fd6da9715415cd7fac655e9da",
+    ("ccz-dead-lead", "cnot-count"): "17a5ed40859d3b724cc01f68029dd02643546adbf8bf2425fa8795e9823892c8",
+    ("ccz-dead-lead-7", "cnot-depth"): "c3dd007e3dcceab8ba036b7cf3e7697d62c9bf4fd6da9715415cd7fac655e9da",
+    ("ccz-dead-lead-7", "cnot-count"): "17a5ed40859d3b724cc01f68029dd02643546adbf8bf2425fa8795e9823892c8",
+    ("ccz-residual", "cnot-depth"): "e484c1301fd431a62a8aa34fdef1642a339d720562749f428b51a99df16b32ae",
+    ("ccz-residual", "cnot-count"): "fca24a6a415b19dc2a4020d1cee0d6e00f0fa2c9fc0d349878796f4ef5b1ae00",
+    ("cs-7", "cnot-depth"): "ecef016b1f98c31468245e7b5c14c40b90aa4fa26ccd1ac3b99db2b1dd573de9",
+    ("cs-7", "cnot-count"): "67648c76f411aa47fc353b65d5fcf0fc5620ed31e2f1bc74fe23601cd81d8450",
+    ("cs-all-dead", "cnot-depth"): "55dc37ea9d717d95fbbf117d90f37d507ecfdd57f0d0cfdda26a22ca04e97909",
+    ("cs-all-dead", "cnot-count"): "55dc37ea9d717d95fbbf117d90f37d507ecfdd57f0d0cfdda26a22ca04e97909",
+    ("cs-dead-lead", "cnot-depth"): "6f9604eb40e7ecdc87d414207d15c9c31ed24e4a16c36593bcbe63051033758c",
+    ("cs-dead-lead", "cnot-count"): "730c8a2f0fae792d7c74c62d5740893d6a5c968c0ab0ddbbd1a730f877f3c51b",
+    ("cs-dead-lead-7", "cnot-depth"): "6f9604eb40e7ecdc87d414207d15c9c31ed24e4a16c36593bcbe63051033758c",
+    ("cs-dead-lead-7", "cnot-count"): "730c8a2f0fae792d7c74c62d5740893d6a5c968c0ab0ddbbd1a730f877f3c51b",
+    ("cs-residual", "cnot-depth"): "7301bb63985aa3cddfa7dcc89c99f29912e1b3fb9d5afb595e9f3134a5d3d5ae",
+    ("cs-residual", "cnot-count"): "ee704f7104ed3b6db44fa49b494bcacd550548f8c9ca37d9589248f0e98a94aa",
+    ("rand2-7", "cnot-depth"): "806afb3b012d0b221b3b560ae5403b0dd2a55ed99fa228c9b0d9389915890879",
+    ("rand2-7", "cnot-count"): "806afb3b012d0b221b3b560ae5403b0dd2a55ed99fa228c9b0d9389915890879",
+    ("rand2-dead-lead", "cnot-depth"): "a1e1b9995cbf1123442799b45e8abe9b5cbabf51f8a87b05dc707d76fc377136",
+    ("rand2-dead-lead", "cnot-count"): "a1e1b9995cbf1123442799b45e8abe9b5cbabf51f8a87b05dc707d76fc377136",
+    ("rand2-residual", "cnot-depth"): "83783b74882970cd42edd801d8fcacec337e795811a3567ef44b02b9d0ff59fa",
+    ("rand2-residual", "cnot-count"): "83783b74882970cd42edd801d8fcacec337e795811a3567ef44b02b9d0ff59fa",
+    ("rand3-7", "cnot-depth"): "f15164da84b54d6ae74cce694bf6af4f1a03829325d1b85f0af20287a26988bc",
+    ("rand3-7", "cnot-count"): "f15164da84b54d6ae74cce694bf6af4f1a03829325d1b85f0af20287a26988bc",
+    ("rand3-dead-lead", "cnot-depth"): "f958f48f4559ca8c414d97e08762a021025c954c180ab1433a15a77676a37ac5",
+    ("rand3-dead-lead", "cnot-count"): "f958f48f4559ca8c414d97e08762a021025c954c180ab1433a15a77676a37ac5",
+    ("rand3-residual", "cnot-depth"): "e33b5cc814401d57f440781b251c9c442f5ed3562f69f122743ca2de0e6a7fdb",
+    ("rand3-residual", "cnot-count"): "e33b5cc814401d57f440781b251c9c442f5ed3562f69f122743ca2de0e6a7fdb",
+    ("rand4-7", "cnot-depth"): "bef3ce3eac287a111f040435c49516c81292b1033aeb641ad66f0f75076e97a5",
+    ("rand4-7", "cnot-count"): "2a81af24a08fdd4a2a009d92272c8eac9626e19c0e8f0d09ebb099fd999044e3",
+    ("rand4-dead-lead", "cnot-depth"): "85bb5ba98f1ef3b616aa5f065fa878cc24ce4e5fa63c726eb99bf5c6a8fe8dac",
+    ("rand4-dead-lead", "cnot-count"): "fc1a05efa20a15c170ade87eef9ebcf897a136c89f32534a9e8c01ac7fd59794",
+    ("rand4-residual", "cnot-depth"): "ef4279c594d02e9c01bdeb0702f4b05a41895e12fc3d7caf3310060d1293548c",
+    ("rand4-residual", "cnot-count"): "748e450c7a79f1cc2da4311a6e6d729b23f0c136ebe2090cbc41a73240e9fbe2",
+    ("rand5-7", "cnot-depth"): "98a9fb197fa3603c86b588e27f8f2b6fbc7ff5bec1b2b573816a04ad6baaf602",
+    ("rand5-7", "cnot-count"): "228a6f04a0b7aae5aa4e8f85b37733577f24137f31f73d9baf5b178af0fb1050",
+    ("rand5-dead-lead", "cnot-depth"): "d535862dcb8cddb84cc5c8e7119cea047116736008d171e2f6b4cbeab7fdbe02",
+    ("rand5-dead-lead", "cnot-count"): "8f86eefdf4d88a84bd5e425c9d1ee24857ec61ab0c1455bd76aa4265147b5b41",
+    ("rand5-residual", "cnot-depth"): "6f42e65a8807abbd97ce282b35affc3394a1c753cfc60c13349d72bdb443e6ea",
+    ("rand5-residual", "cnot-count"): "372d7c37378720c9d31cd614dc39e281dfe9dd199b9f8f9e3afaf9b1ce3030f8",
+    ("rand6-7", "cnot-depth"): "6809a9b97f795bcb7670156ae5b5edf255ea098a088680d3cb11289ea01af2a6",
+    ("rand6-7", "cnot-count"): "c076ab3ef38dc3225cdbb410bd3b77202117ca33c3193c2ecff3030c89a9b4de",
+    ("rand6-dead-lead", "cnot-depth"): "bc99f5eda9023231c42e3bdf00a8e5996e3378811099241db4238cbaa6458baa",
+    ("rand6-dead-lead", "cnot-count"): "0b60f1013bc4ad08a836441955b7334fb0bfa543d077491f2af15bf56a588da5",
+    ("rand6-residual", "cnot-depth"): "550ff149b812828188380687c511ddb4c99e0625008c4062a5b8aaa1563a6191",
+    ("rand6-residual", "cnot-count"): "550ff149b812828188380687c511ddb4c99e0625008c4062a5b8aaa1563a6191",
+    ("t15-7", "cnot-depth"): "4fbb39ec191aaebf3fc20660e4e3461cece10b1fdcad8717386c2685508da29a",
+    ("t15-7", "cnot-count"): "20210ec051afc0c8cf9294c99143cbced2eee7a516ce28e05cf4bd0089d02bcf",
+    ("t15-all-dead", "cnot-depth"): "815c4bdd87a7cf7a20765db780a5408742e1e0a685ca15de7a2cd0f99f20297e",
+    ("t15-all-dead", "cnot-count"): "815c4bdd87a7cf7a20765db780a5408742e1e0a685ca15de7a2cd0f99f20297e",
+    ("t15-dead-lead", "cnot-depth"): "bd13435534b1e8251aeb127078405252cbd8f789902265e4f6d7d6bc882d23ca",
+    ("t15-dead-lead", "cnot-count"): "bd13435534b1e8251aeb127078405252cbd8f789902265e4f6d7d6bc882d23ca",
+    ("t15-dead-lead-7", "cnot-depth"): "bd13435534b1e8251aeb127078405252cbd8f789902265e4f6d7d6bc882d23ca",
+    ("t15-dead-lead-7", "cnot-count"): "bd13435534b1e8251aeb127078405252cbd8f789902265e4f6d7d6bc882d23ca",
+    ("t15-residual", "cnot-depth"): "787b30c2e5b30d48e4dc066b2576dc9286529266f8d2f6a8e70e4cc8d6eb03c0",
+    ("t15-residual", "cnot-count"): "787b30c2e5b30d48e4dc066b2576dc9286529266f8d2f6a8e70e4cc8d6eb03c0",
+}
+
+
+@pytest.mark.parametrize("name, objective", sorted(UNITARY_SHA256))
+def test_unitary_edge_cases_pinned(name, objective):
+    prog, budget = _unitary_cases()[name]
+    text = compile_to_unitary(prog, budget=budget, seed=2, objective=objective).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == UNITARY_SHA256[name, objective]

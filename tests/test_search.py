@@ -2,10 +2,11 @@
 
 The greedy synthesizer scores every candidate of a batch of matrices at
 once and stops a matrix when it cycles; the ordering loop scores candidates
-on plain tuples; the depth table is a breadth-first search; the circuit is
-emitted from the gate list the search scored. Each must return exactly
-what the plain loops and the public circuit passes return: same operations,
-same partition, same circuit, same table.
+on plain tuples; the depth table ships as package data, generated from a
+Dijkstra search over plain tuples; the circuit is emitted from the gate
+list the search scored. Each must return exactly what the plain loops and
+the public circuit passes return: same operations, same partition, same
+circuit, same table.
 """
 
 import random
@@ -43,6 +44,9 @@ from rotsynth.ir import PhaseRotation, RotationProgram
 from rotsynth.semantics import phase_polynomial_of, poly_equal
 
 from oracles import (
+    DEPTH_TABLES_COMMAND,
+    DEPTH_TABLES_PATH,
+    depth_tables_text,
     random_program,
     reference_depth_table,
     reference_greedy_rows,
@@ -220,15 +224,20 @@ def _assert_same_search(prog, budget, objective, seed=0, reference=None):
 
 
 class TestDepthTable:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_matches_reference_dijkstra(self, n):
         _, want = reference_depth_table(n)
 
         def pack(rows):
             return sum(row << (n * i) for i, row in enumerate(rows))
 
-        # the arrays decoded: every reached state, None for a permutation
+        # the shipped arrays decoded: every reached state, None for a permutation
         moves, pred, move = _depth_table(n)
+        assert pred.dtype == np.int32 and move.dtype == np.int8
+        assert pred.shape == move.shape == (1 << (n * n),)
+        assert not pred.flags.writeable and not move.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            move[0] = 0
         got = {
             state: None if pred[state] == state else (int(pred[state]), moves[move[state]])
             for state in np.flatnonzero(pred >= 0).tolist()
@@ -261,6 +270,13 @@ class TestDepthTable:
                 _table_realization(n, sum(row << (n * i) for i, row in enumerate(rows)))
         with pytest.raises(SingularMatrixError):
             _table_realization(n, 0)
+
+    def test_shipped_file_is_generated(self):
+        # the package-data file is exactly what the reference search writes
+        text = DEPTH_TABLES_PATH.read_text()
+        assert text == depth_tables_text(), (
+            f"{DEPTH_TABLES_PATH.name} is stale; regenerate it with `{DEPTH_TABLES_COMMAND}`"
+        )
 
     def test_oversized_rejected(self):
         with pytest.raises(ValueError, match="up to 4 qubits"):
