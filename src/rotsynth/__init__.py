@@ -59,7 +59,6 @@ from .faults import (
     gadgetize,
     monte_carlo_infidelity,
     spacetime_cost,
-    t_gadget_channel,
 )
 
 __version__ = "0.1.0"

@@ -224,7 +224,7 @@ def cmd_faults(args) -> int:
             f"{table.count('harmless')} harmless, {table.count('harmful')} harmful"
         )
     if args.pairs:
-        pairs = _pairs(harness)
+        pairs = _pairs(harness, build_schedule(circuit))
         payload["pairs"] = pairs.to_dict()
         summary.append(f"pairs: {pairs.harmful} harmful of {pairs.total}")
     if args.first_order:

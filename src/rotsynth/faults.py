@@ -41,6 +41,7 @@ HARMFUL_INFIDELITY = 1e-9
 DETECTED_ACCEPTANCE = 1e-12
 _NO_STOP = np.iinfo(np.int64).max   # the first stop of a row without frames
 _FAULT_CLASSES = ("detected", "harmless", "harmful")
+_T_GATE, _T_PREP, _DEPOLARIZING = 0, 1, 2   # the kinds of fault site (`_Harness.sites`)
 
 
 def _fault_class(acceptance, infidelity):
@@ -104,16 +105,6 @@ class TGadgetChannel:
             raise FaultAnalysisError("channel probabilities must be non-negative")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise FaultAnalysisError("channel probabilities must sum to 1")
-
-
-def t_gadget_channel(p_x: float, p_y: float, p_z: float) -> TGadgetChannel:
-    """Map Pauli error rates of a prepared |T> state onto the channel of the
-    teleported T gate: X goes to Sdag, Y to S, Z stays Z."""
-    if min(p_x, p_y, p_z) < 0:
-        raise FaultAnalysisError("negative probability")
-    if p_x + p_y + p_z > 1 + 1e-12:
-        raise FaultAnalysisError("probabilities exceed 1")
-    return TGadgetChannel(1.0 - p_x - p_y - p_z, p_y, p_x, p_z)
 
 
 _S = np.diag([1.0, 1.0j]).astype(complex)
@@ -406,22 +397,26 @@ class _Harness:
     # -- execution ---------------------------------------------------------
 
     def run_exact(
-        self, configs: list[list[tuple[int, str, int]]]
+        self, faults: tuple[np.ndarray, ...], n_configs: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """(acceptance probability, mean infidelity over accepted branches)
-        of each fault configuration, a list of Paulis inserted after given
-        gate positions: (pos, pauli, qubit). A configuration nothing accepts
-        reads (0, 0).
+        of each of `n_configs` fault configurations, as float64 arrays.
+        `faults` holds the four integer arrays of `run_sampled`
+        (configuration, gate position, Pauli index into "XYZ", qubit). A
+        configuration nothing accepts reads (0, 0).
 
-        Each class of configurations (`fault_classes`) is one row that
-        branches at every injection measurement, decided or forked from the
-        trunk as in `run_sampled`; its acceptance is the sum of its
-        branches' weights, and every configuration reads the values of its
-        class. The frames of the configurations are computed once.
+        Configurations with the same effect form a class: a configuration's
+        key is its Pauli frames (`TrajectoryKernel.frames`), one (stop, X
+        mask, Z mask) per stop where their product is not the identity, and
+        the configurations without one share the fault-free class. Each class
+        is one row that branches at every injection measurement, decided or
+        forked from the trunk as in `run_sampled`; its acceptance is the sum
+        of its branches' weights, and every configuration reads the values
+        of its class. The frames of the configurations are computed once.
         """
-        frames = self.kernel.frames(*_fault_arrays(configs))
-        first, klass = self._classes(frames, len(configs))
-        chosen = np.zeros(len(configs), dtype=bool)
+        frames = self.kernel.frames(*faults)
+        first, klass = self._classes(frames, n_configs)
+        chosen = np.zeros(n_configs, dtype=bool)
         chosen[first] = True
         # the frames of each class's first configuration; classes are
         # numbered in the order of their first configurations, so the rows
@@ -431,28 +426,19 @@ class _Harness:
             (klass[frames[0][kept]], *(a[kept] for a in frames[1:])),
             np.full((len(first), len(self.meas_order)), np.nan),
         )
-        acceptance = np.bincount(row, weight, minlength=len(first))
+        # without weights (every class decided, or none) bincount counts in int64
+        acceptance = np.bincount(row, weight, minlength=len(first)).astype(np.float64)
         bad = np.bincount(row, weight * infid, minlength=len(first))
         infidelity = np.zeros(len(first))
         np.divide(bad, acceptance, out=infidelity, where=acceptance > 0.0)
         return acceptance[klass], infidelity[klass]
 
-    def fault_classes(
-        self, faults: tuple[np.ndarray, ...], n_configs: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Configurations with the same effect: (the first configuration of
-        each class, the class of each configuration). `faults` holds four
-        integer arrays (configuration, gate position, Pauli index into
-        "XYZ", qubit), as `run_sampled` takes them. A configuration's key is
-        its Pauli frames (`TrajectoryKernel.frames`), one (stop, X mask, Z
-        mask) per stop where their product is not the identity; the
-        configurations without one share the fault-free class. Classes are
-        numbered in the order of their first configuration."""
-        return self._classes(self.kernel.frames(*faults), n_configs)
-
     @staticmethod
     def _classes(frames, n_configs: int) -> tuple[np.ndarray, np.ndarray]:
-        """`fault_classes` of configurations given by their frames."""
+        """(The first configuration of each class, the class of each
+        configuration) of configurations given by their frames, as
+        `run_exact` keys them; classes are numbered in the order of their
+        first configuration."""
         keys: list[list[tuple[int, int, int]]] = [[] for _ in range(n_configs)]
         for r, *frame in zip(*(a.tolist() for a in frames)):
             keys[r].append(tuple(frame))
@@ -590,46 +576,38 @@ class _Harness:
 
     # -- fault sites -------------------------------------------------------
 
-    def tprep_sites(self) -> list[tuple[int, int]]:
-        """(gate position, qubit) of each magic-resource site (T-type gate)."""
-        return [
-            (i, g.qubits[0])
-            for i, g in enumerate(self.circuit.gates)
-            if g.kind in T_LIKE_KINDS
+    def sites(self, rounds: tuple[Round, ...]) -> np.ndarray:
+        """The fault sites of the noise model under the schedule `rounds`, as
+        four int64 rows (gate position, qubit, round, kind); a fault at a
+        site goes in right after that gate. First, in gate order, a Z site
+        after each T-like gate: kind `_T_PREP` after a |T> preparation,
+        `_T_GATE` after an in-circuit T or Tdag. Then the end-of-round
+        depolarizing sites (`_DEPOLARIZING`), rounds 1 and later, each round
+        at its insert position on every qubit that a fault there acts on
+        (`TrajectoryKernel.acting_qubits`, ascending): a qubit that a gate
+        or an output reads, up to the measurement after which nothing reads
+        it. Every estimator takes its sites from these rows, in this order."""
+        gates = self.circuit.gates
+        round_of = _round_of_gates(rounds, len(gates))
+        rows = [
+            (pos, g.qubits[0], round_of[pos], _T_PREP if g.kind in PREP_KINDS else _T_GATE)
+            for pos, g in enumerate(gates) if g.kind in T_LIKE_KINDS
         ]
-
-    def depolarizing_sites(self, rounds: tuple[Round, ...]) -> list[tuple[int, int, int]]:
-        """(round index, insert position, qubit) for every end-of-round noise
-        location of the schedule `rounds`, rounds 1 and later, on each qubit
-        a fault there acts on (`TrajectoryKernel.acting_qubits`): a qubit
-        that a gate or an output reads, up to the measurement after which
-        nothing reads it."""
-        return [
-            (r, rnd.insert_pos, q)
+        rows += [
+            (rnd.insert_pos, q, r, _DEPOLARIZING)
             for r, rnd in enumerate(rounds[1:], start=1)
             for q in self.kernel.acting_qubits(rnd.insert_pos)
         ]
+        return np.array(rows, dtype=np.int64).reshape(-1, 4).T
 
 
-_PAULI_INDEX = {"X": 0, "Y": 1, "Z": 2}
-
-
-def _fault_arrays(configs: list[list[tuple[int, str, int]]]) -> tuple[np.ndarray, ...]:
-    """Fault configurations as the four arrays (configuration, gate
-    position, Pauli index into "XYZ", qubit) of `_Harness.run_sampled`."""
-    flat = np.array(
-        [(i, pos, _pauli_index(pauli), qubit)
-         for i, faults in enumerate(configs) for pos, pauli, qubit in faults],
-        dtype=np.int64,
-    )
-    return tuple(flat.reshape(-1, 4).T)
-
-
-def _pauli_index(pauli: str) -> int:
-    try:
-        return _PAULI_INDEX[pauli]
-    except KeyError:
-        raise FaultAnalysisError(f"unknown Pauli {pauli!r}") from None
+def _round_of_gates(rounds: tuple[Round, ...], n_gates: int) -> np.ndarray:
+    """The round of each gate position under the schedule `rounds` (-1 for a
+    gate in none)."""
+    round_of = np.full(n_gates, -1, dtype=np.int64)
+    for r, rnd in enumerate(rounds):
+        round_of[list(rnd.gate_indices)] = r
+    return round_of
 
 
 # ---------------------------------------------------------------------------
@@ -700,11 +678,22 @@ class PairSummary:
         }
 
 
-def _round_of(rounds: tuple[Round, ...], pos: int) -> int:
-    for r, rnd in enumerate(rounds):
-        if pos in rnd.gate_indices:
-            return r
-    return -1
+def _rows(sites: np.ndarray, *kinds: int) -> np.ndarray:
+    """The rows of a site table (`_Harness.sites`) of the given kinds, in
+    their order."""
+    return sites[:, np.isin(sites[3], kinds)]
+
+
+def _single_faults(harness: _Harness, pos, qubit, pauli, rnd):
+    """One configuration per fault, a Pauli (index into "XYZ") on a qubit
+    right after a gate position, in a round: (its detection table, and the
+    acceptance and the infidelity of each fault)."""
+    acc, infid = harness.run_exact((np.arange(len(pos)), pos, pauli, qubit), len(pos))
+    table = DetectionTable([
+        FaultRecord(FaultLocation(p, q, "XYZ"[pa], r), a, i)
+        for p, q, pa, r, a, i in zip(*(x.tolist() for x in (pos, qubit, pauli, rnd, acc, infid)))
+    ])
+    return table, acc, infid
 
 
 def enumerate_single_faults(
@@ -726,41 +715,33 @@ def enumerate_single_faults(
 def _singles(harness: _Harness, rounds: tuple[Round, ...], sites: str) -> DetectionTable:
     """`enumerate_single_faults` on a harness, with the round of each fault
     taken from `rounds`."""
-    c = harness.circuit
     if sites == "tprep":
-        locations = harness.tprep_sites()
-        paulis = ("Z",)
+        pos, qubit, rnd, _ = _rows(harness.sites(rounds), _T_GATE, _T_PREP)
+        pauli = np.full(len(pos), 2)
     else:
-        locations = [
-            (i, q) for i, g in enumerate(c.gates) for q in g.qubits
-            if g.kind not in MEAS_KINDS
-        ]
-        paulis = ("X", "Y", "Z")
-    faults = [(pos, pauli, qubit) for pos, qubit in locations for pauli in paulis]
-    acc, infid = harness.run_exact([[f] for f in faults])
-    return DetectionTable([
-        FaultRecord(
-            FaultLocation(pos, qubit, pauli, _round_of(rounds, pos)),
-            float(acc[i]),
-            float(infid[i]),
-        )
-        for i, (pos, pauli, qubit) in enumerate(faults)
-    ])
+        gates = harness.circuit.gates
+        pos, qubit = np.array(
+            [(i, q) for i, g in enumerate(gates) for q in g.qubits if g.kind not in MEAS_KINDS],
+            dtype=np.int64,
+        ).reshape(-1, 2).repeat(3, axis=0).T
+        pauli = np.tile(np.arange(3), len(pos) // 3)
+        rnd = _round_of_gates(rounds, len(gates))[pos]
+    return _single_faults(harness, pos, qubit, pauli, rnd)[0]
 
 
 def enumerate_pair_faults(c: Circuit, outputs: list[int]) -> PairSummary:
     """Exhaustively classify all Z fault pairs on the T-type sites."""
-    return _pairs(_Harness(c, outputs))
+    return _pairs(_Harness(c, outputs), build_schedule(c))
 
 
-def _pairs(harness: _Harness) -> PairSummary:
-    """`enumerate_pair_faults` on a harness."""
-    sites = harness.tprep_sites()
-    acc, infid = harness.run_exact([
-        [(pos_a, "Z", qubit_a), (pos_b, "Z", qubit_b)]
-        for a, (pos_a, qubit_a) in enumerate(sites)
-        for pos_b, qubit_b in sites[a + 1 :]
-    ])
+def _pairs(harness: _Harness, rounds: tuple[Round, ...]) -> PairSummary:
+    """`enumerate_pair_faults` on a harness, with the sites of `rounds`."""
+    pos, qubit, _, _ = _rows(harness.sites(rounds), _T_GATE, _T_PREP)
+    a, b = np.triu_indices(len(pos), 1)
+    both = np.stack([a, b], axis=1).ravel()   # each pair's two sites in turn
+    acc, infid = harness.run_exact(
+        (np.arange(len(a)).repeat(2), pos[both], np.full(len(both), 2), qubit[both]), len(a)
+    )
     detected, harmless, harmful = np.bincount(_fault_class(acc, infid), minlength=3).tolist()
     return PairSummary(len(acc), harmful, detected, harmless)
 
@@ -804,25 +785,16 @@ def first_order_oracle(c: Circuit, outputs: list[int], nm: NoiseModel) -> FirstO
 def _first_order(harness: _Harness, rounds: tuple[Round, ...]) -> FirstOrderReport:
     """`first_order_oracle` on a harness, with the noise of the schedule
     `rounds`."""
-    faults = [
-        (rnd_idx, pos, pauli, qubit)
-        for rnd_idx, pos, qubit in harness.depolarizing_sites(rounds)
-        for pauli in ("X", "Y", "Z")
-    ]
-    acc, infid = harness.run_exact([[(pos, pauli, qubit)] for _, pos, pauli, qubit in faults])
-    contribution = acc * infid / 3.0
-    per_round = np.bincount(
-        np.array([f[0] for f in faults], dtype=np.int64),
-        weights=contribution,
-        minlength=len(rounds),
+    pos, qubit, in_round, _ = _rows(harness.sites(rounds), _DEPOLARIZING).repeat(3, axis=1)
+    table, acc, infid = _single_faults(
+        harness, pos, qubit, np.tile(np.arange(3), len(pos) // 3), in_round
     )
+    contribution = acc * infid / 3.0
+    per_round = np.bincount(in_round, weights=contribution, minlength=len(rounds))
     idle = [r for r, rnd in enumerate(rounds) if rnd.label == "decode-idle"]
     return FirstOrderReport(
         float(contribution.sum()),
-        DetectionTable([
-            FaultRecord(FaultLocation(pos, qubit, pauli, rnd_idx), float(acc[i]), float(infid[i]))
-            for i, (rnd_idx, pos, pauli, qubit) in enumerate(faults)
-        ]),
+        table,
         float(per_round[idle].sum()) / len(idle) if idle else 0.0,
         tuple(
             (r, rnd.label, float(per_round[r]))
@@ -986,15 +958,11 @@ def _monte_carlo(harness: _Harness, nm: NoiseModel, shots: int, seed: int) -> An
     faulty shot draws its measurement outcomes from its uniforms."""
     if shots < 1:
         raise FaultAnalysisError("needs at least one shot")
-    c = harness.circuit
-    rounds = build_schedule(c, nm.t_decode)
-    prep_sites = np.array(
-        [(pos, q) for pos, q in harness.tprep_sites()
-         if c.gates[pos].kind in ("PrepT", "PrepTdag")],
-        dtype=np.int64,
-    ).reshape(-1, 2)
-    depol_sites = np.array(harness.depolarizing_sites(rounds), dtype=np.int64).reshape(-1, 3)
-    n_prep, n_depol = len(prep_sites), len(depol_sites)
+    rounds = build_schedule(harness.circuit, nm.t_decode)
+    # the |T> preparation sites, then the depolarizing sites
+    pos, qubit, _, kind = _rows(harness.sites(rounds), _T_PREP, _DEPOLARIZING)
+    n_prep = int(np.count_nonzero(kind == _T_PREP))
+    n_depol = len(pos) - n_prep
     rng = np.random.default_rng(seed)
 
     accepted = 0
@@ -1011,12 +979,13 @@ def _monte_carlo(harness: _Harness, nm: NoiseModel, shots: int, seed: int) -> An
         depol_shot, depol_col = np.divmod(depol, max(n_depol, 1))
         n_faulty += len(faulty)
         accepted += b - len(faulty)  # clean shots pass with zero infidelity
+        site = np.concatenate([prep_col, n_prep + depol_col])
         row, _, infid = harness.run_sampled(
             (
                 faulty.searchsorted(np.concatenate([prep_shot, depol_shot])),
-                np.concatenate([prep_sites[prep_col, 0], depol_sites[depol_col, 1]]),
+                pos[site],
                 np.concatenate([np.full(len(prep), 2), picks]),  # Z at |T> sites
-                np.concatenate([prep_sites[prep_col, 1], depol_sites[depol_col, 2]]),
+                qubit[site],
             ),
             uniforms,
         )

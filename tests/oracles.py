@@ -39,7 +39,13 @@ from rotsynth.compiler import (
     merge_adjacent_blocks,
     parallelize_block,
 )
-from rotsynth.faults import AnalysisReport, NoiseModel, _Harness
+from rotsynth.faults import (
+    AnalysisReport,
+    FaultAnalysisError,
+    NoiseModel,
+    TGadgetChannel,
+    _Harness,
+)
 from rotsynth.gf2 import BitVec, DimensionError, GF2Matrix, SingularMatrixError
 from rotsynth.ir import (
     DIAG1_EXPONENT,
@@ -537,6 +543,39 @@ def reference_deferred_exact(
     return acc, 1.0 - float(np.vdot(vec, vec).real) / acc
 
 
+def reference_sites(
+    c: Circuit, outputs: list[int], schedule
+) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
+    """The noise sites of `monte_carlo_infidelity`, read off the gate list
+    and the schedule: (position, qubit) of each |T> preparation, and (round,
+    insert position, qubit) of each depolarizing site. Those are, for each
+    round from 1 on, its insert position on each qubit, ascending, that is
+    prepared by then (or never) and not yet dropped. A qubit counts if a
+    gate other than a preparation touches it or it is an output; it is
+    dropped at its last such gate if that is a measurement and it is not an
+    output."""
+    prepared: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for pos, g in enumerate(c.gates):
+        for q in g.qubits:
+            (prepared if g.kind in PREP_KINDS else last)[q] = pos
+    dropped = {
+        q: pos for q, pos in last.items()
+        if q not in outputs and c.gates[pos].kind in MEAS_KINDS
+    }
+    qubits = sorted(set(last) | set(outputs))
+    prep_sites = [
+        (pos, g.qubits[0]) for pos, g in enumerate(c.gates) if g.kind in ("PrepT", "PrepTdag")
+    ]
+    depol_sites = [
+        (r, rnd.insert_pos, q)
+        for r, rnd in enumerate(schedule[1:], start=1)
+        for q in qubits
+        if prepared.get(q, -1) <= rnd.insert_pos < dropped.get(q, len(c.gates))
+    ]
+    return prep_sites, depol_sites
+
+
 def reference_monte_carlo(
     c: Circuit,
     outputs: list[int],
@@ -549,12 +588,7 @@ def reference_monte_carlo(
     of `faults._BATCH` shots."""
     harness = _Harness(c, outputs)
     schedule = _faults.build_schedule(c, nm.t_decode)
-    prep_sites = [
-        (pos, q)
-        for pos, q in harness.tprep_sites()
-        if c.gates[pos].kind in ("PrepT", "PrepTdag")
-    ]
-    depol_sites = harness.depolarizing_sites(schedule)
+    prep_sites, depol_sites = reference_sites(c, outputs, schedule)
     n_meas = len(harness.meas_order)
     rng = np.random.default_rng(seed)
     paulis = ("X", "Y", "Z")
@@ -598,6 +632,16 @@ def reference_monte_carlo(
         shots, accepted, faulty_total, accepted / shots, mean, stderr,
         nm.p_l, nm.p_t, nm.t_decode, seed, rounds=rounds,
     )
+
+
+def t_gadget_channel(p_x: float, p_y: float, p_z: float) -> TGadgetChannel:
+    """Map Pauli error rates of a prepared |T> state onto the channel of the
+    teleported T gate: X goes to Sdag, Y to S, Z stays Z."""
+    if min(p_x, p_y, p_z) < 0:
+        raise FaultAnalysisError("negative probability")
+    if p_x + p_y + p_z > 1 + 1e-12:
+        raise FaultAnalysisError("probabilities exceed 1")
+    return TGadgetChannel(1.0 - p_x - p_y - p_z, p_y, p_x, p_z)
 
 
 # ---------------------------------------------------------------------------

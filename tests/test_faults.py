@@ -10,10 +10,12 @@ from oracles import (
     reference_deferred_exact,
     reference_exact,
     reference_monte_carlo,
+    reference_sites,
     reference_trajectory,
+    t_gadget_channel,
 )
 
-from rotsynth.ir import PREP_KINDS, Circuit, Gate
+from rotsynth.ir import PREP_KINDS, T_LIKE_KINDS, Circuit, Gate
 from rotsynth.compiler import compile_program
 from rotsynth import programs
 from rotsynth.ir import with_x_detection
@@ -24,7 +26,6 @@ from rotsynth.faults import (
     FaultAnalysisError,
     NoiseModel,
     _Harness,
-    _fault_arrays,
     _fault_class,
     TGadgetChannel,
     build_schedule,
@@ -36,7 +37,6 @@ from rotsynth.faults import (
     monte_carlo_infidelity,
     spacetime_cost,
     surgery_baseline_cost,
-    t_gadget_channel,
 )
 
 
@@ -58,9 +58,47 @@ def compiled_cs():
     return with_x_detection(rep.circuit, detectors), list(outputs)
 
 
+def fault_arrays(configs):
+    """Fault configurations, each a list of (position, Pauli letter,
+    qubit), as the four arrays (configuration, position, Pauli index into
+    "XYZ", qubit) that `_Harness.run_exact` and `run_sampled` take."""
+    flat = np.array(
+        [(i, pos, "XYZ".index(pauli), qubit)
+         for i, faults in enumerate(configs) for pos, pauli, qubit in faults],
+        dtype=np.int64,
+    )
+    return tuple(flat.reshape(-1, 4).T)
+
+
+def run_exact(harness, configs):
+    """`_Harness.run_exact` on configurations given as in `fault_arrays`."""
+    return harness.run_exact(fault_arrays(configs), len(configs))
+
+
+def fault_classes(harness, configs):
+    """(The first configuration of each class, the class of each
+    configuration), as `run_exact` groups them."""
+    return harness._classes(harness.kernel.frames(*fault_arrays(configs)), len(configs))
+
+
+def t_sites(harness):
+    """(position, qubit) of each T row of the harness's site table."""
+    pos, qubit, _, kind = harness.sites(build_schedule(harness.circuit))
+    t = kind != faults._DEPOLARIZING
+    return list(zip(pos[t].tolist(), qubit[t].tolist()))
+
+
+def depolarizing_sites(harness, rounds):
+    """(round, insert position, qubit) of each depolarizing row of the
+    harness's site table under the schedule `rounds`."""
+    pos, qubit, rnd, kind = harness.sites(rounds)
+    d = kind == faults._DEPOLARIZING
+    return list(zip(rnd[d].tolist(), pos[d].tolist(), qubit[d].tolist()))
+
+
 def run_one(harness, faults):
     """`run_exact` on a single fault configuration, as floats."""
-    acc, infid = harness.run_exact([faults])
+    acc, infid = run_exact(harness, [faults])
     return float(acc[0]), float(infid[0])
 
 
@@ -74,30 +112,6 @@ def sampled(harness, faults, uniforms):
     accepted[row] = True
     infidelity[row] = infid
     return accepted, infidelity
-
-
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """Rows of every kernel call `run_sampled` makes while the test runs."""
-    calls = []
-    inside = []
-    run, run_sampled = semantics.TrajectoryKernel.run, _Harness.run_sampled
-
-    def sampled(self, *args):
-        inside.append(True)
-        try:
-            return run_sampled(self, *args)
-        finally:
-            inside.pop()
-
-    def counted(self, uniforms, *args):
-        if inside:
-            calls.append(len(uniforms))
-        return run(self, uniforms, *args)
-
-    monkeypatch.setattr(_Harness, "run_sampled", sampled)
-    monkeypatch.setattr(semantics.TrajectoryKernel, "run", counted)
-    return calls
 
 
 @pytest.fixture
@@ -200,7 +214,7 @@ class TestSchedules:
         circ, outputs = compiled_ccz()
         harness = _Harness(gadgetize(circ), outputs)
         schedule = build_schedule(harness.circuit)
-        rounds = [r for r, _, _ in harness.depolarizing_sites(schedule)]
+        rounds = [r for r, _, _ in depolarizing_sites(harness, schedule)]
         assert rounds.count(1) == 8                     # all live after round 1
         assert rounds.count(len(schedule) - 1) == 3     # flag measured at the end
 
@@ -208,10 +222,10 @@ class TestSchedules:
         # declared qubits that no gate or output uses add no site, however
         # many there are; an output that no gate touches keeps its noise
         circ, outputs = compiled_ccz()
-        want = _Harness(circ, outputs).depolarizing_sites(build_schedule(circ, 1))
+        want = depolarizing_sites(_Harness(circ, outputs), build_schedule(circ, 1))
         wide = Circuit(200_000, circ.gates)
         harness = _Harness(wide, outputs)
-        assert harness.depolarizing_sites(build_schedule(wide, 1)) == want
+        assert depolarizing_sites(harness, build_schedule(wide, 1)) == want
         # and no table of the harness or its kernel grows with the declared n
         tables = [
             t for t in (*vars(harness).values(), *vars(harness.kernel).values())
@@ -221,10 +235,41 @@ class TestSchedules:
         assert max(t.size if isinstance(t, np.ndarray) else len(t) for t in tables) < wide.n
         idle = Circuit(5, (Gate("PrepPlus", (4,)),) + circ.gates)
         schedule = build_schedule(idle, 1)
-        sites = _Harness(idle, outputs + [4]).depolarizing_sites(schedule)
+        sites = depolarizing_sites(_Harness(idle, outputs + [4]), schedule)
         # the extra preparation shifts every insert position by one
         assert [(r, pos - 1, q) for r, pos, q in sites if q != 4] == want
         assert [r for r, _, q in sites if q == 4] == list(range(1, len(schedule)))
+
+
+    # (in-circuit T-like gates, |T> preparations): singles and pairs put a Z
+    # site after both, Monte Carlo fires p_T only after the preparations
+    t_rows = {
+        "ccz": (4, 4), "ccz-g": (0, 8), "cs": (8, 4), "cs-g": (0, 12), "t15": (10, 5),
+        "t15-g": (0, 15),
+    }
+
+    @pytest.mark.parametrize("name", list(t_rows))
+    def test_site_table(self, name):
+        # the T rows in gate order, then the depolarizing rows, against the
+        # sites that `reference_sites` reads off the gate list and schedule
+        circ, outputs = pinned_circuit(name)
+        harness = _Harness(circ, outputs)
+        for t_decode in range(3):
+            schedule = build_schedule(circ, t_decode)
+            table = harness.sites(schedule)
+            assert table.dtype == np.int64 and table.shape[0] == 4
+            pos, qubit, rnd, kind = table.tolist()
+            t_gates = kind.count(faults._T_GATE)
+            t_preps = kind.count(faults._T_PREP)
+            assert (t_gates, t_preps) == self.t_rows[name]
+            t = t_gates + t_preps
+            assert kind[t:] == [faults._DEPOLARIZING] * (len(kind) - t)
+            want = [(p, g.qubits[0]) for p, g in enumerate(circ.gates) if g.kind in T_LIKE_KINDS]
+            assert list(zip(pos[:t], qubit[:t])) == want
+            assert [schedule[r].gate_indices.count(p) for p, r in zip(pos[:t], rnd[:t])] == [1] * t
+            preps, depolarizing = reference_sites(circ, outputs, schedule)
+            assert [(p, q) for p, q, k in zip(pos, qubit, kind) if k == faults._T_PREP] == preps
+            assert list(zip(rnd[t:], pos[t:], qubit[t:])) == depolarizing
 
 
 class TestEnumeration:
@@ -337,15 +382,34 @@ def pinned_circuit(name):
 
 # (detected, harmless, harmful) of single faults by site class, and of pairs
 PINNED_CLASS_COUNTS = {
+    ("ccz", "tprep"): (8, 0, 0),
+    ("ccz", "all"): (34, 15, 47),
+    ("ccz", "pairs"): (0, 0, 28),
     ("ccz-g", "tprep"): (8, 0, 0),
     ("ccz-g", "all"): (42, 35, 55),
     ("ccz-g", "pairs"): (0, 0, 28),
+    ("cs", "tprep"): (12, 0, 0),
+    ("cs", "all"): (62, 20, 56),
+    ("cs", "pairs"): (48, 0, 18),
+    ("cs-g", "tprep"): (12, 0, 0),
+    ("cs-g", "all"): (78, 60, 72),
+    ("cs-g", "pairs"): (48, 0, 18),
     ("t15", "tprep"): (15, 0, 0),
     ("t15", "all"): (131, 82, 45),
     ("t15", "pairs"): (105, 0, 0),
+    ("t15-g", "tprep"): (15, 0, 0),
+    ("t15-g", "all"): (151, 142, 55),
+    ("t15-g", "pairs"): (105, 0, 0),
 }
-# first-order coefficient at t_decode 1
-PINNED_FIRST_ORDER = {"ccz-g": 12.166666666666645, "cs-g": 11.166666666666657, "t15": 3.9375}
+# first-order coefficients at t_decode 0, 1 and 2
+PINNED_FIRST_ORDER = {
+    "ccz": (9.166666666666663, 9.166666666666663, 9.166666666666663),
+    "ccz-g": (11.166666666666645, 12.166666666666643, 13.166666666666643),
+    "cs": (6.4999999999999964, 6.4999999999999964, 6.4999999999999964),
+    "cs-g": (9.749999999999991, 11.166666666666657, 12.583333333333323),
+    "t15": (3.9375, 3.9375, 3.9375),
+    "t15-g": (5.104166666666673, 5.687500000000007, 6.27083333333334),
+}
 # (circuit, r, shots) -> (accepted, faulty) at p_L 1e-3, t_decode 1, seed 3
 PINNED_MONTE_CARLO = {
     ("ccz-g", 1, 100_000): (96958, 4842),
@@ -370,8 +434,11 @@ def test_fault_classes_pinned(name, sites):
 @pytest.mark.parametrize("name", sorted(PINNED_FIRST_ORDER))
 def test_first_order_pinned(name):
     circ, outputs = pinned_circuit(name)
-    fo = first_order_oracle(circ, outputs, NoiseModel(1e-4, 0.0, 1))
-    assert fo.coefficient == pytest.approx(PINNED_FIRST_ORDER[name], rel=0, abs=1e-12)
+    got = [
+        first_order_oracle(circ, outputs, NoiseModel(1e-4, 0.0, t_decode)).coefficient
+        for t_decode in range(3)
+    ]
+    assert got == pytest.approx(PINNED_FIRST_ORDER[name], rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("name, r, shots", sorted(PINNED_MONTE_CARLO))
@@ -611,7 +678,7 @@ class TestBatchedKernel:
         harness = _Harness(impl, outputs)
         sites = [
             (pos, pauli, q)
-            for _, pos, q in harness.depolarizing_sites(build_schedule(impl, 1))
+            for _, pos, q in depolarizing_sites(harness, build_schedule(impl, 1))
             for pauli in range(3)
         ]
         assert len(sites) > 2 * (_CHUNK_AMPLITUDES >> impl.n)
@@ -637,10 +704,10 @@ class TestSharedPrefix:
         """The faults and uniforms of the faulty shots of one Monte Carlo
         batch at p_L = p_T = p, as `run_sampled` takes them."""
         c = harness.circuit
-        prep_sites = np.array(
-            [(pos, q) for pos, q in harness.tprep_sites() if c.gates[pos].kind == "PrepT"]
-        ).reshape(-1, 2)
-        depol_sites = np.array(harness.depolarizing_sites(build_schedule(c, 1))).reshape(-1, 3)
+        sites = reference_sites(c, harness.outputs, build_schedule(c, 1))
+        prep_sites, depol_sites = (
+            np.array(s, dtype=np.int64).reshape(-1, width) for s, width in zip(sites, (2, 3))
+        )
         prep, depol, picks, faulty, uniforms = faults._draw_batch(
             np.random.default_rng(seed), shots, NoiseModel(p, p), len(prep_sites),
             len(depol_sites), len(harness.meas_order),
@@ -773,10 +840,10 @@ class TestSharedPrefix:
         configs = [[]] + [[(end, "X", q)] for q in outputs]
         configs += [[(pos, pauli, q)] for pos, q in sites[::17] for pauli in "XYZ"]
         configs += [[(pos, "Z", q), (end, "Y", outputs[0])] for pos, q in sites[3::31]]
-        classes = len(harness.fault_classes(_fault_arrays(configs), len(configs))[0])
+        classes = len(fault_classes(harness, configs)[0])
         decided, forked = {"ccz-g": (13, 27), "t15": (30, 27)}[name]
         assert decided + forked + 1 == classes
-        (acc, infid), counts = tallied(harness, lambda: harness.run_exact(configs))
+        (acc, infid), counts = tallied(harness, lambda: run_exact(harness, configs))
         assert counts == {
             "kernel_calls": 2, "trunk_runs": 1, "rows_decided": decided, "rows_forked": forked,
             "rows_run": 0,
@@ -849,7 +916,7 @@ class TestExactKernel:
 
     @classmethod
     def assert_all_same(cls, harness, configs):
-        acc, infid = harness.run_exact(configs)
+        acc, infid = run_exact(harness, configs)
         assert len(acc) == len(infid) == len(configs)
         for faults, got in zip(configs, zip(acc, infid)):
             cls.assert_same(harness, faults, got)
@@ -872,7 +939,7 @@ class TestExactKernel:
         circ, outputs = compiled_ccz()
         impl = gadgetize(circ)
         harness = _Harness(impl, outputs)
-        sites = harness.tprep_sites()
+        sites = t_sites(harness)
         configs = [
             [(sites[a][0], "Z", sites[a][1]), (sites[b][0], "Z", sites[b][1])]
             for a in range(len(sites)) for b in range(a + 1, len(sites))
@@ -885,13 +952,13 @@ class TestExactKernel:
         impl = gadgetize(circ)
         harness = _Harness(impl, outputs)
         assert len(harness.injection) == 8   # 256 branches per configuration
-        self.assert_all_same(harness, [[(pos, "Z", q)] for pos, q in harness.tprep_sites()])
+        self.assert_all_same(harness, [[(pos, "Z", q)] for pos, q in t_sites(harness)])
 
     def test_mixed_sizes_in_one_call(self):
         # configurations of 0, 1, 2 and 3 faults side by side in one group
         circ, outputs = compiled_ccz()
         harness = _Harness(gadgetize(circ), outputs)
-        (p0, q0), (p1, q1), (p2, q2) = harness.tprep_sites()[:3]
+        (p0, q0), (p1, q1), (p2, q2) = t_sites(harness)[:3]
         self.assert_all_same(harness, [
             [], [(p0, "Z", q0)], [(p0, "Z", q0), (p1, "X", q1)], [],
             [(p2, "Y", q2), (p0, "Z", q0), (p2, "Y", q2)], [(p1, "Z", q1)],
@@ -910,9 +977,9 @@ class TestExactKernel:
             [(pos, pauli, q)] for pos, q in sites[:: len(sites) // 34] for pauli in "XYZ"
         ][:100]
         assert len(configs) == 100
-        want = harness.run_exact(configs)
+        want = run_exact(harness, configs)
         monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", chunk_rows << 8)
-        got = harness.run_exact(configs)
+        got = run_exact(harness, configs)
         assert got[0] == pytest.approx(want[0], rel=0, abs=1e-12)
         assert got[1] == pytest.approx(want[1], rel=0, abs=1e-12)
         assert 0 < np.count_nonzero(want[0]) < len(configs)
@@ -929,7 +996,7 @@ class TestExactKernel:
         nothing = (np.zeros(0, dtype=np.int64),) * 4
         row, _, _ = harness.run_sampled(nothing, np.full((1, len(harness.meas_order)), np.nan))
         assert len(row) == 16
-        (p0, q0), (p1, q1), (p2, q2) = harness.tprep_sites()[:3]
+        (p0, q0), (p1, q1), (p2, q2) = t_sites(harness)[:3]
         configs = [
             [], [(p0, "Z", q0)], [(p0, "Z", q0), (p1, "X", q1)], [(p2, "Y", q2)],
             [(p1, "Z", q1), (p2, "Z", q2)],
@@ -937,14 +1004,6 @@ class TestExactKernel:
         assert tallied(harness, lambda: self.assert_all_same(harness, configs))[1] == {
             "kernel_calls": 4, "trunk_runs": 1, "rows_decided": 1, "rows_forked": 3, "rows_run": 0,
         }
-
-    def test_unknown_pauli(self, kernel_calls):
-        circ, outputs = compiled_ccz()
-        harness = _Harness(circ, outputs)
-        kernel_calls.clear()
-        with pytest.raises(FaultAnalysisError, match="'W'"):
-            harness.run_exact([[(5, "Z", 0)], [(5, "W", 0)]])
-        assert kernel_calls == []
 
 
 def _table_configs(table):
@@ -954,7 +1013,7 @@ def _table_configs(table):
 
 def _pair_configs(harness):
     """The configurations of `enumerate_pair_faults`, in its order."""
-    sites = harness.tprep_sites()
+    sites = t_sites(harness)
     return [
         [(pos_a, "Z", qubit_a), (pos_b, "Z", qubit_b)]
         for a, (pos_a, qubit_a) in enumerate(sites)
@@ -999,7 +1058,7 @@ class TestBatchedEnumeration:
             harnesses.clear()
             configs = run()
             (made,) = harnesses   # each enumerator builds one harness
-            classes = len(harness.fault_classes(_fault_arrays(configs), len(configs))[0])
+            classes = len(fault_classes(harness, configs)[0])
             decided, forked, clean, tails = self.pinned[name][label]
             assert decided + forked + clean == classes
             assert made.counts == {
@@ -1035,8 +1094,23 @@ class TestBatchedEnumeration:
 
     def test_empty_configuration_list(self):
         circ, outputs = compiled_ccz()
-        acc, infid = _Harness(circ, outputs).run_exact([])
+        acc, infid = run_exact(_Harness(circ, outputs), [])
         assert acc.shape == infid.shape == (0,)
+        assert acc.dtype == infid.dtype == np.float64
+
+    def test_every_class_decided_reads_float(self):
+        # the 8 T-site Z faults of X-detected ccz each flip the detector, so
+        # no row runs, and the values are still float64, as the table's are
+        circ, outputs = compiled_ccz()
+        harness = _Harness(circ, outputs)
+        (acc, infid), counts = tallied(
+            harness, lambda: run_exact(harness, [[(pos, "Z", q)] for pos, q in t_sites(harness)])
+        )
+        assert counts["rows_decided"] == 8 and counts["rows_forked"] == 0
+        assert acc.dtype == infid.dtype == np.float64
+        assert acc.tolist() == infid.tolist() == [0.0] * 8
+        entries = enumerate_single_faults(circ, outputs).to_dict()["entries"]
+        assert [type(e["acceptance"]) for e in entries] == [float] * 8
 
 
 class TestFaultClasses:
@@ -1084,7 +1158,7 @@ class TestFaultClasses:
         """(configurations, acceptance, infidelity) of one enumeration."""
         if label == "pairs":
             configs = _pair_configs(harness)
-            acc, infid = harness.run_exact(configs)
+            acc, infid = run_exact(harness, configs)
             summary = enumerate_pair_faults(circ, outputs)
             counts = np.bincount(_fault_class(acc, infid), minlength=3).tolist()
             assert counts == [summary.detected, summary.harmless, summary.harmful]
@@ -1110,7 +1184,7 @@ class TestFaultClasses:
         for label, (counts, classes) in self.expected[name].items():
             configs, acc, infid = self.enumerate(label, circ, outputs, harness)
             assert tuple(np.bincount(_fault_class(acc, infid), minlength=3)) == counts
-            first, klass = harness.fault_classes(_fault_arrays(configs), len(configs))
+            first, klass = fault_classes(harness, configs)
             assert len(first) == classes and (klass[first] == np.arange(classes)).all()
             members = [rng.choice(np.flatnonzero(klass == k)) for k in range(classes)]
             for i in {*first.tolist(), *members}:
@@ -1133,7 +1207,7 @@ class TestFaultClasses:
                 for pauli in "XYZ"
             ]
         else:
-            configs = [[(pos, "Z", q)] for pos, q in harness.tprep_sites()]
+            configs = [[(pos, "Z", q)] for pos, q in t_sites(harness)]
         for faults in configs:
             assert reference_deferred_exact(harness, faults) == pytest.approx(
                 reference_exact(harness, faults), rel=0, abs=1e-14
@@ -1223,7 +1297,7 @@ def test_random_faults_match_reference(exact_harnesses, name, data):
         )
     ]
     faults += data.draw(st.lists(st.sampled_from(_detector_flips(harness)), max_size=1))
-    decided = len(_decided_rows(harness, harness.kernel.frames(*_fault_arrays([faults]))))
+    decided = len(_decided_rows(harness, harness.kernel.frames(*fault_arrays([faults]))))
     event(f"decided at a detector: {bool(decided)}")
     got, counts = tallied(harness, lambda: run_one(harness, faults))
     assert counts["rows_decided"] == decided
@@ -1256,8 +1330,8 @@ class TestDecidedRows:
         rng = np.random.default_rng(len(name))
         total = 0
         for label, configs in self.enumerations(circ, outputs, harness):
-            frames = kernel.frames(*_fault_arrays(configs))
-            first, klass = harness.fault_classes(_fault_arrays(configs), len(configs))
+            frames = kernel.frames(*fault_arrays(configs))
+            first, klass = fault_classes(harness, configs)
             decided = _decided_rows(harness, frames)
             # one row per decided class, renumbered in order
             rows = np.unique(first[klass[decided]])
@@ -1285,12 +1359,12 @@ class TestDecidedRows:
         harness = _Harness(gadgetize(circ), outputs)
         pair = _pair_configs(harness)[0]
         configs = [[pair[0]], [pair[1]], pair]
-        frames = harness.kernel.frames(*_fault_arrays(configs))
+        frames = harness.kernel.frames(*fault_arrays(configs))
         row, stop = frames[:2]
         (det,) = [2 * pos for pos, g in enumerate(harness.circuit.gates) if g.record == "det0"]
         assert stop[row == 0].min() == stop[row == 1].min() == det
         assert _decided_rows(harness, frames).tolist() == [0, 1]
-        (acc, infid), counts = tallied(harness, lambda: harness.run_exact(configs))
+        (acc, infid), counts = tallied(harness, lambda: run_exact(harness, configs))
         assert counts == {
             "kernel_calls": 2, "trunk_runs": 1, "rows_decided": 2, "rows_forked": 1, "rows_run": 0,
         }
@@ -1313,9 +1387,9 @@ class TestDecidedRows:
         configs = [[(1, "X", 1)]]
         _, weight, _, _ = harness.kernel.run(
             np.full((1, 1), np.nan), harness.reference,
-            harness.kernel.frames(*_fault_arrays(configs)),
+            harness.kernel.frames(*fault_arrays(configs)),
         )
-        (acc, infid), counts = tallied(harness, lambda: harness.run_exact(configs))
+        (acc, infid), counts = tallied(harness, lambda: run_exact(harness, configs))
         assert counts["rows_decided"] == (eps < 1e-14)
         assert acc[0] == weight.sum() and acc[0] == pytest.approx(eps if eps > 1e-14 else 0.0)
         assert infid[0] == pytest.approx(0.0, abs=1e-12)
@@ -1355,13 +1429,13 @@ class TestTrunk:
         monkeypatch.setattr(semantics.TrajectoryKernel, "_apply_run", applied)
         configs = [
             [(pos, pauli, q)]
-            for _, pos, q in harness.depolarizing_sites(build_schedule(harness.circuit, 1))
+            for _, pos, q in depolarizing_sites(harness, build_schedule(harness.circuit, 1))
             for pauli in "XYZ"
         ]
-        acc, infid = harness.run_exact(configs)
+        acc, infid = run_exact(harness, configs)
         assert seen and max(seen) <= budget
         monkeypatch.undo()
-        want = harness.run_exact(configs)
+        want = run_exact(harness, configs)
         assert np.abs(acc - want[0]).max() <= 1e-14 and np.abs(infid - want[1]).max() <= 1e-14
 
     def test_uniforms_all_nan_or_all_drawn(self):
@@ -1370,7 +1444,7 @@ class TestTrunk:
         uniforms = np.full((2, len(harness.meas_order)), np.nan)
         uniforms[1] = 0.5
         with pytest.raises(ValueError, match="all NaN or all drawn"):
-            harness.run_sampled(_fault_arrays([[], []]), uniforms)
+            harness.run_sampled(fault_arrays([[], []]), uniforms)
 
     def test_no_frame_before_the_start(self):
         circ, outputs = compiled_ccz()
@@ -1381,7 +1455,7 @@ class TestTrunk:
         tree = semantics.BranchTree.root(1)
         kernel.walk(tree, nan, harness.reference, end)
         assert tree.h == end
-        early = kernel.frames([0], [harness.tprep_sites()[0][0]], [2], [harness.tprep_sites()[0][1]])
+        early = kernel.frames([0], [t_sites(harness)[0][0]], [2], [t_sites(harness)[0][1]])
         assert len(early[1]) == 1 and early[1][0] < end
         with pytest.raises(SimulationError, match="before the start"):
             kernel.run(nan, harness.reference, early, tree)
@@ -1456,10 +1530,10 @@ class TestTrunk:
         kernel = harness.kernel
         configs = [
             [(pos, pauli, q)]
-            for _, pos, q in harness.depolarizing_sites(build_schedule(harness.circuit))
+            for _, pos, q in depolarizing_sites(harness, build_schedule(harness.circuit))
             for pauli in "XYZ"
         ]
-        row, stop, x, z = kernel.frames(*_fault_arrays(configs))
+        row, stop, x, z = kernel.frames(*fault_arrays(configs))
         here = np.flatnonzero(stop == to)
         assert len(here) >= 10
         # one frame per row; without `every`, rows without frames in between
@@ -1516,7 +1590,7 @@ class TestLiveWidth:
         # round's qubits in ascending order, which fixes the order of the
         # fault tables and of the Monte Carlo draws; qubit 5 has no axis
         assert harness.kernel.axis_qubits == [0, 1, 2, 3, 4]
-        sites = harness.depolarizing_sites(build_schedule(harness.circuit))
+        sites = depolarizing_sites(harness, build_schedule(harness.circuit))
         assert sites == sorted(sites) and {q for _, _, q in sites} == {0, 1, 2, 3, 4}
         # qubit 2 is measured in round 1 and read again up to its last
         # measurement, in round 5: noise acts on it in rounds 1-4
@@ -1528,7 +1602,7 @@ class TestLiveWidth:
         pending = [(pos, q) for pos, q in sites if q == 4 and pos < 8]
         assert len(pending) == 4   # after its preparation, rounds 0 and 1
         configs = [[(pos, pauli, q)] for pos, q in sites for pauli in "XYZ"]
-        acc, infid = harness.run_exact(configs)
+        acc, infid = run_exact(harness, configs)
         for faults, got in zip(configs, zip(acc, infid)):
             assert got == pytest.approx(reference_exact(harness, faults), rel=0, abs=1e-12)
         # faults without effect, in the reference too: on qubit 4 after the
@@ -1548,7 +1622,7 @@ class TestLiveWidth:
             for pauli in "XYZ"
         ]
         assert len(early) == 45
-        for got in zip(*harness.run_exact(early)):
+        for got in zip(*run_exact(harness, early)):
             assert got == pytest.approx(clean, rel=0, abs=1e-12)
 
     def test_pairs_on_late_and_measured_qubits(self, harness):
@@ -1561,7 +1635,7 @@ class TestLiveWidth:
         ]
         # the noise sites of qubit 2, which is measured and read again: each
         # alone and with an X on qubit 0 at every later noise site
-        sites = harness.depolarizing_sites(build_schedule(harness.circuit))
+        sites = depolarizing_sites(harness, build_schedule(harness.circuit))
         mid = [pos for _, pos, q in sites if q == 2]
         assert len(mid) == 4
         configs += [[(pos, pauli, 2)] for pos in mid for pauli in "XYZ"]
@@ -1570,7 +1644,7 @@ class TestLiveWidth:
             for pos in mid for pauli in "XYZ"
             for _, later, q in sites if q == 0 and later > pos
         ]
-        for faults, got in zip(configs, zip(*harness.run_exact(configs))):
+        for faults, got in zip(configs, zip(*run_exact(harness, configs))):
             assert got == pytest.approx(reference_exact(harness, faults), rel=0, abs=1e-12)
 
     def test_sampled_rows(self, harness):
@@ -1625,7 +1699,7 @@ class TestLiveWidth:
         impl = gadgetize(circ)
         harness = _Harness(impl, outputs)
         assert (impl.n, harness.kernel.peak) == (15, 10)
-        sites = harness.tprep_sites()
+        sites = t_sites(harness)
         uniforms = np.random.default_rng(6).random((len(sites), len(harness.meas_order)))
         pos, qubit = (np.array(col) for col in zip(*sites))
         accepted, infidelity = sampled(
