@@ -17,16 +17,18 @@ elimination gives each F^-1 and tests it (`_eliminate`). `_merged` forms
 the merged operators of the live blocks, M_b = F_{b+1} F_b^-1 with their
 inverses, as batched products mod 2, and the distinct ones go to one
 `_synthesize` call. There the greedy row reduction runs in lockstep over
-the whole batch (`_greedy_batch`), every greedy variant of every operator
-is packed into layers at once (`_pack_levels`) and ranked on index arrays,
-and only each operator's winner becomes Python tuples; under cnot-depth,
-operators on up to DEPTH_OPT_LIMIT qubits are read instead from a
-depth-optimal table, two flat arrays that the package ships as data and
-loads once per process (`_depth_table`). `_hoisted` builds a candidate's
-one gate list: the search scores it, and hands over the winner's,
-absorbed, as the compiled circuit. For `compile_to_unitary` the same batch
-also synthesizes each valid candidate's leading operator, and the winner
-is emitted from its realized operators with no second cut or synthesis.
+the whole batch (`_greedy_batch`, which keeps the row, column and pairwise
+sums it scores from across its steps), every greedy variant of every
+operator is packed into layers at once (`_pack_levels`) and ranked on
+index arrays, and only each operator's winner becomes Python tuples; under
+cnot-depth, operators on up to DEPTH_OPT_LIMIT qubits are read instead
+from a depth-optimal table, two flat arrays that the package ships as data
+and loads once per process (`_depth_table`). The search scores each valid
+candidate from its realized CNOT lists alone (`_cnot_key`), and `_hoisted`
+builds one gate list, the winner's, which is handed over, absorbed, as the
+compiled circuit. For `compile_to_unitary` the same batch also synthesizes
+each valid candidate's leading operator, and the winner is emitted from
+its realized operators with no second cut or synthesis.
 Nothing else is cached between calls. The circuit passes below
 (`parallelize_block`, `merge_adjacent_blocks`, `hoist_permutations`) are
 its reference in the tests.
@@ -148,10 +150,11 @@ def _transpositions(images: list[int]) -> list[tuple[int, int]]:
 # a candidate's score is the change of that integer, summed over the few sums
 # the operation moves. Row i's bits change the column sums: +1 where row j
 # lacks the bit, -1 where it has it; row j's sum becomes
-# popcount(row i ^ row j). A score maps a (B, n, n) 0/1 int64 tensor of rows
-# and its `_sums` to the (B, n, n, L) keys of every (i, j). L = 1 while a key
-# fits in int64; beyond that every weight is split into L digits of radix
-# 2^31, most significant first, and digits add separately until `_carry`.
+# popcount(row i ^ row j). A score maps a (B, n, n) 0/1 int64 tensor of rows,
+# its row sums rs and column sums cs (B, n) and x = popcount(row i ^ row j)
+# (B, n, n) to the (B, n, n, L) keys of every (i, j). L = 1 while a key fits
+# in int64; beyond that every weight is split into L digits of radix 2^31,
+# most significant first, and digits add separately until `_carry`.
 
 _DIGIT_BITS = 31
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
@@ -174,24 +177,12 @@ def _weights(n: int, base: int, exponents: range) -> np.ndarray:
     return np.array([[(v >> s) & _DIGIT_MASK for s in shifts] for v in values], dtype=np.int64)
 
 
-def _sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row sums rs (B, n), column sums cs (B, n) and x = popcount(row i ^
-    row j), the sum of row j after row j ^= row i (B, n, n)."""
-    shared = a @ a.swapaxes(1, 2)
-    rs = np.diagonal(shared, axis1=1, axis2=2)
-    x = rs[:, :, None] + rs[:, None, :] - 2 * shared
-    return rs, np.ones(a.shape[1], dtype=np.int64) @ a, x
-
-
-def _over_bits(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """(B, n, 1, L): sum of d[b] over the set bits b of row i."""
-    return (a @ d)[:, :, None]
-
-
-def _over_shared_bits(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """(B, n, n, L): sum of d[b] over the bits b that rows i and j share."""
-    by_digit = a[:, None] * d.transpose(0, 2, 1)[:, :, None]  # (B, L, n_i, n_b)
-    return (by_digit @ a.swapaxes(1, 2)[:, None]).transpose(0, 2, 3, 1)
+def _over_bits(a: np.ndarray, up: np.ndarray, dd: np.ndarray) -> np.ndarray:
+    """(B, n, n, L): the sum of up[b] over the set bits b of row i, plus
+    dd[b] over those that row j shares, as one product a @ (up + dd a^T)."""
+    count, n = a.shape[:2]
+    per_j = up[:, :, None] + dd[:, :, None] * a.swapaxes(1, 2)[..., None]  # (B, b, j, L)
+    return (a @ per_j.reshape(count, n, -1)).reshape(count, n, n, -1)
 
 
 def _score_concat(a: np.ndarray, rs: np.ndarray, cs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -205,10 +196,10 @@ def _score_concat(a: np.ndarray, rs: np.ndarray, cs: np.ndarray, x: np.ndarray) 
     n = a.shape[1]
     # w[n + 1] and w[-1] enter only terms that cancel or are never read
     w = _weights(n, 2 * n + 1, range(n + 1, -1, -1))
-    up = w[cs + 1] - w[cs]
+    up = w.take(cs + 1, axis=0) - w.take(cs, axis=0)
     # a bit of row i that row j shares lowers its column sum instead
-    dd = w[cs - 1] - w[cs] - up
-    return w[rs][:, None] - w[x] - _over_bits(a, up) - _over_shared_bits(a, dd)
+    dd = w.take(cs - 1, axis=0) - w.take(cs + 1, axis=0)
+    return w.take(rs, axis=0)[:, None] - w.take(x, axis=0) - _over_bits(a, up, dd)
 
 
 def _score_maxsum(a: np.ndarray, rs: np.ndarray, cs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -223,12 +214,12 @@ def _score_maxsum(a: np.ndarray, rs: np.ndarray, cs: np.ndarray, x: np.ndarray) 
     # w[2n + 1] and w[-1] enter only terms that cancel or are never read
     w = _weights(n, n + 1, range(2 * n + 2))
     s = cs + rs
-    up = w[s + 1] - w[s]
-    dd = w[s - 1] - w[s] - up
+    up = w.take(s + 1, axis=0) - w.take(s, axis=0)
+    dd = w.take(s - 1, axis=0) - w.take(s + 1, axis=0)
     # s[j] moves by its column change (counted above) and its row change
     sj = s[:, None, :] + a * (1 - 2 * np.diagonal(a, axis1=1, axis2=2)[:, None, :])
-    moved = w[sj + x - rs[:, None, :]] - w[sj]
-    return _over_bits(a, up) + _over_shared_bits(a, dd) + moved
+    moved = w.take(sj + x - rs[:, None, :], axis=0) - w.take(sj, axis=0)
+    return _over_bits(a, up, dd) + moved
 
 
 def _score_total(a: np.ndarray, rs: np.ndarray, cs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -269,6 +260,11 @@ def _bits(ms: list[GF2Matrix]) -> np.ndarray:
     return np.unpackbits(packed, axis=2, count=cols, bitorder="little")
 
 
+def _index_dtype(top: int) -> np.dtype:
+    """The narrowest signed integer type that holds -1..top."""
+    return np.min_scalar_type(-1 - top)
+
+
 def _greedy_batch(a: np.ndarray, score) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedy row reduction of each matrix in a (B, n, n) 0/1 tensor of rows
     to a permutation matrix, all matrices in lockstep.
@@ -277,26 +273,34 @@ def _greedy_batch(a: np.ndarray, score) -> tuple[np.ndarray, np.ndarray, np.ndar
     row j ^= row i, of the smallest (score, i, j). Returns (steps, images,
     picks): the number of operations of each matrix (B,), its wire map (the
     column of each row's one in the permutation reached, (B, n)) and the
-    (i, j) of its operations in order ((2, B, S), -1 past its last). The
-    greedy is a function of the rows alone, so a state that comes back means
-    a cycle that never reaches a permutation: steps -1, as when the cap of
-    4 n^2 steps is hit. Each state is compared with a snapshot taken at the
-    last power-of-two step, which catches a cycle within twice its start
-    plus its length.
+    (i, j) of its operations in order ((2, B, S), -1 past its last, in the
+    narrowest type that holds n). The greedy is a function of the rows
+    alone, so a state that comes back means a cycle that never reaches a
+    permutation: steps -1, as when the cap of 4 n^2 steps is hit. Each state
+    is compared with a snapshot taken at the last power-of-two step, which
+    catches a cycle within twice its start plus its length.
+
+    An operation changes row j alone, so the row sums, the column sums and
+    x = popcount(row i ^ row j) = rs[i] + rs[j] - 2 (a a^T)[i, j] that the
+    scores read are built once and kept: a step updates row sum j, the
+    column sums on row i's bits, and row and column j of x from the bits
+    that the new row j shares with each row, one batched product.
     """
     count, n = a.shape[:2]
     images = np.zeros((count, n), dtype=np.int64)
+    index = _index_dtype(n)
     if not n:  # the 0 x 0 matrix is a permutation: empty wire map, no operations
-        return np.zeros(count, dtype=np.int64), images, np.zeros((2, count, 0), dtype=np.int64)
+        return np.zeros(count, dtype=np.int64), images, np.zeros((2, count, 0), dtype=index)
     cap = 4 * n * n
     a = a.astype(np.int64)
+    rs, cs = a.sum(axis=2), a.sum(axis=1)
+    x = rs[:, :, None] + rs[:, None, :] - 2 * (a @ a.swapaxes(1, 2))
     live = np.arange(count)
     steps = np.full(count, -1)
-    picks = []  # per step, (i, j) of every matrix still reducing
+    picks = []  # per step, i * n + j of every matrix still reducing
     snap = a
     step = 0
     while True:
-        rs, cs, x = _sums(a)
         done = rs.sum(axis=1) == n
         stop = done | (step >= cap)
         if step:
@@ -314,15 +318,25 @@ def _greedy_batch(a: np.ndarray, score) -> tuple[np.ndarray, np.ndarray, np.ndar
         # (i, j) in i-major order, as the tie-break; i == j is no operation
         key = _carry(score(a, rs, cs, x)).reshape(live.size, n * n, -1)
         key[:, :: n + 1, 0] = _NEVER
-        i, j = np.divmod(_lex_argmin(key), n)
-        record = np.full((2, count), -1)
-        record[:, live] = i, j
+        pick = _lex_argmin(key)
+        record = np.full(count, -1)
+        record[live] = pick
         picks.append(record)
-        rows = np.arange(live.size)
-        a[rows, j] ^= a[rows, i]
+        # row j ^= row i, then row sum j, the column sums, row and column j of x
+        batch = np.arange(live.size)
+        i, j = np.divmod(pick, n)
+        before = a[batch, j]
+        after = before ^ a[batch, i]
+        a[batch, j] = after
+        cs += after - before
+        rs[batch, j] = sums = x[batch, i, j]
+        # popcount(row j ^ row k) = rs[j] + rs[k] - 2 (bits they share)
+        x[batch, j] = x[batch, :, j] = sums[:, None] + rs - 2 * (a @ after[:, :, None])[:, :, 0]
         step += 1
-    picks = np.stack(picks, axis=2) if picks else np.zeros((2, count, 0), dtype=np.int64)
-    return steps, images, picks
+    if not picks:
+        return steps, images, np.zeros((2, count, 0), dtype=index)
+    picks = np.stack(picks, axis=1)
+    return steps, images, np.where(picks >= 0, np.divmod(picks, n), -1).astype(index)
 
 
 def _greedy_rows(u: GF2Matrix, score) -> tuple[list[int], list[tuple[int, int]]] | None:
@@ -355,11 +369,13 @@ def _pack_levels(controls: np.ndarray, targets: np.ndarray, n: int) -> np.ndarra
     control_at = np.ascontiguousarray((base + controls).T)
     target_at = np.ascontiguousarray((base + targets).T)
     occupied = np.zeros((count * (n + 1), length), dtype=bool)  # [slot, level]
+    # levels, in the narrowest type that holds 0..length
+    level_type = _index_dtype(length)
     # slot -> first level after every placed gate that it controls / targets
-    after_control = np.zeros(count * (n + 1), dtype=np.int64)
-    after_target = np.zeros(count * (n + 1), dtype=np.int64)
+    after_control = np.zeros(count * (n + 1), dtype=level_type)
+    after_target = np.zeros(count * (n + 1), dtype=level_type)
     below = np.arange(length)
-    levels = np.empty((length, count), dtype=np.int64)
+    levels = np.empty((length, count), dtype=level_type)
     for s in range(length):
         c, t = control_at[s], target_at[s]
         taken = occupied[c, : s + 1] | occupied[t, : s + 1]
@@ -370,16 +386,6 @@ def _pack_levels(controls: np.ndarray, targets: np.ndarray, n: int) -> np.ndarra
         after_control[c] = np.maximum(after_control[c], level + 1)
         after_target[t] = np.maximum(after_target[t], level + 1)
     return levels.T
-
-
-def _cnot_layers(pairs) -> int:
-    free: dict[int, int] = {}
-    depth = 0
-    for c, t in pairs:
-        layer = max(free.get(c, 0), free.get(t, 0))
-        free[c] = free[t] = layer + 1
-        depth = max(depth, layer + 1)
-    return depth
 
 
 DEPTH_OPT_LIMIT = 4
@@ -498,9 +504,10 @@ def _rank_variants(ops: np.ndarray, invs: np.ndarray, depth_opt: bool) -> list[t
     # the longest list that reaches a permutation; cycling ones are never read
     length = max(int(run[0].max(initial=0)) for run in runs)
     shape = (len(forms), len(scores), count)  # form, score, operator
+    index = _index_dtype(n)  # qubits, -1 and the padding n
     steps = np.empty(shape, dtype=np.int64)
-    images = np.empty(shape + (n,), dtype=np.int64)
-    ops_i, ops_j = picks = np.full((2,) + shape + (length,), -1)
+    images = np.empty(shape + (n,), dtype=index)
+    ops_i, ops_j = picks = np.full((2,) + shape + (length,), -1, dtype=index)
     for s, (run_steps, run_images, run_picks) in enumerate(runs):
         steps[:, s] = run_steps.reshape(shape[0], count)
         images[:, s] = run_images.reshape(shape[0], count, n)
@@ -517,7 +524,7 @@ def _rank_variants(ops: np.ndarray, invs: np.ndarray, depth_opt: bool) -> list[t
     controls[padding] = targets[padding] = n
     levels = np.where(padding, length, _pack_levels(controls, targets, n))
     levels = levels.reshape(variants, count, length)
-    depth = np.where(levels < length, levels + 1, 0).max(axis=2, initial=0)
+    depth = np.where(levels < length, levels + 1, 0).max(axis=2, initial=0).astype(np.int64)
     steps = steps.reshape(variants, count)
     key = (depth * (4 * n * n + 1) + steps) * variants + np.arange(variants)[:, None]
     key[steps < 0] = _NEVER
@@ -903,13 +910,43 @@ def _hoisted(exponents: list, realized: list[tuple], n: int) -> tuple[list, list
     return [g for run in reversed(runs) for g in run], tail
 
 
+def _cnot_key(realized: list[tuple], n: int, depth_opt: bool) -> int:
+    """The search's key of a candidate: the CNOT depth or count of the gate
+    list that `_hoisted` builds from the same `realized` operators, read off
+    their CNOT lists alone. Under cnot-count it is the lists' total length.
+    Under cnot-depth the walk goes back from M_L relabeling each CNOT
+    through the hoisted wire maps, as `_hoisted` does, and layers the CNOTs
+    as early as they go in that reversed order: a gate's layer is one past
+    the latest of its two qubits, so the deepest layer is the longest chain
+    of gates that share a qubit, the same read from either end."""
+    if not depth_opt:
+        return sum(len(cnots) for _, cnots in realized)
+    tail = list(range(n))
+    free = [0] * n  # per qubit, the layer after its last CNOT
+    for images, cnots in reversed(realized):
+        for c, t in reversed(cnots):
+            c, t = tail[c], tail[t]
+            free[c] = free[t] = max(free[c], free[t]) + 1
+        tail = [tail[q] for q in images]
+    return max(free, default=0)
+
+
 def _candidate_orderings(m: int, budget: int, seed: int):
-    """The program order, then `budget - 1` seeded shuffles."""
+    """The program order, then `budget - 1` seeded shuffles: the orderings
+    that random.Random(seed).shuffle makes of list(range(m)), one call after
+    another. CPython's shuffle is inlined: from i = m - 1 down to 1 it swaps
+    i with j = getrandbits(k) for k = (i + 1).bit_length(), drawing again
+    while j > i."""
     yield tuple(range(m))
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    swaps = [(i, (i + 1).bit_length()) for i in reversed(range(1, m))]
     for _ in range(budget - 1):
         order = list(range(m))
-        rng.shuffle(order)
+        for i, k in swaps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
         yield tuple(order)
 
 
@@ -928,19 +965,22 @@ def partition_rotations(
 
     The candidates are the program order and `budget - 1` seeded shuffles,
     whatever the number of rotations, so budget=1 compiles the program order
-    as given. Each valid candidate is scored by the chosen objective of the
-    gate list that its circuit is emitted from (`_hoisted`, absorbed), and
-    ties break toward the earlier candidate; the winner's scored gate list,
-    absorbed into |+> preparations, is the partition's circuit. The
-    candidates are cut a window at a time, and the merged operators of a
-    window's valid ones are synthesized together before any is scored. A
-    repeated ordering is cut and scored again; it ties its first occurrence
-    and loses the tie. The empty program, on any number of qubits, needs
-    no search: its circuit is n |+> preparations. Where no ordering can be
-    valid (an empty support, or supports that span fewer than min(m, n)
-    dimensions), it raises "no block partition exists" before any search.
+    as given; a budget below 1 raises ValueError. Each valid candidate is
+    scored by the chosen objective of the gate list that its circuit is
+    emitted from (`_hoisted`, absorbed), read off its synthesized CNOT lists
+    without building that list, and ties break toward the earlier
+    candidate; the winner's gate list, absorbed into |+> preparations, is
+    the partition's circuit. The candidates are cut a window at a time, and
+    the merged operators of a window's valid ones are synthesized together
+    before any is scored. A repeated ordering is cut and scored again; it
+    ties its first occurrence and loses the tie. The empty program, on any
+    number of qubits, needs no search: its circuit is n |+> preparations.
+    Where no ordering can be valid (an empty support, or supports that span
+    fewer than min(m, n) dimensions), it raises "no block partition exists"
+    before any search.
     """
-    tried, valid, (order, gates, _, _) = _search(p, budget, seed, objective, head=False)
+    tried, valid, (order, layers, realized) = _search(p, budget, seed, objective, head=False)
+    gates, _ = _hoisted(layers, realized, p.n)
     rots = [p.rotations[i] for i in order]
     # the empty program has no blocks, on any number of qubits
     cut = range(0, len(rots) - len(rots) % p.n, p.n) if rots else ()
@@ -958,15 +998,19 @@ def partition_rotations(
 
 def _search(p: RotationProgram, budget: int, seed: int, objective: str, head: bool):
     """The search of `partition_rotations`: (tried, valid, winner), the
-    winner as (ordering, scored gate list, live phase layers, realized), where
-    realized holds the `_synthesize` of the winner's merged operators for
-    `_hoisted`. It leaves out M_0 unless `head`: then every valid
-    candidate's M_0 = F_1 joins its window's one synthesis batch."""
+    winner as (ordering, live phase layers, realized), where realized holds
+    the `_synthesize` of the winner's merged operators for `_hoisted`. Each
+    valid candidate is scored from its realized CNOT lists alone
+    (`_cnot_key`); only the caller builds the winner's gate list. It leaves
+    out M_0 unless `head`: then every valid candidate's M_0 = F_1 joins its
+    window's one synthesis batch."""
     if objective not in ("cnot-depth", "cnot-count"):
         raise ValueError(f"unknown objective {objective!r}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     m = len(p.rotations)
     if m == 0:
-        return 0, 0, ((), [], [], [])
+        return 0, 0, ((), [], [])
     if p.n < 1:
         raise PartitionError("need at least one qubit")
     # no ordering can be valid, whatever the budget: blocks of n and the
@@ -1007,13 +1051,11 @@ def _search(p: RotationProgram, budget: int, seed: int, objective: str, head: bo
         live = exps.reshape(-1, p.n)[at].tolist()
         bounds = bounds.tolist()
         for order, lo, hi in zip(compress(window, ok.tolist()), bounds, bounds[1:]):
-            gates, _ = _hoisted(live[lo:hi], kept[lo:hi], p.n)
-            cnots = [qubits for kind, qubits in gates if kind == "CNOT"]
-            key = _cnot_layers(cnots) if depth_opt else len(cnots)
+            key = _cnot_key(kept[lo:hi], p.n, depth_opt)
             own = [next(heads)] if head and hi > lo else []
             if best_key is None or key < best_key:
                 best_key = key
-                best = (order, gates, live[lo:hi], own + kept[lo:hi])
+                best = (order, live[lo:hi], own + kept[lo:hi])
     if best is None:
         raise PartitionError(
             f"no valid block partition among {tried} sampled ordering(s) "
@@ -1069,7 +1111,7 @@ def compile_to_unitary(
     is emitted from its realized operators; the hoisted permutation leads
     as SWAPs.
     """
-    _, _, (_, _, layers, realized) = _search(p, budget, seed, objective, head=True)
+    _, _, (_, layers, realized) = _search(p, budget, seed, objective, head=True)
     gates, wires = _hoisted(layers, realized, p.n)
     lead = tuple(Gate("SWAP", pair) for pair in _transpositions(wires))
     return Circuit(p.n, lead + tuple(Gate(kind, qubits) for kind, qubits in gates))

@@ -940,7 +940,12 @@ def _draw_batch(rng, b: int, nm: NoiseModel, n_prep: int, n_depol: int, n_meas: 
     prep = _fired(rng.bit_generator, nm.p_t, b, n_prep)
     depol = _fired(rng.bit_generator, nm.p_l, b, n_depol)
     picks = _picks(rng, depol, b * n_depol, n_depol)
-    faulty = np.union1d(prep // max(n_prep, 1), depol // max(n_depol, 1))
+    # the shots of both ascending lists, merged and each kept once (sorted
+    # here, not by np.union1d, which imports numpy.ma)
+    shots = np.sort(np.concatenate([prep // max(n_prep, 1), depol // max(n_depol, 1)]))
+    first = np.ones(len(shots), dtype=bool)
+    first[1:] = shots[1:] != shots[:-1]
+    faulty = shots[first]
     uniforms = [np.zeros((0, n_meas))]
     for s in range(0, b, _DRAW_ROWS):
         drawn = rng.random((min(_DRAW_ROWS, b - s), n_meas))

@@ -28,7 +28,6 @@ from rotsynth.compiler import (
     PartitionError,
     _DEPTH_TABLES,
     _bits,
-    _candidate_orderings,
     _score_concat,
     _score_maxsum,
     _score_total,
@@ -951,6 +950,18 @@ def _reference_metrics(blocks: list[Block], depth_opt: bool) -> tuple[int, int]:
     return depth, count
 
 
+def reference_orderings(m: int, budget: int, seed: int):
+    """The candidates that `compiler.partition_rotations` promises: the
+    program order, then `budget - 1` shuffles of list(range(m)), one after
+    another, by the standard library's random.Random(seed).shuffle."""
+    yield tuple(range(m))
+    rng = random.Random(seed)
+    for _ in range(budget - 1):
+        order = list(range(m))
+        rng.shuffle(order)
+        yield tuple(order)
+
+
 def reference_partition_rotations(
     p: RotationProgram,
     budget: int = 200,
@@ -964,7 +975,7 @@ def reference_partition_rotations(
     depth_opt = objective == "cnot-depth"
     best = best_key = None
     tried = valid = 0
-    for order in _candidate_orderings(m, budget, seed):
+    for order in reference_orderings(m, budget, seed):
         tried += 1
         split = reference_split(p, order)
         if split is None:

@@ -352,6 +352,15 @@ class TestPartition:
         assert (part.orderings_valid, part.orderings_tried) == (40, 40)
         assert len(cut) == 40 and set(cut) == set(permutations(range(3)))
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        # as the CLI's --budget check: no search, not the program order
+        # reported with a budget it never had
+        for compile_fn in (compile_program, partition_rotations, compile_to_unitary):
+            for prog in (programs.load("ccz"), RotationProgram(2, ())):
+                with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
+                    compile_fn(prog, budget=budget)
+
     def test_partition_failure(self):
         # the supports span both dimensions, but every cut into two blocks
         # of two puts two "10" together: infeasible, yet no proof below

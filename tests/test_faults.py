@@ -1246,6 +1246,33 @@ def test_exact_analysis_imports_no_sampling_modules():
     assert done.stdout.split() == ["[]"]
 
 
+def test_monte_carlo_imports_no_masked_arrays():
+    # a Monte Carlo run, in a fresh interpreter, loads numpy.random, which it
+    # draws from, and no numpy.ma beyond what a bare `import numpy` loads
+    # (numpy 1.x loads it with numpy itself)
+    code = "\n".join([
+        "import sys",
+        "import numpy",
+        "loaded = 'numpy.ma' in sys.modules",
+        "from rotsynth import programs",
+        "from rotsynth.compiler import compile_program",
+        "from rotsynth.faults import NoiseModel, gadgetize, monte_carlo_infidelity",
+        "from rotsynth.ir import with_x_detection",
+        "outputs, detectors = programs.DESIGNATIONS['ccz']",
+        "circ = compile_program(programs.load('ccz'), budget=1).circuit",
+        "circ = gadgetize(with_x_detection(circ, detectors))",
+        "rep = monte_carlo_infidelity(circ, list(outputs), NoiseModel(1e-2, 1e-2, 1), 3000, seed=1)",
+        "assert rep.faulty > 0",
+        "print('numpy.random' in sys.modules, loaded or 'numpy.ma' not in sys.modules)",
+    ])
+    src = os.path.dirname(os.path.dirname(semantics.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.split() == ["True", "True"]
+
+
 def _fault_sites(c: Circuit) -> list[tuple[int, int]]:
     """(position, qubit) pairs where a fault does not precede the qubit's
     preparation; position -1 is before the first gate."""

@@ -21,10 +21,13 @@ from rotsynth.compiler import (
     _EMISSION_SCORES,
     PartitionError,
     _bits,
+    _candidate_orderings,
     _carry,
+    _cnot_key,
     _depth_table,
     _greedy_batch,
     _greedy_rows,
+    _hoisted,
     _inverse,
     _lex_argmin,
     _pack_levels,
@@ -40,7 +43,7 @@ from rotsynth.compiler import (
     partition_rotations,
 )
 from rotsynth.gf2 import BitVec, GF2Matrix, SingularMatrixError, random_invertible, random_matrix
-from rotsynth.ir import PhaseRotation, RotationProgram
+from rotsynth.ir import Circuit, Gate, PhaseRotation, RotationProgram
 from rotsynth.semantics import phase_polynomial_of, poly_equal
 
 from oracles import (
@@ -51,6 +54,7 @@ from oracles import (
     reference_depth_table,
     reference_greedy_rows,
     reference_invert,
+    reference_orderings,
     reference_pack_levels,
     reference_partition_rotations,
 )
@@ -58,6 +62,17 @@ from oracles import (
 
 # rows of a 5x5 matrix on which the maxsum and total greedies cycle
 CYCLING_5 = (12, 19, 10, 11, 22)
+
+
+def _batch_results(us: list[GF2Matrix], score) -> list:
+    """`_greedy_batch` of the matrices u^T of one lockstep batch, in the
+    form of `reference_greedy_rows`: the rows reached (a permutation, as its
+    wire map) and the operations, or None for a matrix that cycles."""
+    steps, images, (ops_i, ops_j) = _greedy_batch(_bits(us).swapaxes(1, 2), score)
+    return [
+        None if size < 0 else ([1 << c for c in wires], list(zip(i[:size], j[:size])))
+        for size, wires, i, j in zip(steps.tolist(), images.tolist(), ops_i.tolist(), ops_j.tolist())
+    ]
 
 
 class TestGreedyKernel:
@@ -82,30 +97,34 @@ class TestGreedyKernel:
         rng = random.Random(11)
         us = [random_invertible(5, rng.randrange(10**6)) for _ in range(40)]
         us.append(GF2Matrix(5, 5, CYCLING_5))
-        rows = _bits(us).swapaxes(1, 2)
         for score in _EMISSION_SCORES:
-            steps, images, (ops_i, ops_j) = _greedy_batch(rows, score)
-            got = [
-                None if size < 0 else ([1 << c for c in wires], list(zip(i[:size], j[:size])))
-                for size, wires, i, j in zip(steps.tolist(), images.tolist(), ops_i.tolist(), ops_j.tolist())
-            ]
             want = [reference_greedy_rows(u, score) for u in us]
-            assert got == want, score.__name__
+            assert _batch_results(us, score) == want, score.__name__
             assert len({None if r is None else len(r[1]) for r in want}) > 2
         assert want[-1] is None  # total, as maxsum, cycles on the last matrix
 
     @pytest.mark.parametrize(
         "score, sizes",
-        [(_score_concat, (12, 13)), (_score_maxsum, (9, 10, 11, 12))],
+        [(_score_concat, (12, 13)), (_score_maxsum, (9, 10, 11, 12, 13))],
         ids=["concat", "maxsum"],
     )
     def test_multi_digit_keys(self, score, sizes):
-        # the sizes where the weights overflow int64 and split into digits
+        # the sizes where the weights overflow int64 and split into digits,
+        # each matrix alone and all in one lockstep batch whose matrices
+        # finish at different steps, so that the kept sums are compacted
+        # with the batch
         for n in sizes:
             rng = random.Random(n)
             us = [random_invertible(n, rng.randrange(10**6)) for _ in range(4)]
-            for u in us:
-                assert _greedy_rows(u, score) == reference_greedy_rows(u, score), n
+            # the identity is done at once, a near-identity within a few steps
+            near = [1 << r for r in range(n)]
+            near[-1] ^= 1
+            us += [GF2Matrix.identity(n), GF2Matrix(n, n, tuple(near))]
+            want = [reference_greedy_rows(u, score) for u in us]
+            for u, rows in zip(us, want):
+                assert _greedy_rows(u, score) == rows, n
+            assert _batch_results(us, score) == want, n
+            assert len({None if r is None else len(r[1]) for r in want}) > 2, n
         # one size smaller still fits in one int64 column
         assert _weights(11, 23, range(12, -1, -1)).shape[1] == 1
         assert _weights(12, 25, range(13, -1, -1)).shape[1] > 1
@@ -148,6 +167,20 @@ class TestGreedyKernel:
             got = _greedy_rows(u, score)
             assert got is not None and got == reference_greedy_rows(u, score), score.__name__
 
+    def test_cycle_check_sees_high_bits(self):
+        # operations among qubits 63 to 65 change no bit below 63: the cycle
+        # check compares whole rows, so no step looks like a repeated state
+        n = 66
+        rows = [1 << i for i in range(n)]
+        rows[65] ^= rows[64]
+        rows[64] ^= rows[63]
+        rows[63] ^= rows[65]
+        u = GF2Matrix(n, n, tuple(rows))
+        for score in _EMISSION_SCORES:
+            got = _greedy_rows(u, score)
+            assert got is not None and len(got[1]) > 1, score.__name__
+            assert got == reference_greedy_rows(u, score), score.__name__
+
     def test_cnot_synthesize_wraps_concat_greedy(self):
         rng = random.Random(7)
         for _ in range(60):
@@ -157,6 +190,36 @@ class TestGreedyKernel:
             res = cnot_synthesize(u)
             assert res.perm.rows == tuple(rows)
             assert res.ops == tuple(reversed(ops))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 8, 15, 80])
+def test_candidate_orderings_are_stdlib_shuffles(m):
+    # the candidate stream is a contract: the program order, then the
+    # orderings that random.Random(seed).shuffle makes, one after another
+    for seed in (0, 1, 7, 2**40 + 3, -5):
+        assert list(_candidate_orderings(m, 25, seed)) == list(reference_orderings(m, 25, seed)), seed
+    assert list(_candidate_orderings(m, 1, 3)) == [tuple(range(m))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_cnot_key_is_the_hoisted_circuits_metric(n):
+    # the search scores a candidate from its realized CNOT lists alone; the
+    # key must be the CNOT depth or count of the gate list `_hoisted` builds
+    # from them, phase gates and relabeling included
+    rng = random.Random(n)
+    for trial in range(40):
+        blocks = rng.randrange(0, 5)
+        realized = []
+        for _ in range(blocks):
+            images = list(range(n))
+            rng.shuffle(images)
+            cnots = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(3 * n if n > 1 else 1))]
+            realized.append((tuple(images), tuple(cnots)))
+        layers = [[rng.randrange(8) for _ in range(n)] for _ in range(blocks)]
+        gates, _ = _hoisted(layers, realized, n)
+        circuit = Circuit(n, tuple(Gate(kind, qubits) for kind, qubits in gates))
+        assert _cnot_key(realized, n, True) == circuit.cnot_depth(), trial
+        assert _cnot_key(realized, n, False) == circuit.cnot_count(), trial
 
 
 class TestBatchedKernels:
