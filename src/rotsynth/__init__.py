@@ -51,6 +51,7 @@ from .compiler import (
 )
 from .faults import (
     AnalysisReport,
+    FaultHarness,
     NoiseModel,
     TGadgetChannel,
     enumerate_pair_faults,

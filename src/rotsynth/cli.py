@@ -19,13 +19,8 @@ from . import __version__
 from .compiler import PartitionError, compile_program, expand_reference
 from .faults import (
     FaultAnalysisError,
+    FaultHarness,
     NoiseModel,
-    _first_order,
-    _Harness,
-    _monte_carlo,
-    _pairs,
-    _singles,
-    build_schedule,
     gadgetize,
     spacetime_cost,
     surgery_baseline_cost,
@@ -212,23 +207,24 @@ def cmd_faults(args) -> int:
         )
     }
     # the report is written before the summary is printed, so an unwritable
-    # --out leaves stdout empty; the enumerations share one harness
+    # --out leaves stdout empty; the enumerations share one harness, and
+    # singles and first order name their rounds from one schedule
     summary = []
     if args.singles or args.pairs or args.first_order:
-        harness = _Harness(circuit, outputs)
+        harness = FaultHarness(circuit, outputs)
     if args.singles:
-        table = _singles(harness, build_schedule(circuit), args.sites)
+        table = harness.singles(args.sites, args.tdecode)
         payload["singles"] = table.to_dict()
         summary.append(
             f"singles: {table.count('detected')} detected, "
             f"{table.count('harmless')} harmless, {table.count('harmful')} harmful"
         )
     if args.pairs:
-        pairs = _pairs(harness, build_schedule(circuit))
+        pairs = harness.pairs()
         payload["pairs"] = pairs.to_dict()
         summary.append(f"pairs: {pairs.harmful} harmful of {pairs.total}")
     if args.first_order:
-        fo = _first_order(harness, build_schedule(circuit, args.tdecode))
+        fo = harness.first_order(args.tdecode)
         payload["first_order"] = fo.to_dict()
         summary.append(f"first-order p_L coefficient: {fo.coefficient:.6f}")
     if args.out:
@@ -254,12 +250,12 @@ def cmd_sweep(args) -> int:
     if not shots.is_integer():
         raise UsageError(f"--shots: expected a whole number, got {args.shots!r}")
     shots = int(shots)
-    harness = _Harness(circuit, outputs)
+    harness = FaultHarness(circuit, outputs)
     rows = []
     for p_l in pls:
         for r in rs_:
             nm = NoiseModel.from_ratio(p_l, r, args.tdecode)
-            rep = _monte_carlo(harness, nm, shots, args.seed)
+            rep = harness.monte_carlo(nm, shots, args.seed)
             rows.append(
                 (p_l, r, shots, rep.accepted, rep.infidelity, rep.stderr)
             )

@@ -7,12 +7,15 @@ on their noiseless outcomes). Faults are Paulis inserted at circuit
 positions, anywhere including the preparation round. This module defines
 no gate action and no qubit lifetime of its own: it hands gate positions to
 the dense trajectory kernel (`semantics.TrajectoryKernel`, through
-`_Harness.run_sampled`), which carries each fault forward as its Pauli
-frame. The Monte Carlo engine samples the measurement outcomes; the exact
-enumerators run one row per class of configurations with equal frames,
-which branches at every injection measurement, each branch weighted by its
-probability, and forks from the fault-free branch tree at its first frame
-stop. A row whose first frame flips a detection outcome is rejected
+`FaultHarness.run_sampled`), which carries each fault forward as its Pauli
+frame. `FaultHarness` is the one entry point: built once for a circuit and
+its outputs, it runs every estimator (`singles`, `pairs`, `first_order`,
+`monte_carlo`), and each public estimator function builds one and calls
+one of those methods. The Monte Carlo engine samples the measurement
+outcomes; the exact enumerators run one row per class of configurations
+with equal frames, which branches at every injection measurement, each
+branch weighted by its probability, and forks from the fault-free branch
+tree at its first frame stop. A row whose first frame flips a detection outcome is rejected
 without a run. The kernel's rows hold only the live qubits (from a qubit's
 first gate other than a preparation to the measurement that ends it), and
 the dense cap of `semantics.MAX_DENSE_QUBITS` applies to that live width: a
@@ -24,13 +27,14 @@ prepares magic states (Z errors at rate p_T on each |T> preparation), and
 every later round ends with single-qubit depolarizing noise at rate p_L on
 each qubit that a gate or an output uses, up to the measurement after which
 nothing reads it, with X, Y, Z each taken at p_L / 3. The decode latency
-inserts idle rounds before the adaptive correction round.
+inserts idle rounds before the adaptive correction round. Each estimator
+builds its schedule from the circuit at its t_decode (`build_schedule`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,7 +45,7 @@ HARMFUL_INFIDELITY = 1e-9
 DETECTED_ACCEPTANCE = 1e-12
 _NO_STOP = np.iinfo(np.int64).max   # the first stop of a row without frames
 _FAULT_CLASSES = ("detected", "harmless", "harmful")
-_T_GATE, _T_PREP, _DEPOLARIZING = 0, 1, 2   # the kinds of fault site (`_Harness.sites`)
+_T_GATE, _T_PREP, _DEPOLARIZING = 0, 1, 2   # the kinds of fault site (`FaultHarness.sites`)
 
 
 def _fault_class(acceptance, infidelity):
@@ -256,9 +260,19 @@ def build_schedule(c: Circuit, t_decode: int = 0) -> tuple[Round, ...]:
 # ---------------------------------------------------------------------------
 
 
-class _Harness:
-    """Fault semantics of a circuit with designated outputs, on the dense
-    trajectory kernel (`semantics.TrajectoryKernel`).
+class FaultHarness:
+    """The fault analysis of a circuit with designated outputs: its fault
+    semantics on the dense trajectory kernel (`semantics.TrajectoryKernel`)
+    and the four estimators on them, `singles`, `pairs`, `first_order` and
+    `monte_carlo`. `enumerate_single_faults`, `enumerate_pair_faults`,
+    `first_order_oracle` and `monte_carlo_infidelity` each build a harness
+    and call one of them; build one harness to ask several questions of
+    one circuit:
+
+        harness = FaultHarness(circuit, outputs)
+        harness.pairs().harmful
+        harness.first_order(1).coefficient
+        harness.monte_carlo(NoiseModel(1e-3, 1e-3, 1), 10_000, seed=7)
 
     Splits measurement records into injection records (consumed by CondS)
     and detection records (postselected on their noiseless outcomes), and
@@ -292,7 +306,10 @@ class _Harness:
 
     The harness holds no round schedule (`build_schedule`): the decode
     latency moves only where the noise sits, so one harness serves every
-    t_decode, and each enumeration takes its schedule.
+    t_decode, and each estimator builds the schedule of its t_decode from
+    `self.circuit`. The T sites do not depend on it, so `pairs` takes none;
+    `singles` takes it (default 0) only to name each fault's round, which
+    moves with t_decode after a correction round, while its values do not.
     """
 
     def __init__(self, c: Circuit, outputs: list[int]):
@@ -600,6 +617,131 @@ class _Harness:
         ]
         return np.array(rows, dtype=np.int64).reshape(-1, 4).T
 
+    # -- estimators --------------------------------------------------------
+
+    def singles(self, sites: str = "tprep", t_decode: int = 0) -> DetectionTable:
+        """`enumerate_single_faults` on this harness, with the round of each
+        fault taken from the schedule at `t_decode`."""
+        if sites not in ("tprep", "all"):
+            raise FaultAnalysisError(f"unknown site class {sites!r}")
+        rounds = build_schedule(self.circuit, t_decode)
+        if sites == "tprep":
+            pos, qubit, rnd, _ = _rows(self.sites(rounds), _T_GATE, _T_PREP)
+            pauli = np.full(len(pos), 2)
+        else:
+            gates = self.circuit.gates
+            pos, qubit = np.array(
+                [(i, q) for i, g in enumerate(gates) if g.kind not in MEAS_KINDS
+                 for q in g.qubits],
+                dtype=np.int64,
+            ).reshape(-1, 2).repeat(3, axis=0).T
+            pauli = np.tile(np.arange(3), len(pos) // 3)
+            rnd = _round_of_gates(rounds, len(gates))[pos]
+        return self._classify(pos, qubit, pauli, rnd)[0]
+
+    def pairs(self) -> PairSummary:
+        """`enumerate_pair_faults` on this harness."""
+        pos, qubit, _, _ = _rows(self.sites(build_schedule(self.circuit)), _T_GATE, _T_PREP)
+        a, b = np.triu_indices(len(pos), 1)
+        both = np.stack([a, b], axis=1).ravel()   # each pair's two sites in turn
+        acc, infid = self.run_exact(
+            (np.arange(len(a)).repeat(2), pos[both], np.full(len(both), 2), qubit[both]), len(a)
+        )
+        detected, harmless, harmful = np.bincount(_fault_class(acc, infid), minlength=3).tolist()
+        return PairSummary(len(acc), harmful, detected, harmless)
+
+    def first_order(self, t_decode: int) -> FirstOrderReport:
+        """`first_order_oracle` on this harness, with the noise of the
+        schedule at `t_decode`."""
+        rounds = build_schedule(self.circuit, t_decode)
+        pos, qubit, in_round, _ = _rows(self.sites(rounds), _DEPOLARIZING).repeat(3, axis=1)
+        table, acc, infid = self._classify(
+            pos, qubit, np.tile(np.arange(3), len(pos) // 3), in_round
+        )
+        contribution = acc * infid / 3.0
+        per_round = np.bincount(in_round, weights=contribution, minlength=len(rounds))
+        idle = [r for r, rnd in enumerate(rounds) if rnd.label == "decode-idle"]
+        return FirstOrderReport(
+            float(contribution.sum()),
+            table,
+            float(per_round[idle].sum()) / len(idle) if idle else 0.0,
+            tuple(
+                (r, rnd.label, float(per_round[r]))
+                for r, rnd in enumerate(rounds) if r > 0
+            ),
+        )
+
+    def monte_carlo(self, nm: NoiseModel, shots: int, seed: int = 0) -> AnalysisReport:
+        """`monte_carlo_infidelity` on this harness, with the noise of the
+        schedule at nm.t_decode; a sweep over p_L and p_T builds its harness
+        once. The shots go in batches of `_BATCH`, each drawn by
+        `_draw_batch` from numpy.random.default_rng(seed): a site fires
+        where its value is below its rate, a fired depolarizing site takes
+        X, Y or Z by its pick, and a faulty shot draws its measurement
+        outcomes from its uniforms."""
+        if shots < 1:
+            raise FaultAnalysisError("needs at least one shot")
+        rounds = build_schedule(self.circuit, nm.t_decode)
+        # the |T> preparation sites, then the depolarizing sites
+        pos, qubit, _, kind = _rows(self.sites(rounds), _T_PREP, _DEPOLARIZING)
+        n_prep = int(np.count_nonzero(kind == _T_PREP))
+        n_depol = len(pos) - n_prep
+        rng = np.random.default_rng(seed)
+
+        accepted = 0
+        n_faulty = 0
+        total = 0.0
+        total_sq = 0.0
+        done = 0
+        while done < shots:
+            b = min(_BATCH, shots - done)
+            prep, depol, picks, faulty, uniforms = _draw_batch(
+                rng, b, nm, n_prep, n_depol, len(self.meas_order)
+            )
+            prep_shot, prep_col = np.divmod(prep, max(n_prep, 1))
+            depol_shot, depol_col = np.divmod(depol, max(n_depol, 1))
+            n_faulty += len(faulty)
+            accepted += b - len(faulty)  # clean shots pass with zero infidelity
+            site = np.concatenate([prep_col, n_prep + depol_col])
+            row, _, infid = self.run_sampled(
+                (
+                    faulty.searchsorted(np.concatenate([prep_shot, depol_shot])),
+                    pos[site],
+                    np.concatenate([np.full(len(prep), 2), picks]),  # Z at |T> sites
+                    qubit[site],
+                ),
+                uniforms,
+            )
+            accepted += len(row)
+            # per faulty shot, rejected ones 0, so the sums run in shot order
+            per_shot = np.zeros(len(faulty))
+            per_shot[row] = infid
+            total += float(per_shot.sum())
+            total_sq += float(np.dot(per_shot, per_shot))
+            done += b
+
+        mean = stderr = None
+        if accepted:
+            mean = total / accepted
+            stderr = math.sqrt(max(total_sq / accepted - mean * mean, 0.0) / accepted)
+        return AnalysisReport(
+            shots, accepted, n_faulty, accepted / shots, mean, stderr,
+            nm.p_l, nm.p_t, nm.t_decode, seed,
+            undefined=not accepted, rounds=tuple(r.label for r in rounds),
+        )
+
+    def _classify(self, pos, qubit, pauli, rnd):
+        """One configuration per fault, a Pauli (index into "XYZ") on a
+        qubit right after a gate position, in a round: (its detection table,
+        and the acceptance and the infidelity of each fault)."""
+        acc, infid = self.run_exact((np.arange(len(pos)), pos, pauli, qubit), len(pos))
+        columns = (x.tolist() for x in (pos, qubit, pauli, rnd, acc, infid))
+        table = DetectionTable([
+            FaultRecord(FaultLocation(p, q, "XYZ"[pa], r), a, i)
+            for p, q, pa, r, a, i in zip(*columns)
+        ])
+        return table, acc, infid
+
 
 def _round_of_gates(rounds: tuple[Round, ...], n_gates: int) -> np.ndarray:
     """The round of each gate position under the schedule `rounds` (-1 for a
@@ -670,30 +812,13 @@ class PairSummary:
     harmless: int
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "harmful": self.harmful,
-            "detected": self.detected,
-            "harmless": self.harmless,
-        }
+        return asdict(self)
 
 
 def _rows(sites: np.ndarray, *kinds: int) -> np.ndarray:
-    """The rows of a site table (`_Harness.sites`) of the given kinds, in
+    """The rows of a site table (`FaultHarness.sites`) of the given kinds, in
     their order."""
     return sites[:, np.isin(sites[3], kinds)]
-
-
-def _single_faults(harness: _Harness, pos, qubit, pauli, rnd):
-    """One configuration per fault, a Pauli (index into "XYZ") on a qubit
-    right after a gate position, in a round: (its detection table, and the
-    acceptance and the infidelity of each fault)."""
-    acc, infid = harness.run_exact((np.arange(len(pos)), pos, pauli, qubit), len(pos))
-    table = DetectionTable([
-        FaultRecord(FaultLocation(p, q, "XYZ"[pa], r), a, i)
-        for p, q, pa, r, a, i in zip(*(x.tolist() for x in (pos, qubit, pauli, rnd, acc, infid)))
-    ])
-    return table, acc, infid
 
 
 def enumerate_single_faults(
@@ -707,43 +832,12 @@ def enumerate_single_faults(
     noise of a faulty magic state); sites="all" inserts X, Y, Z after every
     gate.
     """
-    if sites not in ("tprep", "all"):
-        raise FaultAnalysisError(f"unknown site class {sites!r}")
-    return _singles(_Harness(c, outputs), build_schedule(c), sites)
-
-
-def _singles(harness: _Harness, rounds: tuple[Round, ...], sites: str) -> DetectionTable:
-    """`enumerate_single_faults` on a harness, with the round of each fault
-    taken from `rounds`."""
-    if sites == "tprep":
-        pos, qubit, rnd, _ = _rows(harness.sites(rounds), _T_GATE, _T_PREP)
-        pauli = np.full(len(pos), 2)
-    else:
-        gates = harness.circuit.gates
-        pos, qubit = np.array(
-            [(i, q) for i, g in enumerate(gates) for q in g.qubits if g.kind not in MEAS_KINDS],
-            dtype=np.int64,
-        ).reshape(-1, 2).repeat(3, axis=0).T
-        pauli = np.tile(np.arange(3), len(pos) // 3)
-        rnd = _round_of_gates(rounds, len(gates))[pos]
-    return _single_faults(harness, pos, qubit, pauli, rnd)[0]
+    return FaultHarness(c, outputs).singles(sites)
 
 
 def enumerate_pair_faults(c: Circuit, outputs: list[int]) -> PairSummary:
     """Exhaustively classify all Z fault pairs on the T-type sites."""
-    return _pairs(_Harness(c, outputs), build_schedule(c))
-
-
-def _pairs(harness: _Harness, rounds: tuple[Round, ...]) -> PairSummary:
-    """`enumerate_pair_faults` on a harness, with the sites of `rounds`."""
-    pos, qubit, _, _ = _rows(harness.sites(rounds), _T_GATE, _T_PREP)
-    a, b = np.triu_indices(len(pos), 1)
-    both = np.stack([a, b], axis=1).ravel()   # each pair's two sites in turn
-    acc, infid = harness.run_exact(
-        (np.arange(len(a)).repeat(2), pos[both], np.full(len(both), 2), qubit[both]), len(a)
-    )
-    detected, harmless, harmful = np.bincount(_fault_class(acc, infid), minlength=3).tolist()
-    return PairSummary(len(acc), harmful, detected, harmless)
+    return FaultHarness(c, outputs).pairs()
 
 
 # ---------------------------------------------------------------------------
@@ -779,28 +873,7 @@ def first_order_oracle(c: Circuit, outputs: list[int], nm: NoiseModel) -> FirstO
     Monte Carlo estimate at p_L -> 0 for fixed t_decode. The report splits
     the sum by the round each fault ends.
     """
-    return _first_order(_Harness(c, outputs), build_schedule(c, nm.t_decode))
-
-
-def _first_order(harness: _Harness, rounds: tuple[Round, ...]) -> FirstOrderReport:
-    """`first_order_oracle` on a harness, with the noise of the schedule
-    `rounds`."""
-    pos, qubit, in_round, _ = _rows(harness.sites(rounds), _DEPOLARIZING).repeat(3, axis=1)
-    table, acc, infid = _single_faults(
-        harness, pos, qubit, np.tile(np.arange(3), len(pos) // 3), in_round
-    )
-    contribution = acc * infid / 3.0
-    per_round = np.bincount(in_round, weights=contribution, minlength=len(rounds))
-    idle = [r for r, rnd in enumerate(rounds) if rnd.label == "decode-idle"]
-    return FirstOrderReport(
-        float(contribution.sum()),
-        table,
-        float(per_round[idle].sum()) / len(idle) if idle else 0.0,
-        tuple(
-            (r, rnd.label, float(per_round[r]))
-            for r, rnd in enumerate(rounds) if r > 0
-        ),
-    )
+    return FaultHarness(c, outputs).first_order(nm.t_decode)
 
 
 @dataclass
@@ -819,20 +892,7 @@ class AnalysisReport:
     rounds: tuple[str, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        return {
-            "shots": self.shots,
-            "accepted": self.accepted,
-            "faulty": self.faulty,
-            "acceptance": self.acceptance,
-            "infidelity": self.infidelity,
-            "stderr": self.stderr,
-            "p_l": self.p_l,
-            "p_t": self.p_t,
-            "t_decode": self.t_decode,
-            "seed": self.seed,
-            "undefined": self.undefined,
-            "rounds": list(self.rounds),
-        }
+        return {**asdict(self), "rounds": list(self.rounds)}
 
 
 def monte_carlo_infidelity(
@@ -849,7 +909,7 @@ def monte_carlo_infidelity(
     (decode idles included); trajectories whose detection outcomes differ
     from the noiseless reference are discarded.
     """
-    return _monte_carlo(_Harness(c, outputs), nm, shots, seed)
+    return FaultHarness(c, outputs).monte_carlo(nm, shots, seed)
 
 
 _BATCH = 1 << 16  # shots per Monte Carlo batch; it sets the sample stream
@@ -952,77 +1012,6 @@ def _draw_batch(rng, b: int, nm: NoiseModel, n_prep: int, n_depol: int, n_meas: 
         lo, hi = faulty.searchsorted((s, s + _DRAW_ROWS))
         uniforms.append(drawn[faulty[lo:hi] - s])
     return prep, depol, picks, faulty, np.concatenate(uniforms)
-
-
-def _monte_carlo(harness: _Harness, nm: NoiseModel, shots: int, seed: int) -> AnalysisReport:
-    """`monte_carlo_infidelity` on a harness, with the noise of the schedule
-    at nm.t_decode; a sweep over p_L and p_T builds its harness once. The
-    shots go in batches of `_BATCH`, each drawn by `_draw_batch` from
-    numpy.random.default_rng(seed): a site fires where its value is below
-    its rate, a fired depolarizing site takes X, Y or Z by its pick, and a
-    faulty shot draws its measurement outcomes from its uniforms."""
-    if shots < 1:
-        raise FaultAnalysisError("needs at least one shot")
-    rounds = build_schedule(harness.circuit, nm.t_decode)
-    # the |T> preparation sites, then the depolarizing sites
-    pos, qubit, _, kind = _rows(harness.sites(rounds), _T_PREP, _DEPOLARIZING)
-    n_prep = int(np.count_nonzero(kind == _T_PREP))
-    n_depol = len(pos) - n_prep
-    rng = np.random.default_rng(seed)
-
-    accepted = 0
-    n_faulty = 0
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < shots:
-        b = min(_BATCH, shots - done)
-        prep, depol, picks, faulty, uniforms = _draw_batch(
-            rng, b, nm, n_prep, n_depol, len(harness.meas_order)
-        )
-        prep_shot, prep_col = np.divmod(prep, max(n_prep, 1))
-        depol_shot, depol_col = np.divmod(depol, max(n_depol, 1))
-        n_faulty += len(faulty)
-        accepted += b - len(faulty)  # clean shots pass with zero infidelity
-        site = np.concatenate([prep_col, n_prep + depol_col])
-        row, _, infid = harness.run_sampled(
-            (
-                faulty.searchsorted(np.concatenate([prep_shot, depol_shot])),
-                pos[site],
-                np.concatenate([np.full(len(prep), 2), picks]),  # Z at |T> sites
-                qubit[site],
-            ),
-            uniforms,
-        )
-        accepted += len(row)
-        # per faulty shot, rejected ones 0, so the sums run in shot order
-        per_shot = np.zeros(len(faulty))
-        per_shot[row] = infid
-        total += float(per_shot.sum())
-        total_sq += float(np.dot(per_shot, per_shot))
-        done += b
-
-    if accepted == 0:
-        return AnalysisReport(
-            shots, 0, n_faulty, 0.0, None, None, nm.p_l, nm.p_t, nm.t_decode, seed,
-            undefined=True, rounds=tuple(r.label for r in rounds),
-        )
-    mean = total / accepted
-    var = max(total_sq / accepted - mean * mean, 0.0)
-    stderr = math.sqrt(var / accepted)
-    return AnalysisReport(
-        shots,
-        accepted,
-        n_faulty,
-        accepted / shots,
-        mean,
-        stderr,
-        nm.p_l,
-        nm.p_t,
-        nm.t_decode,
-        seed,
-        rounds=tuple(r.label for r in rounds),
-    )
 
 
 # ---------------------------------------------------------------------------

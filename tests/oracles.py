@@ -41,9 +41,9 @@ from rotsynth.compiler import (
 from rotsynth.faults import (
     AnalysisReport,
     FaultAnalysisError,
+    FaultHarness,
     NoiseModel,
     TGadgetChannel,
-    _Harness,
 )
 from rotsynth.gf2 import BitVec, DimensionError, GF2Matrix, SingularMatrixError
 from rotsynth.ir import (
@@ -415,7 +415,7 @@ _PAULI_GATES = {"X": ("X",), "Y": ("Z", "X"), "Z": ("Z",)}  # Y as XZ
 
 
 def reference_trajectory(
-    harness: _Harness, fault_map: dict[int, list[tuple[str, int]]], uniforms: np.ndarray
+    harness: FaultHarness, fault_map: dict[int, list[tuple[str, int]]], uniforms: np.ndarray
 ) -> tuple[bool, float]:
     """Single trajectory with sampled measurements; returns (accepted,
     infidelity). Consumes one uniform per measurement, in circuit order."""
@@ -457,9 +457,9 @@ def reference_trajectory(
 
 
 def reference_exact(
-    harness: _Harness, faults: list[tuple[int, str, int]]
+    harness: FaultHarness, faults: list[tuple[int, str, int]]
 ) -> tuple[float, float]:
-    """`_Harness.run_exact` by `reference_branches`: the Paulis go into the
+    """`FaultHarness.run_exact` by `reference_branches`: the Paulis go into the
     circuit as gates, and the detection records are postselected on the
     noiseless reference."""
     c = harness.circuit
@@ -482,7 +482,7 @@ def reference_exact(
 
 
 def reference_deferred_exact(
-    harness: _Harness, faults: list[tuple[int, str, int]]
+    harness: FaultHarness, faults: list[tuple[int, str, int]]
 ) -> tuple[float, float]:
     """`reference_exact` by deferred measurement: one full-width tensor and
     no branches, so it also runs where the branches or the width outgrow
@@ -585,7 +585,7 @@ def reference_monte_carlo(
     """`monte_carlo_infidelity` with every faulty shot run alone through
     `reference_trajectory`; same random draws in the same order, in batches
     of `faults._BATCH` shots."""
-    harness = _Harness(c, outputs)
+    harness = FaultHarness(c, outputs)
     schedule = _faults.build_schedule(c, nm.t_decode)
     prep_sites, depol_sites = reference_sites(c, outputs, schedule)
     n_meas = len(harness.meas_order)

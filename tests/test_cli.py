@@ -211,13 +211,13 @@ class TestFaultsCommand:
         out = tmp_path / "circuit.json"
         run(["compile", "--in", ccz_program, "--out", out, "--budget", 1, "--measure-x", "3"])
         built = []
-        init = faults._Harness.__init__
+        init = faults.FaultHarness.__init__
 
         def counting_init(self, *args, **kwargs):
             built.append(args)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(faults._Harness, "__init__", counting_init)
+        monkeypatch.setattr(faults.FaultHarness, "__init__", counting_init)
         report = tmp_path / "faults.json"
         assert run([
             "faults", "--circuit", out, "--outputs", "0,1,2", "--gadgetize", "--singles",
@@ -228,13 +228,38 @@ class TestFaultsCommand:
         # the same tables as the enumerators give, each on its own harness
         payload = json.loads(report.read_text())
         circuit = faults.gadgetize(parse_circuit(out.read_text()))
-        assert payload["singles"] == faults.enumerate_single_faults(
-            circuit, [0, 1, 2], sites="all"
+        assert payload["singles"] == faults.FaultHarness(circuit, [0, 1, 2]).singles(
+            "all", 2
         ).to_dict()
         assert payload["pairs"] == faults.enumerate_pair_faults(circuit, [0, 1, 2]).to_dict()
         assert payload["first_order"] == faults.first_order_oracle(
             circuit, [0, 1, 2], faults.NoiseModel(1e-4, 0.0, 2)
         ).to_dict()
+
+    @pytest.mark.parametrize("tdecode", [1, 2])
+    def test_singles_rounds_match_first_order(self, tmp_path, ccz_program, tdecode):
+        # the CondS corrections follow the decode-idle rounds: one report
+        # names every gate's round from one schedule
+        out = tmp_path / "circuit.json"
+        run(["compile", "--in", ccz_program, "--out", out, "--budget", 1, "--measure-x", "3"])
+        report = tmp_path / "faults.json"
+        assert run([
+            "faults", "--circuit", out, "--outputs", "0,1,2", "--gadgetize", "--singles",
+            "--sites", "all", "--first-order", "--tdecode", tdecode, "--out", report,
+        ]) == 0
+        payload = json.loads(report.read_text())
+        label = {r["index"]: r["label"] for r in payload["first_order"]["rounds"]}
+        gates = faults.gadgetize(parse_circuit(out.read_text())).gates
+        singles = payload["singles"]["entries"]
+        corrections = [e for e in singles if gates[e["gate_index"]].kind == "CondS"]
+        assert corrections and all(label[e["round"]] == "correct" for e in corrections)
+        round_of = {e["gate_index"]: e["round"] for e in singles}
+        checked = 0
+        for e in payload["first_order"]["faults"]["entries"]:
+            if label[e["round"]] != "decode-idle" and e["gate_index"] in round_of:
+                assert round_of[e["gate_index"]] == e["round"]
+                checked += 1
+        assert checked
 
 
 class TestSweepCommand:
@@ -255,13 +280,13 @@ class TestSweepCommand:
         out = tmp_path / "circuit.json"
         run(["compile", "--in", ccz_program, "--out", out, "--budget", 1, "--measure-x", "3"])
         built = []
-        init = faults._Harness.__init__
+        init = faults.FaultHarness.__init__
 
         def counting_init(self, *args, **kwargs):
             built.append(args)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(faults._Harness, "__init__", counting_init)
+        monkeypatch.setattr(faults.FaultHarness, "__init__", counting_init)
         csv_path = tmp_path / "sweep.csv"
         assert run([
             "sweep", "--circuit", out, "--outputs", "0,1,2", "--pl", "1e-3,2e-3",

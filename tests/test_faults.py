@@ -24,8 +24,8 @@ from rotsynth.cli import main as cli_main
 from rotsynth.semantics import _CHUNK_AMPLITUDES, SimulationError
 from rotsynth.faults import (
     FaultAnalysisError,
+    FaultHarness,
     NoiseModel,
-    _Harness,
     _fault_class,
     TGadgetChannel,
     build_schedule,
@@ -61,7 +61,7 @@ def compiled_cs():
 def fault_arrays(configs):
     """Fault configurations, each a list of (position, Pauli letter,
     qubit), as the four arrays (configuration, position, Pauli index into
-    "XYZ", qubit) that `_Harness.run_exact` and `run_sampled` take."""
+    "XYZ", qubit) that `FaultHarness.run_exact` and `run_sampled` take."""
     flat = np.array(
         [(i, pos, "XYZ".index(pauli), qubit)
          for i, faults in enumerate(configs) for pos, pauli, qubit in faults],
@@ -71,7 +71,7 @@ def fault_arrays(configs):
 
 
 def run_exact(harness, configs):
-    """`_Harness.run_exact` on configurations given as in `fault_arrays`."""
+    """`FaultHarness.run_exact` on configurations given as in `fault_arrays`."""
     return harness.run_exact(fault_arrays(configs), len(configs))
 
 
@@ -116,15 +116,15 @@ def sampled(harness, faults, uniforms):
 
 @pytest.fixture
 def harnesses(monkeypatch):
-    """Every `_Harness` built while the test runs, in order."""
+    """Every `FaultHarness` built while the test runs, in order."""
     made = []
-    init = _Harness.__init__
+    init = FaultHarness.__init__
 
     def recorded(self, *args, **kwargs):
         made.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(_Harness, "__init__", recorded)
+    monkeypatch.setattr(FaultHarness, "__init__", recorded)
     return made
 
 
@@ -212,7 +212,7 @@ class TestSchedules:
 
     def test_measured_qubits_stop_accruing_noise(self):
         circ, outputs = compiled_ccz()
-        harness = _Harness(gadgetize(circ), outputs)
+        harness = FaultHarness(gadgetize(circ), outputs)
         schedule = build_schedule(harness.circuit)
         rounds = [r for r, _, _ in depolarizing_sites(harness, schedule)]
         assert rounds.count(1) == 8                     # all live after round 1
@@ -222,9 +222,9 @@ class TestSchedules:
         # declared qubits that no gate or output uses add no site, however
         # many there are; an output that no gate touches keeps its noise
         circ, outputs = compiled_ccz()
-        want = depolarizing_sites(_Harness(circ, outputs), build_schedule(circ, 1))
+        want = depolarizing_sites(FaultHarness(circ, outputs), build_schedule(circ, 1))
         wide = Circuit(200_000, circ.gates)
-        harness = _Harness(wide, outputs)
+        harness = FaultHarness(wide, outputs)
         assert depolarizing_sites(harness, build_schedule(wide, 1)) == want
         # and no table of the harness or its kernel grows with the declared n
         tables = [
@@ -235,7 +235,7 @@ class TestSchedules:
         assert max(t.size if isinstance(t, np.ndarray) else len(t) for t in tables) < wide.n
         idle = Circuit(5, (Gate("PrepPlus", (4,)),) + circ.gates)
         schedule = build_schedule(idle, 1)
-        sites = depolarizing_sites(_Harness(idle, outputs + [4]), schedule)
+        sites = depolarizing_sites(FaultHarness(idle, outputs + [4]), schedule)
         # the extra preparation shifts every insert position by one
         assert [(r, pos - 1, q) for r, pos, q in sites if q != 4] == want
         assert [r for r, _, q in sites if q == 4] == list(range(1, len(schedule)))
@@ -253,7 +253,7 @@ class TestSchedules:
         # the T rows in gate order, then the depolarizing rows, against the
         # sites that `reference_sites` reads off the gate list and schedule
         circ, outputs = pinned_circuit(name)
-        harness = _Harness(circ, outputs)
+        harness = FaultHarness(circ, outputs)
         for t_decode in range(3):
             schedule = build_schedule(circ, t_decode)
             table = harness.sites(schedule)
@@ -675,7 +675,7 @@ class TestBatchedKernel:
         # more rows than one 12-qubit chunk holds
         circ, outputs = compiled_cs()
         impl = gadgetize(circ)
-        harness = _Harness(impl, outputs)
+        harness = FaultHarness(impl, outputs)
         sites = [
             (pos, pauli, q)
             for _, pos, q in depolarizing_sites(harness, build_schedule(impl, 1))
@@ -729,7 +729,7 @@ class TestSharedPrefix:
         ]()
         if name.endswith("-g"):
             circ = gadgetize(circ)
-        harness = _Harness(circ, outputs)
+        harness = FaultHarness(circ, outputs)
         monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", 100 << harness.kernel.peak)
         (row, pos, pauli, qubit), uniforms = self.mc_batch(harness, 0.01, 3000, 5)
         assert len(uniforms) > 5 * harness.kernel.chunk_rows   # several chunks
@@ -752,7 +752,7 @@ class TestSharedPrefix:
         impl = gadgetize(circ)
         extra = impl.n
         c = Circuit(extra + 1, (Gate("T", (extra,)),) + impl.gates)
-        harness = _Harness(c, outputs + [extra])
+        harness = FaultHarness(c, outputs + [extra])
         end = len(c.gates) - 1
         sites = [(-1, 0, extra), (-1, 1, extra), (-1, 2, extra)]
         sites += [(end, pauli, q) for q in outputs + [extra] for pauli in range(3)]
@@ -798,7 +798,7 @@ class TestSharedPrefix:
         # state per outcome history of the 4 injection measurements, not on
         # one per row, and each row still reads its own outcomes
         circ, outputs = compiled_ccz()
-        harness = _Harness(gadgetize(circ), outputs)
+        harness = FaultHarness(gadgetize(circ), outputs)
         assert len(harness.injection) == 4
         end = len(harness.circuit.gates) - 1
         rows = 200
@@ -834,7 +834,7 @@ class TestSharedPrefix:
         circ, outputs = compiled_t15() if name == "t15" else compiled_ccz()
         if name == "ccz-g":
             circ = gadgetize(circ)
-        harness = _Harness(circ, outputs)
+        harness = FaultHarness(circ, outputs)
         sites = _fault_sites(harness.circuit)
         end = len(harness.circuit.gates) - 1
         configs = [[]] + [[(end, "X", q)] for q in outputs]
@@ -887,13 +887,13 @@ class TestPreparationRoundFaults:
         return accepted
 
     def test_matches_reference(self):
-        harness = _Harness(Circuit(3, self.gates), [0, 1])
+        harness = FaultHarness(Circuit(3, self.gates), [0, 1])
         faults = [(pos, 2, q) for pos in range(-1, len(self.gates)) for q in range(3)]
         accepted = self.run_rows(harness, faults)
         assert 0 < np.count_nonzero(accepted) < len(faults)
 
     def test_every_pauli_inside_round_0(self):
-        harness = _Harness(Circuit(3, self.gates), [0, 1])
+        harness = FaultHarness(Circuit(3, self.gates), [0, 1])
         round0 = build_schedule(harness.circuit)[0].gate_indices
         assert len(round0) == 6
         faults = [
@@ -926,7 +926,7 @@ class TestExactKernel:
         circ, outputs = compiled_t15() if name == "t15" else compiled_ccz()
         if name == "ccz-g":
             circ = gadgetize(circ)
-        harness = _Harness(circ, outputs)
+        harness = FaultHarness(circ, outputs)
         table = enumerate_single_faults(circ, outputs, sites="all")
         assert len(table.entries) > 100
         for e in table.entries:
@@ -938,7 +938,7 @@ class TestExactKernel:
     def test_ccz_pairs(self):
         circ, outputs = compiled_ccz()
         impl = gadgetize(circ)
-        harness = _Harness(impl, outputs)
+        harness = FaultHarness(impl, outputs)
         sites = t_sites(harness)
         configs = [
             [(sites[a][0], "Z", sites[a][1]), (sites[b][0], "Z", sites[b][1])]
@@ -950,14 +950,14 @@ class TestExactKernel:
     def test_cs_tprep_singles(self):
         circ, outputs = compiled_cs()
         impl = gadgetize(circ)
-        harness = _Harness(impl, outputs)
+        harness = FaultHarness(impl, outputs)
         assert len(harness.injection) == 8   # 256 branches per configuration
         self.assert_all_same(harness, [[(pos, "Z", q)] for pos, q in t_sites(harness)])
 
     def test_mixed_sizes_in_one_call(self):
         # configurations of 0, 1, 2 and 3 faults side by side in one group
         circ, outputs = compiled_ccz()
-        harness = _Harness(gadgetize(circ), outputs)
+        harness = FaultHarness(gadgetize(circ), outputs)
         (p0, q0), (p1, q1), (p2, q2) = t_sites(harness)[:3]
         self.assert_all_same(harness, [
             [], [(p0, "Z", q0)], [(p0, "Z", q0), (p1, "X", q1)], [],
@@ -970,7 +970,7 @@ class TestExactKernel:
         # a 48-row chunk takes 3 configurations (100 of them end mid-group)
         # and a 4-row chunk one, whose branches outgrow it
         circ, outputs = compiled_ccz()
-        harness = _Harness(gadgetize(circ), outputs)
+        harness = FaultHarness(gadgetize(circ), outputs)
         assert (len(harness.injection), harness.kernel.peak) == (4, 8)
         sites = _fault_sites(harness.circuit)
         configs = [
@@ -990,7 +990,7 @@ class TestExactKernel:
         # takes one row, whose 16 branches outgrow it, and each row that
         # forks from the trunk runs in a call of its own
         circ, outputs = compiled_ccz()
-        harness = _Harness(gadgetize(circ), outputs)
+        harness = FaultHarness(gadgetize(circ), outputs)
         monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", 1 << 7)
         assert harness.kernel.chunk_rows == 1
         nothing = (np.zeros(0, dtype=np.int64),) * 4
@@ -1042,7 +1042,7 @@ class TestBatchedEnumeration:
         ]()
         if name.endswith("-g"):
             circ = gadgetize(circ)
-        harness = _Harness(circ, outputs)
+        harness = FaultHarness(circ, outputs)
         nm = NoiseModel(1e-4, 0.0, 1)
 
         def pairs():
@@ -1094,7 +1094,7 @@ class TestBatchedEnumeration:
 
     def test_empty_configuration_list(self):
         circ, outputs = compiled_ccz()
-        acc, infid = run_exact(_Harness(circ, outputs), [])
+        acc, infid = run_exact(FaultHarness(circ, outputs), [])
         assert acc.shape == infid.shape == (0,)
         assert acc.dtype == infid.dtype == np.float64
 
@@ -1102,7 +1102,7 @@ class TestBatchedEnumeration:
         # the 8 T-site Z faults of X-detected ccz each flip the detector, so
         # no row runs, and the values are still float64, as the table's are
         circ, outputs = compiled_ccz()
-        harness = _Harness(circ, outputs)
+        harness = FaultHarness(circ, outputs)
         (acc, infid), counts = tallied(
             harness, lambda: run_exact(harness, [[(pos, "Z", q)] for pos, q in t_sites(harness)])
         )
@@ -1177,7 +1177,7 @@ class TestFaultClasses:
         circ, outputs = {"ccz": compiled_ccz, "cs": compiled_cs, "t15": compiled_t15}[base]()
         if gadgetized:
             circ = gadgetize(circ)
-        harness = _Harness(circ, outputs)
+        harness = FaultHarness(circ, outputs)
         reference = reference_deferred_exact if name in ("cs-g", "t15-g") else reference_exact
         known: dict[tuple, tuple[float, float]] = {}
         rng = np.random.default_rng(len(name))
@@ -1199,7 +1199,7 @@ class TestFaultClasses:
         # gadgetized ccz every Pauli after every gate, on gadgetized cs
         # (1 s per branch enumeration) Z on each T site
         circ, outputs = compiled_ccz() if name == "ccz-g" else compiled_cs()
-        harness = _Harness(gadgetize(circ), outputs)
+        harness = FaultHarness(gadgetize(circ), outputs)
         if name == "ccz-g":
             configs = [
                 [(pos, pauli, q)]
@@ -1287,7 +1287,7 @@ def _fault_sites(c: Circuit) -> list[tuple[int, int]]:
 def exact_harnesses():
     ccz, ccz_out = compiled_ccz()
     t15, t15_out = compiled_t15()
-    return {"ccz-g": _Harness(gadgetize(ccz), ccz_out), "t15": _Harness(t15, t15_out)}
+    return {"ccz-g": FaultHarness(gadgetize(ccz), ccz_out), "t15": FaultHarness(t15, t15_out)}
 
 
 def _decided_rows(harness, frames):
@@ -1352,7 +1352,7 @@ class TestDecidedRows:
         circ, outputs = {"ccz": compiled_ccz, "cs": compiled_cs, "t15": compiled_t15}[base]()
         if name.endswith("-g"):
             circ = gadgetize(circ)
-        harness = _Harness(circ, outputs)
+        harness = FaultHarness(circ, outputs)
         kernel = harness.kernel
         rng = np.random.default_rng(len(name))
         total = 0
@@ -1383,7 +1383,7 @@ class TestDecidedRows:
         # at the detection MeasX and flips it, so each alone is decided; the
         # two frames cancel there, so the pair runs (and is harmful)
         circ, outputs = compiled_ccz()
-        harness = _Harness(gadgetize(circ), outputs)
+        harness = FaultHarness(gadgetize(circ), outputs)
         pair = _pair_configs(harness)[0]
         configs = [[pair[0]], [pair[1]], pair]
         frames = harness.kernel.frames(*fault_arrays(configs))
@@ -1410,7 +1410,7 @@ class TestDecidedRows:
         circ = Circuit(2, (
             Gate("PrepT", (0,)), Gate("PrepZero", (1,)), Gate("MeasZ", (1,), "d"),
         ))
-        harness = _Harness(circ, [0])
+        harness = FaultHarness(circ, [0])
         configs = [[(1, "X", 1)]]
         _, weight, _, _ = harness.kernel.run(
             np.full((1, 1), np.nan), harness.reference,
@@ -1433,7 +1433,7 @@ class TestTrunk:
     )
     def test_chunks_stay_within_amplitudes(self, monkeypatch, name, budget):
         circ, outputs = {"ccz-g": compiled_ccz, "cs-g": compiled_cs, "t15-g": compiled_t15}[name]()
-        harness = _Harness(gadgetize(circ), outputs)
+        harness = FaultHarness(gadgetize(circ), outputs)
         monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", budget)
         rows, seen = [0], []
         run, apply_run = semantics.TrajectoryKernel.run, semantics.TrajectoryKernel._apply_run
@@ -1467,7 +1467,7 @@ class TestTrunk:
 
     def test_uniforms_all_nan_or_all_drawn(self):
         circ, outputs = compiled_ccz()
-        harness = _Harness(gadgetize(circ), outputs)
+        harness = FaultHarness(gadgetize(circ), outputs)
         uniforms = np.full((2, len(harness.meas_order)), np.nan)
         uniforms[1] = 0.5
         with pytest.raises(ValueError, match="all NaN or all drawn"):
@@ -1475,7 +1475,7 @@ class TestTrunk:
 
     def test_no_frame_before_the_start(self):
         circ, outputs = compiled_ccz()
-        harness = _Harness(gadgetize(circ), outputs)
+        harness = FaultHarness(gadgetize(circ), outputs)
         kernel = harness.kernel
         nan = np.full((1, len(harness.meas_order)), np.nan)
         end = 2 * len(harness.circuit.gates)
@@ -1492,7 +1492,7 @@ class TestTrunk:
         """(harness, NaN uniforms of one row, the trunk of gadgetized ccz
         walked to half-step `to`)."""
         circ, outputs = compiled_ccz()
-        harness = _Harness(gadgetize(circ), outputs)
+        harness = FaultHarness(gadgetize(circ), outputs)
         nan = np.full((1, len(harness.meas_order)), np.nan)
         tree = semantics.BranchTree.root(1)
         harness.kernel.walk(tree, nan, harness.reference, to)
@@ -1603,7 +1603,7 @@ class TestLiveWidth:
     @pytest.fixture(scope="class")
     def harness(self):
         # qubit 5 is declared, but no gate touches it
-        return _Harness(Circuit(6, self.gates), self.outputs)
+        return FaultHarness(Circuit(6, self.gates), self.outputs)
 
     def test_layouts(self, harness):
         # live after each gate: qubit 2 survives d0, qubit 4 leaves at m0,
@@ -1696,7 +1696,7 @@ class TestLiveWidth:
                 Gate("CNOT", (0, q)), Gate("MeasZ", (q,), f"m{q}"), Gate("CondS", (0,), f"m{q}"),
             ]
         gates.append(Gate("MeasZ", (13,), "d0"))
-        harness = _Harness(Circuit(n, tuple(gates)), [0])
+        harness = FaultHarness(Circuit(n, tuple(gates)), [0])
         assert harness.kernel.peak == 2
         # pending Z on the data qubit and Y on a resource, faults after
         # measurements, and X on the idle detection qubit
@@ -1718,13 +1718,13 @@ class TestLiveWidth:
         gates += [Gate("CNOT", (q, q + 1)) for q in range(12)]
         gates.append(Gate("MeasX", (12,), "d0"))
         with pytest.raises(SimulationError, match="13"):
-            _Harness(Circuit(13, tuple(gates)), [0])
+            FaultHarness(Circuit(13, tuple(gates)), [0])
 
     def test_gadgetized_t15_singles(self):
         # 15 qubits, 10 live: T-site Z faults against full-width trajectories
         circ, outputs = compiled_t15()
         impl = gadgetize(circ)
-        harness = _Harness(impl, outputs)
+        harness = FaultHarness(impl, outputs)
         assert (impl.n, harness.kernel.peak) == (15, 10)
         sites = t_sites(harness)
         uniforms = np.random.default_rng(6).random((len(sites), len(harness.meas_order)))
@@ -1755,7 +1755,7 @@ class TestHarnessOutputs:
             Gate("PrepZero", (1,)), Gate("CNOT", (0, 1)), Gate("MeasZ", (1,), "d0"),
         )
         with pytest.raises(SimulationError, match="after other gates"):
-            _Harness(Circuit(2, gates), [0])
+            FaultHarness(Circuit(2, gates), [0])
 
 
 def _cli_exit_1(tmp_path, capsys, circ, command, match):
@@ -1782,7 +1782,7 @@ def _random_detectors(k: int) -> Circuit:
 
 
 class TestNoiselessReference:
-    """`_Harness` takes its reference from one trunk walk and rejects a
+    """`FaultHarness` takes its reference from one trunk walk and rejects a
     circuit whose noiseless run has a random detector, branches that
     disagree on the output, or an output entangled with another qubit."""
 
@@ -1802,7 +1802,7 @@ class TestNoiselessReference:
     @pytest.mark.parametrize("message", list(invalid))
     def test_harness_rejects(self, message):
         with pytest.raises(FaultAnalysisError, match=message):
-            _Harness(self.invalid[message], [0])
+            FaultHarness(self.invalid[message], [0])
 
     @pytest.mark.parametrize("message", list(invalid))
     def test_cli_exit_1(self, tmp_path, capsys, message):
@@ -1813,11 +1813,11 @@ class TestNoiselessReference:
         # other outcome, so it never holds more than two branches
         monkeypatch.setattr(semantics, "MAX_TREE_AMPLITUDES", 2)
         with pytest.raises(FaultAnalysisError, match="not deterministic"):
-            _Harness(_random_detectors(30), [0])
+            FaultHarness(_random_detectors(30), [0])
 
     def test_one_trunk_walk(self):
         circ, outputs = compiled_ccz()
-        harness = _Harness(gadgetize(circ), outputs)
+        harness = FaultHarness(gadgetize(circ), outputs)
         assert harness.reference == {"det0": 0}
         assert harness.counts == {
             "kernel_calls": 1, "trunk_runs": 1, "rows_decided": 0, "rows_forked": 0, "rows_run": 0,
@@ -1844,14 +1844,14 @@ class TestTreeCap:
 
     def test_harness(self, monkeypatch):
         # 8 injections: 2^8 branches of the 1-qubit output
-        harness = _Harness(_injection_chain(8), [0])
+        harness = FaultHarness(_injection_chain(8), [0])
         _, weight, _ = harness.run_sampled(
             (np.zeros(0, dtype=np.int64),) * 4, np.full((1, 8 + 1), np.nan)
         )
         assert len(weight) == 1 << 8 and weight.sum() == pytest.approx(1.0)
         monkeypatch.setattr(semantics, "MAX_TREE_AMPLITUDES", 1 << 8)
         with pytest.raises(SimulationError, match="exceeds the cap of 256 amplitudes"):
-            _Harness(_injection_chain(8), [0])
+            FaultHarness(_injection_chain(8), [0])
 
     def test_enumerate_branches(self, monkeypatch):
         # one qubit measured in X and Z in turn: every outcome is random
@@ -1867,6 +1867,40 @@ class TestTreeCap:
     def test_cli_exit_1(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.setattr(semantics, "MAX_TREE_AMPLITUDES", 1 << 8)
         _cli_exit_1(tmp_path, capsys, _injection_chain(8), command, "exceeds the cap")
+
+
+class TestOneHarness:
+    """One harness runs every estimator, at several t_decode and in any
+    order. The kernel's caches (`_runs`, `_tails`, `_frame_table`) outlive
+    each call and are shared across schedules; they leave each result, and
+    each call's work, as a fresh harness gives them."""
+
+    CALLS = (
+        ("first_order(2)", lambda h: h.first_order(2)),
+        ("singles(all)", lambda h: h.singles("all")),
+        ("first_order(0)", lambda h: h.first_order(0)),
+        ("pairs()", lambda h: h.pairs()),
+        ("monte_carlo at t_decode 1",
+         lambda h: h.monte_carlo(NoiseModel.from_ratio(1e-2, 1.0, 1), 2000, seed=3)),
+        ("monte_carlo at t_decode 0",
+         lambda h: h.monte_carlo(NoiseModel.from_ratio(1e-2, 1.0, 0), 2000, seed=3)),
+        ("first_order(2) again", lambda h: h.first_order(2)),
+    )
+
+    @pytest.mark.parametrize("name", ["ccz-g", "t15"])
+    def test_calls_match_fresh_harnesses(self, name):
+        circ, outputs = compiled_ccz() if name == "ccz-g" else compiled_t15()
+        if name == "ccz-g":
+            circ = gadgetize(circ)
+        harness = FaultHarness(circ, outputs)
+        for label, call in self.CALLS:
+            got, counts = tallied(harness, lambda: call(harness))
+            fresh = FaultHarness(circ, outputs)
+            want = call(fresh)
+            assert got.to_dict() == want.to_dict(), label
+            # less the one kernel call and one trunk run of building `fresh`
+            built = {"kernel_calls": 1, "trunk_runs": 1}
+            assert counts == {k: v - built.get(k, 0) for k, v in fresh.counts.items()}, label
 
 
 class TestSpacetimeCost:
