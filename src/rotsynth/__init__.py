@@ -16,11 +16,9 @@ from .ir import (
     PhaseRotation,
     RotationProgram,
     apply_qubit_permutation,
-    cnot_depth,
     parse_circuit,
     parse_rotation_program,
     serialize_rotation_program,
-    t_depth,
     with_x_detection,
 )
 from .semantics import (

@@ -279,7 +279,7 @@ def cmd_cost(args) -> int:
             d, rounds=args.rounds, patches=args.patches,
             qubits_per_patch_factor=args.factor,
         )
-        base = surgery_baseline_cost(d)
+        base = surgery_baseline_cost(d, qubits_per_patch_factor=args.factor)
         rows.append(f"{d}  {ours}  {base:.0f}  {base / ours:.2f}")
     print("\n".join(["d  qubit-cycles  surgery-baseline  ratio", *rows]))
     return 0

@@ -352,9 +352,8 @@ class FaultHarness:
         trunk = self._trunk()
         for pos, g in enumerate(c.gates):
             if g.kind in MEAS_KINDS and g.record not in consumed:
-                # a measured one-row tree holds one state per branch
                 self._walk(trunk, 2 * pos + 1)
-                outcome = trunk.outcomes[g.record]
+                outcome = trunk.outcomes[g.record][trunk.of]
                 ref = self.reference[g.record] = int(
                     trunk.weight[outcome].sum() > trunk.weight[~outcome].sum()
                 )
@@ -363,10 +362,7 @@ class FaultHarness:
                     flips = self._flips_z if g.kind == "MeasX" else self._flips_x
                     flips[2 * pos] = self.kernel.axis_bit(2 * pos, g.qubits[0])
                     continue
-                trunk.alive, trunk.weight, trunk.states = (
-                    a[kept] for a in (trunk.alive, trunk.weight, trunk.states)
-                )
-                trunk.outcomes = {r: o[kept] for r, o in trunk.outcomes.items()}
+                trunk.select(kept)
         self._walk(trunk)
         _, weight, states, _ = trunk.final()
         self.ideal_out = self._reduced_pure(states[0])
@@ -403,7 +399,7 @@ class FaultHarness:
         call and one trunk run."""
         self.counts["kernel_calls"] += 1
         self.counts["trunk_runs"] += 1
-        return BranchTree.root(1)
+        return BranchTree.root()
 
     def _walk(self, trunk: BranchTree, to: int | None = None) -> int:
         """`self.kernel.walk` of the trunk to half-step `to` (default: the
@@ -1019,17 +1015,21 @@ def _draw_batch(rng, b: int, nm: NoiseModel, n_prep: int, n_depol: int, n_meas: 
 # ---------------------------------------------------------------------------
 
 
+def _at_least_1(**values):
+    """FaultAnalysisError for the first of the named values below 1."""
+    for name, value in values.items():
+        if not value >= 1:
+            raise FaultAnalysisError(f"{name} must be >= 1, got {value}")
+
+
 def spacetime_cost(
     d: int, rounds: int = 7, patches: int = 8, qubits_per_patch_factor: int = 3
 ) -> int:
     """Qubit-cycles for the transversal-CNOT implementation: rounds x patches
     x (factor d^2) physical qubits per logical patch."""
-    for name, value in (
-        ("distance", d), ("rounds", rounds), ("patches", patches),
-        ("qubits_per_patch_factor", qubits_per_patch_factor),
-    ):
-        if value < 1:
-            raise FaultAnalysisError(f"{name} must be >= 1, got {value}")
+    _at_least_1(
+        distance=d, rounds=rounds, patches=patches, qubits_per_patch_factor=qubits_per_patch_factor,
+    )
     return rounds * patches * qubits_per_patch_factor * d * d
 
 
@@ -1038,4 +1038,9 @@ def surgery_baseline_cost(
     qubits_per_patch_factor: int = 3,
 ) -> float:
     """Planar lattice-surgery reference: qubit-cycles for the same task."""
+    _at_least_1(
+        distance=d, logical_qubits=logical_qubits, qubits_per_patch_factor=qubits_per_patch_factor,
+    )
+    if not cycles_per_d > 0:
+        raise FaultAnalysisError(f"cycles_per_d must be > 0, got {cycles_per_d}")
     return logical_qubits * qubits_per_patch_factor * d * d * cycles_per_d * d

@@ -77,10 +77,6 @@ class Gate:
             raise CircuitError(f"{self.kind} does not carry a record")
 
 
-def gate(kind: str, *qubits: int, record: str | None = None) -> Gate:
-    return Gate(kind, tuple(qubits), record)
-
-
 @dataclass(frozen=True)
 class PhaseRotation:
     """Multi-qubit Z-phase rotation: phase e^{i pi k/4} on odd parity of support."""
@@ -302,14 +298,6 @@ def parse_circuit(text: str) -> Circuit:
         return Circuit(n, tuple(gates))
     except CircuitError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def cnot_depth(c: Circuit) -> int:
-    return c.cnot_depth()
-
-
-def t_depth(c: Circuit) -> int:
-    return c.t_depth()
 
 
 def apply_qubit_permutation(c: Circuit, perm: Iterable[int]) -> Circuit:

@@ -285,34 +285,198 @@ def _compose_run(width: int, steps) -> tuple[np.ndarray | None, np.ndarray | Non
 
 @dataclass
 class BranchTree:
-    """Rows of trajectories after half-step `h` of a kernel's walk. State
-    row i comes from input row alive[i] (ascending), has weight weight[i]
-    and holds states[of[i]] (states[i] where `of` is None); `outcomes`
-    holds the outcomes of each state, by record."""
+    """Rows of trajectories after half-step `h` of a kernel's walk, and the
+    states they hold. State row i comes from input row alive[i] (ascending,
+    the branches of one input row adjacent), has weight weight[i] and holds
+    the state states[of[i]]; several state rows may hold one state.
+    `outcomes` holds the outcomes of each state by record, so state row i
+    took outcomes[r][of[i]] at record r.
+
+    Rows share a state until their first Pauli frame (`fork`): up to there
+    a row's state depends only on its outcomes so far, so the half-steps act
+    on one state per distinct outcome history. The tree changes only through
+    its methods: `tiled` starts input rows from it, `fork` applies frames,
+    `measure` measures a qubit on every state row, `select` keeps some state
+    rows, and `final` reads the rows out; `TrajectoryKernel.walk` also moves
+    the states through the circuit's unitary runs."""
 
     h: int
     alive: np.ndarray
     weight: np.ndarray
     states: np.ndarray
-    of: np.ndarray | None
+    of: np.ndarray
     outcomes: dict[str, np.ndarray]
 
     @classmethod
-    def root(cls, rows: int) -> "BranchTree":
-        """`rows` input rows before the first half-step, sharing one empty
-        state."""
+    def root(cls) -> "BranchTree":
+        """One input row before the first half-step, with one empty state."""
         return cls(
-            -1, np.arange(rows), np.ones(rows), np.ones((1, 1), dtype=np.complex128),
-            np.zeros(rows, dtype=np.intp), {},
+            -1, np.zeros(1, dtype=np.intp), np.ones(1), np.ones((1, 1), dtype=np.complex128),
+            np.zeros(1, dtype=np.intp), {},
         )
+
+    def tiled(self, rows: int) -> "BranchTree":
+        """`rows` input rows that each begin with the branches of this tree
+        of one input row: state row j * len(alive) + i is branch i of input
+        row j, and holds that branch's state, shared with the other rows.
+        The new tree reads this tree's states until its first write, which
+        moves them to an array of its own (`fork`, `_writable`), so this
+        tree is not written."""
+        states = self.states.view()
+        states.flags.writeable = False
+        return BranchTree(
+            self.h, np.arange(rows).repeat(len(self.alive)), np.tile(self.weight, rows),
+            states, np.tile(self.of, rows), dict(self.outcomes),
+        )
+
+    def _writable(self) -> np.ndarray:
+        """The states, first copied to an array of this tree's own if they
+        are still those of the tree it was `tiled` from."""
+        if not self.states.flags.writeable:
+            self.states = self.states.copy()
+        return self.states
+
+    def fork(self, row, x, z):
+        """X^x Z^z on every branch of input row row[i] (ascending, each at
+        most once), x and z masks over the flat index bits. Each branch hit
+        gets a state of its own, and the tree moves to a new array: the new
+        states in the order of the branches hit, then the states that some
+        row still holds, in order."""
+        lo = self.alive.searchsorted(row)
+        count = self.alive.searchsorted(row, side="right") - lo
+        which = np.arange(len(row)).repeat(count)
+        hit = lo[which] + np.arange(len(which)) - (count.cumsum() - count)[which]
+        src = self.of[hit]
+        n, w = self.states.shape
+        kept = np.flatnonzero(np.bincount(src, minlength=n) < np.bincount(self.of, minlength=n))
+        states = np.empty((len(hit) + len(kept), w), dtype=np.complex128)
+        forked = states[: len(hit)]
+        idx = _INDEX[w.bit_length() - 1]
+        # amplitude i ^ x of state src sits at flat index i ^ (src * w + x);
+        # every index is in range, and "clip" takes no buffered copy
+        np.take(self.states.reshape(-1), idx ^ (src * w + x[which])[:, None], out=forked, mode="clip")
+        forked *= _PARITY_SIGN[(idx ^ x[:, None]) & z[:, None]].take(which, axis=0)
+        states[len(hit):] = self.states[kept]
+        renumber = np.empty(n, dtype=np.intp)   # only rows hit held the states not kept
+        renumber[kept] = len(hit) + np.arange(len(kept))
+        self.of = renumber[self.of]
+        self.of[hit] = np.arange(len(hit))
+        self.states = states
+        origin = np.concatenate([src, kept])
+        self.outcomes = {r: o[origin] for r, o in self.outcomes.items()}
+
+    def measure(
+        self, record: str, kind: str, axis: int, drop: bool, uniforms: np.ndarray, expected,
+    ):
+        """Measure the qubit at `axis` of every state row into `record`;
+        state row i consumes uniforms[i]. A row whose uniform is NaN becomes
+        two children, outcome 0 then 1, its weight multiplied by each
+        outcome's probability; any other row one child, outcome 1 where its
+        uniform is below that outcome's probability. A child is dropped when
+        its outcome has probability below 1e-14 or differs from `expected`
+        (None: any). The children of one state with one outcome share one
+        new state: with `drop` it keeps only the measured slice (one axis
+        fewer), else it is projected at full width."""
+        states = self.states
+        n, width = states.shape
+        view = states.reshape(n, 1 << axis, 2, -1)
+        split = np.isnan(uniforms)
+        # an outcome's probability is needed where a child with it may be kept,
+        # and p1 where a row draws its outcome; an unneeded one reads 0
+        need = (expected != 1, expected != 0 or not split.all())
+        p0 = p1 = np.zeros(n)
+        if kind == "MeasZ":
+            fv = states.view(np.float64).reshape(n, 1 << axis, 2, -1)
+            if need[0]:
+                p0 = np.einsum("ijk,ijk->i", fv[:, :, 0], fv[:, :, 0])
+            if need[1]:
+                p1 = np.einsum("ijk,ijk->i", fv[:, :, 1], fv[:, :, 1])
+        else:  # MeasX, outcome 0 = |+>; p = |a0 +- a1|^2 / 2
+            if need[0]:
+                plus = view[:, :, 0] + view[:, :, 1]
+                p0 = _sum_sq(plus) / 2.0
+            if need[1]:
+                minus = view[:, :, 0] - view[:, :, 1]
+                p1 = _sum_sq(minus) / 2.0
+        parent = np.arange(len(uniforms))
+        state = self.of
+        # NaN compares False: a split row's first child; its second, outcome 1,
+        # goes right after it
+        outcome = uniforms < p1[state]
+        if split.any():
+            parent = parent.repeat(1 + split)
+            outcome = outcome.repeat(1 + split)
+            outcome[(1 + split).cumsum()[split] - 1] = True
+            state, split = state[parent], split[parent]
+        prob = np.where(outcome, p1[state], p0[state])
+        keep = prob >= 1e-14
+        if expected is not None:
+            keep &= outcome == expected
+        if not keep.all():
+            parent, state, outcome, prob, split = (
+                a[keep] for a in (parent, state, outcome, prob, split)
+            )
+        self.alive, self.weight = self.alive[parent], self.weight[parent] * np.where(split, prob, 1.0)
+        # one new state per (old state, outcome) that a child takes, in order
+        pair = 2 * state + outcome
+        self.of = np.arange(len(pair))
+        if not (pair[1:] > pair[:-1]).all():
+            taken = np.zeros(2 * n, dtype=bool)
+            taken[pair] = True
+            self.of = (np.cumsum(taken) - 1)[pair]
+            pair = np.flatnonzero(taken)
+            state, outcome = pair >> 1, (pair & 1).astype(bool)
+            prob = np.where(outcome, p1[state], p0[state])
+        new = len(state)
+        if kind == "MeasZ":
+            inv = 1.0 / np.sqrt(np.maximum(prob, 1e-300))
+            if drop:   # in place: `gathered * inv` would take numpy's slow path
+                states = view[state, :, outcome.astype(np.intp)]
+                np.multiply(states, inv[:, None, None], out=states)
+            else:
+                scale = np.zeros((new, 2))
+                scale[np.arange(new), outcome.astype(np.intp)] = inv
+                states = states[state]
+                view = states.reshape(new, 1 << axis, 2, width >> axis + 1)
+                view *= scale[:, None, :, None]
+        else:
+            if not need[0]:   # every kept child has outcome 1
+                comp = minus[state]
+            elif not outcome.any() and np.array_equal(state, np.arange(n)):   # plus is this call's own
+                comp = plus
+            else:
+                comp = plus[state]
+                if outcome.any():
+                    comp[outcome] = minus[state[outcome]]
+            if drop:  # the rest of the state, (a0 +- a1) / sqrt(2 prob)
+                comp *= (1.0 / np.sqrt(np.maximum(2.0 * prob, 1e-300)))[:, None, None]
+                states = comp
+            else:
+                comp *= (0.5 / np.sqrt(np.maximum(prob, 1e-300)))[:, None, None]
+                second = comp.copy()
+                second[outcome] = -comp[outcome]
+                states = np.stack([comp, second], axis=2)
+        self.states = states.reshape(new, width // 2 if drop else width)
+        self.outcomes = {r: o[state] for r, o in self.outcomes.items()}
+        self.outcomes[record] = outcome
+
+    def select(self, keep: np.ndarray):
+        """Keep the state rows where `keep` is True, in order; the states
+        that no kept row holds are dropped."""
+        of = self.of[keep]
+        held = np.zeros(len(self.states), dtype=bool)
+        held[of] = True
+        self.alive, self.weight, self.states = self.alive[keep], self.weight[keep], self.states[held]
+        self.of = (np.cumsum(held) - 1)[of]
+        self.outcomes = {r: o[held] for r, o in self.outcomes.items()}
 
     def final(self):
         """(alive, weight, the state of each state row, its outcomes by
         record), as `TrajectoryKernel.run` returns them."""
-        if self.of is None:
-            return self.alive, self.weight, self.states, self.outcomes
-        of = self.of
-        return self.alive, self.weight, self.states[of], {r: o[of] for r, o in self.outcomes.items()}
+        return (
+            self.alive, self.weight, self.states.take(self.of, axis=0),
+            {r: o[self.of] for r, o in self.outcomes.items()},
+        )
 
 
 class TrajectoryKernel:
@@ -480,8 +644,8 @@ class TrajectoryKernel:
         global phase of each state row.
 
         `start` (optional) is a `BranchTree` of one input row, as `walk`
-        leaves it. Every row then begins as a copy of its branches after
-        half-step start.h, its frames at that stop applied (`_branch`), and
+        leaves it; by default the one-state `BranchTree.root()`. Every row
+        begins with its branches after half-step start.h (`tiled`), and
         consumes its uniforms from there on; no frame may stop earlier, and
         `start` is left as it was.
 
@@ -489,40 +653,25 @@ class TrajectoryKernel:
         their weights; their final states in the final layout; their
         outcomes by record). Each run of half-steps between break points
         (measurements, CondS, the stops of the frames) is one cached gather
-        and multiply; dropped rows leave the array at once.
-
-        State rows share states. Until its first stop a row's state depends
-        only on its outcomes so far, so the half-steps act on one state per
-        distinct outcome history: at a measurement a drawn row takes the
-        history that its uniform selects against that state's
-        probabilities, a NaN row every branch, and the rows of one state
-        that take one outcome share the new state (`_measure_rows`). At its
-        first stop a row takes a state of its own (`_fork`).
+        and multiply; dropped rows leave the array at once. State rows share
+        states until their first stop, where `BranchTree.fork` gives each a
+        state of its own.
         """
         postselect = postselect or {}
         row, stop, x, z = frames
         order = np.argsort(stop, kind="stable")   # by stop, rows ascending in each
         row, stop, x, z = row[order], stop[order], x[order], z[order]
+        tree = (BranchTree.root() if start is None else start).tiled(len(uniforms))
+        if len(stop) and stop[0] < tree.h:
+            raise SimulationError(f"a frame stops at {stop[0]}, before the start {tree.h}")
         head = np.ones(len(stop), dtype=bool)
         head[1:] = stop[1:] != stop[:-1]
         bounds = np.append(np.flatnonzero(head), len(stop))
-        if start is None:
-            tree = BranchTree.root(len(uniforms))
-        else:
-            if len(stop) and stop[0] < start.h:
-                raise SimulationError(f"a frame stops at {stop[0]}, before the start {start.h}")
-            at = int(stop.searchsorted(start.h, side="right"))
-            tree = _branch(start, len(uniforms), row[:at], x[:at], z[:at])
-            bounds = bounds[bounds >= at]
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):   # the frames of one stop
             self.walk(tree, uniforms, postselect, int(stop[lo]))
             if not len(tree.alive):
                 break
-            hit, which = _spread(tree.alive, row[lo:hi])
-            which += lo
-            tree.states, tree.of, origin = _fork(tree.states, tree.of, hit, x[which], z[which])
-            if origin is not None:
-                tree.outcomes = {r: o[origin] for r, o in tree.outcomes.items()}
+            tree.fork(row[lo:hi], x[lo:hi], z[lo:hi])
         self.walk(tree, uniforms, postselect)
         return tree.final()
 
@@ -531,11 +680,12 @@ class TrajectoryKernel:
         (default: the last), or until no state row is left, as `run` does
         between frame stops: input row i consumes uniforms[i], and
         `postselect` names the kept outcome of its records. A walk to
-        tree.h or earlier changes nothing. Where a walk ends, the gathers
-        and phases that `_apply_run` composes into one also end. Before a
-        measurement that could leave the tree more than
-        `MAX_TREE_AMPLITUDES` amplitudes (each NaN row not postselected
-        there counted twice), it raises SimulationError."""
+        tree.h or earlier changes nothing. A measurement is
+        `BranchTree.measure`; runs of unitary gates and CondS act on every
+        state. Where a walk ends, the gathers and phases that `_apply_run`
+        composes into one also end. Before a measurement that could leave
+        the tree more than `MAX_TREE_AMPLITUDES` amplitudes (each NaN row
+        not postselected there counted twice), it raises SimulationError."""
         if to is None:
             to = len(self._live) - 1
         gates = self.circuit.gates
@@ -553,22 +703,19 @@ class TrajectoryKernel:
                         f"a branch tree of {rows} rows of 2^{self._width[h]} amplitudes at "
                         f"gate {h // 2} exceeds the cap of {MAX_TREE_AMPLITUDES} amplitudes"
                     )
-                tree.states, origin, outcome, tree.of, parent, factor = _measure_rows(
-                    tree.states, tree.of, kind, self._gate_axes[h // 2][0],
-                    self._dies[i] == h // 2, uniform, expected,
+                tree.measure(
+                    g.record, kind, self._gate_axes[h // 2][0], self._dies[i] == h // 2,
+                    uniform, expected,
                 )
-                tree.alive, tree.weight = tree.alive[parent], tree.weight[parent] * factor
-                tree.outcomes = {r: o[origin] for r, o in tree.outcomes.items()}
-                tree.outcomes[g.record] = outcome
                 tree.h = h
             elif kind == "CondS":
                 flip, axis = tree.outcomes[g.record], self._gate_axes[h // 2][0]
-                view = tree.states.reshape(len(tree.states), 1 << axis, 2, -1)
+                view = tree._writable().reshape(len(tree.states), 1 << axis, 2, -1)
                 view[flip, :, 1] *= _DIAG_PHASES["S"][1]
                 tree.h = h
             else:
                 tree.h = min(self._run_end[h], to)
-                tree.states = self._apply_run(tree.states, h, tree.h)
+                tree.states = self._apply_run(tree._writable(), h, tree.h)
 
     def frames(self, row, pos, pauli, qubit):
         """The Pauli frames of inserted Paulis, combined per row and stop,
@@ -710,173 +857,10 @@ class TrajectoryKernel:
         return run
 
 
-def _spread(alive, row):
-    """Frames on state rows: each frame applies to every state row of its
-    input row (`alive`, ascending, holds the input row of each state row).
-    Returns (state row, frame) of each hit."""
-    lo = alive.searchsorted(row)
-    count = alive.searchsorted(row, side="right") - lo
-    which = np.arange(len(row)).repeat(count)
-    return lo[which] + np.arange(len(which)) - (count.cumsum() - count)[which], which
-
-
-def _branch(start: BranchTree, rows: int, row, x, z) -> BranchTree:
-    """`rows` input rows that each begin with the branches of the one-row
-    tree `start`, with X^x Z^z on every branch of input row row[i] (rows
-    ascending, each at most once). The rows hit get states of their own;
-    the others share copies of the states of `start`, which is not
-    written."""
-    n, w = len(start.alive), start.states.shape[1]
-    of = np.arange(n) if start.of is None else start.of
-    held = start.states if start.of is None else start.states[of]
-    moved = _INDEX[w.bit_length() - 1] ^ x[:, None]
-    forked = np.empty((len(row), n, w), dtype=np.complex128)
-    # (branch, row, amplitude) gathered, then signed into (row, branch, amplitude)
-    np.multiply(
-        np.take(held, moved, axis=1).transpose(1, 0, 2),
-        _PARITY_SIGN[moved & z[:, None]][:, None, :], out=forked,
-    )
-    forked = forked.reshape(-1, w)
-    outcomes = {r: np.tile(o[of], len(row)) for r, o in start.outcomes.items()}
-    if len(row) == rows:
-        return BranchTree(
-            start.h, np.arange(rows).repeat(n), np.tile(start.weight, rows), forked, None, outcomes,
-        )
-    shared = np.tile(of, rows).reshape(rows, n)
-    shared[row] = len(start.states) + np.arange(len(forked)).reshape(len(row), n)
-    return BranchTree(
-        start.h, np.arange(rows).repeat(n), np.tile(start.weight, rows),
-        np.concatenate([start.states, forked]), shared.reshape(-1),
-        {r: np.concatenate([o, outcomes[r]]) for r, o in start.outcomes.items()},
-    )
-
-
-def _fork(states, of, rows, x, z):
-    """X^x Z^z on the state of each state row in `rows`, x and z masks over
-    the flat index bits; `of` maps state rows to the states they hold (None:
-    row i holds state i). Where each of these rows alone holds its state,
-    the states change in place. Otherwise each row gets a new state, in the
-    slot of a state that no row holds any more or else at the end; a state
-    left without rows is dropped at the next measurement. Returns (states,
-    of, the old state of each slot's state, or None where none moved)."""
-    src = rows if of is None else of[rows]
-    moved = _INDEX[states.shape[1].bit_length() - 1] ^ x[:, None]
-    forked = states[src[:, None], moved] * _PARITY_SIGN[moved & z[:, None]]
-    held = None if of is None else np.bincount(of, minlength=len(states))
-    if held is None or (held[src] == 1).all():
-        states[src] = forked
-        return states, of, None
-    free = np.flatnonzero(np.bincount(src, minlength=len(states)) == held)[: len(rows)]
-    grow = len(rows) - len(free)
-    slot = np.concatenate([free, len(states) + np.arange(grow)])
-    origin = np.arange(len(states) + grow)
-    origin[slot] = src
-    if grow:
-        states = np.concatenate([states, np.empty((grow, states.shape[1]), states.dtype)])
-    states[slot] = forked
-    of[rows] = slot
-    return states, of, origin
-
-
 def _sum_sq(a: np.ndarray) -> np.ndarray:
     """Per-row squared norm of a C-contiguous (rows x ...) complex array."""
     f = a.view(np.float64).reshape(len(a), -1)
     return np.einsum("ij,ij->i", f, f)
-
-
-def _measure_rows(states, of, kind: str, axis: int, drop: bool, uniforms: np.ndarray, expected):
-    """Measure the qubit at `axis` on state rows that share the states of a
-    (states x 2^k) array: row i holds states[of[i]] (states[i] where `of` is
-    None) and consumes uniforms[i]. A row whose uniform is NaN becomes two
-    children, outcome 0 then 1; any other row one child, outcome 1 where its
-    uniform is below that outcome's probability. A child is dropped when its
-    outcome has probability below 1e-14 or differs from `expected` (None:
-    any). The children of one state with one outcome share one new state:
-    with `drop` it keeps only the measured slice (width k-1), else it is
-    projected at full width. Returns (the new states; the old state and the
-    outcome of each; the new state of each child, None where child i holds
-    state i; the row each child comes from; its weight factor: the
-    outcome's probability for a branch, 1 for a drawn outcome)."""
-    n, width = states.shape
-    view = states.reshape(n, 1 << axis, 2, -1)
-    split = np.isnan(uniforms)
-    # an outcome's probability is needed where a child with it may be kept,
-    # and p1 where a row draws its outcome; an unneeded one reads 0
-    need = (expected != 1, expected != 0 or not split.all())
-    p0 = p1 = np.zeros(n)
-    if kind == "MeasZ":
-        fv = states.view(np.float64).reshape(n, 1 << axis, 2, -1)
-        if need[0]:
-            p0 = np.einsum("ijk,ijk->i", fv[:, :, 0], fv[:, :, 0])
-        if need[1]:
-            p1 = np.einsum("ijk,ijk->i", fv[:, :, 1], fv[:, :, 1])
-    else:  # MeasX, outcome 0 = |+>; p = |a0 +- a1|^2 / 2
-        if need[0]:
-            plus = view[:, :, 0] + view[:, :, 1]
-            p0 = _sum_sq(plus) / 2.0
-        if need[1]:
-            minus = view[:, :, 0] - view[:, :, 1]
-            p1 = _sum_sq(minus) / 2.0
-    parent = np.arange(len(uniforms))
-    state = parent if of is None else of
-    # NaN compares False: a split row's first child; its second, outcome 1,
-    # goes right after it
-    outcome = uniforms < (p1 if of is None else p1[of])
-    if split.any():
-        parent = parent.repeat(1 + split)
-        outcome = outcome.repeat(1 + split)
-        outcome[(1 + split).cumsum()[split] - 1] = True
-        state, split = state[parent], split[parent]
-    prob = np.where(outcome, p1[state], p0[state])
-    keep = prob >= 1e-14
-    if expected is not None:
-        keep &= outcome == expected
-    if not keep.all():
-        parent, state, outcome, prob, split = (
-            a[keep] for a in (parent, state, outcome, prob, split)
-        )
-    factor = np.where(split, prob, 1.0)
-    if of is not None:   # the children of one state with one outcome share a state
-        pair = 2 * state + outcome
-        of = None
-        if not (pair[1:] > pair[:-1]).all():
-            taken = np.zeros(2 * n, dtype=bool)
-            taken[pair] = True
-            of = (np.cumsum(taken) - 1)[pair]
-            pair = np.flatnonzero(taken)
-            state, outcome = pair >> 1, (pair & 1).astype(bool)
-            prob = np.where(outcome, p1[state], p0[state])
-    new = len(state)
-    if kind == "MeasZ":
-        inv = 1.0 / np.sqrt(np.maximum(prob, 1e-300))
-        if drop:   # in place: `gathered * inv` would take numpy's slow path
-            states = view[state, :, outcome.astype(np.intp)]
-            np.multiply(states, inv[:, None, None], out=states)
-        else:
-            scale = np.zeros((new, 2))
-            scale[np.arange(new), outcome.astype(np.intp)] = inv
-            states = states[state]
-            view = states.reshape(new, 1 << axis, 2, width >> axis + 1)
-            view *= scale[:, None, :, None]
-    else:
-        if not need[0]:   # every kept child has outcome 1
-            comp = minus[state]
-        elif not outcome.any() and np.array_equal(state, np.arange(n)):   # plus is this call's own
-            comp = plus
-        else:
-            comp = plus[state]
-            if outcome.any():
-                comp[outcome] = minus[state[outcome]]
-        if drop:  # the rest of the state, (a0 +- a1) / sqrt(2 prob)
-            comp *= (1.0 / np.sqrt(np.maximum(2.0 * prob, 1e-300)))[:, None, None]
-            states = comp
-        else:
-            comp *= (0.5 / np.sqrt(np.maximum(prob, 1e-300)))[:, None, None]
-            second = comp.copy()
-            second[outcome] = -comp[outcome]
-            states = np.stack([comp, second], axis=2)
-    states = states.reshape(new, width // 2 if drop else width)
-    return states, state, outcome, of, parent, factor
 
 
 # ---------------------------------------------------------------------------

@@ -519,6 +519,14 @@ class TestCostCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_ratio_does_not_move_with_factor(self, capsys):
+        # both costs scale with the qubits per patch, so their ratio does not
+        ratios = set()
+        for factor in (2, 3, 4):
+            assert run(["cost", "--distance", "5", "--factor", factor]) == 0
+            ratios.add(capsys.readouterr().out.splitlines()[-1].split()[-1])
+        assert ratios == {"13.66"}
+
     def test_bad_later_distance_prints_no_rows(self, capsys):
         # the valid d=3 row must not reach stdout when d=0 fails after it
         assert run(["cost", "--distance", "3,0"]) == 1

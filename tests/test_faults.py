@@ -1479,7 +1479,7 @@ class TestTrunk:
         kernel = harness.kernel
         nan = np.full((1, len(harness.meas_order)), np.nan)
         end = 2 * len(harness.circuit.gates)
-        tree = semantics.BranchTree.root(1)
+        tree = semantics.BranchTree.root()
         kernel.walk(tree, nan, harness.reference, end)
         assert tree.h == end
         early = kernel.frames([0], [t_sites(harness)[0][0]], [2], [t_sites(harness)[0][1]])
@@ -1494,36 +1494,41 @@ class TestTrunk:
         circ, outputs = compiled_ccz()
         harness = FaultHarness(gadgetize(circ), outputs)
         nan = np.full((1, len(harness.meas_order)), np.nan)
-        tree = semantics.BranchTree.root(1)
+        tree = semantics.BranchTree.root()
         harness.kernel.walk(tree, nan, harness.reference, to)
         return harness, nan, tree
 
     @staticmethod
     def _snapshot(tree):
         return (
-            tree.h, tree.alive.copy(), tree.weight.copy(), tree.states.copy(),
-            None if tree.of is None else tree.of.copy(),
+            tree.h, tree.alive.copy(), tree.weight.copy(), tree.states.copy(), tree.of.copy(),
             {r: o.copy() for r, o in tree.outcomes.items()},
         )
 
     @staticmethod
     def _assert_same(got, want):
         assert got[0] == want[0]
-        for a, b in zip(got[1:4], want[1:4]):
+        for a, b in zip(got[1:5], want[1:5]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert (got[4] is None) == (want[4] is None)
-        if want[4] is not None:
-            assert np.array_equal(got[4], want[4])
         assert got[5].keys() == want[5].keys()
         assert all(np.array_equal(got[5][r], want[5][r]) for r in want[5])
+
+    @staticmethod
+    def _assert_held(tree):
+        """Every state row holds one of the tree's states."""
+        assert tree.of.dtype.kind == "i" and tree.of.shape == (len(tree.alive),)
+        assert ((tree.of >= 0) & (tree.of < len(tree.states))).all()
 
     def test_walk_advances_in_place(self):
         # ccz-g: its four injection measurements are gates 22-25
         harness, nan, tree = self._trunk(50)
         assert tree.h == 50 and len(tree.alive) == 8
         assert set(tree.outcomes) == {"inj0", "inj1", "inj2"}
-        harness.kernel.walk(tree, nan, harness.reference)
-        assert tree.h == 2 * len(harness.circuit.gates)
+        self._assert_held(tree)
+        for to in range(51, 2 * len(harness.circuit.gates) + 1):   # one half-step at a time
+            harness.kernel.walk(tree, nan, harness.reference, to)
+            assert tree.h == to
+            self._assert_held(tree)
         alive, weight, states, outcomes = tree.final()
         want = harness.kernel.run(nan, harness.reference)
         assert np.array_equal(alive, want[0]) and len(alive) == 16
@@ -1573,6 +1578,99 @@ class TestTrunk:
         )
         assert len(alive) and (weight > 0).all()
         self._assert_same(self._snapshot(tree), before)
+
+    def test_run_without_a_frame_at_the_start_leaves_it_unwritten(self):
+        # after half-step 52 the rows meet the CondS gates 26-29, which act
+        # on the states in place, before their first frames stop
+        harness, _, tree = self._trunk(52)
+        kernel = harness.kernel
+        configs = [
+            [(pos, pauli, q)]
+            for _, pos, q in depolarizing_sites(harness, build_schedule(harness.circuit))
+            for pauli in "XYZ"
+        ]
+        row, stop, x, z = kernel.frames(*fault_arrays(configs))
+        later = np.flatnonzero(stop > 2 * 29 + 1)[:2]
+        frames = (np.array([0, 2]), stop[later], x[later], z[later])
+        uniforms = np.full((3, len(harness.meas_order)), np.nan)
+        before = self._snapshot(tree)
+        got = kernel.run(uniforms, harness.reference, frames, tree)
+        self._assert_same(self._snapshot(tree), before)
+        want = kernel.run(uniforms, harness.reference, frames)
+        assert len(want[0]) and np.array_equal(got[0], want[0])
+        assert np.abs(got[2] - want[2]).max() <= 1e-14
+
+    # the trunk of one state shared by every row (before the first
+    # injection), and of several branches, each with a state of its own
+    @pytest.mark.parametrize(
+        "name, to", [("ccz-g", 44), ("ccz-g", 50), ("t15-g", 76), ("t15-g", 82)]
+    )
+    @pytest.mark.parametrize("pattern", ["every-row", "some-rows", "two-frames"])
+    def test_run_from_the_trunk_as_from_the_root(self, name, to, pattern):
+        circ, outputs = {"ccz-g": compiled_ccz, "t15-g": compiled_t15}[name]()
+        harness = FaultHarness(gadgetize(circ), outputs)
+        kernel = harness.kernel
+        tree = semantics.BranchTree.root()
+        kernel.walk(tree, np.full((1, len(harness.meas_order)), np.nan), harness.reference, to)
+        configs = [
+            [(pos, pauli, q)]
+            for _, pos, q in depolarizing_sites(harness, build_schedule(harness.circuit))
+            for pauli in "XYZ"
+        ]
+        frames = list(zip(*(a.tolist() for a in kernel.frames(*fault_arrays(configs)))))
+        here = [f[1:] for f in frames if f[1] == to]
+        later = [f[1:] for f in frames if f[1] > to]
+        # each row's frames as (stop, x, z), stops ascending; a t15-g row
+        # ends with up to 2^10 branches, so it takes fewer rows
+        wide = name == "t15-g"
+        if pattern == "every-row":
+            rows = [[f] for f in here[: 2 if wide else 6]]
+        elif pattern == "some-rows":
+            rows = [[here[0]], [], [later[0]]] if wide else [
+                [here[0]], [], [later[0]], [here[1]], [later[-1]], [here[2], later[1]],
+            ]
+        else:   # two different frames, and an equal one, on rows of the same states
+            other = next(f for f in here if f[1:] != here[0][1:])
+            rows = [[here[0]], [other, later[0]], [here[0]]]
+        row = np.array([i for i, fs in enumerate(rows) for _ in fs], dtype=np.int64)
+        stop, x, z = np.array([f for fs in rows for f in fs], dtype=np.int64).reshape(-1, 3).T
+        uniforms = np.full((len(rows), len(harness.meas_order)), np.nan)
+        got = kernel.run(uniforms, harness.reference, (row, stop, x, z), tree)
+        want = kernel.run(uniforms, harness.reference, (row, stop, x, z))
+        assert len(want[0]) and np.array_equal(got[0], want[0])
+        assert np.abs(got[1] - want[1]).max() <= 1e-14
+        assert np.abs(got[2] - want[2]).max() <= 1e-14
+        assert got[3].keys() == want[3].keys()
+        assert all(np.array_equal(got[3][r], want[3][r]) for r in want[3])
+
+    def test_select(self):
+        # three rows that share the trunk's eight states after half-step 50;
+        # row 1 goes, and so does every state row of states 1 and 5, which
+        # then leave the tree
+        harness, _, trunk = self._trunk(50)
+        tree = trunk.tiled(3)
+        assert len(tree.alive) == 24 and len(tree.states) == 8
+        keep = (tree.alive != 1) & (tree.of % 4 != 1)
+        before = tree.final()
+        tree.select(keep)
+        self._assert_held(tree)
+        assert len(tree.states) == 6
+        after = tree.final()
+        for a, b in zip(after[:3], before[:3]):
+            assert np.array_equal(a, b[keep])
+        assert after[3].keys() == before[3].keys()
+        assert all(np.array_equal(after[3][r], before[3][r][keep]) for r in before[3])
+        # a later walk: as that of a tree whose kept rows each hold their own state
+        built = semantics.BranchTree(
+            tree.h, before[0][keep], before[1][keep], before[2][keep], np.arange(keep.sum()),
+            {r: o[keep] for r, o in before[3].items()},
+        )
+        uniforms = np.full((3, len(harness.meas_order)), np.nan)
+        for t in (tree, built):
+            harness.kernel.walk(t, uniforms, harness.reference)
+        got, want = tree.final(), built.final()
+        assert len(got[0]) and all(np.array_equal(a, b) for a, b in zip(got[:3], want[:3]))
+        assert all(np.array_equal(got[3][r], want[3][r]) for r in want[3])
 
 
 class TestLiveWidth:
@@ -1922,6 +2020,16 @@ class TestSpacetimeCost:
     def test_invalid_distance(self):
         with pytest.raises(FaultAnalysisError):
             spacetime_cost(0)
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((-2,), {}), ((0,), {}), ((3,), {"logical_qubits": 0}),
+         ((3,), {"cycles_per_d": 0.0}), ((3,), {"cycles_per_d": float("nan")}),
+         ((3,), {"qubits_per_patch_factor": -1})],
+    )
+    def test_invalid_baseline(self, args, kwargs):
+        with pytest.raises(FaultAnalysisError):
+            surgery_baseline_cost(*args, **kwargs)
 
     @pytest.mark.parametrize(
         "kwargs", [{"rounds": 0}, {"patches": -1}, {"qubits_per_patch_factor": 0}]

@@ -341,13 +341,13 @@ class TestDenseAgainstReference:
         # twenty measurements of |0>: one branch, and no measurement ever
         # holds more than the row and its two children would
         seen = []
-        measure = semantics._measure_rows
+        measure = semantics.BranchTree.measure
 
-        def counted(states, *args):
-            seen.append(len(states))
-            return measure(states, *args)
+        def counted(tree, *args):
+            seen.append(len(tree.states))
+            return measure(tree, *args)
 
-        monkeypatch.setattr(semantics, "_measure_rows", counted)
+        monkeypatch.setattr(semantics.BranchTree, "measure", counted)
         gates = (Gate("PrepZero", (0,)),) + tuple(
             Gate("MeasZ", (0,), f"m{i}") for i in range(20)
         )
