@@ -18,7 +18,6 @@ from .ir import (
     apply_qubit_permutation,
     parse_circuit,
     parse_rotation_program,
-    serialize_rotation_program,
     with_x_detection,
 )
 from .semantics import (

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -279,8 +280,16 @@ def cmd_cost(args) -> int:
             d, rounds=args.rounds, patches=args.patches,
             qubits_per_patch_factor=args.factor,
         )
-        base = surgery_baseline_cost(d, qubits_per_patch_factor=args.factor)
-        rows.append(f"{d}  {ours}  {base:.0f}  {base / ours:.2f}")
+        try:
+            base = surgery_baseline_cost(d, qubits_per_patch_factor=args.factor)
+            ratio = base / ours
+        except OverflowError:  # an int too large to convert to float
+            base = ratio = math.inf
+        if not (math.isfinite(base) and math.isfinite(ratio)):
+            raise FaultAnalysisError(
+                f"cost at distance {d}: the surgery baseline or the ratio is not a finite float"
+            )
+        rows.append(f"{d}  {ours}  {base:.0f}  {ratio:.2f}")
     print("\n".join(["d  qubit-cycles  surgery-baseline  ratio", *rows]))
     return 0
 

@@ -15,20 +15,24 @@ cut to synthesis. `_cut` gathers every block of every ordering into one
 supports; the residual padded to a basis), and one batched GF(2)
 elimination gives each F^-1 and tests it (`_eliminate`). `_merged` forms
 the merged operators of the live blocks, M_b = F_{b+1} F_b^-1 with their
-inverses, as batched products mod 2, and the distinct ones go to one
-`_synthesize` call. There the greedy row reduction runs in lockstep over
-the whole batch (`_greedy_batch`, which keeps the row, column and pairwise
+inverses, as batched products mod 2: M_1 onward, the operators that
+absorption keeps. Those of every valid candidate, in candidate order and
+repeats included, are the window's one `_synthesize` call, the same for
+every caller. There the greedy row reduction runs in lockstep over the
+whole batch (`_greedy_batch`, which keeps the row, column and pairwise
 sums it scores from across its steps), every greedy variant of every
 operator is packed into layers at once (`_pack_levels`) and ranked on
 index arrays, and only each operator's winner becomes Python tuples; under
 cnot-depth, operators on up to DEPTH_OPT_LIMIT qubits are read instead
 from a depth-optimal table, two flat arrays that the package ships as data
-and loads once per process (`_depth_table`). The search scores each valid
-candidate from its realized CNOT lists alone (`_cnot_key`), and `_hoisted`
-builds one gate list, the winner's, which is handed over, absorbed, as the
-compiled circuit. For `compile_to_unitary` the same batch also synthesizes
-each valid candidate's leading operator, and the winner is emitted from
-its realized operators with no second cut or synthesis.
+and loads once per process (`_depth_table`). An operator's realization
+depends on the operator alone, so a batch gives each operator what it
+would get on its own. The search scores each valid candidate from its
+realized CNOT lists alone (`_cnot_key`), and `_hoisted` builds one gate
+list, the winner's, which is handed over, absorbed, as the compiled
+circuit. The winner also carries its leading operator M_0 = F_1, which
+absorption deletes: `compile_to_unitary` synthesizes that one operator
+after the search and emits the winner with no second cut.
 Nothing else is cached between calls. The circuit passes below
 (`parallelize_block`, `merge_adjacent_blocks`, `hoist_permutations`) are
 its reference in the tests.
@@ -561,11 +565,6 @@ def synthesis_gates(u: GF2Matrix, depth_opt: bool = True) -> tuple[Gate, ...]:
     return tuple(gates)
 
 
-def _inverse_gates(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
-    # CNOT and SWAP are self-inverse; reversing the list inverts the block
-    return tuple(reversed(gates))
-
-
 # ---------------------------------------------------------------------------
 # block parallelization and reference expansion
 # ---------------------------------------------------------------------------
@@ -586,7 +585,8 @@ def parallelize_block(u: GF2Matrix, exponents: list[int], depth_opt: bool = True
     gates = list(forward)
     for q, k in enumerate(exponents):
         gates.extend(phase_gates(k, q))
-    gates.extend(_inverse_gates(forward))
+    # CNOT and SWAP are self-inverse; reversing the list inverts the block
+    gates.extend(reversed(forward))
     return Circuit(n, tuple(gates))
 
 
@@ -761,9 +761,6 @@ class CompileReport:
     t_count: int
     orderings_tried: int
     orderings_valid: int
-    seed: int
-    budget: int
-    objective: str
     partition: Partition
 
 
@@ -871,21 +868,6 @@ def _merged(ops: np.ndarray, invs: np.ndarray, exps: np.ndarray) -> tuple[np.nda
     return at, merged, merged_inv
 
 
-def _distinct(ops: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """(first, which): the index of the first of each distinct (n, n)
-    operator of a (T, n, n) tensor, in order of first occurrence, and the
-    position in `first` of each operator's own."""
-    keys = np.packbits(ops.reshape(len(ops), ops.shape[1] * ops.shape[2]), axis=1)
-    index: dict[bytes, int] = {}
-    first, which = [], []
-    for pos, key in enumerate(keys.view(np.dtype((np.void, keys.shape[1]))).ravel().tolist()):
-        if key not in index:
-            index[key] = len(first)
-            first.append(pos)
-        which.append(index[key])
-    return np.array(first, dtype=np.intp), which
-
-
 def _hoisted(exponents: list, realized: list[tuple], n: int) -> tuple[list, list[int]]:
     """(gates, wire map) of the merged and hoisted circuit of a candidate's
     live blocks, given by their `exponents`: (kind, qubits) CNOTs and phase
@@ -979,7 +961,7 @@ def partition_rotations(
     fewer than min(m, n) dimensions), it raises "no block partition exists"
     before any search.
     """
-    tried, valid, (order, layers, realized) = _search(p, budget, seed, objective, head=False)
+    tried, valid, (order, layers, realized, _, _) = _search(p, budget, seed, objective)
     gates, _ = _hoisted(layers, realized, p.n)
     rots = [p.rotations[i] for i in order]
     # the empty program has no blocks, on any number of qubits
@@ -996,21 +978,25 @@ def partition_rotations(
     )
 
 
-def _search(p: RotationProgram, budget: int, seed: int, objective: str, head: bool):
+def _search(p: RotationProgram, budget: int, seed: int, objective: str):
     """The search of `partition_rotations`: (tried, valid, winner), the
-    winner as (ordering, live phase layers, realized), where realized holds
-    the `_synthesize` of the winner's merged operators for `_hoisted`. Each
-    valid candidate is scored from its realized CNOT lists alone
-    (`_cnot_key`); only the caller builds the winner's gate list. It leaves
-    out M_0 unless `head`: then every valid candidate's M_0 = F_1 joins its
-    window's one synthesis batch."""
+    winner as (ordering, live phase layers, realized, lead, lead_inv).
+    realized holds the `_synthesize` of the winner's merged operators 2
+    onward (M_1 .. M_L, see `_merged`) for `_hoisted`; lead and lead_inv
+    are its M_0 = F_1 and F_1^-1, a (1, n, n) slice of its window's
+    tensors, or (0, n, n) when it has no live block. Each window's valid
+    candidates have their merged operators synthesized in one call, in
+    candidate order, repeats included, and each is scored from its realized
+    CNOT lists alone (`_cnot_key`); only the caller builds the winner's gate
+    list."""
     if objective not in ("cnot-depth", "cnot-count"):
         raise ValueError(f"unknown objective {objective!r}")
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     m = len(p.rotations)
     if m == 0:
-        return 0, 0, ((), [], [])
+        none = np.zeros((0, p.n, p.n), dtype=np.uint8)
+        return 0, 0, ((), [], [], none, none)
     if p.n < 1:
         raise PartitionError("need at least one qubit")
     # no ordering can be valid, whatever the budget: blocks of n and the
@@ -1038,24 +1024,18 @@ def _search(p: RotationProgram, budget: int, seed: int, objective: str, head: bo
         valid += int(ok.sum())
         ops, invs, exps = ops[ok], invs[ok], exps[ok]
         at, merged, merged_inv = _merged(ops, invs, exps)
+        realized = _synthesize(merged, merged_inv, depth_opt)
         # the live blocks of valid candidate c are at[bounds[c] : bounds[c + 1]]
-        bounds = np.searchsorted(at // exps.shape[1], np.arange(len(exps) + 1))
-        # M_0 is the operator of a candidate's first live block
-        lead = at[bounds[:-1][np.diff(bounds) > 0]] if head else at[:0]
-        batch = np.concatenate([ops.reshape(-1, p.n, p.n)[lead], merged])
-        batch_inv = np.concatenate([invs.reshape(-1, p.n, p.n)[lead], merged_inv])
-        first, which = _distinct(batch)
-        realized = _synthesize(batch[first], batch_inv[first], depth_opt)
-        realized = [realized[w] for w in which]
-        heads, kept = iter(realized[: len(lead)]), realized[len(lead) :]
+        bounds = np.searchsorted(at // exps.shape[1], np.arange(len(exps) + 1)).tolist()
         live = exps.reshape(-1, p.n)[at].tolist()
-        bounds = bounds.tolist()
         for order, lo, hi in zip(compress(window, ok.tolist()), bounds, bounds[1:]):
-            key = _cnot_key(kept[lo:hi], p.n, depth_opt)
-            own = [next(heads)] if head and hi > lo else []
+            key = _cnot_key(realized[lo:hi], p.n, depth_opt)
             if best_key is None or key < best_key:
                 best_key = key
-                best = (order, live[lo:hi], own + kept[lo:hi])
+                # M_0 is the operator of the candidate's first live block
+                lead = at[lo:hi][:1]
+                best = (order, live[lo:hi], realized[lo:hi],
+                        ops.reshape(-1, p.n, p.n)[lead], invs.reshape(-1, p.n, p.n)[lead])
     if best is None:
         raise PartitionError(
             f"no valid block partition among {tried} sampled ordering(s) "
@@ -1090,9 +1070,6 @@ def compile_program(
         t_count=circuit.t_count(),
         orderings_tried=part.orderings_tried,
         orderings_valid=part.orderings_valid,
-        seed=seed,
-        budget=budget,
-        objective=objective,
         partition=part,
     )
 
@@ -1106,12 +1083,13 @@ def compile_to_unitary(
     """Pipeline output before preparation absorption: a pure unitary circuit
     operator-equal to the rotation product (useful for exact oracles).
 
-    The search synthesizes every valid candidate's leading operator, which
-    absorption deletes, in one batch with the merged ones, and the winner
-    is emitted from its realized operators; the hoisted permutation leads
-    as SWAPs.
+    The winner's leading operator, which absorption deletes and the search
+    never synthesizes, is synthesized on its own after the search and put
+    in front of the winner's realized operators; the hoisted permutation
+    leads as SWAPs.
     """
-    _, _, (_, layers, realized) = _search(p, budget, seed, objective, head=True)
+    _, _, (_, layers, realized, lead, lead_inv) = _search(p, budget, seed, objective)
+    realized = _synthesize(lead, lead_inv, objective == "cnot-depth") + realized
     gates, wires = _hoisted(layers, realized, p.n)
-    lead = tuple(Gate("SWAP", pair) for pair in _transpositions(wires))
-    return Circuit(p.n, lead + tuple(Gate(kind, qubits) for kind, qubits in gates))
+    swaps = tuple(Gate("SWAP", pair) for pair in _transpositions(wires))
+    return Circuit(p.n, swaps + tuple(Gate(kind, qubits) for kind, qubits in gates))

@@ -89,10 +89,6 @@ class NoiseModel:
             raise FaultAnalysisError("ratio r must be >= 0")
         return NoiseModel(p_l, r * p_l, t_decode)
 
-    @property
-    def r(self) -> float:
-        return self.p_t / self.p_l if self.p_l > 0 else math.inf
-
 
 @dataclass(frozen=True)
 class TGadgetChannel:
@@ -202,14 +198,22 @@ class Round:
     insert_pos: int          # faults/noise apply after this gate index
 
 
+# idle decode rounds before a correction round: every one is a schedule
+# entry, so a larger t_decode is refused before any is built
+MAX_T_DECODE = 1000
+
+
 def build_schedule(c: Circuit, t_decode: int = 0) -> tuple[Round, ...]:
     """Group gates into implementation rounds.
 
     Round 0 holds the preparations (plus leading single-qubit frame gates);
     each parallel CNOT layer is one round; measurements and single-qubit
     gates join the current round; classically controlled corrections get a
-    dedicated round, preceded by t_decode idle decode rounds.
+    dedicated round, preceded by t_decode idle decode rounds. A t_decode
+    outside 0..MAX_T_DECODE raises FaultAnalysisError.
     """
+    if not 0 <= t_decode <= MAX_T_DECODE:
+        raise FaultAnalysisError(f"t_decode must be in 0..{MAX_T_DECODE}, got {t_decode}")
     rounds: list[tuple[str, list[int]]] = [("prep", [])]
     used: set[int] = set()
     kind_of_round = "prep"

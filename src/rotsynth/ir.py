@@ -157,10 +157,6 @@ def parse_rotation_program(text: str) -> RotationProgram:
     return RotationProgram(n, tuple(rotations))
 
 
-def serialize_rotation_program(p: RotationProgram) -> str:
-    return p.to_json()
-
-
 @dataclass(frozen=True)
 class Circuit:
     n: int
@@ -316,9 +312,8 @@ def phase_gates(k: int, qubit: int) -> tuple[Gate, ...]:
     return tuple(Gate(kind, (qubit,)) for kind in EXPONENT_GATES.get(k % 8, ()))
 
 
-def with_x_detection(c: Circuit, qubits: Iterable[int], prefix: str = "det") -> Circuit:
-    """Append X-basis detection measurements on the given qubits."""
-    extra = tuple(
-        Gate("MeasX", (q,), f"{prefix}{i}") for i, q in enumerate(qubits)
-    )
+def with_x_detection(c: Circuit, qubits: Iterable[int]) -> Circuit:
+    """Append X-basis detection measurements on the given qubits, recorded
+    as det0, det1, ..."""
+    extra = tuple(Gate("MeasX", (q,), f"det{i}") for i, q in enumerate(qubits))
     return Circuit(c.n, c.gates + extra)

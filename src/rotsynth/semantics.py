@@ -572,11 +572,6 @@ class TrajectoryKernel:
         self._tails: dict[frozenset, list[int]] = {}   # see tail_rows
 
     @property
-    def axis_qubits(self) -> list[int]:
-        """The qubits that get an axis, ascending."""
-        return self._qubits.tolist()
-
-    @property
     def chunk_rows(self) -> int:
         """Rows per chunk, so that one chunk holds `_CHUNK_AMPLITUDES`."""
         return max(1, _CHUNK_AMPLITUDES >> self.peak)

@@ -383,10 +383,18 @@ class TestErrorExits:
             ["faults", "--outputs", "0,1,2", "--singles", "--tdecode", "-1"],
             ["sweep", "--outputs", "0,1,2", "--pl", ",", "--r", "1", "--shots", "10"],
             ["sweep", "--outputs", "0,1,2", "--pl", "1e-3", "--r", ",", "--shots", "10"],
+            # one idle round per decode round is built: the bound comes first
+            ["sweep", "--outputs", "0,1,2", "--pl", "1e-3", "--r", "1", "--shots", "10",
+             "--tdecode", faults.MAX_T_DECODE + 1],
+            ["faults", "--outputs", "0,1,2", "--gadgetize", "--singles",
+             "--tdecode", faults.MAX_T_DECODE + 1],
+            ["faults", "--outputs", "0,1,2", "--first-order", "--tdecode", faults.MAX_T_DECODE + 1],
         ],
         ids=["sweep-shots-0", "sweep-pl-abc", "faults-outputs-out-of-range",
              "faults-outputs-not-pure", "sweep-seed-negative", "sweep-tdecode-negative",
-             "faults-tdecode-negative", "sweep-pl-empty", "sweep-r-empty"],
+             "faults-tdecode-negative", "sweep-pl-empty", "sweep-r-empty",
+             "sweep-tdecode-above-bound", "faults-singles-tdecode-above-bound",
+             "faults-first-order-tdecode-above-bound"],
     )
     def test_exit_1(self, tmp_path, ccz_circuit, capsys, argv):
         capsys.readouterr()
@@ -533,3 +541,29 @@ class TestCostCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestCostOverflow:
+    """A cost that does not fit in a float ends in exit 1 with one line on
+    stderr and nothing on stdout, not `inf` or a traceback."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--distance", 10**103], ["--distance", f"3,{10**199}"], ["--rounds", 10**399]],
+        ids=["distance-104-digits", "distance-200-digits", "rounds-400-digits"],
+    )
+    def test_exit_1(self, capsys, flags):
+        assert run(["cost", "--distance", "3"] + flags) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_default_rows_unchanged(self, capsys):
+        assert run(["cost", "--distance", "3,5,11,25"]) == 0
+        assert capsys.readouterr().out == (
+            "d  qubit-cycles  surgery-baseline  ratio\n"
+            "3  1512  12393  8.20\n"
+            "5  4200  57375  13.66\n"
+            "11  20328  610929  30.05\n"
+            "25  105000  7171875  68.30\n"
+        )

@@ -639,8 +639,9 @@ class TestCompile:
     def test_depth_synthesis_only_where_it_counts(self, monkeypatch):
         # under cnot-depth the search hands the synthesizer, in one call, the
         # merged operators that absorption keeps (2 onward) of every valid
-        # candidate, each once, and emission synthesizes nothing; for the
-        # unitary the same call also holds each candidate's leading operator
+        # candidate, in candidate order, repeats included, and emission
+        # synthesizes nothing; the unitary adds one call after the search,
+        # holding the winner's leading operator alone
         from rotsynth import compiler
 
         calls = []
@@ -668,19 +669,48 @@ class TestCompile:
 
         calls.clear()
         compile_to_unitary(prog, budget=1, objective="cnot-depth")
-        assert calls == [(merged, True), "emit"]
+        assert calls == [(merged[1:], True), "emit", (merged[:1], True)]
 
-        # many candidates: one call with the union of their operators 2
-        # onward, and for the unitary of all of their operators
-        orders = set(compiler._candidate_orderings(m, 40, 3))
+        # many candidates: one call with their operators 2 onward, candidate
+        # by candidate; the unitary's second call holds the winner's first.
+        # ccz's candidates share many operators
+        prog = programs.load("ccz")
+        orders = list(compiler._candidate_orderings(len(prog.rotations), 40, 3))
         splits = [s for s in (reference_split(prog, o) for o in orders) if s is not None]
-        for emit, skip in ((compile_program, 1), (compile_to_unitary, 0)):
-            calls.clear()
-            emit(prog, budget=40, seed=3, objective="cnot-depth")
-            want = {op for split in splits for op in reference_merged(split)[1][skip:]}
-            assert len(calls) == 2 and calls[1] == "emit"
-            pairs, depth_opt = calls[0]
-            assert depth_opt and len(pairs) == len(set(pairs)) and set(pairs) == want
+        want = [op for split in splits for op in reference_merged(split)[1][1:]]
+        assert len(set(want)) < len(want)  # an operator met again is synthesized again
+        calls.clear()
+        winner = compile_program(prog, budget=40, seed=3, objective="cnot-depth").partition.ordering
+        assert calls == [(want, True), "emit"]
+        calls.clear()
+        compile_to_unitary(prog, budget=40, seed=3, objective="cnot-depth")
+        lead = reference_merged(reference_split(prog, winner))[1][:1]
+        assert calls == [(want, True), "emit", (lead, True)]
+
+        # no live block: nothing to synthesize, before or after the search
+        idle = RotationProgram(3, tuple(PhaseRotation(BitVec(3, b), 0) for b in (1, 2, 4)))
+        calls.clear()
+        compile_to_unitary(idle, budget=1, objective="cnot-depth")
+        assert calls == [([], True), "emit", ([], True)]
+
+    @pytest.mark.parametrize("objective", ["cnot-depth", "cnot-count"])
+    def test_unitary_absorbs_to_the_compiled_circuit(self, objective):
+        # the two emitters share one search: the unitary, absorbed into |+>
+        # preparations, is the compiled circuit, byte for byte
+        idle_first = RotationProgram(3, tuple(
+            PhaseRotation(BitVec(3, b), k) for b, k in ((1, 0), (2, 0), (4, 0), (3, 1), (5, 3), (7, 7))
+        ))
+        residual = RotationProgram(4, tuple(
+            PhaseRotation(BitVec(4, b), k)
+            for b, k in ((1, 1), (2, 1), (4, 3), (8, 1), (3, 1), (6, 5), (12, 1), (13, 7), (7, 1), (14, 3))
+        ))
+        cases = [(programs.load(name), budget, seed)
+                 for name in ("ccz", "cs", "t15") for budget in (1, 40) for seed in (0, 5)]
+        cases += [(idle_first, 1, 0), (idle_first, 40, 2), (residual, 1, 0), (residual, 40, 2)]
+        for prog, budget, seed in cases:
+            want = compile_program(prog, budget, seed, objective).circuit
+            got = compile_to_unitary(prog, budget, seed, objective)
+            assert eliminate_tdag(absorb_into_prep(got)).to_json() == want.to_json()
 
 
 # SHA-256 of the emitted JSON: compile_program(...).circuit, then

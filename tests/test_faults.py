@@ -139,7 +139,6 @@ class TestNoiseModel:
     def test_ratio(self):
         nm = NoiseModel.from_ratio(1e-4, 3.0, 1)
         assert nm.p_t == pytest.approx(3e-4)
-        assert nm.r == pytest.approx(3.0)
 
     def test_probability_range(self):
         with pytest.raises(FaultAnalysisError):
@@ -209,6 +208,20 @@ class TestSchedules:
         labels = [r.label for r in sched]
         i = labels.index("correct")
         assert labels[i - 3 : i] == ["decode-idle"] * 3
+
+    def test_decode_rounds_bounded(self):
+        # every decode round is a schedule entry: t_decode is refused above
+        # the bound (and below 0) before any is built, for every estimator
+        circ, outputs = compiled_ccz()
+        impl = gadgetize(circ)
+        labels = [r.label for r in build_schedule(impl, faults.MAX_T_DECODE)]
+        assert labels.count("decode-idle") == faults.MAX_T_DECODE
+        for t_decode in (-1, faults.MAX_T_DECODE + 1):
+            with pytest.raises(FaultAnalysisError, match="t_decode"):
+                build_schedule(impl, t_decode)
+        harness = FaultHarness(impl, outputs)
+        with pytest.raises(FaultAnalysisError, match="t_decode"):
+            harness.monte_carlo(NoiseModel(1e-3, 1e-3, faults.MAX_T_DECODE + 1), 10)
 
     def test_measured_qubits_stop_accruing_noise(self):
         circ, outputs = compiled_ccz()
@@ -1714,7 +1727,8 @@ class TestLiveWidth:
         # qubit 3 gets its axis after qubit 4, but the noise sites list each
         # round's qubits in ascending order, which fixes the order of the
         # fault tables and of the Monte Carlo draws; qubit 5 has no axis
-        assert harness.kernel.axis_qubits == [0, 1, 2, 3, 4]
+        axes = {q for h in range(2 * len(self.gates) + 1) for q in harness.kernel.layout(h)}
+        assert sorted(axes) == [0, 1, 2, 3, 4]
         sites = depolarizing_sites(harness, build_schedule(harness.circuit))
         assert sites == sorted(sites) and {q for _, _, q in sites} == {0, 1, 2, 3, 4}
         # qubit 2 is measured in round 1 and read again up to its last

@@ -11,7 +11,6 @@ from rotsynth.ir import (
     apply_qubit_permutation,
     parse_circuit,
     parse_rotation_program,
-    serialize_rotation_program,
     with_x_detection,
 )
 from rotsynth.semantics import equal_up_to_global_phase, unitary_of
@@ -59,7 +58,7 @@ class TestProgramParsing:
     def test_roundtrip(self):
         text = '{"n": 3, "rotations": [{"support": "110", "k": 7}, {"support": "001", "k": 2}]}'
         p = parse_rotation_program(text)
-        assert parse_rotation_program(serialize_rotation_program(p)) == p
+        assert parse_rotation_program(p.to_json()) == p
 
     def test_empty_program_valid(self):
         p = parse_rotation_program('{"n":2,"rotations":[]}')
