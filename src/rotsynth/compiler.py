@@ -157,12 +157,18 @@ def _transpositions(images: list[int]) -> list[tuple[int, int]]:
 # popcount(row i ^ row j). A score maps a (B, n, n) 0/1 int64 tensor of rows,
 # its row sums rs and column sums cs (B, n) and x = popcount(row i ^ row j)
 # (B, n, n) to the (B, n, n, L) keys of every (i, j). L = 1 while a key fits
-# in int64; beyond that every weight is split into L digits of radix 2^31,
-# most significant first, and digits add separately until `_carry`.
+# in int64; beyond that every weight is split into L digits of radix
+# 2^_digit_bits(n), most significant first, and digits add separately until
+# `_carry`.
 
-_DIGIT_BITS = 31
-_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 _NEVER = np.iinfo(np.int64).max  # a key no candidate reaches
+
+
+def _digit_bits(n: int) -> int:
+    """Bits of one digit of an n x n key: a key adds up at most 2n + 2
+    digits and differences of digits, each below 2^bits in size, so every
+    digit's sum stays below 2^62."""
+    return 62 - (2 * n + 2).bit_length()
 
 
 @lru_cache(maxsize=None)
@@ -170,15 +176,18 @@ def _weights(n: int, base: int, exponents: range) -> np.ndarray:
     """(len, L) int64 table of w[v] = base^exponents[v] for n x n keys.
 
     A key adds up at most 2n + 2 weights and differences of weights, so one
-    column holds it when (2n + 2) max(w) fits in int64.
+    column holds it when (2n + 2) max(w) fits in int64; otherwise each
+    weight is split into L digits of radix 2^_digit_bits(n).
     """
     values = [base**e for e in exponents]
     top = max(values)
     if (2 * n + 2) * top < 2**63:
         return np.array(values, dtype=np.int64)[:, None]
-    digits = -(-top.bit_length() // _DIGIT_BITS)
-    shifts = [_DIGIT_BITS * d for d in reversed(range(digits))]
-    return np.array([[(v >> s) & _DIGIT_MASK for s in shifts] for v in values], dtype=np.int64)
+    bits = _digit_bits(n)
+    digits = -(-top.bit_length() // bits)
+    shifts = [bits * d for d in reversed(range(digits))]
+    mask = (1 << bits) - 1
+    return np.array([[(v >> s) & mask for s in shifts] for v in values], dtype=np.int64)
 
 
 def _over_bits(a: np.ndarray, up: np.ndarray, dd: np.ndarray) -> np.ndarray:
@@ -235,12 +244,13 @@ def _score_total(a: np.ndarray, rs: np.ndarray, cs: np.ndarray, x: np.ndarray) -
 _EMISSION_SCORES = (_score_concat, _score_maxsum, _score_total)
 
 
-def _carry(key: np.ndarray) -> np.ndarray:
-    """Keys with L > 1 digits carried in place, so that every digit but the
-    leading one lies in [0, 2^31) and keys compare digit by digit."""
+def _carry(key: np.ndarray, bits: int) -> np.ndarray:
+    """Keys with L > 1 digits of radix 2^bits carried in place, so that
+    every digit but the leading one lies in [0, 2^bits) and keys compare
+    digit by digit."""
     for d in range(key.shape[-1] - 1, 0, -1):
-        key[..., d - 1] += key[..., d] >> _DIGIT_BITS
-        key[..., d] &= _DIGIT_MASK
+        key[..., d - 1] += key[..., d] >> bits
+        key[..., d] &= (1 << bits) - 1
     return key
 
 
@@ -320,7 +330,7 @@ def _greedy_batch(a: np.ndarray, score) -> tuple[np.ndarray, np.ndarray, np.ndar
         if step & (step - 1) == 0:
             snap = a.copy()
         # (i, j) in i-major order, as the tie-break; i == j is no operation
-        key = _carry(score(a, rs, cs, x)).reshape(live.size, n * n, -1)
+        key = _carry(score(a, rs, cs, x), _digit_bits(n)).reshape(live.size, n * n, -1)
         key[:, :: n + 1, 0] = _NEVER
         pick = _lex_argmin(key)
         record = np.full(count, -1)

@@ -503,8 +503,9 @@ class FaultHarness:
         much of the run before their stops as they can (see
         `TrajectoryKernel.run`). Where a kernel call starts is the only
         difference between the two kinds of rows:
-          * Drawn rows start at the first half-step, `chunk_rows` rows per
-            call.
+          * Drawn rows start at the first half-step, in the calls that
+            `TrajectoryKernel.drawn_chunks` cuts by the amplitudes they
+            hold.
           * NaN rows share the fault-free branch tree of one NaN row as
             their prefix. That tree (the trunk) is walked once, and stops
             at each first stop; there the rows that stop there, and as many
@@ -544,11 +545,8 @@ class FaultHarness:
         rows, framed = len(by_stop), int(earliest.searchsorted(_NO_STOP))
         out = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
         if not nan.all():
-            step = self.kernel.chunk_rows
-            out += [
-                self._chunk(frames, uniforms, lo, min(lo + step, rows))
-                for lo in range(0, rows, step)
-            ]
+            bounds = self.kernel.drawn_chunks(earliest, self.reference)
+            out += [self._chunk(frames, uniforms, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         elif rows:
             # the trunk stops at every first stop, also where an earlier chunk
             # took its rows: where a walk stops splits the gathers and phases

@@ -292,9 +292,10 @@ class BranchTree:
     `outcomes` holds the outcomes of each state by record, so state row i
     took outcomes[r][of[i]] at record r.
 
-    Rows share a state until their first Pauli frame (`fork`): up to there
-    a row's state depends only on its outcomes so far, so the half-steps act
-    on one state per distinct outcome history. The tree changes only through
+    Rows share a state until their first Pauli frame: up to there a row's
+    state depends only on its outcomes so far, so the half-steps act on one
+    state per distinct outcome history. A frame keeps the rows of one state
+    that take it on one state (`fork`). The tree changes only through
     its methods: `tiled` starts input rows from it, `fork` applies frames,
     `measure` measures a qubit on every state row, `select` keeps some state
     rows, and `final` reads the rows out; `TrajectoryKernel.walk` also moves
@@ -338,10 +339,10 @@ class BranchTree:
 
     def fork(self, row, x, z):
         """X^x Z^z on every branch of input row row[i] (ascending, each at
-        most once), x and z masks over the flat index bits. Each branch hit
-        gets a state of its own, and the tree moves to a new array: the new
-        states in the order of the branches hit, then the states that some
-        row still holds, in order."""
+        most once), x and z masks over the flat index bits. The branches hit
+        that hold one state and take one (x, z) share one new state, and the
+        tree moves to a new array: the new states, then the states that
+        some row still holds, in order."""
         lo = self.alive.searchsorted(row)
         count = self.alive.searchsorted(row, side="right") - lo
         which = np.arange(len(row)).repeat(count)
@@ -349,18 +350,27 @@ class BranchTree:
         src = self.of[hit]
         n, w = self.states.shape
         kept = np.flatnonzero(np.bincount(src, minlength=n) < np.bincount(self.of, minlength=n))
-        states = np.empty((len(hit) + len(kept), w), dtype=np.complex128)
-        forked = states[: len(hit)]
+        # the branches of one row hold distinct states: only rows that take
+        # one frame can share a new state
+        first = new_of = np.arange(len(hit))
+        frames = np.sort(x * w + z)
+        if (frames[1:] == frames[:-1]).any():
+            _, first, new_of = np.unique(
+                (src * w + x[which]) * w + z[which], return_index=True, return_inverse=True
+            )
+        src, x, z = src[first], x[which[first]], z[which[first]]
+        states = np.empty((len(src) + len(kept), w), dtype=np.complex128)
+        forked = states[: len(src)]
         idx = _INDEX[w.bit_length() - 1]
         # amplitude i ^ x of state src sits at flat index i ^ (src * w + x);
         # every index is in range, and "clip" takes no buffered copy
-        np.take(self.states.reshape(-1), idx ^ (src * w + x[which])[:, None], out=forked, mode="clip")
-        forked *= _PARITY_SIGN[(idx ^ x[:, None]) & z[:, None]].take(which, axis=0)
-        states[len(hit):] = self.states[kept]
+        np.take(self.states.reshape(-1), idx ^ (src * w + x)[:, None], out=forked, mode="clip")
+        forked *= _PARITY_SIGN[(idx ^ x[:, None]) & z[:, None]]
+        states[len(src):] = self.states[kept]
         renumber = np.empty(n, dtype=np.intp)   # only rows hit held the states not kept
-        renumber[kept] = len(hit) + np.arange(len(kept))
+        renumber[kept] = len(src) + np.arange(len(kept))
         self.of = renumber[self.of]
-        self.of[hit] = np.arange(len(hit))
+        self.of[hit] = new_of
         self.states = states
         origin = np.concatenate([src, kept])
         self.outcomes = {r: o[origin] for r, o in self.outcomes.items()}
@@ -571,11 +581,6 @@ class TrajectoryKernel:
         self._runs: dict[tuple[int, int], tuple] = {}  # see _apply_run
         self._tails: dict[frozenset, list[int]] = {}   # see tail_rows
 
-    @property
-    def chunk_rows(self) -> int:
-        """Rows per chunk, so that one chunk holds `_CHUNK_AMPLITUDES`."""
-        return max(1, _CHUNK_AMPLITUDES >> self.peak)
-
     def acting_qubits(self, pos: int) -> list[int]:
         """The qubits, ascending, on which a Pauli right after gate `pos` has
         an effect (see `run`)."""
@@ -588,12 +593,46 @@ class TrajectoryKernel:
         axis = self._axis[h, self._col[self._qubits.searchsorted(qubit)]]
         return 1 << (self._width[h] - 1 - int(axis))
 
+    def drawn_chunks(self, stops: np.ndarray, postselect: dict[str, int]) -> list[int]:
+        """Bounds 0 = b_0 < b_1 < ... = len(stops) of the calls of `run` on
+        rows that draw every outcome, rows b_i..b_{i+1}-1 in call i, where
+        `stops` holds each row's first frame stop, ascending (a row without
+        frames: any value past the last half-step). Each call takes at least
+        one row, at most `MAX_TREE_AMPLITUDES` >> peak rows (so that no walk
+        reaches that cap), and otherwise as many as hold at most
+        `_CHUNK_AMPLITUDES` amplitudes after every half-step h. There a row
+        stopped by h holds at most one state of its own, and the rows that
+        have not stopped share at most one state per outcome history: at
+        most 2^(measurements up to h that `postselect` does not name). After
+        the last half-step every row is counted as stopped, since the call
+        returns a state for each."""
+        branching = np.zeros(len(self._live), dtype=np.int64)
+        for pos in self._meas_col:
+            branching[2 * pos + 1] = self.circuit.gates[pos].record not in postselect
+        # 2^62 stands for any larger count
+        histories = 1 << np.minimum(np.cumsum(branching), 62)
+        room = _CHUNK_AMPLITUDES >> np.array(self._width)   # states of each width
+        stopped = stops.searchsorted(np.arange(len(self._live)), side="right")
+        stopped[-1] = len(stops)   # `BranchTree.final` copies a state for every row
+        most = max(1, MAX_TREE_AMPLITUDES >> self.peak)
+        bounds = [0]
+        while bounds[-1] < len(stops):
+            # after half-step h, rows lo..a-1 (a = max(lo, stopped[h])) hold a
+            # state each and the later rows at most histories[h]: any hi fits
+            # where own + histories <= room, else hi <= lo + room does
+            lo = bounds[-1]
+            own = np.maximum(stopped, lo) - lo
+            hi = np.where(own + histories <= room, len(stops), lo + room).min()
+            bounds.append(int(min(max(hi, lo + 1), lo + most, len(stops))))
+        return bounds
+
     def tail_rows(self, tree: BranchTree, postselect: dict[str, int]) -> int:
         """Rows that `run` may start from the one-row `tree` in one call
         (at least 1) and hold at most `_CHUNK_AMPLITUDES` amplitudes at every
-        later half-step, where each NaN row has at most len(tree.alive) times
-        2^(measurements since tree.h that `postselect` does not name) state
-        rows of 2^(live width) amplitudes."""
+        later half-step: each NaN row holds at most len(tree.alive) times
+        2^(measurements since tree.h that `postselect` does not name) states
+        of its own, each counted at the widest layout from there on. A
+        drawn row does not branch, and `drawn_chunks` bounds its rows."""
         key = frozenset(postselect)
         tail = self._tails.get(key)
         if tail is None:   # the most amplitudes per state row from h on
@@ -649,8 +688,9 @@ class TrajectoryKernel:
         outcomes by record). Each run of half-steps between break points
         (measurements, CondS, the stops of the frames) is one cached gather
         and multiply; dropped rows leave the array at once. State rows share
-        states until their first stop, where `BranchTree.fork` gives each a
-        state of its own.
+        states until their first stop, and after it those that took one
+        frame from one state (`BranchTree.fork`), until their outcomes
+        part.
         """
         postselect = postselect or {}
         row, stop, x, z = frames

@@ -423,12 +423,13 @@ PINNED_FIRST_ORDER = {
     "t15": (3.9375, 3.9375, 3.9375),
     "t15-g": (5.104166666666673, 5.687500000000007, 6.27083333333334),
 }
-# (circuit, r, shots) -> (accepted, faulty) at p_L 1e-3, t_decode 1, seed 3
+# (circuit, r, shots) -> (accepted, faulty, infidelity, stderr) at p_L 1e-3,
+# t_decode 1, seed 3
 PINNED_MONTE_CARLO = {
-    ("ccz-g", 1, 100_000): (96958, 4842),
-    ("ccz-g", 10, 30_000): (27237, 3379),
-    ("cs-g", 1, 10_000): (9237, 1052),
-    ("t15", 1, 40_000): (37768, 2829),
+    ("ccz-g", 1, 100_000): (96958, 4842, 0.01219600239278863, 0.0003261568861491071),
+    ("ccz-g", 10, 30_000): (27237, 3379, 0.015920439108565554, 0.0007157492195168936),
+    ("cs-g", 1, 10_000): (9237, 1052, 0.010880155894771027, 0.0009447625529546136),
+    ("t15", 1, 40_000): (37768, 2829, 0.003733319212031354, 0.00023825813716486392),
 }
 
 
@@ -458,7 +459,11 @@ def test_first_order_pinned(name):
 def test_monte_carlo_pinned(name, r, shots):
     circ, outputs = pinned_circuit(name)
     rep = monte_carlo_infidelity(circ, outputs, NoiseModel.from_ratio(1e-3, r, 1), shots, seed=3)
-    assert (rep.accepted, rep.faulty) == PINNED_MONTE_CARLO[name, r, shots]
+    accepted, faulty, infidelity, stderr = PINNED_MONTE_CARLO[name, r, shots]
+    assert (rep.accepted, rep.faulty) == (accepted, faulty)
+    # rel 1e-12: numpy's summation and einsum kernels may round differently
+    assert rep.infidelity == pytest.approx(infidelity, rel=1e-12, abs=0)
+    assert rep.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
 
 
 class TestMonteCarlo:
@@ -656,14 +661,16 @@ class TestBatchedKernel:
         assert want.accepted < shots and want.faulty > 0
         self.assert_same(got, want)
 
-    def test_more_faulty_rows_than_one_chunk(self, monkeypatch):
+    def test_more_faulty_rows_than_one_chunk(self, monkeypatch, harnesses):
         circ, outputs = compiled_ccz()
         impl = gadgetize(circ)
         nm = NoiseModel(0.0, 0.5, 1)
         monkeypatch.setattr(faults, "_BATCH", 700)  # two batches, the second partial
+        monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", 1 << 12)
         got = monte_carlo_infidelity(impl, outputs, nm, 1000, seed=3)
         want = reference_monte_carlo(impl, outputs, nm, 1000, seed=3)
-        assert want.faulty > 2 * (_CHUNK_AMPLITUDES >> impl.n)
+        # the trunk's call, and more than one call per batch
+        assert harnesses[0].counts["kernel_calls"] > 1 + 2
         self.assert_same(got, want)
 
     def test_fully_rejected_chunks(self):
@@ -743,10 +750,12 @@ class TestSharedPrefix:
         if name.endswith("-g"):
             circ = gadgetize(circ)
         harness = FaultHarness(circ, outputs)
-        monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", 100 << harness.kernel.peak)
+        monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", 32 << harness.kernel.peak)
         (row, pos, pauli, qubit), uniforms = self.mc_batch(harness, 0.01, 3000, 5)
-        assert len(uniforms) > 5 * harness.kernel.chunk_rows   # several chunks
-        accepted, infidelity = sampled(harness, (row, pos, pauli, qubit), uniforms)
+        (accepted, infidelity), counts = tallied(
+            harness, lambda: sampled(harness, (row, pos, pauli, qubit), uniforms)
+        )
+        assert counts["kernel_calls"] > 5   # several chunks
         perm = np.random.default_rng(1).permutation(len(uniforms))
         place = np.argsort(perm)   # the place of each row in the permuted batch
         got_accepted, got_infidelity = sampled(
@@ -779,7 +788,7 @@ class TestSharedPrefix:
         row, stop, x, z = frames
         last = 2 * len(c.gates)
         assert {0, last} <= set(stop.tolist()) and len(set(stop.tolist())) > 4
-        assert len(sites) <= harness.kernel.chunk_rows
+        assert len(sites) << harness.kernel.peak <= _CHUNK_AMPLITUDES   # one call by any rule
         uniforms = np.random.default_rng(4).random((len(sites), len(harness.meas_order)))
         alive, weight, states, _ = harness.kernel.run(uniforms, harness.reference, frames)
         assert (weight == 1.0).all()
@@ -815,7 +824,7 @@ class TestSharedPrefix:
         assert len(harness.injection) == 4
         end = len(harness.circuit.gates) - 1
         rows = 200
-        assert rows <= harness.kernel.chunk_rows
+        assert rows << harness.kernel.peak <= _CHUNK_AMPLITUDES   # one call by any rule
         widths = []
         apply_run = semantics.TrajectoryKernel._apply_run
 
@@ -863,6 +872,145 @@ class TestSharedPrefix:
         }
         for config, value in zip(configs, zip(acc, infid)):
             assert value == pytest.approx(reference_exact(harness, config), rel=0, abs=1e-12)
+
+
+class TestSharedForks:
+    """`BranchTree.fork` makes one state per distinct (state, X mask, Z
+    mask) among the branches it hits, so that drawn rows with one frame from
+    one state share the rest of their run until their outcomes part."""
+
+    def test_one_state_per_state_and_frame(self, monkeypatch):
+        # 300 drawn rows over 5 single faults on gadgetized ccz: an X and a
+        # Y that stop together with one X mask and different Z masks, and
+        # three more that are not decided at a detector
+        circ, outputs = compiled_ccz()
+        harness = FaultHarness(gadgetize(circ), outputs)
+        candidates = [
+            (pos, pauli, q) for _, pos, q in depolarizing_sites(harness, build_schedule(circ, 1))
+            for pauli in range(3)
+        ]
+        row, stop, x, z = harness.kernel.frames(np.arange(len(candidates)), *zip(*candidates))
+        framed = np.zeros(len(candidates), dtype=bool)
+        framed[row] = True
+        framed[_decided_rows(harness, (row, stop, x, z))] = False
+        frame = {r: (s, xx, zz) for r, s, xx, zz in zip(*(a.tolist() for a in (row, stop, x, z)))}
+        pair = next(
+            i for i in range(0, len(candidates), 3)
+            if framed[i] and framed[i + 1] and frame[i][:2] == frame[i + 1][:2]
+        )
+        others = np.flatnonzero(framed)
+        others = others[(others < pair) | (others > pair + 1)]
+        chosen = [pair, pair + 1, *others[:: len(others) // 3][:3].tolist()]
+        faults_of = [candidates[i] for i in chosen]
+        assert len({frame[i] for i in chosen}) == 5
+        rng = np.random.default_rng(6)
+        which = rng.permutation(np.arange(300) % 5)
+        pos, pauli, qubit = (np.array([faults_of[w][k] for w in which]) for k in range(3))
+        uniforms = rng.random((300, len(harness.meas_order)))
+
+        forks = []
+        fork = semantics.BranchTree.fork
+
+        def checked(self, row, x, z):
+            hit = np.isin(self.alive, row)
+            at = row.searchsorted(self.alive[hit])
+            triples = set(zip(self.of[hit].tolist(), x[at].tolist(), z[at].tolist()))
+            kept = len(set(self.of[~hit].tolist()))
+            fork(self, row, x, z)
+            assert len(self.states) == len(triples) + kept
+            assert len(set(self.of[hit].tolist())) == len(triples)
+            forks.append((hit.sum(), len(triples)))
+
+        monkeypatch.setattr(semantics.BranchTree, "fork", checked)
+        accepted, infidelity = sampled(harness, (np.arange(300), pos, pauli, qubit), uniforms)
+        assert forks and any(rows > states for rows, states in forks)
+        for r in range(300):
+            ok, infid = reference_trajectory(
+                harness, {int(pos[r]): [("XYZ"[pauli[r]], int(qubit[r]))]}, uniforms[r]
+            )
+            assert accepted[r] == ok
+            assert infidelity[r] == pytest.approx(infid, rel=1e-12, abs=1e-13)
+        assert 0 < accepted.sum() < 300
+
+
+class TestDrawnChunks:
+    """`TrajectoryKernel.drawn_chunks` cuts drawn rows into kernel calls by
+    the amplitudes they hold: a state of its own from a row's first stop
+    on, and one shared state per outcome history before it."""
+
+    @pytest.mark.parametrize("name", ["ccz-g", "cs-g", "t15"])
+    def test_calls_stay_within_amplitudes(self, monkeypatch, name):
+        circ, outputs = {"ccz-g": compiled_ccz, "cs-g": compiled_cs, "t15": compiled_t15}[
+            name
+        ]()
+        if name.endswith("-g"):
+            circ = gadgetize(circ)
+        harness = FaultHarness(circ, outputs)
+        faults_of, uniforms = TestSharedPrefix.mc_batch(harness, 0.01, 3000, 5)
+        monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", 1 << 30)
+        want, counts = tallied(harness, lambda: sampled(harness, faults_of, uniforms))
+        assert counts["kernel_calls"] == 1
+        budget = 16 << harness.kernel.peak
+        monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", budget)
+        held = []
+        apply_run = semantics.TrajectoryKernel._apply_run
+        measure, fork, read = (
+            semantics.BranchTree.measure, semantics.BranchTree.fork, semantics.BranchTree.final
+        )
+
+        def applied(self, states, first, last):
+            out = apply_run(self, states, first, last)
+            held.append(out.size)
+            return out
+
+        def measured(self, *args):
+            measure(self, *args)
+            held.append(self.states.size)
+
+        def forked(self, *args):
+            fork(self, *args)
+            held.append(self.states.size)
+
+        def final(self):   # a state for every row, besides the shared ones
+            out = read(self)
+            held.append(self.states.size + out[2].size)
+            return out
+
+        monkeypatch.setattr(semantics.TrajectoryKernel, "_apply_run", applied)
+        monkeypatch.setattr(semantics.BranchTree, "measure", measured)
+        monkeypatch.setattr(semantics.BranchTree, "fork", forked)
+        monkeypatch.setattr(semantics.BranchTree, "final", final)
+        got, counts = tallied(harness, lambda: sampled(harness, faults_of, uniforms))
+        assert counts["kernel_calls"] > 5 and max(held) <= budget
+        assert (got[0] == want[0]).all()
+        assert np.abs(got[1] - want[1]).max() <= 1e-12
+        assert 0 < want[0].sum() < len(uniforms)
+
+    def test_rows_per_call_below_the_tree_cap(self):
+        # 9 live qubits at the first detector and 1 at the end: rows whose
+        # faults stop at the end share one state up to there, and hold 2
+        # amplitudes each after it, so 20,000 of them fit one call by
+        # amplitudes; a walk would refuse so many rows of 2^8 amplitudes at
+        # a measurement, so the calls take MAX_TREE_AMPLITUDES >> 9 rows
+        gates = [Gate("PrepPlus", (0,))] + [Gate("PrepZero", (q,)) for q in range(1, 9)]
+        gates += [Gate("T", (0,))] + [Gate("CNOT", (q, q % 8 + 1)) for q in range(1, 9)]
+        gates += [Gate("MeasZ", (q,), f"d{q}") for q in range(1, 9)]
+        harness = FaultHarness(Circuit(9, tuple(gates)), [0])
+        kernel, rows = harness.kernel, 20_000
+        assert kernel.peak == 9 and kernel.layout(2 * len(gates)) == (0,)
+        assert rows << 1 <= _CHUNK_AMPLITUDES
+        assert rows << 8 > semantics.MAX_TREE_AMPLITUDES
+        pauli = np.arange(rows) % 3
+        uniforms = np.random.default_rng(7).random((rows, len(harness.meas_order)))
+        end = np.full(rows, len(gates) - 1)
+        (accepted, infidelity), counts = tallied(
+            harness, lambda: sampled(harness, (np.arange(rows), end, pauli, np.zeros(rows)), uniforms)
+        )
+        assert counts["kernel_calls"] == -(-rows // (semantics.MAX_TREE_AMPLITUDES >> 9))
+        assert accepted.all()
+        for p in range(3):
+            ok, infid = reference_trajectory(harness, {len(gates) - 1: [("XYZ"[p], 0)]}, uniforms[p])
+            assert ok and infidelity[pauli == p] == pytest.approx(infid, rel=1e-12, abs=1e-13)
 
 
 class TestPreparationRoundFaults:
@@ -1005,7 +1153,7 @@ class TestExactKernel:
         circ, outputs = compiled_ccz()
         harness = FaultHarness(gadgetize(circ), outputs)
         monkeypatch.setattr(semantics, "_CHUNK_AMPLITUDES", 1 << 7)
-        assert harness.kernel.chunk_rows == 1
+        assert harness.kernel.peak == 8
         nothing = (np.zeros(0, dtype=np.int64),) * 4
         row, _, _ = harness.run_sampled(nothing, np.full((1, len(harness.meas_order)), np.nan))
         assert len(row) == 16
@@ -1380,7 +1528,7 @@ class TestDecidedRows:
             sub = (rows.searchsorted(frames[0][on]), *(a[on] for a in frames[1:]))
             drawn = rng.random((len(rows), len(harness.meas_order)))
             assert len(kernel.run(drawn, harness.reference, sub)[0]) == 0, label
-            step = max(1, kernel.chunk_rows >> len(harness.injection))
+            step = max(1, _CHUNK_AMPLITUDES >> kernel.peak + len(harness.injection))
             for lo in range(0, len(rows), step):
                 hi = min(lo + step, len(rows))
                 a, b = sub[0].searchsorted((lo, hi))

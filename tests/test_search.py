@@ -25,6 +25,7 @@ from rotsynth.compiler import (
     _carry,
     _cnot_key,
     _depth_table,
+    _digit_bits,
     _greedy_batch,
     _greedy_rows,
     _hoisted,
@@ -132,18 +133,25 @@ class TestGreedyKernel:
         assert _weights(9, 10, range(20)).shape[1] > 1
 
     def test_digit_keys_order_like_integers(self):
-        # scores add signed digits of radix 2^31 without carrying; after
+        # scores add signed digits of radix 2^bits without carrying; after
         # `_carry` they must compare like the integers they encode, the
-        # first of equal ones winning
-        rng = np.random.default_rng(3)
-        digits = rng.integers(-(2**33), 2**33, size=(200, 12, 3))
-        digits[:, :, 0] = rng.integers(-1, 2, size=(200, 12))  # leading digits tie often
-        # equal values in other digits: 2^31 * d0 + d1 = 2^31 * (d0 + 1) + (d1 - 2^31)
-        digits[:, 7] = digits[:, 2] + [1, -(2**31), 0]
-        values = [[(int(a) << 62) + (int(b) << 31) + int(c) for a, b, c in row] for row in digits]
-        got = _lex_argmin(_carry(digits.copy()))
-        assert got.tolist() == [row.index(min(row)) for row in values]
-        assert any(row[2] == min(row) for row in values)  # the tie is exercised
+        # first of equal ones winning; 57 bits is the radix of n = 9 to 14
+        assert {_digit_bits(n) for n in range(9, 15)} == {57}
+        # so maxsum keys carry two digits from n = 9 to 14
+        assert {_weights(n, n + 1, range(2 * n + 2)).shape[1] for n in range(9, 15)} == {2}
+        for bits in (31, 57):
+            rng = np.random.default_rng(3)
+            digits = rng.integers(-(2 ** (bits + 2)), 2 ** (bits + 2), size=(200, 12, 3))
+            digits[:, :, 0] = rng.integers(-1, 2, size=(200, 12))  # leading digits tie often
+            # equal values in other digits: 2^bits d0 + d1 = 2^bits (d0 + 1) + (d1 - 2^bits)
+            digits[:, 7] = digits[:, 2] + [1, -(2**bits), 0]
+            values = [
+                [(int(a) << 2 * bits) + (int(b) << bits) + int(c) for a, b, c in row]
+                for row in digits
+            ]
+            got = _lex_argmin(_carry(digits.copy(), bits))
+            assert got.tolist() == [row.index(min(row)) for row in values]
+            assert any(row[2] == min(row) for row in values)  # the tie is exercised
 
     def test_one_qubit_and_cycle(self):
         for score in _EMISSION_SCORES:
